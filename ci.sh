@@ -39,6 +39,13 @@
 #      ledger conserves (accounts for >= 90% of wall), /resources
 #      serves the attribution, and `ringtop --once` renders the CPU
 #      column and the ledger bar (see DESIGN.md §15)
+#  12. ringbench gate — benchmark/check.sh (build + every workload at 1/16
+#      size, untraced and traced, on seeds 1 and 2: samples checked against
+#      the graph, one digest across the epoch_skew_* workloads, metric names
+#      checked against BENCHMARK.json), then one `ringbench --quick` pass
+#      whose epoch_skew_coalesce peak RSS must stay within 1.5x of
+#      epoch_skew_naive's: a planned fetch may not hold more than the
+#      naive one (see DESIGN.md §9)
 #
 # Usage: ./ci.sh
 set -euo pipefail
@@ -180,5 +187,17 @@ echo "$PROF_FRAME" | grep -q '^  ledger     |' || { echo "ringtop frame missing 
 kill "$PROF_PID" 2>/dev/null || true
 wait "$PROF_PID" 2>/dev/null || true
 echo "    ringprof gate ok (amplification A/B, conserving ledgers, /resources, ringtop CPU column)"
+
+echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive peak RSS)"
+benchmark/check.sh
+QUICK="$("${CARGO_TARGET_DIR:-benchmark/target}/release/ringbench" --quick)" || { echo "$QUICK"; echo "ringbench --quick failed"; exit 1; }
+# Every workload's block opens with "<name>: <why>" and lists one metric a line.
+rss_of() { echo "$QUICK" | awk -v w="$1:" '$1 == w { on = 1 } on && $1 == "peak_rss_mb" { print $2; exit }'; }
+RSS_NAIVE="$(rss_of epoch_skew_naive)"
+RSS_COALESCE="$(rss_of epoch_skew_coalesce)"
+[ -n "$RSS_NAIVE" ] && [ -n "$RSS_COALESCE" ] || { echo "$QUICK"; echo "ringbench --quick printed no peak_rss_mb"; exit 1; }
+awk -v c="$RSS_COALESCE" -v n="$RSS_NAIVE" 'BEGIN { exit !(c <= 1.5 * n) }' \
+    || { echo "epoch_skew_coalesce peak RSS $RSS_COALESCE MB > 1.5 x epoch_skew_naive $RSS_NAIVE MB"; exit 1; }
+echo "    ringbench gate ok (coalesce $RSS_COALESCE MB vs naive $RSS_NAIVE MB at quick size)"
 
 echo "CI: all gates passed."

@@ -13,13 +13,19 @@
 //! 3. **Coalesce** runs whose byte extents fall within a configurable gap
 //!    threshold (default: one 4 KiB page) into single larger
 //!    [`ReadSlice`]s, bounded by [`MAX_COALESCED_BYTES`].
-//! 4. Keep a compact **scatter map**: for every original position, the byte
-//!    offset of its entry inside the concatenated planned payload, so
-//!    completed buffers fan back out to every output slot.
+//! 4. Expose the sorted order ([`ReadPlanner::perm`]): slices are sorted
+//!    and disjoint, so the entries one slice serves are a contiguous run of
+//!    `perm`, and the worker decodes each completed slice straight into the
+//!    output slots of its run — no payload is ever concatenated. The
+//!    **scatter map** (every original position's byte offset inside the
+//!    concatenation of all slices) is kept for callers that do materialise
+//!    the payload (the benchmark's layer walk, the planner's own oracle).
 //!
-//! All scratch is reused across calls; a planner's steady-state footprint
-//! is `O(layer width)`, which is already charged to the worker's workspace
-//! — the paper's `O(|V| + threads)` memory bound is preserved.
+//! All scratch is reused across calls; the planner's footprint is
+//! `O(layer width)` — 4 bytes per entry plus the slice list, 12 with the
+//! scatter map — and with the worker's byte-capped group buffers that is
+//! *all* a planned fetch holds, so the paper's `O(|V| + threads)` memory
+//! bound holds in every plan mode.
 
 use ringsampler_io::ReadSlice;
 
@@ -139,7 +145,7 @@ impl PlanStats {
 /// layers and epochs so steady-state planning allocates nothing.
 #[derive(Debug, Default)]
 pub struct ReadPlanner {
-    /// Scratch permutation of input positions, sorted by entry value.
+    /// Input positions sorted by entry value (empty after an `Off` plan).
     perm: Vec<u32>,
     /// The planned request list, sorted by offset, non-overlapping.
     slices: Vec<ReadSlice>,
@@ -160,6 +166,14 @@ impl ReadPlanner {
         &self.slices
     }
 
+    /// The input positions of the last [`ReadPlanner::plan`] call, sorted by
+    /// entry value: the entries slice `k` serves are the run of `perm` that
+    /// follows slice `k - 1`'s. Empty after an `Off` (identity) plan, whose
+    /// slice `k` serves exactly position `k`.
+    pub fn perm(&self) -> &[u32] {
+        &self.perm
+    }
+
     /// The scatter map from the last [`ReadPlanner::plan`] call: entry `i`
     /// of the original input lives at payload byte `scatter()[i]`.
     pub fn scatter(&self) -> &[u64] {
@@ -178,15 +192,41 @@ impl ReadPlanner {
     /// the layout of both the edge-file entry array (`stride` = 4) and the
     /// page-cache miss list (`stride` = page size).
     ///
-    /// After the call, [`ReadPlanner::slices`] holds the request list and
-    /// [`ReadPlanner::scatter`] maps every original position into the
-    /// concatenated payload. Input order is never modified.
+    /// After the call, [`ReadPlanner::slices`] holds the request list,
+    /// [`ReadPlanner::perm`] the sorted order and [`ReadPlanner::scatter`]
+    /// maps every original position into the concatenated payload. Input
+    /// order is never modified.
     pub fn plan(
         &mut self,
         entries: &[u64],
         base: u64,
         stride: u32,
         mode: ReadPlanMode,
+    ) -> PlanStats {
+        self.build(entries, base, stride, mode, true)
+    }
+
+    /// [`ReadPlanner::plan`] without the scatter map (left empty): for a
+    /// caller that decodes slice by slice through [`ReadPlanner::perm`] and
+    /// never concatenates the payload, the map is 8 bytes of scratch and
+    /// one random store per entry for nothing.
+    pub fn plan_slices(
+        &mut self,
+        entries: &[u64],
+        base: u64,
+        stride: u32,
+        mode: ReadPlanMode,
+    ) -> PlanStats {
+        self.build(entries, base, stride, mode, false)
+    }
+
+    fn build(
+        &mut self,
+        entries: &[u64],
+        base: u64,
+        stride: u32,
+        mode: ReadPlanMode,
+        want_scatter: bool,
     ) -> PlanStats {
         let n = entries.len();
         let stride64 = u64::from(stride);
@@ -198,6 +238,7 @@ impl ReadPlanner {
         };
         self.slices.clear();
         self.scatter.clear();
+        self.perm.clear();
 
         // Positions must fit the u32 scratch permutation; a layer this wide
         // (> 4 Gi entries) cannot occur under any supported batch/fanout
@@ -209,21 +250,24 @@ impl ReadPlanner {
         };
 
         if effective.is_off() || n == 0 {
-            self.scatter.reserve(n);
             self.slices.reserve(n);
-            let mut payload = 0u64;
-            for &e in entries {
-                self.slices.push(ReadSlice::new(base + e * stride64, stride));
-                self.scatter.push(payload);
-                payload += stride64;
+            self.slices.extend(
+                entries
+                    .iter()
+                    .map(|&e| ReadSlice::new(base + e * stride64, stride)),
+            );
+            if want_scatter {
+                self.scatter.extend((0..n as u64).map(|i| i * stride64));
             }
             stats.planned_reads = n as u64;
-            stats.planned_bytes = payload;
+            stats.planned_bytes = n as u64 * stride64;
             return stats;
         }
 
-        self.scatter.resize(n, 0);
-        self.perm.clear();
+        // With no scatter map to fill, the `get_mut` stores below find no slot.
+        if want_scatter {
+            self.scatter.resize(n, 0);
+        }
         self.perm.extend(0..n as u32);
         // Stable ordering is irrelevant (equal entries scatter to the same
         // payload byte); unstable sort avoids the merge-sort scratch buffer.
@@ -427,6 +471,45 @@ mod tests {
         assert!(stats.coalesce_ratio() > 9.0);
         assert_invariants(&p, entries.len());
         check_scatter(&p, &entries, 8, 4);
+    }
+
+    #[test]
+    fn perm_runs_partition_entries_by_slice() {
+        // The worker's contract: walking the slices in order, the entries
+        // each one serves are the next run of `perm` inside its extent, and
+        // the runs use `perm` up. `plan_slices` builds the same plan minus
+        // the scatter map.
+        let entries = [900u64, 3, 17_000, 4, 3, 40_000, 16_999, 5, 900];
+        for mode in [
+            ReadPlanMode::Dedup,
+            ReadPlanMode::Coalesce { gap: 0 },
+            ReadPlanMode::coalesce(),
+        ] {
+            let mut full = ReadPlanner::new();
+            let want = full.plan(&entries, 8, 4, mode);
+            let mut p = ReadPlanner::new();
+            assert_eq!(p.plan_slices(&entries, 8, 4, mode), want);
+            assert_eq!(p.slices(), full.slices());
+            assert_eq!(p.perm(), full.perm());
+            assert!(p.scatter().is_empty());
+            let mut order = p
+                .perm()
+                .iter()
+                .map(|&i| (i, 8 + entries[i as usize] * 4))
+                .peekable();
+            for s in p.slices() {
+                let extent = s.offset..s.offset + s.len as u64;
+                let mut served = 0;
+                while order
+                    .next_if(|(_, b)| extent.contains(b) && b + 4 <= extent.end)
+                    .is_some()
+                {
+                    served += 1;
+                }
+                assert!(served > 0, "{mode:?}: slice {s:?} serves no entry");
+            }
+            assert_eq!(order.next(), None, "{mode:?}: entries left unserved");
+        }
     }
 
     #[test]

@@ -2424,6 +2424,13 @@ mod tests {
         let (code, body) = http_get(handle.addr(), "/resources");
         assert_eq!(code, 200);
         assert!(body.contains("\"conserved\": true"), "{body}");
+        // The worker reports progress again: on a busy test host the
+        // requests above can outlast the 60 ms stall threshold.
+        cell.publish(snap(2, 4, true));
+        let recovered = Instant::now() + Duration::from_secs(5);
+        while !handle.is_healthy() && Instant::now() < recovered {
+            std::thread::sleep(Duration::from_millis(2));
+        }
         let (code, _) = http_get(handle.addr(), "/healthz");
         assert_eq!(code, 200);
         assert!(handle.is_healthy());
@@ -2443,7 +2450,7 @@ mod tests {
         assert!(!handle.is_healthy());
 
         // Progress again: the worker recovers, health returns.
-        cell.publish(snap(2, 4, true));
+        cell.publish(snap(3, 4, true));
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let (code, _) = http_get(handle.addr(), "/healthz");

@@ -28,7 +28,7 @@ use crate::config::{CachePolicy, PipelineMode, RingMode, SamplerConfig};
 use crate::error::{Result, SamplerError};
 use crate::memory::MemoryCharge;
 use crate::metrics::{SampleMetrics, WorkerResources, WorkerStats};
-use crate::plan::{ReadPlanMode, ReadPlanner};
+use crate::plan::{ReadPlanMode, ReadPlanner, MAX_COALESCED_BYTES};
 use crate::sampling::OffsetSampler;
 
 /// Registered fixed-buffer pool shape per worker: enough for the two
@@ -47,6 +47,15 @@ const PBUF_EACH_BYTES: u32 = 4096;
 /// it, so a window of three amortizes one syscall across three groups
 /// (~0.33 enters/group vs 1.0 for eager submission).
 const LAZY_PIPELINE_DEPTH: usize = 3;
+/// Byte ceiling of one I/O group's buffer. A group closes at `queue_depth`
+/// requests or before its payload would pass this, so a worker's buffer
+/// pool is at most pipeline-depth × this many bytes however wide a layer
+/// or dense a plan is. 512 KiB holds eight full planned slices or 128
+/// pages, and keeps the two in-flight buffers plus what they are decoded
+/// into well inside a 4 MiB L2: at 2 MiB the cached fetch measured ~20 %
+/// slower, at 256 KiB–1 MiB the same (EXPERIMENTS.md, "Streaming fetch").
+pub const GROUP_BYTES_MAX: usize = 512 << 10;
+const _: () = assert!(GROUP_BYTES_MAX as u64 >= MAX_COALESCED_BYTES);
 
 /// Nanoseconds between two instants, saturating at zero and `u64::MAX`.
 #[inline]
@@ -70,18 +79,13 @@ pub struct SamplerWorker {
     // neighbors, targets).
     offsets: Vec<u64>,
     src_pos: Vec<u32>,
-    reqs: Vec<ReadSlice>,
+    /// Recycled group buffers: one per in-flight group of the pipeline,
+    /// each grown on demand to at most [`GROUP_BYTES_MAX`].
     buf_pool: Vec<Vec<u8>>,
-    /// Read-plan builder (sort/dedup/coalesce scratch + scatter map).
+    /// Recycled per-group request lists (at most `queue_depth` each).
+    req_pool: Vec<Vec<ReadSlice>>,
+    /// Read-plan builder (sort/dedup/coalesce scratch + sorted order).
     planner: ReadPlanner,
-    /// Concatenated planned-slice payload for the scatter pass.
-    payload: Vec<u8>,
-    /// Per-miss-page byte scratch for the cached path (filled during the
-    /// read, drained back into `page_pool` after resolution).
-    page_data: Vec<Vec<u8>>,
-    /// Recycled page buffers: the cached path reuses these instead of
-    /// allocating a fresh `Vec<u8>` per miss page every layer.
-    page_pool: Vec<Vec<u8>>,
     /// Bytes pinned in the reader's registered fixed-buffer pool (0 when
     /// registration is off or failed); charged to the workspace.
     regbuf_bytes: u64,
@@ -278,12 +282,9 @@ impl SamplerWorker {
             metrics,
             offsets: Vec::new(),
             src_pos: Vec::new(),
-            reqs: Vec::new(),
             buf_pool: Vec::new(),
+            req_pool: Vec::new(),
             planner: ReadPlanner::new(),
-            payload: Vec::new(),
-            page_data: Vec::new(),
-            page_pool: Vec::new(),
             regbuf_bytes,
             workspace_charge,
             charged_bytes: base,
@@ -622,311 +623,229 @@ impl SamplerWorker {
         })
     }
 
-    /// Fetches the neighbor values at `entry_indices` from the edge file,
-    /// through the page cache when enabled.
-    pub(crate) fn fetch_entries(&mut self, entry_indices: &[u64]) -> Result<Vec<NodeId>> {
-        if self.cache.is_some() {
-            self.fetch_entries_cached(entry_indices)
-        } else {
-            self.fetch_entries_raw(entry_indices)
-        }
-    }
-
-    /// Offset-based direct reads: exactly 4 bytes per sampled neighbor —
-    /// the paper's core I/O pattern (Fig. 2 steps 4–6).
+    /// Fetches the neighbor values at `entry_indices` from the edge file:
+    /// the single plan → read → scatter path of every configuration.
     ///
-    /// With a [`ReadPlanMode`] other than `Off`, duplicate entries are
-    /// deduped and near-adjacent entries coalesced into larger slices
-    /// before submission; the planner's scatter map fans the concatenated
-    /// payload back to every original output position, so `dst` is
-    /// byte-identical to the naive path.
-    fn fetch_entries_raw(&mut self, entry_indices: &[u64]) -> Result<Vec<NodeId>> {
-        if self.cfg.read_plan.is_off() {
-            // Paper-faithful path: one SQE per sampled entry. Kept verbatim
-            // so `read_plan = Off` submits a bit-identical request stream.
-            // The identity plan is still traced (reqs_in == reqs_out) so
-            // ringtrace's stage coverage holds in Off mode too.
-            let t0 = self.events.as_ref().map(|_| Instant::now());
-            self.reqs.clear();
-            self.reqs.extend(entry_indices.iter().map(|&e| {
-                ReadSlice::new(OnDiskGraph::entry_byte_offset(e), ENTRY_BYTES as u32)
-            }));
-            if let Some(t0) = t0 {
-                self.trace(
-                    EventKind::PlanBuilt,
-                    entry_indices.len() as u64,
-                    self.reqs.len() as u64,
-                    0,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-            // Off-mode decoding happens inside the consume closure, so the
-            // scatter stage is the Aggregate-phase delta across the read.
-            let agg0 = self.phases.get(Phase::Aggregate);
-            let reqs = std::mem::take(&mut self.reqs);
-            let mut out = Vec::with_capacity(entry_indices.len());
-            self.pipelined_read(&reqs, |buf| {
-                out.extend(buf.chunks_exact(ENTRY_SZ).map(|c| {
-                    // ringlint: allow(panic-free-hot-path) — chunks_exact yields exactly ENTRY_SZ bytes per chunk
-                    NodeId::from_le_bytes(c.try_into().expect("exact chunk"))
-                }));
-            })?;
-            self.reqs = reqs;
-            self.trace(
-                EventKind::ScatterDone,
-                entry_indices.len() as u64,
-                self.phases.get(Phase::Aggregate).saturating_sub(agg0),
-                0,
-                0,
-            );
-            debug_assert_eq!(out.len(), entry_indices.len());
-            return Ok(out);
-        }
-        // Planned path: plan (CPU, counted as Prepare) → read slices into
-        // the payload scratch → scatter-decode into the output.
-        let t0 = Instant::now();
+    /// 1. **Cache** (when enabled): resident pages answer their entries;
+    ///    the misses, sorted by byte offset once, are what is left to read.
+    /// 2. **Plan**: `Off` reads exactly 4 bytes per sampled neighbor in
+    ///    sampling order — the paper's core I/O pattern (Fig. 2 steps 4–6);
+    ///    other modes dedup and coalesce entries into larger slices; with a
+    ///    cache the requests are the unique miss pages, merged when
+    ///    strictly adjacent under `Coalesce`.
+    /// 3. **Read + scatter**: [`Self::pipelined_read`] streams the requests
+    ///    in byte-capped groups and every completed group is decoded
+    ///    straight from its buffer into the output (and its pages into the
+    ///    cache), so `dst` is byte-identical in every mode and nothing the
+    ///    size of the layer's payload is ever held.
+    pub(crate) fn fetch_entries(&mut self, entry_indices: &[u64]) -> Result<Vec<NodeId>> {
+        // The scatter step borrows the planner and the cache while the
+        // executor borrows the rest of the worker; both are handed back
+        // before an error propagates so their capacity (and its workspace
+        // charge) survives a failed batch.
         let mut planner = std::mem::take(&mut self.planner);
-        let stats = planner.plan(
-            entry_indices,
-            OnDiskGraph::entry_byte_offset(0),
-            ENTRY_BYTES as u32,
-            self.cfg.read_plan,
-        );
-        let plan_end = Instant::now();
-        self.phases
-            .add(Phase::Prepare, nanos_between(t0, plan_end));
-        self.trace(
-            EventKind::PlanBuilt,
-            entry_indices.len() as u64,
-            stats.planned_reads,
-            stats.bytes_saved(),
-            nanos_between(t0, plan_end),
-        );
-        self.metrics.reads_planned += stats.planned_reads;
-        self.metrics.reads_saved += stats.reads_saved();
-        self.metrics.bytes_saved += stats.bytes_saved();
-        let mut payload = std::mem::take(&mut self.payload);
-        payload.clear();
-        // The payload copy in `consume` runs inside `pipelined_read` as
-        // Aggregate-phase time; fold its delta into the scatter stage so
-        // ringtrace's attribution covers it.
-        let agg0 = self.phases.get(Phase::Aggregate);
-        let read_res =
-            self.pipelined_read(planner.slices(), |buf| payload.extend_from_slice(buf));
-        let mut out = Vec::with_capacity(entry_indices.len());
-        let mut decode_err = None;
-        let s0 = self.events.as_ref().map(|_| Instant::now());
-        if read_res.is_ok() {
-            for (&e, &po) in entry_indices.iter().zip(planner.scatter()) {
-                match entry_in_page(&payload, po as usize, OnDiskGraph::entry_byte_offset(e)) {
-                    Ok(v) => out.push(v),
-                    Err(err) => {
-                        decode_err = Some(err);
-                        break;
-                    }
-                }
-            }
-            if let (Some(s0), None) = (s0, &decode_err) {
-                self.trace(
-                    EventKind::ScatterDone,
-                    entry_indices.len() as u64,
-                    self.phases.get(Phase::Aggregate).saturating_sub(agg0)
-                        + s0.elapsed().as_nanos() as u64,
-                    0,
-                    0,
-                );
-            }
-        }
-        // Return the scratch before propagating errors so capacity (and
-        // its workspace charge) survives a failed batch.
+        let mut cache = self.cache.take();
+        let res = self.fetch_through(entry_indices, &mut planner, cache.as_mut());
         self.planner = planner;
-        self.payload = payload;
-        read_res?;
-        if let Some(err) = decode_err {
-            return Err(err);
-        }
-        debug_assert_eq!(out.len(), entry_indices.len());
-        Ok(out)
+        self.cache = cache;
+        res
     }
 
-    /// Page-granular reads with LRU caching (CachePolicy::Page).
-    fn fetch_entries_cached(&mut self, entry_indices: &[u64]) -> Result<Vec<NodeId>> {
-        let mut out = vec![0 as NodeId; entry_indices.len()];
-        // Resolve hits; collect misses as (out position, page, offset).
-        let mut pending: Vec<(usize, u64, usize)> = Vec::new();
-        {
-            let Some(cache) = self.cache.as_mut() else {
-                return Err(SamplerError::Internal(
-                    "fetch_entries_cached called without a page cache",
-                ));
-            };
-            for (i, &e) in entry_indices.iter().enumerate() {
-                let byte = OnDiskGraph::entry_byte_offset(e);
+    fn fetch_through(
+        &mut self,
+        entries: &[u64],
+        planner: &mut ReadPlanner,
+        mut cache: Option<&mut PageCache>,
+    ) -> Result<Vec<NodeId>> {
+        let n = entries.len();
+        if n > u32::MAX as usize {
+            return Err(SamplerError::Internal("layer wider than 2^32 entries"));
+        }
+        let mode = self.cfg.read_plan;
+        let cached = cache.is_some();
+        let byte_of = OnDiskGraph::entry_byte_offset;
+        let mut out = vec![0 as NodeId; n];
+        // Entries still to read as (byte offset, output position).
+        let mut misses: Vec<(u64, u32)> = Vec::new();
+        if let Some(cache) = cache.as_deref_mut() {
+            for (i, (&e, slot)) in entries.iter().zip(out.iter_mut()).enumerate() {
+                let byte = byte_of(e);
                 let (page, within) = page_of(byte);
-                if let Some(data) = cache.get(page) {
-                    // ringlint: allow(panic-free-hot-path) — i < out.len(): positions come from enumerate() over entry_indices
-                    out[i] = entry_in_page(data, within, byte)?;
-                } else {
-                    pending.push((i, page, within));
+                match cache.get(page) {
+                    Some(data) => *slot = entry_in_page(data, within, byte)?,
+                    None => misses.push((byte, i as u32)),
                 }
             }
+            if misses.len() < n {
+                self.trace(EventKind::CacheHit, (n - misses.len()) as u64, 0, 0, 0);
+            }
+            if misses.is_empty() {
+                return Ok(out);
+            }
+            self.trace(EventKind::CacheMiss, misses.len() as u64, 0, 0, 0);
         }
-        let hits = entry_indices.len().saturating_sub(pending.len()) as u64;
-        if hits > 0 {
-            self.trace(EventKind::CacheHit, hits, 0, 0, 0);
-        }
-        if !pending.is_empty() {
-            self.trace(EventKind::CacheMiss, pending.len() as u64, 0, 0, 0);
-        }
-        if pending.is_empty() {
-            return Ok(out);
-        }
-        // Unique miss pages, sorted for locality.
-        let mut pages: Vec<u64> = pending.iter().map(|p| p.1).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        // A sampled entry pointing past EOF means the offset index and the
-        // edge file disagree (truncated or mismatched dataset). Catch it
-        // here so `file_len - start` below can never underflow.
-        if let Some(&last) = pages.last() {
-            let start = last * PAGE_SIZE as u64;
-            if start >= self.file_len {
+        // Plan (CPU, counted as Prepare). `stats` is `None` for an identity
+        // plan — nothing merged, so the planner counters stay untouched — and
+        // `Off` without a cache builds nothing at all (its requests are
+        // generated group by group below); both are still traced, so
+        // ringtrace's stage table covers every mode.
+        let t0 = Instant::now();
+        let (reqs_in, stats) = if cached {
+            misses.sort_unstable_by_key(|m| m.0);
+            let mut pages: Vec<u64> = misses.iter().map(|m| page_of(m.0).0).collect();
+            pages.dedup();
+            // A sampled entry pointing past EOF means the offset index and
+            // the edge file disagree (truncated or mismatched dataset).
+            let last = pages.last().map_or(0, |p| p * PAGE_SIZE as u64);
+            if last >= self.file_len {
                 return Err(SamplerError::Io(IoEngineError::ShortRead {
-                    offset: start,
+                    offset: last,
                     expected: PAGE_SIZE as u32,
                     got: 0,
                 }));
             }
-        }
-        self.reqs.clear();
-        if matches!(self.cfg.read_plan, ReadPlanMode::Coalesce { .. }) {
-            // Pages are already unique and sorted, so Dedup is a no-op
-            // here; Coalesce merges *strictly adjacent* pages (gap 0) into
-            // one larger slice. Gap 0 keeps every payload byte a real page
-            // byte, so the PAGE_SIZE splitting in `consume` below still
-            // recovers the individual pages.
-            let t0 = Instant::now();
-            let mut planner = std::mem::take(&mut self.planner);
-            let stats = planner.plan(&pages, 0, PAGE_SIZE as u32, ReadPlanMode::Coalesce { gap: 0 });
-            self.reqs.extend_from_slice(planner.slices());
-            self.planner = planner;
-            let plan_end = Instant::now();
-            self.phases
-                .add(Phase::Prepare, nanos_between(t0, plan_end));
-            self.trace(
-                EventKind::PlanBuilt,
-                pages.len() as u64,
-                stats.planned_reads,
-                stats.bytes_saved(),
-                nanos_between(t0, plan_end),
-            );
-            self.metrics.reads_planned += stats.planned_reads;
-            self.metrics.reads_saved += stats.reads_saved();
-            self.metrics.bytes_saved += stats.bytes_saved();
-            // The planner reads whole pages; clamp the tail slice to EOF
-            // (the final page of the edge file is usually short).
-            for r in &mut self.reqs {
-                let end = r.offset.saturating_add(r.len as u64);
-                if end > self.file_len {
-                    r.len = self.file_len.saturating_sub(r.offset) as u32;
-                }
-            }
+            // Miss pages are already unique and sorted, so only `Coalesce`
+            // has anything to merge: *strictly adjacent* pages (gap 0), which
+            // keeps every byte read a real page byte.
+            let page_mode = match mode {
+                ReadPlanMode::Coalesce { .. } => ReadPlanMode::Coalesce { gap: 0 },
+                _ => ReadPlanMode::Off,
+            };
+            let stats = planner.plan_slices(&pages, 0, PAGE_SIZE as u32, page_mode);
+            (pages.len(), (!page_mode.is_off()).then_some(stats))
+        } else if mode.is_off() {
+            (n, None)
         } else {
-            // No planning: one request per miss page. Traced as an
-            // identity plan so the stage table covers this path too.
-            let t0 = self.events.as_ref().map(|_| Instant::now());
-            for &p in &pages {
-                let start = p * PAGE_SIZE as u64;
-                let len = PAGE_SIZE.min(self.file_len.saturating_sub(start) as usize) as u32;
-                self.reqs.push(ReadSlice::new(start, len));
-            }
-            if let Some(t0) = t0 {
-                self.trace(
-                    EventKind::PlanBuilt,
-                    pages.len() as u64,
-                    self.reqs.len() as u64,
-                    0,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+            let stats = planner.plan_slices(entries, byte_of(0), ENTRY_BYTES as u32, mode);
+            (n, Some(stats))
+        };
+        let plan_nanos = nanos_between(t0, Instant::now());
+        self.phases.add(Phase::Prepare, plan_nanos);
+        self.trace(
+            EventKind::PlanBuilt,
+            reqs_in as u64,
+            stats.map_or(reqs_in as u64, |st| st.planned_reads),
+            stats.map_or(0, |st| st.bytes_saved()),
+            plan_nanos,
+        );
+        if let Some(st) = stats {
+            self.metrics.reads_planned += st.planned_reads;
+            self.metrics.reads_saved += st.reads_saved();
+            self.metrics.bytes_saved += st.bytes_saved();
         }
-        let reqs = std::mem::take(&mut self.reqs);
-        // Read all miss pages; keep their bytes for resolution (a page may
-        // be evicted again before we resolve, so resolve from `page_data`).
-        // Page buffers come from `page_pool` — recycled across batches so
-        // the miss path performs no per-page allocation at steady state.
-        let mut page_data = std::mem::take(&mut self.page_data);
-        let mut pool = std::mem::take(&mut self.page_pool);
-        page_data.clear();
-        // As in the planned path, the page-split copy in `consume` is
-        // Aggregate-phase time inside `pipelined_read`; its delta belongs
-        // to the scatter stage.
+        // Read + scatter. Decoding runs inside the executor's consume step
+        // as Aggregate-phase time; its delta is the scatter stage.
         let agg0 = self.phases.get(Phase::Aggregate);
-        let read_res = self.pipelined_read(&reqs, |buf| {
-            // One group buffer may hold several pages back to back.
-            let mut cursor = 0usize;
-            while cursor < buf.len() {
-                let take = PAGE_SIZE.min(buf.len() - cursor);
-                let mut page = pool.pop().unwrap_or_default();
-                page.clear();
-                page.extend_from_slice(&buf[cursor..cursor + take]);
-                page_data.push(page);
-                cursor += take;
-            }
-        });
-        self.reqs = reqs;
-        let r0 = self.events.as_ref().map(|_| Instant::now());
-        let resolve_res = read_res.and_then(|()| {
-            debug_assert_eq!(page_data.len(), pages.len());
-            let cache = self.cache.as_mut().ok_or(SamplerError::Internal(
-                "page cache vanished during cached fetch",
-            ))?;
-            for (p, d) in pages.iter().zip(&page_data) {
-                cache.insert(*p, d);
-            }
-            for &(i, page, within) in &pending {
-                let data = pages
-                    .binary_search(&page)
-                    .ok()
-                    .and_then(|slot| page_data.get(slot))
-                    .ok_or(SamplerError::Internal("miss page absent from read batch"))?;
-                // ringlint: allow(panic-free-hot-path) — i < out.len(): pending positions come from enumerate() over entry_indices
-                out[i] = entry_in_page(data, within, page * PAGE_SIZE as u64 + within as u64)?;
-            }
-            Ok(())
-        });
-        if let (Some(r0), Ok(())) = (r0, &resolve_res) {
-            // Scatter stage of the cached path: page-split copies during
-            // the read, cache insertion, and resolving every pending miss
-            // from the read-back pages.
-            self.trace(
-                EventKind::ScatterDone,
-                pending.len() as u64,
-                self.phases.get(Phase::Aggregate).saturating_sub(agg0)
-                    + r0.elapsed().as_nanos() as u64,
-                0,
-                0,
-            );
+        if cached {
+            // Whole pages; the file's final page is usually short.
+            let eof = self.file_len;
+            let clamped = planner.slices().iter().map(|r| {
+                ReadSlice::new(
+                    r.offset,
+                    u64::from(r.len).min(eof.saturating_sub(r.offset)) as u32,
+                )
+            });
+            self.read_and_scatter(clamped, misses.iter().copied(), &mut out, cache)?;
+        } else if mode.is_off() {
+            // One request per entry, in sampling order: the group buffers
+            // concatenate to `out`.
+            let naive = entries
+                .iter()
+                .map(|&e| ReadSlice::new(byte_of(e), ENTRY_BYTES as u32));
+            let mut slots = out.iter_mut();
+            self.pipelined_read(naive, |_, buf| {
+                for (le, slot) in buf.chunks_exact(ENTRY_SZ).zip(slots.by_ref()) {
+                    // ringlint: allow(panic-free-hot-path) — chunks_exact yields exactly ENTRY_SZ bytes per chunk
+                    *slot = NodeId::from_le_bytes(le.try_into().expect("exact chunk"));
+                }
+                Ok(())
+            })?;
+        } else {
+            let order = planner
+                .perm()
+                .iter()
+                .map(|&i| (entries.get(i as usize).map_or(u64::MAX, |&e| byte_of(e)), i));
+            self.read_and_scatter(planner.slices().iter().copied(), order, &mut out, None)?;
         }
-        // Drain page buffers back into the pool (capacity retained) before
-        // propagating any error.
-        pool.append(&mut page_data);
-        self.page_data = page_data;
-        self.page_pool = pool;
-        resolve_res?;
+        self.trace(
+            EventKind::ScatterDone,
+            if cached { misses.len() } else { n } as u64,
+            self.phases.get(Phase::Aggregate).saturating_sub(agg0),
+            0,
+            0,
+        );
         Ok(out)
     }
 
+    /// Streams `reqs` through the I/O pipeline and decodes every completed
+    /// group in place. `order` lists the entries to resolve as (byte
+    /// offset, output position) in request order — the entries a request
+    /// serves are the next run of `order` inside its extent — and each is
+    /// decoded from the group buffer straight into `out`. With a cache,
+    /// every page read is inserted as it arrives.
+    fn read_and_scatter(
+        &mut self,
+        reqs: impl Iterator<Item = ReadSlice>,
+        order: impl Iterator<Item = (u64, u32)>,
+        out: &mut [NodeId],
+        mut cache: Option<&mut PageCache>,
+    ) -> Result<()> {
+        let mut order = order.peekable();
+        self.pipelined_read(reqs, |slices, buf| {
+            let mut rest = buf;
+            for s in slices {
+                let (Some(data), Some(tail)) =
+                    (rest.get(..s.len as usize), rest.get(s.len as usize..))
+                else {
+                    return Err(SamplerError::Internal(
+                        "group buffer shorter than its requests",
+                    ));
+                };
+                rest = tail;
+                if let Some(cache) = cache.as_deref_mut() {
+                    for (page, bytes) in (s.offset / PAGE_SIZE as u64..).zip(data.chunks(PAGE_SIZE))
+                    {
+                        cache.insert(page, bytes);
+                    }
+                }
+                let extent = s.offset..s.offset.saturating_add(u64::from(s.len));
+                while let Some((byte, pos)) = order.next_if(|(byte, _)| extent.contains(byte)) {
+                    let v = entry_in_page(data, (byte - s.offset) as usize, byte)?;
+                    if let Some(slot) = out.get_mut(pos as usize) {
+                        *slot = v;
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        // An entry no request covered lies past the (clamped) end of file.
+        match order.peek() {
+            Some(&(offset, _)) => Err(SamplerError::Io(IoEngineError::ShortRead {
+                offset,
+                expected: ENTRY_BYTES as u32,
+                got: 0,
+            })),
+            None => Ok(()),
+        }
+    }
+
     /// Runs the I/O-group pipeline over `reqs`, invoking `consume` on each
-    /// completed group buffer **in submission order**.
+    /// completed group — its requests and its filled buffer — **in
+    /// submission order**.
+    ///
+    /// A group closes at `queue_depth` requests or [`GROUP_BYTES_MAX`]
+    /// payload bytes, whichever comes first, and its buffer returns to the
+    /// pool once consumed, so the pool never holds more than `depth`
+    /// buffers of at most that size however wide the layer is.
     ///
     /// Async mode keeps two groups in flight: while the kernel works on
     /// group *k*, the CPU prepares and submits group *k+1*, then polls
     /// *k*'s completions from the CQ (paper Fig. 3b). Sync mode submits and
     /// waits one group at a time.
-    fn pipelined_read<F>(&mut self, reqs: &[ReadSlice], mut consume: F) -> Result<()>
+    fn pipelined_read<R, F>(&mut self, reqs: R, mut consume: F) -> Result<()>
     where
-        F: FnMut(&[u8]),
+        R: Iterator<Item = ReadSlice>,
+        F: FnMut(&[ReadSlice], &[u8]) -> Result<()>,
     {
         let mut qd = self.reader.queue_depth();
         // Deferred submission only merges submit and wait enters when the
@@ -935,76 +854,75 @@ impl SamplerWorker {
         // degenerating the async pipeline to one enter per group. Under
         // the lazy rung, widen the window to three groups (the flush that
         // the oldest group's completion needs carries every published
-        // SQE, so one enter drives the whole window) and shrink chunks so
+        // SQE, so one enter drives the whole window) and shrink groups so
         // the window fits the SQ.
-        let depth = if self.cfg.pipeline == PipelineMode::Async
-            && self.reader.ring_setup().lazy_submission
-        {
-            qd = (qd / LAZY_PIPELINE_DEPTH).max(1);
-            LAZY_PIPELINE_DEPTH
-        } else {
-            2
+        let depth = match self.cfg.pipeline {
+            PipelineMode::Sync => 1,
+            PipelineMode::Async if self.reader.ring_setup().lazy_submission => {
+                qd = (qd / LAZY_PIPELINE_DEPTH).max(1);
+                LAZY_PIPELINE_DEPTH
+            }
+            PipelineMode::Async => 2,
         };
+        let mut reqs = reqs.peekable();
+        // Each in-flight group carries its submit instant, so the io_group
+        // span covers the full submit→complete window, and its requests.
+        // Groups complete strictly in submission order (FIFO), so `consume`
+        // sees the same byte stream at every depth.
+        let mut inflight: VecDeque<(GroupToken, Instant, Vec<ReadSlice>)> =
+            VecDeque::with_capacity(depth);
         let mut prepare_nanos = 0u64;
         let mut complete_nanos = 0u64;
         let mut aggregate_nanos = 0u64;
-        match self.cfg.pipeline {
-            PipelineMode::Sync => {
-                for chunk in reqs.chunks(qd) {
-                    let buf = self.buf_pool.pop().unwrap_or_default();
-                    let t0 = Instant::now();
-                    let token = self.reader.submit_group(chunk, buf)?;
-                    let t1 = Instant::now();
-                    prepare_nanos += nanos_between(t0, t1);
-                    let filled = self.reader.complete_group(token)?;
-                    let t2 = Instant::now();
-                    complete_nanos += nanos_between(t1, t2);
-                    self.cq_hist.record(nanos_between(t1, t2));
-                    self.spans.record("io_group", t0, t2);
-                    consume(&filled);
-                    aggregate_nanos += nanos_between(t2, Instant::now());
-                    self.buf_pool.push(filled);
-                }
+        loop {
+            let t0 = Instant::now();
+            let mut group = self.req_pool.pop().unwrap_or_default();
+            group.clear();
+            let mut bytes = 0usize;
+            while group.len() < qd {
+                // A request larger than the ceiling travels alone.
+                let fits =
+                    |r: &ReadSlice| group.is_empty() || bytes + r.len as usize <= GROUP_BYTES_MAX;
+                let Some(r) = reqs.next_if(fits) else { break };
+                bytes += r.len as usize;
+                group.push(r);
             }
-            PipelineMode::Async => {
-                // Each in-flight token carries its submit instant so the
-                // io_group span covers the full submit→complete window.
-                // Groups complete strictly in submission order (FIFO), so
-                // `consume` sees the same byte stream at every depth.
-                let mut inflight: VecDeque<(GroupToken, Instant)> = VecDeque::new();
-                for chunk in reqs.chunks(qd) {
-                    let buf = self.buf_pool.pop().unwrap_or_default();
-                    let t0 = Instant::now();
-                    let token = self.reader.submit_group(chunk, buf)?;
-                    let t1 = Instant::now();
-                    prepare_nanos += nanos_between(t0, t1);
-                    inflight.push_back((token, t0));
-                    while inflight.len() >= depth {
-                        let Some((p, p_submitted)) = inflight.pop_front() else {
-                            break;
-                        };
-                        let tc0 = Instant::now();
-                        let filled = self.reader.complete_group(p)?;
-                        let t2 = Instant::now();
-                        complete_nanos += nanos_between(tc0, t2);
-                        self.cq_hist.record(nanos_between(tc0, t2));
-                        self.spans.record("io_group", p_submitted, t2);
-                        consume(&filled);
-                        aggregate_nanos += nanos_between(t2, Instant::now());
-                        self.buf_pool.push(filled);
-                    }
+            let drained = group.is_empty();
+            if drained {
+                self.req_pool.push(group);
+            } else {
+                let mut buf = self.buf_pool.pop().unwrap_or_default();
+                // Grow on demand, in powers of two up to the ceiling (an
+                // oversized lone request gets exactly its size): `Vec`'s own
+                // amortized doubling could carry a buffer past the ceiling.
+                if buf.capacity() < bytes {
+                    let cap = bytes.next_power_of_two().min(GROUP_BYTES_MAX).max(bytes);
+                    buf.reserve_exact(cap - buf.len());
                 }
-                while let Some((p, p_submitted)) = inflight.pop_front() {
-                    let t1 = Instant::now();
-                    let filled = self.reader.complete_group(p)?;
-                    let t2 = Instant::now();
-                    complete_nanos += nanos_between(t1, t2);
-                    self.cq_hist.record(nanos_between(t1, t2));
-                    self.spans.record("io_group", p_submitted, t2);
-                    consume(&filled);
-                    aggregate_nanos += nanos_between(t2, Instant::now());
-                    self.buf_pool.push(filled);
-                }
+                let token = self.reader.submit_group(&group, buf)?;
+                prepare_nanos += nanos_between(t0, Instant::now());
+                inflight.push_back((token, t0, group));
+            }
+            // Complete the oldest groups until the window has room for the
+            // next submit — or, once the requests are drained, is empty.
+            let window = if drained { 0 } else { depth - 1 };
+            while inflight.len() > window {
+                let Some((token, submitted, group)) = inflight.pop_front() else {
+                    break;
+                };
+                let t1 = Instant::now();
+                let filled = self.reader.complete_group(token)?;
+                let t2 = Instant::now();
+                complete_nanos += nanos_between(t1, t2);
+                self.cq_hist.record(nanos_between(t1, t2));
+                self.spans.record("io_group", submitted, t2);
+                consume(&group, &filled)?;
+                aggregate_nanos += nanos_between(t2, Instant::now());
+                self.buf_pool.push(filled);
+                self.req_pool.push(group);
+            }
+            if drained {
+                break;
             }
         }
         self.metrics.prepare_nanos += prepare_nanos;
@@ -1021,24 +939,16 @@ impl SamplerWorker {
     }
 
     /// Grows the workspace memory charge to match actual scratch capacity;
-    /// the failure mode is the paper's OOM under cgroup limits.
+    /// the failure mode is the paper's OOM under cgroup limits. Every term
+    /// is either `O(layer width)` scratch or the bounded group pool.
     fn ensure_workspace_charge(&mut self) -> Result<()> {
+        let pooled = self.buf_pool.iter().map(Vec::capacity).sum::<usize>()
+            + self.req_pool.iter().map(Vec::capacity).sum::<usize>()
+                * std::mem::size_of::<ReadSlice>();
         let actual = (self.offsets.capacity() * 8
             + self.src_pos.capacity() * 4
-            + self.reqs.capacity() * std::mem::size_of::<ReadSlice>()
-            + self
-                .buf_pool
-                .iter()
-                .map(|b| b.capacity())
-                .sum::<usize>()
-            + self.planner.scratch_bytes()
-            + self.payload.capacity()
-            + self
-                .page_pool
-                .iter()
-                .chain(self.page_data.iter())
-                .map(|b| b.capacity())
-                .sum::<usize>()) as u64
+            + pooled
+            + self.planner.scratch_bytes()) as u64
             + 2 * self.cfg.ring_entries as u64 * ENTRY_BYTES
             + 64 * 1024
             + self.regbuf_bytes;
@@ -1340,6 +1250,166 @@ mod tests {
         assert_eq!(m2.batches, 2);
         assert!(m2.io_requests >= m1.io_requests);
         assert!(m2.sampled_edges > m1.sampled_edges);
+    }
+
+    /// Wraps a reader and records every submitted group as (requests, bytes).
+    struct Recording {
+        inner: Box<dyn GroupReader>,
+        groups: Arc<std::sync::Mutex<Vec<(usize, usize)>>>,
+    }
+
+    impl GroupReader for Recording {
+        fn queue_depth(&self) -> usize {
+            self.inner.queue_depth()
+        }
+        fn submit_group(
+            &mut self,
+            reqs: &[ReadSlice],
+            buf: Vec<u8>,
+        ) -> ringsampler_io::Result<GroupToken> {
+            let bytes = reqs.iter().map(|r| r.len as usize).sum();
+            self.groups.lock().unwrap().push((reqs.len(), bytes));
+            self.inner.submit_group(reqs, buf)
+        }
+        fn complete_group(&mut self, token: GroupToken) -> ringsampler_io::Result<Vec<u8>> {
+            self.inner.complete_group(token)
+        }
+        fn stats(&self) -> ringsampler_io::ReaderStats {
+            self.inner.stats()
+        }
+        fn inflight(&self) -> u64 {
+            self.inner.inflight()
+        }
+        fn group_latency(&self) -> LatencyHistogram {
+            self.inner.group_latency()
+        }
+        fn ring_setup(&self) -> ringsampler_io::RingSetupInfo {
+            self.inner.ring_setup()
+        }
+        fn engine_name(&self) -> &'static str {
+            self.inner.engine_name()
+        }
+    }
+
+    /// A graph whose edge file is one long run of entries: `entries`
+    /// neighbors spread evenly over 1024 nodes, so any extent of the file
+    /// can be asked for through `fetch_entries`.
+    fn long_graph(tag: &str, entries: u32) -> Arc<OnDiskGraph> {
+        let base =
+            std::env::temp_dir().join(format!("rs-core-worker-{}-{tag}", std::process::id()));
+        let edges = (0..entries).map(|j| (j % 1024, j.wrapping_mul(2_654_435_761) % 1024));
+        let csr = CsrGraph::from_edges(1024, edges).unwrap();
+        Arc::new(write_csr(&csr, &base).unwrap())
+    }
+
+    #[test]
+    fn groups_never_exceed_queue_depth_or_byte_ceiling() {
+        // One group's worth of full 64 KiB slices, one slice more and one
+        // entry more: the last slice that fits fills a group to the byte, so
+        // the byte ceiling, not the queue depth, must close it.
+        let per_slice = (MAX_COALESCED_BYTES / ENTRY_BYTES) as u32;
+        let per_group = (GROUP_BYTES_MAX as u64 / MAX_COALESCED_BYTES) as u32;
+        let graph = long_graph("groups", (per_group + 2) * per_slice);
+        let entries: Vec<u64> = (0..u64::from((per_group + 1) * per_slice) + 1).collect();
+        let want = graph.load_csr().unwrap().neighbor_array()[..entries.len()].to_vec();
+        let page_cache = CachePolicy::Page {
+            budget_bytes: 1024 * (PAGE_SIZE as u64 + 64),
+        };
+        let all = entries.len();
+        for (mode, cache, qd, take) in [
+            (ReadPlanMode::coalesce(), CachePolicy::None, 64, all),
+            // 4-byte requests: only the queue depth can close a group.
+            (ReadPlanMode::Dedup, CachePolicy::None, 8, 4099),
+            (ReadPlanMode::Off, CachePolicy::None, 8, 4099),
+            // A 1024-deep ring of page reads asks for 4 MiB per group.
+            (ReadPlanMode::Off, page_cache, 1024, all),
+            (ReadPlanMode::coalesce(), page_cache, 64, all),
+        ] {
+            let (entries, want) = (&entries[..take], &want[..take]);
+            for pipeline in [PipelineMode::Async, PipelineMode::Sync] {
+                let cfg = SamplerConfig::new()
+                    .fanouts(&[1])
+                    .ring_entries(qd)
+                    .pipeline(pipeline)
+                    .read_plan(mode)
+                    .cache(cache);
+                let mut w = worker(&graph, cfg);
+                let groups = Arc::new(std::sync::Mutex::new(Vec::new()));
+                w.reader = Box::new(Recording {
+                    inner: Box::new(PreadReader::open(graph.edge_path(), qd).unwrap()),
+                    groups: Arc::clone(&groups),
+                });
+                assert_eq!(
+                    w.fetch_entries(entries).unwrap(),
+                    want,
+                    "{mode:?} {cache:?}"
+                );
+                let groups = groups.lock().unwrap();
+                assert!(!groups.is_empty());
+                for &(reqs, bytes) in groups.iter() {
+                    assert!(
+                        reqs >= 1 && reqs <= qd as usize,
+                        "{mode:?}: {reqs} requests"
+                    );
+                    assert!(bytes <= GROUP_BYTES_MAX, "{mode:?}: {bytes} bytes");
+                }
+                let capped = groups.iter().filter(|g| g.1 == GROUP_BYTES_MAX).count();
+                match (mode, cache) {
+                    // One exactly-full group, then the slice that did not
+                    // fit and the one-entry tail.
+                    (ReadPlanMode::Coalesce { .. }, CachePolicy::None) => assert_eq!(
+                        *groups,
+                        [(per_group as usize, GROUP_BYTES_MAX), (2, 64 * 1024 + 4)]
+                    ),
+                    (_, CachePolicy::Page { .. }) => assert!(capped >= 1, "{mode:?}: {groups:?}"),
+                    _ => assert_eq!(capped, 0),
+                }
+                assert!(
+                    w.buf_pool.len() <= 2,
+                    "pool holds {} buffers",
+                    w.buf_pool.len()
+                );
+                assert!(w.buf_pool.iter().all(|b| b.capacity() <= GROUP_BYTES_MAX));
+            }
+        }
+    }
+
+    #[test]
+    fn coalesce_workspace_is_bounded_and_stops_growing() {
+        // A hub-heavy power-law graph whose coalesced layers pull nearly all
+        // of a 2 MB edge file. The materialising fetch charged 4.6 MB here
+        // (the whole payload once in its scratch and once more in a single
+        // uncapped group buffer) and failed this budget with `OutOfMemory`;
+        // the streaming one charges 1.5 MB: the pool and layer-width scratch.
+        const LIMIT: u64 = 2 << 20;
+        let base = std::env::temp_dir()
+            .join(format!("rs-core-worker-{}-bounded", std::process::id()));
+        let edges = ringsampler_graph::gen::PowerLawEdges::new(25_000, 500_000, 0.7, 3);
+        let csr = CsrGraph::from_edges(25_000, edges).unwrap();
+        let graph = Arc::new(write_csr(&csr, &base).unwrap());
+        let budget = MemoryBudget::limited(LIMIT);
+        let cfg = SamplerConfig::new()
+            .fanouts(&[15, 10])
+            .seed(3)
+            .read_plan(ReadPlanMode::coalesce())
+            .budget(budget.clone());
+        let mut w = worker(&graph, cfg);
+        let seeds: Vec<NodeId> = (0..256).collect();
+        let first = w.sample_batch(&seeds, 0).unwrap();
+        w.sample_batch(&seeds, 0).unwrap();
+        let warm = budget.high_water();
+        for _ in 2..10 {
+            assert_eq!(w.sample_batch(&seeds, 0).unwrap(), first);
+        }
+        assert_eq!(budget.high_water(), warm, "nothing grows after warm-up");
+        assert!(!w.buf_pool.is_empty());
+        for b in &w.buf_pool {
+            assert!(
+                b.capacity() <= GROUP_BYTES_MAX,
+                "pooled buffer of {}",
+                b.capacity()
+            );
+        }
     }
 
     /// Env mutation is process-wide; serialize tests that toggle the

@@ -1,11 +1,13 @@
 //! Property tests for the read planner: on arbitrary random graphs —
-//! skewed and uniform — every [`ReadPlanMode`], cache policy, I/O engine,
-//! and replacement setting produces **byte-identical** samples, and the
+//! skewed and uniform — and on layers built to straddle the streaming
+//! executor's group boundaries, every [`ReadPlanMode`], cache policy, I/O
+//! engine, and replacement setting produces **byte-identical** samples, and the
 //! planner's request lists obey the structural invariants (sorted,
 //! non-overlapping after dedup, never more requests than the naive plan).
 
 use proptest::prelude::*;
 
+use ringsampler::worker::GROUP_BYTES_MAX;
 use ringsampler::{CachePolicy, ReadPlanMode, ReadPlanner, RingMode, RingSampler, SamplerConfig};
 use ringsampler_graph::edgefile::write_csr;
 use ringsampler_graph::{CsrGraph, NodeId, OnDiskGraph, ENTRY_BYTES};
@@ -51,6 +53,41 @@ fn build_graph(nodes: u32, edges_per_node: u32, skew: Skew, seed: u64) -> OnDisk
     }
     let csr = CsrGraph::from_edges(nodes as usize, edge_list).unwrap();
     write_csr(&csr, &base).unwrap()
+}
+
+/// A graph built to put group boundaries where bugs hide. Node 0 is a hub
+/// whose `hub` neighbors are one contiguous run of the edge file: sampled
+/// with `fanout >= hub` every one is drawn, so a coalesced plan is a run of
+/// full 64 KiB slices and `hub` decides whether they fill a group to the
+/// byte, fall one entry short, or spill one entry over. Node 1 has no
+/// neighbors, node 2 exactly one, and the last nodes' few entries sit in
+/// the file's short final page.
+fn boundary_graph(hub: u32) -> OnDiskGraph {
+    // One file per hub size, written once and reopened by every case.
+    static BUILT: std::sync::Mutex<Vec<u32>> = std::sync::Mutex::new(Vec::new());
+    let base =
+        std::env::temp_dir().join(format!("rs-prop-bound-{}-{hub}", std::process::id()));
+    let mut built = BUILT.lock().unwrap();
+    if built.contains(&hub) {
+        return OnDiskGraph::open(&base).unwrap();
+    }
+    built.push(hub);
+    let mut edge_list: Vec<(NodeId, NodeId)> = (0..hub).map(|j| (0, j % 61 + 3)).collect();
+    edge_list.push((2, 5));
+    for v in 3..64u32 {
+        edge_list.extend((0..v % 7 + 1).map(|j| (v, (v + j + 1) % 64)));
+    }
+    let csr = CsrGraph::from_edges(64, edge_list).unwrap();
+    write_csr(&csr, &base).unwrap()
+}
+
+/// Samples `seeds` as one mini-batch of one epoch.
+fn sample_one(sampler: &RingSampler, seeds: &[NodeId]) -> ringsampler::BatchSample {
+    let got = std::sync::Mutex::new(None);
+    sampler
+        .sample_epoch_with(seeds, |_, s| *got.lock().unwrap() = Some(s))
+        .unwrap();
+    got.into_inner().unwrap().expect("the epoch's one batch")
 }
 
 fn arb_mode() -> impl Strategy<Value = ReadPlanMode> {
@@ -115,18 +152,58 @@ proptest! {
         let seeds: Vec<NodeId> = (0..nodes).collect();
         let naive = mk(graph, ReadPlanMode::Off, RingMode::Off, false, EngineKind::Pread);
         let tuned = mk(graph_b, mode, ring_mode, cached, engine);
-        let want = std::sync::Mutex::new(None);
-        naive.sample_epoch_with(&seeds, |_, s| {
-            *want.lock().unwrap() = Some(s);
-        }).unwrap();
-        let got = std::sync::Mutex::new(None);
-        tuned.sample_epoch_with(&seeds, |_, s| {
-            *got.lock().unwrap() = Some(s);
-        }).unwrap();
-        prop_assert_eq!(
-            got.into_inner().unwrap(),
-            want.into_inner().unwrap()
-        );
+        prop_assert_eq!(sample_one(&tuned, &seeds), sample_one(&naive, &seeds));
+    }
+
+    /// The same differential on layers built to straddle the executor's
+    /// group boundaries (`queue_depth` requests or `GROUP_BYTES_MAX` bytes):
+    /// a run of 64 KiB slices that fills a group one entry short of, exactly
+    /// to, and one entry past the byte ceiling; the file's short final page
+    /// in the last group; a single-slice layer; an empty layer; one entry
+    /// duplicated across several groups; a cached layer whose misses share
+    /// one page.
+    #[test]
+    fn group_boundary_layers_agree_with_naive(
+        mode in arb_mode(),
+        ring_mode in arb_ring_mode(),
+        cached in arb_bool(),
+        engine_uring in arb_bool(),
+        replace in arb_bool(),
+        deep_ring in arb_bool(),
+        over in 0u32..3,
+        scenario in 0u8..6,
+    ) {
+        let full_group = (GROUP_BYTES_MAX as u64 / ENTRY_BYTES) as u32;
+        let hub = full_group + over - 1;
+        let all = hub as usize + 7;
+        let (seeds, fanout, replace): (Vec<NodeId>, usize, bool) = match scenario {
+            0 => (vec![0], all, replace),
+            1 => (vec![0, 60, 61, 62, 63], all, replace),
+            2 => (vec![2], 1, replace),
+            3 => (vec![1], 5, replace),
+            4 => (vec![2], 20, true),
+            _ => (vec![3, 4, 5], 8, replace),
+        };
+        let engine = if engine_uring { EngineKind::Uring } else { EngineKind::Pread };
+        let mk = |mode, ring_mode, cached: bool, engine, ring_entries| {
+            let mut cfg = SamplerConfig::new()
+                .fanouts(&[fanout, 2])
+                .ring_entries(ring_entries)
+                .threads(1)
+                .batch_size(seeds.len())
+                .seed(u64::from(over) ^ 0xB0DE)
+                .with_replacement(replace)
+                .engine(engine)
+                .ring_mode(ring_mode)
+                .read_plan(mode);
+            if cached {
+                cfg = cfg.cache(CachePolicy::Page { budget_bytes: 96 * 4160 });
+            }
+            RingSampler::new(boundary_graph(hub), cfg).unwrap()
+        };
+        let naive = mk(ReadPlanMode::Off, RingMode::Off, false, EngineKind::Pread, 512);
+        let tuned = mk(mode, ring_mode, cached, engine, if deep_ring { 64 } else { 8 });
+        prop_assert_eq!(sample_one(&tuned, &seeds), sample_one(&naive, &seeds));
     }
 
     /// Structural invariants of the planner itself on arbitrary entry

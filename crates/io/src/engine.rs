@@ -231,6 +231,8 @@ pub struct UringReader {
     fixed_bufs: Option<FixedBufPool>,
     next_id: u64,
     slots: HashMap<u64, Slot>,
+    /// Request tables of completed groups, recycled into the next slots.
+    spare_reqs: Vec<Vec<(u64, u32, u32)>>,
     outstanding: u64,
     stats: ReaderStats,
     lat: LatencyHistogram,
@@ -273,6 +275,7 @@ impl UringReader {
             fixed_bufs: None,
             next_id: 1,
             slots: HashMap::new(),
+            spare_reqs: Vec::new(),
             outstanding: 0,
             stats: ReaderStats::default(),
             lat: LatencyHistogram::new(),
@@ -442,7 +445,7 @@ impl GroupReader for UringReader {
         // Clock reads for the flight recorder only happen when attached.
         let t0 = self.events.as_ref().map(|_| Instant::now());
         let total: usize = reqs.iter().map(|r| r.len as usize).sum();
-        buf.clear();
+        // Zero-fills only a genuine extension: the reads overwrite the rest.
         buf.resize(total, 0);
 
         let id = self.next_id;
@@ -473,7 +476,9 @@ impl GroupReader for UringReader {
 
         let fd = self.file.as_raw_fd();
         let mut cursor = 0usize;
-        let mut req_meta = Vec::with_capacity(reqs.len());
+        let mut req_meta = self.spare_reqs.pop().unwrap_or_default();
+        req_meta.clear();
+        req_meta.reserve(reqs.len());
         for (i, r) in reqs.iter().enumerate() {
             let user_data = (id << 20) | i as u64;
             if pbuf {
@@ -608,6 +613,7 @@ impl GroupReader for UringReader {
             }
             pool.release(k);
         }
+        self.spare_reqs.push(std::mem::take(&mut slot.reqs));
         self.stats.syscalls = self.ring.enter_calls();
         // Latency is recorded for every completed group, error or not:
         // a group whose reads failed still occupied the ring for its
@@ -749,7 +755,7 @@ impl GroupReader for PreadReader {
             });
         }
         let total: usize = reqs.iter().map(|r| r.len as usize).sum();
-        buf.clear();
+        // Zero-fills only a genuine extension: the reads overwrite the rest.
         buf.resize(total, 0);
 
         let started = Instant::now();
@@ -834,11 +840,7 @@ mod tests {
     use super::*;
 
     fn write_u32_file(n: u32) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!(
-            "rs-io-engine-{}-{}",
-            std::process::id(),
-            n
-        ));
+        let path = crate::test_path("engine");
         let data: Vec<u8> = (0..n).flat_map(|x| x.to_le_bytes()).collect();
         std::fs::write(&path, data).unwrap();
         path

@@ -48,3 +48,12 @@ pub use engine::{GroupReader, PreadReader, ReadSlice, ReaderStats, UringReader};
 pub use error::{IoEngineError, Result};
 pub use probe::{default_engine, open_reader, uring_available, uring_caps, EngineKind, UringCaps};
 pub use ring::{Completion, Ring, RingBuilder, RingSetupInfo, DEFAULT_RING_ENTRIES};
+
+/// A temp-file path no other fixture of this test process shares: `cargo
+/// test` runs tests on parallel threads, and each removes its file when done.
+#[cfg(test)]
+pub(crate) fn test_path(tag: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("rs-io-{tag}-{}-{id}", std::process::id()))
+}

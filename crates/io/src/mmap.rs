@@ -129,8 +129,7 @@ mod tests {
     #[test]
     fn anonymous_tmpfile_mapping_roundtrip() {
         // Map a real file and check we can write/read through the mapping.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("rs-io-mmap-test-{}", std::process::id()));
+        let path = crate::test_path("mmap");
         std::fs::write(&path, vec![0u8; 4096]).unwrap();
         let f = std::fs::OpenOptions::new()
             .read(true)
@@ -153,7 +152,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn offset_as_bounds_checked() {
-        let path = std::env::temp_dir().join(format!("rs-io-mmap-oob-{}", std::process::id()));
+        let path = crate::test_path("mmap-oob");
         std::fs::write(&path, vec![0u8; 64]).unwrap();
         let f = std::fs::OpenOptions::new()
             .read(true)

@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn open_reader_both_kinds() {
-        let path = std::env::temp_dir().join(format!("rs-io-probe-{}", std::process::id()));
+        let path = crate::test_path("probe");
         std::fs::write(&path, [0u8; 64]).unwrap();
         let r = open_reader(&path, 8, Some(EngineKind::Pread)).unwrap();
         assert_eq!(r.engine_name(), "pread");

@@ -1314,11 +1314,7 @@ mod tests {
     use super::TEST_ENV_LOCK as ENV_LOCK;
 
     fn temp_file(content: &[u8]) -> (std::path::PathBuf, std::fs::File) {
-        let path = std::env::temp_dir().join(format!(
-            "rs-io-ring-test-{}-{:x}",
-            std::process::id(),
-            content.as_ptr() as usize
-        ));
+        let path = crate::test_path("ring");
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(content).unwrap();
         f.sync_all().unwrap();
@@ -1786,7 +1782,7 @@ mod tests {
 
     #[test]
     fn writes_then_reads_back() {
-        let path = std::env::temp_dir().join(format!("rs-io-ring-w-{}", std::process::id()));
+        let path = crate::test_path("ring-w");
         let f = std::fs::OpenOptions::new()
             .read(true)
             .write(true)

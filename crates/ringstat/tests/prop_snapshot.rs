@@ -71,7 +71,11 @@ proptest! {
                 std::thread::spawn(move || {
                     let mut last_seq = 0u64;
                     let mut observed = 0u64;
-                    while !done.load(Ordering::Acquire) {
+                    // Read once more after the writer has finished: on a busy
+                    // host a reader may first be scheduled only then, and the
+                    // quiescent cell must still hand it a consistent value.
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
                         if let Some(probe) = cell.read() {
                             assert!(
                                 probe.is_consistent(),
@@ -87,6 +91,9 @@ proptest! {
                             );
                             last_seq = probe.seq;
                             observed += 1;
+                        }
+                        if finished {
+                            break;
                         }
                     }
                     observed
