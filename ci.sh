@@ -22,12 +22,10 @@
 #      --assert-coverage 0.90: per-stage attribution (sample/plan/submit/
 #      wait/reap/scatter) must sum to within 10% of the end-to-end batch
 #      latency (see DESIGN.md §12)
-#   9. ring_modes gate — the zero-syscall ring-mode ladder A/B (see
-#      DESIGN.md §13), with RS_RING_ASSERT enforcing byte-identical
-#      samples across every rung and a >= 50% enter-syscall-per-I/O-group
-#      reduction for defer_taskrun vs off (self-skips with a notice when
-#      the kernel refuses DEFER_TASKRUN — there is nothing to measure
-#      then); refreshes the committed BENCH_ring_modes.json baseline
+#   9. env-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
+#      crates/**/*.rs may not exceed 25 (33 before the ring-mode ladder was
+#      removed; ROADMAP item 3 wants <= 15): lower the ceiling when a knob
+#      goes, never raise it
 #  10. ringtop gate — a small fig4_overall with --serve, asserting that
 #      /history serves the per-worker time series, /congestion serves
 #      verdicts, and `ringtop --once` renders a frame with every worker
@@ -104,9 +102,9 @@ RS_DATA_DIR="$(mktemp -d)" \
 ./target/release/ringtrace "$TRACE_DUMP" --assert-coverage 0.90 >/dev/null
 echo "    ringtrace smoke ok (stage attribution covers >= 90% of batch time)"
 
-echo "==> ring_modes gate (ring-mode ladder A/B, RS_RING_ASSERT)"
-RS_RING_ASSERT=1 RS_TARGETS=4096 RS_THREADS=4 RS_DATA_DIR="$(mktemp -d)" \
-    ./target/release/ring_modes --bench-json BENCH_ring_modes.json
+echo "==> env-surface ratchet (distinct RS_*/RINGSAMPLER_* names in crates/ <= 25)"
+KNOBS="$(grep -rhoE '\b(RS|RINGSAMPLER)_[A-Z0-9_]*[A-Z0-9]\b' crates --include='*.rs' | sort -u)"
+[ "$(echo "$KNOBS" | wc -l)" -le 25 ] || { echo "$KNOBS"; echo "more than 25 env knob names under crates/"; exit 1; }
 
 echo "==> ringtop gate (fig4_overall --serve, /history + /congestion + ringtop --once)"
 TOP_LOG="$(mktemp)"

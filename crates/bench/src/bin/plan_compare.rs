@@ -1,7 +1,6 @@
-//! Read-plan ablation: naive one-read-per-entry vs dedup vs coalescing
-//! (with and without registered fixed buffers) on a skewed power-law
-//! graph with replacement sampling — the duplicate-heavy regime the
-//! planner targets.
+//! Read-plan ablation: naive one-read-per-entry vs dedup vs coalescing on
+//! a skewed power-law graph with replacement sampling — the
+//! duplicate-heavy regime the planner targets.
 //!
 //! Every variant samples the same epoch with the same seed; the binary
 //! cross-checks that all variants produce identical samples (a checksum
@@ -82,11 +81,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         h.threads
     );
 
-    let variants: [(&str, ReadPlanMode, bool); 4] = [
-        ("naive", ReadPlanMode::Off, false),
-        ("dedup", ReadPlanMode::Dedup, false),
-        ("coalesce", ReadPlanMode::coalesce(), false),
-        ("coalesce+regbuf", ReadPlanMode::coalesce(), true),
+    let variants: [(&str, ReadPlanMode); 3] = [
+        ("naive", ReadPlanMode::Off),
+        ("dedup", ReadPlanMode::Dedup),
+        ("coalesce", ReadPlanMode::coalesce()),
     ];
 
     struct Row {
@@ -96,19 +94,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reads_saved: u64,
         bytes_saved: u64,
         ratio: f64,
-        fixed: u64,
         digest: u64,
     }
     let mut rows: Vec<Row> = Vec::new();
 
-    for (label, mode, regbuf) in variants {
+    for (label, mode) in variants {
         let mut cfg = SamplerConfig::new()
             .fanouts(&FANOUTS)
             .batch_size(256)
             .threads(h.threads)
             .with_replacement(true)
             .read_plan(mode)
-            .register_buffers(regbuf)
             .telemetry_opt(h.telemetry())
             .seed(7);
         if let Some(n) = h.trace_capacity {
@@ -127,24 +123,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reads_saved: report.metrics.reads_saved,
             bytes_saved: report.metrics.bytes_saved,
             ratio: report.metrics.coalesce_ratio(),
-            fixed: report.metrics.fixed_buf_reads,
             digest: digest.into_inner(),
         });
     }
 
     let naive_reqs = rows.first().map(|r| r.io_requests).unwrap_or(0).max(1);
     let header = format!(
-        "{:<16} {:>9} {:>12} {:>8} {:>12} {:>12} {:>7} {:>11}",
-        "variant", "seconds", "io_requests", "vs naive", "reads_saved", "bytes_saved", "ratio", "fixed_reads"
+        "{:<16} {:>9} {:>12} {:>8} {:>12} {:>12} {:>7}",
+        "variant", "seconds", "io_requests", "vs naive", "reads_saved", "bytes_saved", "ratio"
     );
     let lines: Vec<String> = rows
         .iter()
         .map(|r| {
             let delta = 100.0 * (1.0 - r.io_requests as f64 / naive_reqs as f64);
             format!(
-                "{:<16} {:>9.3} {:>12} {:>7.1}% {:>12} {:>12} {:>7.2} {:>11}",
-                r.label, r.seconds, r.io_requests, delta, r.reads_saved, r.bytes_saved,
-                r.ratio, r.fixed
+                "{:<16} {:>9.3} {:>12} {:>7.1}% {:>12} {:>12} {:>7.2}",
+                r.label, r.seconds, r.io_requests, delta, r.reads_saved, r.bytes_saved, r.ratio
             )
         })
         .collect();
@@ -168,8 +162,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .with("seconds", Json::F64(r.seconds))
                     .with("io_requests", Json::U64(r.io_requests))
                     .with("reads_saved", Json::U64(r.reads_saved))
-                    .with("bytes_saved", Json::U64(r.bytes_saved))
-                    .with("fixed_buf_reads", Json::U64(r.fixed)),
+                    .with("bytes_saved", Json::U64(r.bytes_saved)),
             );
         }
         let doc = Json::object()

@@ -69,13 +69,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn env_flag(name: &str) -> bool {
-    matches!(
-        std::env::var(name).as_deref(),
-        Ok("1") | Ok("true") | Ok("yes") | Ok("on")
-    )
-}
-
 /// Harness-wide settings derived from the environment.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
@@ -93,9 +86,6 @@ pub struct HarnessConfig {
     /// (`RS_READ_PLAN` = `off` / `dedup` / `coalesce` / `coalesce:<gap>`;
     /// default `off`, the paper-faithful one-read-per-entry pattern).
     pub read_plan: ReadPlanMode,
-    /// Pin registered fixed buffers in RingSampler workers
-    /// (`RS_REGISTER_BUFFERS=1`; degrades to plain reads on failure).
-    pub register_buffers: bool,
     /// Bind address for the embedded `ringscope` telemetry server
     /// (`--serve <addr>` or `RS_SERVE=<addr>`; e.g. `127.0.0.1:9898`, or
     /// port `0` to pick a free port). `None` (the default) disables
@@ -109,9 +99,9 @@ pub struct HarnessConfig {
 
 impl HarnessConfig {
     /// Reads `RS_SCALE`, `RS_TARGETS`, `RS_EPOCHS`, `RS_DATA_DIR`,
-    /// `RS_THREADS`, `RS_READ_PLAN`, `RS_REGISTER_BUFFERS`,
-    /// `RS_TRACE_CAPACITY` and `RS_SERVE` from the environment, then lets
-    /// a `--serve <addr>` process argument override the serve address.
+    /// `RS_THREADS`, `RS_READ_PLAN`, `RS_TRACE_CAPACITY` and `RS_SERVE`
+    /// from the environment, then lets a `--serve <addr>` process argument
+    /// override the serve address.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::from_env_and_args(&args)
@@ -144,7 +134,6 @@ impl HarnessConfig {
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(ReadPlanMode::Off),
-            register_buffers: env_flag("RS_REGISTER_BUFFERS"),
             serve: serve_arg.or_else(|| std::env::var("RS_SERVE").ok().filter(|s| !s.is_empty())),
             // Unlike env_u64 this admits 0 (= recording off).
             trace_capacity: std::env::var("RS_TRACE_CAPACITY")
@@ -274,7 +263,6 @@ pub fn build_system(
                 .threads(threads)
                 .budget(budget.clone())
                 .read_plan(harness.read_plan)
-                .register_buffers(harness.register_buffers)
                 .telemetry_opt(harness.telemetry())
                 .seed(seed);
             if let Some(n) = harness.trace_capacity {
@@ -839,7 +827,6 @@ mod tests {
             data_dir: std::env::temp_dir().join(format!("rs-bench-lib-{}", std::process::id())),
             threads: 2,
             read_plan: ReadPlanMode::Dedup,
-            register_buffers: false,
             serve: None,
             trace_capacity: None,
         };

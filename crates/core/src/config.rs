@@ -19,72 +19,6 @@ pub enum PipelineMode {
     Sync,
 }
 
-/// Zero-syscall ring-mode ladder: which io_uring fast-path features the
-/// per-worker rings request. Each rung includes the ones below it; every
-/// feature is probed at runtime (see `ringsampler_io::uring_caps`) and a
-/// refusing kernel degrades to the highest rung it grants — sampling
-/// output is byte-identical on every rung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum RingMode {
-    /// Plain rings: one `io_uring_enter` per submit and per wait.
-    #[default]
-    Off,
-    /// Register the ring fd (`IORING_REGISTER_RING_FDS`): every enter
-    /// passes a task-private index and skips the fdtable lookup.
-    Registered,
-    /// Plus `IORING_SETUP_DEFER_TASKRUN | COOP_TASKRUN | SINGLE_ISSUER`
-    /// and lazy submission: completion work runs only at wait time, and
-    /// published SQEs ride the next wait's enter, merging the submit and
-    /// wait syscalls of pipelined groups.
-    DeferTaskrun,
-    /// Plus provided buffer rings (`IORING_REGISTER_PBUF_RING` +
-    /// `IOSQE_BUFFER_SELECT`): the kernel picks read buffers from a
-    /// per-ring recycled group, eliminating per-read buffer passing.
-    BufRing,
-}
-
-impl RingMode {
-    /// All rungs, lowest first (bench and proptest iterate this).
-    pub const ALL: [RingMode; 4] =
-        [RingMode::Off, RingMode::Registered, RingMode::DeferTaskrun, RingMode::BufRing];
-
-    /// Reads `RS_RING_MODE` from the environment; unset or unparseable
-    /// values fall back to [`RingMode::Off`].
-    pub fn from_env() -> Self {
-        std::env::var("RS_RING_MODE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
-    }
-}
-
-impl std::str::FromStr for RingMode {
-    type Err = SamplerError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "0" => Ok(RingMode::Off),
-            "registered" | "ringfd" | "ring_fd" => Ok(RingMode::Registered),
-            "defer" | "defer_taskrun" | "defertaskrun" => Ok(RingMode::DeferTaskrun),
-            "bufring" | "buf_ring" | "pbuf" => Ok(RingMode::BufRing),
-            other => Err(SamplerError::InvalidConfig(format!(
-                "unknown ring mode {other:?} (expected off|registered|defer_taskrun|bufring)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for RingMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RingMode::Off => "off",
-            RingMode::Registered => "registered",
-            RingMode::DeferTaskrun => "defer_taskrun",
-            RingMode::BufRing => "bufring",
-        })
-    }
-}
-
 /// Neighbor caching policy layered over the edge file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
@@ -127,13 +61,6 @@ pub struct SamplerConfig {
     /// RNG seed; sampling is deterministic per (seed, batch index),
     /// independent of thread count.
     pub seed: u64,
-    /// Use kernel-side SQPOLL if the kernel permits (paper future work).
-    pub sqpoll: bool,
-    /// Zero-syscall ring-mode ladder rung (see [`RingMode`]). Defaults to
-    /// the `RS_RING_MODE` environment variable, else [`RingMode::Off`].
-    /// Every rung is probe-gated and degrades gracefully; sampling output
-    /// never depends on the rung.
-    pub ring_mode: RingMode,
     /// Register the edge file in each ring's fixed-file table
     /// (`IOSQE_FIXED_FILE`): one kernel fd lookup saved per read.
     pub register_file: bool,
@@ -154,11 +81,6 @@ pub struct SamplerConfig {
     /// [`crate::plan`]). `Off` (default) issues the paper-faithful one
     /// read per sampled entry, bit-identical to pre-planner behavior.
     pub read_plan: ReadPlanMode,
-    /// Pin a per-worker pool of registered fixed buffers
-    /// (`IORING_REGISTER_BUFFERS`) and read via `IORING_OP_READ_FIXED`.
-    /// Registration failure (old kernel, `RLIMIT_MEMLOCK`) is recorded in
-    /// `regbuf_fallbacks` and degrades to plain reads — never an error.
-    pub register_buffers: bool,
     /// Live telemetry (`ringscope`): when set, every worker publishes a
     /// per-batch snapshot through a seqlock slot and an embedded HTTP
     /// server exposes `/metrics`, `/progress`, and `/healthz` plus a
@@ -186,14 +108,11 @@ impl Default for SamplerConfig {
             cache: CachePolicy::None,
             budget: MemoryBudget::unlimited(),
             seed: 0x5EED,
-            sqpoll: false,
-            ring_mode: RingMode::from_env(),
             register_file: true,
             with_replacement: false,
             span_capacity: 8192,
             trace_capacity: 8192,
             read_plan: ReadPlanMode::Off,
-            register_buffers: false,
             telemetry: None,
             profile_resources: true,
         }
@@ -267,19 +186,6 @@ impl SamplerConfig {
         self
     }
 
-    /// Requests kernel-side submission polling.
-    pub fn sqpoll(mut self, enable: bool) -> Self {
-        self.sqpoll = enable;
-        self
-    }
-
-    /// Selects the zero-syscall ring-mode ladder rung (default: the
-    /// `RS_RING_MODE` environment variable, else [`RingMode::Off`]).
-    pub fn ring_mode(mut self, mode: RingMode) -> Self {
-        self.ring_mode = mode;
-        self
-    }
-
     /// Enables/disables the registered-file fast path (default on).
     pub fn register_file(mut self, enable: bool) -> Self {
         self.register_file = enable;
@@ -308,13 +214,6 @@ impl SamplerConfig {
     /// Selects the read-plan optimization (default [`ReadPlanMode::Off`]).
     pub fn read_plan(mut self, mode: ReadPlanMode) -> Self {
         self.read_plan = mode;
-        self
-    }
-
-    /// Enables the registered fixed-buffer pool (default off; falls back
-    /// to plain reads gracefully when registration fails).
-    pub fn register_buffers(mut self, enable: bool) -> Self {
-        self.register_buffers = enable;
         self
     }
 
@@ -460,26 +359,8 @@ mod tests {
     fn read_plan_defaults_off_and_builds() {
         let c = SamplerConfig::default();
         assert!(c.read_plan.is_off());
-        assert!(!c.register_buffers);
-        let c = SamplerConfig::new()
-            .read_plan(ReadPlanMode::coalesce())
-            .register_buffers(true);
+        let c = SamplerConfig::new().read_plan(ReadPlanMode::coalesce());
         assert!(!c.read_plan.is_off());
-        assert!(c.register_buffers);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn ring_mode_parses_and_displays() {
-        for mode in RingMode::ALL {
-            assert_eq!(mode.to_string().parse::<RingMode>().unwrap(), mode);
-        }
-        assert_eq!("defer".parse::<RingMode>().unwrap(), RingMode::DeferTaskrun);
-        assert_eq!("PBUF".parse::<RingMode>().unwrap(), RingMode::BufRing);
-        assert_eq!("ringfd".parse::<RingMode>().unwrap(), RingMode::Registered);
-        assert!("warp-speed".parse::<RingMode>().is_err());
-        let c = SamplerConfig::new().ring_mode(RingMode::DeferTaskrun);
-        assert_eq!(c.ring_mode, RingMode::DeferTaskrun);
         assert!(c.validate().is_ok());
     }
 

@@ -56,7 +56,7 @@ pub mod telemetry;
 pub mod worker;
 
 pub use block::{BatchSample, LayerSample};
-pub use config::{CachePolicy, PipelineMode, RingMode, SamplerConfig};
+pub use config::{CachePolicy, PipelineMode, SamplerConfig};
 pub use engine::{epoch_targets, RingSampler};
 pub use layerwise::LayerwisePlan;
 pub use error::{Result, SamplerError};

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use ringsampler_io::{ReaderStats, RingSetupInfo};
+use ringsampler_io::ReaderStats;
 use ringstat::{
     human_bytes, human_count, human_nanos, ChromeTrace, Json, LatencyHistogram, Phase,
     PhaseTimes, PromWriter, ResourceSample, SpanLog, TimeLedger, TraceEvent,
@@ -55,21 +55,6 @@ pub struct SampleMetrics {
     /// Payload bytes the planner avoided transferring (saturating: a gap
     /// merge that reads more than it saves contributes 0).
     pub bytes_saved: u64,
-    /// Read requests served through registered fixed buffers
-    /// (`IORING_OP_READ_FIXED`).
-    pub fixed_buf_reads: u64,
-    /// Fixed-buffer registrations that failed and fell back to plain reads
-    /// (old kernel, `RLIMIT_MEMLOCK`, or the forced-failure hook).
-    pub regbuf_fallbacks: u64,
-    /// Read requests served through kernel-selected provided buffers
-    /// (`IOSQE_BUFFER_SELECT`, `RingMode::BufRing`).
-    pub bufring_reads: u64,
-    /// Provided buffers recycled back to the kernel after copy-out.
-    pub bufring_recycles: u64,
-    /// Ring-mode ladder rungs the kernel refused at worker setup (each
-    /// refused rung counts once per worker; the worker runs on the
-    /// highest granted rung below it).
-    pub ring_mode_fallbacks: u64,
 }
 
 impl SampleMetrics {
@@ -90,11 +75,6 @@ impl SampleMetrics {
         self.reads_planned += other.reads_planned;
         self.reads_saved += other.reads_saved;
         self.bytes_saved += other.bytes_saved;
-        self.fixed_buf_reads += other.fixed_buf_reads;
-        self.regbuf_fallbacks += other.regbuf_fallbacks;
-        self.bufring_reads += other.bufring_reads;
-        self.bufring_recycles += other.bufring_recycles;
-        self.ring_mode_fallbacks += other.ring_mode_fallbacks;
     }
 
     /// Folds the delta between two reader-stat snapshots into the I/O
@@ -114,15 +94,6 @@ impl SampleMetrics {
         self.syscalls = self
             .syscalls
             .saturating_add(now.syscalls.saturating_sub(prev.syscalls));
-        self.fixed_buf_reads = self
-            .fixed_buf_reads
-            .saturating_add(now.fixed_buf_reads.saturating_sub(prev.fixed_buf_reads));
-        self.bufring_reads = self
-            .bufring_reads
-            .saturating_add(now.bufring_reads.saturating_sub(prev.bufring_reads));
-        self.bufring_recycles = self
-            .bufring_recycles
-            .saturating_add(now.bufring_recycles.saturating_sub(prev.bufring_recycles));
     }
 
     /// Fraction of I/O-path time spent waiting on completions rather than
@@ -145,10 +116,7 @@ impl SampleMetrics {
         }
     }
 
-    /// Mean I/O-engine syscalls per mini-batch — the quantity the
-    /// zero-syscall ring-mode ladder drives toward zero (registered ring
-    /// fds cheapen each enter; lazy submission under `DEFER_TASKRUN`
-    /// merges submit enters into wait enters).
+    /// Mean I/O-engine syscalls per mini-batch.
     pub fn syscalls_per_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -347,11 +315,6 @@ pub struct WorkerStats {
     /// Events the ring dropped on overflow (recording never blocks; the
     /// drop counter is the recorder's overload signal).
     pub trace_dropped: u64,
-    /// The ring-mode ladder rung this worker was configured for.
-    pub ring_mode: crate::config::RingMode,
-    /// What the kernel actually granted: requested vs granted setup
-    /// flags, ring-fd registration, pbuf ring, lazy submission.
-    pub ring_setup: RingSetupInfo,
     /// `ringprof` epoch delta for this worker: populated by the
     /// epoch-join path (`take_stats`) when `profile_resources` is on;
     /// `None` from the non-destructive `stats` snapshot or with
@@ -400,12 +363,6 @@ pub struct EpochReport {
     /// Total flight-recorder events dropped on ring overflow, across all
     /// threads.
     pub trace_dropped: u64,
-    /// The configured ring-mode ladder rung (workers share one config;
-    /// taken from the first absorbed worker).
-    pub ring_mode: crate::config::RingMode,
-    /// Requested vs granted ring setup, from the first absorbed worker
-    /// (all workers build identical rings).
-    pub ring_setup: RingSetupInfo,
     /// Congestion episodes the telemetry history layer recorded during
     /// this epoch (empty when telemetry or history is off): every
     /// contiguous run of a non-`ok` verdict, with its time bounds on the
@@ -438,12 +395,6 @@ impl EpochReport {
     /// Folds one worker's stats into this report (histograms merge
     /// losslessly; the span log is kept per-thread for the trace).
     pub fn absorb(&mut self, worker: WorkerStats) {
-        if self.thread_spans.is_empty() {
-            // First worker in: adopt its ring identity (all workers are
-            // built from the same config, so any one is representative).
-            self.ring_mode = worker.ring_mode;
-            self.ring_setup = worker.ring_setup;
-        }
         self.metrics.merge(&worker.metrics);
         self.group_latency.merge(&worker.group_latency);
         self.batch_latency.merge(&worker.batch_latency);
@@ -467,24 +418,25 @@ impl EpochReport {
         }
     }
 
-    /// The report as a JSON tree (`schema_version` 6). Raw values only —
+    /// The report as a JSON tree (`schema_version` 7). Raw values only —
     /// humanization is a Display concern.
     ///
-    /// Schema history: v6 added the `resources` block (`ringprof`:
+    /// Schema history: v7 only removes — the `ring` block and the counters
+    /// `fixed_buf_reads`, `regbuf_fallbacks`, `bufring_reads`,
+    /// `bufring_recycles`, `ring_mode_fallbacks` left with the ring-mode
+    /// ladder and the registered-buffer pool they reported; v6 added the
+    /// `resources` block (`ringprof`:
     /// per-worker kernel resource deltas, the conservation-checked time
     /// ledger, fleet CPU share, and the read-amplification ratios;
     /// `null` when profiling is off) and the `cpu_saturated` congestion
     /// state; v5 added the `congestion` block (episodes with
     /// worker, state, and time bounds, plus per-state totals) from the
-    /// telemetry history layer; v4 added the `ring` block (mode,
-    /// requested vs granted setup flags, ladder state), the buffer-ring
-    /// counters (`bufring_reads`, `bufring_recycles`,
-    /// `ring_mode_fallbacks`) and the derived `syscalls_per_batch`; v3
-    /// added the `trace` summary block (flight-recorder event and
-    /// overflow-drop counts); v2 added the read-planner counters
-    /// (`reads_planned`, `reads_saved`, `bytes_saved`,
-    /// `fixed_buf_reads`, `regbuf_fallbacks`) and the derived
-    /// `coalesce_ratio`; v1 was the initial format.
+    /// telemetry history layer; v4 added the derived `syscalls_per_batch`
+    /// (and what v7 removed); v3 added the `trace` summary block
+    /// (flight-recorder event and overflow-drop counts); v2 added the
+    /// read-planner counters (`reads_planned`, `reads_saved`,
+    /// `bytes_saved`) and the derived `coalesce_ratio`; v1 was the initial
+    /// format.
     pub fn to_json_value(&self) -> Json {
         let m = &self.metrics;
         let counters = Json::object()
@@ -502,28 +454,13 @@ impl EpochReport {
             .with("complete_nanos", Json::U64(m.complete_nanos))
             .with("reads_planned", Json::U64(m.reads_planned))
             .with("reads_saved", Json::U64(m.reads_saved))
-            .with("bytes_saved", Json::U64(m.bytes_saved))
-            .with("fixed_buf_reads", Json::U64(m.fixed_buf_reads))
-            .with("regbuf_fallbacks", Json::U64(m.regbuf_fallbacks))
-            .with("bufring_reads", Json::U64(m.bufring_reads))
-            .with("bufring_recycles", Json::U64(m.bufring_recycles))
-            .with("ring_mode_fallbacks", Json::U64(m.ring_mode_fallbacks));
+            .with("bytes_saved", Json::U64(m.bytes_saved));
         let derived = Json::object()
             .with("wait_fraction", Json::F64(m.wait_fraction()))
             .with("requests_per_syscall", Json::F64(m.requests_per_syscall()))
             .with("syscalls_per_batch", Json::F64(m.syscalls_per_batch()))
             .with("coalesce_ratio", Json::F64(m.coalesce_ratio()))
             .with("edges_per_second", Json::F64(self.edges_per_second()));
-        let rs = &self.ring_setup;
-        let ring = Json::object()
-            .with("mode", Json::Str(self.ring_mode.to_string()))
-            .with("requested_flags", Json::U64(u64::from(rs.requested_flags)))
-            .with("requested", Json::Str(RingSetupInfo::flag_names(rs.requested_flags)))
-            .with("granted_flags", Json::U64(u64::from(rs.granted_flags)))
-            .with("granted", Json::Str(RingSetupInfo::flag_names(rs.granted_flags)))
-            .with("ring_fd_registered", Json::Bool(rs.ring_fd_registered))
-            .with("buf_ring_active", Json::Bool(rs.buf_ring_active))
-            .with("lazy_submission", Json::Bool(rs.lazy_submission));
         let mut phases = Json::object();
         for p in Phase::ALL {
             phases.push(p.name(), Json::U64(self.phases.get(p)));
@@ -564,12 +501,11 @@ impl EpochReport {
             .with("by_state", by_state);
         let resources = self.resources_json_value();
         Json::object()
-            .with("schema_version", Json::U64(6))
+            .with("schema_version", Json::U64(7))
             .with("threads", Json::U64(self.threads as u64))
             .with("wall_seconds", Json::F64(self.seconds()))
             .with("counters", counters)
             .with("derived", derived)
-            .with("ring", ring)
             .with("phase_nanos", phases)
             .with("histograms", histograms)
             .with("spans", spans)
@@ -624,7 +560,7 @@ impl EpochReport {
         // `schema` label to detect format bumps, mirroring the JSON
         // export's `schema_version`.
         let mut with_schema: Vec<(&str, &str)> = labels.to_vec();
-        with_schema.push(("schema", "6"));
+        with_schema.push(("schema", "7"));
         w.gauge(
             "ringsampler_report_info",
             "Report format marker; the schema label tracks the JSON schema_version",
@@ -676,79 +612,6 @@ impl EpochReport {
             "Payload bytes the read planner avoided transferring",
             labels,
             m.bytes_saved,
-        );
-        w.counter(
-            "ringsampler_fixed_buf_reads_total",
-            "Reads served through registered fixed buffers",
-            labels,
-            m.fixed_buf_reads,
-        );
-        w.counter(
-            "ringsampler_regbuf_fallbacks_total",
-            "Fixed-buffer registrations that fell back to plain reads",
-            labels,
-            m.regbuf_fallbacks,
-        );
-        w.counter(
-            "ringsampler_bufring_reads_total",
-            "Reads served through kernel-selected provided buffers",
-            labels,
-            m.bufring_reads,
-        );
-        w.counter(
-            "ringsampler_bufring_recycles_total",
-            "Provided buffers recycled back to the kernel",
-            labels,
-            m.bufring_recycles,
-        );
-        w.counter(
-            "ringsampler_ring_mode_fallbacks_total",
-            "Ring-mode ladder rungs the kernel refused at worker setup",
-            labels,
-            m.ring_mode_fallbacks,
-        );
-        // Requested vs granted ring setup, as labeled info gauges: the
-        // numeric flag words are the values, the human-readable names and
-        // configured mode ride as labels.
-        let rs = &self.ring_setup;
-        let mode = self.ring_mode.to_string();
-        let requested_names = RingSetupInfo::flag_names(rs.requested_flags);
-        let granted_names = RingSetupInfo::flag_names(rs.granted_flags);
-        let mut ring_labels: Vec<(&str, &str)> = labels.to_vec();
-        ring_labels.push(("mode", &mode));
-        ring_labels.push(("flags", &requested_names));
-        w.gauge(
-            "ringsampler_ring_requested_flags",
-            "io_uring setup flags requested of the kernel",
-            &ring_labels,
-            f64::from(rs.requested_flags),
-        );
-        let mut ring_labels: Vec<(&str, &str)> = labels.to_vec();
-        ring_labels.push(("mode", &mode));
-        ring_labels.push(("flags", &granted_names));
-        w.gauge(
-            "ringsampler_ring_granted_flags",
-            "io_uring setup flags the kernel actually granted",
-            &ring_labels,
-            f64::from(rs.granted_flags),
-        );
-        w.gauge(
-            "ringsampler_ring_fd_registered",
-            "Whether enters use a registered ring fd (1) or the raw fd (0)",
-            labels,
-            f64::from(u8::from(rs.ring_fd_registered)),
-        );
-        w.gauge(
-            "ringsampler_ring_buf_ring_active",
-            "Whether a provided-buffer ring is registered and serving reads",
-            labels,
-            f64::from(u8::from(rs.buf_ring_active)),
-        );
-        w.gauge(
-            "ringsampler_ring_lazy_submission",
-            "Whether submits are deferred into the completion-side enter",
-            labels,
-            f64::from(u8::from(rs.lazy_submission)),
         );
         w.counter(
             "ringsampler_trace_dropped_total",
@@ -1055,15 +918,14 @@ mod tests {
     #[test]
     fn reader_delta_accumulates_forward_progress() {
         let mut m = SampleMetrics::default();
-        let a = ReaderStats { groups: 2, requests: 20, bytes: 80, syscalls: 3, fixed_buf_reads: 4, ..Default::default() };
-        let b = ReaderStats { groups: 5, requests: 60, bytes: 240, syscalls: 7, fixed_buf_reads: 9, ..Default::default() };
+        let a = ReaderStats { groups: 2, requests: 20, bytes: 80, syscalls: 3 };
+        let b = ReaderStats { groups: 5, requests: 60, bytes: 240, syscalls: 7 };
         m.add_reader_delta(&ReaderStats::default(), &a);
         m.add_reader_delta(&a, &b);
         assert_eq!(m.io_groups, 5);
         assert_eq!(m.io_requests, 60);
         assert_eq!(m.io_bytes, 240);
         assert_eq!(m.syscalls, 7);
-        assert_eq!(m.fixed_buf_reads, 9);
     }
 
     #[test]
@@ -1079,9 +941,9 @@ mod tests {
             ..Default::default()
         };
         let before_reset =
-            ReaderStats { groups: 10, requests: 100, bytes: 400, syscalls: 4, fixed_buf_reads: 0, ..Default::default() };
+            ReaderStats { groups: 10, requests: 100, bytes: 400, syscalls: 4 };
         let after_reset =
-            ReaderStats { groups: 1, requests: 8, bytes: 32, syscalls: 1, fixed_buf_reads: 0, ..Default::default() };
+            ReaderStats { groups: 1, requests: 8, bytes: 32, syscalls: 1 };
         m.add_reader_delta(&before_reset, &after_reset);
         assert_eq!(m.io_requests, 100, "no wrapped garbage added");
         assert_eq!(m.io_bytes, 400);
@@ -1089,7 +951,7 @@ mod tests {
         assert_eq!(m.syscalls, 4);
         // Progress after the reset folds in normally again.
         let later =
-            ReaderStats { groups: 3, requests: 24, bytes: 96, syscalls: 2, fixed_buf_reads: 0, ..Default::default() };
+            ReaderStats { groups: 3, requests: 24, bytes: 96, syscalls: 2 };
         m.add_reader_delta(&after_reset, &later);
         assert_eq!(m.io_requests, 116);
         assert_eq!(m.io_groups, 12);
@@ -1111,8 +973,6 @@ mod tests {
         w.metrics.reads_planned = 25;
         w.metrics.reads_saved = 75;
         w.metrics.bytes_saved = 300;
-        w.metrics.fixed_buf_reads = 25;
-        w.metrics.regbuf_fallbacks = 1;
         assert!((w.metrics.coalesce_ratio() - 4.0).abs() < 1e-9);
         let r = w.into_epoch_report(Duration::from_secs(1));
         let json = r.to_json();
@@ -1120,8 +980,6 @@ mod tests {
             "\"reads_planned\": 25",
             "\"reads_saved\": 75",
             "\"bytes_saved\": 300",
-            "\"fixed_buf_reads\": 25",
-            "\"regbuf_fallbacks\": 1",
             "\"coalesce_ratio\": 4",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
@@ -1131,8 +989,6 @@ mod tests {
             "ringsampler_reads_planned_total 25",
             "ringsampler_reads_saved_total 75",
             "ringsampler_bytes_saved_total 300",
-            "ringsampler_fixed_buf_reads_total 25",
-            "ringsampler_regbuf_fallbacks_total 1",
             "ringsampler_coalesce_ratio 4",
         ] {
             assert!(prom.contains(family), "missing {family} in {prom}");
@@ -1239,7 +1095,7 @@ mod tests {
         assert_eq!(r.threads, 1);
         let json = r.to_json();
         for key in [
-            "\"schema_version\": 6",
+            "\"schema_version\": 7",
             "\"counters\"",
             "\"derived\"",
             "\"phase_nanos\"",

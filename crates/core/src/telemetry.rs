@@ -1086,24 +1086,6 @@ pub fn metrics_document(
             labels,
             s.cpu_nanos,
         );
-        // Requested vs granted ring setup (zero for the pread engine):
-        // divergence between the two words is the live fallback signal.
-        let requested = ringsampler_io::RingSetupInfo::flag_names(s.ring_requested_flags);
-        let granted = ringsampler_io::RingSetupInfo::flag_names(s.ring_granted_flags);
-        let flag_labels: &[(&str, &str)] = &[("worker", &idx), ("flags", &requested)];
-        w.gauge(
-            "ringsampler_worker_ring_requested_flags",
-            "io_uring setup flags the worker's ring requested",
-            flag_labels,
-            f64::from(s.ring_requested_flags),
-        );
-        let flag_labels: &[(&str, &str)] = &[("worker", &idx), ("flags", &granted)];
-        w.gauge(
-            "ringsampler_worker_ring_granted_flags",
-            "io_uring setup flags the kernel granted the worker's ring",
-            flag_labels,
-            f64::from(s.ring_granted_flags),
-        );
         w.histogram(
             "ringsampler_worker_batch_latency_seconds",
             "Wall latency per sampled mini-batch this epoch",

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 use ringsampler_io::engine::{GroupReader, GroupToken, PreadReader, ReadSlice, UringReader};
-use ringsampler_io::{EngineKind, IoEngineError, RingBuilder};
+use ringsampler_io::{EngineKind, IoEngineError};
 use ringstat::{
     thread_cpu_nanos, EventKind, EventRing, LatencyHistogram, Phase, PhaseTimes,
     ResourceSample, SnapshotCell, SpanLog, TimeLedger, TraceEvent, WorkerSnapshot,
@@ -24,29 +24,13 @@ use ringstat::{
 
 use crate::block::{BatchSample, LayerSample};
 use crate::cache::{page_of, PageCache, PAGE_SIZE};
-use crate::config::{CachePolicy, PipelineMode, RingMode, SamplerConfig};
+use crate::config::{CachePolicy, PipelineMode, SamplerConfig};
 use crate::error::{Result, SamplerError};
 use crate::memory::MemoryCharge;
 use crate::metrics::{SampleMetrics, WorkerResources, WorkerStats};
 use crate::plan::{ReadPlanMode, ReadPlanner, MAX_COALESCED_BYTES};
 use crate::sampling::OffsetSampler;
 
-/// Registered fixed-buffer pool shape per worker: enough for the two
-/// in-flight groups of the async pipeline plus slack, each large enough
-/// for a group of coalesced slices. Groups that exceed one buffer fall
-/// back to plain reads transparently (see `UringReader`).
-const REG_BUF_COUNT: usize = 4;
-/// Bytes per registered fixed buffer (256 KiB; 1 MiB pinned per worker).
-const REG_BUF_BYTES: usize = 256 * 1024;
-/// Bytes per provided buffer in `RingMode::BufRing`'s kernel-recycled
-/// group: one page, covering both entry reads and page-cache fills.
-const PBUF_EACH_BYTES: u32 = 4096;
-/// In-flight group window of the async pipeline when the ring defers
-/// submission (`RingMode::DeferTaskrun`+): the single GETEVENTS enter
-/// that reaps the oldest group also flushes every published SQE behind
-/// it, so a window of three amortizes one syscall across three groups
-/// (~0.33 enters/group vs 1.0 for eager submission).
-const LAZY_PIPELINE_DEPTH: usize = 3;
 /// Byte ceiling of one I/O group's buffer. A group closes at `queue_depth`
 /// requests or before its payload would pass this, so a worker's buffer
 /// pool is at most pipeline-depth × this many bytes however wide a layer
@@ -86,9 +70,6 @@ pub struct SamplerWorker {
     req_pool: Vec<Vec<ReadSlice>>,
     /// Read-plan builder (sort/dedup/coalesce scratch + sorted order).
     planner: ReadPlanner,
-    /// Bytes pinned in the reader's registered fixed-buffer pool (0 when
-    /// registration is off or failed); charged to the workspace.
-    regbuf_bytes: u64,
     workspace_charge: MemoryCharge,
     charged_bytes: u64,
     last_reader_stats: ringsampler_io::ReaderStats,
@@ -178,43 +159,10 @@ impl SamplerWorker {
             .map_err(|e| crate::error::SamplerError::Io(IoEngineError::File(e)))?
             .len();
         let engine = cfg.engine.unwrap_or_else(ringsampler_io::default_engine);
-        let mut regbuf_bytes = 0u64;
-        let mut regbuf_fallback = false;
         let mut regfile_fallback = false;
-        let mut ring_mode_fallbacks = 0u64;
         let reader: Box<dyn GroupReader> = match engine {
             EngineKind::Uring => {
-                let mut b = RingBuilder::new().entries(cfg.ring_entries).sqpoll(cfg.sqpoll);
-                // Climb the ring-mode ladder rung by rung, but only onto
-                // rungs the kernel actually grants (probed once per
-                // process): a refused rung is a recorded fallback, never
-                // an error, and never changes sampling output.
-                let caps = ringsampler_io::uring_caps();
-                if cfg.ring_mode >= RingMode::Registered {
-                    if caps.registered_ring_fds {
-                        b = b.register_ring_fd(true);
-                    } else {
-                        ring_mode_fallbacks += 1;
-                    }
-                }
-                if cfg.ring_mode >= RingMode::DeferTaskrun {
-                    if caps.defer_taskrun {
-                        b = b.defer_taskrun(true).lazy_submission(true);
-                    } else {
-                        ring_mode_fallbacks += 1;
-                    }
-                }
-                if cfg.ring_mode >= RingMode::BufRing {
-                    if caps.buf_ring {
-                        // ~2 groups of provided buffers in flight, each
-                        // slot big enough for a page-mode read.
-                        let entries = (cfg.ring_entries.saturating_mul(2)).min(32_768) as u16;
-                        b = b.buf_ring(entries, PBUF_EACH_BYTES);
-                    } else {
-                        ring_mode_fallbacks += 1;
-                    }
-                }
-                let mut r = UringReader::with_file(file, b)?;
+                let mut r = UringReader::with_file(file, cfg.ring_entries)?;
                 if cfg.register_file {
                     // Best effort: fall back to plain fd addressing if the
                     // kernel refuses registration, but record the
@@ -223,46 +171,19 @@ impl SamplerWorker {
                         regfile_fallback = true;
                     }
                 }
-                if cfg.register_buffers {
-                    // Best effort too: a refusal (old kernel, RLIMIT_MEMLOCK,
-                    // forced-failure hook) is recorded as a fallback counter
-                    // + span, never surfaced to the sampler.
-                    match r.register_read_buffers(REG_BUF_COUNT, REG_BUF_BYTES) {
-                        Ok(()) => regbuf_bytes = (REG_BUF_COUNT * REG_BUF_BYTES) as u64,
-                        Err(_) => regbuf_fallback = true,
-                    }
-                }
                 Box::new(r)
             }
-            EngineKind::Pread => {
-                if cfg.register_buffers {
-                    // No ring to register against: same degradation path.
-                    regbuf_fallback = true;
-                }
-                Box::new(PreadReader::with_file(file, cfg.ring_entries))
-            }
+            EngineKind::Pread => Box::new(PreadReader::with_file(file, cfg.ring_entries)),
         };
         let cache = match cfg.cache {
             CachePolicy::None => None,
             CachePolicy::Page { budget_bytes } => Some(PageCache::new(budget_bytes, &cfg.budget)?),
         };
-        // Initial workspace charge: ring buffers + pinned fixed buffers +
-        // a small floor; grows with actual vector capacity as batches
-        // expand.
-        let base = 2 * cfg.ring_entries as u64 * ENTRY_BYTES + 64 * 1024 + regbuf_bytes;
+        // Initial workspace charge: ring buffers + a small floor; grows
+        // with actual vector capacity as batches expand.
+        let base = 2 * cfg.ring_entries as u64 * ENTRY_BYTES + 64 * 1024;
         let workspace_charge = cfg.budget.charge(base, "thread workspace")?;
         let mut spans = SpanLog::with_capacity(cfg.span_capacity);
-        let mut metrics = SampleMetrics::default();
-        if regbuf_fallback {
-            metrics.regbuf_fallbacks = 1;
-            let now = Instant::now();
-            spans.record("regbuf_fallback", now, now);
-        }
-        if ring_mode_fallbacks > 0 {
-            metrics.ring_mode_fallbacks = ring_mode_fallbacks;
-            let now = Instant::now();
-            spans.record("ring_mode_fallback", now, now);
-        }
         if regfile_fallback {
             let now = Instant::now();
             spans.record("regfile_fallback", now, now);
@@ -279,13 +200,12 @@ impl SamplerWorker {
             file_len,
             sampler: OffsetSampler::new(),
             cache,
-            metrics,
+            metrics: SampleMetrics::default(),
             offsets: Vec::new(),
             src_pos: Vec::new(),
             buf_pool: Vec::new(),
             req_pool: Vec::new(),
             planner: ReadPlanner::new(),
-            regbuf_bytes,
             workspace_charge,
             charged_bytes: base,
             last_reader_stats: ringsampler_io::ReaderStats::default(),
@@ -299,11 +219,8 @@ impl SamplerWorker {
             res_start: None,
             cpu_nanos: 0,
         };
-        // Degradations discovered during construction go to the flight
-        // recorder too, so `ringtrace` sees them alongside the I/O events.
-        if regbuf_fallback {
-            w.trace(EventKind::RegBufFallback, 0, 0, 0, 0);
-        }
+        // A degradation discovered during construction goes to the flight
+        // recorder too, so `ringtrace` sees it alongside the I/O events.
         if regfile_fallback {
             w.trace(EventKind::RegFileFallback, 0, 0, 0, 0);
         }
@@ -398,7 +315,6 @@ impl SamplerWorker {
         let m = self.metrics();
         let inflight = self.reader.inflight();
         let batch_latency = self.batch_hist;
-        let ring_setup = self.reader.ring_setup();
         if let Some(slot) = &mut self.telemetry {
             slot.cell.publish(WorkerSnapshot {
                 epoch: slot.epoch,
@@ -413,8 +329,6 @@ impl SamplerWorker {
                 inflight,
                 io_groups: m.io_groups,
                 active,
-                ring_requested_flags: ring_setup.requested_flags,
-                ring_granted_flags: ring_setup.granted_flags,
                 prepare_nanos: m.prepare_nanos,
                 complete_nanos: m.complete_nanos,
                 cpu_nanos: self.cpu_nanos,
@@ -472,8 +386,6 @@ impl SamplerWorker {
             spans: self.spans.clone(),
             events: Vec::new(),
             trace_dropped: self.events.as_ref().map_or(0, |r| r.dropped()),
-            ring_mode: self.cfg.ring_mode,
-            ring_setup: self.reader.ring_setup(),
             // Only the epoch-join path (`take_stats`) closes the resource
             // interval; a mid-epoch peek reports none.
             resources: None,
@@ -506,8 +418,6 @@ impl SamplerWorker {
             spans,
             events,
             trace_dropped,
-            ring_mode: self.cfg.ring_mode,
-            ring_setup: self.reader.ring_setup(),
             resources,
         }
     }
@@ -847,21 +757,9 @@ impl SamplerWorker {
         R: Iterator<Item = ReadSlice>,
         F: FnMut(&[ReadSlice], &[u8]) -> Result<()>,
     {
-        let mut qd = self.reader.queue_depth();
-        // Deferred submission only merges submit and wait enters when the
-        // SQ can hold a whole in-flight window of groups at once: a
-        // full-ring group forces a blocking flush before the next submit,
-        // degenerating the async pipeline to one enter per group. Under
-        // the lazy rung, widen the window to three groups (the flush that
-        // the oldest group's completion needs carries every published
-        // SQE, so one enter drives the whole window) and shrink groups so
-        // the window fits the SQ.
+        let qd = self.reader.queue_depth();
         let depth = match self.cfg.pipeline {
             PipelineMode::Sync => 1,
-            PipelineMode::Async if self.reader.ring_setup().lazy_submission => {
-                qd = (qd / LAZY_PIPELINE_DEPTH).max(1);
-                LAZY_PIPELINE_DEPTH
-            }
             PipelineMode::Async => 2,
         };
         let mut reqs = reqs.peekable();
@@ -950,8 +848,7 @@ impl SamplerWorker {
             + pooled
             + self.planner.scratch_bytes()) as u64
             + 2 * self.cfg.ring_entries as u64 * ENTRY_BYTES
-            + 64 * 1024
-            + self.regbuf_bytes;
+            + 64 * 1024;
         if actual > self.charged_bytes {
             self.workspace_charge
                 .grow(actual - self.charged_bytes, "thread workspace")?;
@@ -1283,9 +1180,6 @@ mod tests {
         fn group_latency(&self) -> LatencyHistogram {
             self.inner.group_latency()
         }
-        fn ring_setup(&self) -> ringsampler_io::RingSetupInfo {
-            self.inner.ring_setup()
-        }
         fn engine_name(&self) -> &'static str {
             self.inner.engine_name()
         }
@@ -1411,10 +1305,6 @@ mod tests {
             );
         }
     }
-
-    /// Env mutation is process-wide; serialize tests that toggle the
-    /// forced-failure registration hook within this test binary.
-    static PLAN_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn all_plan_modes_match_naive_output() {
@@ -1568,60 +1458,6 @@ mod tests {
     }
 
     #[test]
-    fn register_buffers_equivalent_and_counted() {
-        let _guard = PLAN_ENV_LOCK.lock().unwrap();
-        let graph = test_graph("regbuf");
-        let mk = |reg| {
-            SamplerConfig::new()
-                .fanouts(&[5, 4])
-                .ring_entries(8)
-                .seed(31)
-                .engine(EngineKind::Uring)
-                .read_plan(ReadPlanMode::coalesce())
-                .register_buffers(reg)
-        };
-        let seeds: Vec<NodeId> = (0..64).collect();
-        let mut w_on = worker(&graph, mk(true));
-        let mut w_off = worker(&graph, mk(false));
-        let a = w_on.sample_batch(&seeds, 0).unwrap();
-        let b = w_off.sample_batch(&seeds, 0).unwrap();
-        assert_eq!(a, b);
-        let m = w_on.metrics();
-        assert_eq!(m.regbuf_fallbacks, 0, "registration should succeed here");
-        assert!(m.fixed_buf_reads > 0, "fixed-buffer reads should be used");
-        assert_eq!(w_off.metrics().fixed_buf_reads, 0);
-    }
-
-    #[test]
-    fn register_buffers_failure_degrades_gracefully() {
-        let _guard = PLAN_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS", "1");
-        let graph = test_graph("regbuf-fail");
-        let cfg = SamplerConfig::new()
-            .fanouts(&[4, 3])
-            .ring_entries(8)
-            .seed(37)
-            .engine(EngineKind::Uring)
-            .register_buffers(true);
-        let result = SamplerWorker::new(Arc::clone(&graph), cfg);
-        std::env::remove_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS");
-        let mut w = result.expect("registration failure must not be an error");
-        let seeds: Vec<NodeId> = (0..64).collect();
-        w.sample_batch(&seeds, 0).unwrap();
-        let m = w.metrics();
-        assert_eq!(m.regbuf_fallbacks, 1, "fallback must be counted");
-        assert_eq!(m.fixed_buf_reads, 0);
-        let fallback_spans = w
-            .stats()
-            .spans
-            .events()
-            .iter()
-            .filter(|e| e.name == "regbuf_fallback")
-            .count();
-        assert_eq!(fallback_spans, 1, "fallback must leave a span");
-    }
-
-    #[test]
     fn flight_recorder_captures_batch_lifecycle() {
         let graph = test_graph("trace");
         let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(8).seed(2);
@@ -1716,38 +1552,28 @@ mod tests {
     }
 
     #[test]
-    fn regbuf_failure_leaves_trace_event() {
-        let _guard = PLAN_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS", "1");
-        let graph = test_graph("trace-regbuf");
-        let cfg = SamplerConfig::new()
-            .fanouts(&[3])
-            .ring_entries(8)
-            .engine(EngineKind::Uring)
-            .register_buffers(true);
-        let result = SamplerWorker::new(Arc::clone(&graph), cfg);
-        std::env::remove_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS");
-        let mut w = result.expect("registration failure must not be an error");
-        let s = w.take_stats();
-        let fallbacks = s
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::RegBufFallback)
-            .count();
-        assert_eq!(fallbacks, 1, "fallback must reach the flight recorder");
-    }
-
-    #[test]
-    fn pread_with_register_buffers_counts_fallback() {
-        let graph = test_graph("regbuf-pread");
-        let cfg = SamplerConfig::new()
-            .fanouts(&[3])
-            .ring_entries(8)
-            .engine(EngineKind::Pread)
-            .register_buffers(true);
-        let mut w = worker(&graph, cfg);
-        let seeds: Vec<NodeId> = (0..32).collect();
-        w.sample_batch(&seeds, 0).unwrap();
-        assert_eq!(w.metrics().regbuf_fallbacks, 1);
+    fn worker_moved_between_threads_samples_identically() {
+        // ringbench's on-demand clients keep one worker and call it from a
+        // fresh scoped thread per window; a persistent fleet would too.
+        let graph = test_graph("hops");
+        let seeds: Vec<NodeId> = (0..64).collect();
+        for engine in [EngineKind::Uring, EngineKind::Pread] {
+            let cfg = SamplerConfig::new()
+                .fanouts(&[4, 3])
+                .ring_entries(8)
+                .engine(engine)
+                .seed(19);
+            let mut stayed = worker(&graph, cfg.clone());
+            let mut hopping = worker(&graph, cfg);
+            for batch in 0..3 {
+                let want = stayed.sample_batch(&seeds, batch).unwrap();
+                let got = std::thread::scope(|s| {
+                    s.spawn(|| hopping.sample_batch(&seeds, batch)).join().unwrap()
+                })
+                .unwrap();
+                assert_eq!(got, want, "{engine:?} batch {batch}");
+            }
+            assert_eq!(hopping.metrics().io_requests, stayed.metrics().io_requests);
+        }
     }
 }

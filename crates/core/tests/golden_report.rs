@@ -10,8 +10,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ringsampler::{EpochReport, RingMode, SampleMetrics, WorkerResources, WorkerStats};
-use ringsampler_io::RingSetupInfo;
+use ringsampler::{EpochReport, SampleMetrics, WorkerResources, WorkerStats};
 use ringstat::{EventKind, Phase, PromWriter, ResourceSample, SpanLog, TimeLedger, TraceEvent};
 
 /// A fully deterministic report: fixed counters, fixed histogram samples,
@@ -34,21 +33,6 @@ fn golden_report() -> EpochReport {
             reads_planned: 768,
             reads_saved: 256,
             bytes_saved: 1_024,
-            fixed_buf_reads: 512,
-            regbuf_fallbacks: 1,
-            bufring_reads: 256,
-            bufring_recycles: 256,
-            ring_mode_fallbacks: 1,
-        },
-        ring_mode: RingMode::DeferTaskrun,
-        ring_setup: RingSetupInfo {
-            // COOP_TASKRUN | DEFER_TASKRUN | SINGLE_ISSUER requested,
-            // SINGLE_ISSUER refused — a representative partial grant.
-            requested_flags: (1 << 8) | (1 << 13) | (1 << 12),
-            granted_flags: (1 << 8) | (1 << 13),
-            ring_fd_registered: true,
-            buf_ring_active: false,
-            lazy_submission: true,
         },
         ..Default::default()
     };

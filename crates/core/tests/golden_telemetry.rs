@@ -44,10 +44,6 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     w0.io_groups = 12;
     w0.cpu_nanos = 2_000_000;
     w0.active = true;
-    // Partial grant: COOP|DEFER|SINGLE_ISSUER requested, SINGLE_ISSUER
-    // refused — the live fallback signal the /metrics consumer watches.
-    w0.ring_requested_flags = (1 << 8) | (1 << 13) | (1 << 12);
-    w0.ring_granted_flags = (1 << 8) | (1 << 13);
     for v in [500_000u64, 600_000, 900_000] {
         w0.batch_latency.record(v);
     }
@@ -67,9 +63,6 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     w1.io_groups = 20;
     w1.cpu_nanos = 3_500_000;
     w1.active = true;
-    // Full grant: requested == granted.
-    w1.ring_requested_flags = (1 << 8) | (1 << 13) | (1 << 12);
-    w1.ring_granted_flags = (1 << 8) | (1 << 13) | (1 << 12);
     for v in [400_000u64, 500_000, 700_000, 800_000, 1_100_000] {
         w1.batch_latency.record(v);
     }

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use ringsampler::worker::GROUP_BYTES_MAX;
-use ringsampler::{CachePolicy, ReadPlanMode, ReadPlanner, RingMode, RingSampler, SamplerConfig};
+use ringsampler::{CachePolicy, ReadPlanMode, ReadPlanner, RingSampler, SamplerConfig};
 use ringsampler_graph::edgefile::write_csr;
 use ringsampler_graph::{CsrGraph, NodeId, OnDiskGraph, ENTRY_BYTES};
 use ringsampler_io::EngineKind;
@@ -108,21 +108,14 @@ fn arb_bool() -> impl Strategy<Value = bool> {
     (0u8..2).prop_map(|i| i == 1)
 }
 
-fn arb_ring_mode() -> impl Strategy<Value = RingMode> {
-    (0u8..4).prop_map(|i| RingMode::ALL[i as usize])
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Differential: every plan mode × ring mode × cache × engine ×
-    /// replacement yields the exact sample the naive (Off, raw, no-cache,
-    /// ring-mode-off) path does — the zero-syscall ladder must be
-    /// byte-invisible in sampling output on every rung.
+    /// Differential: every plan mode × cache × engine × replacement yields
+    /// the exact sample the naive (Off, raw, no-cache, pread) path does.
     #[test]
     fn all_modes_agree_with_naive(
         mode in arb_mode(),
-        ring_mode in arb_ring_mode(),
         skew in arb_skew(),
         cached in arb_bool(),
         engine_uring in arb_bool(),
@@ -133,7 +126,7 @@ proptest! {
         let graph = build_graph(nodes, 6, skew, seed);
         let graph_b = build_graph(nodes, 6, skew, seed);
         let engine = if engine_uring { EngineKind::Uring } else { EngineKind::Pread };
-        let mk = |g, mode, ring_mode, cached: bool, engine| {
+        let mk = |g, mode, cached: bool, engine| {
             let mut cfg = SamplerConfig::new()
                 .fanouts(&[5, 3])
                 .ring_entries(8)
@@ -142,7 +135,6 @@ proptest! {
                 .seed(seed ^ 0xABCD)
                 .with_replacement(replace)
                 .engine(engine)
-                .ring_mode(ring_mode)
                 .read_plan(mode);
             if cached {
                 cfg = cfg.cache(CachePolicy::Page { budget_bytes: 96 * 4160 });
@@ -150,8 +142,8 @@ proptest! {
             RingSampler::new(g, cfg).unwrap()
         };
         let seeds: Vec<NodeId> = (0..nodes).collect();
-        let naive = mk(graph, ReadPlanMode::Off, RingMode::Off, false, EngineKind::Pread);
-        let tuned = mk(graph_b, mode, ring_mode, cached, engine);
+        let naive = mk(graph, ReadPlanMode::Off, false, EngineKind::Pread);
+        let tuned = mk(graph_b, mode, cached, engine);
         prop_assert_eq!(sample_one(&tuned, &seeds), sample_one(&naive, &seeds));
     }
 
@@ -165,7 +157,6 @@ proptest! {
     #[test]
     fn group_boundary_layers_agree_with_naive(
         mode in arb_mode(),
-        ring_mode in arb_ring_mode(),
         cached in arb_bool(),
         engine_uring in arb_bool(),
         replace in arb_bool(),
@@ -185,7 +176,7 @@ proptest! {
             _ => (vec![3, 4, 5], 8, replace),
         };
         let engine = if engine_uring { EngineKind::Uring } else { EngineKind::Pread };
-        let mk = |mode, ring_mode, cached: bool, engine, ring_entries| {
+        let mk = |mode, cached: bool, engine, ring_entries| {
             let mut cfg = SamplerConfig::new()
                 .fanouts(&[fanout, 2])
                 .ring_entries(ring_entries)
@@ -194,15 +185,14 @@ proptest! {
                 .seed(u64::from(over) ^ 0xB0DE)
                 .with_replacement(replace)
                 .engine(engine)
-                .ring_mode(ring_mode)
                 .read_plan(mode);
             if cached {
                 cfg = cfg.cache(CachePolicy::Page { budget_bytes: 96 * 4160 });
             }
             RingSampler::new(boundary_graph(hub), cfg).unwrap()
         };
-        let naive = mk(ReadPlanMode::Off, RingMode::Off, false, EngineKind::Pread, 512);
-        let tuned = mk(mode, ring_mode, cached, engine, if deep_ring { 64 } else { 8 });
+        let naive = mk(ReadPlanMode::Off, false, EngineKind::Pread, 512);
+        let tuned = mk(mode, cached, engine, if deep_ring { 64 } else { 8 });
         prop_assert_eq!(sample_one(&tuned, &seeds), sample_one(&naive, &seeds));
     }
 

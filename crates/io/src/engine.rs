@@ -27,8 +27,7 @@ use std::time::Instant;
 use ringstat::{EventKind, EventRing, LatencyHistogram, TraceEvent};
 
 use crate::error::{IoEngineError, Result};
-use crate::ring::{Ring, RingBuilder, RingSetupInfo};
-use crate::sys;
+use crate::ring::Ring;
 
 /// One scattered read: `len` bytes at byte `offset` of the reader's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,14 +73,6 @@ pub struct ReaderStats {
     pub bytes: u64,
     /// Syscalls issued (`io_uring_enter` or `pread` count).
     pub syscalls: u64,
-    /// Read requests served through registered fixed buffers
-    /// (`IORING_OP_READ_FIXED`); always 0 for the pread fallback.
-    pub fixed_buf_reads: u64,
-    /// Read requests served through the provided-buffer ring
-    /// (`IOSQE_BUFFER_SELECT`); always 0 without a registered pbuf ring.
-    pub bufring_reads: u64,
-    /// Provided buffers recycled back to the kernel after copy-out.
-    pub bufring_recycles: u64,
 }
 
 /// A reader that executes scattered-read groups against one file.
@@ -136,12 +127,6 @@ pub trait GroupReader: Send {
         let _ = (ring, origin);
     }
 
-    /// Requested-vs-granted ring setup state, for fallback reporting.
-    /// Engines without a ring return the all-zero default.
-    fn ring_setup(&self) -> RingSetupInfo {
-        RingSetupInfo::default()
-    }
-
     /// Human-readable engine name (for experiment logs).
     fn engine_name(&self) -> &'static str;
 }
@@ -166,55 +151,13 @@ pub fn read_group_blocking(
 
 struct Slot {
     buf: Vec<u8>,
-    /// (offset, len, dst) per request, indexed by the low bits of
-    /// user_data; `dst` is the request's cursor into `buf`.
-    reqs: Vec<(u64, u32, u32)>,
+    /// (offset, len) per request, indexed by the low bits of user_data.
+    reqs: Vec<(u64, u32)>,
     remaining: u32,
     /// First error observed among the group's completions.
     error: Option<IoEngineError>,
     /// When the group's SQEs were submitted (for the latency histogram).
     submitted: Instant,
-    /// Registered fixed buffer this group's reads land in, if any; the
-    /// payload is copied into `buf` at completion and the slot returned to
-    /// the pool's free list.
-    fixed: Option<u16>,
-    /// The group reads through the provided-buffer ring: the kernel picks
-    /// each destination buffer at issue time, and the payload is copied
-    /// into `buf` (and the buffer recycled) as each CQE is reaped.
-    pbuf: bool,
-}
-
-/// Pool of kernel-registered fixed buffers (`IORING_REGISTER_BUFFERS`).
-///
-/// Buffer allocations must never move while registered: the inner `Vec<u8>`s
-/// are allocated once, registered, and never resized or pushed afterwards
-/// (the outer `Vec` may move on the heap — the *pointees* stay put).
-struct FixedBufPool {
-    bufs: Vec<Vec<u8>>,
-    /// Indices into `bufs` not currently owned by an in-flight group.
-    free: Vec<u16>,
-    /// Capacity of each buffer; groups with larger payloads fall back to
-    /// plain (unregistered) reads.
-    each_len: usize,
-}
-
-impl FixedBufPool {
-    /// Takes a free buffer able to hold `total` bytes, or `None` (caller
-    /// falls back to plain reads). Returns the slot index and base pointer.
-    fn acquire(&mut self, total: usize) -> Option<(u16, *mut u8)> {
-        if total == 0 || total > self.each_len {
-            return None;
-        }
-        let k = self.free.pop()?;
-        // A free index past the pool would be an accounting bug; get_mut
-        // makes it a fallback to plain reads rather than a hot-path panic.
-        self.bufs.get_mut(k as usize).map(|b| (k, b.as_mut_ptr()))
-    }
-
-    /// Returns `k` to the free list after its group completed.
-    fn release(&mut self, k: u16) {
-        self.free.push(k);
-    }
 }
 
 /// io_uring-backed [`GroupReader`] bound to a single file.
@@ -224,15 +167,10 @@ pub struct UringReader {
     /// When true, the file is in the ring's registered table at index 0
     /// and reads use `IOSQE_FIXED_FILE` (skips per-I/O fd refcounting).
     registered: bool,
-    /// Registered fixed-buffer pool; groups whose payload fits borrow a
-    /// buffer and read via `IORING_OP_READ_FIXED`. Declared after `ring` so
-    /// the fd (and with it the kernel's page pins) is closed before the
-    /// buffers are freed.
-    fixed_bufs: Option<FixedBufPool>,
     next_id: u64,
     slots: HashMap<u64, Slot>,
     /// Request tables of completed groups, recycled into the next slots.
-    spare_reqs: Vec<Vec<(u64, u32, u32)>>,
+    spare_reqs: Vec<Vec<(u64, u32)>>,
     outstanding: u64,
     stats: ReaderStats,
     lat: LatencyHistogram,
@@ -259,20 +197,19 @@ impl UringReader {
     /// Fails if the file cannot be opened or the ring cannot be created.
     pub fn open(path: &Path, queue_depth: u32) -> Result<Self> {
         let file = File::open(path).map_err(IoEngineError::File)?;
-        Self::with_file(file, RingBuilder::new().entries(queue_depth))
+        Self::with_file(file, queue_depth)
     }
 
-    /// Builds a reader from an already-open file and a configured ring.
+    /// Builds a reader from an already-open file and a dedicated ring with
+    /// `queue_depth` entries.
     ///
     /// # Errors
     /// Fails if the ring cannot be created.
-    pub fn with_file(file: File, builder: RingBuilder) -> Result<Self> {
-        let ring = builder.build()?;
+    pub fn with_file(file: File, queue_depth: u32) -> Result<Self> {
         Ok(Self {
-            ring,
+            ring: Ring::new(queue_depth)?,
             file,
             registered: false,
-            fixed_bufs: None,
             next_id: 1,
             slots: HashMap::new(),
             spare_reqs: Vec::new(),
@@ -315,51 +252,6 @@ impl UringReader {
         self.registered
     }
 
-    /// Pins a pool of `count` fixed buffers of `each_bytes` bytes via
-    /// `IORING_REGISTER_BUFFERS`. Groups whose payload fits in one buffer
-    /// are subsequently read with `IORING_OP_READ_FIXED` (no per-I/O page
-    /// pinning); larger groups, and groups submitted while every buffer is
-    /// in flight, transparently fall back to plain reads.
-    ///
-    /// # Errors
-    /// Propagates registration failures (`ENOMEM` under a small
-    /// `RLIMIT_MEMLOCK`, `EINVAL` on pre-5.1 kernels, or the
-    /// `RINGSAMPLER_FAIL_REGISTER_BUFFERS` forced-failure hook). The reader
-    /// stays fully usable in unregistered-buffer mode after a failure;
-    /// callers are expected to record the fallback and carry on.
-    pub fn register_read_buffers(&mut self, count: usize, each_bytes: usize) -> Result<()> {
-        let count = count.clamp(1, 1024);
-        let each_bytes = each_bytes.max(4096);
-        let mut bufs: Vec<Vec<u8>> = (0..count).map(|_| vec![0u8; each_bytes]).collect();
-        let iovecs: Vec<libc::iovec> = bufs
-            .iter_mut()
-            .map(|b| libc::iovec {
-                iov_base: b.as_mut_ptr().cast(),
-                iov_len: b.len(),
-            })
-            .collect();
-        // SAFETY: each iovec describes a live, uniquely-owned allocation in
-        // `bufs`; on success they are stored in `self.fixed_bufs` and never
-        // resized or freed while the ring fd (declared before them) is open.
-        unsafe { self.ring.register_buffers(&iovecs)? };
-        self.fixed_bufs = Some(FixedBufPool {
-            bufs,
-            free: (0..count as u16).collect(),
-            each_len: each_bytes,
-        });
-        Ok(())
-    }
-
-    /// Whether a registered fixed-buffer pool is installed.
-    pub fn buffers_registered(&self) -> bool {
-        self.fixed_bufs.is_some()
-    }
-
-    /// Access to the underlying ring's syscall counters.
-    pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
     fn pump_one(&mut self, block: bool) -> Result<bool> {
         let completion = if block {
             Some(self.ring.wait_completion()?)
@@ -374,45 +266,20 @@ impl UringReader {
         let idx = (c.user_data & 0xFFFFF) as usize;
         if let Some(slot) = self.slots.get_mut(&gid) {
             match slot.reqs.get(idx).copied() {
-                Some((offset, len, dst)) => {
-                    // Provided-buffer completions carry their buffer id in
-                    // the CQE flags: copy the payload out into the group's
-                    // buffer and hand the buffer straight back to the
-                    // kernel (reap-time recycling keeps the group small).
-                    if slot.pbuf {
-                        if c.flags & sys::IORING_CQE_F_BUFFER != 0 {
-                            let bid = (c.flags >> sys::IORING_CQE_BUFFER_SHIFT) as u16;
-                            if let Ok(n) = c.bytes() {
-                                let end = (dst as usize + len as usize).min(slot.buf.len());
-                                self.ring.buf_ring_copy(
-                                    bid,
-                                    n as usize,
-                                    &mut slot.buf[dst as usize..end],
-                                );
-                            }
-                            self.ring.buf_ring_recycle(bid);
-                            self.stats.bufring_recycles += 1;
-                        } else {
-                            // Failed before a buffer was picked (e.g.
-                            // ENOBUFS): restore the admission credit.
-                            self.ring.buf_ring_return_credit();
-                        }
+                Some((offset, len)) => match c.bytes() {
+                    Ok(n) if n == len => {}
+                    Ok(n) => {
+                        slot.error.get_or_insert(IoEngineError::ShortRead {
+                            offset,
+                            expected: len,
+                            got: n as i32,
+                        });
                     }
-                    match c.bytes() {
-                        Ok(n) if n == len => {}
-                        Ok(n) => {
-                            slot.error.get_or_insert(IoEngineError::ShortRead {
-                                offset,
-                                expected: len,
-                                got: n as i32,
-                            });
-                        }
-                        Err(source) => {
-                            slot.error
-                                .get_or_insert(IoEngineError::Completion { offset, source });
-                        }
+                    Err(source) => {
+                        slot.error
+                            .get_or_insert(IoEngineError::Completion { offset, source });
                     }
-                }
+                },
                 // A CQE whose user_data indexes outside the group it names:
                 // a ring accounting bug, reported instead of panicking.
                 None => {
@@ -456,24 +323,6 @@ impl GroupReader for UringReader {
             self.pump_one(true)?;
         }
 
-        // Ladder rung 1: the provided-buffer ring serves the whole group
-        // when every request fits one provided buffer and enough credits
-        // remain (two pipelined groups never over-subscribe the kernel's
-        // buffer pool). No caller memory is exposed to the kernel at all.
-        let pbuf = self.ring.buf_ring_active()
-            && !reqs.is_empty()
-            && reqs.len() <= self.ring.buf_ring_credits() as usize
-            && reqs.iter().all(|r| r.len <= self.ring.buf_ring_each_len());
-
-        // Ladder rung 2: borrow a registered fixed buffer when the whole
-        // group fits in one; otherwise (pool absent, exhausted, or payload
-        // too large) rung 3 reads go into `buf` directly.
-        let fixed = if pbuf {
-            None
-        } else {
-            self.fixed_bufs.as_mut().and_then(|pool| pool.acquire(total))
-        };
-
         let fd = self.file.as_raw_fd();
         let mut cursor = 0usize;
         let mut req_meta = self.spare_reqs.pop().unwrap_or_default();
@@ -481,39 +330,13 @@ impl GroupReader for UringReader {
         req_meta.reserve(reqs.len());
         for (i, r) in reqs.iter().enumerate() {
             let user_data = (id << 20) | i as u64;
-            if pbuf {
-                // Safe path: the kernel writes into the ring-owned arena,
-                // never caller memory; payload is copied into `buf` at
-                // reap time by pump_one.
-                self.ring.prepare_read_select(
-                    if self.registered { 0 } else { fd },
-                    self.registered,
-                    r.len,
-                    r.offset,
-                    user_data,
-                )?;
-                req_meta.push((r.offset, r.len, cursor as u32));
-                cursor += r.len as usize;
-                continue;
-            }
-            // SAFETY: the destination is either `buf` (owned by the slot we
-            // insert below, not moved or freed until the group completes or
-            // the reader drains it on drop) or a registered fixed buffer that
-            // stays pinned and exclusively owned by this group until its
-            // completion; cursor+len <= destination capacity by construction.
-            // In registered-file mode, index 0 refers to this reader's file.
+            // SAFETY: the destination is `buf`, owned by the slot we insert
+            // below and not moved or freed until the group completes or the
+            // reader drains it on drop; cursor+len <= buf.len() by
+            // construction. In registered-file mode, index 0 refers to this
+            // reader's file.
             unsafe {
-                if let Some((k, base)) = fixed {
-                    self.ring.prepare_read_fixed_buf(
-                        if self.registered { 0 } else { fd },
-                        self.registered,
-                        base.add(cursor),
-                        r.len,
-                        r.offset,
-                        k,
-                        user_data,
-                    )?;
-                } else if self.registered {
+                if self.registered {
                     self.ring.prepare_read_fixed(
                         0,
                         buf.as_mut_ptr().add(cursor),
@@ -531,7 +354,7 @@ impl GroupReader for UringReader {
                     )?;
                 }
             }
-            req_meta.push((r.offset, r.len, cursor as u32));
+            req_meta.push((r.offset, r.len));
             cursor += r.len as usize;
         }
         self.ring.submit()?;
@@ -539,12 +362,6 @@ impl GroupReader for UringReader {
         self.stats.groups += 1;
         self.stats.requests += reqs.len() as u64;
         self.stats.bytes += total as u64;
-        if pbuf {
-            self.stats.bufring_reads += reqs.len() as u64;
-        }
-        if fixed.is_some() {
-            self.stats.fixed_buf_reads += reqs.len() as u64;
-        }
 
         self.slots.insert(
             id,
@@ -554,8 +371,6 @@ impl GroupReader for UringReader {
                 remaining: reqs.len() as u32,
                 error: None,
                 submitted: Instant::now(),
-                fixed: fixed.map(|(k, _)| k),
-                pbuf,
             },
         );
         if let Some(t0) = t0 {
@@ -603,16 +418,6 @@ impl GroupReader for UringReader {
             .slots
             .remove(&token.id)
             .ok_or(IoEngineError::InvalidToken(token.id))?;
-        // Fan the registered buffer's payload out into the caller's buffer
-        // and return the slot to the pool. Done for errored groups too so a
-        // short read never strands a pool buffer.
-        if let (Some(k), Some(pool)) = (slot.fixed, self.fixed_bufs.as_mut()) {
-            if let Some(src) = pool.bufs.get(k as usize) {
-                let n = slot.buf.len().min(src.len());
-                slot.buf[..n].copy_from_slice(&src[..n]);
-            }
-            pool.release(k);
-        }
         self.spare_reqs.push(std::mem::take(&mut slot.reqs));
         self.stats.syscalls = self.ring.enter_calls();
         // Latency is recorded for every completed group, error or not:
@@ -652,10 +457,6 @@ impl GroupReader for UringReader {
 
     fn attach_events(&mut self, ring: Arc<EventRing>, origin: Instant) {
         self.events = Some((ring, origin));
-    }
-
-    fn ring_setup(&self) -> RingSetupInfo {
-        self.ring.setup_info()
     }
 
     fn engine_name(&self) -> &'static str {
@@ -923,104 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_buffers_mode_is_equivalent() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = write_u32_file(5_000);
-        let mut plain = UringReader::open(&path, 32).unwrap();
-        let mut fixed = UringReader::open(&path, 32).unwrap();
-        fixed.register_read_buffers(2, 8192).unwrap();
-        assert!(fixed.buffers_registered());
-        assert!(!plain.buffers_registered());
-        let reqs: Vec<ReadSlice> = (0..32u64)
-            .map(|i| ReadSlice::new((i * 271 % 5000) * 4, 4))
-            .collect();
-        let a = read_group_blocking(&mut plain, &reqs, Vec::new()).unwrap();
-        let b = read_group_blocking(&mut fixed, &reqs, Vec::new()).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(fixed.stats().fixed_buf_reads, reqs.len() as u64);
-        assert_eq!(plain.stats().fixed_buf_reads, 0);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn fixed_buffers_compose_with_registered_file() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = write_u32_file(5_000);
-        let mut r = UringReader::open(&path, 32).unwrap();
-        r.register_file().unwrap();
-        r.register_read_buffers(2, 8192).unwrap();
-        let reqs: Vec<ReadSlice> = (0..16u64)
-            .map(|i| ReadSlice::new((i * 331 % 5000) * 4, 4))
-            .collect();
-        let buf = read_group_blocking(&mut r, &reqs, Vec::new()).unwrap();
-        for (i, req) in reqs.iter().enumerate() {
-            let got = u32::from_le_bytes(buf[4 * i..4 * i + 4].try_into().unwrap());
-            assert_eq!(got as u64 * 4, req.offset);
-        }
-        assert_eq!(r.stats().fixed_buf_reads, 16);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn oversized_group_falls_back_to_plain_reads() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = write_u32_file(5_000);
-        let mut r = UringReader::open(&path, 32).unwrap();
-        // Minimum pool buffer size is 4096; a >4096-byte group must bypass it.
-        r.register_read_buffers(1, 0).unwrap();
-        let reqs = [ReadSlice::new(0, 8192)];
-        let buf = read_group_blocking(&mut r, &reqs, Vec::new()).unwrap();
-        assert_eq!(buf.len(), 8192);
-        let got = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        assert_eq!(got, 1);
-        assert_eq!(r.stats().fixed_buf_reads, 0, "oversized group must not use the pool");
-        // A small group afterwards uses the pool again.
-        let small = [ReadSlice::new(40, 4)];
-        let buf = read_group_blocking(&mut r, &small, Vec::new()).unwrap();
-        assert_eq!(u32::from_le_bytes(buf[0..4].try_into().unwrap()), 10);
-        assert_eq!(r.stats().fixed_buf_reads, 1);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn pool_exhaustion_falls_back_and_recovers() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = write_u32_file(5_000);
-        let mut r = UringReader::open(&path, 32).unwrap();
-        r.register_read_buffers(1, 4096).unwrap();
-        let reqs = [ReadSlice::new(0, 4)];
-        // Two groups in flight with a one-buffer pool: the second must fall
-        // back to plain reads, and both must complete correctly.
-        let t1 = r.submit_group(&reqs, Vec::new()).unwrap();
-        let t2 = r.submit_group(&[ReadSlice::new(4, 4)], Vec::new()).unwrap();
-        assert_eq!(r.stats().fixed_buf_reads, 1);
-        let b1 = r.complete_group(t1).unwrap();
-        let b2 = r.complete_group(t2).unwrap();
-        assert_eq!(u32::from_le_bytes(b1[0..4].try_into().unwrap()), 0);
-        assert_eq!(u32::from_le_bytes(b2[0..4].try_into().unwrap()), 1);
-        // Buffer returned to the pool: the next group uses it again.
-        read_group_blocking(&mut r, &reqs, Vec::new()).unwrap();
-        assert_eq!(r.stats().fixed_buf_reads, 2);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn register_buffers_failure_leaves_reader_usable() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS", "1");
-        let path = write_u32_file(1_000);
-        let mut r = UringReader::open(&path, 16).unwrap();
-        let err = r.register_read_buffers(2, 4096);
-        std::env::remove_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS");
-        assert!(err.is_err());
-        assert!(!r.buffers_registered());
-        let buf = read_group_blocking(&mut r, &[ReadSlice::new(8, 4)], Vec::new()).unwrap();
-        assert_eq!(u32::from_le_bytes(buf[0..4].try_into().unwrap()), 2);
-        assert_eq!(r.stats().fixed_buf_reads, 0);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn group_too_large_rejected() {
         let path = write_u32_file(100);
         let mut r = UringReader::open(&path, 8).unwrap();
@@ -1157,127 +860,6 @@ mod tests {
             }
             assert_eq!(ring.dropped(), 0, "{name}");
         }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn buf_ring_mode_is_equivalent_and_recycles() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        if !crate::probe::uring_caps().buf_ring {
-            eprintln!("skipping: kernel does not honor IOSQE_BUFFER_SELECT");
-            return;
-        }
-        let path = write_u32_file(5_000);
-        let mut plain = UringReader::open(&path, 32).unwrap();
-        let file = std::fs::File::open(&path).unwrap();
-        let mut pb =
-            UringReader::with_file(file, RingBuilder::new().entries(32).buf_ring(64, 4096))
-                .unwrap();
-        assert!(pb.ring().buf_ring_active());
-        let reqs: Vec<ReadSlice> = (0..32u64)
-            .map(|i| ReadSlice::new((i * 389 % 5000) * 4, 4))
-            .collect();
-        let a = read_group_blocking(&mut plain, &reqs, Vec::new()).unwrap();
-        let b = read_group_blocking(&mut pb, &reqs, Vec::new()).unwrap();
-        assert_eq!(a, b);
-        let s = pb.stats();
-        assert_eq!(s.bufring_reads, reqs.len() as u64);
-        assert_eq!(s.bufring_recycles, reqs.len() as u64);
-        assert_eq!(s.fixed_buf_reads, 0);
-        assert_eq!(plain.stats().bufring_reads, 0);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn oversized_request_bypasses_buf_ring() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        if !crate::probe::uring_caps().buf_ring {
-            eprintln!("skipping: kernel does not honor IOSQE_BUFFER_SELECT");
-            return;
-        }
-        let path = write_u32_file(5_000);
-        let file = std::fs::File::open(&path).unwrap();
-        // 256-byte provided buffers: a 8192-byte request must use the
-        // plain rung, and the whole group goes with it.
-        let mut r =
-            UringReader::with_file(file, RingBuilder::new().entries(8).buf_ring(8, 256)).unwrap();
-        let reqs = [ReadSlice::new(0, 8192), ReadSlice::new(0, 4)];
-        let buf = read_group_blocking(&mut r, &reqs, Vec::new()).unwrap();
-        assert_eq!(buf.len(), 8196);
-        assert_eq!(u32::from_le_bytes(buf[4..8].try_into().unwrap()), 1);
-        assert_eq!(u32::from_le_bytes(buf[8192..8196].try_into().unwrap()), 0);
-        assert_eq!(r.stats().bufring_reads, 0);
-        // A small group afterwards rides the pbuf rung.
-        let buf = read_group_blocking(&mut r, &[ReadSlice::new(40, 4)], Vec::new()).unwrap();
-        assert_eq!(u32::from_le_bytes(buf[0..4].try_into().unwrap()), 10);
-        assert_eq!(r.stats().bufring_reads, 1);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn full_ladder_reader_is_equivalent() {
-        let _env = crate::ring::TEST_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = write_u32_file(5_000);
-        let mut plain = UringReader::open(&path, 32).unwrap();
-        let file = std::fs::File::open(&path).unwrap();
-        let mut b = RingBuilder::new()
-            .entries(32)
-            .defer_taskrun(true)
-            .register_ring_fd(true)
-            .lazy_submission(true);
-        // Only climb the pbuf rung where the kernel honors selection.
-        if crate::probe::uring_caps().buf_ring {
-            b = b.buf_ring(64, 4096);
-        }
-        let mut full = UringReader::with_file(file, b).unwrap();
-        full.register_file().unwrap();
-        // Interleaved in-flight groups, the async pipeline's shape.
-        let mk = |s: u64| -> Vec<ReadSlice> {
-            (0..16u64).map(|i| ReadSlice::new(((s + i * 197) % 5000) * 4, 4)).collect()
-        };
-        let (g1, g2) = (mk(3), mk(11));
-        let ta = full.submit_group(&g1, Vec::new()).unwrap();
-        let tb = full.submit_group(&g2, Vec::new()).unwrap();
-        let a1 = full.complete_group(ta).unwrap();
-        let a2 = full.complete_group(tb).unwrap();
-        let e1 = read_group_blocking(&mut plain, &g1, Vec::new()).unwrap();
-        let e2 = read_group_blocking(&mut plain, &g2, Vec::new()).unwrap();
-        assert_eq!(a1, e1);
-        assert_eq!(a2, e2);
-        let setup = full.ring_setup();
-        assert!(setup.lazy_submission);
-        assert_eq!(setup.requested_flags, full.ring().setup_flags().0);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn lazy_submission_halves_enters_for_pipelined_groups() {
-        let path = write_u32_file(50_000);
-        let file = std::fs::File::open(&path).unwrap();
-        let mut lazy =
-            UringReader::with_file(file, RingBuilder::new().entries(64).lazy_submission(true))
-                .unwrap();
-        let mut eager = UringReader::open(&path, 64).unwrap();
-        let groups: Vec<Vec<ReadSlice>> = (0..16u64)
-            .map(|g| (0..32u64).map(|i| ReadSlice::new(((g * 811 + i * 127) % 50_000) * 4, 4)).collect())
-            .collect();
-        // Two-in-flight pipeline (the paper's async mode).
-        for r in [&mut lazy, &mut eager] {
-            let mut prev: Option<GroupToken> = None;
-            for g in &groups {
-                let t = r.submit_group(g, Vec::new()).unwrap();
-                if let Some(p) = prev.take() {
-                    r.complete_group(p).unwrap();
-                }
-                prev = Some(t);
-            }
-            r.complete_group(prev.unwrap()).unwrap();
-        }
-        let (le, ee) = (lazy.stats().syscalls, eager.stats().syscalls);
-        assert!(
-            le * 2 <= ee + 1,
-            "lazy mode should at least halve enter syscalls: lazy={le} eager={ee}"
-        );
         std::fs::remove_file(path).ok();
     }
 

@@ -48,10 +48,6 @@ pub enum IoEngineError {
     /// issued, or that was already completed. Indicates an accounting bug
     /// surfaced as an error instead of a hot-path panic.
     InvalidToken(u64),
-    /// No provided buffer is available for a buffer-select read (no
-    /// pbuf ring registered, out of credits, or the request is larger
-    /// than one buffer). Callers fall back to the next ladder rung.
-    BufRingExhausted,
 }
 
 impl fmt::Display for IoEngineError {
@@ -83,9 +79,6 @@ impl fmt::Display for IoEngineError {
             IoEngineError::File(e) => write!(f, "file I/O error: {e}"),
             IoEngineError::InvalidToken(ud) => {
                 write!(f, "completion token {ud} does not belong to this reader")
-            }
-            IoEngineError::BufRingExhausted => {
-                write!(f, "no provided buffer available for buffer-select read")
             }
         }
     }

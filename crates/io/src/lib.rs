@@ -47,7 +47,7 @@ pub mod sys;
 pub use engine::{GroupReader, PreadReader, ReadSlice, ReaderStats, UringReader};
 pub use error::{IoEngineError, Result};
 pub use probe::{default_engine, open_reader, uring_available, uring_caps, EngineKind, UringCaps};
-pub use ring::{Completion, Ring, RingBuilder, RingSetupInfo, DEFAULT_RING_ENTRIES};
+pub use ring::{Completion, Ring};
 
 /// A temp-file path no other fixture of this test process shares: `cargo
 /// test` runs tests on parallel threads, and each removes its file when done.

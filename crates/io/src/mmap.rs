@@ -49,38 +49,6 @@ impl Mmap {
         })
     }
 
-    /// Maps `len` bytes of fresh, zeroed, page-aligned anonymous memory.
-    ///
-    /// Used for the provided-buffer ring, which the kernel requires to be
-    /// page-aligned (`IORING_REGISTER_PBUF_RING` rejects unaligned rings);
-    /// a `Vec` allocation cannot guarantee that.
-    ///
-    /// # Errors
-    /// Returns the `mmap(2)` errno on failure (`ENOMEM` when out of
-    /// address space).
-    pub fn map_anonymous(len: usize) -> io::Result<Self> {
-        // SAFETY: fresh private mapping (addr = null, fd = -1) whose result
-        // is validated below.
-        let ptr = unsafe {
-            libc::mmap(
-                std::ptr::null_mut(),
-                len,
-                libc::PROT_READ | libc::PROT_WRITE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        if ptr == libc::MAP_FAILED {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Self {
-            // SAFETY: mmap returned non-null (checked above, MAP_FAILED is -1).
-            ptr: unsafe { NonNull::new_unchecked(ptr.cast()) },
-            len,
-        })
-    }
-
     /// Length of the mapping in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -168,19 +136,5 @@ mod tests {
     #[test]
     fn map_bad_fd_fails() {
         assert!(Mmap::map(-1, 4096, 0).is_err());
-    }
-
-    #[test]
-    fn anonymous_mapping_is_zeroed_and_page_aligned() {
-        let m = Mmap::map_anonymous(8192).unwrap();
-        assert_eq!(m.len(), 8192);
-        assert_eq!(m.as_ptr() as usize % 4096, 0);
-        // SAFETY: in-bounds reads/writes of our own fresh mapping.
-        unsafe {
-            assert_eq!(*m.as_ptr(), 0);
-            assert_eq!(*m.as_ptr().add(8191), 0);
-            *m.as_ptr().add(100) = 7;
-            assert_eq!(*m.as_ptr().add(100), 7);
-        }
     }
 }

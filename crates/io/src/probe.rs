@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use crate::engine::{GroupReader, PreadReader, UringReader};
 use crate::error::Result;
-use crate::ring::{Ring, RingBuilder};
+use crate::ring::Ring;
 use crate::sys;
 
 /// Which read engine backs a reader.
@@ -32,33 +32,35 @@ pub fn uring_available() -> bool {
     *AVAILABLE.get_or_init(|| Ring::new(2).is_ok())
 }
 
-/// Ring-mode ladder capabilities of the running kernel, probed once per
-/// process by actually requesting each feature on a throwaway 4-entry
-/// ring (kernel version checks lie under seccomp/container policies;
-/// asking the kernel does not).
+/// What the running kernel's io_uring offers, probed once per process by
+/// asking it (kernel version checks lie under seccomp/container policies).
+/// A host fingerprint for benchmark reports; nothing in the workspace
+/// selects behaviour from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UringCaps {
-    /// `IORING_SETUP_DEFER_TASKRUN | IORING_SETUP_COOP_TASKRUN`
-    /// (composed with SINGLE_ISSUER) was granted.
+    /// The kernel accepts `IORING_SETUP_DEFER_TASKRUN | COOP_TASKRUN |
+    /// SINGLE_ISSUER` at setup. No ring here asks for it (it binds a ring
+    /// to its creating thread); kept because `benchmark/src/host.rs` prints
+    /// it — the next benchmark PR should drop this, `registered_ring_fds`
+    /// and `buf_ring` from the fingerprint so they can leave this struct.
     pub defer_taskrun: bool,
-    /// `IORING_REGISTER_RING_FDS` succeeded (registered-ring-fd enters).
+    /// The kernel accepts `IORING_REGISTER_RING_FDS`. Same status as
+    /// `defer_taskrun`: reported, never used.
     pub registered_ring_fds: bool,
-    /// Provided buffer rings are *functional*: `IORING_REGISTER_PBUF_RING`
-    /// succeeded AND a real `IOSQE_BUFFER_SELECT` read completed with
-    /// `IORING_CQE_F_BUFFER` set and the payload in the selected buffer.
-    /// (Some sandbox kernels accept the registration but silently ignore
-    /// buffer selection, turning every select read into an `EFAULT` read
-    /// from address zero — registration success alone proves nothing.)
+    /// Always `false`. Provided-buffer rings only count as present when a
+    /// real buffer-select read round-trips, and the machinery that test
+    /// needed was removed with the ring-mode ladder; `false` is also what
+    /// that test measured on the one kernel this repo has run on.
     pub buf_ring: bool,
-    /// `IORING_OP_READ` is implemented per `IORING_REGISTER_PROBE` (the
-    /// whole ladder reads through this opcode).
+    /// `IORING_OP_READ` is implemented per `IORING_REGISTER_PROBE` (every
+    /// read goes through this opcode).
     pub read_op: bool,
     /// Raw `io_uring_params.features` bits reported at setup.
     pub features: u32,
 }
 
-/// Probes the ring-mode ladder capabilities (cached after the first call).
-/// All-false when io_uring itself is unavailable.
+/// Probes [`UringCaps`] (cached after the first call). All-false when
+/// io_uring itself is unavailable.
 pub fn uring_caps() -> UringCaps {
     static CAPS: OnceLock<UringCaps> = OnceLock::new();
     *CAPS.get_or_init(|| {
@@ -67,66 +69,40 @@ pub fn uring_caps() -> UringCaps {
             return caps;
         }
         caps.features = Ring::probe_features().unwrap_or(0);
-        // DEFER_TASKRUN: request the full flag group without the builder's
-        // fallback ladder masking a refusal.
-        caps.defer_taskrun = Ring::with_setup_flags(
-            4,
-            sys::IORING_SETUP_SINGLE_ISSUER
-                | sys::IORING_SETUP_COOP_TASKRUN
-                | sys::IORING_SETUP_DEFER_TASKRUN,
-        )
-        .is_ok();
-        // Registered ring fds + pbuf rings: exercise the registrations on a
-        // live throwaway ring and check what actually stuck.
-        if let Ok(mut ring) = RingBuilder::new()
-            .entries(4)
-            .register_ring_fd(true)
-            .buf_ring(2, 4096)
-            .build()
-        {
-            caps.read_op = ring.probe_op_supported(sys::IORING_OP_READ);
-            // Ring-fd registration happens at arm time (first enter).
-            if ring.prepare_nop(0).is_ok() && ring.submit_and_wait(1).is_ok() {
-                caps.registered_ring_fds = ring.setup_info().ring_fd_registered;
+        caps.read_op = Ring::new(4).is_ok_and(|mut r| r.probe_op_supported(sys::IORING_OP_READ));
+        let taskrun = sys::IORING_SETUP_SINGLE_ISSUER
+            | sys::IORING_SETUP_COOP_TASKRUN
+            | sys::IORING_SETUP_DEFER_TASKRUN;
+        caps.defer_taskrun = probe_fd(taskrun, |_| true);
+        caps.registered_ring_fds = probe_fd(0, |fd| {
+            // offset u32::MAX: the kernel picks the slot and writes it back.
+            let mut upd = sys::IoUringRsrcUpdate { offset: u32::MAX, resv: 0, data: fd as u64 };
+            let call = |op: u32, upd: &mut sys::IoUringRsrcUpdate| {
+                let arg = (upd as *mut sys::IoUringRsrcUpdate).cast_const().cast();
+                // SAFETY: `arg` points at one valid IoUringRsrcUpdate, the element
+                // type both opcodes take, read and written only during the call.
+                unsafe { sys::io_uring_register(fd, op, arg, 1) }.is_ok()
+            };
+            // Unregistering names the slot by `offset` and wants `data` zero.
+            call(sys::IORING_REGISTER_RING_FDS, &mut upd) && {
+                upd.data = 0;
+                call(sys::IORING_UNREGISTER_RING_FDS, &mut upd)
             }
-            caps.buf_ring = ring.buf_ring_active() && buf_select_roundtrip(&mut ring);
-        }
+        });
         caps
     })
 }
 
-/// Performs one real `IOSQE_BUFFER_SELECT` read on `ring` and verifies the
-/// kernel actually honored the selection: `IORING_CQE_F_BUFFER` set, the
-/// payload delivered into the *selected* arena buffer. Returns `false` on
-/// any deviation, which is how lying sandbox kernels are caught.
-fn buf_select_roundtrip(ring: &mut Ring) -> bool {
-    use std::os::unix::io::AsRawFd;
-    const PATTERN: &[u8; 16] = b"ringsampler-pbuf";
-    let path = std::env::temp_dir().join(format!("rs-io-capprobe-{}", std::process::id()));
-    let ok = (|| -> Option<bool> {
-        std::fs::write(&path, PATTERN).ok()?;
-        let f = std::fs::File::open(&path).ok()?;
-        // ringlint: allow(swallowed-ring-error) — `.ok()?` maps failure to probe-negative; a kernel that rejects BUFFER_SELECT SQEs is exactly what this probe reports
-        ring.prepare_read_select(f.as_raw_fd(), false, PATTERN.len() as u32, 0, u64::MAX)
-            .ok()?;
-        // ringlint: allow(swallowed-ring-error) — `.ok()?` converts failure into a probe-negative return; a refusing kernel is the expected outcome this probe exists to detect
-        ring.submit_and_wait(1).ok()?;
-        // ringlint: allow(swallowed-ring-error) — same probe-negative conversion: any error here means BUFFER_SELECT is not usable, which is the answer
-        let c = ring.wait_completion().ok()?;
-        if c.user_data != u64::MAX
-            || c.result != PATTERN.len() as i32
-            || c.flags & sys::IORING_CQE_F_BUFFER == 0
-        {
-            return Some(false);
-        }
-        let bid = (c.flags >> sys::IORING_CQE_BUFFER_SHIFT) as u16;
-        let mut out = [0u8; 16];
-        let n = ring.buf_ring_copy(bid, out.len(), &mut out);
-        ring.buf_ring_recycle(bid);
-        Some(n == PATTERN.len() && out == *PATTERN)
-    })()
-    .unwrap_or(false);
-    std::fs::remove_file(&path).ok();
+/// Sets up a throwaway 4-entry ring fd with `flags`, asks `check` about it
+/// and closes it. `false` when the kernel refuses the setup.
+fn probe_fd(flags: u32, check: impl FnOnce(i32) -> bool) -> bool {
+    let mut params = sys::IoUringParams { flags, ..Default::default() };
+    let Ok(fd) = sys::io_uring_setup(4, &mut params) else {
+        return false;
+    };
+    let ok = check(fd);
+    // SAFETY: fd was just returned by io_uring_setup and is closed once.
+    unsafe { libc::close(fd) };
     ok
 }
 
@@ -199,9 +175,10 @@ mod tests {
             assert_eq!(a, UringCaps::default());
         } else {
             // Any kernel with io_uring at all implements IORING_OP_READ
-            // (5.6+) if the probe register op works; don't assert the
-            // ladder features — they are genuinely kernel-dependent.
+            // (5.6+) if the probe register op works; the two kernel-feature
+            // fields are genuinely kernel-dependent.
             assert!(a.features != 0 || !a.read_op);
+            assert!(!a.buf_ring);
         }
     }
 

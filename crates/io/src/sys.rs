@@ -20,16 +20,16 @@ pub const SYS_IO_URING_REGISTER: libc::c_long = 427;
 
 // --- setup flags (io_uring_params.flags) ---
 
-/// Perform busy-waiting for I/O completion in the kernel (needs polled I/O).
-pub const IORING_SETUP_IOPOLL: u32 = 1 << 0;
-/// Kernel-side submission-queue polling thread.
-pub const IORING_SETUP_SQPOLL: u32 = 1 << 1;
-/// Pin the SQPOLL thread to `sq_thread_cpu`.
-pub const IORING_SETUP_SQ_AFF: u32 = 1 << 2;
 /// App specifies the CQ size (via `cq_entries`).
 pub const IORING_SETUP_CQSIZE: u32 = 1 << 3;
 /// Clamp ring sizes instead of failing.
 pub const IORING_SETUP_CLAMP: u32 = 1 << 4;
+
+// The three flags below are only ever *probed* (see `crate::probe`): rings
+// this crate builds carry none of them, because `SINGLE_ISSUER` binds a ring
+// to the task that created it and a reader must survive a move between
+// threads.
+
 /// Cooperative task running: completions do not IPI the submitting task;
 /// they are run the next time it transitions to the kernel anyway.
 pub const IORING_SETUP_COOP_TASKRUN: u32 = 1 << 8;
@@ -39,11 +39,6 @@ pub const IORING_SETUP_SINGLE_ISSUER: u32 = 1 << 12;
 /// `io_uring_enter(GETEVENTS)`. Requires `SINGLE_ISSUER`; enter from any
 /// other task fails with `EEXIST`.
 pub const IORING_SETUP_DEFER_TASKRUN: u32 = 1 << 13;
-/// Start the ring disabled; no I/O is possible until
-/// `IORING_REGISTER_ENABLE_RINGS`. With `SINGLE_ISSUER`, the *enabling*
-/// task (not the creating one) becomes the ring owner — which is how a
-/// ring built on one thread can be armed on the thread that will use it.
-pub const IORING_SETUP_R_DISABLED: u32 = 1 << 6;
 
 // --- feature flags (io_uring_params.features) ---
 
@@ -56,16 +51,9 @@ pub const IORING_FEAT_NODROP: u32 = 1 << 1;
 
 /// Wait for `min_complete` completions before returning.
 pub const IORING_ENTER_GETEVENTS: u32 = 1 << 0;
-/// Wake up the SQPOLL kernel thread.
-pub const IORING_ENTER_SQ_WAKEUP: u32 = 1 << 1;
-/// `fd` is an index into the registered-ring-fd table rather than a real
-/// file descriptor; skips the fdget/fdput lookup on every enter.
-pub const IORING_ENTER_REGISTERED_RING: u32 = 1 << 4;
 
 // --- SQ ring flags (shared memory, written by kernel) ---
 
-/// The SQPOLL kernel thread went to sleep and needs a wakeup.
-pub const IORING_SQ_NEED_WAKEUP: u32 = 1 << 0;
 /// CQ ring is overflown.
 pub const IORING_SQ_CQ_OVERFLOW: u32 = 1 << 1;
 
@@ -88,15 +76,8 @@ pub const IORING_OP_READV: u8 = 1;
 pub const IORING_OP_WRITEV: u8 = 2;
 /// fsync.
 pub const IORING_OP_FSYNC: u8 = 3;
-/// Read into a pre-registered fixed buffer (`sqe.buf_index` selects it;
-/// skips the per-I/O get_user_pages pin that `IORING_OP_READ` pays).
-pub const IORING_OP_READ_FIXED: u8 = 4;
-/// Write from a pre-registered fixed buffer.
-pub const IORING_OP_WRITE_FIXED: u8 = 5;
 /// Non-vectored read at an offset (`pread` semantics).
 pub const IORING_OP_READ: u8 = 22;
-/// Non-vectored write at an offset.
-pub const IORING_OP_WRITE: u8 = 23;
 
 // --- SQE flags ---
 
@@ -106,40 +87,18 @@ pub const IOSQE_FIXED_FILE: u8 = 1 << 0;
 pub const IOSQE_IO_DRAIN: u8 = 1 << 1;
 /// Link the next SQE to this one.
 pub const IOSQE_IO_LINK: u8 = 1 << 2;
-/// Select a buffer from the group in `sqe.buf_index` at issue time instead
-/// of supplying one in `sqe.addr` (provided-buffer rings).
-pub const IOSQE_BUFFER_SELECT: u8 = 1 << 4;
-
-// --- CQE flags ---
-
-/// The CQE consumed a provided buffer; its id is `cqe.flags >> 16`.
-pub const IORING_CQE_F_BUFFER: u32 = 1 << 0;
-/// Shift extracting the provided-buffer id from `cqe.flags`.
-pub const IORING_CQE_BUFFER_SHIFT: u32 = 16;
 
 // --- register opcodes ---
 
-/// Register fixed buffers.
-pub const IORING_REGISTER_BUFFERS: u32 = 0;
-/// Unregister fixed buffers.
-pub const IORING_UNREGISTER_BUFFERS: u32 = 1;
 /// Register a fixed file table.
 pub const IORING_REGISTER_FILES: u32 = 2;
-/// Unregister the fixed file table.
-pub const IORING_UNREGISTER_FILES: u32 = 3;
 /// Probe supported opcodes (arg = `io_uring_probe` + op array).
 pub const IORING_REGISTER_PROBE: u32 = 8;
-/// Enable a ring created with `IORING_SETUP_R_DISABLED`.
-pub const IORING_REGISTER_ENABLE_RINGS: u32 = 12;
-/// Register the ring fd itself in the calling *task's* private table so
-/// `io_uring_enter` can use `IORING_ENTER_REGISTERED_RING`.
+/// Register the ring fd itself in the calling *task's* private table
+/// (probed only: such an index is meaningless on any other thread).
 pub const IORING_REGISTER_RING_FDS: u32 = 20;
 /// Unregister ring fds from the calling task's table.
 pub const IORING_UNREGISTER_RING_FDS: u32 = 21;
-/// Register a provided-buffer ring (arg = [`IoUringBufReg`]).
-pub const IORING_REGISTER_PBUF_RING: u32 = 22;
-/// Unregister a provided-buffer ring by group id.
-pub const IORING_UNREGISTER_PBUF_RING: u32 = 23;
 
 /// Offsets of the submission-queue ring fields inside its mmap region.
 #[repr(C)]
@@ -212,7 +171,7 @@ pub struct IoUringSqe {
     pub op_flags: u32,
     /// Opaque value passed through to the matching CQE.
     pub user_data: u64,
-    /// Fixed-buffer index or buffer-group id.
+    /// Fixed-buffer index or buffer-group id (always 0 here).
     pub buf_index: u16,
     pub personality: u16,
     pub splice_fd_in: i32,
@@ -244,35 +203,6 @@ pub struct IoUringRsrcUpdate {
     pub resv: u32,
     pub data: u64,
 }
-
-/// Registration descriptor for a provided-buffer ring
-/// (`IORING_REGISTER_PBUF_RING`). `ring_addr` must be page-aligned and
-/// hold `ring_entries` [`IoUringBuf`] slots (power of two).
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-#[allow(missing_docs)] // fields mirror <linux/io_uring.h> verbatim
-pub struct IoUringBufReg {
-    pub ring_addr: u64,
-    pub ring_entries: u32,
-    pub bgid: u16,
-    pub flags: u16,
-    pub resv: [u64; 3],
-}
-
-/// One entry of a provided-buffer ring (16 bytes, kernel-shared). The
-/// ring tail lives in the `resv` field of the *first* entry (offset 14).
-#[repr(C)]
-#[derive(Debug, Default, Clone, Copy)]
-#[allow(missing_docs)] // fields mirror <linux/io_uring.h> verbatim
-pub struct IoUringBuf {
-    pub addr: u64,
-    pub len: u32,
-    pub bid: u16,
-    pub resv: u16,
-}
-
-/// Byte offset of the buffer-ring tail (the `resv` of entry 0).
-pub const IORING_BUF_RING_TAIL_OFFSET: usize = 14;
 
 /// Header of the `IORING_REGISTER_PROBE` result, followed inline by
 /// `ops_len` [`IoUringProbeOp`] entries.
@@ -361,8 +291,8 @@ pub fn io_uring_enter(
 ///
 /// # Safety
 /// `arg` must point to `nr_args` valid elements of the type the `opcode`
-/// expects (e.g. `i32` fds for `IORING_REGISTER_FILES`, `iovec`s for
-/// `IORING_REGISTER_BUFFERS`), valid for the duration of the call.
+/// expects (e.g. `i32` fds for `IORING_REGISTER_FILES`), valid for the
+/// duration of the call.
 pub unsafe fn io_uring_register(
     fd: i32,
     opcode: u32,
@@ -402,18 +332,6 @@ mod tests {
     fn params_layout_is_120_bytes() {
         // 8 leading u32s + resv[3] = 40, sq_off = 40, cq_off = 40.
         assert_eq!(size_of::<IoUringParams>(), 120);
-    }
-
-    #[test]
-    fn buf_ring_entry_is_16_bytes() {
-        assert_eq!(size_of::<IoUringBuf>(), 16);
-        // The shared tail occupies the `resv` u16 of entry 0.
-        assert_eq!(std::mem::offset_of!(IoUringBuf, resv), IORING_BUF_RING_TAIL_OFFSET);
-    }
-
-    #[test]
-    fn buf_reg_layout_is_40_bytes() {
-        assert_eq!(size_of::<IoUringBufReg>(), 40);
     }
 
     #[test]

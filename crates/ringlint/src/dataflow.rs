@@ -24,12 +24,6 @@
 //!   The pool owns the allocation, so no scope-end obligation, but
 //!   releasing the slot while its buffer is lent (or lending/using it
 //!   after release) is a violation.
-//! * **pbuf** — a provided-buffer id from a kernel-selected read
-//!   (`IOSQE_BUFFER_SELECT` / `buf_ring_copy`). The lifecycle is
-//!   inverted: userspace owns the id from CQE extraction until
-//!   `.buf_ring_recycle(bid)` hands it back, at which point the kernel
-//!   may immediately refill the buffer for another read. Using the id
-//!   after recycling, or recycling it twice, is a violation.
 //!
 //! Path sensitivity: `if`/`else` chains and `match` arms are analyzed with
 //! cloned state and merged — a loan counts as closed only if every branch
@@ -109,11 +103,9 @@ const RING_FALLIBLE: &[&str] = &[
     "prepare_read",
     "prepare_read_fixed",
     "prepare_read_fixed_buf",
-    "prepare_read_select",
     "prepare_write",
     "prepare_write_fixed",
     "prepare_nop",
-    "unregister_buf_ring",
     "io_uring_enter",
     "io_uring_setup",
     "io_uring_register",
@@ -166,9 +158,6 @@ enum LoanKind {
     Local,
     Param,
     Pool,
-    /// A provided-buffer id (`bid`) extracted from a BUFFER_SELECT CQE:
-    /// owned by userspace until `.buf_ring_recycle(bid)` returns it.
-    Pbuf,
 }
 
 /// One open (or closed) loan: a set of binding names that all refer to the
@@ -696,66 +685,6 @@ impl<'a> Ctx<'a> {
                 continue;
             }
 
-            // `.buf_ring_recycle(bid)` — the provided-buffer id returns to
-            // the kernel's ring; it may be handed to a new in-flight read
-            // immediately, so the id (and the buffer behind it) is dead to
-            // userspace from here on.
-            if t == "."
-                && self.text_at(seq, i + 1) == "buf_ring_recycle"
-                && self.text_at(seq, i + 2) == "("
-            {
-                let close = self.match_paren(seq, i + 2);
-                let mut arg: Option<String> = None;
-                for p in i + 3..close {
-                    if self.is_ident(seq, p) && !KEYWORDS.contains(&self.text_at(seq, p)) {
-                        arg = Some(self.text_at(seq, p).to_string());
-                        break;
-                    }
-                }
-                if let Some(argn) = arg {
-                    let line = self.line_at(seq, i + 1);
-                    let mut msg: Option<String> = None;
-                    if let Some(l) = st
-                        .loans
-                        .iter_mut()
-                        .find(|l| l.kind == LoanKind::Pbuf && l.names.iter().any(|n| n == &argn))
-                    {
-                        if l.released && !l.reported {
-                            msg = Some(format!(
-                                "`{argn}` is recycled to the provided-buffer ring twice \
-                                 (first recycled at line {}); a double-recycle hands the \
-                                 same buffer to two in-flight reads",
-                                l.release_line
-                            ));
-                            l.reported = true;
-                        }
-                        l.released = true;
-                        l.release_line = line;
-                    } else {
-                        let scope = st.decl_scope.get(&argn).copied().unwrap_or(0);
-                        let id = self.next_id;
-                        self.next_id += 1;
-                        st.loans.push(Loan {
-                            id,
-                            kind: LoanKind::Pbuf,
-                            names: vec![argn],
-                            line,
-                            scope,
-                            lent: false,
-                            closed: true,
-                            released: true,
-                            release_line: line,
-                            reported: false,
-                        });
-                    }
-                    if let Some(m) = msg {
-                        self.finding(RULE_LOAN, line, m);
-                    }
-                }
-                i = close + 1;
-                continue;
-            }
-
             let is_call = self.is_ident(seq, i) && self.text_at(seq, i + 1) == "(";
 
             if is_call && OPEN_CALLS.contains(&t) {
@@ -852,22 +781,6 @@ impl<'a> Ctx<'a> {
                 msg = Some(format!(
                     "`{name}` is used after its pool slot was released at line {}; \
                      the slot may already back another in-flight read",
-                    l.release_line
-                ));
-            }
-            if let Some(m) = msg {
-                self.finding(RULE_LOAN, line, m);
-            }
-            return;
-        }
-
-        if l.kind == LoanKind::Pbuf {
-            if l.released && !l.reported {
-                l.reported = true;
-                msg = Some(format!(
-                    "`{name}` is used after being recycled to the provided-buffer ring \
-                     at line {}; the kernel may already be refilling that buffer for \
-                     another read",
                     l.release_line
                 ));
             }
@@ -1111,16 +1024,7 @@ impl<'a> Ctx<'a> {
                 st.decl_scope.insert(n.clone(), depth);
                 // A fresh binding shadows any taint the old one carried.
                 st.sources.remove(n);
-                // A re-`let` of a recycled provided-buffer id names a new
-                // id (the reap loop's next CQE), not the dead one.
-                for l in st.loans.iter_mut() {
-                    if l.kind == LoanKind::Pbuf {
-                        l.names.retain(|x| x != n);
-                    }
-                }
             }
-            st.loans
-                .retain(|l| !(l.kind == LoanKind::Pbuf && l.names.is_empty()));
             // RHS inspection.
             let mut rhs_sources: Vec<String> = Vec::new();
             let mut opens_pool = false;
@@ -1743,80 +1647,5 @@ mod tests {
                    self.push_sqe(op_read(fd, buf as u64, len))\n\
                    }";
         assert!(run(src).is_empty(), "{:#?}", run(src));
-    }
-
-    #[test]
-    fn pbuf_copy_after_recycle_flags() {
-        let src = "fn f(ring: &mut Ring, out: &mut [u8]) {\n\
-                   let bid = extract(flags);\n\
-                   ring.buf_ring_recycle(bid);\n\
-                   let _n = ring.buf_ring_copy(bid, 64, out);\n\
-                   }";
-        let fs = run(src);
-        assert_eq!(rules_of(&fs), [RULE_LOAN], "{fs:#?}");
-        assert!(fs[0].message.contains("after being recycled"), "{fs:#?}");
-        assert_eq!(fs[0].line, 4);
-    }
-
-    #[test]
-    fn pbuf_double_recycle_flags() {
-        let src = "fn f(ring: &mut Ring) {\n\
-                   let bid = extract(flags);\n\
-                   ring.buf_ring_recycle(bid);\n\
-                   ring.buf_ring_recycle(bid);\n\
-                   }";
-        let fs = run(src);
-        assert_eq!(rules_of(&fs), [RULE_LOAN], "{fs:#?}");
-        assert!(fs[0].message.contains("twice"), "{fs:#?}");
-        assert_eq!(fs[0].line, 4);
-    }
-
-    #[test]
-    fn pbuf_copy_before_recycle_is_clean() {
-        let src = "fn f(ring: &mut Ring, out: &mut [u8]) {\n\
-                   let bid = extract(flags);\n\
-                   let _n = ring.buf_ring_copy(bid, 64, out);\n\
-                   ring.buf_ring_recycle(bid);\n\
-                   }";
-        assert!(run(src).is_empty(), "{:#?}", run(src));
-    }
-
-    #[test]
-    fn pbuf_re_let_of_recycled_id_names_a_fresh_buffer() {
-        // The reap loop's next CQE re-`let`s `bid`: that is a new id, not
-        // a use of the recycled one.
-        let src = "fn f(ring: &mut Ring, out: &mut [u8]) {\n\
-                   let bid = extract(first);\n\
-                   ring.buf_ring_recycle(bid);\n\
-                   let bid = extract(second);\n\
-                   let _n = ring.buf_ring_copy(bid, 64, out);\n\
-                   ring.buf_ring_recycle(bid);\n\
-                   }";
-        assert!(run(src).is_empty(), "{:#?}", run(src));
-    }
-
-    #[test]
-    fn pbuf_recycle_only_on_one_branch_then_use_flags() {
-        // Merge semantics: recycled on any path means later uses race the
-        // kernel's refill on that path.
-        let src = "fn f(ring: &mut Ring, out: &mut [u8], partial: bool) {\n\
-                   let bid = extract(flags);\n\
-                   if partial {\n\
-                   ring.buf_ring_recycle(bid);\n\
-                   }\n\
-                   let _n = ring.buf_ring_copy(bid, 64, out);\n\
-                   }";
-        let fs = run(src);
-        assert_eq!(rules_of(&fs), [RULE_LOAN], "{fs:#?}");
-        assert!(fs[0].message.contains("after being recycled"), "{fs:#?}");
-    }
-
-    #[test]
-    fn prepare_read_select_swallowed_ok_flags() {
-        let src = "fn f(ring: &mut Ring, fd: i32) {\n\
-                   ring.prepare_read_select(fd, false, 64, 0, 7).ok();\n\
-                   }";
-        let fs = run(src);
-        assert_eq!(rules_of(&fs), [RULE_SWALLOWED], "{fs:#?}");
     }
 }

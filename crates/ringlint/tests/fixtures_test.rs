@@ -162,33 +162,6 @@ fn good_loan_scratch_fixture_is_clean() {
 }
 
 #[test]
-fn bad_pbuf_recycle_mutation_flags_use_after_recycle_and_double_recycle() {
-    let src = include_str!("fixtures/bad_pbuf_recycle.rs");
-    let out = lint_source(POOL, src);
-    assert_eq!(out.violations.len(), 2, "{:#?}", out.violations);
-    assert!(out.violations.iter().all(|v| v.rule == RULE_LOAN));
-    assert_eq!(lines_for(RULE_LOAN, POOL, src), vec![12, 16]);
-    assert!(
-        out.violations[0]
-            .message
-            .contains("after being recycled"),
-        "{:#?}",
-        out.violations
-    );
-    assert!(
-        out.violations[1].message.contains("recycled to the provided-buffer ring twice"),
-        "{:#?}",
-        out.violations
-    );
-}
-
-#[test]
-fn good_pbuf_recycle_fixture_is_clean() {
-    let out = lint_source(POOL, include_str!("fixtures/good_pbuf_recycle.rs"));
-    assert!(out.violations.is_empty(), "{:#?}", out.violations);
-}
-
-#[test]
 fn bad_lock_submit_fixture_flags_guard_across_ring_entry() {
     let src = include_str!("fixtures/bad_lock_submit.rs");
     let out = lint_source(POOL, src);

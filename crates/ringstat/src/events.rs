@@ -68,10 +68,9 @@ pub enum EventKind {
     CacheHit = 7,
     /// Cache misses (disk reads) in one fetch call. `a` = miss count.
     CacheMiss = 8,
-    /// Registered fixed buffers were requested but unavailable; the
-    /// worker degraded to plain reads.
-    RegBufFallback = 9,
     /// `register_file` failed; the worker degraded to plain fds.
+    /// (Discriminant 9 was the registered-buffer fallback, removed with
+    /// that pool; 10 is kept so recorded traces keep their meaning.)
     RegFileFallback = 10,
 }
 
@@ -88,7 +87,6 @@ impl EventKind {
             EventKind::ScatterDone => "scatter_done",
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheMiss => "cache_miss",
-            EventKind::RegBufFallback => "regbuf_fallback",
             EventKind::RegFileFallback => "regfile_fallback",
         }
     }
@@ -105,7 +103,6 @@ impl EventKind {
             "scatter_done" => EventKind::ScatterDone,
             "cache_hit" => EventKind::CacheHit,
             "cache_miss" => EventKind::CacheMiss,
-            "regbuf_fallback" => EventKind::RegBufFallback,
             "regfile_fallback" => EventKind::RegFileFallback,
             _ => return None,
         })
@@ -383,7 +380,6 @@ mod tests {
             EventKind::ScatterDone,
             EventKind::CacheHit,
             EventKind::CacheMiss,
-            EventKind::RegBufFallback,
             EventKind::RegFileFallback,
         ];
         for k in kinds {

@@ -77,12 +77,6 @@ pub struct WorkerSnapshot {
     /// True while the worker is actively sampling; flipped off at epoch
     /// join so the watchdog ignores finished workers.
     pub active: bool,
-    /// io_uring setup flags this worker's ring *requested* (0 for the
-    /// pread engine). Raw flag word; the consumer renders names.
-    pub ring_requested_flags: u32,
-    /// io_uring setup flags the kernel actually *granted*. Divergence
-    /// from `ring_requested_flags` means the ring-mode ladder fell back.
-    pub ring_granted_flags: u32,
     /// Cumulative nanoseconds spent preparing and submitting reads
     /// (SQE prep + `io_uring_enter` submit path).
     pub prepare_nanos: u64,
@@ -117,8 +111,6 @@ impl WorkerSnapshot {
             inflight: 0,
             io_groups: 0,
             active: false,
-            ring_requested_flags: 0,
-            ring_granted_flags: 0,
             prepare_nanos: 0,
             complete_nanos: 0,
             cpu_nanos: 0,
