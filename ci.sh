@@ -23,9 +23,9 @@
 #      wait/reap/scatter) must sum to within 10% of the end-to-end batch
 #      latency (see DESIGN.md §12)
 #   9. env-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
-#      crates/**/*.rs may not exceed 25 (33 before the ring-mode ladder was
-#      removed; ROADMAP item 3 wants <= 15): lower the ceiling when a knob
-#      goes, never raise it
+#      crates/**/*.rs may not exceed 17 (33 before the ring-mode ladder was
+#      removed, 25 before the RS_CONGESTION_* overrides were; ROADMAP item 5
+#      wants <= 15): lower the ceiling when a knob goes, never raise it
 #  10. ringtop gate — a small fig4_overall with --serve, asserting that
 #      /history serves the per-worker time series, /congestion serves
 #      verdicts, and `ringtop --once` renders a frame with every worker
@@ -33,9 +33,10 @@
 #  11. ringprof gate — prof_compare with RS_PROF_ASSERT (read
 #      amplification >= 1.0 uncached, strictly lower cached, and
 #      byte-identical samples with profiling on vs off), then a small
-#      fig4_overall with profiling on asserting every worker's time
-#      ledger conserves (accounts for >= 90% of wall), /resources
-#      serves the attribution, and `ringtop --once` renders the CPU
+#      fig4_overall with profiling on asserting, from one read of
+#      /resources once the run has finished, that every worker's time
+#      ledger conserves (stage buckets sum exactly to in-batch wall) and
+#      the attribution is served, and `ringtop --once` renders the CPU
 #      column and the ledger bar (see DESIGN.md §15)
 #  12. ringbench gate — benchmark/check.sh (build + every workload at 1/16
 #      size, untraced and traced, on seeds 1 and 2: samples checked against
@@ -45,9 +46,15 @@
 #      epoch_skew_naive's: a planned fetch may not hold more than the
 #      naive one (see DESIGN.md §9)
 #
+# No gate writes a tracked file: the experiment binaries of gates 6-11 run
+# with their cwd in a scratch directory (emit_table writes results/<name>.txt
+# relative to cwd), so `git status --porcelain` is empty after a pass.
+#
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
+ROOT="$PWD"
+BIN="$ROOT/target/release"
 
 echo "==> cargo build --release"
 cargo build --workspace --release
@@ -64,16 +71,17 @@ cargo run -q -p ringlint
 echo "==> ringlint baseline gate (--json --baseline ringlint-baseline.json)"
 cargo run -q -p ringlint -- --json --baseline ringlint-baseline.json >/dev/null
 
+cd "$(mktemp -d)"
 echo "==> plan_compare smoke (tiny graph, RS_PLAN_ASSERT)"
 RS_PLAN_NODES=2000 RS_PLAN_EDGES=20000 RS_TARGETS=500 RS_THREADS=2 \
 RS_PLAN_ASSERT=1 RS_DATA_DIR="$(mktemp -d)" \
-    ./target/release/plan_compare
+    "$BIN"/plan_compare
 
 echo "==> ringscope smoke (fig4_overall --serve, live /metrics + /healthz)"
 SCOPE_LOG="$(mktemp)"
 RS_SCALE=100000 RS_TARGETS=200 RS_EPOCHS=1 RS_THREADS=2 \
 RS_SERVE_LINGER=20 RS_DATA_DIR="$(mktemp -d)" \
-    ./target/release/fig4_overall --serve 127.0.0.1:0 >/dev/null 2>"$SCOPE_LOG" &
+    "$BIN"/fig4_overall --serve 127.0.0.1:0 >/dev/null 2>"$SCOPE_LOG" &
 SCOPE_PID=$!
 # The server announces its bound address (port 0 picks a free port).
 ADDR=""
@@ -98,13 +106,13 @@ echo "==> ringtrace smoke (fig4_overall --trace-events, stage coverage >= 90%)"
 TRACE_DUMP="$(mktemp -d)/fig4-events.json"
 RS_SCALE=100000 RS_TARGETS=200 RS_EPOCHS=1 RS_THREADS=2 \
 RS_DATA_DIR="$(mktemp -d)" \
-    ./target/release/fig4_overall --trace-events "$TRACE_DUMP" >/dev/null
-./target/release/ringtrace "$TRACE_DUMP" --assert-coverage 0.90 >/dev/null
+    "$BIN"/fig4_overall --trace-events "$TRACE_DUMP" >/dev/null
+"$BIN"/ringtrace "$TRACE_DUMP" --assert-coverage 0.90 >/dev/null
 echo "    ringtrace smoke ok (stage attribution covers >= 90% of batch time)"
 
-echo "==> env-surface ratchet (distinct RS_*/RINGSAMPLER_* names in crates/ <= 25)"
-KNOBS="$(grep -rhoE '\b(RS|RINGSAMPLER)_[A-Z0-9_]*[A-Z0-9]\b' crates --include='*.rs' | sort -u)"
-[ "$(echo "$KNOBS" | wc -l)" -le 25 ] || { echo "$KNOBS"; echo "more than 25 env knob names under crates/"; exit 1; }
+echo "==> env-surface ratchet (distinct RS_*/RINGSAMPLER_* names in crates/ <= 17)"
+KNOBS="$(grep -rhoE '\b(RS|RINGSAMPLER)_[A-Z0-9_]*[A-Z0-9]\b' "$ROOT/crates" --include='*.rs' | sort -u)"
+[ "$(echo "$KNOBS" | wc -l)" -le 17 ] || { echo "$KNOBS"; echo "more than 17 env knob names under crates/"; exit 1; }
 
 echo "==> ringtop gate (fig4_overall --serve, /history + /congestion + ringtop --once)"
 TOP_LOG="$(mktemp)"
@@ -112,7 +120,7 @@ TOP_LOG="$(mktemp)"
 # appear in /history and must converge to an ok verdict.
 RS_SCALE=100000 RS_TARGETS=8192 RS_EPOCHS=1 RS_THREADS=2 \
 RS_SERVE_LINGER=20 RS_DATA_DIR="$(mktemp -d)" \
-    ./target/release/fig4_overall --serve 127.0.0.1:0 >/dev/null 2>"$TOP_LOG" &
+    "$BIN"/fig4_overall --serve 127.0.0.1:0 >/dev/null 2>"$TOP_LOG" &
 TOP_PID=$!
 ADDR=""
 for _ in $(seq 1 100); do
@@ -128,18 +136,18 @@ curl -fsS "http://$ADDR/congestion" | grep -q '"fleet"' || { echo "/congestion m
 # all-ok: poll ringtop --once until the frame shows both workers ok.
 FRAME=""
 for _ in $(seq 1 100); do
-    FRAME="$(./target/release/ringtop --once "$ADDR" 2>/dev/null || true)"
+    FRAME="$("$BIN"/ringtop --once "$ADDR" 2>/dev/null || true)"
     if echo "$FRAME" | grep -q '^worker 0 \[ok\]' && echo "$FRAME" | grep -q '^worker 1 \[ok\]'; then
         break
     fi
     FRAME=""
     sleep 0.2
 done
-[ -n "$FRAME" ] || { echo "ringtop --once never rendered an all-ok two-worker frame"; ./target/release/ringtop --once "$ADDR" || true; kill "$TOP_PID"; exit 1; }
+[ -n "$FRAME" ] || { echo "ringtop --once never rendered an all-ok two-worker frame"; "$BIN"/ringtop --once "$ADDR" || true; kill "$TOP_PID"; exit 1; }
 echo "$FRAME" | grep -q '^fleet:' || { echo "ringtop frame missing fleet roll-up"; kill "$TOP_PID"; exit 1; }
 # Capture rather than pipe: under pipefail an early-exiting grep -q
 # would otherwise turn the (large) JSON dump into a SIGPIPE failure.
-TOP_JSON="$(./target/release/ringtop --once --json "$ADDR")"
+TOP_JSON="$("$BIN"/ringtop --once --json "$ADDR")"
 echo "$TOP_JSON" | grep -q '"history"' || { echo "ringtop --json missing history document"; kill "$TOP_PID"; exit 1; }
 echo "$TOP_JSON" | grep -q '"resources"' || { echo "ringtop --json missing resources document"; kill "$TOP_PID"; exit 1; }
 kill "$TOP_PID" 2>/dev/null || true
@@ -149,11 +157,11 @@ echo "    ringtop gate ok (/history, /congestion, ringtop --once all-ok frame)"
 echo "==> ringprof gate (prof_compare RS_PROF_ASSERT + fig4_overall /resources ledger)"
 RS_PROF_NODES=2000 RS_PROF_EDGES=20000 RS_THREADS=2 \
 RS_PROF_ASSERT=1 RS_DATA_DIR="$(mktemp -d)" \
-    ./target/release/prof_compare --bench-json BENCH_prof.json
+    "$BIN"/prof_compare
 PROF_LOG="$(mktemp)"
 RS_SCALE=100000 RS_TARGETS=8192 RS_EPOCHS=1 RS_THREADS=2 \
 RS_SERVE_LINGER=20 RS_DATA_DIR="$(mktemp -d)" \
-    ./target/release/fig4_overall --serve 127.0.0.1:0 >/dev/null 2>"$PROF_LOG" &
+    "$BIN"/fig4_overall --serve 127.0.0.1:0 >/dev/null 2>"$PROF_LOG" &
 PROF_PID=$!
 ADDR=""
 for _ in $(seq 1 100); do
@@ -163,29 +171,28 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$ADDR" ] && echo "    ringscope bound at $ADDR" || { cat "$PROF_LOG"; echo "no listening announcement"; exit 1; }
-# Poll until an epoch has published its attribution and every worker's
-# ledger conserves (>= 90% of wall accounted; the JSON carries the
-# per-worker verdict as "conserved").
-RES=""
-for _ in $(seq 1 100); do
-    RES="$(curl -fsS "http://$ADDR/resources" 2>/dev/null || true)"
-    if echo "$RES" | grep -q '"workers"' && echo "$RES" | grep -q '"conserved": true' \
-        && ! echo "$RES" | grep -q '"conserved": false'; then
-        break
-    fi
-    RES=""
+# Wait for the run to finish (it announces its linger), then read the last
+# epoch's attribution once: every worker's stage buckets must sum exactly
+# to its in-batch wall (the JSON carries the verdict as "conserved").
+for _ in $(seq 1 300); do
+    grep -q '^ringscope lingering' "$PROF_LOG" && break
+    kill -0 "$PROF_PID" 2>/dev/null || { cat "$PROF_LOG"; echo "fig4_overall exited before lingering"; exit 1; }
     sleep 0.2
 done
-[ -n "$RES" ] || { echo "/resources never served a fully-conserving ledger"; curl -fsS "http://$ADDR/resources" || true; kill "$PROF_PID"; exit 1; }
+RES="$(curl -fsS "http://$ADDR/resources")" || { echo "/resources not serving"; kill "$PROF_PID"; exit 1; }
+echo "$RES" | grep -q '"workers"' || { echo "/resources missing workers"; echo "$RES"; kill "$PROF_PID"; exit 1; }
+echo "$RES" | grep -q '"conserved": true' && ! echo "$RES" | grep -q '"conserved": false' \
+    || { echo "/resources: a ledger does not conserve"; echo "$RES"; kill "$PROF_PID"; exit 1; }
 echo "$RES" | grep -q '"read_amplification"' || { echo "/resources missing read_amplification"; kill "$PROF_PID"; exit 1; }
 # The dashboard must render the ringprof columns from the live feed.
-PROF_FRAME="$(./target/release/ringtop --once "$ADDR")"
+PROF_FRAME="$("$BIN"/ringtop --once "$ADDR")"
 echo "$PROF_FRAME" | grep -q '^  cpu        |' || { echo "ringtop frame missing CPU column"; echo "$PROF_FRAME"; kill "$PROF_PID"; exit 1; }
 echo "$PROF_FRAME" | grep -q '^  ledger     |' || { echo "ringtop frame missing ledger bar"; echo "$PROF_FRAME"; kill "$PROF_PID"; exit 1; }
 kill "$PROF_PID" 2>/dev/null || true
 wait "$PROF_PID" 2>/dev/null || true
 echo "    ringprof gate ok (amplification A/B, conserving ledgers, /resources, ringtop CPU column)"
 
+cd "$ROOT"
 echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive peak RSS)"
 benchmark/check.sh
 QUICK="$("${CARGO_TARGET_DIR:-benchmark/target}/release/ringbench" --quick)" || { echo "$QUICK"; echo "ringbench --quick failed"; exit 1; }

@@ -2,19 +2,10 @@
 //! prints a combined summary. Equivalent to invoking the six dedicated
 //! binaries; useful for one-shot reproduction runs.
 //!
-//! When `--stats-json PATH` is passed, each child writes its own
-//! `PATH.<bin>.json` (see [`per_bin_args`]) and this driver then folds
-//! them — plus any committed `BENCH_*.json` trajectory baselines found
-//! next to the summary — into one consolidated **`BENCH_summary.json`**
-//! (override the location with `--summary-json PATH`): per-run wall
-//! time, edges/s, and the ringprof amplification/CPU figures when the
-//! child ran with profiling on. One canonical artifact for the perf
-//! trajectory instead of six scattered ones.
+//! When `--stats-json PATH` (or another artifact flag) is passed, each
+//! child writes its own `PATH.<bin>.json` (see [`per_bin_args`]).
 
-use std::path::{Path, PathBuf};
 use std::process::Command;
-
-use ringstat::Json;
 
 /// Rewrites `--stats-json` / `--trace` / `--prometheus` /
 /// `--trace-events` values so each child writes `path.<bin>.<ext>`
@@ -49,62 +40,6 @@ fn per_bin_args(args: &[String], bin: &str) -> Vec<String> {
     out
 }
 
-fn f64_field(obj: &Json, key: &str) -> f64 {
-    obj.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-/// Distills one child's `--stats-json` document into summary rows:
-/// `[{label, wall_seconds, edges_per_second, resources?}, ...]`.
-/// Unparseable or absent files yield no rows (the child may have failed
-/// or not support the flag) — the summary records what exists.
-fn summarize_stats_file(path: &Path) -> Vec<Json> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(root) = Json::parse(&text) else {
-        return Vec::new();
-    };
-    let mut rows = Vec::new();
-    for entry in root.get("reports").and_then(Json::as_array).unwrap_or(&[]) {
-        let Some(report) = entry.get("report") else {
-            continue;
-        };
-        let derived = report.get("derived").cloned().unwrap_or(Json::object());
-        let mut row = Json::object()
-            .with(
-                "label",
-                Json::str(entry.get("label").and_then(Json::as_str).unwrap_or("?")),
-            )
-            .with("wall_seconds", Json::F64(f64_field(report, "wall_seconds")))
-            .with(
-                "edges_per_second",
-                Json::F64(f64_field(&derived, "edges_per_second")),
-            );
-        // ringprof figures, when the child ran with profiling on.
-        if let Some(res) = report
-            .get("resources")
-            .filter(|r| !matches!(r, Json::Null))
-        {
-            let fleet = res.get("fleet").cloned().unwrap_or(Json::object());
-            row = row.with(
-                "resources",
-                Json::object()
-                    .with(
-                        "read_amplification",
-                        Json::F64(f64_field(res, "read_amplification")),
-                    )
-                    .with(
-                        "block_read_amplification",
-                        Json::F64(f64_field(res, "block_read_amplification")),
-                    )
-                    .with("cpu_share", Json::F64(f64_field(&fleet, "cpu_share"))),
-            );
-        }
-        rows.push(row);
-    }
-    rows
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exe = std::env::current_exe()?;
     let dir = exe.parent().expect("binary directory");
@@ -133,89 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             failures.push((bin, code));
         }
     }
-    // Consolidate: fold every child's stats JSON (and any committed
-    // BENCH_* trajectory baselines sitting next to the summary) into one
-    // canonical artifact. Runs even after partial failures — the healthy
-    // children's numbers are still worth keeping.
-    let flag_value = |flag: &str| {
-        args.windows(2)
-            .find(|w| w[0] == flag)
-            .map(|w| PathBuf::from(&w[1]))
-    };
-    let stats_base = flag_value("--stats-json");
-    let summary_path = flag_value("--summary-json")
-        .or_else(|| stats_base.is_some().then(|| PathBuf::from("BENCH_summary.json")));
-    if let Some(summary_path) = summary_path {
-        let mut sections = Vec::new();
-        if let Some(base) = &stats_base {
-            for (bin, _) in experiments {
-                let per_bin = per_bin_args(&["--stats-json".into(), base.display().to_string()], bin);
-                let path = PathBuf::from(&per_bin[1]);
-                let runs = summarize_stats_file(&path);
-                if !runs.is_empty() {
-                    sections.push(
-                        Json::object()
-                            .with("experiment", Json::str(bin))
-                            .with("runs", Json::Array(runs)),
-                    );
-                }
-            }
-        }
-        // Trajectory baselines (BENCH_plan_compare.json, BENCH_prof.json,
-        // ...) committed next to the summary ride along verbatim-ish: name
-        // plus their own variant arrays.
-        let mut baselines = Vec::new();
-        let summary_dir = summary_path.parent().map(Path::to_path_buf).unwrap_or_default();
-        let dir_to_scan = if summary_dir.as_os_str().is_empty() {
-            PathBuf::from(".")
-        } else {
-            summary_dir
-        };
-        if let Ok(entries) = std::fs::read_dir(&dir_to_scan) {
-            let mut names: Vec<PathBuf> = entries
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-                        && p.file_name().and_then(|n| n.to_str()) != summary_path.file_name().and_then(|n| n.to_str())
-                })
-                .collect();
-            names.sort();
-            for p in names {
-                if let Ok(text) = std::fs::read_to_string(&p) {
-                    if let Ok(doc) = Json::parse(&text) {
-                        baselines.push(
-                            Json::object()
-                                .with(
-                                    "file",
-                                    Json::str(p.file_name().unwrap_or_default().to_string_lossy().as_ref()),
-                                )
-                                .with("bench", doc.get("bench").cloned().unwrap_or(Json::Null))
-                                .with(
-                                    "variants",
-                                    doc.get("variants").cloned().unwrap_or(Json::Array(Vec::new())),
-                                ),
-                        );
-                    }
-                }
-            }
-        }
-        let doc = Json::object()
-            .with("schema_version", Json::U64(1))
-            .with("wall_seconds_total", Json::F64(started.elapsed().as_secs_f64()))
-            .with(
-                "failed",
-                Json::Array(failures.iter().map(|(b, _)| Json::str(b)).collect()),
-            )
-            .with("experiments", Json::Array(sections))
-            .with("baselines", Json::Array(baselines))
-            .to_string_pretty();
-        std::fs::write(&summary_path, doc)?;
-        println!("wrote consolidated summary to {}", summary_path.display());
-    }
-
     if let Some((first_bin, first_code)) = failures.first().copied() {
         eprintln!(
             "\n{}/{} experiments failed: {}; exiting with {first_bin}'s code {first_code}",

@@ -12,13 +12,9 @@
 //! 20k/200k), `RS_TARGETS`, `RS_THREADS`, `RS_TRACE_CAPACITY` (0 turns
 //! the flight recorder off), plus the standard `--stats-json` /
 //! `--prometheus` / `--trace` / `--trace-events` artifact flags.
-//! `--bench-json PATH` writes a compact perf-trajectory entry (see
-//! `BENCH_plan_compare.json` at the repo root) so future changes can be
-//! diffed against a committed baseline.
 
 use ringsampler::{epoch_targets, ReadPlanMode, RingSampler, SamplerConfig};
 use ringsampler_bench::{emit_table, HarnessConfig, StatsSink};
-use ringstat::Json;
 use ringsampler_graph::gen::GeneratorSpec;
 use ringsampler_graph::preprocess::{build_dataset, PreprocessOptions};
 
@@ -144,44 +140,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     emit_table("plan_compare", &header, &lines)?;
     sink.finish()?;
-
-    // Perf-trajectory seed: a compact machine-readable entry future PRs
-    // diff against (committed as BENCH_plan_compare.json).
-    let bench_json = std::env::args()
-        .skip(1)
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--bench-json")
-        .map(|w| w[1].clone());
-    if let Some(path) = bench_json {
-        let mut entries = Vec::with_capacity(rows.len());
-        for r in &rows {
-            entries.push(
-                Json::object()
-                    .with("variant", Json::str(r.label))
-                    .with("seconds", Json::F64(r.seconds))
-                    .with("io_requests", Json::U64(r.io_requests))
-                    .with("reads_saved", Json::U64(r.reads_saved))
-                    .with("bytes_saved", Json::U64(r.bytes_saved)),
-            );
-        }
-        let doc = Json::object()
-            .with("schema_version", Json::U64(1))
-            .with("bench", Json::str("plan_compare"))
-            .with(
-                "workload",
-                Json::object()
-                    .with("nodes", Json::U64(nodes))
-                    .with("edges", Json::U64(edges))
-                    .with("targets", Json::U64(targets_n as u64))
-                    .with("threads", Json::U64(h.threads as u64))
-                    .with("batch_size", Json::U64(256)),
-            )
-            .with("variants", Json::Array(entries))
-            .to_string_pretty();
-        std::fs::write(&path, doc)?;
-        eprintln!("wrote {path}");
-    }
 
     // Correctness gate: every variant must produce the exact same epoch.
     let reference = rows.first().map(|r| r.digest).unwrap_or(0);

@@ -26,15 +26,12 @@
 //!
 //! Knobs: `RS_PROF_NODES` / `RS_PROF_EDGES` (default 20k/200k),
 //! `RS_TARGETS`, `RS_THREADS`, plus the standard artifact flags.
-//! `--bench-json PATH` seeds `BENCH_prof.json`, the resource-trajectory
-//! baseline future PRs diff against.
 
 use ringsampler::{epoch_targets, CachePolicy, ReadPlanMode, RingSampler, SamplerConfig};
 use ringsampler_bench::{emit_table, HarnessConfig, StatsSink};
 use ringsampler_graph::gen::GeneratorSpec;
 use ringsampler_graph::preprocess::{build_dataset, PreprocessOptions};
 use ringsampler_io::EngineKind;
-use ringstat::Json;
 
 /// Same reference workload as `plan_compare`: 2 layers, fanout [25, 10],
 /// replacement sampling on a power-law graph — the duplicate-heavy
@@ -203,47 +200,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     emit_table("prof_compare", &header, &lines)?;
     sink.finish()?;
-
-    if let Some(path) = std::env::args()
-        .skip(1)
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--bench-json")
-        .map(|w| w[1].clone())
-    {
-        let mut entries = Vec::with_capacity(rows.len());
-        for r in &rows {
-            entries.push(
-                Json::object()
-                    .with("variant", Json::str(r.label))
-                    .with("seconds", Json::F64(r.seconds))
-                    .with("read_amplification", Json::F64(r.read_amp))
-                    .with("block_read_amplification", Json::F64(r.block_amp))
-                    .with("cpu_share", Json::F64(r.cpu_share))
-                    .with("cpu_ns_per_kib", Json::F64(r.cpu_ns_per_kib))
-                    .with("ctx_switches", Json::U64(r.ctx_switches))
-                    .with("accounted_share", Json::F64(r.accounted)),
-            );
-        }
-        let doc = Json::object()
-            .with("schema_version", Json::U64(1))
-            .with("bench", Json::str("prof_compare"))
-            .with(
-                "workload",
-                Json::object()
-                    .with("nodes", Json::U64(nodes))
-                    .with("edges", Json::U64(edges))
-                    .with("targets", Json::U64(targets_n as u64))
-                    .with("threads", Json::U64(h.threads as u64))
-                    .with("batch_size", Json::U64(256))
-                    .with("cache_budget_bytes", Json::U64(cache_budget))
-                    .with("engine", Json::str("pread")),
-            )
-            .with("variants", Json::Array(entries))
-            .to_string_pretty();
-        std::fs::write(&path, doc)?;
-        eprintln!("wrote {path}");
-    }
 
     // Correctness gate 1: every variant samples the identical epoch.
     let reference = rows.first().map(|r| r.digest).unwrap_or(0);

@@ -320,7 +320,8 @@ pub fn build_system(
 /// * `--prometheus PATH` — Prometheus text exposition, one series set per
 ///   report with a `run` label;
 /// * `--trace PATH` — Chrome `trace.json` (Perfetto-loadable) with one
-///   timeline row per sampling worker;
+///   timeline row per sampling worker, folded from the same events
+///   `--trace-events` dumps raw;
 /// * `--trace-events PATH` (env `RS_TRACE_EVENTS`) — raw flight-recorder
 ///   event dump, the input of the `ringtrace` analyzer bin.
 ///
@@ -437,22 +438,16 @@ impl StatsSink {
         w.finish()
     }
 
-    /// The Chrome trace document. Worker span logs from every report are
-    /// laid out on distinct `tid` rows so epochs don't overdraw each
-    /// other; metadata events label each lane `<run label>/worker-N` in
-    /// Perfetto instead of a bare tid.
+    /// The Chrome trace document, folded from the flight-recorder events.
+    /// Workers of every report are laid out on distinct `tid` rows so
+    /// epochs don't overdraw each other; metadata events label each lane
+    /// `<run label>/worker-N` in Perfetto instead of a bare tid.
     pub fn trace_document(&self) -> String {
-        let mut trace = ChromeTrace::new();
-        trace.set_process_name("ringsampler");
-        let mut tid = 0u64;
-        for (label, report) in &self.reports {
-            for (w, spans) in report.thread_spans.iter().enumerate() {
-                trace.set_thread_name(tid, &format!("{label}/worker-{w}"));
-                trace.add_spans(tid, spans);
-                tid += 1;
-            }
-        }
-        trace.to_json()
+        let lanes = self.reports.iter().flat_map(|(label, report)| {
+            let workers = report.thread_events.iter().enumerate();
+            workers.map(move |(w, evs)| (format!("{label}/worker-{w}"), evs.as_slice()))
+        });
+        ChromeTrace::from_events(lanes).to_json()
     }
 
     /// The raw flight-recorder dump written to `--trace-events`: every

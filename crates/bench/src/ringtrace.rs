@@ -12,8 +12,8 @@
 //!   bucketed over the run);
 //! * **straggler-group detection** — I/O groups whose kernel-visible
 //!   latency exceeds `k · p99`;
-//! * a **Chrome/Perfetto export** reconstructing stage spans on labeled
-//!   worker lanes.
+//! * a **Chrome/Perfetto export** — the same event fold `--trace` and
+//!   `EpochReport::to_chrome_trace` use, over the parsed dump.
 //!
 //! Everything here is pure (strings in, strings out) so the stage table
 //! can be byte-pinned by golden tests; the thin `ringtrace` binary only
@@ -423,54 +423,15 @@ pub fn stragglers(r: &ReportTrace, k: f64) -> (u64, Vec<Straggler>) {
     (p99, out)
 }
 
-/// Chrome/Perfetto export: reconstructs batch and stage spans on one
-/// labeled lane per (report, worker). Instantaneous counters (cache
-/// hit/miss, fallbacks) are skipped — only events carrying a duration
-/// become spans. Stage spans *end* at the event timestamp (events are
-/// recorded on completion), so their start is `ts - dur`.
+/// Chrome/Perfetto export of a parsed dump: one labeled lane per
+/// (report, worker), folded by the workspace's one Chrome exporter
+/// ([`ChromeTrace::from_events`]).
 pub fn to_chrome(dump: &TraceDump) -> String {
-    let mut t = ChromeTrace::new();
-    t.set_process_name("ringsampler");
-    let mut tid = 0u64;
-    for r in &dump.reports {
-        for w in &r.workers {
-            t.set_thread_name(tid, &format!("{}/worker-{}", r.label, w.thread));
-            for ev in &w.events {
-                let us = |ns: u64| ns as f64 / 1_000.0;
-                let ending = |dur: u64| (us(ev.ts_ns.saturating_sub(dur)), us(dur));
-                match ev.kind {
-                    EventKind::BatchEnd => {
-                        let (ts, dur) = ending(ev.b);
-                        t.add_span(tid, "batch", ts, dur);
-                    }
-                    EventKind::SampleDone => {
-                        let (ts, dur) = ending(ev.c);
-                        t.add_span(tid, "sample", ts, dur);
-                    }
-                    EventKind::PlanBuilt => {
-                        let (ts, dur) = ending(ev.d);
-                        t.add_span(tid, "plan", ts, dur);
-                    }
-                    EventKind::GroupSubmit => {
-                        let (ts, dur) = ending(ev.d);
-                        t.add_span(tid, "submit", ts, dur);
-                    }
-                    EventKind::GroupComplete => {
-                        let start = us(ev.ts_ns.saturating_sub(ev.c + ev.d));
-                        t.add_span(tid, "wait", start, us(ev.c));
-                        t.add_span(tid, "reap", start + us(ev.c), us(ev.d));
-                    }
-                    EventKind::ScatterDone => {
-                        let (ts, dur) = ending(ev.b);
-                        t.add_span(tid, "scatter", ts, dur);
-                    }
-                    _ => {}
-                }
-            }
-            tid += 1;
-        }
-    }
-    t.to_json()
+    let lanes = dump.reports.iter().flat_map(|r| {
+        let label = |w: &WorkerTrace| format!("{}/worker-{}", r.label, w.thread);
+        r.workers.iter().map(move |w| (label(w), w.events.as_slice()))
+    });
+    ChromeTrace::from_events(lanes).to_json()
 }
 
 /// The full human-readable analysis of one report: stage table,

@@ -61,18 +61,11 @@ pub struct SamplerConfig {
     /// RNG seed; sampling is deterministic per (seed, batch index),
     /// independent of thread count.
     pub seed: u64,
-    /// Register the edge file in each ring's fixed-file table
-    /// (`IOSQE_FIXED_FILE`): one kernel fd lookup saved per read.
-    pub register_file: bool,
     /// Sample neighbors **with replacement** (DGL `replace=True`
     /// semantics): always draw exactly `fanout` neighbors when the node
     /// has any, duplicates allowed. Default: without replacement
     /// ("up to fanout", the paper's Fig. 1 semantics).
     pub with_replacement: bool,
-    /// Maximum spans each worker records for the Chrome-trace timeline
-    /// (per-thread; bounded so recording never allocates mid-epoch).
-    /// 0 disables span recording entirely.
-    pub span_capacity: usize,
     /// Capacity of each worker's `ringtrace` lifecycle event ring
     /// (per-thread; fixed-size, recording drops instead of blocking when
     /// full — see `ringstat::EventRing`). 0 disables event recording.
@@ -108,9 +101,7 @@ impl Default for SamplerConfig {
             cache: CachePolicy::None,
             budget: MemoryBudget::unlimited(),
             seed: 0x5EED,
-            register_file: true,
             with_replacement: false,
-            span_capacity: 8192,
             trace_capacity: 8192,
             read_plan: ReadPlanMode::Off,
             telemetry: None,
@@ -186,21 +177,16 @@ impl SamplerConfig {
         self
     }
 
-    /// Enables/disables the registered-file fast path (default on).
-    pub fn register_file(mut self, enable: bool) -> Self {
-        self.register_file = enable;
-        self
-    }
-
     /// Switches to sampling with replacement (DGL `replace=True`).
     pub fn with_replacement(mut self, enable: bool) -> Self {
         self.with_replacement = enable;
         self
     }
 
-    /// Sets the per-worker span-log capacity (0 disables span recording).
-    pub fn span_capacity(mut self, n: usize) -> Self {
-        self.span_capacity = n;
+    // No-op: the span log is gone. Kept only because the frozen
+    // `benchmark/src/layers.rs` calls `.span_capacity(0)`; leaves with it.
+    #[doc(hidden)]
+    pub fn span_capacity(self, _: usize) -> Self {
         self
     }
 

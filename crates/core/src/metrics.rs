@@ -13,8 +13,7 @@ use std::time::Duration;
 use ringsampler_io::ReaderStats;
 use ringstat::{
     human_bytes, human_count, human_nanos, ChromeTrace, Json, LatencyHistogram, Phase,
-    PhaseTimes, PromWriter, ResourceSample, SpanLog, TimeLedger, TraceEvent,
-    CONSERVATION_THRESHOLD,
+    PhaseTimes, PromWriter, ResourceSample, TimeLedger, TraceEvent,
 };
 
 use crate::telemetry::{CongestionEpisode, CongestionState};
@@ -42,10 +41,6 @@ pub struct SampleMetrics {
     pub cache_hits: u64,
     /// Page-cache misses.
     pub cache_misses: u64,
-    /// Nanoseconds spent preparing + submitting I/O groups (CPU work).
-    pub prepare_nanos: u64,
-    /// Nanoseconds spent collecting completions (CQ polling / waiting).
-    pub complete_nanos: u64,
     /// Read requests issued after read planning (0 with `read_plan = Off`;
     /// see `crate::plan`).
     pub reads_planned: u64,
@@ -70,8 +65,6 @@ impl SampleMetrics {
         self.syscalls += other.syscalls;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.prepare_nanos += other.prepare_nanos;
-        self.complete_nanos += other.complete_nanos;
         self.reads_planned += other.reads_planned;
         self.reads_saved += other.reads_saved;
         self.bytes_saved += other.bytes_saved;
@@ -94,17 +87,6 @@ impl SampleMetrics {
         self.syscalls = self
             .syscalls
             .saturating_add(now.syscalls.saturating_sub(prev.syscalls));
-    }
-
-    /// Fraction of I/O-path time spent waiting on completions rather than
-    /// preparing work — the quantity the Fig. 3b async pipeline minimizes.
-    pub fn wait_fraction(&self) -> f64 {
-        let total = self.prepare_nanos + self.complete_nanos;
-        if total == 0 {
-            0.0
-        } else {
-            self.complete_nanos as f64 / total as f64
-        }
     }
 
     /// Mean read requests per syscall — the io_uring batching win.
@@ -138,8 +120,8 @@ impl SampleMetrics {
 }
 
 /// One worker's `ringprof` epoch delta: the kernel counter deltas its
-/// thread accumulated between epoch start and join, plus the
-/// conservation-checked time ledger derived from them.
+/// thread accumulated between epoch start and join, plus the time ledger
+/// derived from them and the stage clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerResources {
     /// Wall nanoseconds between the worker's epoch-start and epoch-end
@@ -280,10 +262,10 @@ impl ResourceReport {
             / self.logical_bytes as u128) as u64
     }
 
-    /// True iff every worker's ledger accounts for at least `threshold`
-    /// of its wall time.
-    pub fn conserves(&self, threshold: f64) -> bool {
-        self.workers.iter().all(|w| w.ledger.conserves(threshold))
+    /// True iff every worker's stage buckets sum exactly to its in-batch
+    /// wall (see [`TimeLedger::conserves`]).
+    pub fn conserves(&self) -> bool {
+        self.workers.iter().all(|w| w.ledger.conserves())
     }
 }
 
@@ -303,10 +285,9 @@ pub struct WorkerStats {
     pub batch_latency: LatencyHistogram,
     /// CQ wait per completed group (the blocking part of `complete`).
     pub cq_wait: LatencyHistogram,
-    /// Nanoseconds per pipeline phase (prepare/submit/complete/aggregate).
+    /// Nanoseconds per pipeline phase (prepare/submit/complete/aggregate);
+    /// their total is exactly `batch_latency`'s sum.
     pub phases: PhaseTimes,
-    /// This thread's recorded batch and I/O-group spans.
-    pub spans: SpanLog,
     /// Flight-recorder events drained from this thread's event ring
     /// (empty for the non-destructive
     /// [`stats`](crate::worker::SamplerWorker::stats) snapshot; populated
@@ -353,12 +334,9 @@ pub struct EpochReport {
     pub cq_wait: LatencyHistogram,
     /// Merged phase times across all threads.
     pub phases: PhaseTimes,
-    /// One span log per worker thread (indexed by worker id), feeding the
-    /// Chrome trace export.
-    pub thread_spans: Vec<SpanLog>,
-    /// One flight-recorder event list per worker thread (indexed like
-    /// `thread_spans`), feeding the `--trace-events` dump and the
-    /// `ringtrace` analyzer.
+    /// One flight-recorder event list per worker thread (indexed by
+    /// worker id), feeding the Chrome trace export, the `--trace-events`
+    /// dump and the `ringtrace` analyzer.
     pub thread_events: Vec<Vec<TraceEvent>>,
     /// Total flight-recorder events dropped on ring overflow, across all
     /// threads.
@@ -393,14 +371,13 @@ impl EpochReport {
     }
 
     /// Folds one worker's stats into this report (histograms merge
-    /// losslessly; the span log is kept per-thread for the trace).
+    /// losslessly; the events are kept per-thread for the trace).
     pub fn absorb(&mut self, worker: WorkerStats) {
         self.metrics.merge(&worker.metrics);
         self.group_latency.merge(&worker.group_latency);
         self.batch_latency.merge(&worker.batch_latency);
         self.cq_wait.merge(&worker.cq_wait);
         self.phases.merge(&worker.phases);
-        self.thread_spans.push(worker.spans);
         self.thread_events.push(worker.events);
         self.trace_dropped += worker.trace_dropped;
         if let Some(res) = worker.resources {
@@ -418,12 +395,30 @@ impl EpochReport {
         }
     }
 
-    /// The report as a JSON tree (`schema_version` 7). Raw values only —
+    /// Fraction of pipeline time ahead of the decode spent waiting on
+    /// completions rather than preparing and submitting work,
+    /// `complete / (prepare + submit + complete)` — the quantity the
+    /// Fig. 3b async pipeline minimizes.
+    pub fn wait_fraction(&self) -> f64 {
+        let complete = self.phases.get(Phase::Complete);
+        let total = self.phases.total() - self.phases.get(Phase::Aggregate);
+        if total == 0 {
+            0.0
+        } else {
+            complete as f64 / total as f64
+        }
+    }
+
+    /// The report as a JSON tree (`schema_version` 8). Raw values only —
     /// humanization is a Display concern.
     ///
-    /// Schema history: v7 only removes — the `ring` block and the counters
-    /// `fixed_buf_reads`, `regbuf_fallbacks`, `bufring_reads`,
-    /// `bufring_recycles`, `ring_mode_fallbacks` left with the ring-mode
+    /// Schema history: v8 only removes — the `spans` block left with the
+    /// span log (the Chrome trace is a fold over the `trace` events) and
+    /// the counters `prepare_nanos` / `complete_nanos` were
+    /// `phase_nanos.submit` / `.complete` stored twice; v7 only removes —
+    /// the `ring` block and the counters `fixed_buf_reads`,
+    /// `regbuf_fallbacks`, `bufring_reads`, `bufring_recycles`,
+    /// `ring_mode_fallbacks` left with the ring-mode
     /// ladder and the registered-buffer pool they reported; v6 added the
     /// `resources` block (`ringprof`:
     /// per-worker kernel resource deltas, the conservation-checked time
@@ -450,13 +445,11 @@ impl EpochReport {
             .with("syscalls", Json::U64(m.syscalls))
             .with("cache_hits", Json::U64(m.cache_hits))
             .with("cache_misses", Json::U64(m.cache_misses))
-            .with("prepare_nanos", Json::U64(m.prepare_nanos))
-            .with("complete_nanos", Json::U64(m.complete_nanos))
             .with("reads_planned", Json::U64(m.reads_planned))
             .with("reads_saved", Json::U64(m.reads_saved))
             .with("bytes_saved", Json::U64(m.bytes_saved));
         let derived = Json::object()
-            .with("wait_fraction", Json::F64(m.wait_fraction()))
+            .with("wait_fraction", Json::F64(self.wait_fraction()))
             .with("requests_per_syscall", Json::F64(m.requests_per_syscall()))
             .with("syscalls_per_batch", Json::F64(m.syscalls_per_batch()))
             .with("coalesce_ratio", Json::F64(m.coalesce_ratio()))
@@ -469,12 +462,6 @@ impl EpochReport {
             .with("io_group_latency", hist_json(&self.group_latency))
             .with("batch_latency", hist_json(&self.batch_latency))
             .with("cq_wait", hist_json(&self.cq_wait));
-        let events: u64 = self.thread_spans.iter().map(|s| s.len() as u64).sum();
-        let dropped: u64 = self.thread_spans.iter().map(|s| s.dropped()).sum();
-        let spans = Json::object()
-            .with("threads", Json::U64(self.thread_spans.len() as u64))
-            .with("events", Json::U64(events))
-            .with("dropped", Json::U64(dropped));
         let trace_events: u64 = self.thread_events.iter().map(|e| e.len() as u64).sum();
         let trace = Json::object()
             .with("threads", Json::U64(self.thread_events.len() as u64))
@@ -501,14 +488,13 @@ impl EpochReport {
             .with("by_state", by_state);
         let resources = self.resources_json_value();
         Json::object()
-            .with("schema_version", Json::U64(7))
+            .with("schema_version", Json::U64(8))
             .with("threads", Json::U64(self.threads as u64))
             .with("wall_seconds", Json::F64(self.seconds()))
             .with("counters", counters)
             .with("derived", derived)
             .with("phase_nanos", phases)
             .with("histograms", histograms)
-            .with("spans", spans)
             .with("trace", trace)
             .with("congestion", congestion)
             .with("resources", resources)
@@ -560,7 +546,7 @@ impl EpochReport {
         // `schema` label to detect format bumps, mirroring the JSON
         // export's `schema_version`.
         let mut with_schema: Vec<(&str, &str)> = labels.to_vec();
-        with_schema.push(("schema", "7"));
+        with_schema.push(("schema", "8"));
         w.gauge(
             "ringsampler_report_info",
             "Report format marker; the schema label tracks the JSON schema_version",
@@ -684,7 +670,7 @@ impl EpochReport {
                 with_bucket.push(("bucket", bucket));
                 w.counter(
                     "ringsampler_ledger_nanos_total",
-                    "Fleet time-ledger nanoseconds by bucket (other = unaccounted)",
+                    "Fleet time-ledger nanoseconds by bucket (other = between batches)",
                     &with_bucket,
                     nanos,
                 );
@@ -713,7 +699,7 @@ impl EpochReport {
             "ringsampler_wait_fraction",
             "Fraction of I/O-path time spent waiting on completions",
             labels,
-            m.wait_fraction(),
+            self.wait_fraction(),
         );
         w.gauge(
             "ringsampler_requests_per_syscall",
@@ -756,17 +742,14 @@ impl EpochReport {
     }
 
     /// A Chrome trace-event document (Perfetto-viewable): one timeline row
-    /// per worker thread, with its batch and I/O-group spans. Metadata
-    /// events name the process and each worker lane so the viewer shows
-    /// "ringsampler / worker-N" instead of bare pid/tid numbers.
+    /// per worker thread, with its batches and their stages folded from
+    /// the flight-recorder events. Metadata events name the process and
+    /// each worker lane so the viewer shows "ringsampler / worker-N"
+    /// instead of bare pid/tid numbers.
     pub fn to_chrome_trace(&self) -> String {
-        let mut t = ChromeTrace::new();
-        t.set_process_name("ringsampler");
-        for (tid, log) in self.thread_spans.iter().enumerate() {
-            t.set_thread_name(tid as u64, &format!("worker-{tid}"));
-            t.add_spans(tid as u64, log);
-        }
-        t.to_json()
+        let lanes = self.thread_events.iter().enumerate();
+        ChromeTrace::from_events(lanes.map(|(tid, evs)| (format!("worker-{tid}"), evs.as_slice())))
+            .to_json()
     }
 }
 
@@ -824,14 +807,11 @@ pub(crate) fn resources_json(r: &ResourceReport) -> Json {
         // /proc/self/io is process-wide: per-worker physical bytes above
         // are a proportional attribution, and this label says so.
         .with("physical_attribution", Json::str("proportional"))
-        .with(
-            "conserved",
-            Json::Bool(r.conserves(CONSERVATION_THRESHOLD)),
-        )
+        .with("conserved", Json::Bool(r.conserves()))
 }
 
-/// One time ledger as JSON: the five buckets plus the conservation
-/// arithmetic, unaccounted time reported explicitly.
+/// One time ledger as JSON: the five buckets, the stage share of wall and
+/// the between-batches share, and the conservation verdict.
 pub(crate) fn ledger_json(l: &TimeLedger) -> Json {
     let mut out = Json::object().with("wall_nanos", Json::U64(l.wall_nanos));
     for (name, ns) in l.buckets() {
@@ -839,10 +819,7 @@ pub(crate) fn ledger_json(l: &TimeLedger) -> Json {
     }
     out.with("accounted_share", Json::F64(l.accounted_share()))
         .with("unaccounted_share", Json::F64(l.unaccounted_share()))
-        .with(
-            "conserved",
-            Json::Bool(l.conserves(CONSERVATION_THRESHOLD)),
-        )
+        .with("conserved", Json::Bool(l.conserves()))
 }
 
 fn hist_json(h: &LatencyHistogram) -> Json {
@@ -892,6 +869,19 @@ impl std::fmt::Display for EpochReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringstat::EventKind;
+
+    /// A `batch_end` at `ts_ns` closing batch `index` after `dur_ns`.
+    fn batch_end(ts_ns: u64, index: u64, dur_ns: u64) -> TraceEvent {
+        TraceEvent {
+            ts_ns,
+            kind: EventKind::BatchEnd,
+            a: index,
+            b: dur_ns,
+            c: 1,
+            d: 0,
+        }
+    }
 
     #[test]
     fn merge_adds_fields() {
@@ -961,9 +951,9 @@ mod tests {
     fn zero_division_guards() {
         let m = SampleMetrics::default();
         assert_eq!(m.requests_per_syscall(), 0.0);
-        assert_eq!(m.wait_fraction(), 0.0);
         assert_eq!(m.coalesce_ratio(), 0.0);
         let r = EpochReport::default();
+        assert_eq!(r.wait_fraction(), 0.0);
         assert_eq!(r.edges_per_second(), 0.0);
     }
 
@@ -997,12 +987,13 @@ mod tests {
 
     #[test]
     fn wait_fraction_math() {
-        let m = SampleMetrics {
-            prepare_nanos: 250,
-            complete_nanos: 750,
-            ..Default::default()
-        };
-        assert!((m.wait_fraction() - 0.75).abs() < 1e-9);
+        let mut r = EpochReport::default();
+        r.phases.add(Phase::Prepare, 100);
+        r.phases.add(Phase::Submit, 150);
+        r.phases.add(Phase::Complete, 750);
+        // Decode time is downstream of the wait and stays out of it.
+        r.phases.add(Phase::Aggregate, 9_000);
+        assert!((r.wait_fraction() - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -1058,15 +1049,12 @@ mod tests {
 
     #[test]
     fn absorb_merges_distributions_and_keeps_spans_per_thread() {
-        let mk = |latency: u64, spans: usize| {
+        let mk = |latency: u64, batches: u64| {
             let mut w = WorkerStats::default();
             w.metrics.batches = 1;
             w.group_latency.record(latency);
             w.phases.add(Phase::Prepare, 100);
-            w.spans = SpanLog::with_capacity(8);
-            for i in 0..spans {
-                w.spans.record_at("batch", i as u64 * 10, 5);
-            }
+            w.events = (0..batches).map(|i| batch_end(10 * i + 5, i, 5)).collect();
             w
         };
         let mut r = EpochReport::default();
@@ -1076,8 +1064,8 @@ mod tests {
         assert_eq!(r.metrics.batches, 2);
         assert_eq!(r.group_latency.count(), 2);
         assert_eq!(r.phases.get(Phase::Prepare), 200);
-        assert_eq!(r.thread_spans.len(), 2);
-        assert_eq!(r.thread_spans[1].len(), 3);
+        assert_eq!(r.thread_events.len(), 2);
+        assert_eq!(r.thread_events[1].len(), 3);
 
         let trace = r.to_chrome_trace();
         assert!(trace.contains("\"tid\": 1"));
@@ -1095,7 +1083,7 @@ mod tests {
         assert_eq!(r.threads, 1);
         let json = r.to_json();
         for key in [
-            "\"schema_version\": 7",
+            "\"schema_version\": 8",
             "\"counters\"",
             "\"derived\"",
             "\"phase_nanos\"",
@@ -1104,7 +1092,6 @@ mod tests {
             "\"p50_nanos\"",
             "\"p95_nanos\"",
             "\"p99_nanos\"",
-            "\"spans\"",
             "\"trace\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
@@ -1116,7 +1103,6 @@ mod tests {
 
     #[test]
     fn trace_events_flow_to_report_and_dump() {
-        use ringstat::EventKind;
         let mk = |tid: u64, dropped: u64| WorkerStats {
             events: vec![
                 TraceEvent {
@@ -1166,11 +1152,10 @@ mod tests {
 
     #[test]
     fn chrome_trace_names_process_and_lanes() {
-        let mut w = WorkerStats {
-            spans: SpanLog::with_capacity(4),
+        let w = WorkerStats {
+            events: vec![batch_end(5, 0, 5)],
             ..Default::default()
         };
-        w.spans.record_at("batch", 0, 5);
         let r = w.into_epoch_report(Duration::from_secs(1));
         let trace = r.to_chrome_trace();
         assert!(trace.contains("\"ph\": \"M\""), "{trace}");

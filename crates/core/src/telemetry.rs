@@ -29,7 +29,7 @@
 //!   them. Episodes — contiguous runs of a non-`ok` verdict — are
 //!   tracked with their time bounds and folded into the post-mortem
 //!   [`crate::metrics::EpochReport`]. Thresholds live in
-//!   [`CongestionConfig`] with `RS_CONGESTION_*` env overrides.
+//!   [`CongestionConfig`].
 //!
 //! Everything here is cold-path: the registry's `Mutex` is touched only
 //! at epoch setup and by the telemetry thread, never per batch.
@@ -75,15 +75,15 @@ pub struct TelemetryConfig {
 
 impl TelemetryConfig {
     /// Telemetry on `addr` with the default cadence: 200 ms polls, 10 s
-    /// stall window, 512-point history, and congestion thresholds from
-    /// [`CongestionConfig::from_env`].
+    /// stall window, 512-point history, and the default congestion
+    /// thresholds.
     pub fn new(addr: impl Into<String>) -> Self {
         Self {
             addr: addr.into(),
             poll_interval: Duration::from_millis(200),
             stall_threshold: Duration::from_secs(10),
             history_capacity: 512,
-            congestion: CongestionConfig::from_env(),
+            congestion: CongestionConfig::default(),
         }
     }
 
@@ -135,45 +135,41 @@ impl TelemetryConfig {
     }
 }
 
-/// Thresholds for the online congestion detectors (DESIGN.md §14).
-/// Every field has an `RS_CONGESTION_*` environment override, applied by
-/// [`CongestionConfig::from_env`] (which [`TelemetryConfig::new`] uses).
+/// Thresholds for the online congestion detectors (DESIGN.md §14); set
+/// other values with [`TelemetryConfig::congestion`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionConfig {
-    /// History points per evidence window (`RS_CONGESTION_WINDOW`).
-    /// The verdict for each worker is derived from its most recent
-    /// `window` points.
+    /// History points per evidence window. The verdict for each worker
+    /// is derived from its most recent `window` points.
     pub window: usize,
-    /// Minimum points before any non-stall verdict is attempted
-    /// (`RS_CONGESTION_MIN_POINTS`); thinner windows stay `ok`.
+    /// Minimum points before any non-stall verdict is attempted; thinner
+    /// windows stay `ok`.
     pub min_points: usize,
     /// Mean in-flight read depth at or above which a worker is
-    /// `queue_saturated` (`RS_CONGESTION_QUEUE`). The default sits just
-    /// under the 512-entry ring: a worker pinned there can no longer
-    /// absorb bursts.
+    /// `queue_saturated`. The default sits just under the 512-entry
+    /// ring: a worker pinned there can no longer absorb bursts.
     pub queue_depth: f64,
     /// Minimum per-second upward slope of the CQ-wait share for
-    /// `cq_wait_rising` (`RS_CONGESTION_CQ_SLOPE`).
+    /// `cq_wait_rising`.
     pub cq_slope: f64,
     /// The CQ-wait share the latest interval must also reach before a
-    /// rising slope is flagged (`RS_CONGESTION_CQ_FLOOR`) — a worker
-    /// rising from 1% to 3% is not congested yet.
+    /// rising slope is flagged — a worker rising from 1% to 3% is not
+    /// congested yet.
     pub cq_floor: f64,
     /// Minimum fraction of the window's wall-clock time spent in I/O at
-    /// all before a CQ-wait verdict is attempted
-    /// (`RS_CONGESTION_CQ_BUSY`). A mostly-idle worker's share is
-    /// computed over microscopic denominators and carries no signal.
+    /// all before a CQ-wait verdict is attempted. A mostly-idle worker's
+    /// share is computed over microscopic denominators and carries no
+    /// signal.
     pub cq_busy: f64,
     /// A worker is a `straggler` when its windowed batch rate falls
-    /// below this fraction of the fleet median
-    /// (`RS_CONGESTION_STRAGGLER`).
+    /// below this fraction of the fleet median.
     pub straggler_ratio: f64,
     /// Windowed on-CPU share (thread CPU time over wall, from the
     /// ringprof snapshots) at or above which a saturated queue is
     /// attributed to the *thread* rather than the device: the verdict
-    /// becomes `cpu_saturated` instead of `queue_saturated`
-    /// (`RS_CONGESTION_CPU_FLOOR`). Requires `profile_resources`; with
-    /// profiling off the share reads 0 and the split never fires.
+    /// becomes `cpu_saturated` instead of `queue_saturated`. Requires
+    /// `profile_resources`; with profiling off the share reads 0 and the
+    /// split never fires.
     pub cpu_floor: f64,
 }
 
@@ -193,28 +189,6 @@ impl Default for CongestionConfig {
 }
 
 impl CongestionConfig {
-    /// The defaults with any `RS_CONGESTION_*` environment overrides
-    /// applied. Unparsable values are ignored (the default stands).
-    pub fn from_env() -> Self {
-        fn env<T: std::str::FromStr>(key: &str, default: T) -> T {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
-        let d = Self::default();
-        Self {
-            window: env("RS_CONGESTION_WINDOW", d.window),
-            min_points: env("RS_CONGESTION_MIN_POINTS", d.min_points),
-            queue_depth: env("RS_CONGESTION_QUEUE", d.queue_depth),
-            cq_slope: env("RS_CONGESTION_CQ_SLOPE", d.cq_slope),
-            cq_floor: env("RS_CONGESTION_CQ_FLOOR", d.cq_floor),
-            cq_busy: env("RS_CONGESTION_CQ_BUSY", d.cq_busy),
-            straggler_ratio: env("RS_CONGESTION_STRAGGLER", d.straggler_ratio),
-            cpu_floor: env("RS_CONGESTION_CPU_FLOOR", d.cpu_floor),
-        }
-    }
-
     /// Validates invariants.
     ///
     /// # Errors

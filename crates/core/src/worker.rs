@@ -19,7 +19,7 @@ use ringsampler_io::engine::{GroupReader, GroupToken, PreadReader, ReadSlice, Ur
 use ringsampler_io::{EngineKind, IoEngineError};
 use ringstat::{
     thread_cpu_nanos, EventKind, EventRing, LatencyHistogram, Phase, PhaseTimes,
-    ResourceSample, SnapshotCell, SpanLog, TimeLedger, TraceEvent, WorkerSnapshot,
+    ResourceSample, SnapshotCell, TimeLedger, TraceEvent, WorkerSnapshot,
 };
 
 use crate::block::{BatchSample, LayerSample};
@@ -77,8 +77,14 @@ pub struct SamplerWorker {
     // writes on the hot path, merged only at epoch join.
     batch_hist: LatencyHistogram,
     cq_hist: LatencyHistogram,
+    /// The stage clock (paper Fig. 3b's four stages on one thread):
+    /// [`Self::lap`] reads the clock once, charges everything since the
+    /// previous lap to one phase and moves `last` forward. A batch is a
+    /// run of laps and its latency is their sum, so per worker
+    /// `phases.total() == batch_hist.sum()` is an identity, and the events
+    /// the worker emits carry the durations and instants of its laps.
     phases: PhaseTimes,
-    spans: SpanLog,
+    last: Instant,
     /// `ringscope` live-telemetry slot: when attached, the worker
     /// publishes a snapshot through the seqlock after every batch (two
     /// word stores + a fence — the one sanctioned hot-path exception to
@@ -87,11 +93,11 @@ pub struct SamplerWorker {
     /// `ringtrace` flight recorder: a fixed-capacity event ring shared
     /// with this worker's I/O reader (same thread, so the ring's
     /// single-writer contract holds). `None` when `trace_capacity == 0`;
-    /// recording costs one branch plus a clock read per event, and the
-    /// ring drops on overflow instead of blocking.
+    /// recording costs one branch, and the ring drops on overflow instead
+    /// of blocking.
     events: Option<Arc<EventRing>>,
     /// Timestamp origin for trace events; rebased to the epoch start by
-    /// [`SamplerWorker::set_span_origin`], like the span log.
+    /// [`SamplerWorker::set_trace_origin`].
     trace_origin: Instant,
     /// `ringprof` epoch anchor: the full resource sample and wall
     /// instant taken by [`SamplerWorker::begin_epoch_profile`] **on this
@@ -163,14 +169,10 @@ impl SamplerWorker {
         let reader: Box<dyn GroupReader> = match engine {
             EngineKind::Uring => {
                 let mut r = UringReader::with_file(file, cfg.ring_entries)?;
-                if cfg.register_file {
-                    // Best effort: fall back to plain fd addressing if the
-                    // kernel refuses registration, but record the
-                    // degradation so operators can see it in span logs.
-                    if r.register_file().is_err() {
-                        regfile_fallback = true;
-                    }
-                }
+                // Best effort: fall back to plain fd addressing if the
+                // kernel refuses registration, but record the degradation
+                // so operators can see it in the flight recorder.
+                regfile_fallback = r.register_file().is_err();
                 Box::new(r)
             }
             EngineKind::Pread => Box::new(PreadReader::with_file(file, cfg.ring_entries)),
@@ -183,16 +185,12 @@ impl SamplerWorker {
         // with actual vector capacity as batches expand.
         let base = 2 * cfg.ring_entries as u64 * ENTRY_BYTES + 64 * 1024;
         let workspace_charge = cfg.budget.charge(base, "thread workspace")?;
-        let mut spans = SpanLog::with_capacity(cfg.span_capacity);
-        if regfile_fallback {
-            let now = Instant::now();
-            spans.record("regfile_fallback", now, now);
-        }
         let events = if cfg.trace_capacity > 0 {
             Some(Arc::new(EventRing::new(cfg.trace_capacity)))
         } else {
             None
         };
+        let now = Instant::now();
         let w = Self {
             graph,
             cfg,
@@ -212,29 +210,40 @@ impl SamplerWorker {
             batch_hist: LatencyHistogram::new(),
             cq_hist: LatencyHistogram::new(),
             phases: PhaseTimes::new(),
-            spans,
+            last: now,
             telemetry: None,
             events,
-            trace_origin: Instant::now(),
+            trace_origin: now,
             res_start: None,
             cpu_nanos: 0,
         };
-        // A degradation discovered during construction goes to the flight
-        // recorder too, so `ringtrace` sees it alongside the I/O events.
         if regfile_fallback {
             w.trace(EventKind::RegFileFallback, 0, 0, 0, 0);
         }
         Ok(w)
     }
 
-    /// Records a flight-recorder event, if tracing is enabled. Disabled
-    /// tracing costs one branch; enabled costs a clock read plus a
-    /// seqlock-cell publish (no locks, no RMW atomics, no allocation).
+    /// Closes a lap of the stage clock: charges the time since the
+    /// previous lap to `phase` and returns it. Besides the read that starts
+    /// a batch, the hot path's only clock read.
+    #[inline]
+    fn lap(&mut self, phase: Phase) -> u64 {
+        let now = Instant::now();
+        let nanos = nanos_between(self.last, now);
+        self.last = now;
+        self.phases.add(phase, nanos);
+        nanos
+    }
+
+    /// Records a flight-recorder event stamped with the instant of the
+    /// last lap, if tracing is enabled. Disabled tracing costs one branch;
+    /// enabled costs a seqlock-cell publish (no clock read, no locks, no
+    /// RMW atomics, no allocation).
     #[inline]
     fn trace(&self, kind: EventKind, a: u64, b: u64, c: u64, d: u64) {
         if let Some(ring) = &self.events {
             ring.record(TraceEvent {
-                ts_ns: nanos_between(self.trace_origin, Instant::now()),
+                ts_ns: nanos_between(self.trace_origin, self.last),
                 kind,
                 a,
                 b,
@@ -284,9 +293,8 @@ impl SamplerWorker {
     }
 
     /// Closes the epoch's resource interval: takes the end sample,
-    /// differences it against the anchor, and folds the stage
-    /// attribution + CPU time into the conservation-checked time
-    /// ledger. Consumes the anchor, so it fires once per
+    /// differences it against the anchor, and folds the stage clock's
+    /// attribution + CPU time into the time ledger. Consumes the anchor, so it fires once per
     /// `begin_epoch_profile`. Runs on the worker's own thread (the
     /// epoch-join path calls it from `take_stats`).
     fn finish_epoch_resources(&mut self) -> Option<WorkerResources> {
@@ -329,8 +337,8 @@ impl SamplerWorker {
                 inflight,
                 io_groups: m.io_groups,
                 active,
-                prepare_nanos: m.prepare_nanos,
-                complete_nanos: m.complete_nanos,
+                prepare_nanos: self.phases.get(Phase::Submit),
+                complete_nanos: self.phases.get(Phase::Complete),
                 cpu_nanos: self.cpu_nanos,
                 batch_latency,
             });
@@ -357,13 +365,11 @@ impl SamplerWorker {
         self.reader.engine_name()
     }
 
-    /// Re-anchors this worker's span **and trace** timestamps to `origin`
-    /// (the epoch start), so spans and flight-recorder events from all
-    /// workers share one timeline, and attaches the event ring to the I/O
-    /// reader so engine-side events land on it too. Call before the first
-    /// batch.
-    pub fn set_span_origin(&mut self, origin: Instant) {
-        self.spans.rebase(origin);
+    /// Re-anchors this worker's trace timestamps to `origin` (the epoch
+    /// start), so flight-recorder events from all workers share one
+    /// timeline, and attaches the event ring to the I/O reader so
+    /// engine-side events land on it too. Call before the first batch.
+    pub fn set_trace_origin(&mut self, origin: Instant) {
         self.trace_origin = origin;
         if let Some(ring) = &self.events {
             self.reader.attach_events(Arc::clone(ring), origin);
@@ -371,7 +377,7 @@ impl SamplerWorker {
     }
 
     /// Snapshot of everything this worker has accumulated: counters plus
-    /// the ringstat distributions (histograms, phase times, spans).
+    /// the ringstat distributions (histograms, phase times).
     ///
     /// Flight-recorder events are left on the ring (draining is
     /// destructive); only the overflow-drop count is reported here. Use
@@ -383,7 +389,6 @@ impl SamplerWorker {
             batch_latency: self.batch_hist,
             cq_wait: self.cq_hist,
             phases: self.phases,
-            spans: self.spans.clone(),
             events: Vec::new(),
             trace_dropped: self.events.as_ref().map_or(0, |r| r.dropped()),
             // Only the epoch-join path (`take_stats`) closes the resource
@@ -392,11 +397,10 @@ impl SamplerWorker {
         }
     }
 
-    /// Like [`SamplerWorker::stats`] but moves the span log out instead of
-    /// cloning it and **drains** the flight-recorder ring (the epoch-join
-    /// path). Spans recorded after this call are dropped (the replacement
-    /// log has zero capacity); trace events recorded after it start a
-    /// fresh window on the now-empty ring.
+    /// Like [`SamplerWorker::stats`] but **drains** the flight-recorder
+    /// ring and closes the resource interval (the epoch-join path). Trace
+    /// events recorded after this call start a fresh window on the
+    /// now-empty ring.
     pub fn take_stats(&mut self) -> WorkerStats {
         // Close the ringprof interval first so the final snapshot below
         // publishes the same CPU total the report carries.
@@ -404,7 +408,6 @@ impl SamplerWorker {
         // Final telemetry publish: the worker is done, so the watchdog
         // must stop expecting its version to advance.
         self.publish_snapshot(false);
-        let spans = std::mem::take(&mut self.spans);
         let (events, trace_dropped) = match &self.events {
             Some(ring) => (ring.drain(), ring.dropped()),
             None => (Vec::new(), 0),
@@ -415,7 +418,6 @@ impl SamplerWorker {
             batch_latency: self.batch_hist,
             cq_wait: self.cq_hist,
             phases: self.phases,
-            spans,
             events,
             trace_dropped,
             resources,
@@ -430,7 +432,10 @@ impl SamplerWorker {
     /// # Errors
     /// Propagates I/O errors and memory-budget exhaustion.
     pub fn sample_batch(&mut self, seeds: &[NodeId], batch_seed: u64) -> Result<BatchSample> {
-        let batch_start = Instant::now();
+        // The batch starts the stage clock; from here to the last lap
+        // below every nanosecond lands in a phase.
+        self.last = Instant::now();
+        let charged = self.phases.total();
         let batch_index = self.metrics.batches;
         self.trace(EventKind::BatchStart, batch_index, seeds.len() as u64, 0, 0);
         let mut rng =
@@ -441,39 +446,26 @@ impl SamplerWorker {
         for fanout in fanouts {
             let layer = self.sample_layer(&targets, fanout, &mut rng)?;
             // The inter-layer reduce (dedup'ing neighbors into the next
-            // frontier) is sample-stage CPU work; traced with fanout 0 so
-            // ringtrace attributes it instead of leaving a coverage gap.
-            let u0 = self.events.as_ref().map(|_| Instant::now());
+            // frontier) is prepare-stage CPU work; traced with fanout 0 so
+            // ringtrace attributes it to the sample stage.
             targets = layer.unique_neighbors();
-            if let Some(u0) = u0 {
-                self.trace(
-                    EventKind::SampleDone,
-                    0,
-                    targets.len() as u64,
-                    u0.elapsed().as_nanos() as u64,
-                    0,
-                );
-            }
             self.metrics.layers += 1;
             self.metrics.sampled_edges += layer.num_edges() as u64;
             layers.push(layer);
+            let reduce_nanos = self.lap(Phase::Prepare);
+            self.trace(EventKind::SampleDone, 0, targets.len() as u64, reduce_nanos, 0);
         }
         self.metrics.batches += 1;
-        let batch_end = Instant::now();
+        // The last reduce's lap closed the batch: its latency is the sum
+        // of its laps, and `batch_end` is stamped with the last of them.
+        let batch_nanos = self.phases.total() - charged;
         if let Some((start, _)) = &self.res_start {
             // ringprof per-batch cost: exactly one CLOCK_THREAD_CPUTIME_ID
             // read — no getrusage, no procfs until the epoch boundary.
             self.cpu_nanos = thread_cpu_nanos().saturating_sub(start.cpu_nanos);
         }
-        self.batch_hist.record(nanos_between(batch_start, batch_end));
-        self.spans.record("batch", batch_start, batch_end);
-        self.trace(
-            EventKind::BatchEnd,
-            batch_index,
-            nanos_between(batch_start, batch_end),
-            layers.len() as u64,
-            0,
-        );
+        self.batch_hist.record(batch_nanos);
+        self.trace(EventKind::BatchEnd, batch_index, batch_nanos, layers.len() as u64, 0);
         if let Some(slot) = &mut self.telemetry {
             slot.seeds_done += seeds.len() as u64;
         }
@@ -490,7 +482,6 @@ impl SamplerWorker {
     ) -> Result<LayerSample> {
         self.offsets.clear();
         self.src_pos.clear();
-        let prepare_start = Instant::now();
         let with_replacement = self.cfg.with_replacement;
         for (pos, &t) in targets.iter().enumerate() {
             let range = self.graph.neighbor_range(t);
@@ -511,14 +502,12 @@ impl SamplerWorker {
                 self.src_pos.push(pos as u32);
             }
         }
-        let prepare_end = Instant::now();
-        self.phases
-            .add(Phase::Prepare, nanos_between(prepare_start, prepare_end));
+        let draw_nanos = self.lap(Phase::Prepare);
         self.trace(
             EventKind::SampleDone,
             fanout as u64,
             self.offsets.len() as u64,
-            nanos_between(prepare_start, prepare_end),
+            draw_nanos,
             0,
         );
         self.metrics.targets += targets.len() as u64;
@@ -586,20 +575,12 @@ impl SamplerWorker {
                     None => misses.push((byte, i as u32)),
                 }
             }
-            if misses.len() < n {
-                self.trace(EventKind::CacheHit, (n - misses.len()) as u64, 0, 0, 0);
-            }
-            if misses.is_empty() {
-                return Ok(out);
-            }
-            self.trace(EventKind::CacheMiss, misses.len() as u64, 0, 0, 0);
         }
-        // Plan (CPU, counted as Prepare). `stats` is `None` for an identity
-        // plan — nothing merged, so the planner counters stay untouched — and
-        // `Off` without a cache builds nothing at all (its requests are
-        // generated group by group below); both are still traced, so
-        // ringtrace's stage table covers every mode.
-        let t0 = Instant::now();
+        // Plan (CPU; one Prepare lap with the cache probe above). `stats` is
+        // `None` for an identity plan — nothing merged, so the planner
+        // counters stay untouched — and `Off` without a cache builds nothing
+        // at all (its requests are generated group by group below); both are
+        // still traced, so ringtrace's stage table covers every mode.
         let (reqs_in, stats) = if cached {
             misses.sort_unstable_by_key(|m| m.0);
             let mut pages: Vec<u64> = misses.iter().map(|m| page_of(m.0).0).collect();
@@ -629,8 +610,13 @@ impl SamplerWorker {
             let stats = planner.plan_slices(entries, byte_of(0), ENTRY_BYTES as u32, mode);
             (n, Some(stats))
         };
-        let plan_nanos = nanos_between(t0, Instant::now());
-        self.phases.add(Phase::Prepare, plan_nanos);
+        let plan_nanos = self.lap(Phase::Prepare);
+        if cached && misses.len() < n {
+            self.trace(EventKind::CacheHit, (n - misses.len()) as u64, 0, 0, 0);
+        }
+        if !misses.is_empty() {
+            self.trace(EventKind::CacheMiss, misses.len() as u64, 0, 0, 0);
+        }
         self.trace(
             EventKind::PlanBuilt,
             reqs_in as u64,
@@ -644,7 +630,7 @@ impl SamplerWorker {
             self.metrics.bytes_saved += st.bytes_saved();
         }
         // Read + scatter. Decoding runs inside the executor's consume step
-        // as Aggregate-phase time; its delta is the scatter stage.
+        // as Aggregate laps; their sum is the scatter stage.
         let agg0 = self.phases.get(Phase::Aggregate);
         if cached {
             // Whole pages; the file's final page is usually short.
@@ -763,17 +749,12 @@ impl SamplerWorker {
             PipelineMode::Async => 2,
         };
         let mut reqs = reqs.peekable();
-        // Each in-flight group carries its submit instant, so the io_group
-        // span covers the full submit→complete window, and its requests.
-        // Groups complete strictly in submission order (FIFO), so `consume`
-        // sees the same byte stream at every depth.
-        let mut inflight: VecDeque<(GroupToken, Instant, Vec<ReadSlice>)> =
+        // Each in-flight group carries its requests. Groups complete
+        // strictly in submission order (FIFO), so `consume` sees the same
+        // byte stream at every depth.
+        let mut inflight: VecDeque<(GroupToken, Vec<ReadSlice>)> =
             VecDeque::with_capacity(depth);
-        let mut prepare_nanos = 0u64;
-        let mut complete_nanos = 0u64;
-        let mut aggregate_nanos = 0u64;
         loop {
-            let t0 = Instant::now();
             let mut group = self.req_pool.pop().unwrap_or_default();
             group.clear();
             let mut bytes = 0usize;
@@ -798,24 +779,21 @@ impl SamplerWorker {
                     buf.reserve_exact(cap - buf.len());
                 }
                 let token = self.reader.submit_group(&group, buf)?;
-                prepare_nanos += nanos_between(t0, Instant::now());
-                inflight.push_back((token, t0, group));
+                self.lap(Phase::Submit);
+                inflight.push_back((token, group));
             }
             // Complete the oldest groups until the window has room for the
             // next submit — or, once the requests are drained, is empty.
             let window = if drained { 0 } else { depth - 1 };
             while inflight.len() > window {
-                let Some((token, submitted, group)) = inflight.pop_front() else {
+                let Some((token, group)) = inflight.pop_front() else {
                     break;
                 };
-                let t1 = Instant::now();
                 let filled = self.reader.complete_group(token)?;
-                let t2 = Instant::now();
-                complete_nanos += nanos_between(t1, t2);
-                self.cq_hist.record(nanos_between(t1, t2));
-                self.spans.record("io_group", submitted, t2);
+                let wait_nanos = self.lap(Phase::Complete);
+                self.cq_hist.record(wait_nanos);
                 consume(&group, &filled)?;
-                aggregate_nanos += nanos_between(t2, Instant::now());
+                self.lap(Phase::Aggregate);
                 self.buf_pool.push(filled);
                 self.req_pool.push(group);
             }
@@ -823,11 +801,6 @@ impl SamplerWorker {
                 break;
             }
         }
-        self.metrics.prepare_nanos += prepare_nanos;
-        self.metrics.complete_nanos += complete_nanos;
-        self.phases.add(Phase::Submit, prepare_nanos);
-        self.phases.add(Phase::Complete, complete_nanos);
-        self.phases.add(Phase::Aggregate, aggregate_nanos);
         // Fold reader deltas into worker metrics (saturating: a reader
         // whose counters reset mid-epoch must not wrap the fold).
         let s = self.reader.stats();
@@ -1059,31 +1032,18 @@ mod tests {
     }
 
     #[test]
-    fn registered_file_fast_path_matches_plain(){
-        let graph = test_graph("regfile");
-        let on = SamplerConfig::new().fanouts(&[3, 2]).ring_entries(8).seed(4).register_file(true);
-        let off = SamplerConfig::new().fanouts(&[3, 2]).ring_entries(8).seed(4).register_file(false);
-        let mut w_on = worker(&graph, on);
-        let mut w_off = worker(&graph, off);
-        let seeds: Vec<NodeId> = (0..64).collect();
-        assert_eq!(
-            w_on.sample_batch(&seeds, 0).unwrap(),
-            w_off.sample_batch(&seeds, 0).unwrap()
-        );
-    }
-
-    #[test]
     fn stage_timers_populated() {
         let graph = test_graph("timers");
         let cfg = SamplerConfig::new().fanouts(&[4, 4]).ring_entries(8);
         let mut w = worker(&graph, cfg);
         let seeds: Vec<NodeId> = (0..64).collect();
         w.sample_batch(&seeds, 0).unwrap();
-        let m = w.metrics();
-        assert!(m.prepare_nanos > 0, "prepare time recorded");
-        assert!(m.complete_nanos > 0, "completion time recorded");
-        let f = m.wait_fraction();
-        assert!((0.0..=1.0).contains(&f));
+        let s = w.stats();
+        for p in Phase::ALL {
+            assert!(s.phases.get(p) > 0, "{} time recorded", p.name());
+        }
+        let f = s.into_epoch_report(std::time::Duration::ZERO).wait_fraction();
+        assert!(f > 0.0 && f < 1.0);
     }
 
     #[test]
@@ -1091,7 +1051,7 @@ mod tests {
         let graph = test_graph("stats");
         let cfg = SamplerConfig::new().fanouts(&[4, 4]).ring_entries(8);
         let mut w = worker(&graph, cfg);
-        w.set_span_origin(Instant::now());
+        w.set_trace_origin(Instant::now());
         let seeds: Vec<NodeId> = (0..64).collect();
         w.sample_batch(&seeds, 0).unwrap();
         w.sample_batch(&seeds, 1).unwrap();
@@ -1106,32 +1066,97 @@ mod tests {
         assert!(s.phases.get(Phase::Prepare) > 0);
         assert!(s.phases.get(Phase::Submit) > 0);
         assert!(s.phases.get(Phase::Complete) > 0);
-        // Spans: 2 batch spans + one per I/O group.
-        let batch_spans = s.spans.events().iter().filter(|e| e.name == "batch").count();
-        let group_spans = s.spans.events().iter().filter(|e| e.name == "io_group").count();
-        assert_eq!(batch_spans, 2);
-        assert_eq!(group_spans as u64, s.metrics.io_groups);
-        // The legacy stage timers agree with the phase recorder.
-        assert_eq!(s.metrics.prepare_nanos, s.phases.get(Phase::Submit));
-        assert_eq!(s.metrics.complete_nanos, s.phases.get(Phase::Complete));
-        // take_stats moves the span log out.
-        let taken = w.take_stats();
-        assert_eq!(taken.spans.len(), s.spans.len());
-        assert!(w.stats().spans.is_empty());
+        // The CQ waits are the Complete laps themselves.
+        assert_eq!(s.cq_wait.sum(), s.phases.get(Phase::Complete));
+        // The peek leaves the events on the ring; the join drains them.
+        assert!(s.events.is_empty());
+        assert!(!w.take_stats().events.is_empty());
+    }
+
+    /// Every (plan, cache) shape the one fetch path is fed with.
+    fn fetch_shapes() -> [(ReadPlanMode, CachePolicy); 3] {
+        let page_cache = CachePolicy::Page {
+            budget_bytes: 8 * (PAGE_SIZE as u64 + 64),
+        };
+        [
+            (ReadPlanMode::Off, CachePolicy::None),
+            (ReadPlanMode::coalesce(), CachePolicy::None),
+            (ReadPlanMode::coalesce(), page_cache),
+        ]
     }
 
     #[test]
-    fn zero_span_capacity_disables_recording() {
-        let graph = test_graph("nospans");
-        let cfg = SamplerConfig::new().fanouts(&[3]).ring_entries(8).span_capacity(0);
-        let mut w = worker(&graph, cfg);
-        let seeds: Vec<NodeId> = (0..32).collect();
-        w.sample_batch(&seeds, 0).unwrap();
-        let s = w.stats();
-        assert!(s.spans.is_empty());
-        assert!(s.spans.dropped() > 0);
-        // Histograms still record regardless.
-        assert_eq!(s.batch_latency.count(), 1);
+    fn stage_clock_conserves_exactly() {
+        // Σ phases == Σ batch latency to the nanosecond, whatever feeds the
+        // fetch path: the laps of a batch *are* its latency.
+        let graph = test_graph("conserve");
+        let seeds: Vec<NodeId> = (0..64).collect();
+        for (mode, cache) in fetch_shapes() {
+            for engine in [EngineKind::Uring, EngineKind::Pread] {
+                for pipeline in [PipelineMode::Async, PipelineMode::Sync] {
+                    let cfg = SamplerConfig::new()
+                        .fanouts(&[4, 3])
+                        .ring_entries(4) // many groups per layer
+                        .engine(engine)
+                        .pipeline(pipeline)
+                        .read_plan(mode)
+                        .cache(cache);
+                    let mut w = worker(&graph, cfg);
+                    w.begin_epoch_profile();
+                    for batch in 0..3 {
+                        w.sample_batch(&seeds, batch).unwrap();
+                        // What a consumer does between batches is nobody's stage.
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    }
+                    let s = w.take_stats();
+                    let what = format!("{mode:?} {cache:?} {engine:?} {pipeline:?}");
+                    assert_eq!(s.phases.total(), s.batch_latency.sum(), "{what}");
+                    let ledger = s.resources.expect("profiling is on by default").ledger;
+                    assert!(ledger.conserves(), "{what}: {ledger:?}");
+                    assert_eq!(ledger.accounted_nanos(), s.batch_latency.sum(), "{what}");
+                    assert!(ledger.other_nanos >= 3 * 200_000, "{what}: {ledger:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stage_events_cover_the_batch() {
+        // The stage events of a batch — the worker's laps plus the reader's
+        // submit and completion timings — must explain its latency, with a
+        // page cache in front too: the probe loop is part of the plan lap.
+        let graph = long_graph("coverage", 1 << 18);
+        let seeds: Vec<NodeId> = (0..1024).collect();
+        for (mode, cache) in fetch_shapes() {
+            let cfg = SamplerConfig::new()
+                .fanouts(&[10, 10])
+                .seed(5)
+                .read_plan(mode)
+                .cache(cache);
+            let mut w = worker(&graph, cfg);
+            w.set_trace_origin(Instant::now());
+            for batch in 0..4 {
+                w.sample_batch(&seeds, batch).unwrap();
+            }
+            let s = w.take_stats();
+            assert_eq!(s.trace_dropped, 0);
+            let (mut staged, mut batches) = (0u64, 0u64);
+            for e in &s.events {
+                match e.kind {
+                    EventKind::SampleDone => staged += e.c,
+                    EventKind::PlanBuilt | EventKind::GroupSubmit => staged += e.d,
+                    EventKind::GroupComplete => staged += e.c + e.d,
+                    EventKind::ScatterDone => staged += e.b,
+                    EventKind::BatchEnd => batches += e.b,
+                    _ => {}
+                }
+            }
+            assert_eq!(batches, s.batch_latency.sum(), "batch_end carries the lap sum");
+            assert!(
+                staged as f64 >= 0.95 * batches as f64,
+                "{mode:?} {cache:?}: stages {staged} ns of {batches} ns"
+            );
+        }
     }
 
     #[test]
@@ -1462,7 +1487,7 @@ mod tests {
         let graph = test_graph("trace");
         let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(8).seed(2);
         let mut w = worker(&graph, cfg);
-        w.set_span_origin(Instant::now());
+        w.set_trace_origin(Instant::now());
         let seeds: Vec<NodeId> = (0..64).collect();
         w.sample_batch(&seeds, 0).unwrap();
         let s = w.take_stats();
@@ -1483,6 +1508,7 @@ mod tests {
         assert_eq!(reduces, 2, "reduce events carry fanout 0");
         assert_eq!(count(EventKind::PlanBuilt), 2, "one per layer fetch");
         assert_eq!(count(EventKind::ScatterDone), 2);
+        assert_eq!(count(EventKind::CacheHit) + count(EventKind::CacheMiss), 0, "no cache");
         assert_eq!(count(EventKind::GroupSubmit) as u64, s.metrics.io_groups);
         assert_eq!(count(EventKind::GroupComplete) as u64, s.metrics.io_groups);
         // The ring is FIFO and single-writer: timestamps are monotone.
@@ -1509,7 +1535,7 @@ mod tests {
             .ring_entries(8)
             .trace_capacity(0);
         let mut w = worker(&graph, cfg);
-        w.set_span_origin(Instant::now());
+        w.set_trace_origin(Instant::now());
         let seeds: Vec<NodeId> = (0..32).collect();
         w.sample_batch(&seeds, 0).unwrap();
         let s = w.take_stats();
@@ -1528,7 +1554,7 @@ mod tests {
                 budget_bytes: 64 * (PAGE_SIZE as u64 + 64),
             });
         let mut w = worker(&graph, cfg);
-        w.set_span_origin(Instant::now());
+        w.set_trace_origin(Instant::now());
         let seeds: Vec<NodeId> = (0..64).collect();
         for batch in 0..3 {
             w.sample_batch(&seeds, batch).unwrap();
@@ -1574,6 +1600,10 @@ mod tests {
                 assert_eq!(got, want, "{engine:?} batch {batch}");
             }
             assert_eq!(hopping.metrics().io_requests, stayed.metrics().io_requests);
+            // The stage clock is an `Instant`, not a thread clock: it
+            // conserves across hops.
+            let s = hopping.stats();
+            assert_eq!(s.phases.total(), s.batch_latency.sum(), "{engine:?}");
         }
     }
 }

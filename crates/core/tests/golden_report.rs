@@ -11,10 +11,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ringsampler::{EpochReport, SampleMetrics, WorkerResources, WorkerStats};
-use ringstat::{EventKind, Phase, PromWriter, ResourceSample, SpanLog, TimeLedger, TraceEvent};
+use ringstat::{EventKind, Phase, PromWriter, ResourceSample, TimeLedger, TraceEvent};
 
 /// A fully deterministic report: fixed counters, fixed histogram samples,
-/// fixed span timestamps. No clocks involved.
+/// fixed event timestamps. No clocks involved.
 fn golden_report() -> EpochReport {
     let mut worker = WorkerStats {
         metrics: SampleMetrics {
@@ -28,8 +28,6 @@ fn golden_report() -> EpochReport {
             syscalls: 16,
             cache_hits: 100,
             cache_misses: 28,
-            prepare_nanos: 1_000_000,
-            complete_nanos: 3_000_000,
             reads_planned: 768,
             reads_saved: 256,
             bytes_saved: 1_024,
@@ -49,10 +47,6 @@ fn golden_report() -> EpochReport {
     worker.phases.add(Phase::Submit, 600_000);
     worker.phases.add(Phase::Complete, 3_000_000);
     worker.phases.add(Phase::Aggregate, 250_000);
-    let mut spans = SpanLog::with_capacity(4);
-    spans.record_at("batch", 0, 1_000_000);
-    spans.record_at("io_group", 120_000, 80_000);
-    worker.spans = spans;
     let ev = |ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64, d: u64| TraceEvent {
         ts_ns,
         kind,
@@ -71,8 +65,9 @@ fn golden_report() -> EpochReport {
         ev(1_000_000, EventKind::BatchEnd, 0, 1_000_000, 2, 0),
     ];
     worker.trace_dropped = 2;
-    // A deterministic ringprof interval: 250 ms wall, 240 ms on-CPU (a
-    // healthy, conserving ledger), stages as recorded above. No clocks
+    // A deterministic ringprof interval: 250 ms wall, 240 ms on-CPU,
+    // stages as recorded above (they fit the wall, so the ledger
+    // conserves; everything else is between-batches `other`). No clocks
     // involved.
     let sample = ResourceSample {
         cpu_nanos: 240_000_000,

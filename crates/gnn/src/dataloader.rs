@@ -36,7 +36,7 @@ impl DataLoader {
     /// budget).
     pub fn new(sampler: &RingSampler, targets: Vec<NodeId>, prefetch: usize) -> Result<Self> {
         let mut worker = sampler.worker()?;
-        worker.set_span_origin(Instant::now());
+        worker.set_trace_origin(Instant::now());
         let batch_size = sampler.config().batch_size;
         let batches = targets.len().div_ceil(batch_size.max(1));
         let (tx, rx) = sync_channel(prefetch.max(1));
@@ -65,7 +65,7 @@ impl DataLoader {
     }
 
     /// Consumes the loader and returns the producer worker's accumulated
-    /// stats (counters, latency histograms, spans). Drains any pending
+    /// stats (counters, latency histograms, trace events). Drains any pending
     /// batches first so a blocked producer can exit. Returns `None` only
     /// if the producer thread panicked.
     pub fn finish(mut self) -> Option<WorkerStats> {
@@ -163,7 +163,7 @@ mod tests {
         let stats = dl.finish().expect("producer stats");
         assert_eq!(stats.metrics.batches, 7);
         assert_eq!(stats.batch_latency.count(), 7);
-        assert!(!stats.spans.is_empty());
+        assert_eq!(stats.phases.total(), stats.batch_latency.sum());
     }
 
     #[test]

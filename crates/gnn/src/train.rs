@@ -30,7 +30,7 @@ pub struct EpochStats {
     /// Time in forward/backward/update.
     pub compute: Duration,
     /// Full sampling-side observability report (counters, latency
-    /// histograms, phase spans) from the prefetch worker. `None` only if
+    /// histograms, phase times) from the prefetch worker. `None` only if
     /// the producer thread died.
     pub sampling: Option<EpochReport>,
 }

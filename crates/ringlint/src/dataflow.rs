@@ -1,17 +1,17 @@
 //! Intra-function dataflow for the io_uring buffer-loan lifecycle.
 //!
 //! A *loan* opens when a binding's pointer or slice flows into an SQE
-//! preparation call (`prepare_read*`, `prepare_write*`, registered-buffer
-//! setup) and closes when a reap call (`wait_completion`, a completion
-//! drain, `complete_group`, buffer unregistration) runs — or when the
-//! binding's ownership escapes the function (moved into a struct literal,
-//! a call argument, or a field). Between open and close the kernel may
-//! read or write through the raw pointer, so the binding must not be
-//! dropped, reassigned, truncated, reallocated, or mutably re-borrowed.
+//! preparation call (`prepare_read*`) or a raw `io_uring_register` and
+//! closes when a reap call (`wait_completion`, `complete_group`,
+//! `pump_one`) runs — or when the binding's ownership escapes the function
+//! (moved into a struct literal, a call argument, or a field). Between open
+//! and close the kernel may read or write through the raw pointer, so the
+//! binding must not be dropped, reassigned, truncated, reallocated, or
+//! mutably re-borrowed.
 //! The Rust borrow checker cannot see this: the pointer crossed a raw
 //! syscall boundary.
 //!
-//! Three loan flavors, with different obligations:
+//! Two loan flavors, with different obligations:
 //!
 //! * **local** — a `let`-bound buffer. Full lifecycle: mutation, `drop`,
 //!   reassignment and `&mut` re-borrow while lent are violations, and so
@@ -20,10 +20,6 @@
 //! * **param** — a function parameter. The caller owns the buffer, so no
 //!   scope-end obligation, but mutating or reassigning it while lent is
 //!   still flagged.
-//! * **pool** — a slot handle from a `FixedBufPool`-style `.acquire(..)`.
-//!   The pool owns the allocation, so no scope-end obligation, but
-//!   releasing the slot while its buffer is lent (or lending/using it
-//!   after release) is a violation.
 //!
 //! Path sensitivity: `if`/`else` chains and `match` arms are analyzed with
 //! cloned state and merged — a loan counts as closed only if every branch
@@ -52,23 +48,12 @@ pub struct Finding {
 const OPEN_CALLS: &[&str] = &[
     "prepare_read",
     "prepare_read_fixed",
-    "prepare_read_fixed_buf",
-    "prepare_write",
-    "prepare_write_fixed",
-    "register_buffers",
     "io_uring_register",
 ];
 
-/// Calls that reap completions (or unregister buffers): every open loan in
-/// scope closes, because the kernel is done with the memory.
-const CLOSE_CALLS: &[&str] = &[
-    "wait_completion",
-    "drain_completions",
-    "complete_group",
-    "wait_group",
-    "unregister_buffers",
-    "pump_one",
-];
+/// Calls that reap completions: every open loan in scope closes, because
+/// the kernel is done with the memory.
+const CLOSE_CALLS: &[&str] = &["wait_completion", "complete_group", "pump_one"];
 
 /// Calls that enter the ring: no lock guard may be live across them
 /// (a blocked submitter would hold the lock across a syscall).
@@ -77,10 +62,8 @@ const SUBMIT_CALLS: &[&str] = &[
     "submit_and_wait",
     "wait_completion",
     "peek_completion",
-    "drain_completions",
     "submit_group",
     "complete_group",
-    "wait_group",
     "io_uring_enter",
     "read_group_blocking",
 ];
@@ -93,18 +76,10 @@ const RING_FALLIBLE: &[&str] = &[
     "wait_completion",
     "submit_group",
     "complete_group",
-    "wait_group",
     "register_file",
     "register_files",
-    "register_buffers",
-    "register_read_buffers",
-    "unregister_buffers",
-    "unregister_files",
     "prepare_read",
     "prepare_read_fixed",
-    "prepare_read_fixed_buf",
-    "prepare_write",
-    "prepare_write_fixed",
     "prepare_nop",
     "io_uring_enter",
     "io_uring_setup",
@@ -157,25 +132,22 @@ const KEYWORDS: &[&str] = &[
 enum LoanKind {
     Local,
     Param,
-    Pool,
 }
 
 /// One open (or closed) loan: a set of binding names that all refer to the
-/// lent allocation (the buffer itself, slot indices, base pointers).
+/// lent allocation (the buffer itself, base pointers).
 #[derive(Debug, Clone)]
 struct Loan {
     id: usize,
     kind: LoanKind,
     names: Vec<String>,
-    /// Line of the opening event (prepare call, or `.acquire(..)`).
+    /// Line of the opening event (the prepare call).
     line: u32,
     /// Scope depth of the binding's declaration (drop-before-reap fires
-    /// when this scope ends with the loan open). 0 for params/pools.
+    /// when this scope ends with the loan open). 0 for params.
     scope: usize,
     lent: bool,
     closed: bool,
-    released: bool,
-    release_line: u32,
     reported: bool,
 }
 
@@ -537,7 +509,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// Runs each branch body on a clone of `st` and merges the results:
-    /// closed only if closed on every path, lent/released if on any path.
+    /// closed only if closed on every path, lent if on any path.
     fn run_branches(
         &mut self,
         bodies: Vec<BranchBody<'_>>,
@@ -617,7 +589,7 @@ impl<'a> Ctx<'a> {
                     .iter_mut()
                     .find(|l| l.names.iter().any(|n| n == &name))
                 {
-                    if l.kind != LoanKind::Pool && l.lent && !l.closed && !l.reported {
+                    if l.lent && !l.closed && !l.reported {
                         msg = Some((
                             line,
                             format!(
@@ -643,48 +615,6 @@ impl<'a> Ctx<'a> {
                 saw_lock_line = Some(self.line_at(seq, i + 1));
             }
 
-            // `.release(slot)` on a pool loan.
-            if t == "."
-                && self.text_at(seq, i + 1) == "release"
-                && self.text_at(seq, i + 2) == "("
-            {
-                let close = self.match_paren(seq, i + 2);
-                let mut arg: Option<String> = None;
-                for p in i + 3..close {
-                    if self.is_ident(seq, p) {
-                        arg = Some(self.text_at(seq, p).to_string());
-                        break;
-                    }
-                }
-                if let Some(argn) = arg {
-                    let line = self.line_at(seq, i + 1);
-                    let mut msg: Option<String> = None;
-                    if let Some(l) = st
-                        .loans
-                        .iter_mut()
-                        .find(|l| l.kind == LoanKind::Pool && l.names.iter().any(|n| n == &argn))
-                    {
-                        if l.lent && !l.reported {
-                            msg = Some(format!(
-                                "pool slot `{argn}` is released while its buffer is still \
-                                 lent to the ring (loan opened at line {}); reap the \
-                                 completion before releasing",
-                                l.line
-                            ));
-                            l.reported = true;
-                        }
-                        l.released = true;
-                        l.release_line = line;
-                        l.lent = false;
-                    }
-                    if let Some(m) = msg {
-                        self.finding(RULE_LOAN, line, m);
-                    }
-                }
-                i = close + 1;
-                continue;
-            }
-
             let is_call = self.is_ident(seq, i) && self.text_at(seq, i + 1) == "(";
 
             if is_call && OPEN_CALLS.contains(&t) {
@@ -695,9 +625,7 @@ impl<'a> Ctx<'a> {
 
             if is_call && CLOSE_CALLS.contains(&t) {
                 for l in st.loans.iter_mut() {
-                    if l.kind != LoanKind::Pool {
-                        l.closed = true;
-                    }
+                    l.closed = true;
                     l.lent = false;
                 }
             }
@@ -774,21 +702,6 @@ impl<'a> Ctx<'a> {
         else {
             return;
         };
-
-        if l.kind == LoanKind::Pool {
-            if l.released && !l.reported {
-                l.reported = true;
-                msg = Some(format!(
-                    "`{name}` is used after its pool slot was released at line {}; \
-                     the slot may already back another in-flight read",
-                    l.release_line
-                ));
-            }
-            if let Some(m) = msg {
-                self.finding(RULE_LOAN, line, m);
-            }
-            return;
-        }
 
         if l.lent && !l.closed {
             // `buf.clear()` / `buf.resize(..)` etc. while lent.
@@ -893,11 +806,8 @@ impl<'a> Ctx<'a> {
                 && matches!(self.text_at(seq, p + 2), "as_ptr" | "as_mut_ptr")
                 && self.text_at(seq, p + 3) == "(";
             let is_ref_arg = (prev == "&" || (prev == "mut" && self.text_at(seq, p.wrapping_sub(2)) == "&"))
-                && matches!(call_name, "register_buffers" | "io_uring_register");
-            let is_tracked = st.loans.iter().any(|l| {
-                l.kind == LoanKind::Pool && resolve_roots(st, t).iter().any(|r| l.names.contains(r))
-            });
-            if is_ptr_of || is_ref_arg || is_tracked {
+                && call_name == "io_uring_register";
+            if is_ptr_of || is_ref_arg {
                 candidates.push(t.to_string());
             }
         }
@@ -910,32 +820,11 @@ impl<'a> Ctx<'a> {
 
     /// Marks `root` as lent, opening a loan if none is active.
     fn lend(&mut self, root: &str, line: u32, st: &mut State) {
-        // Pool slot handle?
-        let mut msg: Option<String> = None;
-        if let Some(l) = st
-            .loans
-            .iter_mut()
-            .find(|l| l.kind == LoanKind::Pool && l.names.iter().any(|n| n == root))
-        {
-            if l.released && !l.reported {
-                l.reported = true;
-                msg = Some(format!(
-                    "`{root}` is lent to the ring after its pool slot was released at \
-                     line {}; acquire a fresh slot instead",
-                    l.release_line
-                ));
-            }
-            l.lent = true;
-            if let Some(m) = msg {
-                self.finding(RULE_LOAN, line, m);
-            }
-            return;
-        }
         // Existing owned loan on this binding?
         if let Some(l) = st
             .loans
             .iter_mut()
-            .find(|l| l.kind != LoanKind::Pool && l.names.iter().any(|n| n == root))
+            .find(|l| l.names.iter().any(|n| n == root))
         {
             l.lent = true;
             if l.closed {
@@ -963,14 +852,12 @@ impl<'a> Ctx<'a> {
             scope,
             lent: true,
             closed: false,
-            released: false,
-            release_line: 0,
             reported: false,
         });
     }
 
     /// Registers `let` bindings in the statement: declaration scopes,
-    /// pointer-taint sources, pool acquisitions, lock guards and aliases.
+    /// pointer-taint sources and lock guards.
     fn register_lets(&mut self, seq: &[usize], st: &mut State, depth: usize) {
         let mut k = 0usize;
         while k < seq.len() {
@@ -1027,38 +914,24 @@ impl<'a> Ctx<'a> {
             }
             // RHS inspection.
             let mut rhs_sources: Vec<String> = Vec::new();
-            let mut opens_pool = false;
             let mut opens_guard = false;
-            let mut pool_alias: Option<usize> = None;
             for p in eq + 1..seq.len() {
                 let t = self.text_at(seq, p);
-                if t == "." {
-                    let m = self.text_at(seq, p + 1);
-                    if self.text_at(seq, p + 2) == "(" {
-                        if m == "acquire" {
-                            opens_pool = true;
-                        } else if m == "lock" {
-                            opens_guard = true;
-                        }
-                    }
+                if t == "."
+                    && self.text_at(seq, p + 1) == "lock"
+                    && self.text_at(seq, p + 2) == "("
+                {
+                    opens_guard = true;
                 }
                 if self.is_ident(seq, p) && !KEYWORDS.contains(&t) {
                     let prev = self.text_at(seq, p.wrapping_sub(1));
-                    if prev != "." && prev != "::" {
-                        if self.text_at(seq, p + 1) == "."
-                            && PTR_SOURCES.contains(&self.text_at(seq, p + 2))
-                            && self.text_at(seq, p + 3) == "("
-                        {
-                            rhs_sources.push(t.to_string());
-                        }
-                        if pool_alias.is_none() {
-                            pool_alias = st
-                                .loans
-                                .iter()
-                                .position(|l| {
-                                    l.kind == LoanKind::Pool && l.names.iter().any(|n| n == t)
-                                });
-                        }
+                    if prev != "."
+                        && prev != "::"
+                        && self.text_at(seq, p + 1) == "."
+                        && PTR_SOURCES.contains(&self.text_at(seq, p + 2))
+                        && self.text_at(seq, p + 3) == "("
+                    {
+                        rhs_sources.push(t.to_string());
                     }
                 }
             }
@@ -1068,30 +941,6 @@ impl<'a> Ctx<'a> {
                         .entry(n.clone())
                         .or_default()
                         .extend(rhs_sources.iter().cloned());
-                }
-            }
-            if opens_pool && !names.is_empty() {
-                let id = self.next_id;
-                self.next_id += 1;
-                st.loans.push(Loan {
-                    id,
-                    kind: LoanKind::Pool,
-                    names: names.clone(),
-                    line,
-                    scope: depth,
-                    lent: false,
-                    closed: false,
-                    released: false,
-                    release_line: 0,
-                    reported: false,
-                });
-            } else if let Some(li) = pool_alias {
-                // `let Some((slot, base)) = grant` — the destructured names
-                // refer to the same pool loan.
-                for n in &names {
-                    if !st.loans[li].names.contains(n) {
-                        st.loans[li].names.push(n.clone());
-                    }
                 }
             }
             if opens_guard {
@@ -1202,7 +1051,7 @@ fn resolve_roots(st: &State, name: &str) -> Vec<String> {
 }
 
 /// Merges branch states back into the parent: a loan is closed only if
-/// every path closed it; lent/released/reported if any path says so.
+/// every path closed it; lent/reported if any path says so.
 fn merge(parent: &mut State, branches: Vec<State>) {
     if branches.is_empty() {
         return;
@@ -1212,19 +1061,13 @@ fn merge(parent: &mut State, branches: Vec<State>) {
         let mut m = l.clone();
         let mut closed_all = true;
         let mut lent_any = false;
-        let mut released_any = false;
         let mut reported_any = m.reported;
-        let mut release_line = m.release_line;
         for b in &branches {
             match b.loans.iter().find(|x| x.id == l.id) {
                 Some(bl) => {
                     closed_all &= bl.closed;
                     lent_any |= bl.lent;
-                    released_any |= bl.released;
                     reported_any |= bl.reported;
-                    if bl.release_line != 0 {
-                        release_line = bl.release_line;
-                    }
                     for n in &bl.names {
                         if !m.names.contains(n) {
                             m.names.push(n.clone());
@@ -1236,15 +1079,12 @@ fn merge(parent: &mut State, branches: Vec<State>) {
                 None => {
                     closed_all &= l.closed;
                     lent_any |= l.lent;
-                    released_any |= l.released;
                 }
             }
         }
         m.closed = closed_all;
         m.lent = lent_any;
-        m.released = released_any;
         m.reported = reported_any;
-        m.release_line = release_line;
         out.push(m);
     }
     // Loans opened inside a branch on outer-scoped bindings survive it.
@@ -1372,7 +1212,7 @@ mod tests {
                    if eager {\n\
                    ring.wait_completion()?;\n\
                    } else {\n\
-                   ring.drain_completions()?;\n\
+                   ring.pump_one()?;\n\
                    }\n\
                    Ok(())\n\
                    }";
@@ -1425,7 +1265,7 @@ mod tests {
         let src = "fn f(&mut self) -> Result<(), E> {\n\
                    let mut bufs = make_bufs();\n\
                    let iovecs = bufs.iter_mut().map(|b| iovec(b)).collect();\n\
-                   unsafe { self.ring.register_buffers(&iovecs)? };\n\
+                   unsafe { sys::io_uring_register(self.fd, OP, &iovecs, 2)? };\n\
                    Ok(())\n\
                    }";
         let fs = run(src);
@@ -1439,58 +1279,11 @@ mod tests {
         let src = "fn f(&mut self) -> Result<(), E> {\n\
                    let mut bufs = make_bufs();\n\
                    let iovecs = bufs.iter_mut().map(|b| iovec(b)).collect();\n\
-                   unsafe { self.ring.register_buffers(&iovecs)? };\n\
-                   self.fixed_bufs = Some(FixedBufPool { bufs, each_len: 64 });\n\
+                   unsafe { sys::io_uring_register(self.fd, OP, &iovecs, 2)? };\n\
+                   self.registered = Some(Registered { bufs, each_len: 64 });\n\
                    Ok(())\n\
                    }";
         assert!(run(src).is_empty(), "{:#?}", run(src));
-    }
-
-    #[test]
-    fn pool_release_while_lent_flags_once() {
-        let src = "fn f(&mut self, ring: &mut Ring, len: u32) -> Result<(), E> {\n\
-                   let grant = self.pool.acquire(len as usize);\n\
-                   if let Some((slot, base)) = grant {\n\
-                   unsafe { ring.prepare_read_fixed_buf(0, base, len, 0, slot, 7)? };\n\
-                   ring.submit()?;\n\
-                   self.pool.release(slot);\n\
-                   ring.wait_completion()?;\n\
-                   }\n\
-                   Ok(())\n\
-                   }";
-        let fs = run(src);
-        assert_eq!(rules_of(&fs), [RULE_LOAN], "{fs:#?}");
-        assert_eq!(fs[0].line, 6);
-        assert!(fs[0].message.contains("released while"), "{fs:#?}");
-    }
-
-    #[test]
-    fn pool_release_after_reap_is_clean() {
-        let src = "fn f(&mut self, ring: &mut Ring, len: u32) -> Result<(), E> {\n\
-                   let grant = self.pool.acquire(len as usize);\n\
-                   if let Some((slot, base)) = grant {\n\
-                   unsafe { ring.prepare_read_fixed_buf(0, base, len, 0, slot, 7)? };\n\
-                   ring.submit()?;\n\
-                   ring.wait_completion()?;\n\
-                   self.pool.release(slot);\n\
-                   }\n\
-                   Ok(())\n\
-                   }";
-        assert!(run(src).is_empty(), "{:#?}", run(src));
-    }
-
-    #[test]
-    fn pool_use_after_release_flags() {
-        let src = "fn f(&mut self, out: &mut Vec<u8>) {\n\
-                   let grant = self.pool.acquire(64);\n\
-                   if let Some((slot, base)) = grant {\n\
-                   self.pool.release(slot);\n\
-                   copy_from(base, out);\n\
-                   }\n\
-                   }";
-        let fs = run(src);
-        assert_eq!(rules_of(&fs), [RULE_LOAN], "{fs:#?}");
-        assert!(fs[0].message.contains("after its pool slot was released"));
     }
 
     #[test]
@@ -1607,7 +1400,7 @@ mod tests {
                    unsafe { ring.prepare_read(fd, buf.as_mut_ptr(), 64, 0, 1)? };\n\
                    match mode {\n\
                    Mode::Eager => { ring.wait_completion()?; },\n\
-                   Mode::Lazy => { ring.drain_completions()?; },\n\
+                   Mode::Lazy => { ring.pump_one()?; },\n\
                    }\n\
                    Ok(())\n\
                    }";
@@ -1620,7 +1413,7 @@ mod tests {
                    let mut buf = vec![0u8; 64];\n\
                    unsafe { ring.prepare_read(fd, buf.as_mut_ptr(), 64, 0, 1)? };\n\
                    while ring.in_flight() > 0 {\n\
-                   ring.drain_completions()?;\n\
+                   ring.pump_one()?;\n\
                    }\n\
                    Ok(())\n\
                    }";

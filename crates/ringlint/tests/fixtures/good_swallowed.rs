@@ -4,7 +4,7 @@
 pub fn flush(ring: &mut Ring) -> Result<(), RingError> {
     ring.submit()?;
     if ring.wait_completion().is_err() {
-        ring.drain_completions()?;
+        ring.pump_one()?;
     }
     Ok(())
 }

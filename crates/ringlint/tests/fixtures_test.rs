@@ -19,7 +19,7 @@ const RING: &str = "crates/io/src/ring.rs";
 const SYS: &str = "crates/io/src/sys.rs";
 /// Any crate source: unsafe-audit + the three dataflow rules, no token
 /// scopes — isolates the loan-lifecycle diagnostics from rule cross-talk.
-const POOL: &str = "crates/io/src/fixed_pool.rs";
+const PLAIN: &str = "crates/io/src/scratch.rs";
 
 fn lines_for(rule: &str, rel: &str, src: &str) -> Vec<u32> {
     lint_source(rel, src)
@@ -121,29 +121,9 @@ fn allow_fixture_suppresses_with_reason_and_flags_without() {
 }
 
 #[test]
-fn bad_loan_pool_mutation_flags_exactly_one_use_after_release() {
-    let src = include_str!("fixtures/bad_loan_pool.rs");
-    let out = lint_source(POOL, src);
-    assert_eq!(out.violations.len(), 1, "{:#?}", out.violations);
-    assert_eq!(out.violations[0].rule, RULE_LOAN);
-    assert_eq!(out.violations[0].line, 16, "{:#?}", out.violations);
-    assert!(
-        out.violations[0].message.contains("released while"),
-        "{:#?}",
-        out.violations
-    );
-}
-
-#[test]
-fn good_loan_pool_fixture_is_clean() {
-    let out = lint_source(POOL, include_str!("fixtures/good_loan_pool.rs"));
-    assert!(out.violations.is_empty(), "{:#?}", out.violations);
-}
-
-#[test]
 fn bad_loan_scratch_mutation_flags_exactly_one_drop_before_reap() {
     let src = include_str!("fixtures/bad_loan_scratch.rs");
-    let out = lint_source(POOL, src);
+    let out = lint_source(PLAIN, src);
     assert_eq!(out.violations.len(), 1, "{:#?}", out.violations);
     assert_eq!(out.violations[0].rule, RULE_LOAN);
     // Reported at the prepare call that opened the loan.
@@ -157,14 +137,14 @@ fn bad_loan_scratch_mutation_flags_exactly_one_drop_before_reap() {
 
 #[test]
 fn good_loan_scratch_fixture_is_clean() {
-    let out = lint_source(POOL, include_str!("fixtures/good_loan_scratch.rs"));
+    let out = lint_source(PLAIN, include_str!("fixtures/good_loan_scratch.rs"));
     assert!(out.violations.is_empty(), "{:#?}", out.violations);
 }
 
 #[test]
 fn bad_lock_submit_fixture_flags_guard_across_ring_entry() {
     let src = include_str!("fixtures/bad_lock_submit.rs");
-    let out = lint_source(POOL, src);
+    let out = lint_source(PLAIN, src);
     assert_eq!(out.violations.len(), 1, "{:#?}", out.violations);
     assert_eq!(out.violations[0].rule, RULE_LOCK_SUBMIT);
     assert_eq!(out.violations[0].line, 9, "{:#?}", out.violations);
@@ -172,14 +152,14 @@ fn bad_lock_submit_fixture_flags_guard_across_ring_entry() {
 
 #[test]
 fn good_lock_submit_fixture_is_clean() {
-    let out = lint_source(POOL, include_str!("fixtures/good_lock_submit.rs"));
+    let out = lint_source(PLAIN, include_str!("fixtures/good_lock_submit.rs"));
     assert!(out.violations.is_empty(), "{:#?}", out.violations);
 }
 
 #[test]
 fn bad_swallowed_fixture_flags_let_underscore_and_dot_ok() {
     let src = include_str!("fixtures/bad_swallowed.rs");
-    let out = lint_source(POOL, src);
+    let out = lint_source(PLAIN, src);
     assert_eq!(out.violations.len(), 2, "{:#?}", out.violations);
     assert!(out.violations.iter().all(|v| v.rule == RULE_SWALLOWED));
     let lines: Vec<u32> = out.violations.iter().map(|v| v.line).collect();
@@ -188,7 +168,7 @@ fn bad_swallowed_fixture_flags_let_underscore_and_dot_ok() {
 
 #[test]
 fn good_swallowed_fixture_is_clean() {
-    let out = lint_source(POOL, include_str!("fixtures/good_swallowed.rs"));
+    let out = lint_source(PLAIN, include_str!("fixtures/good_swallowed.rs"));
     assert!(out.violations.is_empty(), "{:#?}", out.violations);
 }
 
@@ -267,32 +247,28 @@ fn bad_fixture_in_hot_path_module_fails_workspace_lint() {
     assert_eq!(report.violations[0].line, 2);
 }
 
-/// The v2 acceptance criterion, end to end: seeding either buffer-loan
+/// The v2 acceptance criterion, end to end: seeding the buffer-loan
 /// mutation into a crate source module makes the full workspace lint
 /// report exactly one `buffer-loan` violation there.
 #[test]
 fn seeded_loan_mutations_fail_workspace_lint() {
-    for (fixture, expect_line) in [
-        (include_str!("fixtures/bad_loan_pool.rs"), 16u32),
-        (include_str!("fixtures/bad_loan_scratch.rs"), 10u32),
-    ] {
-        let root = std::env::temp_dir().join(format!(
-            "ringlint-loan-e2e-{}-{expect_line}",
-            std::process::id()
-        ));
-        let module_dir = root.join("crates/io/src");
-        std::fs::create_dir_all(&module_dir).expect("mkdir");
-        std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").expect("manifest");
-        std::fs::write(module_dir.join("fixed_pool.rs"), fixture).expect("module");
+    let root = std::env::temp_dir().join(format!("ringlint-loan-e2e-{}", std::process::id()));
+    let module_dir = root.join("crates/io/src");
+    std::fs::create_dir_all(&module_dir).expect("mkdir");
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").expect("manifest");
+    std::fs::write(
+        module_dir.join("scratch.rs"),
+        include_str!("fixtures/bad_loan_scratch.rs"),
+    )
+    .expect("module");
 
-        let report = ringlint::lint_workspace(&root).expect("lint");
-        std::fs::remove_dir_all(&root).ok();
+    let report = ringlint::lint_workspace(&root).expect("lint");
+    std::fs::remove_dir_all(&root).ok();
 
-        assert_eq!(report.violations.len(), 1, "{}", report.to_text());
-        assert_eq!(report.violations[0].rule, RULE_LOAN);
-        assert_eq!(report.violations[0].file, "crates/io/src/fixed_pool.rs");
-        assert_eq!(report.violations[0].line, expect_line);
-    }
+    assert_eq!(report.violations.len(), 1, "{}", report.to_text());
+    assert_eq!(report.violations[0].rule, RULE_LOAN);
+    assert_eq!(report.violations[0].file, "crates/io/src/scratch.rs");
+    assert_eq!(report.violations[0].line, 10);
 }
 
 /// Locks in the current state: the real workspace lints clean, so

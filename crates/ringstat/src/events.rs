@@ -26,8 +26,10 @@
 //! ## Timestamps
 //!
 //! The ring stores no clock. Callers stamp events with nanoseconds since
-//! a shared epoch-start origin (the same origin `SpanLog::rebase` uses),
-//! so events from all workers of an epoch share one timeline.
+//! a shared epoch-start origin, so events from all workers of an epoch
+//! share one timeline. The worker stamps its own events with the instant
+//! of the stage-clock lap that measured them, so a stage event's
+//! duration and timestamp are the ones its phase was charged with.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

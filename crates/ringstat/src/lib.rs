@@ -15,11 +15,10 @@
 //! * [`PhaseTimes`] / [`Phase`] — where an epoch spent its time:
 //!   prepare (offset drawing), submit (SQE preparation + `io_uring_enter`),
 //!   complete (CQ polling/waiting), aggregate (decoding entries).
-//! * [`SpanLog`] — a bounded per-thread span recorder feeding a Chrome
-//!   `trace.json` (Perfetto-viewable) timeline of batch and I/O-group
-//!   spans.
 //! * [`Json`], [`PromWriter`], [`ChromeTrace`] — dependency-free exporters
-//!   for the three artifact formats every run leaves behind.
+//!   for the three artifact formats every run leaves behind; the Chrome
+//!   `trace.json` (Perfetto-viewable) timeline is a fold over the flight
+//!   recorder's events.
 //! * [`SnapshotCell`] / [`WorkerSnapshot`] — the `ringscope` live-telemetry
 //!   publish side: a single-writer seqlock slot each worker overwrites
 //!   after every batch, readable by an observer thread without ever
@@ -45,7 +44,7 @@
 //! ## The synchronization-free invariant
 //!
 //! Every recorder in this crate is **thread-private by design**: a worker
-//! owns its histograms and span log, records into them with plain `&mut`
+//! owns its histograms and phase times, records into them with plain `&mut`
 //! writes, and only at epoch join does the driver `merge` the per-thread
 //! values. There are no locks and no channels anywhere in this crate,
 //! and the only atomics are the word-sized version-counter accesses of
@@ -79,10 +78,7 @@ pub use history::{HistoryPoint, HistoryRing, WindowRates};
 pub use http::{HttpServer, Request, Response};
 pub use json::Json;
 pub use prometheus::PromWriter;
-pub use resources::{
-    parse_proc_io, proc_io_now, thread_cpu_nanos, ResourceSample, TimeLedger,
-    CONSERVATION_THRESHOLD,
-};
+pub use resources::{parse_proc_io, proc_io_now, thread_cpu_nanos, ResourceSample, TimeLedger};
 pub use snapshot::{SnapshotCell, WorkerSnapshot};
-pub use span::{Phase, PhaseTimes, SpanEvent, SpanLog, NUM_PHASES};
+pub use span::{Phase, PhaseTimes, NUM_PHASES};
 pub use trace::ChromeTrace;

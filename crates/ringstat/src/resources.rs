@@ -11,12 +11,12 @@
 //!   into an interval via [`ResourceSample::delta`].
 //! * [`thread_cpu_nanos`] — the one call sanctioned on the per-batch hot
 //!   path: a single `clock_gettime` read, no `getrusage`, no procfs.
-//! * [`TimeLedger`] — folds the stage attribution the workers already
-//!   record ([`PhaseTimes`]) together with thread CPU time into the
-//!   buckets `{compute, submit, io_wait, reap, other}` and checks
-//!   *conservation*: accounted time must cover at least
-//!   [`CONSERVATION_THRESHOLD`] of wall time, and whatever is left is
-//!   reported explicitly as `other` — never silently absorbed.
+//! * [`TimeLedger`] — folds the stage attribution of the worker's lap
+//!   clock ([`PhaseTimes`]) together with thread CPU time into the
+//!   buckets `{compute, submit, io_wait, reap, other}`. The four stage
+//!   buckets sum *exactly* to the in-batch wall the clock measured —
+//!   that identity is the conservation rule — and `other` is the wall
+//!   time between batches, reported explicitly and never gated.
 //!
 //! ## Sources and their failure modes
 //!
@@ -39,10 +39,6 @@
 //!   than erroring.
 
 use crate::span::{Phase, PhaseTimes};
-
-/// Minimum share of wall time the ledger must account for before a run
-/// is considered fully attributed (ci gate and report flag both use it).
-pub const CONSERVATION_THRESHOLD: f64 = 0.90;
 
 /// A point-in-time kernel resource reading for the calling thread (plus
 /// the process-wide `/proc/self/io` counters).
@@ -216,26 +212,31 @@ pub fn proc_io_now() -> (u64, u64) {
 }
 
 /// A per-worker epoch time ledger: wall time split into five buckets
-/// that must conserve (sum exactly to wall; `other` is the explicit
-/// remainder, never hidden).
+/// that sum exactly to wall. The four stage buckets come from the
+/// worker's lap clock, which charges every in-batch nanosecond to one
+/// stage, so together they equal the in-batch wall; `other` is what lies
+/// between batches.
 ///
 /// | bucket    | meaning                                                |
 /// |-----------|--------------------------------------------------------|
-/// | `compute` | on-CPU sampling work: drawing offsets, decoding,       |
-/// |           | scattering payloads                                    |
-/// | `submit`  | SQE preparation + `io_uring_enter` submit path         |
+/// | `compute` | the prepare and aggregate stages: drawing offsets,     |
+/// |           | cache probe, read planning, frontier reduce, decode    |
+/// | `submit`  | group building + SQE preparation + `io_uring_enter`    |
 /// | `io_wait` | off-CPU time inside the completion stage (blocked on   |
 /// |           | CQEs)                                                  |
 /// | `reap`    | on-CPU time inside the completion stage (polling and   |
 /// |           | draining CQEs)                                         |
-/// | `other`   | wall time attributable to none of the above —          |
-/// |           | scheduler delay, page faults outside the I/O stages,   |
-/// |           | loop overhead. Reported, never absorbed.               |
+/// | `other`   | wall time outside every batch — the consumer's         |
+/// |           | callback, the sample's drop, thread start and join.    |
+/// |           | Reported, never gated: the sampler does not own it.    |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TimeLedger {
     /// Wall-clock nanoseconds the ledger covers.
     pub wall_nanos: u64,
-    /// On-CPU sampling/decoding/scatter nanoseconds.
+    /// In-batch wall nanoseconds the stage clock measured (the sum of
+    /// its four phases): what the stage buckets must add up to.
+    pub batch_nanos: u64,
+    /// Prepare + aggregate stage nanoseconds.
     pub compute_nanos: u64,
     /// Submission-stage nanoseconds.
     pub submit_nanos: u64,
@@ -243,7 +244,7 @@ pub struct TimeLedger {
     pub io_wait_nanos: u64,
     /// On-CPU completion-reap nanoseconds.
     pub reap_nanos: u64,
-    /// Explicit unaccounted remainder.
+    /// Wall nanoseconds outside every batch.
     pub other_nanos: u64,
 }
 
@@ -253,31 +254,28 @@ impl TimeLedger {
     ///
     /// The completion stage's wall time is split by the CPU clock: the
     /// part the thread spent off-CPU is `io_wait`, the on-CPU part is
-    /// `reap`. `compute` is the larger of the recorded compute-stage
-    /// wall time and the CPU time left after submit/reap — so the
-    /// ledger still fills in when per-batch CPU profiling is disabled
-    /// (`cpu_nanos = 0`). Every bucket is clamped so the five always
-    /// sum exactly to `wall_nanos` regardless of input skew.
+    /// `reap` (with `cpu_nanos = 0`, profiling off, all of it is wait).
+    /// Stage time cannot exceed the wall that contains it; should the
+    /// inputs say otherwise (phases carried over from an earlier epoch)
+    /// the stages are clamped in pipeline order so the five buckets still
+    /// sum to `wall_nanos`, and [`conserves`](Self::conserves) reports it.
     pub fn build(wall_nanos: u64, phases: &PhaseTimes, cpu_nanos: u64) -> Self {
         let wall = wall_nanos;
         let submit = phases.get(Phase::Submit).min(wall);
         let complete = phases.get(Phase::Complete).min(wall - submit);
-        let off_cpu = wall.saturating_sub(cpu_nanos);
-        let io_wait = complete.min(off_cpu);
-        let reap = complete - io_wait;
-        let stage_compute = phases
+        let compute = phases
             .get(Phase::Prepare)
-            .saturating_add(phases.get(Phase::Aggregate));
-        let cpu_compute = cpu_nanos.saturating_sub(submit).saturating_sub(reap);
-        let compute = stage_compute.max(cpu_compute).min(wall - submit - complete);
-        let other = wall - submit - complete - compute;
+            .saturating_add(phases.get(Phase::Aggregate))
+            .min(wall - submit - complete);
+        let io_wait = complete.min(wall.saturating_sub(cpu_nanos));
         Self {
             wall_nanos: wall,
+            batch_nanos: phases.total(),
             compute_nanos: compute,
             submit_nanos: submit,
             io_wait_nanos: io_wait,
-            reap_nanos: reap,
-            other_nanos: other,
+            reap_nanos: complete - io_wait,
+            other_nanos: wall - submit - complete - compute,
         }
     }
 
@@ -298,21 +296,23 @@ impl TimeLedger {
         self.accounted_nanos() as f64 / self.wall_nanos as f64
     }
 
-    /// The explicit remainder share, `other / wall`.
+    /// The between-batches share, `other / wall`.
     pub fn unaccounted_share(&self) -> f64 {
         1.0 - self.accounted_share()
     }
 
-    /// Conservation check: does the ledger account for at least
-    /// `threshold` of wall time?
-    pub fn conserves(&self, threshold: f64) -> bool {
-        self.accounted_share() >= threshold
+    /// The conservation rule: the stage buckets sum exactly to the
+    /// in-batch wall. Holds by construction whenever the stages fit in
+    /// the wall; false only if [`build`](Self::build) had to clamp.
+    pub fn conserves(&self) -> bool {
+        self.accounted_nanos() == self.batch_nanos
     }
 
     /// Bucket-wise add (for fleet roll-ups). Lossless: sums conserve
     /// because each addend conserves.
     pub fn merge(&mut self, other: &TimeLedger) {
         self.wall_nanos = self.wall_nanos.saturating_add(other.wall_nanos);
+        self.batch_nanos = self.batch_nanos.saturating_add(other.batch_nanos);
         self.compute_nanos = self.compute_nanos.saturating_add(other.compute_nanos);
         self.submit_nanos = self.submit_nanos.saturating_add(other.submit_nanos);
         self.io_wait_nanos = self.io_wait_nanos.saturating_add(other.io_wait_nanos);
@@ -406,11 +406,11 @@ mod tests {
         assert_eq!(l.submit_nanos, 100);
         assert_eq!(l.io_wait_nanos, 400);
         assert_eq!(l.reap_nanos, 0);
-        // cpu_compute = 500 - 100 - 0 = 400 > stage 300.
-        assert_eq!(l.compute_nanos, 400);
-        assert_eq!(l.other_nanos, 100);
+        assert_eq!(l.compute_nanos, 300, "prepare + aggregate, nothing else");
+        assert_eq!(l.other_nanos, 200, "the time between batches");
+        assert_eq!(l.accounted_nanos(), phases.total());
         assert_eq!(l.accounted_nanos() + l.other_nanos, l.wall_nanos);
-        assert!(l.conserves(CONSERVATION_THRESHOLD));
+        assert!(l.conserves());
     }
 
     #[test]
@@ -418,12 +418,13 @@ mod tests {
         let mut phases = PhaseTimes::new();
         phases.add(Phase::Complete, 600);
         // Thread was on-CPU the whole second: completion time is reap,
-        // not io_wait.
+        // not io_wait — and CPU burnt between batches stays in `other`.
         let l = TimeLedger::build(1000, &phases, 1000);
         assert_eq!(l.io_wait_nanos, 0);
         assert_eq!(l.reap_nanos, 600);
-        assert_eq!(l.compute_nanos, 400, "remaining CPU is compute");
-        assert_eq!(l.other_nanos, 0);
+        assert_eq!(l.compute_nanos, 0);
+        assert_eq!(l.other_nanos, 400);
+        assert!(l.conserves());
     }
 
     #[test]
@@ -438,6 +439,7 @@ mod tests {
         assert_eq!(l.reap_nanos, 0);
         assert_eq!(l.compute_nanos, 350);
         assert_eq!(l.other_nanos, 50);
+        assert!(l.conserves());
     }
 
     #[test]
@@ -447,13 +449,10 @@ mod tests {
         phases.add(Phase::Complete, 5_000);
         phases.add(Phase::Prepare, 5_000);
         let l = TimeLedger::build(1000, &phases, 1000);
-        let sum = l.compute_nanos
-            + l.submit_nanos
-            + l.io_wait_nanos
-            + l.reap_nanos
-            + l.other_nanos;
+        let sum: u64 = l.buckets().iter().map(|&(_, ns)| ns).sum();
         assert_eq!(sum, 1000, "buckets must sum exactly to wall");
         assert_eq!(l.submit_nanos, 1000);
+        assert!(!l.conserves(), "stages that cannot fit the wall are flagged");
     }
 
     #[test]
@@ -465,7 +464,9 @@ mod tests {
         let b = TimeLedger::build(500, &phases, 450);
         a.merge(&b);
         assert_eq!(a.wall_nanos, 1500);
+        assert_eq!(a.accounted_nanos(), 800);
         assert_eq!(a.accounted_nanos() + a.other_nanos, 1500);
+        assert!(a.conserves());
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Phase accounting and per-thread span recording.
+//! Phase accounting: where a worker's in-batch time went.
 //!
-//! This module is scoped into ringlint's hot-path rules: workers record
-//! phases and spans per batch and per I/O group, so everything here is
-//! panic-free and synchronization-free. A [`SpanLog`] is owned privately
-//! by one worker thread; merging into an epoch view happens only at epoch
-//! join, preserving the paper's sync-free invariant.
-
-use std::time::Instant;
+//! This module is scoped into ringlint's hot-path rules: workers charge a
+//! phase at every lap of their stage clock, so everything here is
+//! panic-free and synchronization-free. A [`PhaseTimes`] is owned
+//! privately by one worker thread; merging into an epoch view happens only
+//! at epoch join, preserving the paper's sync-free invariant.
 
 /// Number of pipeline phases.
 pub const NUM_PHASES: usize = 4;
@@ -15,7 +13,9 @@ pub const NUM_PHASES: usize = 4;
 /// stages, plus the CPU-side decode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase {
-    /// Drawing fanout offsets from the offset index (pure CPU).
+    /// CPU work around the reads: drawing fanout offsets, probing the
+    /// page cache, building the read plan, and reducing a layer's
+    /// neighbors into the next frontier.
     #[default]
     Prepare,
     /// Preparing SQEs and calling `io_uring_enter` (submission side).
@@ -101,117 +101,9 @@ impl PhaseTimes {
     }
 }
 
-/// One recorded span, relative to the log's origin instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Static span name (`"batch"`, `"io_group"`, ...): no allocation.
-    pub name: &'static str,
-    /// Start offset from the log origin, nanoseconds.
-    pub start_ns: u64,
-    /// Span duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// A bounded, thread-private span recorder.
-///
-/// Capacity is reserved up front; once full, further spans are counted in
-/// [`SpanLog::dropped`] instead of reallocating — recording never
-/// allocates after construction and never blocks. Timestamps are offsets
-/// from a shared *origin* instant so multi-thread timelines align; the
-/// epoch driver rebases each worker's log to the epoch start.
-#[derive(Debug, Clone)]
-pub struct SpanLog {
-    origin: Instant,
-    events: Vec<SpanEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Default for SpanLog {
-    fn default() -> Self {
-        Self::with_capacity(0)
-    }
-}
-
-impl SpanLog {
-    /// A log holding at most `capacity` spans (0 disables recording).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            origin: Instant::now(),
-            events: Vec::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Re-anchors timestamps to `origin` (e.g. the epoch start), so spans
-    /// from different threads share a timeline. Call before recording.
-    pub fn rebase(&mut self, origin: Instant) {
-        self.origin = origin;
-    }
-
-    /// The current origin instant.
-    pub fn origin(&self) -> Instant {
-        self.origin
-    }
-
-    /// Records a span from `start` to `end`. Saturates to zero if either
-    /// instant precedes the origin; never allocates once at capacity.
-    #[inline]
-    pub fn record(&mut self, name: &'static str, start: Instant, end: Instant) {
-        let start_ns = u64::try_from(
-            start.saturating_duration_since(self.origin).as_nanos(),
-        )
-        .unwrap_or(u64::MAX);
-        let dur_ns =
-            u64::try_from(end.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX);
-        self.record_at(name, start_ns, dur_ns);
-    }
-
-    /// Records a span from raw offsets (used by replay and fixtures).
-    #[inline]
-    pub fn record_at(&mut self, name: &'static str, start_ns: u64, dur_ns: u64) {
-        if self.events.len() < self.capacity {
-            self.events.push(SpanEvent {
-                name,
-                start_ns,
-                dur_ns,
-            });
-        } else {
-            self.dropped = self.dropped.saturating_add(1);
-        }
-    }
-
-    /// The recorded spans, in recording order.
-    pub fn events(&self) -> &[SpanEvent] {
-        &self.events
-    }
-
-    /// Spans discarded because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of recorded spans.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no spans were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Maximum spans this log will hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn phase_times_accumulate_and_merge() {
@@ -234,51 +126,5 @@ mod tests {
     fn phase_names_are_stable() {
         let names: Vec<_> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names, ["prepare", "submit", "complete", "aggregate"]);
-    }
-
-    #[test]
-    fn span_log_records_relative_to_origin() {
-        let mut log = SpanLog::with_capacity(4);
-        let origin = Instant::now();
-        log.rebase(origin);
-        let start = origin + Duration::from_micros(5);
-        let end = start + Duration::from_micros(2);
-        log.record("batch", start, end);
-        assert_eq!(log.len(), 1);
-        let e = log.events()[0];
-        assert_eq!(e.name, "batch");
-        assert_eq!(e.start_ns, 5_000);
-        assert_eq!(e.dur_ns, 2_000);
-    }
-
-    #[test]
-    fn span_log_saturates_before_origin() {
-        let mut log = SpanLog::with_capacity(4);
-        let early = Instant::now();
-        std::thread::sleep(Duration::from_millis(1));
-        log.rebase(Instant::now());
-        log.record("x", early, early);
-        assert_eq!(log.events()[0].start_ns, 0);
-    }
-
-    #[test]
-    fn full_log_drops_instead_of_growing() {
-        let mut log = SpanLog::with_capacity(2);
-        let t = Instant::now();
-        for _ in 0..5 {
-            log.record("s", t, t);
-        }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 3);
-        assert_eq!(log.capacity(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_disables_recording() {
-        let mut log = SpanLog::default();
-        let t = Instant::now();
-        log.record("s", t, t);
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 1);
     }
 }

@@ -1,13 +1,15 @@
 //! Chrome trace-event (`trace.json`) export, viewable in Perfetto or
 //! `chrome://tracing`.
 //!
-//! Only complete events (`"ph": "X"`) are emitted: one per recorded span,
-//! with microsecond timestamps relative to the epoch start. Thread IDs are
-//! the sampling worker indices, so the Perfetto timeline shows one row per
-//! worker with batch spans and the I/O-group spans nested beneath them.
+//! The timeline is a fold over the flight-recorder events
+//! ([`ChromeTrace::from_events`]): every event that carries a duration
+//! becomes one complete event (`"ph": "X"`) with microsecond timestamps
+//! relative to the epoch start, on one labeled lane per worker, so the
+//! Perfetto timeline shows each batch with its sample / plan / submit /
+//! wait / reap / scatter stages nested beneath it.
 
+use crate::events::{EventKind, TraceEvent};
 use crate::json::Json;
-use crate::span::SpanLog;
 
 /// Accumulates spans and serializes the Chrome trace-event JSON object.
 #[derive(Debug, Default)]
@@ -22,7 +24,7 @@ impl ChromeTrace {
     }
 
     /// Adds one complete event on thread `tid` (timestamps in µs).
-    pub fn add_span(&mut self, tid: u64, name: &str, ts_us: f64, dur_us: f64) {
+    fn add_span(&mut self, tid: u64, name: &str, ts_us: f64, dur_us: f64) {
         self.events.push(
             Json::object()
                 .with("name", Json::str(name))
@@ -36,13 +38,13 @@ impl ChromeTrace {
 
     /// Labels the process lane in Perfetto (a `"ph": "M"` metadata
     /// event). Call once per trace.
-    pub fn set_process_name(&mut self, name: &str) {
+    fn set_process_name(&mut self, name: &str) {
         self.metadata("process_name", 0, name, false);
     }
 
     /// Labels thread lane `tid` in Perfetto (a `"ph": "M"` metadata
     /// event), e.g. `worker 3`, instead of a bare tid number.
-    pub fn set_thread_name(&mut self, tid: u64, name: &str) {
+    fn set_thread_name(&mut self, tid: u64, name: &str) {
         self.metadata("thread_name", tid, name, true);
     }
 
@@ -58,16 +60,42 @@ impl ChromeTrace {
             .push(ev.with("args", Json::object().with("name", Json::str(name))));
     }
 
-    /// Adds every span in `log` on thread `tid`, converting ns → µs.
-    pub fn add_spans(&mut self, tid: u64, log: &SpanLog) {
-        for event in log.events() {
-            self.add_span(
-                tid,
-                event.name,
-                event.start_ns as f64 / 1_000.0,
-                event.dur_ns as f64 / 1_000.0,
-            );
+    /// The one Chrome exporter: a `ringsampler` process with one lane per
+    /// `(label, events)` pair, in order. Stage events are recorded when
+    /// their stage *ends*, so a span starts at `ts - dur`; instantaneous
+    /// events (cache hit/miss, fallbacks) are skipped.
+    pub fn from_events<'a, L: AsRef<str>>(
+        lanes: impl IntoIterator<Item = (L, &'a [TraceEvent])>,
+    ) -> Self {
+        let mut t = Self::new();
+        t.set_process_name("ringsampler");
+        for (tid, (label, events)) in (0u64..).zip(lanes) {
+            t.set_thread_name(tid, label.as_ref());
+            for ev in events {
+                t.add_event(tid, ev);
+            }
         }
+        t
+    }
+
+    fn add_event(&mut self, tid: u64, ev: &TraceEvent) {
+        let us = |ns: u64| ns as f64 / 1_000.0;
+        let (name, dur) = match ev.kind {
+            EventKind::BatchEnd => ("batch", ev.b),
+            EventKind::SampleDone => ("sample", ev.c),
+            EventKind::PlanBuilt => ("plan", ev.d),
+            EventKind::GroupSubmit => ("submit", ev.d),
+            EventKind::ScatterDone => ("scatter", ev.b),
+            EventKind::GroupComplete => {
+                // Blocked wait, then the reap that ended at `ts`.
+                let start = us(ev.ts_ns.saturating_sub(ev.c + ev.d));
+                self.add_span(tid, "wait", start, us(ev.c));
+                self.add_span(tid, "reap", start + us(ev.c), us(ev.d));
+                return;
+            }
+            _ => return,
+        };
+        self.add_span(tid, name, us(ev.ts_ns.saturating_sub(dur)), us(dur));
     }
 
     /// Number of events accumulated so far.
@@ -110,15 +138,51 @@ mod tests {
         assert!(out.contains("\"dur\": 2.500000"));
     }
 
+    fn ev(ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64, d: u64) -> TraceEvent {
+        TraceEvent {
+            ts_ns,
+            kind,
+            a,
+            b,
+            c,
+            d,
+        }
+    }
+
     #[test]
     fn spans_convert_ns_to_us() {
-        let mut log = SpanLog::with_capacity(4);
-        log.record_at("io_group", 5_000, 1_500);
-        let mut t = ChromeTrace::new();
-        t.add_spans(0, &log);
-        let out = t.to_json();
+        // A plan stage that ended at 6.5 µs after running 1.5 µs.
+        let events = [ev(6_500, EventKind::PlanBuilt, 4, 2, 0, 1_500)];
+        let out = ChromeTrace::from_events([("w", &events[..])]).to_json();
+        assert!(out.contains("\"name\": \"plan\""), "{out}");
         assert!(out.contains("\"ts\": 5.0"), "{out}");
         assert!(out.contains("\"dur\": 1.5"), "{out}");
+    }
+
+    #[test]
+    fn event_fold_labels_lanes_and_skips_instants() {
+        let w0 = [
+            ev(0, EventKind::BatchStart, 0, 128, 0, 0),
+            ev(40_000, EventKind::CacheHit, 9, 0, 0, 0),
+            ev(50_000, EventKind::SampleDone, 10, 640, 45_000, 0),
+            ev(120_000, EventKind::GroupSubmit, 1, 32, 32, 9_000),
+            ev(200_000, EventKind::GroupComplete, 1, 71_000, 60_000, 11_000),
+            ev(230_000, EventKind::ScatterDone, 640, 25_000, 0, 0),
+            ev(250_000, EventKind::BatchEnd, 0, 250_000, 2, 0),
+        ];
+        let w1 = [ev(10_000, EventKind::BatchEnd, 0, 10_000, 1, 0)];
+        let t = ChromeTrace::from_events([("a/worker-0", &w0[..]), ("a/worker-1", &w1[..])]);
+        // 3 metadata events + 6 spans on lane 0 (wait and reap from one
+        // completion) + 1 on lane 1; the start and the cache hit add none.
+        assert_eq!(t.len(), 10);
+        let out = t.to_json();
+        assert!(out.contains("\"a/worker-1\""), "{out}");
+        for name in ["batch", "sample", "submit", "wait", "reap", "scatter"] {
+            assert!(out.contains(&format!("\"name\": \"{name}\"")), "{name}: {out}");
+        }
+        // wait covers 129–189 µs, reap 189–200 µs.
+        assert!(out.contains("\"ts\": 129.0"), "{out}");
+        assert!(out.contains("\"ts\": 189.0"), "{out}");
     }
 
     #[test]

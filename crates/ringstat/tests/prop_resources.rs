@@ -45,6 +45,20 @@ proptest! {
         let share = l.accounted_share();
         prop_assert!((0.0..=1.0).contains(&share), "share {}", share);
         prop_assert!((share + l.unaccounted_share() - 1.0).abs() < 1e-9);
+        // The restated rule: stages that fit the wall are reproduced to the
+        // nanosecond — buckets minus `other` equal the in-batch wall —
+        // and only a clamped ledger fails to conserve.
+        let in_batch = phases.total();
+        prop_assert_eq!(l.batch_nanos, in_batch);
+        prop_assert_eq!(l.conserves(), in_batch <= wall);
+        if in_batch <= wall {
+            prop_assert_eq!(wall - l.other_nanos, in_batch);
+            prop_assert_eq!(
+                l.compute_nanos,
+                phases.get(Phase::Prepare) + phases.get(Phase::Aggregate)
+            );
+            prop_assert_eq!(l.submit_nanos, phases.get(Phase::Submit));
+        }
         // The io_wait/reap split partitions the completion stage.
         let complete = phases.get(Phase::Complete).min(
             wall.saturating_sub(phases.get(Phase::Submit).min(wall)),

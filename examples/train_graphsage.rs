@@ -7,7 +7,7 @@
 //!
 //! Pass `--stats-json PATH` / `--trace PATH` / `--prometheus PATH` to dump
 //! the sampling-side observability report of every epoch (latency
-//! histograms, phase times, per-worker spans), and `--trace-events PATH`
+//! histograms, phase times, per-worker stage timeline), and `--trace-events PATH`
 //! (or `RS_TRACE_EVENTS=PATH`) for the raw flight-recorder dump that the
 //! `ringtrace` analyzer turns into a per-stage latency breakdown. Pass
 //! `--serve <addr>` (or set `RS_SERVE=<addr>`) to watch the run live:
