@@ -83,7 +83,7 @@ pub struct HarnessConfig {
     /// Worker threads for RingSampler (paper: 64, clamped to cores).
     pub threads: usize,
     /// Read-plan optimization for RingSampler workers
-    /// (`RS_READ_PLAN` = `off` / `dedup` / `coalesce` / `coalesce:<gap>`;
+    /// (`RS_READ_PLAN` = `off` / `coalesce` / `coalesce:<gap>`;
     /// default `off`, the paper-faithful one-read-per-entry pattern).
     pub read_plan: ReadPlanMode,
     /// Bind address for the embedded `ringscope` telemetry server
@@ -821,7 +821,7 @@ mod tests {
             epochs: 1,
             data_dir: std::env::temp_dir().join(format!("rs-bench-lib-{}", std::process::id())),
             threads: 2,
-            read_plan: ReadPlanMode::Dedup,
+            read_plan: ReadPlanMode::Coalesce { gap: 0 },
             serve: None,
             trace_capacity: None,
         };

@@ -10,7 +10,7 @@
 //!   explain;
 //! * a **queue-depth timeline** (in-flight SQEs at each group submit,
 //!   bucketed over the run);
-//! * **straggler-group detection** — I/O groups whose kernel-visible
+//! * **straggler-group detection** — I/O groups whose submit→complete
 //!   latency exceeds `k · p99`;
 //! * a **Chrome/Perfetto export** — the same event fold `--trace` and
 //!   `EpochReport::to_chrome_trace` use, over the parsed dump.
@@ -34,7 +34,7 @@ pub struct TraceDump {
 /// One epoch report's drained flight-recorder state.
 #[derive(Debug, Default)]
 pub struct ReportTrace {
-    /// The sink label (`fig4/epoch0`, `plan_compare/naive`, ...).
+    /// The sink label (`fig4/epoch0`, `unlimited/t2/epoch0`, ...).
     pub label: String,
     /// Events lost to ring overflow across all workers.
     pub dropped: u64,
@@ -137,11 +137,12 @@ pub struct StageSums {
     pub sample: u64,
     /// Read-plan construction (`plan_built`).
     pub plan: u64,
-    /// `io_uring_enter` submit syscalls (`group_submit`).
+    /// Group forming + `io_uring_enter` submit syscalls (`group_submit.d`).
     pub submit: u64,
-    /// In-kernel inflight wait before the first CQE (`group_complete.c`).
+    /// Blocked waiting for a completion (`group_complete.c`).
     pub wait: u64,
-    /// CQ reap + per-completion bookkeeping (`group_complete.d`).
+    /// The rest of `complete_group`: non-blocking CQ reaping
+    /// (`group_complete.d`).
     pub reap: u64,
     /// Scatter/decode of completed reads (`scatter_done`).
     pub scatter: u64,
@@ -376,7 +377,7 @@ pub fn queue_depth_timeline(r: &ReportTrace, buckets: usize) -> String {
     )
 }
 
-/// One I/O group whose kernel-visible latency exceeded the straggler
+/// One I/O group whose submit→complete latency exceeded the straggler
 /// threshold.
 #[derive(Debug, Clone, Copy)]
 pub struct Straggler {
@@ -384,7 +385,7 @@ pub struct Straggler {
     pub worker: u64,
     /// Group id (`group_complete.a`).
     pub group: u64,
-    /// Kernel-visible group latency, ns (`group_complete.b`).
+    /// Group latency, ns (`group_complete.b`).
     pub kernel_ns: u64,
     /// Completion timestamp, ns since epoch start.
     pub ts_ns: u64,

@@ -444,19 +444,26 @@ mod tests {
     #[test]
     fn profiling_off_leaves_report_resources_empty() {
         let g = test_graph("noprof", 300, 3_000);
-        let sampler = RingSampler::new(
-            g,
-            SamplerConfig::new()
-                .fanouts(&[3])
-                .batch_size(64)
-                .threads(2)
-                .profile_resources(false),
-        )
-        .unwrap();
+        let cfg = SamplerConfig::new().fanouts(&[3]).batch_size(64).threads(2);
         let targets: Vec<NodeId> = (0..300).collect();
-        let r = sampler.sample_epoch(&targets).unwrap();
+        let run = |profile: bool| {
+            let sampler =
+                RingSampler::new(g.clone(), cfg.clone().profile_resources(profile)).unwrap();
+            let samples = std::sync::Mutex::new(Vec::new());
+            let report = sampler
+                .sample_epoch_with(&targets, |idx, s| samples.lock().unwrap().push((idx, s)))
+                .unwrap();
+            let mut samples = samples.into_inner().unwrap();
+            samples.sort_by_key(|(idx, _)| *idx);
+            (report, samples)
+        };
+        let (r, off) = run(false);
         assert!(r.resources.is_none());
         assert!(r.to_json().contains("\"resources\": null"));
+        // Profiling only observes: the samples are the same bytes with it on.
+        let (r, on) = run(true);
+        assert!(r.resources.is_some());
+        assert_eq!(on, off);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use std::time::Duration;
 
-use ringsampler_io::ReaderStats;
 use ringstat::{
     human_bytes, human_count, human_nanos, ChromeTrace, Json, LatencyHistogram, Phase,
     PhaseTimes, PromWriter, ResourceSample, TimeLedger, TraceEvent,
@@ -68,25 +67,6 @@ impl SampleMetrics {
         self.reads_planned += other.reads_planned;
         self.reads_saved += other.reads_saved;
         self.bytes_saved += other.bytes_saved;
-    }
-
-    /// Folds the delta between two reader-stat snapshots into the I/O
-    /// counters. All four fields subtract saturating: a reader whose
-    /// counters went backwards (replaced or reset mid-epoch) contributes
-    /// zero instead of a wrapped huge value.
-    pub fn add_reader_delta(&mut self, prev: &ReaderStats, now: &ReaderStats) {
-        self.io_requests = self
-            .io_requests
-            .saturating_add(now.requests.saturating_sub(prev.requests));
-        self.io_bytes = self
-            .io_bytes
-            .saturating_add(now.bytes.saturating_sub(prev.bytes));
-        self.io_groups = self
-            .io_groups
-            .saturating_add(now.groups.saturating_sub(prev.groups));
-        self.syscalls = self
-            .syscalls
-            .saturating_add(now.syscalls.saturating_sub(prev.syscalls));
     }
 
     /// Mean read requests per syscall — the io_uring batching win.
@@ -279,11 +259,13 @@ impl ResourceReport {
 pub struct WorkerStats {
     /// Flat counters (including cache hits/misses).
     pub metrics: SampleMetrics,
-    /// Submit→complete latency per I/O group (from the reader).
+    /// Latency per I/O group: start of its `Submit` lap to end of its
+    /// `Complete` lap on the worker's stage clock, for either engine.
     pub group_latency: LatencyHistogram,
     /// Wall latency per sampled mini-batch.
     pub batch_latency: LatencyHistogram,
-    /// CQ wait per completed group (the blocking part of `complete`).
+    /// The `Complete` lap of each group (the whole `complete_group` call;
+    /// its blocking part alone is `group_complete.c`).
     pub cq_wait: LatencyHistogram,
     /// Nanoseconds per pipeline phase (prepare/submit/complete/aggregate);
     /// their total is exactly `batch_latency`'s sum.
@@ -330,7 +312,10 @@ pub struct EpochReport {
     pub group_latency: LatencyHistogram,
     /// Merged per-batch sampling latency across all threads.
     pub batch_latency: LatencyHistogram,
-    /// Merged CQ wait time across all threads.
+    /// Merged `Complete` laps across all threads, one sample per group:
+    /// the whole `complete_group` call (polling, parking and reaping), not
+    /// its blocking part alone. Same meaning under `histograms.cq_wait` in
+    /// the JSON report and `ringsampler_cq_wait_seconds`.
     pub cq_wait: LatencyHistogram,
     /// Merged phase times across all threads.
     pub phases: PhaseTimes,
@@ -903,48 +888,6 @@ mod tests {
         assert_eq!(a.io_bytes, 40);
         assert_eq!(a.syscalls, 3);
         assert_eq!(a.requests_per_syscall(), 5.0);
-    }
-
-    #[test]
-    fn reader_delta_accumulates_forward_progress() {
-        let mut m = SampleMetrics::default();
-        let a = ReaderStats { groups: 2, requests: 20, bytes: 80, syscalls: 3 };
-        let b = ReaderStats { groups: 5, requests: 60, bytes: 240, syscalls: 7 };
-        m.add_reader_delta(&ReaderStats::default(), &a);
-        m.add_reader_delta(&a, &b);
-        assert_eq!(m.io_groups, 5);
-        assert_eq!(m.io_requests, 60);
-        assert_eq!(m.io_bytes, 240);
-        assert_eq!(m.syscalls, 7);
-    }
-
-    #[test]
-    fn reader_delta_saturates_when_stats_reset_mid_epoch() {
-        // Regression: a reader replaced/reset mid-epoch reports *smaller*
-        // counters than the previous snapshot. The old fold used unchecked
-        // subtraction for requests/bytes/groups, wrapping to ~u64::MAX.
-        let mut m = SampleMetrics {
-            io_requests: 100,
-            io_bytes: 400,
-            io_groups: 10,
-            syscalls: 4,
-            ..Default::default()
-        };
-        let before_reset =
-            ReaderStats { groups: 10, requests: 100, bytes: 400, syscalls: 4 };
-        let after_reset =
-            ReaderStats { groups: 1, requests: 8, bytes: 32, syscalls: 1 };
-        m.add_reader_delta(&before_reset, &after_reset);
-        assert_eq!(m.io_requests, 100, "no wrapped garbage added");
-        assert_eq!(m.io_bytes, 400);
-        assert_eq!(m.io_groups, 10);
-        assert_eq!(m.syscalls, 4);
-        // Progress after the reset folds in normally again.
-        let later =
-            ReaderStats { groups: 3, requests: 24, bytes: 96, syscalls: 2 };
-        m.add_reader_delta(&after_reset, &later);
-        assert_eq!(m.io_requests, 116);
-        assert_eq!(m.io_groups, 12);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!
 //! 1. **Sort** a scratch index permutation (never the entries themselves —
 //!    `src_pos` alignment in the caller must survive planning).
-//! 2. **Dedup** exact repeats: one read serves every duplicate.
-//! 3. **Coalesce** runs whose byte extents fall within a configurable gap
-//!    threshold (default: one 4 KiB page) into single larger
-//!    [`ReadSlice`]s, bounded by [`MAX_COALESCED_BYTES`].
-//! 4. Expose the sorted order ([`ReadPlanner::perm`]): slices are sorted
+//! 2. **Coalesce** in one greedy pass: an exact repeat is served by the
+//!    read that already covers it, and runs whose byte extents fall within
+//!    a configurable gap threshold (default: one 4 KiB page; `0` merges
+//!    only repeats and exact neighbours, so no junk byte is read) become
+//!    single larger [`ReadSlice`]s, bounded by [`MAX_COALESCED_BYTES`].
+//! 3. Expose the sorted order ([`ReadPlanner::perm`]): slices are sorted
 //!    and disjoint, so the entries one slice serves are a contiguous run of
 //!    `perm`, and the worker decodes each completed slice straight into the
 //!    output slots of its run — no payload is ever concatenated. The
@@ -45,13 +46,12 @@ pub enum ReadPlanMode {
     /// order. The figure-reproduction binaries run this (default).
     #[default]
     Off,
-    /// Sort + deduplicate exact repeats; each unique entry is read once.
-    Dedup,
-    /// Dedup, then merge slices whose byte extents fall within `gap` bytes
-    /// of the previous slice's end into one larger read.
+    /// Sort, read each unique entry once, and merge reads whose byte
+    /// extents fall within `gap` bytes of the previous slice's end into
+    /// one larger read.
     Coalesce {
-        /// Maximum byte gap bridged by a merge. `0` merges only exactly
-        /// adjacent extents.
+        /// Maximum byte gap bridged by a merge. `0` merges only repeats
+        /// and exactly adjacent extents: every byte read is a sampled one.
         gap: u32,
     },
 }
@@ -73,14 +73,13 @@ impl ReadPlanMode {
 impl std::str::FromStr for ReadPlanMode {
     type Err = String;
 
-    /// Parses `off`, `dedup`, `coalesce`, or `coalesce:<gap-bytes>`
+    /// Parses `off`, `coalesce`, or `coalesce:<gap-bytes>`
     /// (case-insensitive) — the format the CLI flags and `RS_READ_PLAN`
     /// environment variable use.
     fn from_str(s: &str) -> std::result::Result<Self, String> {
         let lower = s.trim().to_ascii_lowercase();
         match lower.as_str() {
             "off" | "naive" | "none" => Ok(ReadPlanMode::Off),
-            "dedup" => Ok(ReadPlanMode::Dedup),
             "coalesce" => Ok(ReadPlanMode::coalesce()),
             other => match other.strip_prefix("coalesce:") {
                 Some(gap) => gap
@@ -88,7 +87,7 @@ impl std::str::FromStr for ReadPlanMode {
                     .map(|gap| ReadPlanMode::Coalesce { gap })
                     .map_err(|e| format!("bad coalesce gap {gap:?}: {e}")),
                 None => Err(format!(
-                    "unknown read plan {s:?} (expected off|dedup|coalesce|coalesce:<bytes>)"
+                    "unknown read plan {s:?} (expected off|coalesce|coalesce:<bytes>)"
                 )),
             },
         }
@@ -243,26 +242,23 @@ impl ReadPlanner {
         // Positions must fit the u32 scratch permutation; a layer this wide
         // (> 4 Gi entries) cannot occur under any supported batch/fanout
         // config, but degrade to the naive plan rather than truncate.
-        let effective = if n > u32::MAX as usize {
-            ReadPlanMode::Off
-        } else {
-            mode
-        };
-
-        if effective.is_off() || n == 0 {
-            self.slices.reserve(n);
-            self.slices.extend(
-                entries
-                    .iter()
-                    .map(|&e| ReadSlice::new(base + e * stride64, stride)),
-            );
-            if want_scatter {
-                self.scatter.extend((0..n as u64).map(|i| i * stride64));
+        let gap = match mode {
+            ReadPlanMode::Coalesce { gap } if n > 0 && n <= u32::MAX as usize => u64::from(gap),
+            _ => {
+                self.slices.reserve(n);
+                self.slices.extend(
+                    entries
+                        .iter()
+                        .map(|&e| ReadSlice::new(base + e * stride64, stride)),
+                );
+                if want_scatter {
+                    self.scatter.extend((0..n as u64).map(|i| i * stride64));
+                }
+                stats.planned_reads = n as u64;
+                stats.planned_bytes = n as u64 * stride64;
+                return stats;
             }
-            stats.planned_reads = n as u64;
-            stats.planned_bytes = n as u64 * stride64;
-            return stats;
-        }
+        };
 
         // With no scatter map to fill, the `get_mut` stores below find no slot.
         if want_scatter {
@@ -274,11 +270,6 @@ impl ReadPlanner {
         self.perm
             .sort_unstable_by_key(|&i| entries.get(i as usize).copied().unwrap_or(u64::MAX));
 
-        let gap = match effective {
-            ReadPlanMode::Coalesce { gap } => Some(u64::from(gap)),
-            _ => None,
-        };
-
         // Greedy left-to-right merge over the sorted view. `cur` tracks the
         // open slice as (start byte, end byte, payload base).
         let mut payload = 0u64;
@@ -286,15 +277,13 @@ impl ReadPlanner {
         for &pi in &self.perm {
             let e = entries.get(pi as usize).copied().unwrap_or(0);
             let b = base + e * stride64;
-            let merged = match (cur, gap) {
-                // Dedup: merge only exact repeats of the open slice's entry.
-                (Some((start, _end, pbase)), None) if b == start => Some(pbase),
-                // Coalesce: bridge up to `gap` bytes past the open slice's
-                // end, as long as the merged extent respects the cap. An
-                // entry already inside the extent (duplicate) never grows it
-                // and always merges.
-                (Some((start, end, pbase)), Some(g))
-                    if b <= end.saturating_add(g)
+            let merged = match cur {
+                // Bridge up to `gap` bytes past the open slice's end, as
+                // long as the merged extent respects the cap. An entry
+                // already inside the extent (duplicate) never grows it and
+                // always merges.
+                Some((start, end, pbase))
+                    if b <= end.saturating_add(gap)
                         && (b + stride64 <= end
                             || b + stride64 - start <= MAX_COALESCED_BYTES) =>
                 {
@@ -391,19 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_merges_exact_repeats_only() {
-        // 7 appears three times; 3 and 4 are adjacent but must NOT merge.
-        let entries = [7u64, 3, 7, 4, 7];
-        let mut p = ReadPlanner::new();
-        let stats = p.plan(&entries, 0, 4, ReadPlanMode::Dedup);
-        assert_eq!(p.slices().len(), 3); // {3, 4, 7}
-        assert_eq!(stats.reads_saved(), 2);
-        assert_eq!(stats.bytes_saved(), 8);
-        assert_invariants(&p, entries.len());
-        check_scatter(&p, &entries, 0, 4);
-    }
-
-    #[test]
     fn coalesce_zero_gap_merges_adjacent() {
         let entries = [3u64, 4, 10, 11, 12, 40];
         let mut p = ReadPlanner::new();
@@ -465,7 +441,7 @@ mod tests {
         let mut entries = vec![1000u64; 90];
         entries.extend((0..10u64).map(|i| i * 5000));
         let mut p = ReadPlanner::new();
-        let stats = p.plan(&entries, 8, 4, ReadPlanMode::Dedup);
+        let stats = p.plan(&entries, 8, 4, ReadPlanMode::Coalesce { gap: 0 });
         assert_eq!(stats.naive_reads, 100);
         assert_eq!(stats.planned_reads, 11);
         assert!(stats.coalesce_ratio() > 9.0);
@@ -480,11 +456,7 @@ mod tests {
         // the runs use `perm` up. `plan_slices` builds the same plan minus
         // the scatter map.
         let entries = [900u64, 3, 17_000, 4, 3, 40_000, 16_999, 5, 900];
-        for mode in [
-            ReadPlanMode::Dedup,
-            ReadPlanMode::Coalesce { gap: 0 },
-            ReadPlanMode::coalesce(),
-        ] {
+        for mode in [ReadPlanMode::Coalesce { gap: 0 }, ReadPlanMode::coalesce()] {
             let mut full = ReadPlanner::new();
             let want = full.plan(&entries, 8, 4, mode);
             let mut p = ReadPlanner::new();
@@ -527,7 +499,7 @@ mod tests {
         let mut p = ReadPlanner::new();
         p.plan(&[1, 2, 3, 4, 5], 0, 4, ReadPlanMode::coalesce());
         let cap = p.scratch_bytes();
-        p.plan(&[9, 9], 0, 4, ReadPlanMode::Dedup);
+        p.plan(&[9, 9], 0, 4, ReadPlanMode::Coalesce { gap: 0 });
         assert!(p.scratch_bytes() >= cap.min(1), "scratch retained");
         assert_eq!(p.slices().len(), 1);
         check_scatter(&p, &[9, 9], 0, 4);
@@ -536,7 +508,7 @@ mod tests {
     #[test]
     fn mode_parsing_roundtrip() {
         assert_eq!("off".parse::<ReadPlanMode>().unwrap(), ReadPlanMode::Off);
-        assert_eq!("Dedup".parse::<ReadPlanMode>().unwrap(), ReadPlanMode::Dedup);
+        assert!("dedup".parse::<ReadPlanMode>().is_err(), "removed: coalesce:0 reads the same bytes");
         assert_eq!(
             "coalesce".parse::<ReadPlanMode>().unwrap(),
             ReadPlanMode::Coalesce { gap: DEFAULT_COALESCE_GAP }

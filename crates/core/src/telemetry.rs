@@ -28,8 +28,8 @@
 //!   `stalled`, `straggler`) with the evidence window that triggered
 //!   them. Episodes — contiguous runs of a non-`ok` verdict — are
 //!   tracked with their time bounds and folded into the post-mortem
-//!   [`crate::metrics::EpochReport`]. Thresholds live in
-//!   [`CongestionConfig`].
+//!   [`crate::metrics::EpochReport`]. Thresholds are the constants
+//!   next to [`CongestionDetector`].
 //!
 //! Everything here is cold-path: the registry's `Mutex` is touched only
 //! at epoch setup and by the telemetry thread, never per batch.
@@ -69,21 +69,17 @@ pub struct TelemetryConfig {
     /// sampler entirely — `/history` and `/congestion` then serve empty
     /// documents and no per-tick work happens.
     pub history_capacity: usize,
-    /// Congestion-detector thresholds (see [`CongestionConfig`]).
-    pub congestion: CongestionConfig,
 }
 
 impl TelemetryConfig {
     /// Telemetry on `addr` with the default cadence: 200 ms polls, 10 s
-    /// stall window, 512-point history, and the default congestion
-    /// thresholds.
+    /// stall window, 512-point history.
     pub fn new(addr: impl Into<String>) -> Self {
         Self {
             addr: addr.into(),
             poll_interval: Duration::from_millis(200),
             stall_threshold: Duration::from_secs(10),
             history_capacity: 512,
-            congestion: CongestionConfig::default(),
         }
     }
 
@@ -105,12 +101,6 @@ impl TelemetryConfig {
         self
     }
 
-    /// Sets the congestion-detector thresholds.
-    pub fn congestion(mut self, congestion: CongestionConfig) -> Self {
-        self.congestion = congestion;
-        self
-    }
-
     /// Validates invariants.
     ///
     /// # Errors
@@ -129,112 +119,6 @@ impl TelemetryConfig {
         if self.stall_threshold.is_zero() {
             return Err(SamplerError::InvalidConfig(
                 "telemetry stall threshold must be positive".into(),
-            ));
-        }
-        self.congestion.validate()
-    }
-}
-
-/// Thresholds for the online congestion detectors (DESIGN.md §14); set
-/// other values with [`TelemetryConfig::congestion`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CongestionConfig {
-    /// History points per evidence window. The verdict for each worker
-    /// is derived from its most recent `window` points.
-    pub window: usize,
-    /// Minimum points before any non-stall verdict is attempted; thinner
-    /// windows stay `ok`.
-    pub min_points: usize,
-    /// Mean in-flight read depth at or above which a worker is
-    /// `queue_saturated`. The default sits just under the 512-entry
-    /// ring: a worker pinned there can no longer absorb bursts.
-    pub queue_depth: f64,
-    /// Minimum per-second upward slope of the CQ-wait share for
-    /// `cq_wait_rising`.
-    pub cq_slope: f64,
-    /// The CQ-wait share the latest interval must also reach before a
-    /// rising slope is flagged — a worker rising from 1% to 3% is not
-    /// congested yet.
-    pub cq_floor: f64,
-    /// Minimum fraction of the window's wall-clock time spent in I/O at
-    /// all before a CQ-wait verdict is attempted. A mostly-idle worker's
-    /// share is computed over microscopic denominators and carries no
-    /// signal.
-    pub cq_busy: f64,
-    /// A worker is a `straggler` when its windowed batch rate falls
-    /// below this fraction of the fleet median.
-    pub straggler_ratio: f64,
-    /// Windowed on-CPU share (thread CPU time over wall, from the
-    /// ringprof snapshots) at or above which a saturated queue is
-    /// attributed to the *thread* rather than the device: the verdict
-    /// becomes `cpu_saturated` instead of `queue_saturated`. Requires
-    /// `profile_resources`; with profiling off the share reads 0 and the
-    /// split never fires.
-    pub cpu_floor: f64,
-}
-
-impl Default for CongestionConfig {
-    fn default() -> Self {
-        Self {
-            window: 12,
-            min_points: 5,
-            queue_depth: 448.0,
-            cq_slope: 0.15,
-            cq_floor: 0.6,
-            cq_busy: 0.25,
-            straggler_ratio: 0.35,
-            cpu_floor: 0.85,
-        }
-    }
-}
-
-impl CongestionConfig {
-    /// Validates invariants.
-    ///
-    /// # Errors
-    /// [`SamplerError::InvalidConfig`] naming the violated constraint.
-    pub fn validate(&self) -> Result<()> {
-        if self.window < 2 {
-            return Err(SamplerError::InvalidConfig(
-                "congestion window must be at least 2 points".into(),
-            ));
-        }
-        if self.min_points < 2 || self.min_points > self.window {
-            return Err(SamplerError::InvalidConfig(
-                "congestion min_points must be in [2, window]".into(),
-            ));
-        }
-        if !self.queue_depth.is_finite() || self.queue_depth <= 0.0 {
-            return Err(SamplerError::InvalidConfig(
-                "congestion queue_depth threshold must be positive".into(),
-            ));
-        }
-        if !self.cq_slope.is_finite() || self.cq_slope <= 0.0 {
-            return Err(SamplerError::InvalidConfig(
-                "congestion cq_slope threshold must be positive".into(),
-            ));
-        }
-        if !self.cq_floor.is_finite() || self.cq_floor <= 0.0 || self.cq_floor > 1.0 {
-            return Err(SamplerError::InvalidConfig(
-                "congestion cq_floor must be in (0, 1]".into(),
-            ));
-        }
-        if !self.cq_busy.is_finite() || self.cq_busy <= 0.0 || self.cq_busy > 1.0 {
-            return Err(SamplerError::InvalidConfig(
-                "congestion cq_busy must be in (0, 1]".into(),
-            ));
-        }
-        if !self.straggler_ratio.is_finite()
-            || self.straggler_ratio <= 0.0
-            || self.straggler_ratio >= 1.0
-        {
-            return Err(SamplerError::InvalidConfig(
-                "congestion straggler_ratio must be in (0, 1)".into(),
-            ));
-        }
-        if !self.cpu_floor.is_finite() || self.cpu_floor <= 0.0 || self.cpu_floor > 1.0 {
-            return Err(SamplerError::InvalidConfig(
-                "congestion cpu_floor must be in (0, 1]".into(),
             ));
         }
         Ok(())
@@ -819,15 +703,45 @@ impl CongestionLog {
 /// windows, deterministic and clock-free so each verdict state has a
 /// synthetic-sequence unit test. Severity order decides ties; the full
 /// evidence is attached to every verdict, `ok` included.
-#[derive(Debug)]
-pub struct CongestionDetector {
-    cfg: CongestionConfig,
-}
+#[derive(Debug, Default)]
+pub struct CongestionDetector;
+
+/// History points per evidence window: each worker's verdict is derived
+/// from its most recent `WINDOW` points.
+const WINDOW: usize = 12;
+/// Minimum points before any non-stall verdict is attempted; thinner
+/// windows stay `ok`.
+const MIN_POINTS: usize = 5;
+/// Mean device backlog (`WorkerSnapshot::inflight`: requests the worker
+/// was blocked behind, averaged over each batch's time) at or above which
+/// a worker is `queue_saturated`. Sits just under the default 512-entry
+/// ring: a worker parked on that many requests most of the time can no
+/// longer absorb bursts.
+pub(crate) const QUEUE_DEPTH: f64 = 448.0;
+/// Minimum per-second upward slope of the CQ-wait share for
+/// `cq_wait_rising`.
+const CQ_SLOPE: f64 = 0.15;
+/// The CQ-wait share the latest interval must also reach before a rising
+/// slope is flagged — a worker rising from 1% to 3% is not congested yet.
+const CQ_FLOOR: f64 = 0.6;
+/// Minimum fraction of the window's wall-clock time spent in I/O at all
+/// before a CQ-wait verdict is attempted. A mostly-idle worker's share is
+/// computed over microscopic denominators and carries no signal.
+const CQ_BUSY: f64 = 0.25;
+/// A worker is a `straggler` when its windowed batch rate falls below this
+/// fraction of the fleet median.
+const STRAGGLER_RATIO: f64 = 0.35;
+/// Windowed on-CPU share (thread CPU time over wall, from the ringprof
+/// snapshots) at or above which a saturated queue is attributed to the
+/// *thread* rather than the device: `cpu_saturated` instead of
+/// `queue_saturated`. Requires `profile_resources`; with profiling off the
+/// share reads 0 and the split never fires.
+const CPU_FLOOR: f64 = 0.85;
 
 impl CongestionDetector {
-    /// A detector with the given thresholds.
-    pub fn new(cfg: CongestionConfig) -> Self {
-        Self { cfg }
+    /// A detector with the built-in thresholds.
+    pub fn new() -> Self {
+        Self
     }
 
     /// Judges every worker from its history window. `stalled` comes from
@@ -860,7 +774,7 @@ impl CongestionDetector {
 
     /// True when a window is thick and fresh enough for rate verdicts.
     fn judgeable(&self, pts: &[HistoryPoint]) -> bool {
-        pts.len() >= self.cfg.min_points && pts.last().map(|p| p.snap.active).unwrap_or(false)
+        pts.len() >= MIN_POINTS && pts.last().map(|p| p.snap.active).unwrap_or(false)
     }
 
     fn judge(
@@ -889,22 +803,22 @@ impl CongestionDetector {
             CongestionState::Stalled
         } else if !self.judgeable(pts) {
             CongestionState::Ok
-        } else if evidence.mean_inflight >= self.cfg.queue_depth {
+        } else if evidence.mean_inflight >= QUEUE_DEPTH {
             // A pinned queue has two distinct causes: the device can't
             // drain it (queue_saturated), or the thread is too busy to
             // feed/reap it (cpu_saturated). The ringprof CPU share is
             // the discriminator.
-            if evidence.cpu_share >= self.cfg.cpu_floor {
+            if evidence.cpu_share >= CPU_FLOOR {
                 CongestionState::CpuSaturated
             } else {
                 CongestionState::QueueSaturated
             }
-        } else if evidence.io_busy_share >= self.cfg.cq_busy
-            && evidence.cq_wait_share >= self.cfg.cq_floor
-            && evidence.cq_wait_share_slope >= self.cfg.cq_slope
+        } else if evidence.io_busy_share >= CQ_BUSY
+            && evidence.cq_wait_share >= CQ_FLOOR
+            && evidence.cq_wait_share_slope >= CQ_SLOPE
         {
             CongestionState::CqWaitRising
-        } else if median > 0.0 && evidence.batches_per_sec < self.cfg.straggler_ratio * median {
+        } else if median > 0.0 && evidence.batches_per_sec < STRAGGLER_RATIO * median {
             CongestionState::Straggler
         } else {
             CongestionState::Ok
@@ -1407,10 +1321,9 @@ pub fn spawn_server(cfg: &TelemetryConfig, registry: Arc<SnapshotRegistry>) -> R
     let shutdown = Arc::clone(&handle.shutdown);
     let poll_interval = cfg.poll_interval;
     let history_on = cfg.history_capacity > 0;
-    let congestion_cfg = cfg.congestion;
     registry.set_history_capacity(cfg.history_capacity);
     let mut detector = StallDetector::new(cfg.stall_threshold);
-    let congestion_detector = CongestionDetector::new(congestion_cfg);
+    let congestion_detector = CongestionDetector::new();
     let builder = std::thread::Builder::new().name("ringscope".into());
     let spawned = builder.spawn(move || {
         // Server-start origin: the /history timeline's zero point and
@@ -1432,7 +1345,7 @@ pub fn spawn_server(cfg: &TelemetryConfig, registry: Arc<SnapshotRegistry>) -> R
             let verdicts = if history_on {
                 let t_ms = now.saturating_duration_since(t0).as_millis() as u64;
                 registry.append_history(&obs, t_ms);
-                let windows = registry.history_windows(congestion_cfg.window);
+                let windows = registry.history_windows(WINDOW);
                 let verdicts = congestion_detector.assess(&windows, &stalled);
                 registry.update_congestion(&verdicts, t_ms);
                 verdicts
@@ -1798,7 +1711,7 @@ mod tests {
 
     #[test]
     fn congestion_verdict_ok_for_healthy_fleet() {
-        let det = CongestionDetector::new(CongestionConfig::default());
+        let det = CongestionDetector::new();
         let windows = vec![(0, healthy_window(12)), (1, healthy_window(12))];
         let verdicts = det.assess(&windows, &[]);
         assert_eq!(verdicts.len(), 2);
@@ -1819,7 +1732,7 @@ mod tests {
 
     #[test]
     fn congestion_verdict_queue_saturated() {
-        let det = CongestionDetector::new(CongestionConfig::default());
+        let det = CongestionDetector::new();
         let windows = vec![(0, hist_pts(12, |i, s| {
             s.batches = i;
             s.inflight = 500; // pinned above the 448 threshold
@@ -1831,7 +1744,7 @@ mod tests {
 
     #[test]
     fn congestion_verdict_cpu_saturated_vs_queue_saturated() {
-        let det = CongestionDetector::new(CongestionConfig::default());
+        let det = CongestionDetector::new();
         // Both workers sit pinned above the queue threshold; worker 0
         // burns ~95% of each 100 ms interval on-CPU (compute-bound),
         // worker 1 idles at ~5% (device-bound). The ringprof CPU share
@@ -1856,7 +1769,7 @@ mod tests {
 
     #[test]
     fn congestion_verdict_cq_wait_rising() {
-        let det = CongestionDetector::new(CongestionConfig::default());
+        let det = CongestionDetector::new();
         // Interval CQ share climbs 0.04·i with 60 ms of I/O per 100 ms
         // interval: past the 0.6 floor, slope ≫ 0.15/s, and well above
         // the 0.25 busy gate — the collapse signature.
@@ -1883,7 +1796,7 @@ mod tests {
 
     #[test]
     fn congestion_verdict_stalled_overrides_everything() {
-        let det = CongestionDetector::new(CongestionConfig::default());
+        let det = CongestionDetector::new();
         let windows = vec![(0, healthy_window(12)), (1, healthy_window(12))];
         let verdicts = det.assess(&windows, &[1]);
         assert_eq!(verdicts[0].state, CongestionState::Ok);
@@ -1892,7 +1805,7 @@ mod tests {
 
     #[test]
     fn congestion_verdict_straggler_vs_fleet_median() {
-        let det = CongestionDetector::new(CongestionConfig::default());
+        let det = CongestionDetector::new();
         // Worker 1 completes batches at 1/10th the fleet rate.
         let slow = hist_pts(12, |i, s| {
             s.batches = i / 10;
@@ -2084,23 +1997,6 @@ mod tests {
         assert_eq!(query_param("/history", "window"), None);
         assert_eq!(query_param("/history?window=abc", "window"), None);
         assert_eq!(query_param("/history?window", "window"), None);
-    }
-
-    #[test]
-    fn congestion_config_validates_thresholds() {
-        let ok = CongestionConfig::default();
-        assert!(ok.validate().is_ok());
-        let cases = [
-            CongestionConfig { window: 1, ..ok },
-            CongestionConfig { min_points: ok.window + 1, ..ok },
-            CongestionConfig { queue_depth: 0.0, ..ok },
-            CongestionConfig { cq_floor: 1.5, ..ok },
-            CongestionConfig { cq_busy: 0.0, ..ok },
-            CongestionConfig { straggler_ratio: 1.0, ..ok },
-        ];
-        for bad in cases {
-            assert!(bad.validate().is_err(), "{bad:?} should fail validation");
-        }
     }
 
     fn extras() -> MetricsExtras {

@@ -72,11 +72,24 @@ pub struct SamplerWorker {
     planner: ReadPlanner,
     workspace_charge: MemoryCharge,
     charged_bytes: u64,
-    last_reader_stats: ringsampler_io::ReaderStats,
     // Thread-private observability (ringstat): recorded with plain &mut
     // writes on the hot path, merged only at epoch join.
     batch_hist: LatencyHistogram,
+    /// The `Complete` lap of each group (reported as `cq_wait`): the whole
+    /// `complete_group` call, so its sum is `phases[Complete]`.
     cq_hist: LatencyHistogram,
+    /// Per-group latency, one sample per completed group: from the start
+    /// of the group's `Submit` lap to the end of its `Complete` lap — the
+    /// time its buffer was lent out, the same for every engine.
+    group_hist: LatencyHistogram,
+    /// Requests handed to the reader and not yet got back (what
+    /// `group_submit.c` carries).
+    inflight_reqs: u64,
+    /// Request·nanoseconds the current batch spent blocked on the device:
+    /// over its groups, Σ (the reader's blocking wait × the requests lent
+    /// out during it). Divided by the batch's latency it is the queue gauge
+    /// the batch's snapshot publishes.
+    parked_req_nanos: u64,
     /// The stage clock (paper Fig. 3b's four stages on one thread):
     /// [`Self::lap`] reads the clock once, charges everything since the
     /// previous lap to one phase and moves `last` forward. A batch is a
@@ -90,9 +103,8 @@ pub struct SamplerWorker {
     /// word stores + a fence — the one sanctioned hot-path exception to
     /// "no atomics"; see `ringstat::snapshot`). `None` costs one branch.
     telemetry: Option<TelemetrySlot>,
-    /// `ringtrace` flight recorder: a fixed-capacity event ring shared
-    /// with this worker's I/O reader (same thread, so the ring's
-    /// single-writer contract holds). `None` when `trace_capacity == 0`;
+    /// `ringtrace` flight recorder: a fixed-capacity event ring whose
+    /// single writer is this worker. `None` when `trace_capacity == 0`;
     /// recording costs one branch, and the ring drops on overflow instead
     /// of blocking.
     events: Option<Arc<EventRing>>,
@@ -109,6 +121,16 @@ pub struct SamplerWorker {
     /// one resource syscall sanctioned on the hot path) and published in
     /// every snapshot.
     cpu_nanos: u64,
+}
+
+/// One I/O group between `submit_group` and `complete_group`.
+struct InFlight {
+    token: GroupToken,
+    reqs: Vec<ReadSlice>,
+    /// The worker's group count at submission (`group_submit.a`).
+    id: u64,
+    /// Start of the group's `Submit` lap.
+    since: Instant,
 }
 
 /// Per-worker publish state for live telemetry (cold fields read every
@@ -206,9 +228,11 @@ impl SamplerWorker {
             planner: ReadPlanner::new(),
             workspace_charge,
             charged_bytes: base,
-            last_reader_stats: ringsampler_io::ReaderStats::default(),
             batch_hist: LatencyHistogram::new(),
             cq_hist: LatencyHistogram::new(),
+            group_hist: LatencyHistogram::new(),
+            inflight_reqs: 0,
+            parked_req_nanos: 0,
             phases: PhaseTimes::new(),
             last: now,
             telemetry: None,
@@ -316,12 +340,15 @@ impl SamplerWorker {
     /// Builds the current snapshot and publishes it through the seqlock
     /// slot, if one is attached. The publish itself is wait-free: two
     /// version-counter stores and a volatile payload store.
-    fn publish_snapshot(&mut self, active: bool) {
+    ///
+    /// Between batches the pipeline is drained, so the live count of lent
+    /// requests is always 0 here; `inflight` is the device backlog of the
+    /// batch just finished (see [`Self::sample_batch`]), 0 once inactive.
+    fn publish_snapshot(&mut self, active: bool, inflight: u64) {
         if self.telemetry.is_none() {
             return;
         }
         let m = self.metrics();
-        let inflight = self.reader.inflight();
         let batch_latency = self.batch_hist;
         if let Some(slot) = &mut self.telemetry {
             slot.cell.publish(WorkerSnapshot {
@@ -333,7 +360,7 @@ impl SamplerWorker {
                 sampled_edges: m.sampled_edges,
                 bytes_read: m.io_bytes,
                 reads_submitted: m.io_requests,
-                reads_completed: m.io_requests.saturating_sub(inflight),
+                reads_completed: m.io_requests,
                 inflight,
                 io_groups: m.io_groups,
                 active,
@@ -353,6 +380,9 @@ impl SamplerWorker {
     /// Counters accumulated by this worker so far.
     pub fn metrics(&self) -> SampleMetrics {
         let mut m = self.metrics;
+        // The reader lives exactly as long as the worker: its lifetime
+        // syscall count is the worker's.
+        m.syscalls = self.reader.stats().syscalls;
         if let Some(c) = &self.cache {
             m.cache_hits = c.hits();
             m.cache_misses = c.misses();
@@ -367,13 +397,9 @@ impl SamplerWorker {
 
     /// Re-anchors this worker's trace timestamps to `origin` (the epoch
     /// start), so flight-recorder events from all workers share one
-    /// timeline, and attaches the event ring to the I/O reader so
-    /// engine-side events land on it too. Call before the first batch.
+    /// timeline. Call before the first batch.
     pub fn set_trace_origin(&mut self, origin: Instant) {
         self.trace_origin = origin;
-        if let Some(ring) = &self.events {
-            self.reader.attach_events(Arc::clone(ring), origin);
-        }
     }
 
     /// Snapshot of everything this worker has accumulated: counters plus
@@ -385,7 +411,7 @@ impl SamplerWorker {
     pub fn stats(&self) -> WorkerStats {
         WorkerStats {
             metrics: self.metrics(),
-            group_latency: self.reader.group_latency(),
+            group_latency: self.group_hist,
             batch_latency: self.batch_hist,
             cq_wait: self.cq_hist,
             phases: self.phases,
@@ -407,14 +433,14 @@ impl SamplerWorker {
         let resources = self.finish_epoch_resources();
         // Final telemetry publish: the worker is done, so the watchdog
         // must stop expecting its version to advance.
-        self.publish_snapshot(false);
+        self.publish_snapshot(false, 0);
         let (events, trace_dropped) = match &self.events {
             Some(ring) => (ring.drain(), ring.dropped()),
             None => (Vec::new(), 0),
         };
         WorkerStats {
             metrics: self.metrics(),
-            group_latency: self.reader.group_latency(),
+            group_latency: self.group_hist,
             batch_latency: self.batch_hist,
             cq_wait: self.cq_hist,
             phases: self.phases,
@@ -435,6 +461,7 @@ impl SamplerWorker {
         // The batch starts the stage clock; from here to the last lap
         // below every nanosecond lands in a phase.
         self.last = Instant::now();
+        self.parked_req_nanos = 0;
         let charged = self.phases.total();
         let batch_index = self.metrics.batches;
         self.trace(EventKind::BatchStart, batch_index, seeds.len() as u64, 0, 0);
@@ -469,7 +496,13 @@ impl SamplerWorker {
         if let Some(slot) = &mut self.telemetry {
             slot.seeds_done += seeds.len() as u64;
         }
-        self.publish_snapshot(true);
+        // The queue gauge: the time-average, over the batch, of the
+        // requests the worker was blocked behind. A group whose completions
+        // were already in the CQ adds nothing, so a device that keeps up —
+        // or an engine that never blocks in `complete_group` — reads 0
+        // whatever the group sizes; a worker parked on a full window for
+        // the whole batch reads the window.
+        self.publish_snapshot(true, self.parked_req_nanos / batch_nanos.max(1));
         self.ensure_workspace_charge()?;
         Ok(BatchSample { layers })
     }
@@ -529,7 +562,7 @@ impl SamplerWorker {
     ///    the misses, sorted by byte offset once, are what is left to read.
     /// 2. **Plan**: `Off` reads exactly 4 bytes per sampled neighbor in
     ///    sampling order — the paper's core I/O pattern (Fig. 2 steps 4–6);
-    ///    other modes dedup and coalesce entries into larger slices; with a
+    ///    `Coalesce` merges repeats and nearby entries into larger slices; with a
     ///    cache the requests are the unique miss pages, merged when
     ///    strictly adjacent under `Coalesce`.
     /// 3. **Read + scatter**: [`Self::pipelined_read`] streams the requests
@@ -600,7 +633,7 @@ impl SamplerWorker {
             // keeps every byte read a real page byte.
             let page_mode = match mode {
                 ReadPlanMode::Coalesce { .. } => ReadPlanMode::Coalesce { gap: 0 },
-                _ => ReadPlanMode::Off,
+                ReadPlanMode::Off => ReadPlanMode::Off,
             };
             let stats = planner.plan_slices(&pages, 0, PAGE_SIZE as u32, page_mode);
             (pages.len(), (!page_mode.is_off()).then_some(stats))
@@ -738,7 +771,36 @@ impl SamplerWorker {
     /// group *k*, the CPU prepares and submits group *k+1*, then polls
     /// *k*'s completions from the CQ (paper Fig. 3b). Sync mode submits and
     /// waits one group at a time.
+    ///
+    /// This is the one account of the groups: the reader only reads, so
+    /// the counters, the `group_submit`/`group_complete` events and the
+    /// group latency all come from here, off the `Submit` and `Complete`
+    /// laps.
     fn pipelined_read<R, F>(&mut self, reqs: R, mut consume: F) -> Result<()>
+    where
+        R: Iterator<Item = ReadSlice>,
+        F: FnMut(&[ReadSlice], &[u8]) -> Result<()>,
+    {
+        let mut inflight = VecDeque::with_capacity(2);
+        let res = self.run_groups(reqs, &mut consume, &mut inflight);
+        // After a failure, wait out the groups still in flight: their
+        // buffers return to the pool and the reader's slot table empties.
+        for g in inflight.drain(..) {
+            if let Ok(buf) = self.reader.complete_group(g.token) {
+                self.buf_pool.push(buf);
+            }
+            self.req_pool.push(g.reqs);
+        }
+        self.inflight_reqs = 0;
+        res
+    }
+
+    fn run_groups<R, F>(
+        &mut self,
+        reqs: R,
+        consume: &mut F,
+        inflight: &mut VecDeque<InFlight>,
+    ) -> Result<()>
     where
         R: Iterator<Item = ReadSlice>,
         F: FnMut(&[ReadSlice], &[u8]) -> Result<()>,
@@ -749,11 +811,8 @@ impl SamplerWorker {
             PipelineMode::Async => 2,
         };
         let mut reqs = reqs.peekable();
-        // Each in-flight group carries its requests. Groups complete
-        // strictly in submission order (FIFO), so `consume` sees the same
-        // byte stream at every depth.
-        let mut inflight: VecDeque<(GroupToken, Vec<ReadSlice>)> =
-            VecDeque::with_capacity(depth);
+        // Groups complete strictly in submission order (FIFO), so `consume`
+        // sees the same byte stream at every depth.
         loop {
             let mut group = self.req_pool.pop().unwrap_or_default();
             group.clear();
@@ -778,35 +837,58 @@ impl SamplerWorker {
                     let cap = bytes.next_power_of_two().min(GROUP_BYTES_MAX).max(bytes);
                     buf.reserve_exact(cap - buf.len());
                 }
+                let since = self.last;
                 let token = self.reader.submit_group(&group, buf)?;
-                self.lap(Phase::Submit);
-                inflight.push_back((token, group));
+                let submit_nanos = self.lap(Phase::Submit);
+                let n = group.len() as u64;
+                self.metrics.io_groups += 1;
+                self.metrics.io_requests += n;
+                self.metrics.io_bytes += bytes as u64;
+                self.inflight_reqs += n;
+                let id = self.metrics.io_groups;
+                self.trace(EventKind::GroupSubmit, id, n, self.inflight_reqs, submit_nanos);
+                inflight.push_back(InFlight {
+                    token,
+                    reqs: group,
+                    id,
+                    since,
+                });
             }
             // Complete the oldest groups until the window has room for the
             // next submit — or, once the requests are drained, is empty.
             let window = if drained { 0 } else { depth - 1 };
             while inflight.len() > window {
-                let Some((token, group)) = inflight.pop_front() else {
+                let Some(g) = inflight.pop_front() else {
                     break;
                 };
-                let filled = self.reader.complete_group(token)?;
-                let wait_nanos = self.lap(Phase::Complete);
-                self.cq_hist.record(wait_nanos);
-                consume(&group, &filled)?;
+                let waited = self.reader.stats().wait_nanos;
+                let filled = self.reader.complete_group(g.token)?;
+                let lap_nanos = self.lap(Phase::Complete);
+                // How much of the lap was the blocking wait only the
+                // reader can tell; the rest is reaping.
+                let waited = self.reader.stats().wait_nanos - waited;
+                let parked = waited.min(lap_nanos);
+                self.parked_req_nanos += parked * self.inflight_reqs;
+                self.inflight_reqs -= g.reqs.len() as u64;
+                self.cq_hist.record(lap_nanos);
+                let latency = nanos_between(g.since, self.last);
+                self.group_hist.record(latency);
+                self.trace(
+                    EventKind::GroupComplete,
+                    g.id,
+                    latency,
+                    parked,
+                    lap_nanos - parked,
+                );
+                consume(&g.reqs, &filled)?;
                 self.lap(Phase::Aggregate);
                 self.buf_pool.push(filled);
-                self.req_pool.push(group);
+                self.req_pool.push(g.reqs);
             }
             if drained {
-                break;
+                return Ok(());
             }
         }
-        // Fold reader deltas into worker metrics (saturating: a reader
-        // whose counters reset mid-epoch must not wrap the fold).
-        let s = self.reader.stats();
-        self.metrics.add_reader_delta(&self.last_reader_stats, &s);
-        self.last_reader_stats = s;
-        Ok(())
     }
 
     /// Grows the workspace memory charge to match actual scratch capacity;
@@ -1122,40 +1204,106 @@ mod tests {
 
     #[test]
     fn stage_events_cover_the_batch() {
-        // The stage events of a batch — the worker's laps plus the reader's
-        // submit and completion timings — must explain its latency, with a
-        // page cache in front too: the probe loop is part of the plan lap.
+        // Every lap of a batch is carried by exactly one stage event, so
+        // with nothing dropped the events sum to the batch latency to the
+        // nanosecond — with a page cache in front too (the probe loop is
+        // part of the plan lap), for either engine and pipeline depth, and
+        // whether or not the trace origin was ever re-anchored.
         let graph = long_graph("coverage", 1 << 18);
         let seeds: Vec<NodeId> = (0..1024).collect();
         for (mode, cache) in fetch_shapes() {
-            let cfg = SamplerConfig::new()
-                .fanouts(&[10, 10])
-                .seed(5)
-                .read_plan(mode)
-                .cache(cache);
-            let mut w = worker(&graph, cfg);
-            w.set_trace_origin(Instant::now());
-            for batch in 0..4 {
-                w.sample_batch(&seeds, batch).unwrap();
-            }
-            let s = w.take_stats();
-            assert_eq!(s.trace_dropped, 0);
-            let (mut staged, mut batches) = (0u64, 0u64);
-            for e in &s.events {
-                match e.kind {
-                    EventKind::SampleDone => staged += e.c,
-                    EventKind::PlanBuilt | EventKind::GroupSubmit => staged += e.d,
-                    EventKind::GroupComplete => staged += e.c + e.d,
-                    EventKind::ScatterDone => staged += e.b,
-                    EventKind::BatchEnd => batches += e.b,
-                    _ => {}
+            for engine in [EngineKind::Uring, EngineKind::Pread] {
+                for pipeline in [PipelineMode::Async, PipelineMode::Sync] {
+                    let cfg = SamplerConfig::new()
+                        .fanouts(&[10, 10])
+                        .seed(5)
+                        .engine(engine)
+                        .pipeline(pipeline)
+                        .read_plan(mode)
+                        .cache(cache);
+                    let mut w = worker(&graph, cfg);
+                    if pipeline == PipelineMode::Async {
+                        w.set_trace_origin(Instant::now());
+                    }
+                    for batch in 0..4 {
+                        w.sample_batch(&seeds, batch).unwrap();
+                    }
+                    let s = w.take_stats();
+                    let what = format!("{mode:?} {cache:?} {engine:?} {pipeline:?}");
+                    assert_eq!(s.trace_dropped, 0, "{what}");
+                    let (mut staged, mut batches) = (0u64, 0u64);
+                    for e in &s.events {
+                        match e.kind {
+                            EventKind::SampleDone => staged += e.c,
+                            EventKind::PlanBuilt | EventKind::GroupSubmit => staged += e.d,
+                            EventKind::GroupComplete => staged += e.c + e.d,
+                            EventKind::ScatterDone => staged += e.b,
+                            EventKind::BatchEnd => batches += e.b,
+                            _ => {}
+                        }
+                    }
+                    assert_eq!(staged, batches, "{what}");
+                    assert_eq!(batches, s.batch_latency.sum(), "{what}");
+                    assert_eq!(batches, s.phases.total(), "{what}");
                 }
             }
-            assert_eq!(batches, s.batch_latency.sum(), "batch_end carries the lap sum");
+        }
+    }
+
+    #[test]
+    fn group_latency_counts_completed_groups() {
+        let graph = test_graph("grouplat");
+        let seeds: Vec<NodeId> = (0..64).collect();
+        for engine in [EngineKind::Uring, EngineKind::Pread] {
+            let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(4).engine(engine);
+            let mut w = worker(&graph, cfg);
+            assert!(w.stats().group_latency.is_empty());
+            w.sample_batch(&seeds, 0).unwrap();
+            w.sample_batch(&seeds, 1).unwrap();
+            let s = w.stats();
+            let lat = s.group_latency;
+            assert!(s.metrics.io_groups > 2, "{engine:?}");
+            assert_eq!(lat.count(), s.metrics.io_groups, "{engine:?}: one sample per group");
+            // A group's latency spans its own Submit and Complete laps.
             assert!(
-                staged as f64 >= 0.95 * batches as f64,
-                "{mode:?} {cache:?}: stages {staged} ns of {batches} ns"
+                lat.sum() >= s.phases.get(Phase::Submit) + s.phases.get(Phase::Complete),
+                "{engine:?}"
             );
+            assert!(lat.p99() >= lat.p50());
+        }
+    }
+
+    #[test]
+    fn attached_event_ring_records_group_lifecycle() {
+        // The worker is the one emitter of group events, for both engines
+        // and without `set_trace_origin` ever being called.
+        let graph = test_graph("grouplife");
+        let seeds: Vec<NodeId> = (0..64).collect();
+        for engine in [EngineKind::Uring, EngineKind::Pread] {
+            let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(8).engine(engine);
+            let mut w = worker(&graph, cfg);
+            w.sample_batch(&seeds, 0).unwrap();
+            let s = w.take_stats();
+            assert_eq!(s.trace_dropped, 0);
+            let of = |k: EventKind| s.events.iter().filter(move |e| e.kind == k);
+            let submits: Vec<&TraceEvent> = of(EventKind::GroupSubmit).collect();
+            let completes: Vec<&TraceEvent> = of(EventKind::GroupComplete).collect();
+            assert_eq!(submits.len() as u64, s.metrics.io_groups, "{engine:?}");
+            assert_eq!(completes.len(), submits.len(), "{engine:?}");
+            assert_eq!(submits.iter().map(|e| e.b).sum::<u64>(), s.metrics.io_requests);
+            // Groups complete in submission order, so the k-th of each pair up.
+            for (k, (sub, done)) in submits.iter().zip(&completes).enumerate() {
+                assert_eq!(sub.a, k as u64 + 1, "{engine:?}: ids count the groups");
+                assert_eq!(done.a, sub.a, "{engine:?}: matching group ids");
+                assert!(sub.b >= 1 && sub.b <= 8, "{engine:?}: request count");
+                assert!(sub.c >= sub.b && sub.c <= 16, "{engine:?}: in flight {}", sub.c);
+                assert!(done.ts_ns >= sub.ts_ns, "{engine:?}: complete after submit");
+                // The one latency definition: Submit lap start to Complete lap end.
+                assert_eq!(done.b, done.ts_ns - sub.ts_ns + sub.d, "{engine:?}");
+            }
+            let reaped: u64 = completes.iter().map(|e| e.c + e.d).sum();
+            assert_eq!(reaped, s.phases.get(Phase::Complete), "{engine:?}");
+            assert_eq!(s.group_latency.sum(), completes.iter().map(|e| e.b).sum::<u64>());
         }
     }
 
@@ -1199,12 +1347,6 @@ mod tests {
         fn stats(&self) -> ringsampler_io::ReaderStats {
             self.inner.stats()
         }
-        fn inflight(&self) -> u64 {
-            self.inner.inflight()
-        }
-        fn group_latency(&self) -> LatencyHistogram {
-            self.inner.group_latency()
-        }
         fn engine_name(&self) -> &'static str {
             self.inner.engine_name()
         }
@@ -1238,7 +1380,6 @@ mod tests {
         for (mode, cache, qd, take) in [
             (ReadPlanMode::coalesce(), CachePolicy::None, 64, all),
             // 4-byte requests: only the queue depth can close a group.
-            (ReadPlanMode::Dedup, CachePolicy::None, 8, 4099),
             (ReadPlanMode::Off, CachePolicy::None, 8, 4099),
             // A 1024-deep ring of page reads asks for 4 MiB per group.
             (ReadPlanMode::Off, page_cache, 1024, all),
@@ -1336,7 +1477,6 @@ mod tests {
         let graph = test_graph("planmodes");
         let modes = [
             ReadPlanMode::Off,
-            ReadPlanMode::Dedup,
             ReadPlanMode::Coalesce { gap: 0 },
             ReadPlanMode::coalesce(),
         ];
@@ -1396,8 +1536,9 @@ mod tests {
     #[test]
     fn planned_modes_save_reads_with_replacement() {
         // With replacement on a skewed access pattern, duplicates abound:
-        // Dedup must submit strictly fewer requests than naive, Coalesce
-        // no more than Dedup. All counters must flow to metrics.
+        // merging only repeats and exact neighbours (gap 0) must already
+        // submit strictly fewer requests than naive, a page-wide gap no
+        // more than that. All counters must flow to metrics.
         let graph = test_graph("plansave");
         let mk = |mode| {
             SamplerConfig::new()
@@ -1415,16 +1556,16 @@ mod tests {
             (s, m)
         };
         let (want, naive) = run(ReadPlanMode::Off);
-        let (got_d, dedup) = run(ReadPlanMode::Dedup);
+        let (got_0, gap0) = run(ReadPlanMode::Coalesce { gap: 0 });
         let (got_c, coal) = run(ReadPlanMode::coalesce());
-        assert_eq!(got_d, want);
+        assert_eq!(got_0, want);
         assert_eq!(got_c, want);
-        assert!(dedup.io_requests < naive.io_requests, "dedup must save SQEs");
-        assert!(coal.io_requests <= dedup.io_requests);
-        assert!(dedup.reads_planned > 0);
-        assert!(dedup.reads_saved > 0);
-        assert!(dedup.bytes_saved > 0);
-        assert!(coal.coalesce_ratio() >= dedup.coalesce_ratio());
+        assert!(gap0.io_requests < naive.io_requests, "merging repeats must save SQEs");
+        assert!(coal.io_requests <= gap0.io_requests);
+        assert!(gap0.reads_planned > 0);
+        assert!(gap0.reads_saved > 0);
+        assert!(gap0.bytes_saved > 0);
+        assert!(coal.coalesce_ratio() >= gap0.coalesce_ratio());
     }
 
     #[test]
@@ -1479,6 +1620,120 @@ mod tests {
         match err {
             SamplerError::Io(IoEngineError::ShortRead { got, .. }) => assert_eq!(got, 0),
             other => panic!("expected structured ShortRead, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_group_leaves_nothing_in_flight() {
+        // The first group reads past EOF while the second is in flight: the
+        // error surfaces, the second group's buffer comes back to the pool
+        // and the worker (and its reader's slot table) carries on.
+        let graph = test_graph("drain");
+        let seeds: Vec<NodeId> = (0..64).collect();
+        let mut entries: Vec<u64> = (0..12).collect();
+        entries[1] = 1 << 40;
+        for engine in [EngineKind::Uring, EngineKind::Pread] {
+            let cfg = SamplerConfig::new().fanouts(&[3]).ring_entries(4).engine(engine);
+            let mut w = worker(&graph, cfg.clone());
+            match w.fetch_entries(&entries).unwrap_err() {
+                SamplerError::Io(IoEngineError::ShortRead { .. }) => {}
+                other => panic!("{engine:?}: expected ShortRead, got {other:?}"),
+            }
+            assert_eq!(w.inflight_reqs, 0, "{engine:?}");
+            assert_eq!(w.buf_pool.len(), 1, "{engine:?}: the in-flight group's buffer");
+            let want = worker(&graph, cfg).sample_batch(&seeds, 0).unwrap();
+            assert_eq!(w.sample_batch(&seeds, 0).unwrap(), want, "{engine:?}");
+        }
+    }
+
+    /// A reader whose `complete_group` blocks for `park` and says so in
+    /// `wait_nanos`, the way a device that cannot keep up makes
+    /// `UringReader` do.
+    struct Parking {
+        inner: PreadReader,
+        park: std::time::Duration,
+        waited: u64,
+    }
+
+    impl GroupReader for Parking {
+        fn queue_depth(&self) -> usize {
+            self.inner.queue_depth()
+        }
+        fn submit_group(
+            &mut self,
+            reqs: &[ReadSlice],
+            buf: Vec<u8>,
+        ) -> ringsampler_io::Result<GroupToken> {
+            self.inner.submit_group(reqs, buf)
+        }
+        fn complete_group(&mut self, token: GroupToken) -> ringsampler_io::Result<Vec<u8>> {
+            std::thread::sleep(self.park);
+            self.waited += self.park.as_nanos() as u64;
+            self.inner.complete_group(token)
+        }
+        fn stats(&self) -> ringsampler_io::ReaderStats {
+            ringsampler_io::ReaderStats {
+                wait_nanos: self.waited,
+                ..self.inner.stats()
+            }
+        }
+        fn engine_name(&self) -> &'static str {
+            "parking"
+        }
+    }
+
+    #[test]
+    fn queue_gauge_reads_backlog_not_group_size() {
+        // The default 512-entry ring and 2048 reads a batch: two full groups
+        // are lent out at once, so a gauge of lent-out requests would read
+        // 1024 and convict every healthy run. The published gauge counts
+        // them only while the worker is blocked on them.
+        use crate::telemetry::QUEUE_DEPTH;
+        let graph = long_graph("gauge", 1 << 14);
+        let seeds: Vec<NodeId> = (0..1024).collect();
+        let cfg = SamplerConfig::new().fanouts(&[2]).seed(9);
+        let publishing = |cfg: SamplerConfig| {
+            let mut w = worker(&graph, cfg);
+            let cell = Arc::new(SnapshotCell::new(WorkerSnapshot::new()));
+            w.attach_telemetry(Arc::clone(&cell), 1, 0);
+            (w, cell)
+        };
+        for engine in [EngineKind::Uring, EngineKind::Pread] {
+            let (mut w, cell) = publishing(cfg.clone().engine(engine));
+            for batch in 0..3 {
+                w.sample_batch(&seeds, batch).unwrap();
+                let snap = cell.read().unwrap();
+                assert!(snap.active);
+                assert_eq!(snap.reads_submitted, 2048 * (batch + 1), "{engine:?}");
+                assert_eq!(snap.reads_completed, snap.reads_submitted, "{engine:?}");
+                // Page-cache reads complete at submission: nothing to park on.
+                assert!((snap.inflight as f64) < QUEUE_DEPTH, "{engine:?}: {}", snap.inflight);
+                if engine == EngineKind::Pread {
+                    assert_eq!(snap.inflight, 0, "pread never queues");
+                }
+            }
+        }
+        // A device that cannot keep up: every group is waited for, far
+        // longer than it takes to form the next one.
+        for (pipeline, window) in [(PipelineMode::Async, 1024), (PipelineMode::Sync, 512)] {
+            let (mut w, cell) = publishing(cfg.clone().pipeline(pipeline));
+            w.reader = Box::new(Parking {
+                inner: PreadReader::open(graph.edge_path(), 512).unwrap(),
+                park: std::time::Duration::from_millis(5),
+                waited: 0,
+            });
+            w.sample_batch(&seeds, 0).unwrap();
+            let inflight = cell.read().unwrap().inflight;
+            // Parked for most of the batch on a full window.
+            assert!(
+                inflight > window / 2 && inflight <= window,
+                "{pipeline:?}: parked worker published {inflight}"
+            );
+            if pipeline == PipelineMode::Async {
+                assert!(inflight as f64 >= QUEUE_DEPTH, "saturation must be reachable");
+            }
+            w.take_stats();
+            assert_eq!(cell.read().unwrap().inflight, 0, "inactive");
         }
     }
 

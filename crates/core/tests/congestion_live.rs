@@ -4,13 +4,15 @@
 //! `GET /congestion` endpoint mid-run and recorded as episodes in the
 //! final [`EpochReport`] — while an unthrottled epoch stays all-`ok`.
 //! A third phase checks the zero-interference invariant: enabling
-//! telemetry with history changes no sampled byte.
+//! telemetry with history changes no sampled byte; a fourth that the queue
+//! gauge those verdicts read measures backlog, not group size: the default
+//! ring with batches two full groups wide stays all-`ok` on either engine.
 //!
 //! All phases share one `#[test]` body: the engine's telemetry server is
 //! process-global (first config wins), so the phases run sequentially
 //! against the same registry rather than racing each other's epochs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -18,11 +20,15 @@ use ringsampler::telemetry::CongestionState;
 use ringsampler::{EpochReport, RingSampler, SamplerConfig, TelemetryConfig};
 use ringsampler_graph::edgefile::write_csr;
 use ringsampler_graph::{CsrGraph, NodeId, OnDiskGraph};
+use ringsampler_io::EngineKind;
 use ringstat::Json;
 
 fn build_graph(tag: &str) -> OnDiskGraph {
+    build_graph_of(tag, 96)
+}
+
+fn build_graph_of(tag: &str, nodes: u32) -> OnDiskGraph {
     let base = std::env::temp_dir().join(format!("rs-congestion-{}-{tag}", std::process::id()));
-    let nodes = 96u32;
     // Deterministic xorshift so both phases sample identical structure.
     let mut state = 0x1234_5678_9ABC_DEF0u64;
     let mut next = move || {
@@ -49,13 +55,15 @@ fn config(telemetry: bool) -> SamplerConfig {
         .batch_size(8)
         .seed(0xFEED);
     if telemetry {
-        cfg = cfg.telemetry(
-            TelemetryConfig::new("127.0.0.1:0")
-                .poll_interval(Duration::from_millis(10))
-                .history_capacity(256),
-        );
+        cfg = cfg.telemetry(live_telemetry());
     }
     cfg
+}
+
+fn live_telemetry() -> TelemetryConfig {
+    TelemetryConfig::new("127.0.0.1:0")
+        .poll_interval(Duration::from_millis(10))
+        .history_capacity(256)
 }
 
 /// 40 batches over 96 nodes: workers 0 and 1 own 20 each
@@ -75,11 +83,18 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> Option<String> {
     out.split_once("\r\n\r\n").map(|(_, body)| body.to_string())
 }
 
-/// Runs one epoch with a per-worker `on_batch` sleep and a background
-/// `/congestion` poller; returns the report and every `(worker, state)`
-/// pair observed live.
-fn run_epoch(sampler: &RingSampler, slow_ms: [u64; 2]) -> (EpochReport, Vec<(u64, String)>) {
-    let addr = sampler.telemetry().expect("telemetry on").addr();
+/// Runs one epoch over `targets` with a per-worker `on_batch` sleep and a
+/// background `/congestion` poller; returns the report, every
+/// `(worker, state)` pair observed live and the largest `inflight` any
+/// worker published.
+fn run_epoch(
+    sampler: &RingSampler,
+    targets: &[NodeId],
+    slow_ms: [u64; 2],
+) -> (EpochReport, Vec<(u64, String)>, u64) {
+    let telemetry = sampler.telemetry().expect("telemetry on");
+    let (addr, registry) = (telemetry.addr(), telemetry.registry());
+    let backlog = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     let seen: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
     let report = std::thread::scope(|scope| {
@@ -104,9 +119,14 @@ fn run_epoch(sampler: &RingSampler, slow_ms: [u64; 2]) -> (EpochReport, Vec<(u64
             }
         });
         let report = sampler
-            .sample_epoch_with(&targets(), |idx, _sample| {
-                // The throttle: the callback runs on the owning worker's
-                // thread, so sleeping here slows exactly one worker.
+            .sample_epoch_with(targets, |idx, _sample| {
+                // The callback runs on the owning worker's thread, right
+                // after that worker published its batch.
+                for s in registry.observe().iter().filter_map(|o| o.snapshot) {
+                    backlog.fetch_max(s.inflight, Ordering::Relaxed);
+                    assert_eq!(s.reads_completed, s.reads_submitted, "drained between batches");
+                }
+                // The throttle: sleeping here slows exactly one worker.
                 std::thread::sleep(Duration::from_millis(slow_ms[idx % 2]));
             })
             .expect("epoch");
@@ -114,14 +134,14 @@ fn run_epoch(sampler: &RingSampler, slow_ms: [u64; 2]) -> (EpochReport, Vec<(u64
         poller.join().unwrap();
         report
     });
-    (report, seen.into_inner().unwrap())
+    (report, seen.into_inner().unwrap(), backlog.into_inner())
 }
 
 #[test]
 fn throttled_worker_is_convicted_and_unthrottled_fleet_stays_ok() {
     // Phase 1 — throttled: worker 1 runs at a fifth of worker 0's pace.
     let sampler = RingSampler::new(build_graph("throttled"), config(true)).unwrap();
-    let (report, observed) = run_epoch(&sampler, [10, 50]);
+    let (report, observed, _) = run_epoch(&sampler, &targets(), [10, 50]);
     let non_ok: Vec<&(u64, String)> = observed.iter().filter(|(_, s)| s != "ok").collect();
     assert!(
         non_ok.iter().any(|(w, _)| *w == 1),
@@ -148,7 +168,7 @@ fn throttled_worker_is_convicted_and_unthrottled_fleet_stays_ok() {
     // Phase 2 — evenly loaded: the same brief pause on both workers.
     // Every live verdict and the final report must stay clean.
     let sampler = RingSampler::new(build_graph("even"), config(true)).unwrap();
-    let (report, observed) = run_epoch(&sampler, [10, 10]);
+    let (report, observed, _) = run_epoch(&sampler, &targets(), [10, 10]);
     assert!(
         observed.iter().all(|(_, s)| s == "ok"),
         "balanced fleet was convicted: {:?}",
@@ -180,4 +200,34 @@ fn throttled_worker_is_convicted_and_unthrottled_fleet_stays_ok() {
         collect(&without),
         "sampling output must be byte-identical with telemetry history on vs off"
     );
+
+    // Phase 4 — group size is not congestion. With the default 512-entry
+    // ring and at least 1024 reads a batch the worker lends the engine two
+    // full groups at once; a gauge of lent-out requests reads 1024 and
+    // convicts every healthy run, pread included. The gauge is the backlog
+    // the worker was blocked behind, and these reads come from the page
+    // cache: nothing is ever waited for.
+    let wide: Vec<NodeId> = (0..40 * 256u32).map(|i| i % 4096).collect();
+    for engine in [EngineKind::Uring, EngineKind::Pread] {
+        let cfg = SamplerConfig::new()
+            .fanouts(&[4, 2])
+            .threads(2)
+            .batch_size(256)
+            .seed(0xFEED)
+            .engine(engine)
+            .telemetry(live_telemetry());
+        let graph = build_graph_of(&format!("wide-{engine:?}"), 4096);
+        let sampler = RingSampler::new(graph, cfg).unwrap();
+        let (report, observed, backlog) = run_epoch(&sampler, &wide, [10, 10]);
+        assert!(report.metrics.io_requests >= 40 * 1024, "{engine:?}: batches too narrow");
+        assert!(
+            observed.iter().all(|(_, s)| s == "ok"),
+            "{engine:?}: healthy default-ring fleet was convicted: {:?}",
+            observed.iter().filter(|(_, s)| s != "ok").collect::<Vec<_>>()
+        );
+        assert!(report.congestion.is_empty(), "{engine:?}: {:?}", report.congestion);
+        if engine == EngineKind::Pread {
+            assert_eq!(backlog, 0, "pread never queues anything");
+        }
+    }
 }

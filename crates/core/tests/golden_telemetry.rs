@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use ringsampler::telemetry::{
     congestion_document, metrics_document, progress_document, spawn_server, trace_document,
-    CongestionConfig, CongestionDetector, FleetRates, MetricsExtras, SnapshotRegistry,
+    CongestionDetector, FleetRates, MetricsExtras, SnapshotRegistry,
     TelemetryConfig, WorkerObservation,
 };
 use ringstat::{EventKind, EventRing, TraceEvent, WorkerSnapshot};
@@ -331,7 +331,7 @@ fn congestion_endpoint_body_is_pinned() {
     // The same detector the telemetry thread runs, over the registry's
     // real windows: worker 1 completes batches at a tenth of the fleet
     // median and must be convicted as the straggler.
-    let detector = CongestionDetector::new(CongestionConfig::default());
+    let detector = CongestionDetector::new();
     let verdicts = detector.assess(&registry.history_windows(12), &[]);
     let doc = congestion_document(&verdicts);
     assert!(doc.contains("\"state\": \"ok\""), "{doc}");

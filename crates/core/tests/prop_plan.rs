@@ -91,11 +91,10 @@ fn sample_one(sampler: &RingSampler, seeds: &[NodeId]) -> ringsampler::BatchSamp
 }
 
 fn arb_mode() -> impl Strategy<Value = ReadPlanMode> {
-    (0u8..5).prop_map(|i| match i {
+    (0u8..4).prop_map(|i| match i {
         0 => ReadPlanMode::Off,
-        1 => ReadPlanMode::Dedup,
-        2 => ReadPlanMode::Coalesce { gap: 0 },
-        3 => ReadPlanMode::Coalesce { gap: 64 },
+        1 => ReadPlanMode::Coalesce { gap: 0 },
+        2 => ReadPlanMode::Coalesce { gap: 64 },
         _ => ReadPlanMode::coalesce(),
     })
 }
@@ -234,7 +233,7 @@ proptest! {
         }
     }
 
-    /// Dedup on a duplicate-heavy stream must strictly shrink the plan.
+    /// Merging repeats alone (gap 0) must strictly shrink a duplicate-heavy plan.
     #[test]
     fn dedup_shrinks_duplicate_streams(
         uniques in proptest::collection::vec(0u64..100, 1..32),
@@ -245,7 +244,7 @@ proptest! {
             entries.extend_from_slice(&uniques);
         }
         let mut planner = ReadPlanner::new();
-        let stats = planner.plan(&entries, 0, ENTRY_BYTES as u32, ReadPlanMode::Dedup);
+        let stats = planner.plan(&entries, 0, ENTRY_BYTES as u32, ReadPlanMode::Coalesce { gap: 0 });
         prop_assert!(stats.planned_reads < entries.len() as u64);
         prop_assert!(stats.reads_saved() >= (entries.len() - uniques.len()) as u64);
     }

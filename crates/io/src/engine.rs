@@ -10,24 +10,28 @@
 //! * [`PreadReader`] — a portable synchronous fallback with identical
 //!   semantics, used when io_uring is unavailable and as a test oracle.
 //!
+//! Engines only read. Which groups were formed, how many requests and
+//! bytes they carried and how long each took is the account of the caller
+//! that formed them and already times its calls; an engine reports only
+//! what nobody else can know ([`ReaderStats`]): the syscalls it issued and
+//! the time it spent blocked waiting for a completion.
+//!
 //! Buffer ownership: the reader owns every in-flight buffer. Callers receive
 //! an opaque [`GroupToken`] at submission and exchange it for the filled
 //! buffer at completion. Dropping a token without completing it leaks the
 //! buffer *into the reader* (never freeing memory the kernel may still
-//! write), keeping the API safe.
+//! write), keeping the API safe — at the cost
+//! [`GroupReader::complete_group`] spells out.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::os::unix::io::AsRawFd;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
-use ringstat::{EventKind, EventRing, LatencyHistogram, TraceEvent};
-
 use crate::error::{IoEngineError, Result};
-use crate::ring::Ring;
+use crate::ring::{Completion, Ring};
 
 /// One scattered read: `len` bytes at byte `offset` of the reader's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,31 +52,22 @@ impl ReadSlice {
 /// Token for an in-flight I/O group; exchange for the buffer with
 /// [`GroupReader::complete_group`].
 #[derive(Debug)]
-#[must_use = "an in-flight group must be completed to retrieve its data"]
+#[must_use = "complete_group(token) returns the data; a dropped token leaks its buffer and one table slot per later group into the reader"]
 pub struct GroupToken {
     id: u64,
-    /// Total payload bytes the group will produce.
-    total_len: usize,
 }
 
-impl GroupToken {
-    /// Total payload bytes this group will produce on completion.
-    pub fn total_len(&self) -> usize {
-        self.total_len
-    }
-}
-
-/// Counters exposed by every reader (feed the sampler's metrics).
+/// What only the engine can know about its own work, cumulative over the
+/// reader's lifetime. Groups, requests, bytes and latencies are counted by
+/// the caller, which formed the groups.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReaderStats {
-    /// I/O groups submitted.
-    pub groups: u64,
-    /// Individual read requests submitted.
-    pub requests: u64,
-    /// Payload bytes read.
-    pub bytes: u64,
     /// Syscalls issued (`io_uring_enter` or `pread` count).
     pub syscalls: u64,
+    /// Nanoseconds spent blocked waiting for a completion — the part of
+    /// the calls that is the device's, not the CPU's. Always 0 for an
+    /// engine that reads synchronously at submission.
+    pub wait_nanos: u64,
 }
 
 /// A reader that executes scattered-read groups against one file.
@@ -94,7 +89,13 @@ pub trait GroupReader: Send {
     fn submit_group(&mut self, reqs: &[ReadSlice], buf: Vec<u8>) -> Result<GroupToken>;
 
     /// Blocks until every read in the group has completed and returns the
-    /// filled buffer.
+    /// filled buffer. Groups may be completed in any order.
+    ///
+    /// Every token must come back through here, on the caller's error path
+    /// too. Groups are filed in a table indexed by `id − oldest`, so one
+    /// that is never completed keeps its buffer and pins an empty slot for
+    /// each group submitted after it, for the reader's lifetime: reads stay
+    /// correct, memory grows by a word per group.
     ///
     /// # Errors
     /// [`IoEngineError::ShortRead`] if any read returned fewer bytes than
@@ -104,28 +105,6 @@ pub trait GroupReader: Send {
 
     /// Lifetime counters.
     fn stats(&self) -> ReaderStats;
-
-    /// Read requests currently in flight: SQEs submitted whose CQEs have
-    /// not been reaped yet. The live queue-occupancy gauge behind
-    /// `ringscope`'s per-worker telemetry; always 0 for engines that
-    /// execute groups eagerly at submission time.
-    fn inflight(&self) -> u64;
-
-    /// Per-group submit→complete latency distribution over the reader's
-    /// lifetime. One sample is recorded per completed group; recording is
-    /// allocation-free (the histogram is a fixed-size `Copy` value).
-    fn group_latency(&self) -> LatencyHistogram;
-
-    /// Attaches a `ringtrace` flight-recorder ring: the engine records
-    /// `GroupSubmit` / `GroupComplete` lifecycle events into it, with
-    /// timestamps in nanoseconds since `origin` (the caller's epoch-start
-    /// instant, shared across workers so all lanes share one timeline).
-    /// The reader and the ring share the worker's thread, preserving the
-    /// ring's single-writer contract. Default: no-op, for engines without
-    /// lifecycle instrumentation.
-    fn attach_events(&mut self, ring: Arc<EventRing>, origin: Instant) {
-        let _ = (ring, origin);
-    }
 
     /// Human-readable engine name (for experiment logs).
     fn engine_name(&self) -> &'static str;
@@ -145,49 +124,101 @@ pub fn read_group_blocking(
     reader.complete_group(token)
 }
 
+/// What went wrong, if anything, with the one read `r` that ended in `outcome`.
+fn read_failure(r: &ReadSlice, outcome: std::io::Result<usize>) -> Option<IoEngineError> {
+    match outcome {
+        Ok(n) if n == r.len as usize => None,
+        Ok(n) => Some(IoEngineError::ShortRead {
+            offset: r.offset,
+            expected: r.len,
+            got: n as i32,
+        }),
+        Err(source) => Some(IoEngineError::Completion {
+            offset: r.offset,
+            source,
+        }),
+    }
+}
+
+/// The in-flight groups of one reader, by id. Ids are handed out
+/// consecutively, so group `id` lives at index `id - oldest`: a completion
+/// finds its group by subtraction. Groups may be taken in any order; a slot
+/// taken out of turn stays behind, empty, until every older group has left.
+struct SlotTable<T> {
+    /// Id of `slots[0]`.
+    oldest: u64,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> std::fmt::Debug for SlotTable<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} slot(s) from group {}", self.slots.len(), self.oldest)
+    }
+}
+
+impl<T> SlotTable<T> {
+    fn new() -> Self {
+        Self {
+            oldest: 1,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// The id the next [`SlotTable::push`] files its group under.
+    fn next_id(&self) -> u64 {
+        self.oldest + self.slots.len() as u64
+    }
+
+    fn push(&mut self, slot: T) {
+        self.slots.push_back(Some(slot));
+    }
+
+    fn index_of(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.oldest)?).ok()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        self.slots.get_mut(self.index_of(id)?)?.as_mut()
+    }
+
+    /// Takes group `id` out, then retires the emptied slots at the front.
+    fn take(&mut self, id: u64) -> Option<T> {
+        let slot = self.slots.get_mut(self.index_of(id)?)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.oldest += 1;
+        }
+        slot
+    }
+}
+
 // ---------------------------------------------------------------------------
 // io_uring implementation
 // ---------------------------------------------------------------------------
 
 struct Slot {
     buf: Vec<u8>,
-    /// (offset, len) per request, indexed by the low bits of user_data.
-    reqs: Vec<(u64, u32)>,
+    /// The group's requests, indexed by the low bits of user_data.
+    reqs: Vec<ReadSlice>,
     remaining: u32,
     /// First error observed among the group's completions.
     error: Option<IoEngineError>,
-    /// When the group's SQEs were submitted (for the latency histogram).
-    submitted: Instant,
 }
 
 /// io_uring-backed [`GroupReader`] bound to a single file.
+#[derive(Debug)]
 pub struct UringReader {
     ring: Ring,
     file: File,
     /// When true, the file is in the ring's registered table at index 0
     /// and reads use `IOSQE_FIXED_FILE` (skips per-I/O fd refcounting).
     registered: bool,
-    next_id: u64,
-    slots: HashMap<u64, Slot>,
+    groups: SlotTable<Slot>,
     /// Request tables of completed groups, recycled into the next slots.
-    spare_reqs: Vec<Vec<(u64, u32)>>,
+    spare_reqs: Vec<Vec<ReadSlice>>,
+    /// SQEs submitted whose CQEs have not been reaped: what `Drop` drains.
     outstanding: u64,
-    stats: ReaderStats,
-    lat: LatencyHistogram,
-    /// Flight recorder + epoch-start origin (see
-    /// [`GroupReader::attach_events`]); `None` keeps the hot path free of
-    /// any extra clock reads.
-    events: Option<(Arc<EventRing>, Instant)>,
-}
-
-impl std::fmt::Debug for UringReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UringReader")
-            .field("queue_depth", &self.ring.capacity())
-            .field("outstanding", &self.outstanding)
-            .field("stats", &self.stats)
-            .finish()
-    }
+    wait_nanos: u64,
 }
 
 impl UringReader {
@@ -210,28 +241,11 @@ impl UringReader {
             ring: Ring::new(queue_depth)?,
             file,
             registered: false,
-            next_id: 1,
-            slots: HashMap::new(),
+            groups: SlotTable::new(),
             spare_reqs: Vec::new(),
             outstanding: 0,
-            stats: ReaderStats::default(),
-            lat: LatencyHistogram::new(),
-            events: None,
+            wait_nanos: 0,
         })
-    }
-
-    /// Records one lifecycle event if a flight recorder is attached.
-    fn trace(&self, kind: EventKind, a: u64, b: u64, c: u64, d: u64) {
-        if let Some((ring, origin)) = &self.events {
-            ring.record(TraceEvent {
-                ts_ns: origin.elapsed().as_nanos() as u64,
-                kind,
-                a,
-                b,
-                c,
-                d,
-            });
-        }
     }
 
     /// Installs the file into the ring's registered-file table and
@@ -252,9 +266,14 @@ impl UringReader {
         self.registered
     }
 
+    /// Reaps one completion; when `block` is false, only if one is ready.
+    /// The blocking wait is the one place an engine reads the clock.
     fn pump_one(&mut self, block: bool) -> Result<bool> {
         let completion = if block {
-            Some(self.ring.wait_completion()?)
+            let parked = Instant::now();
+            let c = self.ring.wait_completion()?;
+            self.wait_nanos += parked.elapsed().as_nanos() as u64;
+            Some(c)
         } else {
             self.ring.peek_completion()
         };
@@ -262,34 +281,27 @@ impl UringReader {
             return Ok(false);
         };
         self.outstanding -= 1;
-        let gid = c.user_data >> 20;
-        let idx = (c.user_data & 0xFFFFF) as usize;
-        if let Some(slot) = self.slots.get_mut(&gid) {
-            match slot.reqs.get(idx).copied() {
-                Some((offset, len)) => match c.bytes() {
-                    Ok(n) if n == len => {}
-                    Ok(n) => {
-                        slot.error.get_or_insert(IoEngineError::ShortRead {
-                            offset,
-                            expected: len,
-                            got: n as i32,
-                        });
-                    }
-                    Err(source) => {
-                        slot.error
-                            .get_or_insert(IoEngineError::Completion { offset, source });
-                    }
-                },
-                // A CQE whose user_data indexes outside the group it names:
-                // a ring accounting bug, reported instead of panicking.
-                None => {
-                    slot.error
-                        .get_or_insert(IoEngineError::InvalidToken(c.user_data));
-                }
-            }
-            slot.remaining -= 1;
-        }
+        self.file_completion(c);
         Ok(true)
+    }
+
+    /// Files a completion under its group, wherever in the table that is:
+    /// CQEs arrive in the kernel's order, not submission order.
+    fn file_completion(&mut self, c: Completion) {
+        let idx = (c.user_data & 0xFFFFF) as usize;
+        let Some(slot) = self.groups.get_mut(c.user_data >> 20) else {
+            return;
+        };
+        let failure = match slot.reqs.get(idx) {
+            Some(r) => read_failure(r, c.bytes().map(|n| n as usize)),
+            // A CQE whose user_data indexes outside the group it names:
+            // a ring accounting bug, reported instead of panicking.
+            None => Some(IoEngineError::InvalidToken(c.user_data)),
+        };
+        if slot.error.is_none() {
+            slot.error = failure;
+        }
+        slot.remaining -= 1;
     }
 }
 
@@ -309,132 +321,63 @@ impl GroupReader for UringReader {
             reqs.len() < (1 << 20),
             "group index must fit in 20 bits of user_data"
         );
-        // Clock reads for the flight recorder only happen when attached.
-        let t0 = self.events.as_ref().map(|_| Instant::now());
         let total: usize = reqs.iter().map(|r| r.len as usize).sum();
         // Zero-fills only a genuine extension: the reads overwrite the rest.
         buf.resize(total, 0);
-
-        let id = self.next_id;
-        self.next_id += 1;
 
         // Make SQ room if earlier groups still occupy slots.
         while self.ring.sq_space() < reqs.len() {
             self.pump_one(true)?;
         }
 
+        let id = self.groups.next_id();
         let fd = self.file.as_raw_fd();
         let mut cursor = 0usize;
-        let mut req_meta = self.spare_reqs.pop().unwrap_or_default();
-        req_meta.clear();
-        req_meta.reserve(reqs.len());
         for (i, r) in reqs.iter().enumerate() {
             let user_data = (id << 20) | i as u64;
-            // SAFETY: the destination is `buf`, owned by the slot we insert
+            // SAFETY: the destination is `buf`, owned by the slot we push
             // below and not moved or freed until the group completes or the
             // reader drains it on drop; cursor+len <= buf.len() by
             // construction. In registered-file mode, index 0 refers to this
             // reader's file.
             unsafe {
+                let dst = buf.as_mut_ptr().add(cursor);
                 if self.registered {
-                    self.ring.prepare_read_fixed(
-                        0,
-                        buf.as_mut_ptr().add(cursor),
-                        r.len,
-                        r.offset,
-                        user_data,
-                    )?;
+                    self.ring.prepare_read_fixed(0, dst, r.len, r.offset, user_data)?;
                 } else {
-                    self.ring.prepare_read(
-                        fd,
-                        buf.as_mut_ptr().add(cursor),
-                        r.len,
-                        r.offset,
-                        user_data,
-                    )?;
+                    self.ring.prepare_read(fd, dst, r.len, r.offset, user_data)?;
                 }
             }
-            req_meta.push((r.offset, r.len));
             cursor += r.len as usize;
         }
         self.ring.submit()?;
         self.outstanding += reqs.len() as u64;
-        self.stats.groups += 1;
-        self.stats.requests += reqs.len() as u64;
-        self.stats.bytes += total as u64;
 
-        self.slots.insert(
-            id,
-            Slot {
-                buf,
-                reqs: req_meta,
-                remaining: reqs.len() as u32,
-                error: None,
-                submitted: Instant::now(),
-            },
-        );
-        if let Some(t0) = t0 {
-            self.trace(
-                EventKind::GroupSubmit,
-                id,
-                reqs.len() as u64,
-                self.outstanding,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        Ok(GroupToken {
-            id,
-            total_len: total,
-        })
+        let mut table = self.spare_reqs.pop().unwrap_or_default();
+        table.clear();
+        table.extend_from_slice(reqs);
+        self.groups.push(Slot {
+            buf,
+            reqs: table,
+            remaining: reqs.len() as u32,
+            error: None,
+        });
+        Ok(GroupToken { id })
     }
 
     fn complete_group(&mut self, token: GroupToken) -> Result<Vec<u8>> {
-        let t0 = self.events.as_ref().map(|_| Instant::now());
-        let mut wait_ns = 0u64;
-        loop {
-            let done = self
-                .slots
-                .get(&token.id)
-                .map(|s| s.remaining == 0)
-                .unwrap_or(true);
-            if done {
-                break;
-            }
-            // Completion polling mode: spin on the CQ (no syscall) first;
-            // pump_one(block=true) falls back to GETEVENTS after a bounded
-            // spin inside wait_completion.
+        // Completion polling mode: reap what the CQ already holds (no
+        // syscall) and park in the blocking wait only when it is empty.
+        while self.groups.get_mut(token.id).is_some_and(|s| s.remaining > 0) {
             if !self.pump_one(false)? {
-                // The blocking pump is the pipeline's inflight-wait stage;
-                // attribute it separately from non-blocking reaping.
-                if let Some(w0) = t0.map(|_| Instant::now()) {
-                    self.pump_one(true)?;
-                    wait_ns += w0.elapsed().as_nanos() as u64;
-                } else {
-                    self.pump_one(true)?;
-                }
+                self.pump_one(true)?;
             }
         }
-        let mut slot = self
-            .slots
-            .remove(&token.id)
+        let slot = self
+            .groups
+            .take(token.id)
             .ok_or(IoEngineError::InvalidToken(token.id))?;
-        self.spare_reqs.push(std::mem::take(&mut slot.reqs));
-        self.stats.syscalls = self.ring.enter_calls();
-        // Latency is recorded for every completed group, error or not:
-        // a group whose reads failed still occupied the ring for its
-        // full submit→complete window.
-        let kernel_visible = slot.submitted.elapsed();
-        self.lat.record_duration(kernel_visible);
-        if let Some(t0) = t0 {
-            let total_ns = t0.elapsed().as_nanos() as u64;
-            self.trace(
-                EventKind::GroupComplete,
-                token.id,
-                kernel_visible.as_nanos() as u64,
-                wait_ns,
-                total_ns.saturating_sub(wait_ns),
-            );
-        }
+        self.spare_reqs.push(slot.reqs);
         match slot.error {
             Some(e) => Err(e),
             None => Ok(slot.buf),
@@ -442,21 +385,10 @@ impl GroupReader for UringReader {
     }
 
     fn stats(&self) -> ReaderStats {
-        let mut s = self.stats;
-        s.syscalls = self.ring.enter_calls();
-        s
-    }
-
-    fn inflight(&self) -> u64 {
-        self.outstanding
-    }
-
-    fn group_latency(&self) -> LatencyHistogram {
-        self.lat
-    }
-
-    fn attach_events(&mut self, ring: Arc<EventRing>, origin: Instant) {
-        self.events = Some((ring, origin));
+        ReaderStats {
+            syscalls: self.ring.enter_calls(),
+            wait_nanos: self.wait_nanos,
+        }
     }
 
     fn engine_name(&self) -> &'static str {
@@ -485,24 +417,13 @@ impl Drop for UringReader {
 /// Each "group" is executed eagerly with `pread(2)` calls at submission
 /// time; completion merely hands the buffer back. Useful on kernels or
 /// sandboxes without io_uring and as a differential-testing oracle.
+#[derive(Debug)]
 pub struct PreadReader {
     file: File,
     queue_depth: usize,
-    next_id: u64,
-    ready: HashMap<u64, std::result::Result<Vec<u8>, IoEngineError>>,
-    stats: ReaderStats,
-    lat: LatencyHistogram,
-    /// Flight recorder + epoch-start origin; `None` disables recording.
-    events: Option<(Arc<EventRing>, Instant)>,
-}
-
-impl std::fmt::Debug for PreadReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreadReader")
-            .field("queue_depth", &self.queue_depth)
-            .field("stats", &self.stats)
-            .finish()
-    }
+    /// Groups read at submission, waiting to be handed back.
+    ready: SlotTable<Result<Vec<u8>>>,
+    syscalls: u64,
 }
 
 impl PreadReader {
@@ -520,25 +441,8 @@ impl PreadReader {
         Self {
             file,
             queue_depth: queue_depth.max(1) as usize,
-            next_id: 1,
-            ready: HashMap::new(),
-            stats: ReaderStats::default(),
-            lat: LatencyHistogram::new(),
-            events: None,
-        }
-    }
-
-    /// Records one lifecycle event if a flight recorder is attached.
-    fn trace(&self, kind: EventKind, a: u64, b: u64, c: u64, d: u64) {
-        if let Some((ring, origin)) = &self.events {
-            ring.record(TraceEvent {
-                ts_ns: origin.elapsed().as_nanos() as u64,
-                kind,
-                a,
-                b,
-                c,
-                d,
-            });
+            ready: SlotTable::new(),
+            syscalls: 0,
         }
     }
 }
@@ -559,76 +463,34 @@ impl GroupReader for PreadReader {
         // Zero-fills only a genuine extension: the reads overwrite the rest.
         buf.resize(total, 0);
 
-        let started = Instant::now();
         let mut cursor = 0usize;
-        let mut outcome: std::result::Result<(), IoEngineError> = Ok(());
+        let mut outcome: Result<()> = Ok(());
         for r in reqs {
             let dst = &mut buf[cursor..cursor + r.len as usize];
             // ringlint: allow(no-blocking-io) — PreadReader is the synchronous fallback and differential-testing oracle; pread(2) at submit time is its contract
-            match self.file.read_at(dst, r.offset) {
-                Ok(n) if n == r.len as usize => {}
-                Ok(n) => {
-                    outcome = Err(IoEngineError::ShortRead {
-                        offset: r.offset,
-                        expected: r.len,
-                        got: n as i32,
-                    });
-                    break;
-                }
-                Err(source) => {
-                    outcome = Err(IoEngineError::Completion {
-                        offset: r.offset,
-                        source,
-                    });
-                    break;
-                }
+            if let Some(e) = read_failure(r, self.file.read_at(dst, r.offset)) {
+                outcome = Err(e);
+                break;
             }
             cursor += r.len as usize;
-            self.stats.syscalls += 1;
+            self.syscalls += 1;
         }
-        self.stats.groups += 1;
-        self.stats.requests += reqs.len() as u64;
-        self.stats.bytes += total as u64;
-        // The synchronous engine does its I/O eagerly here, so the group
-        // "latency" is the eager pread loop — not submit→complete, which
-        // would mostly measure the caller's delay in exchanging the token.
-        self.lat.record_duration(started.elapsed());
-
-        let id = self.next_id;
-        self.next_id += 1;
-        // The eager engine's whole I/O happens in the submit call, so the
-        // submit event carries the full duration and the complete event
-        // reports zero wait/reap (nothing is ever pending).
-        let eager_ns = started.elapsed().as_nanos() as u64;
-        self.trace(EventKind::GroupSubmit, id, reqs.len() as u64, 0, eager_ns);
-        self.trace(EventKind::GroupComplete, id, eager_ns, 0, 0);
-        self.ready.insert(id, outcome.map(|()| buf));
-        Ok(GroupToken {
-            id,
-            total_len: total,
-        })
+        let id = self.ready.next_id();
+        self.ready.push(outcome.map(|()| buf));
+        Ok(GroupToken { id })
     }
 
     fn complete_group(&mut self, token: GroupToken) -> Result<Vec<u8>> {
         self.ready
-            .remove(&token.id)
+            .take(token.id)
             .unwrap_or(Err(IoEngineError::InvalidToken(token.id)))
     }
 
     fn stats(&self) -> ReaderStats {
-        self.stats
-    }
-
-    fn inflight(&self) -> u64 {
-        0 // groups execute eagerly at submission; nothing is ever pending
-    }
-
-    fn group_latency(&self) -> LatencyHistogram {
-        self.lat
-    }
-
-    fn attach_events(&mut self, ring: Arc<EventRing>, origin: Instant) {
-        self.events = Some((ring, origin));
+        ReaderStats {
+            syscalls: self.syscalls,
+            wait_nanos: 0,
+        }
     }
 
     fn engine_name(&self) -> &'static str {
@@ -670,10 +532,6 @@ mod tests {
                 assert_eq!(got as u64 * 4, req.offset);
             }
         }
-        let s = r.stats();
-        assert_eq!(s.groups, 3);
-        assert_eq!(s.requests, 96);
-        assert_eq!(s.bytes, 96 * 4);
     }
 
     #[test]
@@ -763,7 +621,6 @@ mod tests {
         let path = write_u32_file(10);
         let mut r = UringReader::open(&path, 8).unwrap();
         let t = r.submit_group(&[], vec![1, 2, 3]).unwrap();
-        assert_eq!(t.total_len(), 0);
         let b = r.complete_group(t).unwrap();
         assert!(b.is_empty());
         std::fs::remove_file(path).ok();
@@ -772,12 +629,24 @@ mod tests {
     #[test]
     fn dropping_token_is_safe() {
         let path = write_u32_file(1000);
-        let mut r = UringReader::open(&path, 8).unwrap();
-        let t = r
-            .submit_group(&[ReadSlice::new(0, 4), ReadSlice::new(4, 4)], Vec::new())
-            .unwrap();
-        drop(t); // buffer stays owned by the reader; drop of reader drains.
-        drop(r);
+        let mut u = UringReader::open(&path, 8).unwrap();
+        let mut p = PreadReader::open(&path, 8).unwrap();
+        let lost = [ReadSlice::new(0, 4), ReadSlice::new(4, 4)];
+        // The buffers stay owned by the readers.
+        drop(u.submit_group(&lost, Vec::new()).unwrap());
+        drop(p.submit_group(&lost, Vec::new()).unwrap());
+        // The lost group pins the slot of every later one, and costs
+        // nothing else: each still reads what it asked for.
+        for k in 0..100u32 {
+            let reqs = [k, 999 - k].map(|x| ReadSlice::new(u64::from(x) * 4, 4));
+            let want: Vec<u8> = [k, 999 - k].iter().flat_map(|x| x.to_le_bytes()).collect();
+            assert_eq!(read_group_blocking(&mut u, &reqs, Vec::new()).unwrap(), want);
+            assert_eq!(read_group_blocking(&mut p, &reqs, Vec::new()).unwrap(), want);
+        }
+        assert_eq!((u.groups.oldest, u.groups.slots.len()), (1, 101));
+        assert_eq!((p.ready.oldest, p.ready.slots.len()), (1, 101));
+        assert_eq!(u.groups.slots.iter().flatten().count(), 1, "only the lost group is held");
+        drop(u); // drains what the kernel may still write.
         std::fs::remove_file(path).ok();
     }
 
@@ -793,73 +662,66 @@ mod tests {
     }
 
     #[test]
-    fn group_latency_counts_completed_groups() {
-        let path = write_u32_file(1_000);
-        for mut r in [
-            Box::new(UringReader::open(&path, 16).unwrap()) as Box<dyn GroupReader>,
-            Box::new(PreadReader::open(&path, 16).unwrap()) as Box<dyn GroupReader>,
-        ] {
-            assert!(r.group_latency().is_empty());
-            for round in 0..5u64 {
-                let reqs: Vec<ReadSlice> =
-                    (0..8u64).map(|i| ReadSlice::new((round * 8 + i) * 4, 4)).collect();
-                read_group_blocking(r.as_mut(), &reqs, Vec::new()).unwrap();
-            }
-            let lat = r.group_latency();
-            assert_eq!(
-                lat.count(),
-                r.stats().groups,
-                "{}: one latency sample per completed group",
-                r.engine_name()
-            );
-            assert!(lat.max() >= lat.min());
-            assert!(lat.p99() >= lat.p50());
+    fn completion_for_a_younger_group_is_filed_by_subtraction() {
+        // Three groups in flight; the kernel answers the second-oldest
+        // first. Synthetic completions, so the order is the test's.
+        let path = write_u32_file(16);
+        let mut r = UringReader::open(&path, 8).unwrap();
+        for id in 1..=3u64 {
+            assert_eq!(r.groups.next_id(), id);
+            r.groups.push(Slot {
+                buf: Vec::new(),
+                reqs: vec![ReadSlice::new(id * 8, 4), ReadSlice::new(id * 8 + 4, 4)],
+                remaining: 2,
+                error: None,
+            });
         }
+        let cqe = |id: u64, idx: u64, result| Completion {
+            user_data: (id << 20) | idx,
+            result,
+        };
+        r.file_completion(cqe(2, 1, 4));
+        r.file_completion(cqe(2, 0, 2)); // short
+        r.file_completion(cqe(3, 0, 4));
+        r.file_completion(cqe(9, 0, 4)); // no such group: ignored
+        let left = |r: &mut UringReader, id| r.groups.get_mut(id).map(|s| s.remaining);
+        assert_eq!(left(&mut r, 1), Some(2));
+        assert_eq!(left(&mut r, 2), Some(0));
+        assert_eq!(left(&mut r, 3), Some(1));
+        assert_eq!(left(&mut r, 9), None);
+        // Taken out of turn, group 2 leaves its slot behind until group 1
+        // goes; then both retire and group 3 is the oldest.
+        let second = r.groups.take(2).unwrap();
+        assert!(matches!(
+            second.error,
+            Some(IoEngineError::ShortRead { offset: 16, expected: 4, got: 2 })
+        ));
+        assert!(r.groups.take(2).is_none(), "a group is taken once");
+        assert_eq!(r.groups.oldest, 1);
+        assert!(r.groups.take(1).is_some());
+        assert_eq!(r.groups.oldest, 3);
+        assert_eq!(left(&mut r, 3), Some(1));
+        assert_eq!(r.groups.next_id(), 4);
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn attached_event_ring_records_group_lifecycle() {
+    fn only_a_blocking_wait_is_timed() {
         let path = write_u32_file(1_000);
-        for (mk, name) in [
-            (
-                (|p: &Path| Box::new(UringReader::open(p, 16).unwrap()) as Box<dyn GroupReader>)
-                    as fn(&Path) -> Box<dyn GroupReader>,
-                "io_uring",
-            ),
-            (
-                (|p: &Path| Box::new(PreadReader::open(p, 16).unwrap()) as Box<dyn GroupReader>)
-                    as fn(&Path) -> Box<dyn GroupReader>,
-                "pread",
-            ),
-        ] {
-            let mut r = mk(&path);
-            let ring = Arc::new(EventRing::new(64));
-            r.attach_events(Arc::clone(&ring), Instant::now());
-            let reqs: Vec<ReadSlice> = (0..8u64).map(|i| ReadSlice::new(i * 4, 4)).collect();
-            read_group_blocking(r.as_mut(), &reqs, Vec::new()).unwrap();
-            read_group_blocking(r.as_mut(), &reqs, Vec::new()).unwrap();
-            let events = ring.drain();
-            let submits: Vec<&TraceEvent> = events
-                .iter()
-                .filter(|e| e.kind == EventKind::GroupSubmit)
-                .collect();
-            let completes: Vec<&TraceEvent> = events
-                .iter()
-                .filter(|e| e.kind == EventKind::GroupComplete)
-                .collect();
-            assert_eq!(submits.len(), 2, "{name}");
-            assert_eq!(completes.len(), 2, "{name}");
-            for s in &submits {
-                assert_eq!(s.b, 8, "{name}: SQE count");
-            }
-            for (s, c) in submits.iter().zip(&completes) {
-                assert_eq!(s.a, c.a, "{name}: matching group ids");
-                assert!(c.b > 0, "{name}: kernel-visible latency recorded");
-                assert!(c.ts_ns >= s.ts_ns, "{name}: complete after submit");
-            }
-            assert_eq!(ring.dropped(), 0, "{name}");
-        }
+        let reqs: Vec<ReadSlice> = (0..8u64).map(|i| ReadSlice::new(i * 4, 4)).collect();
+        let mut p = PreadReader::open(&path, 8).unwrap();
+        read_group_blocking(&mut p, &reqs, Vec::new()).unwrap();
+        assert_eq!(p.stats(), ReaderStats { syscalls: 8, wait_nanos: 0 });
+        let mut u = UringReader::open(&path, 8).unwrap();
+        let t = u.submit_group(&reqs, Vec::new()).unwrap();
+        // Every CQE is reaped by a peek or by the parked wait; only the
+        // latter moves the clock.
+        u.pump_one(true).unwrap();
+        let parked = u.stats().wait_nanos;
+        assert!(parked > 0);
+        while u.pump_one(false).unwrap() {}
+        assert_eq!(u.stats().wait_nanos, parked);
+        u.complete_group(t).unwrap();
         std::fs::remove_file(path).ok();
     }
 

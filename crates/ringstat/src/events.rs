@@ -14,9 +14,8 @@
 //!
 //! ## Single-writer contract
 //!
-//! Exactly one thread — the owning worker (and the I/O engine it drives,
-//! which runs on the same thread) — may call [`record`](EventRing::record)
-//! and [`drain`](EventRing::drain). Any number of observer threads may
+//! Exactly one thread — the owning worker — may call
+//! [`record`](EventRing::record) and [`drain`](EventRing::drain). Any number of observer threads may
 //! concurrently call the read side ([`recent`](EventRing::recent),
 //! [`dropped`](EventRing::dropped), [`head`](EventRing::head)); they
 //! never block the writer. All cursor atomics use store-only updates
@@ -54,14 +53,17 @@ pub enum EventKind {
     /// A read plan was built. `a` = requests in, `b` = requests out,
     /// `c` = bytes saved vs. the naive plan, `d` = planning duration ns.
     PlanBuilt = 3,
-    /// An I/O group was submitted. `a` = group id, `b` = SQEs in the
-    /// group, `c` = ring inflight after submit (queue depth),
-    /// `d` = submit-path duration ns (SQE prep + `io_uring_enter`).
+    /// An I/O group was submitted. `a` = group id (the worker's group
+    /// count), `b` = requests in the group, `c` = requests handed to the
+    /// reader and not yet got back, this group included (queue depth),
+    /// `d` = the group's `Submit` lap ns (forming the group, SQE prep and
+    /// `io_uring_enter`).
     GroupSubmit = 4,
-    /// An I/O group completed. `a` = group id, `b` = kernel-visible group
-    /// latency ns (submit → last CQE reaped), `c` = blocked-wait ns
-    /// inside `complete_group`, `d` = reap/copy-out ns (non-blocking CQ
-    /// polling plus buffer copy-back).
+    /// An I/O group completed. `a` = group id, `b` = group latency ns
+    /// (start of its `Submit` lap → end of its `Complete` lap, the same
+    /// for every engine), `c` = ns of the `Complete` lap the reader spent
+    /// blocked waiting for a completion, `d` = the rest of the lap
+    /// (non-blocking CQ reaping); `c + d` is the lap.
     GroupComplete = 5,
     /// Fetched payload was scattered/decoded into output order.
     /// `a` = entries placed, `b` = scatter duration ns.

@@ -67,10 +67,16 @@ pub struct WorkerSnapshot {
     pub bytes_read: u64,
     /// Individual read requests submitted to the I/O engine.
     pub reads_submitted: u64,
-    /// Read requests whose completions have been reaped.
+    /// Read requests whose completions have been reaped (equal to
+    /// `reads_submitted`: a snapshot is taken between batches, when the
+    /// pipeline has drained).
     pub reads_completed: u64,
-    /// Read requests currently in flight on the ring (SQEs submitted,
-    /// CQEs not yet reaped) — the live queue-occupancy gauge.
+    /// Device-backlog gauge: the time-average, over the batch just
+    /// finished, of the read requests the worker was blocked behind — Σ over
+    /// its I/O groups of (time parked in the engine's blocking wait × the
+    /// requests handed to the engine and not yet got back), over the
+    /// batch's latency. 0 when completions were always ready (or the
+    /// engine never blocks), and once the worker is inactive.
     pub inflight: u64,
     /// I/O groups submitted (one `io_uring_enter` batch each).
     pub io_groups: u64,
