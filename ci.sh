@@ -39,7 +39,10 @@
 #      checked against BENCHMARK.json), then one `ringbench --quick` pass
 #      whose epoch_skew_coalesce peak RSS must stay within 1.5x of
 #      epoch_skew_naive's: a planned fetch may not hold more than the
-#      naive one (see DESIGN.md §9)
+#      naive one (see DESIGN.md §9); and whose epoch_skew_cached peak RSS
+#      may exceed epoch_skew_coalesce's by at most 1.5x the quick cache
+#      budget (2 MiB): the hot set is paid once per sampler, not per thread
+#      or epoch
 #
 # No gate writes a tracked file: the experiment binaries of gates 6-10 run
 # with their cwd in a scratch directory (emit_table writes results/<name>.txt
@@ -174,7 +177,7 @@ stop_fig4
 echo "    ringprof gate ok (conserving ledgers, /resources, ringtop CPU column)"
 
 cd "$ROOT"
-echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive peak RSS)"
+echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive and cached/coalesce peak RSS)"
 # benchmark/ changes only in [benchmark] PRs, so its Cargo.lock can trail the
 # crates' manifests (crates/io no longer depends on ringstat); cargo then
 # rewrites it while building. The EXIT trap puts the committed bytes back,
@@ -192,5 +195,11 @@ RSS_COALESCE="$(rss_of epoch_skew_coalesce)"
 awk -v c="$RSS_COALESCE" -v n="$RSS_NAIVE" 'BEGIN { exit !(c <= 1.5 * n) }' \
     || { echo "epoch_skew_coalesce peak RSS $RSS_COALESCE MB > 1.5 x epoch_skew_naive $RSS_NAIVE MB"; exit 1; }
 echo "    ringbench gate ok (coalesce $RSS_COALESCE MB vs naive $RSS_NAIVE MB at quick size)"
+# The quick cache budget is CACHE_BYTES / QUICK_DIV = 2 MiB (benchmark/src/spec.rs).
+RSS_CACHED="$(rss_of epoch_skew_cached)"
+[ -n "$RSS_CACHED" ] || { echo "$QUICK"; echo "ringbench --quick printed no epoch_skew_cached peak_rss_mb"; exit 1; }
+awk -v c="$RSS_CACHED" -v k="$RSS_COALESCE" 'BEGIN { exit !(c - k <= 1.5 * 2 * 1048576 / 1e6) }' \
+    || { echo "epoch_skew_cached peak RSS $RSS_CACHED MB exceeds epoch_skew_coalesce $RSS_COALESCE MB by more than 1.5 x the 2 MiB cache"; exit 1; }
+echo "    ringbench gate ok (cached $RSS_CACHED MB vs coalesce $RSS_COALESCE MB: one 2 MiB hot set)"
 
 echo "CI: all gates passed."

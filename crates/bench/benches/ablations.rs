@@ -4,7 +4,8 @@
 //!   preparation with completion polling;
 //! * **offset-based sampling vs full-list fetch** (paper Fig. 2) — read
 //!   only the sampled entries vs the baselines' whole-neighborhood reads;
-//! * **page cache on/off** — the Fig. 8 mechanism;
+//! * **hot set on/off** — the Fig. 8 mechanism (one profiled page region
+//!   shared by every worker);
 //! * **offset-sampler strategies** — partial Fisher–Yates vs Floyd.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -128,7 +129,7 @@ fn bench_cache_policies(c: &mut Criterion) {
     for (label, cache) in [
         ("none", CachePolicy::None),
         (
-            "page_lru_8MiB",
+            "hot_set_8MiB",
             CachePolicy::Page {
                 budget_bytes: 8 << 20,
             },

@@ -10,8 +10,9 @@
 //! The constrained budget reproduces the paper's semantics — "the minimum
 //! required for RingSampler to run with `max` threads": we size it as the
 //! measured need of the maximum thread count plus one page-cache unit,
-//! and at lower thread counts the slack becomes LRU page cache
-//! ([`CachePolicy::Page`]), exactly the mechanism §A.2 describes.
+//! and at lower thread counts the slack becomes the sampler's hot set
+//! ([`CachePolicy::Page`]: one profiled page region shared by every
+//! thread), exactly the mechanism §A.2 describes.
 
 use ringsampler::{CachePolicy, MemoryBudget, RingSampler, SamplerConfig};
 use ringsampler_bench::{HarnessConfig, StatsSink, DEFAULT_FANOUTS};
@@ -96,15 +97,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             total / h.epochs as f64
         };
 
-        // Constrained: whatever the workspaces don't use becomes page
-        // cache, split across threads.
+        // Constrained: whatever the workspaces don't use becomes the hot
+        // set, one region for all threads.
         let per_thread_ws = (need_max.saturating_sub(graph.metadata_bytes()))
             / max_threads as u64;
         let ws_need = graph.metadata_bytes()
             + per_thread_ws * threads as u64
             + page_buffer_bytes(threads);
         let slack = constrained_total.saturating_sub(ws_need + ws_need / 4);
-        let cache_per_thread = slack * 3 / 4 / threads as u64;
+        let cache = slack * 3 / 4;
         let budget = MemoryBudget::limited(constrained_total);
         let mut cfg = SamplerConfig::new()
             .fanouts(&DEFAULT_FANOUTS)
@@ -114,9 +115,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .budget(budget)
             .telemetry_opt(h.telemetry())
             .seed(5);
-        if cache_per_thread > 64 * 1024 {
+        if cache > 64 * 1024 {
             cfg = cfg.cache(CachePolicy::Page {
-                budget_bytes: cache_per_thread,
+                budget_bytes: cache,
             });
         }
         let (constrained, hit) = match RingSampler::new(graph.clone(), cfg) {

@@ -1,17 +1,36 @@
-//! Page-granular LRU cache over the edge file.
+//! Page-granular neighbor caching over the edge file: the policy, the page
+//! geometry, and a benchmark-only LRU.
 //!
 //! The core RingSampler design reads bare 4-byte entries and caches
-//! nothing — its memory is `O(|V| + threads)`. The optional page cache
-//! exists for two reasons documented in the paper:
+//! nothing — its memory is `O(|V| + threads)`. The optional cache
+//! (`CachePolicy::Page { budget_bytes }`) exists for two reasons documented
+//! in the paper:
 //!
 //! * Fig. 8 shows that under a 4 GB budget, 32 threads beat 64 because the
-//!   leftover memory "caches neighbor data, reducing I/O"; this module is
+//!   leftover memory "caches neighbor data, reducing I/O"; the cache is
 //!   that mechanism, made explicit and budget-charged.
 //! * §4.4 notes "a smart caching strategy would be needed" for
-//!   inference-readiness; [`PageCache`] is the building block.
+//!   inference-readiness.
 //!
-//! Implementation: classic O(1) LRU — hash map + intrusive doubly-linked
-//! list over slot indices, fixed capacity, budget charged up front.
+//! **Policy: one static, profiled hot set per sampler.** `budget_bytes` is
+//! the whole sampler's, not a worker's: memory is `O(|V|) + budget`, not
+//! `O(|V|) + threads × budget`. `RingSampler::new` runs one batch of
+//! `batch_size` targets, drawn from a salted seed, through an uncached
+//! worker (DiskGNN's offline access profile). Each sampled neighbor list
+//! spreads its draws evenly over its bytes, and a page scores what lands
+//! on it. The top `budget_bytes / PAGE_SIZE` pages are kept, ties to the
+//! lower page; spare room is filled in file order, so a budget of at least
+//! the file holds all of it. The pages are read once into one immutable
+//! region (GIDS's constant buffer of the hottest data, chosen ahead of
+//! time rather than found by eviction), charged once, and shared through
+//! an `Arc` by every worker of every epoch and every `worker()` client. A
+//! lookup is a slot-table load — no hash, insert, eviction or lock; a miss
+//! is read as its whole page by the normal fetch path and not kept.
+//!
+//! [`PageCache`], the per-worker LRU this replaced, is no longer used by
+//! the sampler. It stays only because the frozen benchmark's layer walk
+//! (`benchmark/src/layers.rs`) imports it, and leaves when that walk is
+//! re-pointed at the hot set.
 
 use std::collections::HashMap;
 
@@ -31,7 +50,10 @@ struct Slot {
     data: Box<[u8]>,
 }
 
-/// Fixed-capacity LRU cache of file pages.
+/// Fixed-capacity LRU cache of file pages. Benchmark-only: the sampler's
+/// cache is the hot set (see the module docs); this stays for the frozen
+/// benchmark's layer walk and leaves with it.
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct PageCache {
     map: HashMap<u64, u32>,

@@ -26,11 +26,16 @@ pub enum CachePolicy {
     /// core design).
     #[default]
     None,
-    /// Page-granular LRU cache. Reads are issued as aligned pages and
-    /// cached; hub pages get reused across batches. The budget explains
-    /// Fig. 8's 32- vs 64-thread crossover under a 4 GB limit.
+    /// A static, profiled hot set of edge-file pages (see [`crate::cache`]):
+    /// `RingSampler::new` samples one batch of salted targets, scores each
+    /// page by the draws expected to land on it, and reads the top
+    /// `budget_bytes / 4096` pages once into one read-only region that
+    /// every worker shares. Entries on those pages are served from memory;
+    /// the rest are read as whole pages. The budget explains Fig. 8's 32-
+    /// vs 64-thread crossover under a 4 GB limit.
     Page {
-        /// Cache capacity in bytes (charged against the memory budget).
+        /// Size of the hot set in bytes, for the whole sampler (not per
+        /// worker), charged once against the memory budget.
         budget_bytes: u64,
     },
 }

@@ -15,8 +15,9 @@ use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 use ringstat::{proc_io_now, SnapshotCell, WorkerSnapshot};
 
 use crate::block::BatchSample;
-use crate::config::SamplerConfig;
+use crate::config::{CachePolicy, SamplerConfig};
 use crate::error::{Result, SamplerError};
+use crate::hotset::HotSet;
 use crate::memory::MemoryCharge;
 use crate::metrics::{EpochReport, WorkerStats};
 use crate::telemetry::{ensure_server, TelemetryHandle};
@@ -26,37 +27,68 @@ use crate::worker::SamplerWorker;
 /// configuration.
 ///
 /// Construction charges the in-memory offset index against the memory
-/// budget (that is RingSampler's only `O(|V|)` resident structure);
+/// budget (that is RingSampler's only `O(|V|)` resident structure) and,
+/// under `CachePolicy::Page`, builds and charges the hot set once;
 /// everything else is per-worker.
 #[derive(Debug)]
 pub struct RingSampler {
     graph: Arc<OnDiskGraph>,
     cfg: SamplerConfig,
-    _index_charge: MemoryCharge,
+    /// The read-only page region every worker shares (`CachePolicy::Page`).
+    hot: Option<Arc<HotSet>>,
+    /// Shared with the on-demand service's rebatched copy, which shares
+    /// the graph.
+    _index_charge: Arc<MemoryCharge>,
     /// `ringscope` server handle when `cfg.telemetry` is set (the
     /// process-global listener, shared across sequential samplers).
     telemetry: Option<TelemetryHandle>,
 }
 
 impl RingSampler {
-    /// Creates a sampler over `graph` with `cfg`.
+    /// Creates a sampler over `graph` with `cfg`. Under
+    /// `CachePolicy::Page` this profiles one batch and loads the hot set
+    /// (see [`crate::cache`]).
     ///
     /// # Errors
-    /// Fails on invalid configuration, if the offset index does not fit
-    /// the memory budget (simulated OOM), or if telemetry is requested
-    /// and the embedded server cannot bind its address.
+    /// Fails on invalid configuration, if the offset index or the hot set
+    /// does not fit the memory budget (simulated OOM), if the hot set's
+    /// profile or load fails to read, or if telemetry is requested and the
+    /// embedded server cannot bind its address.
     pub fn new(graph: OnDiskGraph, cfg: SamplerConfig) -> Result<Self> {
         cfg.validate()?;
         let index_charge = cfg.budget.charge(graph.metadata_bytes(), "offset index")?;
+        let graph = Arc::new(graph);
+        let hot = match cfg.cache {
+            CachePolicy::None => None,
+            CachePolicy::Page { budget_bytes } => {
+                Some(Arc::new(HotSet::build(&graph, &cfg, budget_bytes)?))
+            }
+        };
         let telemetry = match &cfg.telemetry {
             Some(tcfg) => Some(ensure_server(tcfg)?),
             None => None,
         };
         Ok(Self {
-            graph: Arc::new(graph),
+            graph,
             cfg,
-            _index_charge: index_charge,
+            hot,
+            _index_charge: Arc::new(index_charge),
             telemetry,
+        })
+    }
+
+    /// This sampler under `batch_size` (the on-demand service's batch of
+    /// one), sharing its graph, index charge and hot set: nothing is
+    /// charged, profiled or loaded again.
+    pub(crate) fn rebatched(&self, batch_size: usize) -> Result<Self> {
+        let cfg = self.cfg.clone().batch_size(batch_size);
+        cfg.validate()?;
+        Ok(Self {
+            graph: Arc::clone(&self.graph),
+            cfg,
+            hot: self.hot.clone(),
+            _index_charge: Arc::clone(&self._index_charge),
+            telemetry: self.telemetry.clone(),
         })
     }
 
@@ -81,7 +113,8 @@ impl RingSampler {
     /// # Errors
     /// Propagates worker construction failures.
     pub fn worker(&self) -> Result<SamplerWorker> {
-        let mut worker = SamplerWorker::new(Arc::clone(&self.graph), self.cfg.clone())?;
+        let mut worker =
+            SamplerWorker::new(Arc::clone(&self.graph), self.cfg.clone(), self.hot.clone())?;
         if let Some(h) = &self.telemetry {
             // A standalone worker (DataLoader path) appends its own slot;
             // batch totals are unknown, so the snapshot carries 0.
@@ -154,7 +187,11 @@ impl RingSampler {
                 let batches = &batches;
                 let on_batch = &on_batch;
                 handles.push(scope.spawn(move || -> Result<WorkerStats> {
-                    let mut worker = SamplerWorker::new(Arc::clone(&self.graph), self.cfg.clone())?;
+                    let mut worker = SamplerWorker::new(
+                        Arc::clone(&self.graph),
+                        self.cfg.clone(),
+                        self.hot.clone(),
+                    )?;
                     // All workers share the epoch-start origin, so their
                     // flight-recorder timestamps are comparable across
                     // threads in the Chrome trace and the ringtrace tables.
@@ -274,6 +311,7 @@ mod tests {
     use ringsampler_graph::edgefile::write_csr;
     use ringsampler_graph::gen::GeneratorSpec;
     use ringsampler_graph::CsrGraph;
+    use ringsampler_io::EngineKind;
 
     fn test_graph(tag: &str, nodes: u64, edges: u64) -> OnDiskGraph {
         let base =
@@ -515,6 +553,86 @@ mod tests {
         assert_eq!(sorted, (0..1000).collect::<Vec<_>>());
         assert_ne!(t, epoch_targets(1000, 4, 9));
         assert_eq!(t, epoch_targets(1000, 3, 9));
+    }
+
+    fn hot_pages(s: &RingSampler) -> Vec<u64> {
+        s.hot.as_ref().expect("a hot set").pages().collect()
+    }
+
+    fn cached(budget_bytes: u64) -> SamplerConfig {
+        SamplerConfig::new()
+            .fanouts(&[5, 3])
+            .batch_size(64)
+            .threads(2)
+            .seed(12)
+            .cache(crate::CachePolicy::Page { budget_bytes })
+    }
+
+    #[test]
+    fn hot_set_is_charged_once_for_the_whole_sampler() {
+        let g = test_graph("hotcharge", 2_000, 40_000);
+        let index = g.metadata_bytes();
+        let cache = 8 * crate::cache::PAGE_SIZE as u64;
+        let targets: Vec<NodeId> = (0..2_000).collect();
+        for threads in [1, 2, 8] {
+            let budget = MemoryBudget::unlimited();
+            let s = RingSampler::new(g.clone(), cached(cache).threads(threads).budget(budget.clone()))
+                .unwrap();
+            assert_eq!(budget.used(), index + cache, "{threads} threads");
+            for _ in 0..3 {
+                s.sample_epoch(&targets).unwrap();
+            }
+            let (mut a, mut b) = (s.worker().unwrap(), s.worker().unwrap());
+            a.sample_batch(&targets[..64], 0).unwrap();
+            b.sample_batch(&targets[..64], 1).unwrap();
+            drop((a, b));
+            // The on-demand service shares the set instead of building one.
+            crate::run_on_demand(&s, &targets[..32]).unwrap();
+            assert_eq!(budget.used(), index + cache, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn hot_set_depends_on_graph_and_config_not_on_sampled_targets() {
+        let g = test_graph("hotsame", 2_000, 40_000);
+        let cache = 8 * crate::cache::PAGE_SIZE as u64;
+        let a = RingSampler::new(g.clone(), cached(cache)).unwrap();
+        let b = RingSampler::new(g.clone(), cached(cache)).unwrap();
+        let built = hot_pages(&a);
+        assert_eq!(built.len(), 8);
+        assert_eq!(hot_pages(&b), built);
+        a.sample_epoch(&epoch_targets(2_000, 0, 12)).unwrap();
+        b.sample_epoch(&epoch_targets(2_000, 7, 99)[..128]).unwrap();
+        assert_eq!(hot_pages(&a), built);
+        assert_eq!(hot_pages(&b), built);
+        // The thread count does not enter the profile.
+        assert_eq!(hot_pages(&RingSampler::new(g, cached(cache).threads(1)).unwrap()), built);
+    }
+
+    #[test]
+    fn hot_set_holding_the_file_issues_no_io() {
+        let g = test_graph("hotwhole", 1_000, 20_000);
+        let file = std::fs::metadata(g.edge_path()).unwrap().len();
+        let targets = epoch_targets(1_000, 0, 3);
+        let epoch = |cfg: SamplerConfig| {
+            let s = RingSampler::new(g.clone(), cfg).unwrap();
+            let acc = std::sync::Mutex::new(std::collections::BTreeMap::new());
+            let r = s
+                .sample_epoch_with(&targets, |i, b| {
+                    acc.lock().unwrap().insert(i, b);
+                })
+                .unwrap();
+            (r.metrics, acc.into_inner().unwrap())
+        };
+        for engine in [EngineKind::Uring, EngineKind::Pread] {
+            let (_, want) = epoch(cached(file).cache(crate::CachePolicy::None).engine(engine));
+            for budget in [file, file + 3 * 4096] {
+                let (m, got) = epoch(cached(budget).engine(engine));
+                assert_eq!(got, want, "{engine:?} budget {budget}");
+                assert_eq!((m.io_requests, m.io_groups, m.cache_misses), (0, 0, 0), "{engine:?}");
+                assert_eq!(m.cache_hits, m.sampled_edges, "{engine:?}");
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod config;
 pub mod engine;
 pub mod layerwise;
 pub mod error;
+mod hotset;
 pub mod memory;
 pub mod metrics;
 pub mod ondemand;

@@ -36,9 +36,9 @@ pub struct SampleMetrics {
     pub io_groups: u64,
     /// Syscalls issued by the I/O engine.
     pub syscalls: u64,
-    /// Page-cache hits (0 when caching is off).
+    /// Sampled entries served from the hot set (0 when caching is off).
     pub cache_hits: u64,
-    /// Page-cache misses.
+    /// Sampled entries the hot set does not hold (read from the file).
     pub cache_misses: u64,
     /// Read requests issued after read planning (0 with `read_plan = Off`;
     /// see `crate::plan`).

@@ -101,8 +101,7 @@ impl std::fmt::Display for OnDemandReport {
 /// # Errors
 /// Propagates sampling errors.
 pub fn run_on_demand(sampler: &RingSampler, targets: &[NodeId]) -> Result<OnDemandReport> {
-    let cfg = sampler.config().clone().batch_size(1);
-    let one = RingSampler::new(sampler.graph().clone(), cfg)?;
+    let one = sampler.rebatched(1)?;
     let start = Instant::now();
     let stamps: Mutex<Vec<Duration>> = Mutex::new(Vec::with_capacity(targets.len()));
     let report = one.sample_epoch_with(targets, |_, _sample| {

@@ -1,10 +1,11 @@
 //! Per-thread sampling worker: offset-based layer sampling driving the
 //! asynchronous I/O-group pipeline (paper §3.1, Figs. 2 and 3).
 //!
-//! Each worker owns everything it touches — a dedicated I/O reader (with
-//! its own io_uring SQ/CQ pair), an RNG, an [`OffsetSampler`], reusable
-//! scratch vectors, and an optional page cache — so threads never
-//! synchronize during an epoch ("Eliminating thread synchronization").
+//! Each worker owns everything it writes — a dedicated I/O reader (with
+//! its own io_uring SQ/CQ pair), an RNG, an [`OffsetSampler`] and reusable
+//! scratch vectors — and shares only what nobody writes (the graph index
+//! and the optional hot set), so threads never synchronize during an epoch
+//! ("Eliminating thread synchronization").
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -23,9 +24,10 @@ use ringstat::{
 };
 
 use crate::block::{BatchSample, LayerSample};
-use crate::cache::{page_of, PageCache, PAGE_SIZE};
-use crate::config::{CachePolicy, PipelineMode, SamplerConfig};
+use crate::cache::{page_of, PAGE_SIZE};
+use crate::config::{PipelineMode, SamplerConfig};
 use crate::error::{Result, SamplerError};
+use crate::hotset::HotSet;
 use crate::memory::MemoryCharge;
 use crate::metrics::{SampleMetrics, WorkerResources, WorkerStats};
 use crate::plan::{ReadPlanMode, ReadPlanner, MAX_COALESCED_BYTES};
@@ -57,7 +59,8 @@ pub struct SamplerWorker {
     reader: Box<dyn GroupReader>,
     file_len: u64,
     sampler: OffsetSampler,
-    cache: Option<PageCache>,
+    /// The sampler's shared, read-only hot set (`CachePolicy::Page`).
+    hot: Option<Arc<HotSet>>,
     metrics: SampleMetrics,
     // Reusable scratch (the paper's thread-local workspaces: offsets,
     // neighbors, targets).
@@ -151,14 +154,14 @@ impl std::fmt::Debug for SamplerWorker {
     }
 }
 
+/// [`ENTRY_BYTES`] as `usize`, for slice arithmetic.
+const ENTRY_SZ: usize = ENTRY_BYTES as usize;
+
 /// Decodes the little-endian entry at byte `within` of a page buffer.
 ///
 /// An entry extending past the page's valid bytes means the edge file
 /// ended mid-entry (truncated or corrupt graph); that is reported as a
 /// short read at `entry_byte` rather than a hot-path panic.
-/// [`ENTRY_BYTES`] as `usize`, for slice arithmetic.
-const ENTRY_SZ: usize = ENTRY_BYTES as usize;
-
 fn entry_in_page(data: &[u8], within: usize, entry_byte: u64) -> Result<NodeId> {
     match data
         .get(within..within + ENTRY_SZ)
@@ -173,13 +176,24 @@ fn entry_in_page(data: &[u8], within: usize, entry_byte: u64) -> Result<NodeId> 
     }
 }
 
+/// A page read `r` cut at end of file `eof`: the file's final page is
+/// usually short.
+fn clamped(r: ReadSlice, eof: u64) -> ReadSlice {
+    ReadSlice::new(r.offset, u64::from(r.len).min(eof.saturating_sub(r.offset)) as u32)
+}
+
 impl SamplerWorker {
-    /// Creates a worker for `graph` under `cfg`.
+    /// Creates a worker for `graph` under `cfg`, serving the pages of
+    /// `hot` (the sampler's hot set, if it has one) from memory.
     ///
     /// # Errors
-    /// Fails on reader/ring setup, page-cache allocation, or if the initial
-    /// workspace charge exceeds the memory budget.
-    pub(crate) fn new(graph: Arc<OnDiskGraph>, cfg: SamplerConfig) -> Result<Self> {
+    /// Fails on reader/ring setup, or if the initial workspace charge
+    /// exceeds the memory budget.
+    pub(crate) fn new(
+        graph: Arc<OnDiskGraph>,
+        cfg: SamplerConfig,
+        hot: Option<Arc<HotSet>>,
+    ) -> Result<Self> {
         let file = File::open(graph.edge_path())
             .map_err(|e| crate::error::SamplerError::Io(IoEngineError::File(e)))?;
         let file_len = file
@@ -199,10 +213,6 @@ impl SamplerWorker {
             }
             EngineKind::Pread => Box::new(PreadReader::with_file(file, cfg.ring_entries)),
         };
-        let cache = match cfg.cache {
-            CachePolicy::None => None,
-            CachePolicy::Page { budget_bytes } => Some(PageCache::new(budget_bytes, &cfg.budget)?),
-        };
         // Initial workspace charge: ring buffers + a small floor; grows
         // with actual vector capacity as batches expand.
         let base = 2 * cfg.ring_entries as u64 * ENTRY_BYTES + 64 * 1024;
@@ -219,7 +229,7 @@ impl SamplerWorker {
             reader,
             file_len,
             sampler: OffsetSampler::new(),
-            cache,
+            hot,
             metrics: SampleMetrics::default(),
             offsets: Vec::new(),
             src_pos: Vec::new(),
@@ -377,16 +387,17 @@ impl SamplerWorker {
         &self.graph
     }
 
+    /// Length of the edge file when this worker opened it.
+    pub(crate) fn file_len(&self) -> u64 {
+        self.file_len
+    }
+
     /// Counters accumulated by this worker so far.
     pub fn metrics(&self) -> SampleMetrics {
         let mut m = self.metrics;
         // The reader lives exactly as long as the worker: its lifetime
         // syscall count is the worker's.
         m.syscalls = self.reader.stats().syscalls;
-        if let Some(c) = &self.cache {
-            m.cache_hits = c.hits();
-            m.cache_misses = c.misses();
-        }
         m
     }
 
@@ -558,28 +569,29 @@ impl SamplerWorker {
     /// Fetches the neighbor values at `entry_indices` from the edge file:
     /// the single plan → read → scatter path of every configuration.
     ///
-    /// 1. **Cache** (when enabled): resident pages answer their entries;
-    ///    the misses, sorted by byte offset once, are what is left to read.
+    /// 1. **Hot set** (when the sampler has one): resident pages answer
+    ///    their entries; the misses, sorted by page once, are what is left
+    ///    to read.
     /// 2. **Plan**: `Off` reads exactly 4 bytes per sampled neighbor in
     ///    sampling order — the paper's core I/O pattern (Fig. 2 steps 4–6);
-    ///    `Coalesce` merges repeats and nearby entries into larger slices; with a
-    ///    cache the requests are the unique miss pages, merged when
+    ///    `Coalesce` merges repeats and nearby entries into larger slices;
+    ///    with a hot set the requests are the unique miss pages, merged when
     ///    strictly adjacent under `Coalesce`.
     /// 3. **Read + scatter**: [`Self::pipelined_read`] streams the requests
     ///    in byte-capped groups and every completed group is decoded
-    ///    straight from its buffer into the output (and its pages into the
-    ///    cache), so `dst` is byte-identical in every mode and nothing the
-    ///    size of the layer's payload is ever held.
+    ///    straight from its buffer into the output, so `dst` is
+    ///    byte-identical in every mode and nothing the size of the layer's
+    ///    payload is ever held.
     pub(crate) fn fetch_entries(&mut self, entry_indices: &[u64]) -> Result<Vec<NodeId>> {
-        // The scatter step borrows the planner and the cache while the
+        // The scatter step borrows the planner and the hot set while the
         // executor borrows the rest of the worker; both are handed back
-        // before an error propagates so their capacity (and its workspace
-        // charge) survives a failed batch.
+        // before an error propagates so the planner's capacity (and its
+        // workspace charge) survives a failed batch.
         let mut planner = std::mem::take(&mut self.planner);
-        let mut cache = self.cache.take();
-        let res = self.fetch_through(entry_indices, &mut planner, cache.as_mut());
+        let hot = self.hot.take();
+        let res = self.fetch_through(entry_indices, &mut planner, hot.as_deref());
         self.planner = planner;
-        self.cache = cache;
+        self.hot = hot;
         res
     }
 
@@ -587,27 +599,30 @@ impl SamplerWorker {
         &mut self,
         entries: &[u64],
         planner: &mut ReadPlanner,
-        mut cache: Option<&mut PageCache>,
+        hot: Option<&HotSet>,
     ) -> Result<Vec<NodeId>> {
         let n = entries.len();
         if n > u32::MAX as usize {
             return Err(SamplerError::Internal("layer wider than 2^32 entries"));
         }
         let mode = self.cfg.read_plan;
-        let cached = cache.is_some();
+        let cached = hot.is_some();
         let byte_of = OnDiskGraph::entry_byte_offset;
+        let byte_at = |i: u32| entries.get(i as usize).map_or(u64::MAX, |&e| byte_of(e));
         let mut out = vec![0 as NodeId; n];
-        // Entries still to read as (byte offset, output position).
-        let mut misses: Vec<(u64, u32)> = Vec::new();
-        if let Some(cache) = cache.as_deref_mut() {
-            for (i, (&e, slot)) in entries.iter().zip(out.iter_mut()).enumerate() {
+        // Output positions of the entries still to read.
+        let mut misses: Vec<u32> = Vec::new();
+        if let Some(hot) = hot {
+            for (i, (&e, slot)) in (0u32..).zip(entries.iter().zip(out.iter_mut())) {
                 let byte = byte_of(e);
                 let (page, within) = page_of(byte);
-                match cache.get(page) {
+                match hot.get(page) {
                     Some(data) => *slot = entry_in_page(data, within, byte)?,
-                    None => misses.push((byte, i as u32)),
+                    None => misses.push(i),
                 }
             }
+            self.metrics.cache_hits += (n - misses.len()) as u64;
+            self.metrics.cache_misses += misses.len() as u64;
         }
         // Plan (CPU; one Prepare lap with the cache probe above). `stats` is
         // `None` for an identity plan — nothing merged, so the planner
@@ -615,9 +630,15 @@ impl SamplerWorker {
         // at all (its requests are generated group by group below); both are
         // still traced, so ringtrace's stage table covers every mode.
         let (reqs_in, stats) = if cached {
-            misses.sort_unstable_by_key(|m| m.0);
-            let mut pages: Vec<u64> = misses.iter().map(|m| page_of(m.0).0).collect();
-            pages.dedup();
+            // Page order is all the scatter needs: the requests are whole
+            // pages, ascending, so each one's entries are a run of `misses`.
+            misses.sort_unstable_by_key(|&i| page_of(byte_at(i)).0);
+            let mut pages: Vec<u64> = Vec::new();
+            for page in misses.iter().map(|&i| page_of(byte_at(i)).0) {
+                if pages.last() != Some(&page) {
+                    pages.push(page);
+                }
+            }
             // A sampled entry pointing past EOF means the offset index and
             // the edge file disagree (truncated or mismatched dataset).
             let last = pages.last().map_or(0, |p| p * PAGE_SIZE as u64);
@@ -666,15 +687,10 @@ impl SamplerWorker {
         // as Aggregate laps; their sum is the scatter stage.
         let agg0 = self.phases.get(Phase::Aggregate);
         if cached {
-            // Whole pages; the file's final page is usually short.
             let eof = self.file_len;
-            let clamped = planner.slices().iter().map(|r| {
-                ReadSlice::new(
-                    r.offset,
-                    u64::from(r.len).min(eof.saturating_sub(r.offset)) as u32,
-                )
-            });
-            self.read_and_scatter(clamped, misses.iter().copied(), &mut out, cache)?;
+            let pages = planner.slices().iter().map(|&r| clamped(r, eof));
+            let order = misses.iter().map(|&i| (byte_at(i), i));
+            self.read_and_scatter(pages, order, &mut out)?;
         } else if mode.is_off() {
             // One request per entry, in sampling order: the group buffers
             // concatenate to `out`.
@@ -690,11 +706,8 @@ impl SamplerWorker {
                 Ok(())
             })?;
         } else {
-            let order = planner
-                .perm()
-                .iter()
-                .map(|&i| (entries.get(i as usize).map_or(u64::MAX, |&e| byte_of(e)), i));
-            self.read_and_scatter(planner.slices().iter().copied(), order, &mut out, None)?;
+            let order = planner.perm().iter().map(|&i| (byte_at(i), i));
+            self.read_and_scatter(planner.slices().iter().copied(), order, &mut out)?;
         }
         self.trace(
             EventKind::ScatterDone,
@@ -710,14 +723,12 @@ impl SamplerWorker {
     /// group in place. `order` lists the entries to resolve as (byte
     /// offset, output position) in request order — the entries a request
     /// serves are the next run of `order` inside its extent — and each is
-    /// decoded from the group buffer straight into `out`. With a cache,
-    /// every page read is inserted as it arrives.
+    /// decoded from the group buffer straight into `out`.
     fn read_and_scatter(
         &mut self,
         reqs: impl Iterator<Item = ReadSlice>,
         order: impl Iterator<Item = (u64, u32)>,
         out: &mut [NodeId],
-        mut cache: Option<&mut PageCache>,
     ) -> Result<()> {
         let mut order = order.peekable();
         self.pipelined_read(reqs, |slices, buf| {
@@ -731,12 +742,6 @@ impl SamplerWorker {
                     ));
                 };
                 rest = tail;
-                if let Some(cache) = cache.as_deref_mut() {
-                    for (page, bytes) in (s.offset / PAGE_SIZE as u64..).zip(data.chunks(PAGE_SIZE))
-                    {
-                        cache.insert(page, bytes);
-                    }
-                }
                 let extent = s.offset..s.offset.saturating_add(u64::from(s.len));
                 while let Some((byte, pos)) = order.next_if(|(byte, _)| extent.contains(byte)) {
                     let v = entry_in_page(data, (byte - s.offset) as usize, byte)?;
@@ -756,6 +761,32 @@ impl SamplerWorker {
             })),
             None => Ok(()),
         }
+    }
+
+    /// Reads the whole `pages` (ascending, unique) into `dst` back to back,
+    /// the file's final page clamped to EOF: the hot set's one-time load,
+    /// planned and streamed like the cached fetch's miss pages.
+    pub(crate) fn read_pages(&mut self, pages: &[u64], dst: &mut [u8]) -> Result<()> {
+        let mut planner = std::mem::take(&mut self.planner);
+        planner.plan_slices(pages, 0, PAGE_SIZE as u32, ReadPlanMode::Coalesce { gap: 0 });
+        let eof = self.file_len;
+        let reqs = planner.slices().iter().map(|&r| clamped(r, eof));
+        let mut at = 0usize;
+        let res = self.pipelined_read(reqs, |_, buf| {
+            let Some(to) = dst.get_mut(at..at + buf.len()) else {
+                return Err(SamplerError::Internal("page load overran its region"));
+            };
+            to.copy_from_slice(buf);
+            at += buf.len();
+            Ok(())
+        });
+        self.planner = planner;
+        res?;
+        // The reader fails a short read itself; a gap here is a planning bug.
+        if at < dst.len() {
+            return Err(SamplerError::Internal("page load left its region short"));
+        }
+        Ok(())
     }
 
     /// Runs the I/O-group pipeline over `reqs`, invoking `consume` on each
@@ -916,6 +947,7 @@ impl SamplerWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CachePolicy;
     use crate::memory::MemoryBudget;
     use ringsampler_graph::edgefile::write_csr;
     use ringsampler_graph::CsrGraph;
@@ -935,8 +967,16 @@ mod tests {
         Arc::new(write_csr(&csr, &base).unwrap())
     }
 
+    /// A worker as `RingSampler` makes one: with the hot set built, when
+    /// `cfg` asks for a cache.
     fn worker(graph: &Arc<OnDiskGraph>, cfg: SamplerConfig) -> SamplerWorker {
-        SamplerWorker::new(Arc::clone(graph), cfg).unwrap()
+        let hot = match cfg.cache {
+            CachePolicy::None => None,
+            CachePolicy::Page { budget_bytes } => {
+                Some(Arc::new(HotSet::build(graph, &cfg, budget_bytes).unwrap()))
+            }
+        };
+        SamplerWorker::new(Arc::clone(graph), cfg, hot).unwrap()
     }
 
     fn validate_sample(graph: &OnDiskGraph, csr: &CsrGraph, s: &BatchSample, fanouts: &[usize]) {
@@ -1048,8 +1088,8 @@ mod tests {
     }
 
     #[test]
-    fn tiny_cache_still_correct() {
-        // Cache with capacity 1 page: constant eviction, still correct.
+    fn one_page_hot_set_still_correct() {
+        // A hot set of one page: nearly every entry misses, still correct.
         let graph = test_graph("tinycache");
         let cfg = SamplerConfig::new()
             .fanouts(&[4])
@@ -1087,7 +1127,7 @@ mod tests {
             .fanouts(&[3])
             .ring_entries(8)
             .budget(MemoryBudget::limited(100));
-        match SamplerWorker::new(graph, cfg) {
+        match SamplerWorker::new(graph, cfg, None) {
             Err(crate::error::SamplerError::OutOfMemory { .. }) => {}
             other => panic!("expected OOM, got {:?}", other.map(|_| ())),
         }
@@ -1373,8 +1413,9 @@ mod tests {
         let graph = long_graph("groups", (per_group + 2) * per_slice);
         let entries: Vec<u64> = (0..u64::from((per_group + 1) * per_slice) + 1).collect();
         let want = graph.load_csr().unwrap().neighbor_array()[..entries.len()].to_vec();
+        // One hot page: the ~145 pages the fetch spans are nearly all read.
         let page_cache = CachePolicy::Page {
-            budget_bytes: 1024 * (PAGE_SIZE as u64 + 64),
+            budget_bytes: PAGE_SIZE as u64,
         };
         let all = entries.len();
         for (mode, cache, qd, take) in [
@@ -1421,7 +1462,14 @@ mod tests {
                         *groups,
                         [(per_group as usize, GROUP_BYTES_MAX), (2, 64 * 1024 + 4)]
                     ),
-                    (_, CachePolicy::Page { .. }) => assert!(capped >= 1, "{mode:?}: {groups:?}"),
+                    // The byte ceiling, not the queue depth, closed a group
+                    // (the hot page may split a run, so not always to the byte).
+                    (_, CachePolicy::Page { .. }) => assert!(
+                        groups.iter().any(|&(r, b)| {
+                            r < qd as usize && b + MAX_COALESCED_BYTES as usize > GROUP_BYTES_MAX
+                        }),
+                        "{mode:?}: {groups:?}"
+                    ),
                     _ => assert_eq!(capped, 0),
                 }
                 assert!(
@@ -1587,8 +1635,9 @@ mod tests {
                 .ring_entries(8)
                 .seed(29)
                 .read_plan(mode)
+                // One hot page, so the other pages are all misses.
                 .cache(CachePolicy::Page {
-                    budget_bytes: 64 * (PAGE_SIZE as u64 + 64),
+                    budget_bytes: PAGE_SIZE as u64,
                 })
         };
         let seeds: Vec<NodeId> = (0..256).collect();
@@ -1597,8 +1646,9 @@ mod tests {
         let a = w_off.sample_batch(&seeds, 0).unwrap();
         let b = w_c.sample_batch(&seeds, 0).unwrap();
         assert_eq!(a, b);
-        // The miss pages of this tiny graph are contiguous, so coalescing
-        // must collapse them into fewer slices than pages.
+        // The miss pages of this tiny graph form at most two runs (the hot
+        // page may split one), so coalescing must collapse them into fewer
+        // slices than pages.
         let m = w_c.metrics();
         assert!(m.reads_planned > 0);
         assert!(m.io_requests < w_off.metrics().io_requests);
@@ -1836,29 +1886,42 @@ mod tests {
     fn worker_moved_between_threads_samples_identically() {
         // ringbench's on-demand clients keep one worker and call it from a
         // fresh scoped thread per window; a persistent fleet would too.
-        let graph = test_graph("hops");
+        // With a hot set too: the hopping worker carries its handle on the
+        // shared region along, and the region is only ever read.
+        let graph = long_graph("hops", 1 << 14);
         let seeds: Vec<NodeId> = (0..64).collect();
-        for engine in [EngineKind::Uring, EngineKind::Pread] {
-            let cfg = SamplerConfig::new()
-                .fanouts(&[4, 3])
-                .ring_entries(8)
-                .engine(engine)
-                .seed(19);
-            let mut stayed = worker(&graph, cfg.clone());
-            let mut hopping = worker(&graph, cfg);
-            for batch in 0..3 {
-                let want = stayed.sample_batch(&seeds, batch).unwrap();
-                let got = std::thread::scope(|s| {
-                    s.spawn(|| hopping.sample_batch(&seeds, batch)).join().unwrap()
-                })
-                .unwrap();
-                assert_eq!(got, want, "{engine:?} batch {batch}");
+        let hot = CachePolicy::Page {
+            budget_bytes: 4 * PAGE_SIZE as u64,
+        };
+        for cache in [CachePolicy::None, hot] {
+            for engine in [EngineKind::Uring, EngineKind::Pread] {
+                let cfg = SamplerConfig::new()
+                    .fanouts(&[4, 3])
+                    .ring_entries(8)
+                    .engine(engine)
+                    .cache(cache)
+                    .seed(19);
+                let mut stayed = worker(&graph, cfg.clone());
+                let mut hopping = worker(&graph, cfg);
+                for batch in 0..3 {
+                    let want = stayed.sample_batch(&seeds, batch).unwrap();
+                    let got = std::thread::scope(|s| {
+                        s.spawn(|| hopping.sample_batch(&seeds, batch)).join().unwrap()
+                    })
+                    .unwrap();
+                    assert_eq!(got, want, "{cache:?} {engine:?} batch {batch}");
+                }
+                let (h, s) = (hopping.metrics(), stayed.metrics());
+                assert_eq!(h.io_requests, s.io_requests, "{cache:?} {engine:?}");
+                assert_eq!(h.cache_hits, s.cache_hits, "{cache:?} {engine:?}");
+                if cache != CachePolicy::None {
+                    assert!(h.cache_hits > 0 && h.cache_misses > 0, "{h:?}");
+                }
+                // The stage clock is an `Instant`, not a thread clock: it
+                // conserves across hops.
+                let st = hopping.stats();
+                assert_eq!(st.phases.total(), st.batch_latency.sum(), "{engine:?}");
             }
-            assert_eq!(hopping.metrics().io_requests, stayed.metrics().io_requests);
-            // The stage clock is an `Instant`, not a thread clock: it
-            // conserves across hops.
-            let s = hopping.stats();
-            assert_eq!(s.phases.total(), s.batch_latency.sum(), "{engine:?}");
         }
     }
 }

@@ -23,6 +23,9 @@ pub const HOT_PATH: &[&str] = &[
     // The read planner runs per layer inside every worker's fetch; its
     // sort/merge/scatter passes must never panic or synchronize.
     "crates/core/src/plan.rs",
+    // The hot set is probed once per sampled entry by every worker at
+    // once; its lookup must stay lock-free, atomic-free and panic-free.
+    "crates/core/src/hotset.rs",
     "crates/io/src/ring.rs",
     "crates/io/src/engine.rs",
     // Observability primitives workers call per batch/IO group: recording
@@ -182,6 +185,15 @@ mod tests {
         assert!(rules.contains(&RULE_PANIC));
         assert!(rules.contains(&RULE_BLOCKING));
         assert!(!rules.contains(&RULE_ATOMIC));
+    }
+
+    #[test]
+    fn hot_set_is_hot_but_the_benchmark_lru_is_not() {
+        let rules = rules_for("crates/core/src/hotset.rs");
+        assert!(rules.contains(&RULE_SYNC));
+        assert!(rules.contains(&RULE_PANIC));
+        assert!(!rules.contains(&RULE_ATOMIC));
+        assert!(!rules_for("crates/core/src/cache.rs").contains(&RULE_PANIC));
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Failure injection: corrupt files, truncations, budget exhaustion
 //! mid-flight, and engine fallback behavior.
 
-use ringsampler::{MemoryBudget, RingSampler, SamplerConfig, SamplerError};
+use ringsampler::{CachePolicy, MemoryBudget, RingSampler, SamplerConfig, SamplerError};
 use ringsampler_graph::edgefile::{write_csr, EDGE_EXT, INDEX_EXT};
 use ringsampler_graph::{CsrGraph, GraphError, NodeId, OnDiskGraph};
+use ringsampler_io::IoEngineError;
 
 fn make_graph(tag: &str) -> (std::path::PathBuf, OnDiskGraph) {
+    make_graph_of(tag, 200)
+}
+
+/// `nodes` nodes, node `v` with `v % 6 + 1` neighbours: ~14 bytes a node.
+fn make_graph_of(tag: &str, nodes: u32) -> (std::path::PathBuf, OnDiskGraph) {
     let base = std::env::temp_dir().join(format!("rs-it-fail-{}-{tag}", std::process::id()));
     let mut edges = Vec::new();
-    for v in 0..200u32 {
+    for v in 0..nodes {
         for j in 0..(v % 6 + 1) {
-            edges.push((v, (v * 11 + j) % 200));
+            edges.push((v, (v * 11 + j) % nodes));
         }
     }
-    let csr = CsrGraph::from_edges(200, edges).unwrap();
+    let csr = CsrGraph::from_edges(nodes as usize, edges).unwrap();
     let g = write_csr(&csr, &base).unwrap();
     (base, g)
 }
@@ -61,6 +67,59 @@ fn file_shrunk_after_open_surfaces_as_short_read() {
         other => panic!("expected I/O failure, got {:?}", other.map(|_| ())),
     }
     cleanup(&base);
+}
+
+#[test]
+fn file_shrunk_after_open_with_hot_set_never_pads() {
+    // The hot set keeps the bytes it loaded in `new`; misses read the file
+    // as it is now, cut mid-page. Every batch must fail with a short read
+    // or return only true edges of the original graph: a page read short
+    // is never padded with zeros and served later.
+    const PAGE: u64 = 4096;
+    for hot_pages in [2u64, 64] {
+        let (base, g) = make_graph_of(&format!("shrinkhot{hot_pages}"), 3_000);
+        let csr = g.load_csr().unwrap();
+        let cfg = SamplerConfig::new()
+            .fanouts(&[3])
+            .batch_size(1)
+            .threads(1)
+            .cache(CachePolicy::Page {
+                budget_bytes: hot_pages * PAGE,
+            });
+        let sampler = RingSampler::new(g, cfg).unwrap();
+        let edge = base.with_extension(EDGE_EXT);
+        let bytes = std::fs::read(&edge).unwrap();
+        let whole = hot_pages * PAGE >= bytes.len() as u64;
+        std::fs::write(&edge, &bytes[..2 * PAGE as usize + 1000]).unwrap();
+        // One worker over every node: a short page it read once must not
+        // answer a later batch either.
+        let mut w = sampler.worker().unwrap();
+        let (mut ok, mut short) = (0, 0);
+        for v in 0..3_000u32 {
+            match w.sample_batch(&[v], u64::from(v)) {
+                Ok(s) => {
+                    ok += 1;
+                    for (src, dst) in s.layers[0].iter_edges() {
+                        assert!(csr.neighbors(src).contains(&dst), "{dst} is no neighbour of {src}");
+                    }
+                }
+                Err(SamplerError::Io(IoEngineError::ShortRead { .. })) => short += 1,
+                Err(e) => panic!("expected a short read, got {e}"),
+            }
+        }
+        if whole {
+            assert_eq!((ok, short), (3_000, 0), "the file is all in memory");
+        } else {
+            assert!(ok > 0 && short > 0, "{ok} ok, {short} short");
+        }
+        let targets: Vec<NodeId> = (0..3_000).collect();
+        match sampler.sample_epoch(&targets) {
+            Ok(_) => assert!(whole, "a partial hot set cannot cover the cut"),
+            Err(SamplerError::Io(IoEngineError::ShortRead { .. })) => assert!(!whole),
+            Err(e) => panic!("expected a short read, got {e}"),
+        }
+        cleanup(&base);
+    }
 }
 
 #[test]
