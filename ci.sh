@@ -4,36 +4,34 @@
 #
 #   1. release build of every crate
 #   2. the complete test suite (unit + integration + property tests)
-#   3. clippy with warnings denied
-#   4. ringlint — the workspace invariant checker (see DESIGN.md §7),
-#      whose hot-path scope covers the read planner (crates/core/src/plan.rs)
-#   5. ringlint baseline gate — the JSON report diffed against the
-#      committed ringlint-baseline.json (see DESIGN.md §11): new
-#      violations or stale `ringlint: allow` comments fail CI even if
-#      someone grows the baseline by hand
-#   6. ringscope smoke — fig4_overall with --serve 127.0.0.1:0, asserting
+#   3. clippy with warnings denied; crates/io and crates/core also deny
+#      discarding a #[must_use] value (`let _ =`, `.ok()`) outside tests
+#   4. ringlint — the workspace invariant checker (six rules plus
+#      stale-allow hygiene; see DESIGN.md §7), whose hot-path scope covers
+#      the read planner (crates/core/src/plan.rs); it exits 1 on any finding
+#   5. ringscope smoke — fig4_overall with --serve 127.0.0.1:0, asserting
 #      that /metrics serves HTTP 200 with the ringsampler_ metric families
 #      and /healthz reports ok while the run is live
-#   7. ringtrace smoke — a small fig4_overall with --trace-events, whose
+#   6. ringtrace smoke — a small fig4_overall with --trace-events, whose
 #      flight-recorder dump is fed through the ringtrace analyzer with
 #      --assert-coverage 0.99: per-stage attribution (sample/plan/submit/
 #      wait/reap/scatter) sums to the end-to-end batch latency exactly
 #      unless the recorder dropped events (see DESIGN.md §12)
-#   8. env-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
+#   7. env-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
 #      crates/**/*.rs may not exceed 10 (33 before the ring-mode ladder was
 #      removed, 25 before the RS_CONGESTION_* overrides were, 17 before
 #      plan_compare and prof_compare were): lower the ceiling when a knob
 #      goes, never raise it
-#   9. ringtop gate — a small fig4_overall with --serve, asserting that
+#   8. ringtop gate — a small fig4_overall with --serve, asserting that
 #      /history serves the per-worker time series, /congestion serves
 #      verdicts, and `ringtop --once` renders a frame with every worker
 #      present and judged ok once the fleet idles (see DESIGN.md §14)
-#  10. ringprof gate — a small fig4_overall with profiling on asserting,
+#   9. ringprof gate — a small fig4_overall with profiling on asserting,
 #      from one read of /resources once the run has finished, that every
 #      worker's time ledger conserves (stage buckets sum exactly to
 #      in-batch wall) and the attribution is served, and `ringtop --once`
 #      renders the CPU column and the ledger bar (see DESIGN.md §15)
-#  11. ringbench gate — benchmark/check.sh (build + every workload at 1/16
+#  10. ringbench gate — benchmark/check.sh (build + every workload at 1/16
 #      size, untraced and traced, on seeds 1 and 2: samples checked against
 #      the graph, one digest across the epoch_skew_* workloads, metric names
 #      checked against BENCHMARK.json), then one `ringbench --quick` pass
@@ -44,7 +42,7 @@
 #      budget (2 MiB): the hot set is paid once per sampler, not per thread
 #      or epoch
 #
-# No gate writes a tracked file: the experiment binaries of gates 6-10 run
+# No gate writes a tracked file: the experiment binaries of gates 5-9 run
 # with their cwd in a scratch directory (emit_table writes results/<name>.txt
 # relative to cwd), so `git status --porcelain` is empty after a pass.
 #
@@ -65,9 +63,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> ringlint (workspace, incl. crates/ringstat hot-path recorders)"
 cargo run -q -p ringlint
-
-echo "==> ringlint baseline gate (--json --baseline ringlint-baseline.json)"
-cargo run -q -p ringlint -- --json --baseline ringlint-baseline.json >/dev/null
 
 # Launches a small fig4_overall ($1 targets) serving on a free port, in the
 # background, and waits for the address it announces: sets SERVE_PID,

@@ -16,12 +16,16 @@
 //! what nobody else can know ([`ReaderStats`]): the syscalls it issued and
 //! the time it spent blocked waiting for a completion.
 //!
-//! Buffer ownership: the reader owns every in-flight buffer. Callers receive
-//! an opaque [`GroupToken`] at submission and exchange it for the filled
-//! buffer at completion. Dropping a token without completing it leaks the
-//! buffer *into the reader* (never freeing memory the kernel may still
-//! write), keeping the API safe — at the cost
-//! [`GroupReader::complete_group`] spells out.
+//! Buffer ownership: own first, lend second. The reader files every group's
+//! buffer in its table *before* any SQE points into it, and frees it only
+//! once every read lent from it has been reaped. Callers receive an opaque
+//! [`GroupToken`] at submission and exchange it for the filled buffer at
+//! completion. Dropping a token without completing it leaks the buffer
+//! *into the reader* (never freeing memory the kernel may still write),
+//! keeping the API safe — at the cost [`GroupReader::complete_group`]
+//! spells out. A group whose submit fails is orphaned and retires itself
+//! when its last completion is reaped; if the reader's drop cannot drain
+//! the ring, it leaks every filed buffer rather than free one.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -31,7 +35,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::error::{IoEngineError, Result};
-use crate::ring::{Completion, Ring};
+use crate::ring::{Completion, FileRef, Ring};
 
 /// One scattered read: `len` bytes at byte `offset` of the reader's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +89,8 @@ pub trait GroupReader: Send {
     ///
     /// # Errors
     /// [`IoEngineError::GroupTooLarge`] if `reqs.len() > queue_depth()`;
-    /// ring submission errors otherwise.
+    /// ring submission errors otherwise. A failed submit keeps `buf` until
+    /// the kernel has finished any read already lent from it.
     fn submit_group(&mut self, reqs: &[ReadSlice], buf: Vec<u8>) -> Result<GroupToken>;
 
     /// Blocks until every read in the group has completed and returns the
@@ -200,9 +205,13 @@ struct Slot {
     buf: Vec<u8>,
     /// The group's requests, indexed by the low bits of user_data.
     reqs: Vec<ReadSlice>,
+    /// Reads lent to the kernel whose completions have not been reaped.
     remaining: u32,
     /// First error observed among the group's completions.
     error: Option<IoEngineError>,
+    /// The submit failed, so no token will come back for this group: it
+    /// retires when its last completion is reaped.
+    orphaned: bool,
 }
 
 /// io_uring-backed [`GroupReader`] bound to a single file.
@@ -216,7 +225,7 @@ pub struct UringReader {
     groups: SlotTable<Slot>,
     /// Request tables of completed groups, recycled into the next slots.
     spare_reqs: Vec<Vec<ReadSlice>>,
-    /// SQEs submitted whose CQEs have not been reaped: what `Drop` drains.
+    /// SQEs prepared whose CQEs have not been reaped: what `Drop` drains.
     outstanding: u64,
     wait_nanos: u64,
 }
@@ -302,6 +311,62 @@ impl UringReader {
             slot.error = failure;
         }
         slot.remaining -= 1;
+        if slot.orphaned && slot.remaining == 0 {
+            self.retire(c.user_data >> 20);
+        }
+    }
+
+    /// Prepares one SQE per request of the filed group `id`, each pointing
+    /// into the group's buffer, and submits them. Each SQE is counted as it
+    /// is prepared: once published it is the kernel's, submit error or not.
+    fn lend(&mut self, id: u64) -> Result<()> {
+        let file = if self.registered {
+            FileRef::Registered(0)
+        } else {
+            FileRef::Fd(self.file.as_raw_fd())
+        };
+        let slot = self
+            .groups
+            .get_mut(id)
+            .ok_or(IoEngineError::InvalidToken(id))?;
+        let mut cursor = 0usize;
+        for (i, r) in slot.reqs.iter().enumerate() {
+            // SAFETY: the destination lies in the buffer of the group filed
+            // under `id`, and cursor+len <= buf.len() since the buffer was
+            // sized to the sum of the request lengths. The table frees that
+            // buffer only once `remaining` — counted up as soon as the SQE
+            // is queued — is back to 0, and `Drop` leaks it otherwise, so it
+            // outlives the read. Moving the slot within the table does not
+            // move the heap allocation. Registered index 0 is this reader's
+            // file.
+            unsafe {
+                let dst = slot.buf.as_mut_ptr().add(cursor);
+                self.ring
+                    .prepare_read(file, dst, r.len, r.offset, (id << 20) | i as u64)?;
+            }
+            slot.remaining += 1;
+            self.outstanding += 1;
+            cursor += r.len as usize;
+        }
+        self.ring.submit()?;
+        Ok(())
+    }
+
+    /// Gives up on group `id` after a failed submit: it retires now if the
+    /// kernel holds none of its reads, else once their completions are in.
+    fn orphan(&mut self, id: u64) {
+        match self.groups.get_mut(id) {
+            Some(slot) if slot.remaining > 0 => slot.orphaned = true,
+            _ => self.retire(id),
+        }
+    }
+
+    /// Takes group `id` out of the table for good, keeping its request
+    /// table for the next group.
+    fn retire(&mut self, id: u64) {
+        if let Some(slot) = self.groups.take(id) {
+            self.spare_reqs.push(slot.reqs);
+        }
     }
 }
 
@@ -330,39 +395,26 @@ impl GroupReader for UringReader {
             self.pump_one(true)?;
         }
 
-        let id = self.groups.next_id();
-        let fd = self.file.as_raw_fd();
-        let mut cursor = 0usize;
-        for (i, r) in reqs.iter().enumerate() {
-            let user_data = (id << 20) | i as u64;
-            // SAFETY: the destination is `buf`, owned by the slot we push
-            // below and not moved or freed until the group completes or the
-            // reader drains it on drop; cursor+len <= buf.len() by
-            // construction. In registered-file mode, index 0 refers to this
-            // reader's file.
-            unsafe {
-                let dst = buf.as_mut_ptr().add(cursor);
-                if self.registered {
-                    self.ring.prepare_read_fixed(0, dst, r.len, r.offset, user_data)?;
-                } else {
-                    self.ring.prepare_read(fd, dst, r.len, r.offset, user_data)?;
-                }
-            }
-            cursor += r.len as usize;
-        }
-        self.ring.submit()?;
-        self.outstanding += reqs.len() as u64;
-
+        // Own first, lend second: the group is filed before any SQE points
+        // into its buffer, so a failed submit cannot free what it lent.
         let mut table = self.spare_reqs.pop().unwrap_or_default();
         table.clear();
         table.extend_from_slice(reqs);
+        let id = self.groups.next_id();
         self.groups.push(Slot {
             buf,
             reqs: table,
-            remaining: reqs.len() as u32,
+            remaining: 0,
             error: None,
+            orphaned: false,
         });
-        Ok(GroupToken { id })
+        match self.lend(id) {
+            Ok(()) => Ok(GroupToken { id }),
+            Err(e) => {
+                self.orphan(id);
+                Err(e)
+            }
+        }
     }
 
     fn complete_group(&mut self, token: GroupToken) -> Result<Vec<u8>> {
@@ -399,10 +451,12 @@ impl GroupReader for UringReader {
 impl Drop for UringReader {
     fn drop(&mut self) {
         // Drain every outstanding completion so the kernel never writes
-        // into freed buffers. Errors are ignored: destructors must not fail.
+        // into freed buffers. Destructors must not fail: if the drain does,
+        // the kernel may still write into any filed buffer, so they leak.
         while self.outstanding > 0 {
             if self.pump_one(true).is_err() {
-                break;
+                std::mem::forget(std::mem::replace(&mut self.groups, SlotTable::new()));
+                return;
             }
         }
     }
@@ -651,6 +705,53 @@ mod tests {
     }
 
     #[test]
+    fn failed_submit_frees_nothing_the_kernel_writes() {
+        // Eight scattered 4-byte reads per group, and the entries they hold.
+        let group = |k: u32| -> (Vec<ReadSlice>, Vec<u8>) {
+            let entries: Vec<u32> = (0..8).map(|i| (k * 97 + i * 31) % 1_000).collect();
+            let reqs = entries.iter().map(|&x| ReadSlice::new(u64::from(x) * 4, 4)).collect();
+            (reqs, entries.iter().flat_map(|x| x.to_le_bytes()).collect())
+        };
+        let path = write_u32_file(1_000);
+        let mut r = UringReader::open(&path, 32).unwrap();
+        let (g1, want1) = group(1);
+        let t1 = r.submit_group(&g1, Vec::new()).unwrap();
+        // Group 2's SQEs are published, then its enter fails: the next
+        // enter carries them, into group 2's buffer.
+        r.ring.fail_next_submit = true;
+        assert!(matches!(
+            r.submit_group(&group(2).0, Vec::new()),
+            Err(IoEngineError::Ring { op: "enter", .. })
+        ));
+        assert_eq!(r.groups.get_mut(2).map(|s| (s.remaining, s.orphaned)), Some((8, true)));
+        for k in [3, 4] {
+            let (reqs, want) = group(k);
+            assert_eq!(read_group_blocking(&mut r, &reqs, Vec::new()).unwrap(), want);
+        }
+        assert_eq!(r.complete_group(t1).unwrap(), want1);
+        while r.outstanding > 0 {
+            r.pump_one(true).unwrap();
+        }
+        // Group 2 took its own completions and retired with the last one:
+        // it pins no slot.
+        assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
+        assert_eq!(r.groups.next_id(), 5);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn drop_after_a_failed_first_submit_returns() {
+        let path = write_u32_file(100);
+        let mut r = UringReader::open(&path, 8).unwrap();
+        r.ring.fail_next_submit = true;
+        let reqs: Vec<ReadSlice> = (0..8u64).map(|i| ReadSlice::new(i * 4, 4)).collect();
+        assert!(r.submit_group(&reqs, Vec::new()).is_err());
+        assert_eq!(r.outstanding, 8);
+        drop(r); // enters the published reads and reaps them before freeing.
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn buffer_recycling_reuses_capacity() {
         let path = write_u32_file(1000);
         let mut r = PreadReader::open(&path, 8).unwrap();
@@ -674,6 +775,7 @@ mod tests {
                 reqs: vec![ReadSlice::new(id * 8, 4), ReadSlice::new(id * 8 + 4, 4)],
                 remaining: 2,
                 error: None,
+                orphaned: false,
             });
         }
         let cqe = |id: u64, idx: u64, result| Completion {

@@ -36,6 +36,7 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 
 pub mod engine;
 pub mod error;

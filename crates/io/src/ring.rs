@@ -43,6 +43,15 @@ impl Completion {
     }
 }
 
+/// The file a read SQE names: a plain descriptor, or an index into the
+/// ring's registered-file table (`IOSQE_FIXED_FILE`, which skips per-I/O fd
+/// refcounting in the kernel).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FileRef {
+    Fd(i32),
+    Registered(u32),
+}
+
 /// An owned io_uring instance: fd + shared rings + SQE array.
 ///
 /// Every ring is a plain one — no setup flags, no registered ring fd — so
@@ -79,6 +88,11 @@ pub struct Ring {
 
     /// Total `io_uring_enter` syscalls issued (metrics).
     enter_calls: u64,
+
+    /// Fails the next enter that carries SQEs with `EAGAIN`, after the tail
+    /// is published — what a kernel short of resources does.
+    #[cfg(test)]
+    pub(crate) fail_next_submit: bool,
 }
 
 // SAFETY: a Ring is only ever used by one thread at a time (it is not Sync),
@@ -169,6 +183,8 @@ impl Ring {
             },
             cqes: cq_base.offset_as::<sys::IoUringCqe>(params.cq_off.cqes),
             enter_calls: 0,
+            #[cfg(test)]
+            fail_next_submit: false,
             _sq_ring: sq_ring,
             _cq_ring: cq_ring,
             sqes,
@@ -212,7 +228,6 @@ impl Ring {
             sys::io_uring_register(
                 self.fd,
                 sys::IORING_REGISTER_PROBE,
-                // ringlint: allow(buffer-loan) — REGISTER_PROBE fills `buf` synchronously during the syscall; the kernel keeps no pointer after return
                 (&mut buf as *mut ProbeBuf).cast(),
                 NOPS as u32,
             )
@@ -231,7 +246,7 @@ impl Ring {
         self.sq_entries as usize
     }
 
-    /// Free SQ slots available for [`Ring::prepare_read`] right now.
+    /// Free SQ slots available for prepared requests right now.
     pub fn sq_space(&self) -> usize {
         // SAFETY: sq_head points into the live mapping.
         let head = unsafe { (*self.sq_head).load(Ordering::Acquire) };
@@ -247,6 +262,13 @@ impl Ring {
     /// All `io_uring_enter` calls funnel through here: retries `EINTR` and
     /// counts syscalls.
     fn enter(&mut self, to_submit: u32, min_complete: u32, flags: u32) -> Result<u32> {
+        #[cfg(test)]
+        if to_submit > 0 && std::mem::take(&mut self.fail_next_submit) {
+            return Err(IoEngineError::Ring {
+                op: "enter",
+                source: io::Error::from_raw_os_error(libc::EAGAIN),
+            });
+        }
         loop {
             match sys::io_uring_enter(self.fd, to_submit, min_complete, flags) {
                 Ok(n) => {
@@ -293,8 +315,10 @@ impl Ring {
         })
     }
 
-    /// Queues a `pread`-style read of `len` bytes from `fd` at byte
-    /// `offset` into `buf`.
+    /// Queues a `pread`-style read of `len` bytes from `file` at byte
+    /// `offset` into `buf`: the one way memory is lent to a ring. Its only
+    /// non-test caller is `UringReader::lend`, which `submit_group` runs
+    /// only after filing the group that owns the buffer.
     ///
     /// # Errors
     /// [`IoEngineError::SubmissionQueueFull`] if no SQ slot is free.
@@ -302,50 +326,25 @@ impl Ring {
     /// # Safety
     /// `buf` must point to at least `len` writable bytes that stay valid
     /// (not moved, freed, or aliased mutably) until the matching completion
-    /// has been reaped from this ring.
-    pub unsafe fn prepare_read(
+    /// has been reaped from this ring — whether or not the submit that
+    /// carries it succeeds. A [`FileRef::Registered`] index must refer to a
+    /// live slot of the table installed with [`Ring::register_files`].
+    pub(crate) unsafe fn prepare_read(
         &mut self,
-        fd: i32,
+        file: FileRef,
         buf: *mut u8,
         len: u32,
         offset: u64,
         user_data: u64,
     ) -> Result<()> {
+        let (fd, flags) = match file {
+            FileRef::Fd(fd) => (fd, 0),
+            FileRef::Registered(index) => (index as i32, sys::IOSQE_FIXED_FILE),
+        };
         self.push_sqe(sys::IoUringSqe {
             opcode: sys::IORING_OP_READ,
+            flags,
             fd,
-            off: offset,
-            addr: buf as u64,
-            len,
-            user_data,
-            ..Default::default()
-        })
-    }
-
-    /// Queues a read like [`Ring::prepare_read`] but addressing the file
-    /// by its **registered-file index** (`IOSQE_FIXED_FILE`), skipping
-    /// per-I/O fd refcounting in the kernel. The file table must have been
-    /// installed with [`Ring::register_files`].
-    ///
-    /// # Errors
-    /// [`IoEngineError::SubmissionQueueFull`] if no SQ slot is free.
-    ///
-    /// # Safety
-    /// Same contract as [`Ring::prepare_read`]: `buf` must stay valid and
-    /// exclusively borrowed until the completion is reaped. Additionally,
-    /// `file_index` must refer to a live slot in the registered table.
-    pub unsafe fn prepare_read_fixed(
-        &mut self,
-        file_index: u32,
-        buf: *mut u8,
-        len: u32,
-        offset: u64,
-        user_data: u64,
-    ) -> Result<()> {
-        self.push_sqe(sys::IoUringSqe {
-            opcode: sys::IORING_OP_READ,
-            flags: sys::IOSQE_FIXED_FILE,
-            fd: file_index as i32,
             off: offset,
             addr: buf as u64,
             len,
@@ -516,7 +515,7 @@ mod tests {
         let mut buf = vec![0u8; 16];
         // SAFETY: buf outlives the completion reaped below.
         unsafe {
-            ring.prepare_read(f.as_raw_fd(), buf.as_mut_ptr(), 16, 100, 1)
+            ring.prepare_read(FileRef::Fd(f.as_raw_fd()), buf.as_mut_ptr(), 16, 100, 1)
                 .unwrap();
         }
         ring.submit_and_wait(1).unwrap();
@@ -539,7 +538,7 @@ mod tests {
             // SAFETY: bufs outlives all completions below.
             unsafe {
                 ring.prepare_read(
-                    f.as_raw_fd(),
+                    FileRef::Fd(f.as_raw_fd()),
                     bufs.as_mut_ptr().add(4 * i),
                     4,
                     off,
@@ -589,7 +588,7 @@ mod tests {
         let mut buf = [0u8; 8];
         // SAFETY: buf outlives the completion.
         unsafe {
-            ring.prepare_read(f.as_raw_fd(), buf.as_mut_ptr(), 8, 1 << 20, 0)
+            ring.prepare_read(FileRef::Fd(f.as_raw_fd()), buf.as_mut_ptr(), 8, 1 << 20, 0)
                 .unwrap();
         }
         ring.submit_and_wait(1).unwrap();
@@ -604,7 +603,7 @@ mod tests {
         let mut buf = [0u8; 4];
         // SAFETY: buf outlives the completion.
         unsafe {
-            ring.prepare_read(-1, buf.as_mut_ptr(), 4, 0, 0).unwrap();
+            ring.prepare_read(FileRef::Fd(-1), buf.as_mut_ptr(), 4, 0, 0).unwrap();
         }
         ring.submit_and_wait(1).unwrap();
         let c = ring.wait_completion().unwrap();
@@ -655,7 +654,7 @@ mod tests {
         let mut buf = [0u8; 8];
         // SAFETY: buf outlives the completion; index 0 is registered.
         unsafe {
-            ring.prepare_read_fixed(0, buf.as_mut_ptr(), 8, 64, 9).unwrap();
+            ring.prepare_read(FileRef::Registered(0), buf.as_mut_ptr(), 8, 64, 9).unwrap();
         }
         ring.submit_and_wait(1).unwrap();
         let c = ring.wait_completion().unwrap();
@@ -701,11 +700,8 @@ mod tests {
             // SAFETY: buf outlives the completion reaped below; file index
             // 0 is registered before any `fixed` read.
             unsafe {
-                if fixed {
-                    ring.prepare_read_fixed(0, buf.as_mut_ptr(), 4, entry * 4, entry).unwrap();
-                } else {
-                    ring.prepare_read(fd, buf.as_mut_ptr(), 4, entry * 4, entry).unwrap();
-                }
+                let file = if fixed { FileRef::Registered(0) } else { FileRef::Fd(fd) };
+                ring.prepare_read(file, buf.as_mut_ptr(), 4, entry * 4, entry).unwrap();
             }
             ring.submit().unwrap();
             let c = ring.wait_completion().unwrap();

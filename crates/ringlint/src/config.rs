@@ -6,13 +6,14 @@
 //! io_uring submission/completion machinery. The *io path* is the subset
 //! that sits between a submitted SQE and a reaped CQE, where a blocking
 //! syscall would stall the whole pipeline (paper Fig. 3b). The *atomic
-//! path* is the two modules that speak the kernel's SQ/CQ memory-ordering
-//! protocol.
+//! path* is the modules that speak a shared-memory ordering protocol: the
+//! kernel's SQ/CQ rings and ringstat's single-writer cursors.
+//!
+//! Every module that enters a ring (submits, waits or reaps) is hot-path,
+//! so no lock guard can be live across ring entry: `sync-free-hot-path`
+//! bans the lock types there outright. A test pins that scope.
 
-use crate::rules::{
-    RULE_ATOMIC, RULE_BLOCKING, RULE_LOAN, RULE_LOCK_SUBMIT, RULE_PANIC, RULE_RESOURCE,
-    RULE_SWALLOWED, RULE_SYNC, RULE_UNSAFE,
-};
+use crate::rules::{RULE_ATOMIC, RULE_BLOCKING, RULE_PANIC, RULE_RESOURCE, RULE_SYNC, RULE_UNSAFE};
 
 /// Modules executed per-batch by sampler workers (paper §3.1: the
 /// sync-free, panic-free region).
@@ -86,13 +87,7 @@ fn in_scope(rel: &str, scope: &[&str]) -> bool {
 }
 
 /// The rules that apply to a workspace-relative path. `unsafe-audit`
-/// applies everywhere; the token rules only in their scoped module lists;
-/// the dataflow rules (buffer-loan, lock-across-submit,
-/// swallowed-ring-error) on every crate source file — they are
-/// pattern-gated on ring-operation names, so they are silent in modules
-/// that never touch the ring. Test code (`tests/` roots) and vendored
-/// sources are excluded from the dataflow rules: tests hold env locks
-/// across ring calls by design, and vendor code is not ours to fix.
+/// applies everywhere; the others only in their scoped module lists.
 pub fn rules_for(rel: &str) -> Vec<&'static str> {
     let mut rules = vec![RULE_UNSAFE];
     if in_scope(rel, HOT_PATH) {
@@ -105,11 +100,6 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
     }
     if in_scope(rel, ATOMIC_PATH) {
         rules.push(RULE_ATOMIC);
-    }
-    if rel.starts_with("crates/") && rel.contains("/src/") {
-        rules.push(RULE_LOAN);
-        rules.push(RULE_LOCK_SUBMIT);
-        rules.push(RULE_SWALLOWED);
     }
     rules
 }
@@ -141,32 +131,49 @@ mod tests {
             let rules = rules_for(rel);
             assert!(!rules.contains(&RULE_BLOCKING), "{rel}");
             assert!(!rules.contains(&RULE_SYNC), "{rel}");
-            // The dataflow rules still watch any ring calls they make.
-            assert!(rules.contains(&RULE_LOAN), "{rel}");
         }
     }
 
+    /// Stands in for a lock-across-submit rule: a lock guard cannot be live
+    /// across ring entry while every non-test crate source that enters a
+    /// ring is hot-path, where the lock types themselves are banned.
     #[test]
-    fn dataflow_rules_cover_crate_sources_only() {
-        for rel in [
-            "crates/io/src/ring.rs",
-            "crates/core/src/worker.rs",
-            "crates/ringstat/src/json.rs",
-        ] {
-            let rules = rules_for(rel);
-            assert!(rules.contains(&RULE_LOAN), "{rel}");
-            assert!(rules.contains(&RULE_LOCK_SUBMIT), "{rel}");
-            assert!(rules.contains(&RULE_SWALLOWED), "{rel}");
+    fn every_ring_entry_caller_is_hot_path() {
+        const RING_ENTRY: &[&str] = &[
+            "submit",
+            "submit_and_wait",
+            "wait_completion",
+            "peek_completion",
+            "submit_group",
+            "complete_group",
+            "io_uring_enter",
+        ];
+        let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate::find_workspace_root(here).expect("workspace root");
+        let mut callers = Vec::new();
+        for rel in crate::collect_workspace_files(&root).expect("walk") {
+            if !(rel.starts_with("crates/") && rel.contains("/src/")) {
+                continue;
+            }
+            let src = std::fs::read_to_string(root.join(&rel)).expect("read");
+            let toks = crate::lexer::lex(&src).tokens;
+            let skip = crate::rules::test_region_mask(&toks);
+            // A call, not a definition: `name(` not preceded by `fn`.
+            let calls = toks.iter().enumerate().any(|(i, t)| {
+                !skip[i]
+                    && RING_ENTRY.contains(&t.text.as_str())
+                    && toks.get(i + 1).is_some_and(|n| n.text == "(")
+                    && (i == 0 || toks[i - 1].text != "fn")
+            });
+            if calls {
+                callers.push(rel);
+            }
         }
-        for rel in [
-            "tests/e2e.rs",
-            "crates/ringstat/tests/prop_hist.rs",
-            "vendor/proptest/src/lib.rs",
-        ] {
-            let rules = rules_for(rel);
-            assert!(!rules.contains(&RULE_LOAN), "{rel}");
-            assert!(!rules.contains(&RULE_LOCK_SUBMIT), "{rel}");
-            assert!(!rules.contains(&RULE_SWALLOWED), "{rel}");
+        for rel in &callers {
+            assert!(in_scope(rel, HOT_PATH), "{rel} enters a ring outside HOT_PATH");
+        }
+        for rel in ["crates/core/src/worker.rs", "crates/io/src/engine.rs", "crates/io/src/ring.rs"] {
+            assert!(callers.iter().any(|c| c == rel), "{rel} not found among {callers:?}");
         }
     }
 

@@ -67,12 +67,13 @@ impl Report {
 
     /// Machine-readable JSON report (hand-rolled; no serde offline).
     ///
-    /// Schema history: v2 renamed `version` to `schema_version`, added the
-    /// dataflow rules and `stale-allow` to `counts`; v1 covered the five
-    /// token rules only.
+    /// Schema history: v3 removed the three dataflow rules
+    /// (`buffer-loan`, `lock-across-submit`, `swallowed-ring-error`) from
+    /// `counts`; v2 renamed `version` to `schema_version`, added them and
+    /// `stale-allow`; v1 covered the five token rules only.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str("\"schema_version\":2,");
+        out.push_str("\"schema_version\":3,");
         out.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
         out.push_str(&format!("\"allowed\":{},", self.allowed));
         out.push_str("\"counts\":{");
@@ -141,14 +142,15 @@ mod tests {
         };
         r.finish();
         let j = r.to_json();
-        assert!(j.starts_with("{\"schema_version\":2,"));
+        assert!(j.starts_with("{\"schema_version\":3,"));
         assert!(j.contains("\"files_scanned\":2"));
         assert!(j.contains("\"allowed\":1"));
         assert!(j.contains("\"unsafe-audit\":1"));
         assert!(j.contains("\"line\":10"));
-        // v2 counts cover the dataflow rules and exemption hygiene.
-        for rule in ["buffer-loan", "lock-across-submit", "swallowed-ring-error", "stale-allow"] {
-            assert!(j.contains(&format!("\"{rule}\":0")), "missing {rule} in {j}");
+        // v3 counts: the six rules and exemption hygiene, nothing else.
+        assert!(j.contains("\"stale-allow\":0"), "{j}");
+        for gone in ["buffer-loan", "lock-across-submit", "swallowed-ring-error"] {
+            assert!(!j.contains(gone), "{gone} in {j}");
         }
     }
 

@@ -5,18 +5,9 @@
 //! cargo run -p ringlint -- --json               # machine-readable report
 //! cargo run -p ringlint -- --root DIR           # explicit workspace root
 //! cargo run -p ringlint -- FILE..               # lint specific files (relative to root)
-//! cargo run -p ringlint -- --baseline FILE      # fail only on NEW violations
-//! cargo run -p ringlint -- --update-baseline FILE  # snapshot current findings
 //! ```
 //!
-//! With `--baseline`, violations recorded in FILE are grandfathered
-//! (matched by rule/file/message, line-insensitive) and only new findings
-//! fail the run; `stale-allow` findings are never grandfathered. In `--json`
-//! mode the full report still goes to stdout and the baseline verdict to
-//! stderr, so the exit code is the CI contract.
-//!
-//! Exit codes: 0 clean, 1 violations found (new ones only under
-//! `--baseline`), 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,8 +15,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut json = false;
     let mut root_arg: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline: Option<PathBuf> = None;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -45,25 +34,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("ringlint: --baseline requires a file argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--update-baseline" => match args.next() {
-                Some(p) => update_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("ringlint: --update-baseline requires a file argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
                     "ringlint — RingSampler workspace invariant checker\n\n\
-                     USAGE: ringlint [--json] [--root DIR] [--baseline FILE]\n\
-                     \x20               [--update-baseline FILE] [FILE..]\n\n\
+                     USAGE: ringlint [--json] [--root DIR] [FILE..]\n\n\
                      Rules: {}\n\
                      Hygiene: stale-allow (unused `ringlint: allow` comments)",
                     ringlint::rules::ALL_RULES.join(", ")
@@ -109,57 +83,10 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = update_baseline {
-        let text = ringlint::baseline::render(&report);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("ringlint: writing baseline `{}`: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        let n = report
-            .violations
-            .iter()
-            .filter(|v| v.rule != ringlint::rules::RULE_STALE)
-            .count();
-        eprintln!("ringlint: wrote {} baselined violation(s) to {}", n, path.display());
-        // Snapshotting succeeds regardless of how dirty the tree is.
-        return ExitCode::SUCCESS;
-    }
-
     if json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.to_text());
-    }
-
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("ringlint: reading baseline `{}`: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let entries = match ringlint::baseline::parse(&text) {
-            Ok(es) => es,
-            Err(e) => {
-                eprintln!("ringlint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let fresh = ringlint::baseline::new_violations(&report, &entries);
-        for v in &fresh {
-            eprintln!("new: {}", v.render());
-        }
-        eprintln!(
-            "ringlint: {} new violation(s) vs baseline ({} baselined)",
-            fresh.len(),
-            entries.len()
-        );
-        return if fresh.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
     }
 
     if report.violations.is_empty() {

@@ -1,8 +1,6 @@
-//! The nine invariant rules, run over the token stream of one file.
+//! The six invariant rules, run over the token stream of one file.
 //!
-//! Six rules are token-level detectors; three (`buffer-loan`,
-//! `lock-across-submit`, `swallowed-ring-error`) run on the statement-level
-//! dataflow analysis in [`crate::dataflow`]. Each detector works on the
+//! Each detector works on the
 //! lexed tokens (never raw text), so patterns inside string literals and
 //! comments can't trigger false positives. `#[cfg(test)] mod .. { .. }`
 //! regions are excluded from every rule, and any remaining finding can be
@@ -28,15 +26,6 @@ pub const RULE_BLOCKING: &str = "no-blocking-io";
 pub const RULE_PANIC: &str = "panic-free-hot-path";
 /// Ring-buffer atomics must follow the kernel's acquire/release protocol.
 pub const RULE_ATOMIC: &str = "atomic-ordering";
-/// A buffer lent to the kernel (SQE prep / buffer registration) must not be
-/// dropped, reassigned, truncated or mutably re-borrowed before its
-/// completion is reaped, on every path.
-pub const RULE_LOAN: &str = "buffer-loan";
-/// No lock guard may be live across a ring submit/wait call on any path.
-pub const RULE_LOCK_SUBMIT: &str = "lock-across-submit";
-/// Fallible ring operations must not have their errors discarded with
-/// `let _ =` or `.ok()`.
-pub const RULE_SWALLOWED: &str = "swallowed-ring-error";
 /// Kernel resource counters (`getrusage`, procfs) may only be sampled at
 /// epoch boundaries; the per-batch path is limited to the single
 /// `CLOCK_THREAD_CPUTIME_ID` read (`ringstat::thread_cpu_nanos`). Every
@@ -54,9 +43,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_PANIC,
     RULE_ATOMIC,
     RULE_RESOURCE,
-    RULE_LOAN,
-    RULE_LOCK_SUBMIT,
-    RULE_SWALLOWED,
 ];
 
 /// A parsed `// ringlint: allow(<rule>) — <reason>` comment.
@@ -81,11 +67,10 @@ pub struct FileOutcome {
 /// Lints one file's source, applying only the rules scoped to `rel`.
 pub fn lint_source(rel: &str, src: &str) -> FileOutcome {
     let lx = lexer::lex(src);
-    let active = config::rules_for(rel);
     let a = Analysis::new(rel, &lx);
     let mut raw: Vec<Violation> = Vec::new();
-    for rule in &active {
-        match *rule {
+    for rule in config::rules_for(rel) {
+        match rule {
             RULE_UNSAFE => unsafe_audit(&a, &mut raw),
             RULE_SYNC => sync_free(&a, &mut raw),
             RULE_BLOCKING => no_blocking_io(&a, &mut raw),
@@ -93,23 +78,6 @@ pub fn lint_source(rel: &str, src: &str) -> FileOutcome {
             RULE_ATOMIC => atomic_ordering(&a, &mut raw),
             RULE_RESOURCE => resource_discipline(&a, &mut raw),
             _ => {}
-        }
-    }
-    // The statement-level dataflow rules share one parse + analysis pass.
-    if active
-        .iter()
-        .any(|r| matches!(*r, RULE_LOAN | RULE_LOCK_SUBMIT | RULE_SWALLOWED))
-    {
-        let parsed = crate::parse::parse(&lx.tokens);
-        for f in crate::dataflow::analyze_file(&lx.tokens, &parsed, &a.skip) {
-            if active.contains(&f.rule) {
-                raw.push(Violation {
-                    rule: f.rule,
-                    file: rel.to_string(),
-                    line: f.line,
-                    message: f.message,
-                });
-            }
         }
     }
     a.apply_allows(rel, raw)
@@ -294,7 +262,7 @@ fn test_line_ranges(toks: &[Tok], skip: &[bool]) -> Vec<(u32, u32)> {
 }
 
 /// Marks token indices inside `#[cfg(test)] mod name { .. }` regions.
-fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
+pub(crate) fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
     let mut skip = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
