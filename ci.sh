@@ -17,11 +17,13 @@
 #      --assert-coverage 0.99: per-stage attribution (sample/plan/submit/
 #      wait/reap/scatter) sums to the end-to-end batch latency exactly
 #      unless the recorder dropped events (see DESIGN.md §12)
-#   7. env-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
+#   7. config-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
 #      crates/**/*.rs may not exceed 10 (33 before the ring-mode ladder was
 #      removed, 25 before the RS_CONGESTION_* overrides were, 17 before
-#      plan_compare and prof_compare were): lower the ceiling when a knob
-#      goes, never raise it
+#      plan_compare and prof_compare were), the pub fields of SamplerConfig
+#      may not exceed 14 (19 before PRs 16-22) and those of TelemetryConfig
+#      2 (4 before stall_threshold and history_capacity became constants):
+#      lower a ceiling when a knob goes, never raise it
 #   8. ringtop gate — a small fig4_overall with --serve, asserting that
 #      /history serves the per-worker time series, /congestion serves
 #      verdicts, and `ringtop --once` renders a frame with every worker
@@ -118,9 +120,18 @@ RS_DATA_DIR="$(mktemp -d)" \
 "$BIN"/ringtrace "$TRACE_DUMP" --assert-coverage 0.99 >/dev/null
 echo "    ringtrace smoke ok (stage attribution covers >= 99% of batch time)"
 
-echo "==> env-surface ratchet (distinct RS_*/RINGSAMPLER_* names in crates/ <= 10)"
+echo "==> config-surface ratchet (RS_*/RINGSAMPLER_* names <= 10, SamplerConfig fields <= 14, TelemetryConfig fields <= 2)"
 KNOBS="$(grep -rhoE '\b(RS|RINGSAMPLER)_[A-Z0-9_]*[A-Z0-9]\b' "$ROOT/crates" --include='*.rs' | sort -u)"
 [ "$(echo "$KNOBS" | wc -l)" -le 10 ] || { echo "$KNOBS"; fail "more than 10 env knob names under crates/"; }
+# pub_fields FILE STRUCT: the `pub` fields declared in STRUCT's body.
+pub_fields() {
+    awk -v s="pub struct $2 {" '$0 ~ s { on = 1; next } on && /^}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }' "$1"
+}
+N_SAMPLER="$(pub_fields "$ROOT/crates/core/src/config.rs" SamplerConfig)"
+N_TELEMETRY="$(pub_fields "$ROOT/crates/core/src/telemetry.rs" TelemetryConfig)"
+[ "$N_SAMPLER" -ge 1 ] && [ "$N_TELEMETRY" -ge 1 ] || fail "config-surface ratchet found no SamplerConfig/TelemetryConfig fields"
+[ "$N_SAMPLER" -le 14 ] || fail "SamplerConfig has $N_SAMPLER pub fields (ceiling 14)"
+[ "$N_TELEMETRY" -le 2 ] || fail "TelemetryConfig has $N_TELEMETRY pub fields (ceiling 2)"
 
 echo "==> ringtop gate (fig4_overall --serve, /history + /congestion + ringtop --once)"
 # 8192 targets = 8 batches of 1024: both workers own batches, so both

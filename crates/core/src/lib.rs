@@ -66,5 +66,5 @@ pub use memory::{parse_budget, MemoryBudget, MemoryCharge};
 pub use metrics::{EpochReport, ResourceReport, SampleMetrics, WorkerResources, WorkerStats};
 pub use ondemand::{run_on_demand, OnDemandReport};
 pub use plan::{PlanStats, ReadPlanMode, ReadPlanner};
-pub use telemetry::{SnapshotRegistry, StallDetector, TelemetryConfig, TelemetryHandle};
+pub use telemetry::{SnapshotRegistry, TelemetryConfig, TelemetryHandle};
 pub use worker::SamplerWorker;

@@ -63,7 +63,6 @@ fn config(telemetry: bool) -> SamplerConfig {
 fn live_telemetry() -> TelemetryConfig {
     TelemetryConfig::new("127.0.0.1:0")
         .poll_interval(Duration::from_millis(10))
-        .history_capacity(256)
 }
 
 /// 40 batches over 96 nodes: workers 0 and 1 own 20 each
@@ -124,7 +123,6 @@ fn run_epoch(
                 // after that worker published its batch.
                 for s in registry.observe().iter().filter_map(|o| o.snapshot) {
                     backlog.fetch_max(s.inflight, Ordering::Relaxed);
-                    assert_eq!(s.reads_completed, s.reads_submitted, "drained between batches");
                 }
                 // The throttle: sleeping here slows exactly one worker.
                 std::thread::sleep(Duration::from_millis(slow_ms[idx % 2]));

@@ -1,26 +1,24 @@
 //! Golden-file tests pinning the exact bytes of the `ringscope` live
 //! endpoints (`GET /metrics`, `GET /progress`, `GET /trace`,
-//! `GET /history`, `GET /congestion`) against a fixed two-worker
-//! snapshot registry. The documents are rendered by the same pure
-//! functions the telemetry thread calls, with all time-dependent inputs
-//! (rates, ETA, uptime, history timestamps) fixed — so the goldens are
-//! byte-stable. The history/congestion goldens additionally travel the
-//! real registry → HTTP route: the bytes asserted are the body a live
+//! `GET /history`, `GET /congestion`, `GET /resources`) against a fixed
+//! two-worker snapshot registry. The documents are rendered by the same
+//! pure functions the telemetry thread calls, with all time-dependent
+//! inputs (rates, ETA, uptime, history timestamps) fixed — so the goldens
+//! are byte-stable. The history, congestion and resources goldens go
+//! through `Monitor::route`, the handler the server's socket loop calls,
+//! over a synthetic timeline: the bytes asserted are the body a live
 //! `ringtop` would receive.
 //!
 //! To regenerate after an intentional format change:
 //! `UPDATE_GOLDEN=1 cargo test -p ringsampler --test golden_telemetry`
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ringsampler::telemetry::{
-    congestion_document, metrics_document, progress_document, spawn_server, trace_document,
-    CongestionDetector, FleetRates, MetricsExtras, SnapshotRegistry,
-    TelemetryConfig, WorkerObservation,
+    metrics_document, progress_document, trace_document, FleetRates, MetricsExtras, Monitor,
+    SnapshotRegistry, WorkerObservation,
 };
 use ringstat::{EventKind, EventRing, TraceEvent, WorkerSnapshot};
 
@@ -39,7 +37,6 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     w0.sampled_edges = 1_536;
     w0.bytes_read = 6_144;
     w0.reads_submitted = 1_536;
-    w0.reads_completed = 1_532;
     w0.inflight = 4;
     w0.io_groups = 12;
     w0.cpu_nanos = 2_000_000;
@@ -58,7 +55,6 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     w1.sampled_edges = 2_560;
     w1.bytes_read = 10_240;
     w1.reads_submitted = 2_560;
-    w1.reads_completed = 2_560;
     w1.inflight = 0;
     w1.io_groups = 20;
     w1.cpu_nanos = 3_500_000;
@@ -179,13 +175,14 @@ fn progress_endpoint_body_is_pinned() {
     check_golden("telemetry_progress.json", &doc);
 }
 
-/// Builds the fixed history timeline: six 250 ms-spaced points per
-/// worker, worker 0 progressing at full rate, worker 1 at a tenth of it
-/// (the straggler the congestion golden convicts). Timestamps are
-/// synthetic, so the appended points — and everything derived from
-/// them — are byte-stable.
-fn push_golden_history(registry: &SnapshotRegistry) {
-    registry.set_history_capacity(16);
+/// Ticks a monitor through the fixed history timeline: six 250 ms-spaced
+/// points per worker, worker 0 progressing at full rate, worker 1 at a
+/// tenth of it (the straggler the congestion golden convicts). Instants
+/// are synthetic, so the series — and everything derived from them — are
+/// byte-stable.
+fn golden_monitor(registry: &SnapshotRegistry) -> Monitor {
+    let start = Instant::now();
+    let mut monitor = Monitor::new(start);
     for i in 0..6u64 {
         let obs: Vec<WorkerObservation> = [(0usize, 1u64), (1usize, 10u64)]
             .iter()
@@ -200,8 +197,7 @@ fn push_golden_history(registry: &SnapshotRegistry) {
                 s.inflight = 16 + 4 * i;
                 s.io_groups = 8 * i / div;
                 s.reads_submitted = 256 * i / div;
-                s.reads_completed = 256 * i / div;
-                s.prepare_nanos = 40_000_000 * i / div;
+                s.submit_nanos = 40_000_000 * i / div;
                 s.complete_nanos = 10_000_000 * i / div;
                 // ringprof column: worker 0 busy (~180/250 ms on-CPU per
                 // interval), the straggler mostly idle.
@@ -210,58 +206,38 @@ fn push_golden_history(registry: &SnapshotRegistry) {
                 s.batch_latency.record(700_000 + 50_000 * i);
                 WorkerObservation {
                     index,
-                    version: 2 * (i + 1),
                     snapshot: Some(s),
                 }
             })
             .collect();
-        registry.append_history(&obs, 250 * i);
+        let stalled = monitor.tick(obs, start + Duration::from_millis(250 * i), registry);
+        assert!(stalled.is_empty());
     }
+    monitor
 }
 
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    for _ in 0..50 {
-        if let Ok(mut stream) = TcpStream::connect(addr) {
-            stream
-                .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-                .unwrap();
-            let mut out = String::new();
-            stream.read_to_string(&mut out).unwrap();
-            if let Some(code) = out.split_whitespace().nth(1).and_then(|s| s.parse().ok()) {
-                let body = out.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-                return (code, body.to_string());
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("server never answered {path}");
+/// `GET path` answered by `monitor` (status, body).
+fn get(monitor: &Monitor, registry: &SnapshotRegistry, path: &str) -> (u16, String) {
+    let response = monitor.route(path, registry);
+    (response.status(), response.body().to_string())
 }
 
 #[test]
 fn history_endpoint_body_is_pinned_through_http() {
-    let registry = Arc::new(SnapshotRegistry::new());
-    // History capacity 0 in the config keeps the server's own sampler
-    // off (its points would carry wall-clock timestamps); the fixture
-    // pushes a synthetic timeline instead, and the `/history` route
-    // serves whatever the registry holds.
-    let cfg = TelemetryConfig::new("127.0.0.1:0")
-        .poll_interval(Duration::from_millis(10))
-        .history_capacity(0);
-    let handle = spawn_server(&cfg, Arc::clone(&registry)).expect("spawn server");
-    push_golden_history(&registry);
+    let registry = SnapshotRegistry::new();
+    let monitor = golden_monitor(&registry);
 
-    let (code, body) = http_get(handle.addr(), "/history?window=8");
+    let (code, body) = get(&monitor, &registry, "/history?window=8");
     assert_eq!(code, 200);
     assert!(body.contains("\"t_ms\": 1250"));
     assert!(body.contains("\"edges_per_sec\": 8192.0"), "{body}");
     check_golden("telemetry_history.json", &body);
 
     // The worker filter narrows the document to the requested series.
-    let (code, filtered) = http_get(handle.addr(), "/history?worker=1&window=8");
+    let (code, filtered) = get(&monitor, &registry, "/history?worker=1&window=8");
     assert_eq!(code, 200);
     assert!(filtered.contains("\"worker\": 1"));
     assert!(!filtered.contains("\"worker\": 0"));
-    handle.shutdown();
 }
 
 #[test]
@@ -307,47 +283,34 @@ fn resources_endpoint_body_is_pinned_through_http() {
         .with("resources", report.resources_json_value())
         .to_string_pretty();
 
-    // Travel the real registry → HTTP route: the bytes asserted are the
-    // body a live scraper receives from GET /resources.
-    let registry = Arc::new(SnapshotRegistry::new());
-    let cfg = TelemetryConfig::new("127.0.0.1:0")
-        .poll_interval(Duration::from_millis(10))
-        .history_capacity(0);
-    let handle = spawn_server(&cfg, Arc::clone(&registry)).expect("spawn server");
+    // Travel the registry → route path: the bytes asserted are the body
+    // a live scraper receives from GET /resources.
+    let registry = SnapshotRegistry::new();
     registry.publish_resources(doc);
-    let (code, body) = http_get(handle.addr(), "/resources");
+    let (code, body) = get(&Monitor::new(Instant::now()), &registry, "/resources");
     assert_eq!(code, 200);
     assert!(body.contains("\"read_amplification\": 320.0"), "{body}");
     assert!(body.contains("\"conserved\": true"), "{body}");
     assert!(body.contains("\"physical_attribution\": \"proportional\""), "{body}");
     check_golden("telemetry_resources.json", &body);
-    handle.shutdown();
 }
 
 #[test]
 fn congestion_endpoint_body_is_pinned() {
-    let registry = Arc::new(SnapshotRegistry::new());
-    push_golden_history(&registry);
-    // The same detector the telemetry thread runs, over the registry's
-    // real windows: worker 1 completes batches at a tenth of the fleet
-    // median and must be convicted as the straggler.
-    let detector = CongestionDetector::new();
-    let verdicts = detector.assess(&registry.history_windows(12), &[]);
-    let doc = congestion_document(&verdicts);
+    // Before its first tick the monitor judges nobody.
+    let registry = SnapshotRegistry::new();
+    let (code, body) = get(&Monitor::new(Instant::now()), &registry, "/congestion");
+    assert_eq!(code, 200);
+    assert!(body.contains("\"workers\": 0"), "{body}");
+
+    // The detector the telemetry thread runs, over the monitor's series:
+    // worker 1 completes batches at a tenth of the fleet median and must
+    // be convicted as the straggler.
+    let monitor = golden_monitor(&registry);
+    let (code, doc) = get(&monitor, &registry, "/congestion");
+    assert_eq!(code, 200);
     assert!(doc.contains("\"state\": \"ok\""), "{doc}");
     assert!(doc.contains("\"state\": \"straggler\""), "{doc}");
     assert!(doc.contains("\"congested\": 1"), "{doc}");
     check_golden("telemetry_congestion.json", &doc);
-
-    // The live route serves the same document shape (empty verdicts
-    // until the server's own sampler has run — the fixture server has
-    // history off, so the fleet shows zero workers).
-    let cfg = TelemetryConfig::new("127.0.0.1:0")
-        .poll_interval(Duration::from_millis(10))
-        .history_capacity(0);
-    let handle = spawn_server(&cfg, Arc::new(SnapshotRegistry::new())).expect("spawn server");
-    let (code, body) = http_get(handle.addr(), "/congestion");
-    assert_eq!(code, 200);
-    assert!(body.contains("\"workers\": 0"), "{body}");
-    handle.shutdown();
 }

@@ -1,35 +1,9 @@
-//! Per-worker telemetry time series — the `ringtop` history ring.
+//! Per-worker telemetry time series — the arithmetic behind `ringtop`.
 //!
-//! [`HistoryRing`] is a fixed-capacity ring of timestamped
-//! [`WorkerSnapshot`] points, one ring per worker, appended by the single
-//! telemetry (ringscope) thread every poll tick and read lock-free by
-//! HTTP handlers and the `ringtop` dashboard. Each slot is a seqlock
-//! [`SnapshotCell`] (the audited memory-ordering discipline of
-//! [`crate::snapshot`]), and the head cursor uses store-only updates
-//! (load-Acquire / store-Release, no `fetch_add`/CAS) — sound because
-//! only the single writer ever stores it. Unlike the flight recorder
-//! ([`crate::events`]), which drops *new* events to preserve a faithful
-//! prefix, a history ring **drops oldest**: the newest point always
-//! lands, because trend detection needs the most recent window, not the
-//! oldest. Ringlint's `sync-free-hot-path` and `atomic-ordering` rules
-//! are enforced over this module with zero allows.
-//!
-//! ## Single-writer contract
-//!
-//! Exactly one thread — the ringscope poll loop — may call
-//! [`push`](HistoryRing::push). Any number of observer threads may
-//! concurrently call the read side ([`window`](HistoryRing::window),
-//! [`head`](HistoryRing::head), [`len`](HistoryRing::len)); they never
-//! block the writer. Because the writer overwrites the oldest slot, a
-//! reader scanning the window can race a wrap-around; every slot value
-//! therefore carries its logical push index as a generation tag, and
-//! the reader discards any slot whose tag no longer matches the index
-//! it expected (in addition to the per-slot seqlock torn-read
-//! rejection). The tag lives *inside* the seqlock'd value — checking
-//! the head cursor instead would race, since the writer bumps the head
-//! only after the slot store.
-//!
-//! ## Derivation helpers
+//! A [`HistoryPoint`] is one timestamped [`WorkerSnapshot`]. The ringscope
+//! thread keeps each worker's points in a plain series it alone owns
+//! (`ringsampler::telemetry::Monitor`) and serves every live view from it,
+//! so nothing here is shared and nothing needs an atomic or a lock.
 //!
 //! The free functions below are *pure* — they take a window of points
 //! and return rates, EWMA trends, and least-squares slopes. All the
@@ -37,9 +11,7 @@
 //! (`ringscope`'s detector); this module only does arithmetic, so the
 //! estimators are unit-testable with synthetic series.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::snapshot::{SnapshotCell, WorkerSnapshot};
+use crate::snapshot::WorkerSnapshot;
 
 /// One timestamped history point: a full [`WorkerSnapshot`] as observed
 /// at `t_ms`. Cumulative counters are kept as-is (not pre-differenced)
@@ -47,122 +19,10 @@ use crate::snapshot::{SnapshotCell, WorkerSnapshot};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryPoint {
     /// Milliseconds since the telemetry server started (a monotonic,
-    /// server-local timeline shared by all workers' rings).
+    /// server-local timeline shared by all workers' series).
     pub t_ms: u64,
     /// The worker's snapshot at that instant.
     pub snap: WorkerSnapshot,
-}
-
-impl HistoryPoint {
-    /// The all-zero placeholder used to initialize ring slots; never
-    /// returned by [`HistoryRing::window`].
-    const fn empty() -> Self {
-        Self {
-            t_ms: 0,
-            snap: WorkerSnapshot::new(),
-        }
-    }
-}
-
-/// A fixed-capacity, drop-oldest, single-writer ring of
-/// [`HistoryPoint`]s. See the module docs for the writer contract and
-/// the wrap-around generation check.
-pub struct HistoryRing {
-    /// One seqlock cell per slot; slot `i % capacity` holds point `i`,
-    /// tagged with its logical push index `i` so a reader that races a
-    /// wrap-around detects the lap exactly (a tag mismatch) instead of
-    /// inferring it from the head cursor, which the writer bumps only
-    /// *after* the slot store and may therefore lag the overwrite.
-    slots: Box<[SnapshotCell<(u64, HistoryPoint)>]>,
-    /// Monotonic count of points ever pushed (single-writer cursor).
-    head: AtomicU64,
-}
-
-impl HistoryRing {
-    /// Creates a ring holding the most recent `capacity` points
-    /// (clamped to at least 2, since every derivation needs a pair;
-    /// callers model "history off" by not constructing a ring at all).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2);
-        // `u64::MAX` never equals a real push index, so unwritten slots
-        // can never satisfy a reader's tag check.
-        let slots: Vec<SnapshotCell<(u64, HistoryPoint)>> = (0..capacity)
-            .map(|_| SnapshotCell::new((u64::MAX, HistoryPoint::empty())))
-            .collect();
-        Self {
-            slots: slots.into_boxed_slice(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    /// Maximum points retained.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Appends one point (writer side; telemetry thread only).
-    /// Wait-free: when the ring is full the *oldest* point's slot is
-    /// overwritten — the newest observation always lands.
-    pub fn push(&self, point: HistoryPoint) {
-        let h = self.head.load(Ordering::Acquire);
-        let idx = (h % self.slots.len() as u64) as usize;
-        if let Some(slot) = self.slots.get(idx) {
-            slot.publish((h, point));
-        }
-        self.head.store(h.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Best-effort snapshot of the most recent `k` points in push order
-    /// (reader side; any thread). Points whose slot was overwritten or
-    /// torn by a concurrent push during the scan are discarded, so the
-    /// result can be shorter than `k` but never contains a mixed-
-    /// generation or torn value.
-    pub fn window(&self, k: usize) -> Vec<HistoryPoint> {
-        let h1 = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let n = (k as u64).min(h1).min(cap);
-        let mut out: Vec<HistoryPoint> = Vec::with_capacity(n as usize);
-        let mut i = h1.wrapping_sub(n);
-        while i < h1 {
-            // Generation check: the tag stored alongside the point is
-            // its logical push index, so a slot lapped by the writer
-            // mid-scan (already holding point `i + capacity`) simply
-            // fails the equality and is dropped — no inference from the
-            // head cursor needed, which can lag the slot overwrite.
-            if let Some((tag, p)) = self.slots.get((i % cap) as usize).and_then(SnapshotCell::try_read) {
-                if tag == i {
-                    out.push(p);
-                }
-            }
-            i = i.wrapping_add(1);
-        }
-        out
-    }
-
-    /// Total points ever pushed (monotonic; readable from any thread).
-    pub fn head(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Points currently retained.
-    pub fn len(&self) -> usize {
-        let h = self.head.load(Ordering::Acquire);
-        h.min(self.slots.len() as u64) as usize
-    }
-
-    /// True if nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire) == 0
-    }
-}
-
-impl std::fmt::Debug for HistoryRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistoryRing")
-            .field("capacity", &self.slots.len())
-            .field("head", &self.head())
-            .finish()
-    }
 }
 
 /// Windowed throughput rates derived from the first and last point of a
@@ -288,9 +148,9 @@ pub fn batch_p99_slope(points: &[HistoryPoint]) -> f64 {
 
 /// The cumulative CQ-wait share of one snapshot: the fraction of the
 /// worker's I/O wall time spent blocked on completions,
-/// `complete / (prepare + complete)`. 0.0 before any I/O happened.
+/// `complete / (submit + complete)`. 0.0 before any I/O happened.
 pub fn cq_wait_share(snap: &WorkerSnapshot) -> f64 {
-    let total = snap.prepare_nanos.saturating_add(snap.complete_nanos);
+    let total = snap.submit_nanos.saturating_add(snap.complete_nanos);
     if total == 0 {
         0.0
     } else {
@@ -307,7 +167,7 @@ pub fn cq_wait_share_series(points: &[HistoryPoint]) -> Vec<(u64, f64)> {
         .filter_map(|w| {
             let (a, b) = (w.first()?, w.last()?);
             let dc = b.snap.complete_nanos.saturating_sub(a.snap.complete_nanos);
-            let dp = b.snap.prepare_nanos.saturating_sub(a.snap.prepare_nanos);
+            let dp = b.snap.submit_nanos.saturating_sub(a.snap.submit_nanos);
             let total = dc.saturating_add(dp);
             if total == 0 {
                 return None;
@@ -362,7 +222,7 @@ pub fn cpu_share(points: &[HistoryPoint]) -> f64 {
 }
 
 /// The fraction of the window's wall-clock time the worker spent in I/O
-/// at all (preparing/submitting or waiting on completions). A CQ-wait
+/// at all (submitting or waiting on completions). A CQ-wait
 /// share only carries congestion signal when this is substantial: a
 /// worker that touches the ring for 1 ms out of every 100 ms has a
 /// noisy, meaningless share. 0.0 for windows of fewer than two points
@@ -377,8 +237,8 @@ pub fn io_busy_share(points: &[HistoryPoint]) -> f64 {
     }
     let busy = last
         .snap
-        .prepare_nanos
-        .saturating_sub(first.snap.prepare_nanos)
+        .submit_nanos
+        .saturating_sub(first.snap.submit_nanos)
         .saturating_add(
             last.snap
                 .complete_nanos
@@ -406,44 +266,6 @@ mod tests {
         snap.batches = batches;
         snap.active = true;
         HistoryPoint { t_ms, snap }
-    }
-
-    #[test]
-    fn push_and_window_in_order() {
-        let ring = HistoryRing::new(8);
-        assert!(ring.is_empty());
-        for i in 0..5u64 {
-            ring.push(pt(i * 100, i * 10, i));
-        }
-        assert_eq!(ring.len(), 5);
-        assert_eq!(ring.head(), 5);
-        let w = ring.window(3);
-        let ts: Vec<u64> = w.iter().map(|p| p.t_ms).collect();
-        assert_eq!(ts, vec![200, 300, 400]);
-        assert_eq!(ring.window(100).len(), 5);
-    }
-
-    #[test]
-    fn full_ring_drops_oldest_not_newest() {
-        let ring = HistoryRing::new(4);
-        for i in 0..10u64 {
-            ring.push(pt(i, i, i));
-        }
-        assert_eq!(ring.len(), 4);
-        let ts: Vec<u64> = ring.window(10).iter().map(|p| p.t_ms).collect();
-        // The *newest* four survive — opposite of EventRing's drop-new.
-        assert_eq!(ts, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn capacity_clamps_to_two() {
-        let ring = HistoryRing::new(0);
-        assert_eq!(ring.capacity(), 2);
-        ring.push(pt(1, 1, 1));
-        ring.push(pt(2, 2, 2));
-        ring.push(pt(3, 3, 3));
-        let ts: Vec<u64> = ring.window(10).iter().map(|p| p.t_ms).collect();
-        assert_eq!(ts, vec![2, 3]);
     }
 
     #[test]
@@ -527,7 +349,7 @@ mod tests {
     #[test]
     fn cq_wait_share_and_slope() {
         let mut a = pt(0, 0, 0);
-        a.snap.prepare_nanos = 900;
+        a.snap.submit_nanos = 900;
         a.snap.complete_nanos = 100;
         assert!((cq_wait_share(&a.snap) - 0.1).abs() < 1e-12);
         assert_eq!(cq_wait_share(&WorkerSnapshot::new()), 0.0);
@@ -535,11 +357,11 @@ mod tests {
         // Interval shares rise 0.1 → 0.5 → 0.9 over 2 seconds.
         let mut b = a;
         b.t_ms = 1000;
-        b.snap.prepare_nanos += 500;
+        b.snap.submit_nanos += 500;
         b.snap.complete_nanos += 500;
         let mut c = b;
         c.t_ms = 2000;
-        c.snap.prepare_nanos += 100;
+        c.snap.submit_nanos += 100;
         c.snap.complete_nanos += 900;
         let series = cq_wait_share_series(&[a, b, c]);
         assert_eq!(series.len(), 2);
@@ -577,14 +399,14 @@ mod tests {
     fn io_busy_share_is_wall_clock_fraction() {
         assert_eq!(io_busy_share(&[]), 0.0);
         assert_eq!(io_busy_share(&[pt(5, 0, 0)]), 0.0);
-        // 100 ms window, 40 ms preparing + 20 ms waiting ⇒ 0.6 busy.
+        // 100 ms window, 40 ms submitting + 20 ms waiting ⇒ 0.6 busy.
         let a = pt(0, 0, 0);
         let mut b = pt(100, 0, 0);
-        b.snap.prepare_nanos = 40_000_000;
+        b.snap.submit_nanos = 40_000_000;
         b.snap.complete_nanos = 20_000_000;
         assert!((io_busy_share(&[a, b]) - 0.6).abs() < 1e-12);
         // Clock skew can push busy past the span; the share is clamped.
-        b.snap.prepare_nanos = 500_000_000;
+        b.snap.submit_nanos = 500_000_000;
         assert_eq!(io_busy_share(&[a, b]), 1.0);
         // Zero span ⇒ no signal.
         let c = pt(0, 0, 0);
@@ -599,51 +421,5 @@ mod tests {
         let mut b = pt(1, 0, 0);
         b.snap.inflight = 30;
         assert_eq!(mean_inflight(&[a, b]), 20.0);
-    }
-
-    #[test]
-    fn ring_is_sync() {
-        fn assert_sync<T: Sync + Send>() {}
-        assert_sync::<HistoryRing>();
-    }
-
-    #[test]
-    fn concurrent_reader_never_sees_torn_or_mixed_generation_point() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let ring = Arc::new(HistoryRing::new(8));
-        let stop = Arc::new(AtomicBool::new(false));
-        let seen = Arc::new(AtomicU64::new(0));
-        let reader = {
-            let ring = Arc::clone(&ring);
-            let stop = Arc::clone(&stop);
-            let seen = Arc::clone(&seen);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    let w = ring.window(8);
-                    // Writer stores t_ms == sampled_edges == batches; a
-                    // torn read would break the equality, and a window
-                    // mixing generations would break monotonicity.
-                    let mut prev = None;
-                    for p in &w {
-                        assert_eq!(p.t_ms, p.snap.sampled_edges);
-                        assert_eq!(p.t_ms, p.snap.batches);
-                        if let Some(prev) = prev {
-                            assert!(p.t_ms > prev, "window must stay ordered");
-                        }
-                        prev = Some(p.t_ms);
-                        seen.fetch_add(1, Ordering::AcqRel);
-                    }
-                }
-            })
-        };
-        let mut i = 0u64;
-        while (seen.load(Ordering::Acquire) == 0 && i < 50_000_000) || i < 20_000 {
-            ring.push(pt(i, i, i));
-            i += 1;
-        }
-        stop.store(true, Ordering::Release);
-        reader.join().expect("reader thread");
-        assert!(seen.load(Ordering::Acquire) > 0, "reader should observe points");
     }
 }

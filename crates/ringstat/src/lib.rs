@@ -27,11 +27,11 @@
 //!   fixed-capacity, allocation-free, single-writer ring of seqlock
 //!   slots recording per-batch / per-I/O-group lifecycle events, with an
 //!   overflow-drop counter instead of blocking.
-//! * [`HistoryRing`] / [`HistoryPoint`] — the `ringtop` time-series
-//!   layer: a drop-oldest ring of timestamped [`WorkerSnapshot`]s per
-//!   worker, appended by the telemetry thread every poll tick, plus pure
-//!   derivation helpers (windowed rates, EWMA trends, p99 and
-//!   CQ-wait-share slope estimators) the congestion detectors consume.
+//! * [`HistoryPoint`] — the `ringtop` time-series layer: one timestamped
+//!   [`WorkerSnapshot`] (the telemetry thread keeps each worker's series
+//!   itself), plus pure derivation helpers (windowed rates, EWMA trends,
+//!   p99 and CQ-wait-share slope estimators) the congestion detectors
+//!   consume.
 //! * [`ResourceSample`] / [`TimeLedger`] — the `ringprof` kernel-truth
 //!   layer: per-thread CPU clock and rusage counters plus process-wide
 //!   `/proc/self/io` bytes, folded with the stage attribution into a
@@ -74,7 +74,7 @@ pub mod trace;
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use fmt::{human_bytes, human_count, human_nanos};
 pub use hist::{LatencyHistogram, NUM_BUCKETS};
-pub use history::{HistoryPoint, HistoryRing, WindowRates};
+pub use history::{HistoryPoint, WindowRates};
 pub use http::{HttpServer, Request, Response};
 pub use json::Json;
 pub use prometheus::PromWriter;

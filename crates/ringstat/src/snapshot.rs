@@ -67,10 +67,6 @@ pub struct WorkerSnapshot {
     pub bytes_read: u64,
     /// Individual read requests submitted to the I/O engine.
     pub reads_submitted: u64,
-    /// Read requests whose completions have been reaped (equal to
-    /// `reads_submitted`: a snapshot is taken between batches, when the
-    /// pipeline has drained).
-    pub reads_completed: u64,
     /// Device-backlog gauge: the time-average, over the batch just
     /// finished, of the read requests the worker was blocked behind — Σ over
     /// its I/O groups of (time parked in the engine's blocking wait × the
@@ -83,11 +79,11 @@ pub struct WorkerSnapshot {
     /// True while the worker is actively sampling; flipped off at epoch
     /// join so the watchdog ignores finished workers.
     pub active: bool,
-    /// Cumulative nanoseconds spent preparing and submitting reads
-    /// (SQE prep + `io_uring_enter` submit path).
-    pub prepare_nanos: u64,
+    /// Cumulative nanoseconds in the submit stage (SQE prep +
+    /// `io_uring_enter` submit path; `Phase::Submit`).
+    pub submit_nanos: u64,
     /// Cumulative nanoseconds spent blocked waiting on completions
-    /// (CQ wait + reap). The ratio `complete / (prepare + complete)`
+    /// (CQ wait + reap). The ratio `complete / (submit + complete)`
     /// is the CQ-wait share the congestion detectors trend.
     pub complete_nanos: u64,
     /// Cumulative thread CPU nanoseconds consumed this epoch
@@ -113,11 +109,10 @@ impl WorkerSnapshot {
             sampled_edges: 0,
             bytes_read: 0,
             reads_submitted: 0,
-            reads_completed: 0,
             inflight: 0,
             io_groups: 0,
             active: false,
-            prepare_nanos: 0,
+            submit_nanos: 0,
             complete_nanos: 0,
             cpu_nanos: 0,
             batch_latency: LatencyHistogram::new(),
