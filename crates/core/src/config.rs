@@ -85,12 +85,12 @@ pub struct SamplerConfig {
     /// stall watchdog. `None` (default) adds zero work to the hot path.
     pub telemetry: Option<TelemetryConfig>,
     /// `ringprof` kernel resource attribution: workers take a full
-    /// `ResourceSample` (rusage + thread CPU clock + `/proc/self/io`)
-    /// at epoch start/end and one `CLOCK_THREAD_CPUTIME_ID` read per
-    /// batch, and the epoch report grows a `resources` block (time
-    /// ledger, CPU share, read amplification). Never changes sampling
-    /// output; disabling only removes the per-batch clock read and the
-    /// report block.
+    /// `ResourceSample` (rusage + thread CPU clock) at epoch start/end
+    /// and one `CLOCK_THREAD_CPUTIME_ID` read per batch, the epoch driver
+    /// reads `/proc/self/io` before and after the fleet, and the epoch
+    /// report grows a `resources` block (time ledger, CPU share, read
+    /// amplification). Never changes sampling output; disabling only
+    /// removes the per-batch clock read and the report block.
     pub profile_resources: bool,
 }
 

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! The multi-threaded epoch engine (paper Fig. 3a, lower half).
 //!
 //! Mini-batches are statically partitioned across worker threads
@@ -159,8 +160,8 @@ impl RingSampler {
         // Process-wide I/O counters bracket the epoch: `/proc/self/io`
         // cannot be read per-thread, so physical bytes are measured once
         // here and attributed to workers proportionally by logical bytes.
+        #[expect(clippy::disallowed_methods, reason = "epoch driver boundary: one procfs read before the workers spawn")]
         let proc_io_start = if self.cfg.profile_resources {
-            // ringlint: allow(resource-discipline) — epoch driver boundary: one procfs read before the workers spawn
             Some(proc_io_now())
         } else {
             None
@@ -216,7 +217,7 @@ impl RingSampler {
                     }
                     let mut idx = t;
                     while idx < batches.len() {
-                        // ringlint: allow(panic-free-hot-path) — idx < batches.len() is the loop condition
+                        #[expect(clippy::indexing_slicing, reason = "idx < batches.len() is the loop condition")]
                         let sample = worker.sample_batch(batches[idx], idx as u64)?;
                         on_batch(idx, sample);
                         idx += num_threads;
@@ -239,7 +240,7 @@ impl RingSampler {
         report.wall = start.elapsed();
         report.threads = num_threads;
         if let (Some((rb0, rc0)), Some(res)) = (proc_io_start, report.resources.as_mut()) {
-            // ringlint: allow(resource-discipline) — epoch driver boundary: one procfs read after the workers join
+            #[expect(clippy::disallowed_methods, reason = "epoch driver boundary: one procfs read after the workers join")]
             let (rb1, rc1) = proc_io_now();
             res.physical_read_bytes = rb1.saturating_sub(rb0);
             res.physical_rchar = rc1.saturating_sub(rc0);

@@ -29,7 +29,7 @@ pub enum SamplerError {
     WorkerPanic(String),
     /// An internal pipeline invariant was violated — an accounting bug
     /// reported as an error instead of a hot-path panic
-    /// (see the `panic-free-hot-path` ringlint rule).
+    /// (the hot-path files deny `unwrap`, `expect`, `panic!` and indexing).
     Internal(&'static str),
 }
 

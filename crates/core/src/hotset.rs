@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! The hot set: the sampler's neighbor cache, one immutable region of
 //! edge-file pages chosen ahead of time and shared read-only by every worker
 //! (policy and rationale in [`crate::cache`]).

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Read-plan optimizer for the per-layer entry fetch.
 //!
 //! The paper's core I/O pattern (Fig. 2 steps 4–6) issues one 4-byte read

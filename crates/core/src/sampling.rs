@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Offset-based uniform neighbor selection (paper §3.1).
 //!
 //! RingSampler's key trick: fanout offsets are drawn from the node's
@@ -65,7 +66,7 @@ impl OffsetSampler {
             for i in 0..k {
                 let j = rng.gen_range(i..n);
                 self.scratch.swap(i, j);
-                // ringlint: allow(panic-free-hot-path) — i < k ≤ deg = scratch.len() in this branch
+                #[expect(clippy::indexing_slicing, reason = "i < k <= deg = scratch.len() in this branch")]
                 out.push(self.scratch[i]);
             }
         } else {

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Per-thread sampling worker: offset-based layer sampling driving the
 //! asynchronous I/O-group pipeline (paper §3.1, Figs. 2 and 3).
 //!
@@ -313,15 +314,16 @@ impl SamplerWorker {
     }
 
     /// Anchors `ringprof` for this epoch: takes the full epoch-start
-    /// [`ResourceSample`] (3 syscalls + one procfs read — epoch
-    /// boundary, never per batch). Must run **on the worker's own
+    /// [`ResourceSample`] (two syscalls — epoch boundary, never per
+    /// batch). Must run **on the worker's own
     /// thread**, after it has been moved into its epoch thread; the
     /// thread-CPU clock and `RUSAGE_THREAD` scope to the caller.
     /// No-op when `profile_resources` is off.
     pub fn begin_epoch_profile(&mut self) {
         if self.cfg.profile_resources {
-            // ringlint: allow(resource-discipline) — epoch boundary: runs once before the batch loop, on the worker's own thread
-            self.res_start = Some((ResourceSample::now(), Instant::now()));
+            #[expect(clippy::disallowed_methods, reason = "epoch boundary: runs once before the batch loop, on the worker's own thread")]
+            let start = ResourceSample::now();
+            self.res_start = Some((start, Instant::now()));
             self.cpu_nanos = 0;
         }
     }
@@ -333,7 +335,7 @@ impl SamplerWorker {
     /// epoch-join path calls it from `take_stats`).
     fn finish_epoch_resources(&mut self) -> Option<WorkerResources> {
         let (start, wall0) = self.res_start.take()?;
-        // ringlint: allow(resource-discipline) — epoch join: closes the interval opened by begin_epoch_profile, once per epoch
+        #[expect(clippy::disallowed_methods, reason = "epoch join: closes the interval opened by begin_epoch_profile, once per epoch")]
         let sample = ResourceSample::now().delta(&start);
         let wall = nanos_between(wall0, Instant::now());
         // Pin the published CPU counter to the precise final delta so
@@ -699,8 +701,9 @@ impl SamplerWorker {
             let mut slots = out.iter_mut();
             self.pipelined_read(naive, |_, buf| {
                 for (le, slot) in buf.chunks_exact(ENTRY_SZ).zip(slots.by_ref()) {
-                    // ringlint: allow(panic-free-hot-path) — chunks_exact yields exactly ENTRY_SZ bytes per chunk
-                    *slot = NodeId::from_le_bytes(le.try_into().expect("exact chunk"));
+                    #[expect(clippy::expect_used, reason = "chunks_exact yields exactly ENTRY_SZ bytes per chunk")]
+                    let entry = le.try_into().expect("exact chunk");
+                    *slot = NodeId::from_le_bytes(entry);
                 }
                 Ok(())
             })?;

@@ -77,8 +77,6 @@ fn golden_report() -> EpochReport {
         invol_ctx_switches: 8,
         minor_faults: 1_200,
         major_faults: 3,
-        proc_read_bytes: 2 << 20,
-        proc_rchar: 5 << 20,
     };
     let phases = worker.phases;
     worker.resources = Some(WorkerResources {

@@ -261,8 +261,6 @@ fn resources_endpoint_body_is_pinned_through_http() {
         invol_ctx_switches: 8,
         minor_faults: 1_200,
         major_faults: 3,
-        proc_read_bytes: 2 << 20,
-        proc_rchar: 5 << 20,
     };
     let mut res = ResourceReport::default();
     res.absorb(WorkerResources {

@@ -41,6 +41,8 @@ impl DataLoader {
         let batches = targets.len().div_ceil(batch_size.max(1));
         let (tx, rx) = sync_channel(prefetch.max(1));
         let producer = std::thread::spawn(move || {
+            // The thread-scoped clocks open on the producer's own thread.
+            worker.begin_epoch_profile();
             for (i, chunk) in targets.chunks(batch_size).enumerate() {
                 let item = worker.sample_batch(chunk, i as u64).map(|s| (i, s));
                 let failed = item.is_err();
@@ -164,6 +166,11 @@ mod tests {
         assert_eq!(stats.metrics.batches, 7);
         assert_eq!(stats.batch_latency.count(), 7);
         assert_eq!(stats.phases.total(), stats.batch_latency.sum());
+        // profile_resources is on by default: the producer's ledger is
+        // reported and conserves.
+        let res = stats.resources.expect("producer resources");
+        assert!(res.ledger.conserves());
+        assert_eq!(res.ledger.batch_nanos, stats.phases.total());
     }
 
     #[test]

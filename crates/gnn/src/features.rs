@@ -21,7 +21,10 @@ pub trait FeatureStore: Send + Sync {
 
     /// Gathers features for `nodes` into a `nodes.len() × dim` matrix,
     /// row *i* holding `nodes[i]`'s features.
-    fn gather(&self, nodes: &[NodeId]) -> Matrix;
+    ///
+    /// # Errors
+    /// A store that reads rows from a file reports a failed or short read.
+    fn gather(&self, nodes: &[NodeId]) -> std::io::Result<Matrix>;
 }
 
 /// Features held in one dense in-memory matrix (row = node id).
@@ -42,12 +45,12 @@ impl FeatureStore for InMemoryFeatures {
         self.data.cols()
     }
 
-    fn gather(&self, nodes: &[NodeId]) -> Matrix {
+    fn gather(&self, nodes: &[NodeId]) -> std::io::Result<Matrix> {
         let mut out = Matrix::zeros(nodes.len(), self.dim());
         for (i, &v) in nodes.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.data.row(v as usize));
         }
-        out
+        Ok(out)
     }
 }
 
@@ -106,7 +109,7 @@ impl FeatureStore for SyntheticFeatures {
         self.dim
     }
 
-    fn gather(&self, nodes: &[NodeId]) -> Matrix {
+    fn gather(&self, nodes: &[NodeId]) -> std::io::Result<Matrix> {
         let mut out = Matrix::zeros(nodes.len(), self.dim);
         for (i, &v) in nodes.iter().enumerate() {
             let row = out.row_mut(i);
@@ -115,7 +118,7 @@ impl FeatureStore for SyntheticFeatures {
                 *r += self.noise * self.hash(v, j);
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -157,24 +160,19 @@ impl FeatureStore for OnDiskFeatures {
         self.dim
     }
 
-    fn gather(&self, nodes: &[NodeId]) -> Matrix {
+    /// A short read (a file truncated mid-row, or a node past its end)
+    /// is an `UnexpectedEof` error, never a zero row.
+    fn gather(&self, nodes: &[NodeId]) -> std::io::Result<Matrix> {
         let mut out = Matrix::zeros(nodes.len(), self.dim);
         let row_bytes = self.dim * 4;
         let mut buf = vec![0u8; row_bytes];
         for (i, &v) in nodes.iter().enumerate() {
-            // A short read leaves zeros — benign for the substrate's use;
-            // corrupt stores surface in training quality, not crashes.
-            if self
-                .file
-                .read_exact_at(&mut buf, v as u64 * row_bytes as u64)
-                .is_ok()
-            {
-                for (j, c) in buf.chunks_exact(4).enumerate() {
-                    out.row_mut(i)[j] = f32::from_le_bytes(c.try_into().expect("4 bytes"));
-                }
+            self.file.read_exact_at(&mut buf, v as u64 * row_bytes as u64)?;
+            for (j, c) in buf.chunks_exact(4).enumerate() {
+                out.row_mut(i)[j] = f32::from_le_bytes(c.try_into().expect("4 bytes"));
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -186,7 +184,7 @@ mod tests {
     fn in_memory_gather_aligns_rows() {
         let data = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let s = InMemoryFeatures::new(data);
-        let g = s.gather(&[2, 0]);
+        let g = s.gather(&[2, 0]).unwrap();
         assert_eq!(g.row(0), &[5., 6.]);
         assert_eq!(g.row(1), &[1., 2.]);
     }
@@ -196,7 +194,7 @@ mod tests {
         let s = SyntheticFeatures::new(8, 4, 0.1, 7);
         assert_eq!(s.label(5), 1);
         assert_eq!(s.label(4), 0);
-        let g = s.gather(&[5]);
+        let g = s.gather(&[5]).unwrap();
         // One-hot position dominates the noise.
         let row = g.row(0);
         let argmax = row
@@ -211,7 +209,7 @@ mod tests {
     #[test]
     fn synthetic_is_deterministic() {
         let s = SyntheticFeatures::new(4, 2, 0.5, 3);
-        assert_eq!(s.gather(&[9, 10]), s.gather(&[9, 10]));
+        assert_eq!(s.gather(&[9, 10]).unwrap(), s.gather(&[9, 10]).unwrap());
     }
 
     #[test]
@@ -221,9 +219,24 @@ mod tests {
         let data = Matrix::from_vec(4, 3, (0..12).map(|v| v as f32).collect());
         OnDiskFeatures::write_matrix(&path, &data).unwrap();
         let s = OnDiskFeatures::open(&path, 3).unwrap();
-        let g = s.gather(&[3, 1]);
+        let g = s.gather(&[3, 1]).unwrap();
         assert_eq!(g.row(0), &[9., 10., 11.]);
         assert_eq!(g.row(1), &[3., 4., 5.]);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn on_disk_short_read_is_an_error_not_a_zero_row() {
+        let path =
+            std::env::temp_dir().join(format!("rs-gnn-feat-short-{}", std::process::id()));
+        let data = Matrix::from_vec(4, 3, (0..12).map(|v| v as f32 + 1.0).collect());
+        OnDiskFeatures::write_matrix(&path, &data).unwrap();
+        // Truncate mid-way through row 3: one of its three floats survives.
+        File::options().write(true).open(&path).unwrap().set_len(3 * 12 + 4).unwrap();
+        let s = OnDiskFeatures::open(&path, 3).unwrap();
+        assert_eq!(s.gather(&[2]).unwrap().row(0), &[7., 8., 9.]);
+        let err = s.gather(&[1, 3]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         std::fs::remove_file(path).ok();
     }
 

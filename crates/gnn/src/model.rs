@@ -131,6 +131,9 @@ impl SageModel {
     /// Forward pass over one sampled batch. Returns seed logits
     /// (`seeds × classes`) and the cache for [`SageModel::backward`].
     ///
+    /// # Errors
+    /// Propagates the feature store's read errors.
+    ///
     /// # Panics
     /// Panics if the batch's layer count differs from the model's or the
     /// feature store dimensionality mismatches.
@@ -138,7 +141,7 @@ impl SageModel {
         &self,
         batch: &BatchSample,
         features: &F,
-    ) -> (Matrix, ForwardCache) {
+    ) -> std::io::Result<(Matrix, ForwardCache)> {
         assert_eq!(batch.layers.len(), self.layers.len(), "layer count mismatch");
         assert_eq!(features.dim(), self.feat_dim, "feature dim mismatch");
         let l_count = self.layers.len();
@@ -152,7 +155,7 @@ impl SageModel {
 
         // h[l] = representations of frontier l's nodes at depth l+1;
         // start innermost: raw features.
-        let mut h_next: Matrix = features.gather(&frontiers[l_count - 1]);
+        let mut h_next: Matrix = features.gather(&frontiers[l_count - 1])?;
 
         let mut cache = ForwardCache {
             x_self: vec![Matrix::default(); l_count],
@@ -194,7 +197,7 @@ impl SageModel {
                 }
             }
 
-            let x_self = features.gather(&block.targets);
+            let x_self = features.gather(&block.targets)?;
             let mut z = x_self.matmul_transposed(&self.layers[l].w_self);
             z.add_scaled(&x_neigh.matmul_transposed(&self.layers[l].w_neigh), 1.0);
             z.add_row_bias(&self.layers[l].bias);
@@ -219,7 +222,7 @@ impl SageModel {
                 h_next = out;
             }
         }
-        (logits, cache)
+        Ok((logits, cache))
     }
 
     /// Backward pass: gradient of the loss w.r.t. all parameters, given
@@ -325,7 +328,7 @@ mod tests {
     fn forward_shapes() {
         let feats = SyntheticFeatures::new(6, 3, 0.05, 1);
         let model = SageModel::new(6, &[5], 3, 2, 42);
-        let (logits, cache) = model.forward(&fig1_batch(), &feats);
+        let (logits, cache) = model.forward(&fig1_batch(), &feats).unwrap();
         assert_eq!(logits.rows(), 1);
         assert_eq!(logits.cols(), 3);
         assert_eq!(cache.z[1].rows(), 3); // layer-1 targets {2,3,6}
@@ -336,8 +339,8 @@ mod tests {
     fn forward_deterministic() {
         let feats = SyntheticFeatures::new(6, 3, 0.05, 1);
         let model = SageModel::new(6, &[4], 3, 2, 9);
-        let (a, _) = model.forward(&fig1_batch(), &feats);
-        let (b, _) = model.forward(&fig1_batch(), &feats);
+        let (a, _) = model.forward(&fig1_batch(), &feats).unwrap();
+        let (b, _) = model.forward(&fig1_batch(), &feats).unwrap();
         assert_eq!(a, b);
     }
 
@@ -349,11 +352,11 @@ mod tests {
         let labels = vec![feats.label(1)];
 
         let loss_fn = |m: &SageModel| -> f32 {
-            let (logits, _) = m.forward(&batch, &feats);
+            let (logits, _) = m.forward(&batch, &feats).unwrap();
             softmax_cross_entropy(&logits, &labels).0
         };
 
-        let (logits, cache) = model.forward(&batch, &feats);
+        let (logits, cache) = model.forward(&batch, &feats).unwrap();
         let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
         let grads = model.backward(&cache, &dlogits);
 
@@ -417,7 +420,7 @@ mod tests {
         let labels = vec![feats.label(1)];
         let mut losses = Vec::new();
         for _ in 0..50 {
-            let (logits, cache) = model.forward(&batch, &feats);
+            let (logits, cache) = model.forward(&batch, &feats).unwrap();
             let (loss, dl) = softmax_cross_entropy(&logits, &labels);
             losses.push(loss);
             let grads = model.backward(&cache, &dl);
@@ -450,7 +453,7 @@ mod tests {
         };
         let feats = SyntheticFeatures::new(4, 2, 0.1, 1);
         let model = SageModel::new(4, &[3], 2, 2, 1);
-        let (logits, _) = model.forward(&batch, &feats);
+        let (logits, _) = model.forward(&batch, &feats).unwrap();
         assert_eq!(logits.rows(), 1);
         assert!(logits.as_slice().iter().all(|v| v.is_finite()));
     }

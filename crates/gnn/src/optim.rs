@@ -194,7 +194,7 @@ mod tests {
         let labels = vec![feats.label(1), feats.label(2)];
         let mut losses = Vec::new();
         for _ in 0..steps {
-            let (logits, cache) = model.forward(&b, &feats);
+            let (logits, cache) = model.forward(&b, &feats).unwrap();
             let (loss, dl) = softmax_cross_entropy(&logits, &labels);
             losses.push(loss);
             let grads = model.backward(&cache, &dl);

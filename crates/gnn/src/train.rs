@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use ringsampler::{EpochReport, Result, RingSampler};
+use ringsampler::{EpochReport, Result, RingSampler, SamplerError};
 use ringsampler_graph::NodeId;
 
 use crate::dataloader::DataLoader;
@@ -55,7 +55,8 @@ impl std::fmt::Display for EpochStats {
 /// [`SyntheticFeatures::label`](crate::features::SyntheticFeatures::label)).
 ///
 /// # Errors
-/// Propagates sampling errors from the data loader.
+/// Propagates sampling errors from the data loader, and feature-read
+/// errors as [`SamplerError::Io`].
 pub fn train_epoch<F, L>(
     sampler: &RingSampler,
     model: &mut SageModel,
@@ -82,7 +83,8 @@ where
 
         let compute_start = Instant::now();
         let labels: Vec<usize> = batch.seeds().iter().map(|&v| label_of(v)).collect();
-        let (logits, cache) = model.forward(&batch, features);
+        let (logits, cache) =
+            model.forward(&batch, features).map_err(|e| SamplerError::Io(e.into()))?;
         let (loss, dlogits) = softmax_cross_entropy(&logits, &labels);
         let grads = model.backward(&cache, &dlogits);
         model.sgd_step(&grads, lr);
@@ -124,7 +126,8 @@ where
 /// Evaluates `model` over `targets` without updating parameters.
 ///
 /// # Errors
-/// Propagates sampling errors.
+/// Propagates sampling errors, and feature-read errors as
+/// [`SamplerError::Io`].
 pub fn evaluate<F, L>(
     sampler: &RingSampler,
     model: &SageModel,
@@ -145,7 +148,8 @@ where
     for item in loader.by_ref() {
         let (_, batch) = item?;
         let labels: Vec<usize> = batch.seeds().iter().map(|&v| label_of(v)).collect();
-        let (logits, _) = model.forward(&batch, features);
+        let (logits, _) =
+            model.forward(&batch, features).map_err(|e| SamplerError::Io(e.into()))?;
         let (loss, _) = softmax_cross_entropy(&logits, &labels);
         loss_sum += loss as f64;
         for (r, &label) in labels.iter().enumerate() {
@@ -182,7 +186,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::SyntheticFeatures;
+    use crate::features::{OnDiskFeatures, SyntheticFeatures};
+    use crate::tensor::Matrix;
     use ringsampler::SamplerConfig;
     use ringsampler_graph::edgefile::write_csr;
     use ringsampler_graph::CsrGraph;
@@ -240,6 +245,26 @@ mod tests {
         assert_eq!(report.metrics.batches as usize, last.batches);
         assert!(report.metrics.sampled_edges > 0);
         assert!(!report.to_json().is_empty());
+    }
+
+    #[test]
+    fn a_short_feature_read_is_a_file_error() {
+        let (sampler, _) = setup("short");
+        // 100 rows on disk for a 200-node graph: most batches reach past
+        // the end of the file.
+        let path = std::env::temp_dir()
+            .join(format!("rs-gnn-train-{}-short.feat", std::process::id()));
+        OnDiskFeatures::write_matrix(&path, &Matrix::zeros(100, 8)).unwrap();
+        let feats = OnDiskFeatures::open(&path, 8).unwrap();
+        let mut model = SageModel::new(8, &[8], 4, 2, 3);
+        let targets: Vec<NodeId> = (0..200).collect();
+        let train = train_epoch(&sampler, &mut model, &feats, |v| v as usize % 4, &targets, 0.1);
+        let eval = evaluate(&sampler, &model, &feats, |v| v as usize % 4, &targets);
+        std::fs::remove_file(path).ok();
+        for err in [train.unwrap_err(), eval.unwrap_err()] {
+            assert!(matches!(err, SamplerError::Io(_)), "{err}");
+            assert!(err.to_string().contains("file I/O error"), "{err}");
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Group-based read engines.
 //!
 //! RingSampler's sampling pipeline works in *I/O groups*: batches of up to
@@ -520,9 +521,13 @@ impl GroupReader for PreadReader {
         let mut cursor = 0usize;
         let mut outcome: Result<()> = Ok(());
         for r in reqs {
-            let dst = &mut buf[cursor..cursor + r.len as usize];
-            // ringlint: allow(no-blocking-io) — PreadReader is the synchronous fallback and differential-testing oracle; pread(2) at submit time is its contract
-            if let Some(e) = read_failure(r, self.file.read_at(dst, r.offset)) {
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::indexing_slicing,
+                reason = "PreadReader is the synchronous fallback and differential-testing oracle: pread(2) at submit time is its contract, into cursor + len <= total = buf.len()"
+            )]
+            let read = self.file.read_at(&mut buf[cursor..cursor + r.len as usize], r.offset);
+            if let Some(e) = read_failure(r, read) {
                 outcome = Err(e);
                 break;
             }

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Safe(ish) wrapper around a kernel io_uring instance.
 //!
 //! A [`Ring`] owns the uring file descriptor, the three shared-memory
@@ -171,7 +172,7 @@ impl Ring {
             sq_array: sq_ring.offset_as::<u32>(params.sq_off.array),
             sq_tail_local: {
                 // SAFETY: tail is a valid AtomicU32 in the mapping.
-                // ringlint: allow(atomic-ordering) — setup-time read before the ring is shared; the kernel has published nothing yet
+                // ordering: setup-time read before the ring is shared; the kernel has published nothing yet
                 unsafe { (*sq_ring.offset_as::<AtomicU32>(params.sq_off.tail)).load(Ordering::Relaxed) }
             },
             pending: 0,
@@ -395,7 +396,7 @@ impl Ring {
     pub fn peek_completion(&mut self) -> Option<Completion> {
         // SAFETY: cq_head/cq_tail/cqes point into the live mapping.
         unsafe {
-            // ringlint: allow(atomic-ordering) — cq_head's sole writer is this thread; the kernel only reads it, so no acquire is needed
+            // ordering: cq_head's sole writer is this thread; the kernel only reads it, so no acquire is needed
             let head = (*self.cq_head).load(Ordering::Relaxed);
             let tail = (*self.cq_tail).load(Ordering::Acquire);
             if head == tail {

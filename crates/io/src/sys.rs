@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 //! Raw io_uring ABI: syscall numbers, shared-memory structure layouts, and
 //! constants, transcribed from `<linux/io_uring.h>`.
 //!

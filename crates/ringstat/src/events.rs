@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Per-worker lifecycle flight recorder — the `ringtrace` event ring.
 //!
 //! Each sampling worker owns one [`EventRing`]: a fixed-capacity ring of
@@ -9,8 +10,8 @@
 //! fallbacks. Recording is **allocation-free, lock-free, RMW-free and
 //! never blocks**: when the ring is full, new events are counted in a
 //! drop counter instead of overwriting or waiting, so the paper's §3.1
-//! sync-free hot-path invariant holds (ringlint's `sync-free-hot-path`
-//! and `atomic-ordering` rules are enforced over this module).
+//! sync-free hot-path invariant holds (the hot-path clippy line above and
+//! the `// ordering:` check in `tests/tests/invariants.rs` hold it there).
 //!
 //! ## Single-writer contract
 //!

@@ -1,6 +1,7 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Fixed-size log2-bucketed latency histogram.
 //!
-//! This module is scoped into ringlint's hot-path rules: recording must be
+//! This module is under the hot-path lints (its first line): recording must be
 //! allocation-free, panic-free and synchronization-free, because workers
 //! call [`LatencyHistogram::record`] once per I/O group and once per batch
 //! while the paper's sync-free pipeline is running.

@@ -51,10 +51,11 @@
 //! the [`snapshot`] seqlock and the store-only cursors of the [`events`]
 //! flight recorder — wait-free publishes with no RMW, no CAS loop, and
 //! no blocking, which are the sanctioned ways a worker's state becomes
-//! externally visible mid-epoch. `ringlint`'s `sync-free-hot-path` rule
-//! is enforced over [`hist`], [`span`], [`snapshot`], and [`events`] to
-//! keep it that way, and its `atomic-ordering` rule audits the ordering
-//! discipline of both.
+//! externally visible mid-epoch. The hot-path clippy line that opens
+//! [`hist`], [`span`], [`snapshot`], [`events`] and [`resources`] bans
+//! locks and channels there to keep it that way, and every `Relaxed`
+//! access in the two atomic modules carries an `// ordering:` reason that
+//! `tests/tests/invariants.rs` checks.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! `ringprof` — kernel-truth resource attribution.
 //!
 //! Everything else in this crate measures the sampler from the *inside*:
@@ -5,10 +6,12 @@
 //! outside view — what the kernel says each worker actually consumed:
 //!
 //! * [`ResourceSample`] — a point-in-time reading of the calling thread's
-//!   CPU clock (`CLOCK_THREAD_CPUTIME_ID`), its scheduler/fault counters
-//!   (`getrusage(RUSAGE_THREAD)`), and the *process-wide* I/O counters
-//!   parsed dependency-free from `/proc/self/io`. Two samples subtract
-//!   into an interval via [`ResourceSample::delta`].
+//!   CPU clock (`CLOCK_THREAD_CPUTIME_ID`) and its scheduler/fault counters
+//!   (`getrusage(RUSAGE_THREAD)`). Two samples subtract into an interval
+//!   via [`ResourceSample::delta`].
+//! * [`proc_io_now`] — the *process-wide* I/O counters, parsed
+//!   dependency-free from `/proc/self/io`; the epoch driver brackets each
+//!   epoch with it.
 //! * [`thread_cpu_nanos`] — the one call sanctioned on the per-batch hot
 //!   path: a single `clock_gettime` read, no `getrusage`, no procfs.
 //! * [`TimeLedger`] — folds the stage attribution of the worker's lap
@@ -40,8 +43,7 @@
 
 use crate::span::{Phase, PhaseTimes};
 
-/// A point-in-time kernel resource reading for the calling thread (plus
-/// the process-wide `/proc/self/io` counters).
+/// A point-in-time kernel resource reading for the calling thread.
 ///
 /// All fields are monotonically increasing counters; subtract two
 /// samples with [`delta`](Self::delta) to get an interval.
@@ -62,12 +64,6 @@ pub struct ResourceSample {
     pub minor_faults: u64,
     /// Major page faults (required I/O — cold page cache signal).
     pub major_faults: u64,
-    /// **Process-wide** bytes fetched from the storage layer
-    /// (`read_bytes` in `/proc/self/io`); ~0 when the page cache is warm.
-    pub proc_read_bytes: u64,
-    /// **Process-wide** bytes requested through kernel read paths
-    /// (`rchar` in `/proc/self/io`); not bumped by `io_uring` reads.
-    pub proc_rchar: u64,
 }
 
 impl ResourceSample {
@@ -81,23 +77,21 @@ impl ResourceSample {
             invol_ctx_switches: 0,
             minor_faults: 0,
             major_faults: 0,
-            proc_read_bytes: 0,
-            proc_rchar: 0,
         }
     }
 
-    /// Takes a full sample for the calling thread: one `clock_gettime`,
-    /// one `getrusage(RUSAGE_THREAD)`, and one `/proc/self/io` read.
+    /// Takes a full sample for the calling thread: one `clock_gettime`
+    /// and one `getrusage(RUSAGE_THREAD)`.
     ///
-    /// This is an **epoch-boundary** call (3 syscalls + a procfs file);
-    /// the per-batch path must use [`thread_cpu_nanos`] instead.
+    /// This is an **epoch-boundary** call; the per-batch path must use
+    /// [`thread_cpu_nanos`] instead.
+    #[expect(clippy::disallowed_methods, reason = "this is the epoch-boundary sampler; each caller carries its own expect")]
     pub fn now() -> Self {
         let mut s = Self::zero();
         s.cpu_nanos = thread_cpu_nanos();
         let mut ru = libc::rusage::default();
         // SAFETY: `ru` is a valid, writable out-parameter; RUSAGE_THREAD
         // scopes the query to the calling thread.
-        // ringlint: allow(resource-discipline) — this IS the epoch-boundary sampler; callers are audited at their own sites
         if unsafe { libc::getrusage(libc::RUSAGE_THREAD, &mut ru) } == 0 {
             s.user_nanos = timeval_nanos(ru.ru_utime);
             s.sys_nanos = timeval_nanos(ru.ru_stime);
@@ -106,15 +100,11 @@ impl ResourceSample {
             s.minor_faults = ru.ru_minflt.max(0) as u64;
             s.major_faults = ru.ru_majflt.max(0) as u64;
         }
-        // ringlint: allow(resource-discipline) — this IS the epoch-boundary sampler; callers are audited at their own sites
-        let (read_bytes, rchar) = proc_io_now();
-        s.proc_read_bytes = read_bytes;
-        s.proc_rchar = rchar;
         s
     }
 
     /// Counter-wise `self − earlier`, saturating at zero so a clock
-    /// hiccup or procfs quirk can never produce a negative interval.
+    /// hiccup can never produce a negative interval.
     pub fn delta(&self, earlier: &Self) -> Self {
         Self {
             cpu_nanos: self.cpu_nanos.saturating_sub(earlier.cpu_nanos),
@@ -128,18 +118,11 @@ impl ResourceSample {
                 .saturating_sub(earlier.invol_ctx_switches),
             minor_faults: self.minor_faults.saturating_sub(earlier.minor_faults),
             major_faults: self.major_faults.saturating_sub(earlier.major_faults),
-            proc_read_bytes: self
-                .proc_read_bytes
-                .saturating_sub(earlier.proc_read_bytes),
-            proc_rchar: self.proc_rchar.saturating_sub(earlier.proc_rchar),
         }
     }
 
-    /// Folds another *interval* into this one: thread-scoped counters
-    /// add (each worker measured its own thread), while the
-    /// process-wide `proc_*` fields take the max — every worker observed
-    /// the same process counters, so summing them would multiply the
-    /// real traffic by the worker count.
+    /// Folds another *interval* into this one: every counter is
+    /// thread-scoped (each worker measured its own thread), so they add.
     pub fn merge(&mut self, other: &Self) {
         self.cpu_nanos = self.cpu_nanos.saturating_add(other.cpu_nanos);
         self.user_nanos = self.user_nanos.saturating_add(other.user_nanos);
@@ -150,8 +133,6 @@ impl ResourceSample {
             .saturating_add(other.invol_ctx_switches);
         self.minor_faults = self.minor_faults.saturating_add(other.minor_faults);
         self.major_faults = self.major_faults.saturating_add(other.major_faults);
-        self.proc_read_bytes = self.proc_read_bytes.max(other.proc_read_bytes);
-        self.proc_rchar = self.proc_rchar.max(other.proc_rchar);
     }
 }
 
@@ -204,6 +185,7 @@ pub fn parse_proc_io(text: &str) -> (u64, u64) {
 /// Reads `(read_bytes, rchar)` from `/proc/self/io`. Both are
 /// **process-wide**. Returns `(0, 0)` if procfs is unavailable — every
 /// derived ratio then degrades to 0 instead of erroring.
+#[expect(clippy::disallowed_methods, reason = "this is the epoch-boundary procfs read; each caller carries its own expect")]
 pub fn proc_io_now() -> (u64, u64) {
     match std::fs::read_to_string("/proc/self/io") {
         Ok(text) => parse_proc_io(&text),
@@ -362,8 +344,6 @@ mod tests {
         let d = b.delta(&a);
         assert!(b.cpu_nanos >= a.cpu_nanos, "thread CPU clock must be monotone");
         assert!(d.cpu_nanos > 0, "spinning must consume thread CPU");
-        // Reading /proc/self/io in now() itself moves rchar forward.
-        assert!(b.proc_rchar >= a.proc_rchar);
     }
 
     #[test]
@@ -375,22 +355,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_thread_fields_and_maxes_process_fields() {
+    fn merge_adds_thread_fields() {
         let mut a = ResourceSample::zero();
         a.cpu_nanos = 10;
         a.vol_ctx_switches = 3;
-        a.proc_read_bytes = 500;
-        a.proc_rchar = 900;
         let mut b = ResourceSample::zero();
         b.cpu_nanos = 5;
         b.vol_ctx_switches = 2;
-        b.proc_read_bytes = 700;
-        b.proc_rchar = 100;
         a.merge(&b);
         assert_eq!(a.cpu_nanos, 15);
         assert_eq!(a.vol_ctx_switches, 5);
-        assert_eq!(a.proc_read_bytes, 700, "process-wide fields take max");
-        assert_eq!(a.proc_rchar, 900);
     }
 
     #[test]

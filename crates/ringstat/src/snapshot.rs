@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Single-writer seqlock snapshot cells — the sync-free publishing half
 //! of `ringscope` live telemetry.
 //!
@@ -173,7 +174,7 @@ impl<T: Copy + Send> SnapshotCell<T> {
         // The odd marker itself needs no release semantics: the fence
         // below orders it (and everything before it) ahead of the
         // payload stores, which is the only ordering the protocol needs.
-        // ringlint: allow(atomic-ordering) — seqlock odd-marker store is ordered by the explicit Release fence that follows
+        // ordering: seqlock odd-marker store is ordered by the explicit Release fence that follows
         self.version.store(v.wrapping_add(1), Ordering::Relaxed);
         fence(Ordering::Release);
     }
@@ -217,7 +218,7 @@ impl<T: Copy + Send> SnapshotCell<T> {
         fence(Ordering::Acquire);
         // The acquire fence above already orders the payload loads
         // before this check; the load itself needs no extra ordering.
-        // ringlint: allow(atomic-ordering) — seqlock validation re-load is ordered by the explicit Acquire fence above
+        // ordering: seqlock validation re-load is ordered by the explicit Acquire fence above
         let v2 = self.version.load(Ordering::Relaxed);
         if v1 == v2 {
             Some(value)

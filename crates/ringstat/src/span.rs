@@ -1,6 +1,7 @@
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 //! Phase accounting: where a worker's in-batch time went.
 //!
-//! This module is scoped into ringlint's hot-path rules: workers charge a
+//! This module is under the hot-path lints (its first line): workers charge a
 //! phase at every lap of their stage clock, so everything here is
 //! panic-free and synchronization-free. A [`PhaseTimes`] is owned
 //! privately by one worker thread; merging into an epoch view happens only

@@ -90,8 +90,8 @@ proptest! {
     /// for arbitrary counter pairs.
     #[test]
     fn sample_delta_never_underflows(
-        a in vec(0u64..u64::MAX / 4, 9),
-        b in vec(0u64..u64::MAX / 4, 9),
+        a in vec(0u64..u64::MAX / 4, 7),
+        b in vec(0u64..u64::MAX / 4, 7),
     ) {
         let mk = |v: &[u64]| ResourceSample {
             cpu_nanos: v[0],
@@ -101,18 +101,12 @@ proptest! {
             invol_ctx_switches: v[4],
             minor_faults: v[5],
             major_faults: v[6],
-            proc_read_bytes: v[7],
-            proc_rchar: v[8],
         };
         let (x, y) = (mk(&a), mk(&b));
         let d = x.delta(&y);
         prop_assert!(d.cpu_nanos <= x.cpu_nanos);
-        prop_assert!(d.proc_rchar <= x.proc_rchar);
         let mut m = d;
         m.merge(&d);
         prop_assert_eq!(m.cpu_nanos, d.cpu_nanos * 2);
-        // Process-wide fields max, not sum.
-        prop_assert_eq!(m.proc_read_bytes, d.proc_read_bytes);
-        prop_assert_eq!(m.proc_rchar, d.proc_rchar);
     }
 }

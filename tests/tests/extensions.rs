@@ -45,7 +45,7 @@ fn layerwise_batches_feed_the_gnn() {
     for step in 0..10 {
         let batch = w.sample_batch_layerwise(&seeds, &plan, step).unwrap();
         let labels: Vec<usize> = batch.seeds().iter().map(|&v| feats.label(v)).collect();
-        let (logits, cache) = model.forward(&batch, &feats);
+        let (logits, cache) = model.forward(&batch, &feats).unwrap();
         assert!(logits.as_slice().iter().all(|v| v.is_finite()));
         let (loss, dl) = softmax_cross_entropy(&logits, &labels);
         let grads = model.backward(&cache, &dl);
@@ -119,7 +119,7 @@ fn optimizers_drive_real_training() {
                 .unwrap();
             let labels: Vec<usize> =
                 batch.seeds().iter().map(|&v| feats.label(v)).collect();
-            let (logits, cache) = model.forward(&batch, &feats);
+            let (logits, cache) = model.forward(&batch, &feats).unwrap();
             let (loss, dl) = softmax_cross_entropy(&logits, &labels);
             let grads = model.backward(&cache, &dl);
             opt.step(&mut model, &grads);
