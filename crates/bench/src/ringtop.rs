@@ -41,7 +41,7 @@ pub struct SeriesPoint {
     pub batch_p99_ns: f64,
     /// Interval CQ-wait share in [0, 1].
     pub cq_wait_share: f64,
-    /// Interval on-CPU share in [0, 1] (ringprof; 0 with profiling off).
+    /// Interval on-CPU share in [0, 1] (ringprof; 0 before the worker's epoch profile opens).
     pub cpu_share: f64,
 }
 
@@ -201,7 +201,7 @@ pub struct WorkerLedger {
 }
 
 /// The parsed `GET /resources` document — last epoch's attribution, or
-/// `present == false` before the first epoch joins / with profiling off.
+/// `present == false` before the first epoch joins.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ResourcesView {
     /// True when a published attribution was present (not `null`).
@@ -219,7 +219,7 @@ pub struct ResourcesView {
 }
 
 /// Parses a `GET /resources` document. A `"resources": null` body (no
-/// epoch published yet, or profiling off) parses to an absent view —
+/// epoch published yet) parses to an absent view —
 /// the dashboard then simply omits the ledger rows.
 ///
 /// # Errors

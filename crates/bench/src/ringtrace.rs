@@ -21,7 +21,7 @@
 //!
 //! [`StatsSink`]: crate::StatsSink
 
-use ringstat::{ChromeTrace, EventKind, Json, TraceEvent};
+use ringstat::{ChromeTrace, EventKind, Json, Stage, StageAccount, TraceEvent};
 
 /// A parsed `--trace-events` dump: one [`ReportTrace`] per recorded
 /// epoch report.
@@ -130,69 +130,6 @@ impl TraceDump {
     }
 }
 
-/// Per-stage attributed nanoseconds for one batch (or a sum of batches).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StageSums {
-    /// Neighbor sampling + batch preparation (`sample_done`).
-    pub sample: u64,
-    /// Read-plan construction (`plan_built`).
-    pub plan: u64,
-    /// Group forming + `io_uring_enter` submit syscalls (`group_submit.d`).
-    pub submit: u64,
-    /// Blocked waiting for a completion (`group_complete.c`).
-    pub wait: u64,
-    /// The rest of `complete_group`: non-blocking CQ reaping
-    /// (`group_complete.d`).
-    pub reap: u64,
-    /// Scatter/decode of completed reads (`scatter_done`).
-    pub scatter: u64,
-}
-
-/// Accessor returning one stage's attributed nanoseconds from [`StageSums`].
-pub type StageAccessor = fn(&StageSums) -> u64;
-
-impl StageSums {
-    /// Stage names in critical-path order, paired with an accessor.
-    pub const STAGES: [(&'static str, StageAccessor); 6] = [
-        ("sample", |s| s.sample),
-        ("plan", |s| s.plan),
-        ("submit", |s| s.submit),
-        ("wait", |s| s.wait),
-        ("reap", |s| s.reap),
-        ("scatter", |s| s.scatter),
-    ];
-
-    /// Total attributed nanoseconds.
-    pub fn total(&self) -> u64 {
-        self.sample + self.plan + self.submit + self.wait + self.reap + self.scatter
-    }
-
-    /// Accumulates one event's stage contribution (non-stage events are
-    /// ignored).
-    pub fn absorb(&mut self, ev: &TraceEvent) {
-        match ev.kind {
-            EventKind::SampleDone => self.sample += ev.c,
-            EventKind::PlanBuilt => self.plan += ev.d,
-            EventKind::GroupSubmit => self.submit += ev.d,
-            EventKind::GroupComplete => {
-                self.wait += ev.c;
-                self.reap += ev.d;
-            }
-            EventKind::ScatterDone => self.scatter += ev.b,
-            _ => {}
-        }
-    }
-
-    fn add(&mut self, other: &StageSums) {
-        self.sample += other.sample;
-        self.plan += other.plan;
-        self.submit += other.submit;
-        self.wait += other.wait;
-        self.reap += other.reap;
-        self.scatter += other.scatter;
-    }
-}
-
 /// One reconstructed batch lifecycle on one worker.
 #[derive(Debug, Clone)]
 pub struct BatchTrace {
@@ -207,10 +144,9 @@ pub struct BatchTrace {
     /// True when both `batch_start` and `batch_end` were recorded (a
     /// ring overflow can lose either end).
     pub complete: bool,
-    /// Attributed stage time within the batch.
-    pub stages: StageSums,
-    /// I/O groups submitted within the batch.
-    pub groups: u64,
+    /// The batch's events folded into the worker's own account type: its
+    /// attributed stage time and completed I/O groups.
+    pub stages: StageAccount,
 }
 
 /// Reconstructs batch lifecycles from one worker's event stream. Stage
@@ -231,8 +167,7 @@ pub fn batches(w: &WorkerTrace) -> Vec<BatchTrace> {
                     start_ns: ev.ts_ns,
                     dur_ns: 0,
                     complete: false,
-                    stages: StageSums::default(),
-                    groups: 0,
+                    stages: StageAccount::default(),
                 });
             }
             EventKind::BatchEnd => {
@@ -246,10 +181,7 @@ pub fn batches(w: &WorkerTrace) -> Vec<BatchTrace> {
             }
             _ => {
                 if let Some(b) = open.as_mut() {
-                    b.stages.absorb(ev);
-                    if ev.kind == EventKind::GroupSubmit {
-                        b.groups += 1;
-                    }
+                    b.stages.record(ev);
                 }
             }
         }
@@ -292,14 +224,14 @@ pub fn stage_table(batches: &[BatchTrace]) -> String {
         out.push_str("  no complete batches (trace truncated?)\n");
         return out;
     }
-    let mut sums = StageSums::default();
+    let mut sums = StageAccount::default();
     let mut batch_total = 0u64;
-    let mut groups = 0u64;
     for b in &complete {
-        sums.add(&b.stages);
+        sums.merge(&b.stages);
         batch_total += b.dur_ns;
-        groups += b.groups;
     }
+    // A complete batch drained its pipeline: every group it submitted completed.
+    let groups = sums.group_latency.count();
     out.push_str(&format!(
         "  critical path over {n} complete batch(es), {groups} I/O group(s)\n"
     ));
@@ -307,11 +239,11 @@ pub fn stage_table(batches: &[BatchTrace]) -> String {
         "  {:<10} {:>12} {:>12} {:>10}\n",
         "stage", "total ms", "ms/batch", "% of batch"
     ));
-    for (name, get) in StageSums::STAGES {
-        let v = get(&sums);
+    for stage in Stage::ALL {
+        let v = sums.get(stage);
         out.push_str(&format!(
             "  {:<10} {:>12.3} {:>12.3} {:>9.1}%\n",
-            name,
+            stage.name(),
             ms(v),
             ms(v) / n as f64,
             100.0 * v as f64 / batch_total as f64
@@ -505,17 +437,10 @@ mod tests {
         let b = &b[0];
         assert!(b.complete);
         assert_eq!(b.dur_ns, 250_000);
-        assert_eq!(b.groups, 1);
+        assert_eq!(b.stages.group_latency.count(), 1);
         assert_eq!(
-            b.stages,
-            StageSums {
-                sample: 45_000,
-                plan: 28_000,
-                submit: 9_000,
-                wait: 60_000,
-                reap: 11_000,
-                scatter: 25_000,
-            }
+            Stage::ALL.map(|s| b.stages.get(s)),
+            [45_000, 28_000, 9_000, 60_000, 11_000, 25_000]
         );
         let cov = coverage(std::slice::from_ref(b)).unwrap();
         assert!((cov - 178_000.0 / 250_000.0).abs() < 1e-9, "{cov}");
@@ -538,11 +463,11 @@ mod tests {
         let b = batches(&w);
         assert_eq!(b.len(), 2);
         assert!(!b[0].complete);
-        assert_eq!(b[0].stages.sample, 50);
+        assert_eq!(b[0].stages.get(Stage::Sample), 50);
         assert!(b[1].complete);
         assert_eq!(coverage(&b).unwrap(), 0.0); // only batch 1 counts
         // The orphan scatter landed nowhere.
-        assert_eq!(b[0].stages.scatter + b[1].stages.scatter, 0);
+        assert_eq!(b[0].stages.get(Stage::Scatter) + b[1].stages.get(Stage::Scatter), 0);
     }
 
     #[test]

@@ -84,14 +84,6 @@ pub struct SamplerConfig {
     /// server exposes `/metrics`, `/progress`, and `/healthz` plus a
     /// stall watchdog. `None` (default) adds zero work to the hot path.
     pub telemetry: Option<TelemetryConfig>,
-    /// `ringprof` kernel resource attribution: workers take a full
-    /// `ResourceSample` (rusage + thread CPU clock) at epoch start/end
-    /// and one `CLOCK_THREAD_CPUTIME_ID` read per batch, the epoch driver
-    /// reads `/proc/self/io` before and after the fleet, and the epoch
-    /// report grows a `resources` block (time ledger, CPU share, read
-    /// amplification). Never changes sampling output; disabling only
-    /// removes the per-batch clock read and the report block.
-    pub profile_resources: bool,
 }
 
 impl Default for SamplerConfig {
@@ -110,7 +102,6 @@ impl Default for SamplerConfig {
             trace_capacity: 8192,
             read_plan: ReadPlanMode::Off,
             telemetry: None,
-            profile_resources: true,
         }
     }
 }
@@ -188,10 +179,16 @@ impl SamplerConfig {
         self
     }
 
-    // No-op: the span log is gone. Kept only because the frozen
-    // `benchmark/src/layers.rs` calls `.span_capacity(0)`; leaves with it.
+    // No-ops: the span log is gone and `ringprof` is always on. Kept only
+    // because the frozen `benchmark/src/layers.rs` calls
+    // `.span_capacity(0).profile_resources(false)`; they leave with it.
     #[doc(hidden)]
     pub fn span_capacity(self, _: usize) -> Self {
+        self
+    }
+
+    #[doc(hidden)]
+    pub fn profile_resources(self, _: bool) -> Self {
         self
     }
 
@@ -213,13 +210,6 @@ impl SamplerConfig {
     /// stall watchdog.
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
-        self
-    }
-
-    /// Toggles `ringprof` kernel resource attribution (default on).
-    /// Sampling output is byte-identical either way.
-    pub fn profile_resources(mut self, enable: bool) -> Self {
-        self.profile_resources = enable;
         self
     }
 

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 
-use ringstat::{proc_io_now, SnapshotCell, WorkerSnapshot};
+use ringstat::proc_io_now;
 
 use crate::block::BatchSample;
 use crate::config::{CachePolicy, SamplerConfig};
@@ -120,10 +120,7 @@ impl RingSampler {
             // A standalone worker (DataLoader path) appends its own slot;
             // batch totals are unknown, so the snapshot carries 0.
             let epoch = h.registry().next_epoch();
-            worker.attach_telemetry(h.registry().register(), epoch, 0);
-            if let Some(ring) = worker.events_ring() {
-                h.registry().append_ring(Arc::clone(ring));
-            }
+            worker.attach_telemetry(h.registry(), None, epoch, 0);
         }
         Ok(worker)
     }
@@ -161,30 +158,18 @@ impl RingSampler {
         // cannot be read per-thread, so physical bytes are measured once
         // here and attributed to workers proportionally by logical bytes.
         #[expect(clippy::disallowed_methods, reason = "epoch driver boundary: one procfs read before the workers spawn")]
-        let proc_io_start = if self.cfg.profile_resources {
-            Some(proc_io_now())
-        } else {
-            None
-        };
+        let (rb0, rc0) = proc_io_now();
 
-        // Fresh telemetry slots for this epoch (cold path; all `None`
-        // when telemetry is off, costing the workers nothing).
-        let (epoch, mut slots): (u64, Vec<Option<Arc<SnapshotCell<WorkerSnapshot>>>>) =
-            match &self.telemetry {
-                Some(h) => (
-                    h.registry().next_epoch(),
-                    h.registry()
-                        .reset_epoch(num_threads)
-                        .into_iter()
-                        .map(Some)
-                        .collect(),
-                ),
-                None => (0, (0..num_threads).map(|_| None).collect()),
-            };
+        // Fresh telemetry slots for this epoch (cold path; untouched when
+        // telemetry is off, costing the workers nothing).
+        let epoch = self.telemetry.as_ref().map_or(0, |h| {
+            h.registry().reset_epoch(num_threads);
+            h.registry().next_epoch()
+        });
 
         let results: Vec<Result<WorkerStats>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(num_threads);
-            for (t, slot) in slots.drain(..).enumerate() {
+            for t in 0..num_threads {
                 let batches = &batches;
                 let on_batch = &on_batch;
                 handles.push(scope.spawn(move || -> Result<WorkerStats> {
@@ -202,18 +187,13 @@ impl RingSampler {
                     // thread, so the profile interval starts here.
                     worker.begin_epoch_profile();
                     if let Some(h) = &self.telemetry {
-                        if let Some(ring) = worker.events_ring() {
-                            // Live `/trace` tail: cold-path registration,
-                            // once per worker per epoch.
-                            h.registry().register_ring(t, Arc::clone(ring));
-                        }
-                    }
-                    if let Some(cell) = slot {
                         // Round-robin partition: worker t owns batches
-                        // t, t + n, t + 2n, … — its assigned total.
+                        // t, t + n, t + 2n, … — its assigned total. One
+                        // cold-path call installs its snapshot cell and its
+                        // live `/trace` ring together, at index t.
                         let assigned =
                             batches.len().saturating_sub(t).div_ceil(num_threads) as u64;
-                        worker.attach_telemetry(cell, epoch, assigned);
+                        worker.attach_telemetry(h.registry(), Some(t), epoch, assigned);
                     }
                     let mut idx = t;
                     while idx < batches.len() {
@@ -239,7 +219,7 @@ impl RingSampler {
         }
         report.wall = start.elapsed();
         report.threads = num_threads;
-        if let (Some((rb0, rc0)), Some(res)) = (proc_io_start, report.resources.as_mut()) {
+        if let Some(res) = report.resources.as_mut() {
             #[expect(clippy::disallowed_methods, reason = "epoch driver boundary: one procfs read after the workers join")]
             let (rb1, rc1) = proc_io_now();
             res.physical_read_bytes = rb1.saturating_sub(rb0);
@@ -418,9 +398,9 @@ mod tests {
         .unwrap();
         let targets: Vec<NodeId> = (0..400).collect();
         let r = sampler.sample_epoch(&targets).unwrap();
-        assert_eq!(r.batch_latency.count(), r.metrics.batches);
-        assert_eq!(r.group_latency.count(), r.metrics.io_groups);
-        assert!(r.phases.total() > 0);
+        assert_eq!(r.account.batch_latency.count(), r.metrics.batches);
+        assert_eq!(r.account.group_latency.count(), r.metrics.io_groups);
+        assert!(r.account.total() > 0);
         // The three artifact exports are well-formed and self-consistent.
         assert_eq!(r.thread_events.len(), 2, "one event list per worker");
         assert!(
@@ -455,7 +435,7 @@ mod tests {
         .unwrap();
         let targets: Vec<NodeId> = (0..400).collect();
         let r = sampler.sample_epoch(&targets).unwrap();
-        let res = r.resources.as_ref().expect("profiling defaults on");
+        let res = r.resources.as_ref().expect("profiling is always on");
         assert_eq!(res.workers.len(), 2, "one resource row per worker");
         for w in &res.workers {
             assert!(w.wall_nanos > 0);
@@ -481,28 +461,46 @@ mod tests {
     }
 
     #[test]
-    fn profiling_off_leaves_report_resources_empty() {
-        let g = test_graph("noprof", 300, 3_000);
-        let cfg = SamplerConfig::new().fanouts(&[3]).batch_size(64).threads(2);
-        let targets: Vec<NodeId> = (0..300).collect();
-        let run = |profile: bool| {
-            let sampler =
-                RingSampler::new(g.clone(), cfg.clone().profile_resources(profile)).unwrap();
-            let samples = std::sync::Mutex::new(Vec::new());
-            let report = sampler
-                .sample_epoch_with(&targets, |idx, s| samples.lock().unwrap().push((idx, s)))
-                .unwrap();
-            let mut samples = samples.into_inner().unwrap();
-            samples.sort_by_key(|(idx, _)| *idx);
-            (report, samples)
+    fn standalone_worker_traces_under_its_own_slot() {
+        // A trace-off standalone worker, then a trace-on one, on the one
+        // process-wide registry: the second worker's `/trace` tail must be
+        // listed under its `/progress` slot, not under whichever ring
+        // number happened to be free. The traced worker is found in each
+        // document by its odd batch size, so slots other workers of the
+        // process hold do not matter.
+        use crate::telemetry::{Monitor, TelemetryConfig};
+        use ringstat::Json;
+        const SEEDS: u64 = 37;
+        let g = test_graph("slots", 300, 3_000);
+        let cfg = SamplerConfig::new()
+            .fanouts(&[3])
+            .batch_size(64)
+            .ring_entries(16)
+            .telemetry(TelemetryConfig::new("127.0.0.1:0"));
+        let quiet = RingSampler::new(g.clone(), cfg.clone().trace_capacity(0)).unwrap();
+        let traced = RingSampler::new(g, cfg).unwrap();
+        let _off = quiet.worker().unwrap();
+        let mut on = traced.worker().unwrap();
+        on.sample_batch(&(0..SEEDS as NodeId).collect::<Vec<_>>(), 0).unwrap();
+        let registry = traced.telemetry().unwrap().registry();
+        let mut monitor = Monitor::new(Instant::now());
+        monitor.tick(registry.observe(), Instant::now(), registry);
+        // The indices of `path`'s workers that `is_on` picks out.
+        let listed = |path: &str, is_on: &dyn Fn(&Json) -> bool| -> Vec<u64> {
+            let doc = Json::parse(monitor.route(path, registry).body()).unwrap();
+            let workers = doc.get("workers").and_then(Json::as_array).unwrap().to_vec();
+            workers.iter().filter(|w| is_on(w)).filter_map(|w| w.get("worker")?.as_u64()).collect()
         };
-        let (r, off) = run(false);
-        assert!(r.resources.is_none());
-        assert!(r.to_json().contains("\"resources\": null"));
-        // Profiling only observes: the samples are the same bytes with it on.
-        let (r, on) = run(true);
-        assert!(r.resources.is_some());
-        assert_eq!(on, off);
+        let progress = listed("/progress", &|w| w.get("targets").and_then(Json::as_u64) == Some(SEEDS));
+        let trace = listed("/trace", &|w| {
+            let events = w.get("events").and_then(Json::as_array).unwrap_or(&[]);
+            events.iter().any(|e| {
+                e.get("kind").and_then(Json::as_str) == Some("batch_start")
+                    && e.get("b").and_then(Json::as_u64) == Some(SEEDS)
+            })
+        });
+        assert_eq!(progress.len(), 1, "{progress:?}");
+        assert_eq!(trace, progress);
     }
 
     #[test]

@@ -82,7 +82,6 @@ impl HotSet {
             .read_plan(ReadPlanMode::coalesce())
             .seed(seed)
             .trace_capacity(0)
-            .profile_resources(false)
             .telemetry_opt(None);
         let mut worker = SamplerWorker::new(Arc::clone(graph), profiler, None)?;
         let file_len = worker.file_len();

@@ -11,11 +11,11 @@
 use std::time::Duration;
 
 use ringstat::{
-    human_bytes, human_count, human_nanos, ChromeTrace, Json, LatencyHistogram, Phase,
-    PhaseTimes, PromWriter, ResourceSample, TimeLedger, TraceEvent,
+    human_bytes, human_count, human_nanos, ChromeTrace, Json, LatencyHistogram, PromWriter,
+    ResourceSample, Stage, StageAccount, TimeLedger, TraceEvent,
 };
 
-use crate::telemetry::{CongestionEpisode, CongestionState};
+use crate::telemetry::{trace_event_json, CongestionEpisode, CongestionState};
 
 /// Counters accumulated while sampling (mergeable across threads).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +101,7 @@ impl SampleMetrics {
 
 /// One worker's `ringprof` epoch delta: the kernel counter deltas its
 /// thread accumulated between epoch start and join, plus the time ledger
-/// derived from them and the stage clock.
+/// derived from them and the stage account.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerResources {
     /// Wall nanoseconds between the worker's epoch-start and epoch-end
@@ -250,7 +250,7 @@ impl ResourceReport {
 }
 
 /// Everything one worker thread accumulated over its lifetime: flat
-/// counters plus the thread-private `ringstat` distributions.
+/// counters plus the thread-private `ringstat` stage account.
 ///
 /// Produced by [`crate::worker::SamplerWorker::take_stats`]; merged into
 /// an [`EpochReport`] with [`EpochReport::absorb`]. Thread-private until
@@ -259,29 +259,17 @@ impl ResourceReport {
 pub struct WorkerStats {
     /// Flat counters (including cache hits/misses).
     pub metrics: SampleMetrics,
-    /// Latency per I/O group: start of its `Submit` lap to end of its
-    /// `Complete` lap on the worker's stage clock, for either engine.
-    pub group_latency: LatencyHistogram,
-    /// Wall latency per sampled mini-batch.
-    pub batch_latency: LatencyHistogram,
-    /// The `Complete` lap of each group (the whole `complete_group` call;
-    /// its blocking part alone is `group_complete.c`).
-    pub cq_wait: LatencyHistogram,
-    /// Nanoseconds per pipeline phase (prepare/submit/complete/aggregate);
-    /// their total is exactly `batch_latency`'s sum.
-    pub phases: PhaseTimes,
-    /// Flight-recorder events drained from this thread's event ring
-    /// (empty for the non-destructive
-    /// [`stats`](crate::worker::SamplerWorker::stats) snapshot; populated
-    /// by `take_stats` at epoch join).
+    /// The stage sums and the batch, group and CQ-wait histograms: the
+    /// fold of every event the worker recorded, kept by its ring or not.
+    pub account: StageAccount,
+    /// Flight-recorder events drained from this thread's event ring at
+    /// epoch join.
     pub events: Vec<TraceEvent>,
     /// Events the ring dropped on overflow (recording never blocks; the
     /// drop counter is the recorder's overload signal).
     pub trace_dropped: u64,
-    /// `ringprof` epoch delta for this worker: populated by the
-    /// epoch-join path (`take_stats`) when `profile_resources` is on;
-    /// `None` from the non-destructive `stats` snapshot or with
-    /// profiling disabled.
+    /// `ringprof` epoch delta for this worker: closed by `take_stats`
+    /// when `begin_epoch_profile` opened it, `None` otherwise.
     pub resources: Option<WorkerResources>,
 }
 
@@ -308,17 +296,11 @@ pub struct EpochReport {
     pub wall: Duration,
     /// Worker threads used.
     pub threads: usize,
-    /// Merged per-I/O-group submit→complete latency across all threads.
-    pub group_latency: LatencyHistogram,
-    /// Merged per-batch sampling latency across all threads.
-    pub batch_latency: LatencyHistogram,
-    /// Merged `Complete` laps across all threads, one sample per group:
-    /// the whole `complete_group` call (polling, parking and reaping), not
-    /// its blocking part alone. Same meaning under `histograms.cq_wait` in
-    /// the JSON report and `ringsampler_cq_wait_seconds`.
-    pub cq_wait: LatencyHistogram,
-    /// Merged phase times across all threads.
-    pub phases: PhaseTimes,
+    /// Merged stage accounts across all threads: `phase_nanos` is its
+    /// four-phase view, and its group, batch and CQ-wait histograms are
+    /// `histograms.{io_group_latency, batch_latency, cq_wait}` (the CQ wait
+    /// is the whole completion lap — polling, parking and reaping).
+    pub account: StageAccount,
     /// One flight-recorder event list per worker thread (indexed by
     /// worker id), feeding the Chrome trace export, the `--trace-events`
     /// dump and the `ringtrace` analyzer.
@@ -332,8 +314,8 @@ pub struct EpochReport {
     /// telemetry timeline. Drained from the registry at epoch join.
     pub congestion: Vec<CongestionEpisode>,
     /// `ringprof` kernel resource attribution: per-worker deltas, the
-    /// fleet roll-up, and the read-amplification ratios. `None` when
-    /// `profile_resources` is off. Worker entries accumulate via
+    /// fleet roll-up, and the read-amplification ratios. `None` when no
+    /// worker closed an epoch profile. Worker entries accumulate via
     /// [`absorb`](Self::absorb); the epoch driver fills the process-wide
     /// physical deltas and `logical_bytes` afterwards.
     pub resources: Option<ResourceReport>,
@@ -359,10 +341,7 @@ impl EpochReport {
     /// losslessly; the events are kept per-thread for the trace).
     pub fn absorb(&mut self, worker: WorkerStats) {
         self.metrics.merge(&worker.metrics);
-        self.group_latency.merge(&worker.group_latency);
-        self.batch_latency.merge(&worker.batch_latency);
-        self.cq_wait.merge(&worker.cq_wait);
-        self.phases.merge(&worker.phases);
+        self.account.merge(&worker.account);
         self.thread_events.push(worker.events);
         self.trace_dropped += worker.trace_dropped;
         if let Some(res) = worker.resources {
@@ -370,8 +349,8 @@ impl EpochReport {
         }
     }
 
-    /// The `resources` block alone as a JSON value (`Null` with
-    /// profiling off) — also the payload the engine publishes for
+    /// The `resources` block alone as a JSON value (`Null` without an
+    /// epoch profile) — also the payload the engine publishes for
     /// ringscope's `GET /resources`.
     pub fn resources_json_value(&self) -> Json {
         match &self.resources {
@@ -385,12 +364,11 @@ impl EpochReport {
     /// `complete / (prepare + submit + complete)` — the quantity the
     /// Fig. 3b async pipeline minimizes.
     pub fn wait_fraction(&self) -> f64 {
-        let complete = self.phases.get(Phase::Complete);
-        let total = self.phases.total() - self.phases.get(Phase::Aggregate);
+        let total = self.account.total() - self.account.get(Stage::Scatter);
         if total == 0 {
             0.0
         } else {
-            complete as f64 / total as f64
+            self.account.complete() as f64 / total as f64
         }
     }
 
@@ -440,13 +418,13 @@ impl EpochReport {
             .with("coalesce_ratio", Json::F64(m.coalesce_ratio()))
             .with("edges_per_second", Json::F64(self.edges_per_second()));
         let mut phases = Json::object();
-        for p in Phase::ALL {
-            phases.push(p.name(), Json::U64(self.phases.get(p)));
+        for (name, nanos) in self.account.phases() {
+            phases.push(name, Json::U64(nanos));
         }
         let histograms = Json::object()
-            .with("io_group_latency", hist_json(&self.group_latency))
-            .with("batch_latency", hist_json(&self.batch_latency))
-            .with("cq_wait", hist_json(&self.cq_wait));
+            .with("io_group_latency", hist_json(&self.account.group_latency))
+            .with("batch_latency", hist_json(&self.account.batch_latency))
+            .with("cq_wait", hist_json(&self.account.cq_wait));
         let trace_events: u64 = self.thread_events.iter().map(|e| e.len() as u64).sum();
         let trace = Json::object()
             .with("threads", Json::U64(self.thread_events.len() as u64))
@@ -496,18 +474,7 @@ impl EpochReport {
             .iter()
             .enumerate()
             .map(|(tid, evs)| {
-                let events: Vec<Json> = evs
-                    .iter()
-                    .map(|e| {
-                        Json::object()
-                            .with("ts_ns", Json::U64(e.ts_ns))
-                            .with("kind", Json::Str(e.kind.name().to_string()))
-                            .with("a", Json::U64(e.a))
-                            .with("b", Json::U64(e.b))
-                            .with("c", Json::U64(e.c))
-                            .with("d", Json::U64(e.d))
-                    })
-                    .collect();
+                let events: Vec<Json> = evs.iter().map(trace_event_json).collect();
                 Json::object()
                     .with("thread", Json::U64(tid as u64))
                     .with("events", Json::Array(events))
@@ -603,19 +570,17 @@ impl EpochReport {
                 n,
             );
         }
-        for p in Phase::ALL {
+        for (name, nanos) in self.account.phases() {
             let mut with_phase: Vec<(&str, &str)> = labels.to_vec();
-            with_phase.push(("phase", p.name()));
+            with_phase.push(("phase", name));
             w.counter(
                 "ringsampler_phase_nanos_total",
                 "Nanoseconds per pipeline phase",
                 &with_phase,
-                self.phases.get(p),
+                nanos,
             );
         }
-        // ringprof families — emitted only when profiling ran, so a
-        // profiling-off exposition is byte-identical to pre-v6 output
-        // modulo the schema label.
+        // ringprof families — emitted only when an epoch profile closed.
         if let Some(r) = &self.resources {
             for (mode, nanos) in [("user", r.fleet.user_nanos), ("sys", r.fleet.sys_nanos)] {
                 let mut with_mode: Vec<(&str, &str)> = labels.to_vec();
@@ -703,19 +668,19 @@ impl EpochReport {
             "ringsampler_io_group_latency_seconds",
             "Submit-to-complete latency per I/O group",
             labels,
-            &self.group_latency,
+            &self.account.group_latency,
         );
         w.histogram(
             "ringsampler_batch_latency_seconds",
             "Wall latency per sampled mini-batch",
             labels,
-            &self.batch_latency,
+            &self.account.batch_latency,
         );
         w.histogram(
             "ringsampler_cq_wait_seconds",
             "CQ wait time per completed group",
             labels,
-            &self.cq_wait,
+            &self.account.cq_wait,
         );
     }
 
@@ -839,12 +804,13 @@ impl std::fmt::Display for EpochReport {
             self.metrics.requests_per_syscall(),
             self.threads
         )?;
-        if !self.group_latency.is_empty() {
+        let groups = &self.account.group_latency;
+        if !groups.is_empty() {
             write!(
                 f,
                 ", group p50/p99 {}/{}",
-                human_nanos(self.group_latency.p50()),
-                human_nanos(self.group_latency.p99())
+                human_nanos(groups.p50()),
+                human_nanos(groups.p99())
             )?;
         }
         Ok(())
@@ -931,11 +897,13 @@ mod tests {
     #[test]
     fn wait_fraction_math() {
         let mut r = EpochReport::default();
-        r.phases.add(Phase::Prepare, 100);
-        r.phases.add(Phase::Submit, 150);
-        r.phases.add(Phase::Complete, 750);
+        r.account.add(Stage::Sample, 80);
+        r.account.add(Stage::Plan, 20);
+        r.account.add(Stage::Submit, 150);
+        r.account.add(Stage::Wait, 700);
+        r.account.add(Stage::Reap, 50);
         // Decode time is downstream of the wait and stays out of it.
-        r.phases.add(Phase::Aggregate, 9_000);
+        r.account.add(Stage::Scatter, 9_000);
         assert!((r.wait_fraction() - 0.75).abs() < 1e-9);
     }
 
@@ -962,8 +930,8 @@ mod tests {
 
     #[test]
     fn display_humanizes_large_values() {
-        let mut group_latency = LatencyHistogram::new();
-        group_latency.record(90_000); // 90 µs
+        let mut account = StageAccount::default();
+        account.group_latency.record(90_000); // 90 µs
         let r = EpochReport {
             metrics: SampleMetrics {
                 batches: 1_200,
@@ -976,7 +944,7 @@ mod tests {
             },
             wall: Duration::from_secs(2),
             threads: 64,
-            group_latency,
+            account,
             ..Default::default()
         };
         let s = r.to_string();
@@ -995,8 +963,8 @@ mod tests {
         let mk = |latency: u64, batches: u64| {
             let mut w = WorkerStats::default();
             w.metrics.batches = 1;
-            w.group_latency.record(latency);
-            w.phases.add(Phase::Prepare, 100);
+            w.account.group_latency.record(latency);
+            w.account.add(Stage::Sample, 100);
             w.events = (0..batches).map(|i| batch_end(10 * i + 5, i, 5)).collect();
             w
         };
@@ -1005,8 +973,8 @@ mod tests {
         r.absorb(mk(1_000_000, 3));
         r.threads = 2;
         assert_eq!(r.metrics.batches, 2);
-        assert_eq!(r.group_latency.count(), 2);
-        assert_eq!(r.phases.get(Phase::Prepare), 200);
+        assert_eq!(r.account.group_latency.count(), 2);
+        assert_eq!(r.account.get(Stage::Sample), 200);
         assert_eq!(r.thread_events.len(), 2);
         assert_eq!(r.thread_events[1].len(), 3);
 
@@ -1019,9 +987,9 @@ mod tests {
     fn json_report_has_schema_and_quantiles() {
         let mut w = WorkerStats::default();
         for v in [1_000u64, 2_000, 4_000, 1_000_000] {
-            w.group_latency.record(v);
+            w.account.group_latency.record(v);
         }
-        w.phases.add(Phase::Submit, 123);
+        w.account.add(Stage::Submit, 123);
         let r = w.into_epoch_report(Duration::from_secs(1));
         assert_eq!(r.threads, 1);
         let json = r.to_json();
@@ -1039,8 +1007,8 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // Profiling was off for this synthetic report: the resources
-        // block must be explicitly null, not missing.
+        // No epoch profile closed for this synthetic report: the
+        // resources block must be explicitly null, not missing.
         assert!(json.contains("\"resources\": null"), "{json}");
     }
 
@@ -1112,7 +1080,7 @@ mod tests {
         let mut w = WorkerStats::default();
         w.metrics.io_requests = 64;
         w.metrics.syscalls = 2;
-        w.group_latency.record(50_000);
+        w.account.group_latency.record(50_000);
         let r = w.into_epoch_report(Duration::from_millis(100));
         let text = r.to_prometheus();
         for family in [

@@ -107,18 +107,33 @@ pub struct WorkerObservation {
     pub snapshot: Option<WorkerSnapshot>,
 }
 
-/// The shared collection of worker seqlock slots the telemetry thread
-/// reads. Registration is cold-path (epoch setup / loader construction);
-/// workers never touch the registry after receiving their slot.
+/// One worker's telemetry slot: its snapshot cell and, with tracing on,
+/// its flight-recorder ring — installed together, so every view names a
+/// worker by the same index.
+#[derive(Debug, Clone)]
+struct Slot {
+    cell: Arc<SnapshotCell<WorkerSnapshot>>,
+    ring: Option<Arc<EventRing>>,
+}
+
+impl Slot {
+    fn new(ring: Option<Arc<EventRing>>) -> Self {
+        Self {
+            cell: Arc::new(SnapshotCell::new(WorkerSnapshot::new())),
+            ring,
+        }
+    }
+}
+
+/// The shared collection of worker slots the telemetry thread reads.
+/// Installation is cold-path (epoch setup / loader construction); workers
+/// never touch the registry after receiving their slot.
 #[derive(Debug, Default)]
 pub struct SnapshotRegistry {
-    slots: Mutex<Vec<Arc<SnapshotCell<WorkerSnapshot>>>>,
+    /// One slot per worker, by index; rings are read with the best-effort
+    /// [`EventRing::recent`], never the destructive drain.
+    slots: Mutex<Vec<Slot>>,
     epochs: Mutex<u64>,
-    /// Flight-recorder rings keyed by worker index, for the live
-    /// `GET /trace` tail. Registered at epoch setup (cold path); the
-    /// telemetry thread reads them with the best-effort, torn-slot-
-    /// skipping [`EventRing::recent`] — never the destructive drain.
-    rings: Mutex<Vec<(usize, Arc<EventRing>)>>,
     /// Congestion episode tracking (verdict transitions with their time
     /// bounds), updated by the telemetry thread, drained at epoch join.
     congestion: Mutex<CongestionLog>,
@@ -136,38 +151,40 @@ impl SnapshotRegistry {
         Self::default()
     }
 
-    /// Appends one fresh slot (standalone workers, e.g. a training
-    /// `DataLoader`). The slot stays listed after the worker finishes,
-    /// with `active = false`.
-    pub fn register(&self) -> Arc<SnapshotCell<WorkerSnapshot>> {
-        let cell = Arc::new(SnapshotCell::new(WorkerSnapshot::new()));
+    /// Installs a worker's slot in one step — a fresh snapshot cell and its
+    /// ring (`None` with tracing off) — at `index` (an epoch worker's thread
+    /// index) or appended (a standalone worker, e.g. a `DataLoader`, listed
+    /// with `active = false` once it finishes). Returns the cell to publish
+    /// into.
+    pub fn install(
+        &self,
+        index: Option<usize>,
+        ring: Option<Arc<EventRing>>,
+    ) -> Arc<SnapshotCell<WorkerSnapshot>> {
+        let slot = Slot::new(ring);
+        let cell = Arc::clone(&slot.cell);
         if let Ok(mut slots) = self.slots.lock() {
-            slots.push(Arc::clone(&cell));
+            let at = index.unwrap_or(slots.len());
+            let len = slots.len().max(at + 1);
+            slots.resize_with(len, || Slot::new(None));
+            slots[at] = slot;
         }
         cell
     }
 
-    /// Replaces all slots with `n` fresh ones for a new epoch and
-    /// returns them (one per worker thread, in index order). Flight-
-    /// recorder rings and open congestion episodes from the previous
-    /// epoch are dropped too — the new epoch's workers re-register theirs
-    /// (cumulative episode counters survive, so `/metrics` counters stay
-    /// monotonic). History needs no reset: the [`Monitor`] restarts a
-    /// worker's series when it sees the slot's epoch change.
-    pub fn reset_epoch(&self, n: usize) -> Vec<Arc<SnapshotCell<WorkerSnapshot>>> {
-        let cells: Vec<_> = (0..n)
-            .map(|_| Arc::new(SnapshotCell::new(WorkerSnapshot::new())))
-            .collect();
+    /// Starts an epoch of `n` workers: every slot, ring included, is
+    /// replaced by `n` empty ones for the epoch's workers to install
+    /// theirs into, and open congestion episodes are dropped (cumulative
+    /// episode counters survive, so `/metrics` counters stay monotonic).
+    /// History needs no reset: the [`Monitor`] restarts a worker's series
+    /// when it sees the slot's epoch change.
+    pub fn reset_epoch(&self, n: usize) {
         if let Ok(mut slots) = self.slots.lock() {
-            *slots = cells.clone();
-        }
-        if let Ok(mut rings) = self.rings.lock() {
-            rings.clear();
+            *slots = (0..n).map(|_| Slot::new(None)).collect();
         }
         if let Ok(mut log) = self.congestion.lock() {
             log.reset();
         }
-        cells
     }
 
     /// Feeds one tick's verdicts into the episode tracker: a worker
@@ -218,7 +235,7 @@ impl SnapshotRegistry {
 
     /// The document `GET /resources` serves: the last published ringprof
     /// attribution, or an explicit `"resources": null` placeholder
-    /// before the first epoch joins (or with profiling off).
+    /// before the first epoch joins.
     pub fn resources_document(&self) -> String {
         if let Ok(res) = self.resources.lock() {
             if let Some(doc) = res.as_ref() {
@@ -231,42 +248,28 @@ impl SnapshotRegistry {
             .to_string_pretty()
     }
 
-    /// Registers worker `worker`'s flight-recorder ring for the live
-    /// `/trace` tail. Cold path (epoch setup / loader construction).
-    pub fn register_ring(&self, worker: usize, ring: Arc<EventRing>) {
-        if let Ok(mut rings) = self.rings.lock() {
-            rings.push((worker, ring));
-            rings.sort_by_key(|(w, _)| *w);
-        }
+    /// The slots as of now, read outside the lock.
+    fn slots(&self) -> Vec<Slot> {
+        self.slots.lock().map(|s| s.clone()).unwrap_or_default()
     }
 
-    /// Registers a standalone worker's ring (DataLoader path), assigning
-    /// the next free index. Returns the assigned index.
-    pub fn append_ring(&self, ring: Arc<EventRing>) -> usize {
-        if let Ok(mut rings) = self.rings.lock() {
-            let idx = rings.iter().map(|(w, _)| w + 1).max().unwrap_or(0);
-            rings.push((idx, ring));
-            idx
-        } else {
-            0
-        }
-    }
-
-    /// Reads the tail of every registered flight-recorder ring: up to `k`
-    /// most-recent events per worker (best effort — slots being written
-    /// concurrently are skipped) plus the recorded/dropped cursors.
+    /// Reads the tail of every installed flight-recorder ring, under its
+    /// slot's index: up to `k` most-recent events per worker (best effort
+    /// — slots being written concurrently are skipped) plus the
+    /// recorded/dropped cursors.
     pub fn observe_traces(&self, k: usize) -> Vec<TraceTail> {
-        let rings = match self.rings.lock() {
-            Ok(r) => r.clone(),
-            Err(_) => return Vec::new(),
-        };
-        rings
+        let slots = self.slots();
+        slots
             .iter()
-            .map(|(worker, ring)| TraceTail {
-                index: *worker,
-                recorded: ring.head(),
-                dropped: ring.dropped(),
-                events: ring.recent(k),
+            .enumerate()
+            .filter_map(|(index, s)| {
+                let ring = s.ring.as_ref()?;
+                Some(TraceTail {
+                    index,
+                    recorded: ring.head(),
+                    dropped: ring.dropped(),
+                    events: ring.recent(k),
+                })
             })
             .collect()
     }
@@ -284,16 +287,13 @@ impl SnapshotRegistry {
 
     /// Reads every slot once (bounded seqlock retries per slot).
     pub fn observe(&self) -> Vec<WorkerObservation> {
-        let slots = match self.slots.lock() {
-            Ok(s) => s.clone(),
-            Err(_) => return Vec::new(),
-        };
+        let slots = self.slots();
         slots
             .iter()
             .enumerate()
-            .map(|(index, cell)| WorkerObservation {
+            .map(|(index, s)| WorkerObservation {
                 index,
-                snapshot: cell.read(),
+                snapshot: s.cell.read(),
             })
             .collect()
     }
@@ -396,8 +396,8 @@ pub struct CongestionEvidence {
     /// the significance gate for the CQ-wait figures.
     pub io_busy_share: f64,
     /// The worker's windowed on-CPU share (thread CPU time over wall),
-    /// from the ringprof column of the history points. 0 when resource
-    /// profiling is off.
+    /// from the ringprof column of the history points. 0 until the worker
+    /// opens its epoch profile.
     pub cpu_share: f64,
     /// This worker's windowed batch completion rate.
     pub batches_per_sec: f64,
@@ -567,8 +567,8 @@ const STRAGGLER_RATIO: f64 = 0.35;
 /// Windowed on-CPU share (thread CPU time over wall, from the ringprof
 /// snapshots) at or above which a saturated queue is attributed to the
 /// *thread* rather than the device: `cpu_saturated` instead of
-/// `queue_saturated`. Requires `profile_resources`; with profiling off the
-/// share reads 0 and the split never fires.
+/// `queue_saturated`. A worker that never opened its epoch profile
+/// publishes no CPU time, so its share reads 0 and the split never fires.
 const CPU_FLOOR: f64 = 0.85;
 
 impl CongestionDetector {
@@ -791,13 +791,13 @@ pub fn metrics_document(
         );
         w.gauge(
             "ringsampler_worker_inflight_reads",
-            "Read requests currently in flight on the worker's ring",
+            "Read requests the worker was blocked behind, time-averaged over its last batch",
             labels,
             s.inflight as f64,
         );
         w.counter(
             "ringsampler_worker_cpu_nanos_total",
-            "Thread CPU time consumed this epoch (ringprof; 0 with profiling off)",
+            "Thread CPU time consumed this epoch (ringprof; 0 until the worker opens its epoch profile)",
             labels,
             s.cpu_nanos,
         );
@@ -867,7 +867,8 @@ pub fn trace_document(tails: &[TraceTail]) -> String {
         .to_string_pretty()
 }
 
-fn trace_event_json(e: &TraceEvent) -> Json {
+/// One flight-recorder event as JSON, with its wire-stable kind name.
+pub(crate) fn trace_event_json(e: &TraceEvent) -> Json {
     Json::object()
         .with("ts_ns", Json::U64(e.ts_ns))
         .with("kind", Json::str(e.kind.name()))
@@ -1524,15 +1525,14 @@ mod tests {
     fn registry_reset_and_register() {
         let reg = SnapshotRegistry::new();
         assert!(reg.observe().is_empty());
-        let cells = reg.reset_epoch(3);
-        assert_eq!(cells.len(), 3);
+        reg.reset_epoch(3);
         assert_eq!(reg.observe().len(), 3);
-        let extra = reg.register();
+        let extra = reg.install(None, None);
         extra.publish(snap(5, 10, true));
         let obs = reg.observe();
         assert_eq!(obs.len(), 4);
         assert_eq!(obs[3].snapshot.unwrap().batches, 5);
-        assert_eq!(reg.reset_epoch(1).len(), 1);
+        reg.reset_epoch(1);
         assert_eq!(reg.observe().len(), 1);
         assert_eq!(reg.next_epoch(), 1);
         assert_eq!(reg.next_epoch(), 2);
@@ -2025,15 +2025,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_rings_register_reset_and_observe() {
+    fn registry_slots_keep_cell_and_ring_together() {
         use ringstat::EventKind;
         let reg = SnapshotRegistry::new();
         assert!(reg.observe_traces(8).is_empty());
         let r1 = Arc::new(EventRing::new(8));
         let r0 = Arc::new(EventRing::new(8));
-        // Registered out of order: observation is sorted by worker index.
-        reg.register_ring(1, Arc::clone(&r1));
-        reg.register_ring(0, Arc::clone(&r0));
+        // Installed out of order: each ring is listed under its slot.
+        reg.install(Some(1), Some(Arc::clone(&r1)));
+        reg.install(Some(0), Some(Arc::clone(&r0)));
         r0.record(trace_ev(5, EventKind::BatchStart, 0));
         r0.record(trace_ev(9, EventKind::BatchEnd, 0));
         let tails = reg.observe_traces(8);
@@ -2043,12 +2043,17 @@ mod tests {
         assert_eq!(tails[0].events.len(), 2);
         assert_eq!(tails[1].index, 1);
         assert!(tails[1].events.is_empty());
-        // A standalone ring appends after the highest index.
-        let idx = reg.append_ring(Arc::new(EventRing::new(4)));
-        assert_eq!(idx, 2);
-        // Epoch reset forgets all rings.
+        // A standalone worker without a ring, then one with: the ring is
+        // listed under its own slot, not under the next free ring number.
+        reg.install(None, None);
+        reg.install(None, Some(Arc::new(EventRing::new(4))));
+        assert_eq!(reg.observe().len(), 4);
+        let indices: Vec<usize> = reg.observe_traces(0).iter().map(|t| t.index).collect();
+        assert_eq!(indices, [0, 1, 3]);
+        // Epoch reset forgets every slot's ring.
         reg.reset_epoch(2);
         assert!(reg.observe_traces(8).is_empty());
+        assert_eq!(reg.observe().len(), 2);
     }
 
     #[test]
@@ -2193,7 +2198,8 @@ mod tests {
         let registry = Arc::new(SnapshotRegistry::new());
         let handle = spawn_server(&cfg, Arc::clone(&registry)).expect("spawn server");
 
-        let cell = registry.register();
+        let ring = Arc::new(EventRing::new(16));
+        let cell = registry.install(None, Some(Arc::clone(&ring)));
         cell.publish(snap(1, 4, true));
 
         let (code, body) = http_get(handle.addr(), "/metrics");
@@ -2207,8 +2213,7 @@ mod tests {
             assert_eq!(code, 200, "{path}");
             assert!(body.contains("\"workers\""), "{path}: {body}");
         }
-        // The /trace tail serves registered flight-recorder rings live.
-        let ring = Arc::new(EventRing::new(16));
+        // The /trace tail serves installed flight-recorder rings live.
         ring.record(TraceEvent {
             ts_ns: 1,
             kind: ringstat::EventKind::BatchStart,
@@ -2217,7 +2222,6 @@ mod tests {
             c: 0,
             d: 0,
         });
-        registry.register_ring(0, Arc::clone(&ring));
         let (code, body) = http_get(handle.addr(), "/trace");
         assert_eq!(code, 200);
         assert!(body.contains("\"batch_start\""), "{body}");

@@ -20,8 +20,8 @@ use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 use ringsampler_io::engine::{GroupReader, GroupToken, PreadReader, ReadSlice, UringReader};
 use ringsampler_io::{EngineKind, IoEngineError};
 use ringstat::{
-    thread_cpu_nanos, EventKind, EventRing, LatencyHistogram, Phase, PhaseTimes,
-    ResourceSample, SnapshotCell, TimeLedger, TraceEvent, WorkerSnapshot,
+    thread_cpu_nanos, EventKind, EventRing, ResourceSample, SnapshotCell, Stage, StageAccount,
+    TimeLedger, TraceEvent, WorkerSnapshot,
 };
 
 use crate::block::{BatchSample, LayerSample};
@@ -33,6 +33,7 @@ use crate::memory::MemoryCharge;
 use crate::metrics::{SampleMetrics, WorkerResources, WorkerStats};
 use crate::plan::{ReadPlanMode, ReadPlanner, MAX_COALESCED_BYTES};
 use crate::sampling::OffsetSampler;
+use crate::telemetry::SnapshotRegistry;
 
 /// Byte ceiling of one I/O group's buffer. A group closes at `queue_depth`
 /// requests or before its payload would pass this, so a worker's buffer
@@ -76,16 +77,6 @@ pub struct SamplerWorker {
     planner: ReadPlanner,
     workspace_charge: MemoryCharge,
     charged_bytes: u64,
-    // Thread-private observability (ringstat): recorded with plain &mut
-    // writes on the hot path, merged only at epoch join.
-    batch_hist: LatencyHistogram,
-    /// The `Complete` lap of each group (reported as `cq_wait`): the whole
-    /// `complete_group` call, so its sum is `phases[Complete]`.
-    cq_hist: LatencyHistogram,
-    /// Per-group latency, one sample per completed group: from the start
-    /// of the group's `Submit` lap to the end of its `Complete` lap — the
-    /// time its buffer was lent out, the same for every engine.
-    group_hist: LatencyHistogram,
     /// Requests handed to the reader and not yet got back (what
     /// `group_submit.c` carries).
     inflight_reqs: u64,
@@ -94,14 +85,13 @@ pub struct SamplerWorker {
     /// out during it). Divided by the batch's latency it is the queue gauge
     /// the batch's snapshot publishes.
     parked_req_nanos: u64,
-    /// The stage clock (paper Fig. 3b's four stages on one thread):
-    /// [`Self::lap`] reads the clock once, charges everything since the
-    /// previous lap to one phase and moves `last` forward. A batch is a
-    /// run of laps and its latency is their sum, so per worker
-    /// `phases.total() == batch_hist.sum()` is an identity, and the events
-    /// the worker emits carry the durations and instants of its laps.
-    phases: PhaseTimes,
+    /// The stage clock (paper Fig. 3b's stages on one thread): the instant
+    /// of the last [`Self::lap`]. It charges nothing itself: each lap
+    /// travels in the one event that ends its stage.
     last: Instant,
+    /// Everything timed, folded from every event [`Self::trace`] records
+    /// (kept by the ring or not); merged only at epoch join.
+    account: StageAccount,
     /// `ringscope` live-telemetry slot: when attached, the worker
     /// publishes a snapshot through the seqlock after every batch (two
     /// word stores + a fence — the one sanctioned hot-path exception to
@@ -118,7 +108,7 @@ pub struct SamplerWorker {
     /// `ringprof` epoch anchor: the full resource sample and wall
     /// instant taken by [`SamplerWorker::begin_epoch_profile`] **on this
     /// worker's own thread** (the thread-CPU clock and `RUSAGE_THREAD`
-    /// are meaningless cross-thread). `None` when profiling is off.
+    /// are meaningless cross-thread). `None` until that call.
     res_start: Option<(ResourceSample, Instant)>,
     /// Thread CPU nanoseconds consumed since the epoch anchor — updated
     /// once per batch with a single `CLOCK_THREAD_CPUTIME_ID` read (the
@@ -133,7 +123,7 @@ struct InFlight {
     reqs: Vec<ReadSlice>,
     /// The worker's group count at submission (`group_submit.a`).
     id: u64,
-    /// Start of the group's `Submit` lap.
+    /// Start of the group's submit lap.
     since: Instant,
 }
 
@@ -224,7 +214,7 @@ impl SamplerWorker {
             None
         };
         let now = Instant::now();
-        let w = Self {
+        let mut w = Self {
             graph,
             cfg,
             reader,
@@ -239,13 +229,10 @@ impl SamplerWorker {
             planner: ReadPlanner::new(),
             workspace_charge,
             charged_bytes: base,
-            batch_hist: LatencyHistogram::new(),
-            cq_hist: LatencyHistogram::new(),
-            group_hist: LatencyHistogram::new(),
             inflight_reqs: 0,
             parked_req_nanos: 0,
-            phases: PhaseTimes::new(),
             last: now,
+            account: StageAccount::default(),
             telemetry: None,
             events,
             trace_origin: now,
@@ -258,53 +245,49 @@ impl SamplerWorker {
         Ok(w)
     }
 
-    /// Closes a lap of the stage clock: charges the time since the
-    /// previous lap to `phase` and returns it. Besides the read that starts
-    /// a batch, the hot path's only clock read.
+    /// Closes a lap of the stage clock and returns its nanoseconds, for
+    /// the event that ends the stage to carry. Besides the read that
+    /// starts a batch, the hot path's only clock read.
     #[inline]
-    fn lap(&mut self, phase: Phase) -> u64 {
+    fn lap(&mut self) -> u64 {
         let now = Instant::now();
         let nanos = nanos_between(self.last, now);
         self.last = now;
-        self.phases.add(phase, nanos);
         nanos
     }
 
-    /// Records a flight-recorder event stamped with the instant of the
-    /// last lap, if tracing is enabled. Disabled tracing costs one branch;
-    /// enabled costs a seqlock-cell publish (no clock read, no locks, no
-    /// RMW atomics, no allocation).
+    /// The one record call: folds an event stamped with the last lap's
+    /// instant into the account, then, with tracing on, pushes it onto the
+    /// ring (a seqlock-cell publish that drops rather than blocks).
     #[inline]
-    fn trace(&self, kind: EventKind, a: u64, b: u64, c: u64, d: u64) {
+    fn trace(&mut self, kind: EventKind, a: u64, b: u64, c: u64, d: u64) {
+        let ev = TraceEvent {
+            ts_ns: nanos_between(self.trace_origin, self.last),
+            kind,
+            a,
+            b,
+            c,
+            d,
+        };
+        self.account.record(&ev);
         if let Some(ring) = &self.events {
-            ring.record(TraceEvent {
-                ts_ns: nanos_between(self.trace_origin, self.last),
-                kind,
-                a,
-                b,
-                c,
-                d,
-            });
+            ring.record(ev);
         }
     }
 
-    /// The flight-recorder ring, for live-telemetry registration (`None`
-    /// when `trace_capacity == 0` disabled tracing).
-    pub(crate) fn events_ring(&self) -> Option<&Arc<EventRing>> {
-        self.events.as_ref()
-    }
-
-    /// Attaches a live-telemetry slot: from now on the worker publishes
-    /// a [`WorkerSnapshot`] after every batch (and a final inactive one
-    /// at [`SamplerWorker::take_stats`]). `epoch` and `total_batches`
-    /// are carried verbatim into every snapshot (`total_batches = 0`
-    /// when the batch count is unknown, e.g. a streaming loader).
+    /// Installs this worker's telemetry slot — snapshot cell and ring in
+    /// one registry call, see [`SnapshotRegistry::install`] — and from now
+    /// on publishes a [`WorkerSnapshot`] after every batch (and a final
+    /// inactive one at [`SamplerWorker::take_stats`]), carrying `epoch` and
+    /// `total_batches` (0 when unknown, e.g. a streaming loader).
     pub(crate) fn attach_telemetry(
         &mut self,
-        cell: Arc<SnapshotCell<WorkerSnapshot>>,
+        registry: &SnapshotRegistry,
+        index: Option<usize>,
         epoch: u64,
         total_batches: u64,
     ) {
+        let cell = registry.install(index, self.events.clone());
         self.telemetry = Some(TelemetrySlot {
             cell,
             epoch,
@@ -318,19 +301,16 @@ impl SamplerWorker {
     /// batch). Must run **on the worker's own
     /// thread**, after it has been moved into its epoch thread; the
     /// thread-CPU clock and `RUSAGE_THREAD` scope to the caller.
-    /// No-op when `profile_resources` is off.
     pub fn begin_epoch_profile(&mut self) {
-        if self.cfg.profile_resources {
-            #[expect(clippy::disallowed_methods, reason = "epoch boundary: runs once before the batch loop, on the worker's own thread")]
-            let start = ResourceSample::now();
-            self.res_start = Some((start, Instant::now()));
-            self.cpu_nanos = 0;
-        }
+        #[expect(clippy::disallowed_methods, reason = "epoch boundary: runs once before the batch loop, on the worker's own thread")]
+        let start = ResourceSample::now();
+        self.res_start = Some((start, Instant::now()));
+        self.cpu_nanos = 0;
     }
 
     /// Closes the epoch's resource interval: takes the end sample,
-    /// differences it against the anchor, and folds the stage clock's
-    /// attribution + CPU time into the time ledger. Consumes the anchor, so it fires once per
+    /// differences it against the anchor, and folds the stage account
+    /// and CPU time into the time ledger. Consumes the anchor, so it fires once per
     /// `begin_epoch_profile`. Runs on the worker's own thread (the
     /// epoch-join path calls it from `take_stats`).
     fn finish_epoch_resources(&mut self) -> Option<WorkerResources> {
@@ -343,7 +323,7 @@ impl SamplerWorker {
         self.cpu_nanos = sample.cpu_nanos;
         Some(WorkerResources {
             wall_nanos: wall,
-            ledger: TimeLedger::build(wall, &self.phases, sample.cpu_nanos),
+            ledger: TimeLedger::build(wall, &self.account, sample.cpu_nanos),
             logical_bytes: self.metrics.sampled_edges * ENTRY_BYTES,
             sample,
         })
@@ -361,7 +341,6 @@ impl SamplerWorker {
             return;
         }
         let m = self.metrics();
-        let batch_latency = self.batch_hist;
         if let Some(slot) = &mut self.telemetry {
             slot.cell.publish(WorkerSnapshot {
                 epoch: slot.epoch,
@@ -375,10 +354,10 @@ impl SamplerWorker {
                 inflight,
                 io_groups: m.io_groups,
                 active,
-                submit_nanos: self.phases.get(Phase::Submit),
-                complete_nanos: self.phases.get(Phase::Complete),
+                submit_nanos: self.account.get(Stage::Submit),
+                complete_nanos: self.account.complete(),
                 cpu_nanos: self.cpu_nanos,
-                batch_latency,
+                batch_latency: self.account.batch_latency,
             });
         }
     }
@@ -414,31 +393,10 @@ impl SamplerWorker {
         self.trace_origin = origin;
     }
 
-    /// Snapshot of everything this worker has accumulated: counters plus
-    /// the ringstat distributions (histograms, phase times).
-    ///
-    /// Flight-recorder events are left on the ring (draining is
-    /// destructive); only the overflow-drop count is reported here. Use
-    /// [`SamplerWorker::take_stats`] to collect the events themselves.
-    pub fn stats(&self) -> WorkerStats {
-        WorkerStats {
-            metrics: self.metrics(),
-            group_latency: self.group_hist,
-            batch_latency: self.batch_hist,
-            cq_wait: self.cq_hist,
-            phases: self.phases,
-            events: Vec::new(),
-            trace_dropped: self.events.as_ref().map_or(0, |r| r.dropped()),
-            // Only the epoch-join path (`take_stats`) closes the resource
-            // interval; a mid-epoch peek reports none.
-            resources: None,
-        }
-    }
-
-    /// Like [`SamplerWorker::stats`] but **drains** the flight-recorder
-    /// ring and closes the resource interval (the epoch-join path). Trace
-    /// events recorded after this call start a fresh window on the
-    /// now-empty ring.
+    /// Everything this worker has accumulated — counters, the stage
+    /// account, the flight-recorder events — with the resource interval
+    /// closed: the epoch-join path. **Drains** the ring, so events recorded
+    /// after this call start a fresh window on the now-empty ring.
     pub fn take_stats(&mut self) -> WorkerStats {
         // Close the ringprof interval first so the final snapshot below
         // publishes the same CPU total the report carries.
@@ -452,10 +410,7 @@ impl SamplerWorker {
         };
         WorkerStats {
             metrics: self.metrics(),
-            group_latency: self.group_hist,
-            batch_latency: self.batch_hist,
-            cq_wait: self.cq_hist,
-            phases: self.phases,
+            account: self.account,
             events,
             trace_dropped,
             resources,
@@ -471,10 +426,10 @@ impl SamplerWorker {
     /// Propagates I/O errors and memory-budget exhaustion.
     pub fn sample_batch(&mut self, seeds: &[NodeId], batch_seed: u64) -> Result<BatchSample> {
         // The batch starts the stage clock; from here to the last lap
-        // below every nanosecond lands in a phase.
-        self.last = Instant::now();
+        // below every nanosecond lands in a stage event.
+        let start = Instant::now();
+        self.last = start;
         self.parked_req_nanos = 0;
-        let charged = self.phases.total();
         let batch_index = self.metrics.batches;
         self.trace(EventKind::BatchStart, batch_index, seeds.len() as u64, 0, 0);
         let mut rng =
@@ -491,19 +446,19 @@ impl SamplerWorker {
             self.metrics.layers += 1;
             self.metrics.sampled_edges += layer.num_edges() as u64;
             layers.push(layer);
-            let reduce_nanos = self.lap(Phase::Prepare);
+            let reduce_nanos = self.lap();
             self.trace(EventKind::SampleDone, 0, targets.len() as u64, reduce_nanos, 0);
         }
         self.metrics.batches += 1;
-        // The last reduce's lap closed the batch: its latency is the sum
-        // of its laps, and `batch_end` is stamped with the last of them.
-        let batch_nanos = self.phases.total() - charged;
+        // The last reduce's lap closed the batch. Its latency is read off
+        // the batch's own clock, not off the account, so Σ stages equals
+        // Σ batch latency only if every lap landed in a stage event.
+        let batch_nanos = nanos_between(start, self.last);
         if let Some((start, _)) = &self.res_start {
             // ringprof per-batch cost: exactly one CLOCK_THREAD_CPUTIME_ID
             // read — no getrusage, no procfs until the epoch boundary.
             self.cpu_nanos = thread_cpu_nanos().saturating_sub(start.cpu_nanos);
         }
-        self.batch_hist.record(batch_nanos);
         self.trace(EventKind::BatchEnd, batch_index, batch_nanos, layers.len() as u64, 0);
         if let Some(slot) = &mut self.telemetry {
             slot.seeds_done += seeds.len() as u64;
@@ -547,7 +502,7 @@ impl SamplerWorker {
                 self.src_pos.push(pos as u32);
             }
         }
-        let draw_nanos = self.lap(Phase::Prepare);
+        let draw_nanos = self.lap();
         self.trace(
             EventKind::SampleDone,
             fanout as u64,
@@ -625,7 +580,7 @@ impl SamplerWorker {
             self.metrics.cache_hits += (n - misses.len()) as u64;
             self.metrics.cache_misses += misses.len() as u64;
         }
-        // Plan (CPU; one Prepare lap with the cache probe above). `stats` is
+        // Plan (CPU; one lap with the cache probe above). `stats` is
         // `None` for an identity plan — nothing merged, so the planner
         // counters stay untouched — and `Off` without a cache builds nothing
         // at all (its requests are generated group by group below); both are
@@ -665,7 +620,7 @@ impl SamplerWorker {
             let stats = planner.plan_slices(entries, byte_of(0), ENTRY_BYTES as u32, mode);
             (n, Some(stats))
         };
-        let plan_nanos = self.lap(Phase::Prepare);
+        let plan_nanos = self.lap();
         if cached && misses.len() < n {
             self.trace(EventKind::CacheHit, (n - misses.len()) as u64, 0, 0, 0);
         }
@@ -684,14 +639,13 @@ impl SamplerWorker {
             self.metrics.reads_saved += st.reads_saved();
             self.metrics.bytes_saved += st.bytes_saved();
         }
-        // Read + scatter. Decoding runs inside the executor's consume step
-        // as Aggregate laps; their sum is the scatter stage.
-        let agg0 = self.phases.get(Phase::Aggregate);
-        if cached {
+        // Read + scatter. Decoding runs inside the executor's consume step,
+        // one lap per group; their sum is the scatter stage.
+        let scatter_nanos = if cached {
             let eof = self.file_len;
             let pages = planner.slices().iter().map(|&r| clamped(r, eof));
             let order = misses.iter().map(|&i| (byte_at(i), i));
-            self.read_and_scatter(pages, order, &mut out)?;
+            self.read_and_scatter(pages, order, &mut out)?
         } else if mode.is_off() {
             // One request per entry, in sampling order: the group buffers
             // concatenate to `out`.
@@ -706,15 +660,15 @@ impl SamplerWorker {
                     *slot = NodeId::from_le_bytes(entry);
                 }
                 Ok(())
-            })?;
+            })?
         } else {
             let order = planner.perm().iter().map(|&i| (byte_at(i), i));
-            self.read_and_scatter(planner.slices().iter().copied(), order, &mut out)?;
-        }
+            self.read_and_scatter(planner.slices().iter().copied(), order, &mut out)?
+        };
         self.trace(
             EventKind::ScatterDone,
             if cached { misses.len() } else { n } as u64,
-            self.phases.get(Phase::Aggregate).saturating_sub(agg0),
+            scatter_nanos,
             0,
             0,
         );
@@ -725,15 +679,16 @@ impl SamplerWorker {
     /// group in place. `order` lists the entries to resolve as (byte
     /// offset, output position) in request order — the entries a request
     /// serves are the next run of `order` inside its extent — and each is
-    /// decoded from the group buffer straight into `out`.
+    /// decoded from the group buffer straight into `out`. Returns the
+    /// decode's nanoseconds (see [`Self::pipelined_read`]).
     fn read_and_scatter(
         &mut self,
         reqs: impl Iterator<Item = ReadSlice>,
         order: impl Iterator<Item = (u64, u32)>,
         out: &mut [NodeId],
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let mut order = order.peekable();
-        self.pipelined_read(reqs, |slices, buf| {
+        let scatter_nanos = self.pipelined_read(reqs, |slices, buf| {
             let mut rest = buf;
             for s in slices {
                 let (Some(data), Some(tail)) =
@@ -761,7 +716,7 @@ impl SamplerWorker {
                 expected: ENTRY_BYTES as u32,
                 got: 0,
             })),
-            None => Ok(()),
+            None => Ok(scatter_nanos),
         }
     }
 
@@ -806,10 +761,11 @@ impl SamplerWorker {
     /// waits one group at a time.
     ///
     /// This is the one account of the groups: the reader only reads, so
-    /// the counters, the `group_submit`/`group_complete` events and the
-    /// group latency all come from here, off the `Submit` and `Complete`
-    /// laps.
-    fn pipelined_read<R, F>(&mut self, reqs: R, mut consume: F) -> Result<()>
+    /// the counters and the `group_submit`/`group_complete` events all
+    /// come from here, off each group's submit and completion laps.
+    /// Returns the nanoseconds of the laps that ran `consume`: the fetch's
+    /// scatter stage.
+    fn pipelined_read<R, F>(&mut self, reqs: R, mut consume: F) -> Result<u64>
     where
         R: Iterator<Item = ReadSlice>,
         F: FnMut(&[ReadSlice], &[u8]) -> Result<()>,
@@ -833,7 +789,7 @@ impl SamplerWorker {
         reqs: R,
         consume: &mut F,
         inflight: &mut VecDeque<InFlight>,
-    ) -> Result<()>
+    ) -> Result<u64>
     where
         R: Iterator<Item = ReadSlice>,
         F: FnMut(&[ReadSlice], &[u8]) -> Result<()>,
@@ -844,6 +800,7 @@ impl SamplerWorker {
             PipelineMode::Async => 2,
         };
         let mut reqs = reqs.peekable();
+        let mut scatter_nanos = 0;
         // Groups complete strictly in submission order (FIFO), so `consume`
         // sees the same byte stream at every depth.
         loop {
@@ -872,7 +829,7 @@ impl SamplerWorker {
                 }
                 let since = self.last;
                 let token = self.reader.submit_group(&group, buf)?;
-                let submit_nanos = self.lap(Phase::Submit);
+                let submit_nanos = self.lap();
                 let n = group.len() as u64;
                 self.metrics.io_groups += 1;
                 self.metrics.io_requests += n;
@@ -896,16 +853,14 @@ impl SamplerWorker {
                 };
                 let waited = self.reader.stats().wait_nanos;
                 let filled = self.reader.complete_group(g.token)?;
-                let lap_nanos = self.lap(Phase::Complete);
+                let lap_nanos = self.lap();
                 // How much of the lap was the blocking wait only the
                 // reader can tell; the rest is reaping.
                 let waited = self.reader.stats().wait_nanos - waited;
                 let parked = waited.min(lap_nanos);
                 self.parked_req_nanos += parked * self.inflight_reqs;
                 self.inflight_reqs -= g.reqs.len() as u64;
-                self.cq_hist.record(lap_nanos);
                 let latency = nanos_between(g.since, self.last);
-                self.group_hist.record(latency);
                 self.trace(
                     EventKind::GroupComplete,
                     g.id,
@@ -914,12 +869,12 @@ impl SamplerWorker {
                     lap_nanos - parked,
                 );
                 consume(&g.reqs, &filled)?;
-                self.lap(Phase::Aggregate);
+                scatter_nanos += self.lap();
                 self.buf_pool.push(filled);
                 self.req_pool.push(g.reqs);
             }
             if drained {
-                return Ok(());
+                return Ok(scatter_nanos);
             }
         }
     }
@@ -1162,9 +1117,9 @@ mod tests {
         let mut w = worker(&graph, cfg);
         let seeds: Vec<NodeId> = (0..64).collect();
         w.sample_batch(&seeds, 0).unwrap();
-        let s = w.stats();
-        for p in Phase::ALL {
-            assert!(s.phases.get(p) > 0, "{} time recorded", p.name());
+        let s = w.take_stats();
+        for (phase, nanos) in s.account.phases() {
+            assert!(nanos > 0, "{phase} time recorded");
         }
         let f = s.into_epoch_report(std::time::Duration::ZERO).wait_fraction();
         assert!(f > 0.0 && f < 1.0);
@@ -1179,22 +1134,21 @@ mod tests {
         let seeds: Vec<NodeId> = (0..64).collect();
         w.sample_batch(&seeds, 0).unwrap();
         w.sample_batch(&seeds, 1).unwrap();
-        let s = w.stats();
-        assert_eq!(s.batch_latency.count(), 2, "one sample per batch");
+        let s = w.take_stats();
+        let a = &s.account;
+        assert_eq!(a.batch_latency.count(), 2, "one sample per batch");
         assert_eq!(
-            s.group_latency.count(),
+            a.group_latency.count(),
             s.metrics.io_groups,
             "one group-latency sample per completed group"
         );
-        assert_eq!(s.cq_wait.count(), s.metrics.io_groups);
-        assert!(s.phases.get(Phase::Prepare) > 0);
-        assert!(s.phases.get(Phase::Submit) > 0);
-        assert!(s.phases.get(Phase::Complete) > 0);
-        // The CQ waits are the Complete laps themselves.
-        assert_eq!(s.cq_wait.sum(), s.phases.get(Phase::Complete));
-        // The peek leaves the events on the ring; the join drains them.
-        assert!(s.events.is_empty());
-        assert!(!w.take_stats().events.is_empty());
+        assert_eq!(a.cq_wait.count(), s.metrics.io_groups);
+        assert!(a.get(Stage::Sample) > 0);
+        assert!(a.get(Stage::Submit) > 0);
+        assert!(a.complete() > 0);
+        // The join drains the ring: the next window starts empty.
+        assert!(!s.events.is_empty());
+        assert!(w.take_stats().events.is_empty());
     }
 
     /// Every (plan, cache) shape the one fetch path is fed with.
@@ -1211,8 +1165,9 @@ mod tests {
 
     #[test]
     fn stage_clock_conserves_exactly() {
-        // Σ phases == Σ batch latency to the nanosecond, whatever feeds the
-        // fetch path: the laps of a batch *are* its latency.
+        // Σ stages == Σ batch latency to the nanosecond, whatever feeds the
+        // fetch path: no stage event falls outside a batch, and the ledger
+        // built from the account conserves.
         let graph = test_graph("conserve");
         let seeds: Vec<NodeId> = (0..64).collect();
         for (mode, cache) in fetch_shapes() {
@@ -1234,10 +1189,11 @@ mod tests {
                     }
                     let s = w.take_stats();
                     let what = format!("{mode:?} {cache:?} {engine:?} {pipeline:?}");
-                    assert_eq!(s.phases.total(), s.batch_latency.sum(), "{what}");
-                    let ledger = s.resources.expect("profiling is on by default").ledger;
+                    let batch_sum = s.account.batch_latency.sum();
+                    assert_eq!(s.account.total(), batch_sum, "{what}");
+                    let ledger = s.resources.expect("the epoch profile was opened").ledger;
                     assert!(ledger.conserves(), "{what}: {ledger:?}");
-                    assert_eq!(ledger.accounted_nanos(), s.batch_latency.sum(), "{what}");
+                    assert_eq!(ledger.accounted_nanos(), batch_sum, "{what}");
                     assert!(ledger.other_nanos >= 3 * 200_000, "{what}: {ledger:?}");
                 }
             }
@@ -1246,11 +1202,13 @@ mod tests {
 
     #[test]
     fn stage_events_cover_the_batch() {
-        // Every lap of a batch is carried by exactly one stage event, so
-        // with nothing dropped the events sum to the batch latency to the
-        // nanosecond — with a page cache in front too (the probe loop is
-        // part of the plan lap), for either engine and pipeline depth, and
-        // whether or not the trace origin was ever re-anchored.
+        // The account is the fold of the worker's events, so with nothing
+        // dropped, folding the drained events reproduces it exactly —
+        // stage sums and histograms — with a page cache in front too (the
+        // probe loop is part of the plan lap), for either engine and
+        // pipeline depth, and whether or not the trace origin was ever
+        // re-anchored. Every lap of a batch is in one stage event, so the
+        // stages sum to the batch latency.
         let graph = long_graph("coverage", 1 << 18);
         let seeds: Vec<NodeId> = (0..1024).collect();
         for (mode, cache) in fetch_shapes() {
@@ -1273,20 +1231,11 @@ mod tests {
                     let s = w.take_stats();
                     let what = format!("{mode:?} {cache:?} {engine:?} {pipeline:?}");
                     assert_eq!(s.trace_dropped, 0, "{what}");
-                    let (mut staged, mut batches) = (0u64, 0u64);
-                    for e in &s.events {
-                        match e.kind {
-                            EventKind::SampleDone => staged += e.c,
-                            EventKind::PlanBuilt | EventKind::GroupSubmit => staged += e.d,
-                            EventKind::GroupComplete => staged += e.c + e.d,
-                            EventKind::ScatterDone => staged += e.b,
-                            EventKind::BatchEnd => batches += e.b,
-                            _ => {}
-                        }
-                    }
-                    assert_eq!(staged, batches, "{what}");
-                    assert_eq!(batches, s.batch_latency.sum(), "{what}");
-                    assert_eq!(batches, s.phases.total(), "{what}");
+                    let mut folded = StageAccount::default();
+                    s.events.iter().for_each(|e| folded.record(e));
+                    assert_eq!(folded, s.account, "{what}");
+                    assert_eq!(folded.batch_latency.count(), 4, "{what}");
+                    assert_eq!(folded.total(), folded.batch_latency.sum(), "{what}");
                 }
             }
         }
@@ -1299,16 +1248,16 @@ mod tests {
         for engine in [EngineKind::Uring, EngineKind::Pread] {
             let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(4).engine(engine);
             let mut w = worker(&graph, cfg);
-            assert!(w.stats().group_latency.is_empty());
+            assert!(w.take_stats().account.group_latency.is_empty());
             w.sample_batch(&seeds, 0).unwrap();
             w.sample_batch(&seeds, 1).unwrap();
-            let s = w.stats();
-            let lat = s.group_latency;
+            let s = w.take_stats();
+            let lat = s.account.group_latency;
             assert!(s.metrics.io_groups > 2, "{engine:?}");
             assert_eq!(lat.count(), s.metrics.io_groups, "{engine:?}: one sample per group");
-            // A group's latency spans its own Submit and Complete laps.
+            // A group's latency spans its own submit and completion laps.
             assert!(
-                lat.sum() >= s.phases.get(Phase::Submit) + s.phases.get(Phase::Complete),
+                lat.sum() >= s.account.get(Stage::Submit) + s.account.complete(),
                 "{engine:?}"
             );
             assert!(lat.p99() >= lat.p50());
@@ -1343,9 +1292,6 @@ mod tests {
                 // The one latency definition: Submit lap start to Complete lap end.
                 assert_eq!(done.b, done.ts_ns - sub.ts_ns + sub.d, "{engine:?}");
             }
-            let reaped: u64 = completes.iter().map(|e| e.c + e.d).sum();
-            assert_eq!(reaped, s.phases.get(Phase::Complete), "{engine:?}");
-            assert_eq!(s.group_latency.sum(), completes.iter().map(|e| e.b).sum::<u64>());
         }
     }
 
@@ -1746,15 +1692,16 @@ mod tests {
         let cfg = SamplerConfig::new().fanouts(&[2]).seed(9);
         let publishing = |cfg: SamplerConfig| {
             let mut w = worker(&graph, cfg);
-            let cell = Arc::new(SnapshotCell::new(WorkerSnapshot::new()));
-            w.attach_telemetry(Arc::clone(&cell), 1, 0);
-            (w, cell)
+            let registry = SnapshotRegistry::new();
+            w.attach_telemetry(&registry, None, 1, 0);
+            (w, registry)
         };
+        let published = |r: &SnapshotRegistry| r.observe()[0].snapshot.unwrap();
         for engine in [EngineKind::Uring, EngineKind::Pread] {
-            let (mut w, cell) = publishing(cfg.clone().engine(engine));
+            let (mut w, registry) = publishing(cfg.clone().engine(engine));
             for batch in 0..3 {
                 w.sample_batch(&seeds, batch).unwrap();
-                let snap = cell.read().unwrap();
+                let snap = published(&registry);
                 assert!(snap.active);
                 assert_eq!(snap.reads_submitted, 2048 * (batch + 1), "{engine:?}");
                 // Page-cache reads complete at submission: nothing to park on.
@@ -1767,14 +1714,14 @@ mod tests {
         // A device that cannot keep up: every group is waited for, far
         // longer than it takes to form the next one.
         for (pipeline, window) in [(PipelineMode::Async, 1024), (PipelineMode::Sync, 512)] {
-            let (mut w, cell) = publishing(cfg.clone().pipeline(pipeline));
+            let (mut w, registry) = publishing(cfg.clone().pipeline(pipeline));
             w.reader = Box::new(Parking {
                 inner: PreadReader::open(graph.edge_path(), 512).unwrap(),
                 park: std::time::Duration::from_millis(5),
                 waited: 0,
             });
             w.sample_batch(&seeds, 0).unwrap();
-            let inflight = cell.read().unwrap().inflight;
+            let inflight = published(&registry).inflight;
             // Parked for most of the batch on a full window.
             assert!(
                 inflight > window / 2 && inflight <= window,
@@ -1784,7 +1731,7 @@ mod tests {
                 assert!(inflight as f64 >= QUEUE_DEPTH, "saturation must be reachable");
             }
             w.take_stats();
-            assert_eq!(cell.read().unwrap().inflight, 0, "inactive");
+            assert_eq!(published(&registry).inflight, 0, "inactive");
         }
     }
 
@@ -1847,6 +1794,37 @@ mod tests {
         let s = w.take_stats();
         assert!(s.events.is_empty());
         assert_eq!(s.trace_dropped, 0);
+    }
+
+    #[test]
+    fn account_stays_exact_without_the_ring() {
+        // The fold happens as each event is recorded, so a worker that
+        // keeps no events, or whose ring overflows, still accounts every
+        // batch, group and lap.
+        let graph = test_graph("fold");
+        let seeds: Vec<NodeId> = (0..64).collect();
+        for capacity in [0, 16] {
+            let cfg = SamplerConfig::new()
+                .fanouts(&[4, 3])
+                .ring_entries(4) // many groups per layer
+                .trace_capacity(capacity);
+            let mut w = worker(&graph, cfg);
+            for batch in 0..3 {
+                w.sample_batch(&seeds, batch).unwrap();
+            }
+            let s = w.take_stats();
+            let a = &s.account;
+            if capacity == 0 {
+                assert!(s.events.is_empty() && s.trace_dropped == 0);
+            } else {
+                assert_eq!(s.events.len(), capacity);
+                assert!(s.trace_dropped > 0, "the ring must overflow");
+            }
+            assert_eq!(a.batch_latency.count(), 3, "capacity {capacity}");
+            assert_eq!(a.group_latency.count(), s.metrics.io_groups, "capacity {capacity}");
+            assert_eq!(a.cq_wait.count(), s.metrics.io_groups, "capacity {capacity}");
+            assert_eq!(a.total(), a.batch_latency.sum(), "capacity {capacity}");
+        }
     }
 
     #[test]
@@ -1920,8 +1898,8 @@ mod tests {
                 }
                 // The stage clock is an `Instant`, not a thread clock: it
                 // conserves across hops.
-                let st = hopping.stats();
-                assert_eq!(st.phases.total(), st.batch_latency.sum(), "{engine:?}");
+                let st = hopping.take_stats().account;
+                assert_eq!(st.total(), st.batch_latency.sum(), "{engine:?}");
             }
         }
     }

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ringsampler::{EpochReport, SampleMetrics, WorkerResources, WorkerStats};
-use ringstat::{EventKind, Phase, PromWriter, ResourceSample, TimeLedger, TraceEvent};
+use ringstat::{EventKind, PromWriter, ResourceSample, Stage, TimeLedger, TraceEvent};
 
 /// A fully deterministic report: fixed counters, fixed histogram samples,
 /// fixed event timestamps. No clocks involved.
@@ -34,19 +34,29 @@ fn golden_report() -> EpochReport {
         },
         ..Default::default()
     };
+    // The stage account, set stage by stage and sample by sample: the
+    // four-phase view is prepare 400 µs, submit 600 µs, complete 3 ms and
+    // aggregate 250 µs.
+    let account = &mut worker.account;
     for v in [1_000u64, 2_000, 4_000, 8_000, 150_000] {
-        worker.group_latency.record(v);
+        account.group_latency.record(v);
     }
     for v in [500_000u64, 600_000, 900_000, 1_200_000] {
-        worker.batch_latency.record(v);
+        account.batch_latency.record(v);
     }
     for v in [200u64, 400, 90_000] {
-        worker.cq_wait.record(v);
+        account.cq_wait.record(v);
     }
-    worker.phases.add(Phase::Prepare, 400_000);
-    worker.phases.add(Phase::Submit, 600_000);
-    worker.phases.add(Phase::Complete, 3_000_000);
-    worker.phases.add(Phase::Aggregate, 250_000);
+    for (stage, nanos) in [
+        (Stage::Sample, 300_000),
+        (Stage::Plan, 100_000),
+        (Stage::Submit, 600_000),
+        (Stage::Wait, 2_800_000),
+        (Stage::Reap, 200_000),
+        (Stage::Scatter, 250_000),
+    ] {
+        account.add(stage, nanos);
+    }
     let ev = |ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64, d: u64| TraceEvent {
         ts_ns,
         kind,
@@ -78,10 +88,9 @@ fn golden_report() -> EpochReport {
         minor_faults: 1_200,
         major_faults: 3,
     };
-    let phases = worker.phases;
     worker.resources = Some(WorkerResources {
         wall_nanos: 250_000_000,
-        ledger: TimeLedger::build(250_000_000, &phases, sample.cpu_nanos),
+        ledger: TimeLedger::build(250_000_000, &worker.account, sample.cpu_nanos),
         logical_bytes: 2_048 * 8,
         sample,
     });

@@ -26,7 +26,14 @@ use ringstat::{EventKind, EventRing, TraceEvent, WorkerSnapshot};
 /// worker 1 further along. Deterministic histogram samples, no clocks.
 fn golden_registry() -> Arc<SnapshotRegistry> {
     let registry = Arc::new(SnapshotRegistry::new());
-    let cells = registry.reset_epoch(2);
+    registry.reset_epoch(2);
+    // Flight-recorder rings: worker 0 mid-batch (submit without its
+    // complete yet), worker 1 with one full group lifecycle and a drop.
+    let (r0, r1) = (Arc::new(EventRing::new(8)), Arc::new(EventRing::new(2)));
+    let cells = [
+        registry.install(Some(0), Some(Arc::clone(&r0))),
+        registry.install(Some(1), Some(Arc::clone(&r1))),
+    ];
 
     let mut w0 = WorkerSnapshot::new();
     w0.epoch = 1;
@@ -64,8 +71,6 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     }
     cells[1].publish(w1);
 
-    // Flight-recorder rings: worker 0 mid-batch (submit without its
-    // complete yet), worker 1 with one full group lifecycle and a drop.
     let ev = |ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64, d: u64| TraceEvent {
         ts_ns,
         kind,
@@ -74,17 +79,13 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
         c,
         d,
     };
-    let r0 = Arc::new(EventRing::new(8));
     r0.record(ev(1_000, EventKind::BatchStart, 2, 128, 0, 0));
     r0.record(ev(1_500, EventKind::SampleDone, 10, 640, 450, 0));
     r0.record(ev(1_800, EventKind::PlanBuilt, 640, 320, 1_280, 250));
     r0.record(ev(2_000, EventKind::GroupSubmit, 6, 32, 32, 150));
-    registry.register_ring(0, r0);
-    let r1 = Arc::new(EventRing::new(2));
     r1.record(ev(900, EventKind::GroupSubmit, 9, 32, 32, 140));
     r1.record(ev(4_000, EventKind::GroupComplete, 9, 3_100, 2_600, 500));
     r1.record(ev(4_200, EventKind::ScatterDone, 640, 180, 0, 0)); // dropped
-    registry.register_ring(1, r1);
 
     registry
 }
@@ -243,16 +244,22 @@ fn history_endpoint_body_is_pinned_through_http() {
 #[test]
 fn resources_endpoint_body_is_pinned_through_http() {
     use ringsampler::{EpochReport, ResourceReport, WorkerResources};
-    use ringstat::{Json, Phase, PhaseTimes, ResourceSample, TimeLedger};
+    use ringstat::{Json, ResourceSample, Stage, StageAccount, TimeLedger};
 
     // The same deterministic ringprof interval the report golden pins:
     // 250 ms wall, 240 ms on-CPU, fixed stage walls. The engine renders
     // this exact document at epoch join and publishes it verbatim.
-    let mut phases = PhaseTimes::new();
-    phases.add(Phase::Prepare, 400_000);
-    phases.add(Phase::Submit, 600_000);
-    phases.add(Phase::Complete, 3_000_000);
-    phases.add(Phase::Aggregate, 250_000);
+    let mut stages = StageAccount::default();
+    for (stage, nanos) in [
+        (Stage::Sample, 300_000),
+        (Stage::Plan, 100_000),
+        (Stage::Submit, 600_000),
+        (Stage::Wait, 2_800_000),
+        (Stage::Reap, 200_000),
+        (Stage::Scatter, 250_000),
+    ] {
+        stages.add(stage, nanos);
+    }
     let sample = ResourceSample {
         cpu_nanos: 240_000_000,
         user_nanos: 200_000_000,
@@ -265,7 +272,7 @@ fn resources_endpoint_body_is_pinned_through_http() {
     let mut res = ResourceReport::default();
     res.absorb(WorkerResources {
         wall_nanos: 250_000_000,
-        ledger: TimeLedger::build(250_000_000, &phases, sample.cpu_nanos),
+        ledger: TimeLedger::build(250_000_000, &stages, sample.cpu_nanos),
         logical_bytes: 16_384,
         sample,
     });

@@ -164,13 +164,14 @@ mod tests {
         assert_eq!(n, 7);
         let stats = dl.finish().expect("producer stats");
         assert_eq!(stats.metrics.batches, 7);
-        assert_eq!(stats.batch_latency.count(), 7);
-        assert_eq!(stats.phases.total(), stats.batch_latency.sum());
-        // profile_resources is on by default: the producer's ledger is
-        // reported and conserves.
+        let account = stats.account;
+        assert_eq!(account.batch_latency.count(), 7);
+        assert_eq!(account.total(), account.batch_latency.sum());
+        // The producer opened its epoch profile: its ledger is reported
+        // and conserves.
         let res = stats.resources.expect("producer resources");
         assert!(res.ledger.conserves());
-        assert_eq!(res.ledger.batch_nanos, stats.phases.total());
+        assert_eq!(res.ledger.batch_nanos, account.total());
     }
 
     #[test]

@@ -278,7 +278,7 @@ mod tests {
         assert_eq!(stats.batches, 2);
         let report = stats.sampling.expect("sampling report from prefetch worker");
         assert_eq!(report.metrics.batches, 2);
-        assert_eq!(report.batch_latency.count(), 2);
+        assert_eq!(report.account.batch_latency.count(), 2);
         assert!(report.wall > Duration::ZERO);
         assert_eq!(model.layers().len(), snapshot.layers().len());
         for (a, b) in model.layers().iter().zip(snapshot.layers()) {

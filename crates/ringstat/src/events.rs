@@ -28,8 +28,9 @@
 //! The ring stores no clock. Callers stamp events with nanoseconds since
 //! a shared epoch-start origin, so events from all workers of an epoch
 //! share one timeline. The worker stamps its own events with the instant
-//! of the stage-clock lap that measured them, so a stage event's
-//! duration and timestamp are the ones its phase was charged with.
+//! of the stage-clock lap that measured them, so a stage event carries its
+//! lap's duration and end; [`crate::stage`] says which word holds which
+//! stage, and the worker's stage account is the fold of these events.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,12 +58,12 @@ pub enum EventKind {
     /// An I/O group was submitted. `a` = group id (the worker's group
     /// count), `b` = requests in the group, `c` = requests handed to the
     /// reader and not yet got back, this group included (queue depth),
-    /// `d` = the group's `Submit` lap ns (forming the group, SQE prep and
+    /// `d` = the group's submit lap ns (forming the group, SQE prep and
     /// `io_uring_enter`).
     GroupSubmit = 4,
     /// An I/O group completed. `a` = group id, `b` = group latency ns
-    /// (start of its `Submit` lap → end of its `Complete` lap, the same
-    /// for every engine), `c` = ns of the `Complete` lap the reader spent
+    /// (start of its submit lap → end of its completion lap, the same
+    /// for every engine), `c` = ns of the completion lap the reader spent
     /// blocked waiting for a completion, `d` = the rest of the lap
     /// (non-blocking CQ reaping); `c + d` is the lap.
     GroupComplete = 5,

@@ -12,9 +12,11 @@
 //!   histogram. `record()` is allocation-free and syscall-free, so it can
 //!   sit directly on the sampling hot path. Quantiles (p50/p95/p99) are
 //!   extracted from the buckets; `merge` is lossless (bucket-wise adds).
-//! * [`PhaseTimes`] / [`Phase`] — where an epoch spent its time:
-//!   prepare (offset drawing), submit (SQE preparation + `io_uring_enter`),
-//!   complete (CQ polling/waiting), aggregate (decoding entries).
+//! * [`Stage`] / [`StageAccount`] — where an epoch spent its time: the six
+//!   stages (sample, plan, submit, wait, reap, scatter), which word of which
+//!   flight-recorder event carries each, and the account a worker folds
+//!   its events into — the stage sums plus the batch, group and CQ-wait
+//!   histograms, with the four-phase view the reports export.
 //! * [`Json`], [`PromWriter`], [`ChromeTrace`] — dependency-free exporters
 //!   for the three artifact formats every run leaves behind; the Chrome
 //!   `trace.json` (Perfetto-viewable) timeline is a fold over the flight
@@ -44,7 +46,7 @@
 //! ## The synchronization-free invariant
 //!
 //! Every recorder in this crate is **thread-private by design**: a worker
-//! owns its histograms and phase times, records into them with plain `&mut`
+//! owns its stage account, records into it with plain `&mut`
 //! writes, and only at epoch join does the driver `merge` the per-thread
 //! values. There are no locks and no channels anywhere in this crate,
 //! and the only atomics are the word-sized version-counter accesses of
@@ -52,7 +54,7 @@
 //! flight recorder — wait-free publishes with no RMW, no CAS loop, and
 //! no blocking, which are the sanctioned ways a worker's state becomes
 //! externally visible mid-epoch. The hot-path clippy line that opens
-//! [`hist`], [`span`], [`snapshot`], [`events`] and [`resources`] bans
+//! [`hist`], [`stage`], [`snapshot`], [`events`] and [`resources`] bans
 //! locks and channels there to keep it that way, and every `Relaxed`
 //! access in the two atomic modules carries an `// ordering:` reason that
 //! `tests/tests/invariants.rs` checks.
@@ -69,7 +71,7 @@ pub mod json;
 pub mod prometheus;
 pub mod resources;
 pub mod snapshot;
-pub mod span;
+pub mod stage;
 pub mod trace;
 
 pub use events::{EventKind, EventRing, TraceEvent};
@@ -81,5 +83,5 @@ pub use json::Json;
 pub use prometheus::PromWriter;
 pub use resources::{parse_proc_io, proc_io_now, thread_cpu_nanos, ResourceSample, TimeLedger};
 pub use snapshot::{SnapshotCell, WorkerSnapshot};
-pub use span::{Phase, PhaseTimes, NUM_PHASES};
+pub use stage::{Stage, StageAccount};
 pub use trace::ChromeTrace;

@@ -14,8 +14,8 @@
 //!   epoch with it.
 //! * [`thread_cpu_nanos`] — the one call sanctioned on the per-batch hot
 //!   path: a single `clock_gettime` read, no `getrusage`, no procfs.
-//! * [`TimeLedger`] — folds the stage attribution of the worker's lap
-//!   clock ([`PhaseTimes`]) together with thread CPU time into the
+//! * [`TimeLedger`] — folds the worker's stage account
+//!   ([`StageAccount`]) together with thread CPU time into the
 //!   buckets `{compute, submit, io_wait, reap, other}`. The four stage
 //!   buckets sum *exactly* to the in-batch wall the clock measured —
 //!   that identity is the conservation rule — and `other` is the wall
@@ -41,7 +41,7 @@
 //!   the fields read as 0 and every derived ratio degrades to 0 rather
 //!   than erroring.
 
-use crate::span::{Phase, PhaseTimes};
+use crate::stage::{Stage, StageAccount};
 
 /// A point-in-time kernel resource reading for the calling thread.
 ///
@@ -195,13 +195,13 @@ pub fn proc_io_now() -> (u64, u64) {
 
 /// A per-worker epoch time ledger: wall time split into five buckets
 /// that sum exactly to wall. The four stage buckets come from the
-/// worker's lap clock, which charges every in-batch nanosecond to one
-/// stage, so together they equal the in-batch wall; `other` is what lies
-/// between batches.
+/// worker's stage account, which holds every in-batch nanosecond of its
+/// lap clock in one stage, so together they equal the in-batch wall;
+/// `other` is what lies between batches.
 ///
 /// | bucket    | meaning                                                |
 /// |-----------|--------------------------------------------------------|
-/// | `compute` | the prepare and aggregate stages: drawing offsets,     |
+/// | `compute` | the sample, plan and scatter stages: drawing offsets,  |
 /// |           | cache probe, read planning, frontier reduce, decode    |
 /// | `submit`  | group building + SQE preparation + `io_uring_enter`    |
 /// | `io_wait` | off-CPU time inside the completion stage (blocked on   |
@@ -216,9 +216,9 @@ pub struct TimeLedger {
     /// Wall-clock nanoseconds the ledger covers.
     pub wall_nanos: u64,
     /// In-batch wall nanoseconds the stage clock measured (the sum of
-    /// its four phases): what the stage buckets must add up to.
+    /// its six stages): what the stage buckets must add up to.
     pub batch_nanos: u64,
-    /// Prepare + aggregate stage nanoseconds.
+    /// Sample + plan + scatter stage nanoseconds.
     pub compute_nanos: u64,
     /// Submission-stage nanoseconds.
     pub submit_nanos: u64,
@@ -231,28 +231,27 @@ pub struct TimeLedger {
 }
 
 impl TimeLedger {
-    /// Builds a ledger from one worker's wall time, its stage
-    /// attribution, and its measured thread CPU time.
+    /// Builds a ledger from one worker's wall time, its stage account,
+    /// and its measured thread CPU time.
     ///
-    /// The completion stage's wall time is split by the CPU clock: the
-    /// part the thread spent off-CPU is `io_wait`, the on-CPU part is
-    /// `reap` (with `cpu_nanos = 0`, profiling off, all of it is wait).
+    /// The completion stages' wall time (wait + reap) is split by the CPU
+    /// clock: the part the thread spent off-CPU is `io_wait`, the on-CPU
+    /// part is `reap` (with `cpu_nanos = 0` all of it is wait).
     /// Stage time cannot exceed the wall that contains it; should the
-    /// inputs say otherwise (phases carried over from an earlier epoch)
+    /// inputs say otherwise (stages carried over from an earlier epoch)
     /// the stages are clamped in pipeline order so the five buckets still
     /// sum to `wall_nanos`, and [`conserves`](Self::conserves) reports it.
-    pub fn build(wall_nanos: u64, phases: &PhaseTimes, cpu_nanos: u64) -> Self {
+    pub fn build(wall_nanos: u64, account: &StageAccount, cpu_nanos: u64) -> Self {
         let wall = wall_nanos;
-        let submit = phases.get(Phase::Submit).min(wall);
-        let complete = phases.get(Phase::Complete).min(wall - submit);
-        let compute = phases
-            .get(Phase::Prepare)
-            .saturating_add(phases.get(Phase::Aggregate))
-            .min(wall - submit - complete);
+        let submit = account.get(Stage::Submit).min(wall);
+        let complete = account.complete().min(wall - submit);
+        // Every other stage is compute: sample, plan and scatter.
+        let others = account.get(Stage::Submit).saturating_add(account.complete());
+        let compute = account.total().saturating_sub(others).min(wall - submit - complete);
         let io_wait = complete.min(wall.saturating_sub(cpu_nanos));
         Self {
             wall_nanos: wall,
-            batch_nanos: phases.total(),
+            batch_nanos: account.total(),
             compute_nanos: compute,
             submit_nanos: submit,
             io_wait_nanos: io_wait,
@@ -367,33 +366,44 @@ mod tests {
         assert_eq!(a.vol_ctx_switches, 5);
     }
 
+    /// An account holding `stages`, as a worker's events would fold them.
+    fn account(stages: &[(Stage, u64)]) -> StageAccount {
+        let mut a = StageAccount::default();
+        for &(stage, nanos) in stages {
+            a.add(stage, nanos);
+        }
+        a
+    }
+
     #[test]
     fn ledger_conserves_exactly_on_clean_input() {
-        let mut phases = PhaseTimes::new();
-        phases.add(Phase::Prepare, 200);
-        phases.add(Phase::Submit, 100);
-        phases.add(Phase::Complete, 400);
-        phases.add(Phase::Aggregate, 100);
-        // 1000ns wall, 500ns on CPU: completion stage splits 400 into
-        // 400 off-CPU wait (off_cpu = 500 >= 400) and 0 reap.
-        let l = TimeLedger::build(1000, &phases, 500);
+        let stages = account(&[
+            (Stage::Sample, 150),
+            (Stage::Plan, 50),
+            (Stage::Submit, 100),
+            (Stage::Wait, 300),
+            (Stage::Reap, 100),
+            (Stage::Scatter, 100),
+        ]);
+        // 1000ns wall, 500ns on CPU: the completion stages' 400 are all
+        // off-CPU wait (off_cpu = 500 >= 400) and 0 reap.
+        let l = TimeLedger::build(1000, &stages, 500);
         assert_eq!(l.submit_nanos, 100);
         assert_eq!(l.io_wait_nanos, 400);
         assert_eq!(l.reap_nanos, 0);
-        assert_eq!(l.compute_nanos, 300, "prepare + aggregate, nothing else");
+        assert_eq!(l.compute_nanos, 300, "sample + plan + scatter, nothing else");
         assert_eq!(l.other_nanos, 200, "the time between batches");
-        assert_eq!(l.accounted_nanos(), phases.total());
+        assert_eq!(l.accounted_nanos(), stages.total());
         assert_eq!(l.accounted_nanos() + l.other_nanos, l.wall_nanos);
         assert!(l.conserves());
     }
 
     #[test]
     fn ledger_splits_busy_completion_into_reap() {
-        let mut phases = PhaseTimes::new();
-        phases.add(Phase::Complete, 600);
+        let stages = account(&[(Stage::Wait, 600)]);
         // Thread was on-CPU the whole second: completion time is reap,
         // not io_wait — and CPU burnt between batches stays in `other`.
-        let l = TimeLedger::build(1000, &phases, 1000);
+        let l = TimeLedger::build(1000, &stages, 1000);
         assert_eq!(l.io_wait_nanos, 0);
         assert_eq!(l.reap_nanos, 600);
         assert_eq!(l.compute_nanos, 0);
@@ -403,12 +413,13 @@ mod tests {
 
     #[test]
     fn ledger_degrades_to_stage_walls_without_cpu_profiling() {
-        let mut phases = PhaseTimes::new();
-        phases.add(Phase::Prepare, 300);
-        phases.add(Phase::Submit, 100);
-        phases.add(Phase::Complete, 500);
-        phases.add(Phase::Aggregate, 50);
-        let l = TimeLedger::build(1000, &phases, 0);
+        let stages = account(&[
+            (Stage::Sample, 300),
+            (Stage::Submit, 100),
+            (Stage::Reap, 500),
+            (Stage::Scatter, 50),
+        ]);
+        let l = TimeLedger::build(1000, &stages, 0);
         assert_eq!(l.io_wait_nanos, 500, "no CPU signal: completion is wait");
         assert_eq!(l.reap_nanos, 0);
         assert_eq!(l.compute_nanos, 350);
@@ -418,11 +429,8 @@ mod tests {
 
     #[test]
     fn ledger_clamps_overreported_stages() {
-        let mut phases = PhaseTimes::new();
-        phases.add(Phase::Submit, 5_000);
-        phases.add(Phase::Complete, 5_000);
-        phases.add(Phase::Prepare, 5_000);
-        let l = TimeLedger::build(1000, &phases, 1000);
+        let stages = account(&[(Stage::Submit, 5_000), (Stage::Wait, 5_000), (Stage::Plan, 5_000)]);
+        let l = TimeLedger::build(1000, &stages, 1000);
         let sum: u64 = l.buckets().iter().map(|&(_, ns)| ns).sum();
         assert_eq!(sum, 1000, "buckets must sum exactly to wall");
         assert_eq!(l.submit_nanos, 1000);
@@ -431,11 +439,9 @@ mod tests {
 
     #[test]
     fn merged_ledgers_still_conserve() {
-        let mut phases = PhaseTimes::new();
-        phases.add(Phase::Submit, 100);
-        phases.add(Phase::Complete, 300);
-        let mut a = TimeLedger::build(1000, &phases, 600);
-        let b = TimeLedger::build(500, &phases, 450);
+        let stages = account(&[(Stage::Submit, 100), (Stage::Wait, 200), (Stage::Reap, 100)]);
+        let mut a = TimeLedger::build(1000, &stages, 600);
+        let b = TimeLedger::build(500, &stages, 450);
         a.merge(&b);
         assert_eq!(a.wall_nanos, 1500);
         assert_eq!(a.accounted_nanos(), 800);

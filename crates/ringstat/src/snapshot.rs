@@ -80,16 +80,16 @@ pub struct WorkerSnapshot {
     /// True while the worker is actively sampling; flipped off at epoch
     /// join so the watchdog ignores finished workers.
     pub active: bool,
-    /// Cumulative nanoseconds in the submit stage (SQE prep +
-    /// `io_uring_enter` submit path; `Phase::Submit`).
+    /// Cumulative nanoseconds in the submit stage (group forming, SQE
+    /// prep and `io_uring_enter`; `Stage::Submit` of the worker's account).
     pub submit_nanos: u64,
-    /// Cumulative nanoseconds spent blocked waiting on completions
-    /// (CQ wait + reap). The ratio `complete / (submit + complete)`
+    /// Cumulative nanoseconds completing groups (the `Stage::Wait` and
+    /// `Stage::Reap` stages). The ratio `complete / (submit + complete)`
     /// is the CQ-wait share the congestion detectors trend.
     pub complete_nanos: u64,
     /// Cumulative thread CPU nanoseconds consumed this epoch
-    /// (`CLOCK_THREAD_CPUTIME_ID`, updated per batch when ringprof is
-    /// enabled; 0 otherwise). The history layer derives CPU share from
+    /// (`CLOCK_THREAD_CPUTIME_ID`, updated per batch once the worker has
+    /// opened its epoch profile; 0 before). The history layer derives CPU share from
     /// its growth rate, which is what separates `cpu_saturated` from
     /// `queue_saturated` congestion verdicts.
     pub cpu_nanos: u64,

@@ -10,6 +10,7 @@
 
 use crate::events::{EventKind, TraceEvent};
 use crate::json::Json;
+use crate::stage::Stage;
 
 /// Accumulates spans and serializes the Chrome trace-event JSON object.
 #[derive(Debug, Default)]
@@ -61,9 +62,10 @@ impl ChromeTrace {
     }
 
     /// The one Chrome exporter: a `ringsampler` process with one lane per
-    /// `(label, events)` pair, in order. Stage events are recorded when
-    /// their stage *ends*, so a span starts at `ts - dur`; instantaneous
-    /// events (cache hit/miss, fallbacks) are skipped.
+    /// `(label, events)` pair, in order. Each batch end and each stage
+    /// [`Stage::of`] reads from an event becomes a span; stage events are
+    /// recorded when their stage *ends*, so a span starts at `ts - dur`.
+    /// Events carrying no time (cache hit/miss, fallbacks) are skipped.
     pub fn from_events<'a, L: AsRef<str>>(
         lanes: impl IntoIterator<Item = (L, &'a [TraceEvent])>,
     ) -> Self {
@@ -80,22 +82,17 @@ impl ChromeTrace {
 
     fn add_event(&mut self, tid: u64, ev: &TraceEvent) {
         let us = |ns: u64| ns as f64 / 1_000.0;
-        let (name, dur) = match ev.kind {
-            EventKind::BatchEnd => ("batch", ev.b),
-            EventKind::SampleDone => ("sample", ev.c),
-            EventKind::PlanBuilt => ("plan", ev.d),
-            EventKind::GroupSubmit => ("submit", ev.d),
-            EventKind::ScatterDone => ("scatter", ev.b),
-            EventKind::GroupComplete => {
-                // Blocked wait, then the reap that ended at `ts`.
-                let start = us(ev.ts_ns.saturating_sub(ev.c + ev.d));
-                self.add_span(tid, "wait", start, us(ev.c));
-                self.add_span(tid, "reap", start + us(ev.c), us(ev.d));
-                return;
-            }
-            _ => return,
-        };
-        self.add_span(tid, name, us(ev.ts_ns.saturating_sub(dur)), us(dur));
+        if ev.kind == EventKind::BatchEnd {
+            self.add_span(tid, "batch", us(ev.ts_ns.saturating_sub(ev.b)), us(ev.b));
+            return;
+        }
+        // An event's stages ran back to back and ended at its timestamp.
+        let ran = Stage::of(ev).fold(0u64, |acc, (_, ns)| acc.saturating_add(ns));
+        let mut at = us(ev.ts_ns.saturating_sub(ran));
+        for (stage, ns) in Stage::of(ev) {
+            self.add_span(tid, stage.name(), at, us(ns));
+            at += us(ns);
+        }
     }
 
     /// Number of events accumulated so far.

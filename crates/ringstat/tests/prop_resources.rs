@@ -1,5 +1,5 @@
 //! Property tests for the `ringprof` time ledger: under *arbitrary*
-//! stage sequences — any mix of phase additions, any CPU reading, any
+//! stage sequences — any mix of stage additions, any CPU reading, any
 //! wall time, including wildly over-reported stages — every bucket is
 //! non-negative, the buckets sum to at most the wall time (in fact
 //! exactly, since `other` is the explicit remainder), and the
@@ -8,16 +8,16 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use ringstat::{Phase, PhaseTimes, ResourceSample, TimeLedger};
+use ringstat::{ResourceSample, Stage, StageAccount, TimeLedger};
 
-/// An arbitrary stage sequence: a list of `(phase, nanos)` additions,
-/// folded into one `PhaseTimes` exactly like a worker records them.
-fn phases_of(adds: &[(u8, u64)]) -> PhaseTimes {
-    let mut p = PhaseTimes::new();
+/// An arbitrary stage sequence: a list of `(stage, nanos)` additions,
+/// folded into one `StageAccount` the way a worker's events add them.
+fn stages_of(adds: &[(u8, u64)]) -> StageAccount {
+    let mut a = StageAccount::default();
     for &(which, ns) in adds {
-        p.add(Phase::ALL[(which % 4) as usize], ns);
+        a.add(Stage::ALL[(which % 6) as usize], ns);
     }
-    p
+    a
 }
 
 proptest! {
@@ -29,12 +29,12 @@ proptest! {
     /// the recorded stages are relative to the true wall time.
     #[test]
     fn ledger_buckets_conserve_under_arbitrary_stages(
-        adds in vec((0u8..4, 0u64..2_000_000_000), 0..24),
+        adds in vec((0u8..6, 0u64..2_000_000_000), 0..24),
         wall in 0u64..4_000_000_000,
         cpu in 0u64..8_000_000_000,
     ) {
-        let phases = phases_of(&adds);
-        let l = TimeLedger::build(wall, &phases, cpu);
+        let stages = stages_of(&adds);
+        let l = TimeLedger::build(wall, &stages, cpu);
         prop_assert_eq!(l.wall_nanos, wall);
         for (name, ns) in l.buckets() {
             prop_assert!(ns <= wall, "{} = {} > wall {}", name, ns, wall);
@@ -48,20 +48,20 @@ proptest! {
         // The restated rule: stages that fit the wall are reproduced to the
         // nanosecond — buckets minus `other` equal the in-batch wall —
         // and only a clamped ledger fails to conserve.
-        let in_batch = phases.total();
+        let in_batch = stages.total();
         prop_assert_eq!(l.batch_nanos, in_batch);
         prop_assert_eq!(l.conserves(), in_batch <= wall);
         if in_batch <= wall {
             prop_assert_eq!(wall - l.other_nanos, in_batch);
             prop_assert_eq!(
                 l.compute_nanos,
-                phases.get(Phase::Prepare) + phases.get(Phase::Aggregate)
+                stages.get(Stage::Sample) + stages.get(Stage::Plan) + stages.get(Stage::Scatter)
             );
-            prop_assert_eq!(l.submit_nanos, phases.get(Phase::Submit));
+            prop_assert_eq!(l.submit_nanos, stages.get(Stage::Submit));
         }
-        // The io_wait/reap split partitions the completion stage.
-        let complete = phases.get(Phase::Complete).min(
-            wall.saturating_sub(phases.get(Phase::Submit).min(wall)),
+        // The io_wait/reap split partitions the completion stages.
+        let complete = stages.complete().min(
+            wall.saturating_sub(stages.get(Stage::Submit).min(wall)),
         );
         prop_assert_eq!(l.io_wait_nanos + l.reap_nanos, complete);
         // io_wait can never exceed the thread's off-CPU time.
@@ -72,15 +72,15 @@ proptest! {
     /// buckets still sum exactly to the summed wall time.
     #[test]
     fn merged_ledgers_conserve(
-        a_adds in vec((0u8..4, 0u64..1_000_000_000), 0..12),
-        b_adds in vec((0u8..4, 0u64..1_000_000_000), 0..12),
+        a_adds in vec((0u8..6, 0u64..1_000_000_000), 0..12),
+        b_adds in vec((0u8..6, 0u64..1_000_000_000), 0..12),
         a_wall in 0u64..2_000_000_000,
         b_wall in 0u64..2_000_000_000,
         a_cpu in 0u64..2_000_000_000,
         b_cpu in 0u64..2_000_000_000,
     ) {
-        let mut m = TimeLedger::build(a_wall, &phases_of(&a_adds), a_cpu);
-        m.merge(&TimeLedger::build(b_wall, &phases_of(&b_adds), b_cpu));
+        let mut m = TimeLedger::build(a_wall, &stages_of(&a_adds), a_cpu);
+        m.merge(&TimeLedger::build(b_wall, &stages_of(&b_adds), b_cpu));
         let sum: u64 = m.buckets().iter().map(|&(_, ns)| ns).sum();
         prop_assert_eq!(sum, m.wall_nanos);
         prop_assert_eq!(m.wall_nanos, a_wall + b_wall);

@@ -35,7 +35,8 @@ pub const HOT_PATH: &[&str] = &[
     // Observability primitives workers call per batch and per I/O group:
     // recording must stay allocation-free, lock-free and panic-free.
     "crates/ringstat/src/hist.rs",
-    "crates/ringstat/src/span.rs",
+    // The stage account folds every event a worker records.
+    "crates/ringstat/src/stage.rs",
     // The seqlock publish runs once per batch on every worker.
     "crates/ringstat/src/snapshot.rs",
     // The flight recorder records an event per pipeline stage on every
