@@ -462,32 +462,29 @@ mod tests {
 
     #[test]
     fn standalone_worker_traces_under_its_own_slot() {
-        // A trace-off standalone worker, then a trace-on one, on the one
-        // process-wide registry: the second worker's `/trace` tail must be
-        // listed under its `/progress` slot, not under whichever ring
-        // number happened to be free. The traced worker is found in each
-        // document by its odd batch size, so slots other workers of the
-        // process hold do not matter.
-        use crate::telemetry::{Monitor, TelemetryConfig};
+        // A trace-off standalone worker, then a trace-on one, each
+        // appending its slot the way `worker()` does, to a registry no other
+        // test reaches: the second worker's `/trace` tail must be listed
+        // under its `/progress` slot, not under whichever ring number
+        // happened to be free.
+        use crate::telemetry::{Monitor, SnapshotRegistry};
         use ringstat::Json;
         const SEEDS: u64 = 37;
         let g = test_graph("slots", 300, 3_000);
-        let cfg = SamplerConfig::new()
-            .fanouts(&[3])
-            .batch_size(64)
-            .ring_entries(16)
-            .telemetry(TelemetryConfig::new("127.0.0.1:0"));
+        let cfg = SamplerConfig::new().fanouts(&[3]).batch_size(64).ring_entries(16);
         let quiet = RingSampler::new(g.clone(), cfg.clone().trace_capacity(0)).unwrap();
         let traced = RingSampler::new(g, cfg).unwrap();
-        let _off = quiet.worker().unwrap();
+        let registry = SnapshotRegistry::new();
+        let mut off = quiet.worker().unwrap();
+        off.attach_telemetry(&registry, None, 1, 0);
         let mut on = traced.worker().unwrap();
+        on.attach_telemetry(&registry, None, 1, 0);
         on.sample_batch(&(0..SEEDS as NodeId).collect::<Vec<_>>(), 0).unwrap();
-        let registry = traced.telemetry().unwrap().registry();
         let mut monitor = Monitor::new(Instant::now());
-        monitor.tick(registry.observe(), Instant::now(), registry);
+        monitor.tick(registry.observe(), Instant::now(), &registry);
         // The indices of `path`'s workers that `is_on` picks out.
         let listed = |path: &str, is_on: &dyn Fn(&Json) -> bool| -> Vec<u64> {
-            let doc = Json::parse(monitor.route(path, registry).body()).unwrap();
+            let doc = Json::parse(monitor.route(path, &registry).body()).unwrap();
             let workers = doc.get("workers").and_then(Json::as_array).unwrap().to_vec();
             workers.iter().filter(|w| is_on(w)).filter_map(|w| w.get("worker")?.as_u64()).collect()
         };
@@ -499,7 +496,7 @@ mod tests {
                     && e.get("b").and_then(Json::as_u64) == Some(SEEDS)
             })
         });
-        assert_eq!(progress.len(), 1, "{progress:?}");
+        assert_eq!(progress, [1]);
         assert_eq!(trace, progress);
     }
 

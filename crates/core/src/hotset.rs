@@ -190,10 +190,12 @@ fn choose(scores: &[f64], fit: usize) -> Vec<u64> {
     let score = |p: u64| scores.get(p as usize).copied().unwrap_or(0.0);
     let all = 0..scores.len() as u64;
     let mut chosen: Vec<u64> = all.clone().filter(|&p| score(p) > 0.0).collect();
+    // sort: build time, once per sampler: the profile's scored pages.
     chosen.sort_unstable_by(|&a, &b| score(b).total_cmp(&score(a)).then(a.cmp(&b)));
     chosen.truncate(fit);
     let room = fit - chosen.len();
     chosen.extend(all.filter(|&p| score(p) <= 0.0).take(room));
+    // sort: build time, once per sampler: the pages to load, in file order.
     chosen.sort_unstable();
     chosen
 }

@@ -133,7 +133,7 @@ impl SamplerWorker {
         picks.dedup_by_key(|p| p.1);
 
         let entries: Vec<u64> = picks.iter().map(|&(_, e)| e).collect();
-        let values = self.fetch_entries(&entries)?;
+        let values = self.fetch_entries(&entries, &[])?;
 
         // Keep edges until `layer_size` distinct neighbor values are
         // collected (scanning in a rng-shuffled order to avoid biasing

@@ -8,8 +8,12 @@
 //! same 4 KiB SSD page. The [`ReadPlanner`] turns a layer's raw entry list
 //! into a minimal request list:
 //!
-//! 1. **Sort** a scratch index permutation (never the entries themselves —
-//!    `src_pos` alignment in the caller must survive planning).
+//! 1. **Order** a scratch index permutation by entry value (never the
+//!    entries themselves — `src_pos` alignment in the caller must survive
+//!    planning). A node-wise layer arrives as one run of draws per target,
+//!    and targets' offset ranges are disjoint and ascend with node id, so
+//!    over a sorted frontier sorting each run is sorting the layer
+//!    ([`sort_by_runs`]); anything else takes one comparison sort.
 //! 2. **Coalesce** in one greedy pass: an exact repeat is served by the
 //!    read that already covers it, and runs whose byte extents fall within
 //!    a configurable gap threshold (default: one 4 KiB page; `0` merges
@@ -141,6 +145,45 @@ impl PlanStats {
     }
 }
 
+/// Sorts `order` — input positions, ascending on entry — by `key`, run by
+/// run. Run `k` holds the positions at or above `run_ends[k - 1]` and below
+/// `run_ends[k]`; the positions past the last end form one final run, so
+/// empty `run_ends` make the whole of `order` one run.
+///
+/// Each run is sorted on its own. When every non-empty run then starts at
+/// or above the key the previous one ended on, the runs already are the
+/// sorted whole and no comparison crossed a run; otherwise the whole of
+/// `order` is sorted once. Returns whether the runs held. The check is on
+/// keys, so a zero-degree target's empty run and a with-replacement run's
+/// repeats never break it; first-layer seeds in caller order and
+/// duplicate seeds usually do.
+pub fn sort_by_runs(order: &mut [u32], run_ends: &[u32], key: impl Fn(u32) -> u64) -> bool {
+    let mut rest = &mut *order;
+    let mut floor = 0u64;
+    let mut held = true;
+    for end in run_ends.iter().copied().chain([u32::MAX]) {
+        let len = rest.iter().position(|&p| p >= end).unwrap_or(rest.len());
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        // sort: one target's draws, at most its fanout; std sorts a run this
+        // short by insertion.
+        run.sort_unstable_by_key(|&p| key(p));
+        if let (Some(&first), Some(&last)) = (run.first(), run.last()) {
+            if key(first) < floor {
+                held = false;
+                break;
+            }
+            floor = key(last);
+        }
+    }
+    if !held {
+        // sort: the fallback, for a layer whose runs do not ascend (the first
+        // layer's caller-ordered seeds); later layers never reach it.
+        order.sort_unstable_by_key(|&p| key(p));
+    }
+    held
+}
+
 /// Reusable read-plan builder. One per worker; all scratch survives across
 /// layers and epochs so steady-state planning allocates nothing.
 #[derive(Debug, Default)]
@@ -203,26 +246,30 @@ impl ReadPlanner {
         stride: u32,
         mode: ReadPlanMode,
     ) -> PlanStats {
-        self.build(entries, base, stride, mode, true)
+        self.build(entries, &[], base, stride, mode, true)
     }
 
-    /// [`ReadPlanner::plan`] without the scatter map (left empty): for a
-    /// caller that decodes slice by slice through [`ReadPlanner::perm`] and
-    /// never concatenates the payload, the map is 8 bytes of scratch and
-    /// one random store per entry for nothing.
+    /// [`ReadPlanner::plan`] without the scatter map (left empty), ordering
+    /// `entries` by the runs `run_ends` cut them into (see [`sort_by_runs`];
+    /// `&[]` is one run): the same slices, stats and sorted entry sequence.
+    /// For a caller that decodes slice by slice through
+    /// [`ReadPlanner::perm`] and never concatenates the payload, the map is
+    /// 8 bytes of scratch and one random store per entry for nothing.
     pub fn plan_slices(
         &mut self,
         entries: &[u64],
+        run_ends: &[u32],
         base: u64,
         stride: u32,
         mode: ReadPlanMode,
     ) -> PlanStats {
-        self.build(entries, base, stride, mode, false)
+        self.build(entries, run_ends, base, stride, mode, false)
     }
 
     fn build(
         &mut self,
         entries: &[u64],
+        run_ends: &[u32],
         base: u64,
         stride: u32,
         mode: ReadPlanMode,
@@ -266,10 +313,11 @@ impl ReadPlanner {
             self.scatter.resize(n, 0);
         }
         self.perm.extend(0..n as u32);
-        // Stable ordering is irrelevant (equal entries scatter to the same
-        // payload byte); unstable sort avoids the merge-sort scratch buffer.
-        self.perm
-            .sort_unstable_by_key(|&i| entries.get(i as usize).copied().unwrap_or(u64::MAX));
+        // The order of equal entries is irrelevant: they scatter to the same
+        // payload byte.
+        sort_by_runs(&mut self.perm, run_ends, |i| {
+            entries.get(i as usize).copied().unwrap_or(u64::MAX)
+        });
 
         // Greedy left-to-right merge over the sorted view. `cur` tracks the
         // open slice as (start byte, end byte, payload base).
@@ -461,7 +509,7 @@ mod tests {
             let mut full = ReadPlanner::new();
             let want = full.plan(&entries, 8, 4, mode);
             let mut p = ReadPlanner::new();
-            assert_eq!(p.plan_slices(&entries, 8, 4, mode), want);
+            assert_eq!(p.plan_slices(&entries, &[], 8, 4, mode), want);
             assert_eq!(p.slices(), full.slices());
             assert_eq!(p.perm(), full.perm());
             assert!(p.scatter().is_empty());

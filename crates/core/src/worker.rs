@@ -31,7 +31,7 @@ use crate::error::{Result, SamplerError};
 use crate::hotset::HotSet;
 use crate::memory::MemoryCharge;
 use crate::metrics::{SampleMetrics, WorkerResources, WorkerStats};
-use crate::plan::{ReadPlanMode, ReadPlanner, MAX_COALESCED_BYTES};
+use crate::plan::{sort_by_runs, ReadPlanMode, ReadPlanner, MAX_COALESCED_BYTES};
 use crate::sampling::OffsetSampler;
 use crate::telemetry::SnapshotRegistry;
 
@@ -68,6 +68,9 @@ pub struct SamplerWorker {
     // neighbors, targets).
     offsets: Vec<u64>,
     src_pos: Vec<u32>,
+    /// Per target of the layer, the end of its run of `offsets`: what the
+    /// planner and the hot-set probe order the layer by.
+    run_ends: Vec<u32>,
     /// Recycled group buffers: one per in-flight group of the pipeline,
     /// each grown on demand to at most [`GROUP_BYTES_MAX`].
     buf_pool: Vec<Vec<u8>>,
@@ -224,6 +227,7 @@ impl SamplerWorker {
             metrics: SampleMetrics::default(),
             offsets: Vec::new(),
             src_pos: Vec::new(),
+            run_ends: Vec::new(),
             buf_pool: Vec::new(),
             req_pool: Vec::new(),
             planner: ReadPlanner::new(),
@@ -437,12 +441,18 @@ impl SamplerWorker {
         let mut targets: Vec<NodeId> = seeds.to_vec();
         let fanouts = self.cfg.fanouts.clone();
         let mut layers = Vec::with_capacity(fanouts.len());
-        for fanout in fanouts {
-            let layer = self.sample_layer(&targets, fanout, &mut rng)?;
+        for (depth, &fanout) in (1..).zip(&fanouts) {
+            let layer = self.sample_layer(targets, fanout, &mut rng)?;
             // The inter-layer reduce (dedup'ing neighbors into the next
             // frontier) is prepare-stage CPU work; traced with fanout 0 so
-            // ringtrace attributes it to the sample stage.
-            targets = layer.unique_neighbors();
+            // ringtrace attributes it to the sample stage. Nothing samples
+            // the last layer's frontier, so it is not built: its event
+            // (width 0) still closes the lap.
+            targets = if depth < fanouts.len() {
+                layer.unique_neighbors()
+            } else {
+                Vec::new()
+            };
             self.metrics.layers += 1;
             self.metrics.sampled_edges += layer.num_edges() as u64;
             layers.push(layer);
@@ -450,8 +460,8 @@ impl SamplerWorker {
             self.trace(EventKind::SampleDone, 0, targets.len() as u64, reduce_nanos, 0);
         }
         self.metrics.batches += 1;
-        // The last reduce's lap closed the batch. Its latency is read off
-        // the batch's own clock, not off the account, so Σ stages equals
+        // The last layer's closing lap closed the batch. Its latency is read
+        // off the batch's own clock, not off the account, so Σ stages equals
         // Σ batch latency only if every lap landed in a stage event.
         let batch_nanos = nanos_between(start, self.last);
         if let Some((start, _)) = &self.res_start {
@@ -474,14 +484,17 @@ impl SamplerWorker {
         Ok(BatchSample { layers })
     }
 
+    /// Samples one layer for `targets`, which the layer then owns. Each
+    /// target's draws are one run of `offsets`, ending at its `run_ends`.
     fn sample_layer(
         &mut self,
-        targets: &[NodeId],
+        targets: Vec<NodeId>,
         fanout: usize,
         rng: &mut StdRng,
     ) -> Result<LayerSample> {
         self.offsets.clear();
         self.src_pos.clear();
+        self.run_ends.clear();
         let with_replacement = self.cfg.with_replacement;
         for (pos, &t) in targets.iter().enumerate() {
             let range = self.graph.neighbor_range(t);
@@ -501,6 +514,7 @@ impl SamplerWorker {
             for _ in before..self.offsets.len() {
                 self.src_pos.push(pos as u32);
             }
+            self.run_ends.push(self.offsets.len() as u32);
         }
         let draw_nanos = self.lap();
         self.trace(
@@ -512,22 +526,27 @@ impl SamplerWorker {
         );
         self.metrics.targets += targets.len() as u64;
         let entry_indices = std::mem::take(&mut self.offsets);
-        let dst = self.fetch_entries(&entry_indices)?;
+        let run_ends = std::mem::take(&mut self.run_ends);
+        let dst = self.fetch_entries(&entry_indices, &run_ends);
         self.offsets = entry_indices;
+        self.run_ends = run_ends;
         Ok(LayerSample {
             fanout,
-            targets: targets.to_vec(),
+            targets,
             src_pos: std::mem::take(&mut self.src_pos),
-            dst,
+            dst: dst?,
         })
     }
 
     /// Fetches the neighbor values at `entry_indices` from the edge file:
     /// the single plan → read → scatter path of every configuration.
+    /// `run_ends` cuts the entries into runs (one per target, see
+    /// [`sort_by_runs`]; `&[]` for one run) that every ordering below
+    /// sorts within, crossing runs only when they do not ascend.
     ///
     /// 1. **Hot set** (when the sampler has one): resident pages answer
-    ///    their entries; the misses, sorted by page once, are what is left
-    ///    to read.
+    ///    their entries; the misses, ordered run by run into page order,
+    ///    are what is left to read.
     /// 2. **Plan**: `Off` reads exactly 4 bytes per sampled neighbor in
     ///    sampling order — the paper's core I/O pattern (Fig. 2 steps 4–6);
     ///    `Coalesce` merges repeats and nearby entries into larger slices;
@@ -538,14 +557,18 @@ impl SamplerWorker {
     ///    straight from its buffer into the output, so `dst` is
     ///    byte-identical in every mode and nothing the size of the layer's
     ///    payload is ever held.
-    pub(crate) fn fetch_entries(&mut self, entry_indices: &[u64]) -> Result<Vec<NodeId>> {
+    pub(crate) fn fetch_entries(
+        &mut self,
+        entry_indices: &[u64],
+        run_ends: &[u32],
+    ) -> Result<Vec<NodeId>> {
         // The scatter step borrows the planner and the hot set while the
         // executor borrows the rest of the worker; both are handed back
         // before an error propagates so the planner's capacity (and its
         // workspace charge) survives a failed batch.
         let mut planner = std::mem::take(&mut self.planner);
         let hot = self.hot.take();
-        let res = self.fetch_through(entry_indices, &mut planner, hot.as_deref());
+        let res = self.fetch_through(entry_indices, run_ends, &mut planner, hot.as_deref());
         self.planner = planner;
         self.hot = hot;
         res
@@ -554,6 +577,7 @@ impl SamplerWorker {
     fn fetch_through(
         &mut self,
         entries: &[u64],
+        run_ends: &[u32],
         planner: &mut ReadPlanner,
         hot: Option<&HotSet>,
     ) -> Result<Vec<NodeId>> {
@@ -566,7 +590,7 @@ impl SamplerWorker {
         let byte_of = OnDiskGraph::entry_byte_offset;
         let byte_at = |i: u32| entries.get(i as usize).map_or(u64::MAX, |&e| byte_of(e));
         let mut out = vec![0 as NodeId; n];
-        // Output positions of the entries still to read.
+        // Output positions of the entries still to read, ascending.
         let mut misses: Vec<u32> = Vec::new();
         if let Some(hot) = hot {
             for (i, (&e, slot)) in (0u32..).zip(entries.iter().zip(out.iter_mut())) {
@@ -588,7 +612,9 @@ impl SamplerWorker {
         let (reqs_in, stats) = if cached {
             // Page order is all the scatter needs: the requests are whole
             // pages, ascending, so each one's entries are a run of `misses`.
-            misses.sort_unstable_by_key(|&i| page_of(byte_at(i)).0);
+            // A target's misses are a subsequence of its run, so the runs
+            // order them.
+            sort_by_runs(&mut misses, run_ends, byte_at);
             let mut pages: Vec<u64> = Vec::new();
             for page in misses.iter().map(|&i| page_of(byte_at(i)).0) {
                 if pages.last() != Some(&page) {
@@ -612,12 +638,13 @@ impl SamplerWorker {
                 ReadPlanMode::Coalesce { .. } => ReadPlanMode::Coalesce { gap: 0 },
                 ReadPlanMode::Off => ReadPlanMode::Off,
             };
-            let stats = planner.plan_slices(&pages, 0, PAGE_SIZE as u32, page_mode);
+            let stats = planner.plan_slices(&pages, &[], 0, PAGE_SIZE as u32, page_mode);
             (pages.len(), (!page_mode.is_off()).then_some(stats))
         } else if mode.is_off() {
             (n, None)
         } else {
-            let stats = planner.plan_slices(entries, byte_of(0), ENTRY_BYTES as u32, mode);
+            let stats =
+                planner.plan_slices(entries, run_ends, byte_of(0), ENTRY_BYTES as u32, mode);
             (n, Some(stats))
         };
         let plan_nanos = self.lap();
@@ -725,7 +752,7 @@ impl SamplerWorker {
     /// planned and streamed like the cached fetch's miss pages.
     pub(crate) fn read_pages(&mut self, pages: &[u64], dst: &mut [u8]) -> Result<()> {
         let mut planner = std::mem::take(&mut self.planner);
-        planner.plan_slices(pages, 0, PAGE_SIZE as u32, ReadPlanMode::Coalesce { gap: 0 });
+        planner.plan_slices(pages, &[], 0, PAGE_SIZE as u32, ReadPlanMode::Coalesce { gap: 0 });
         let eof = self.file_len;
         let reqs = planner.slices().iter().map(|&r| clamped(r, eof));
         let mut at = 0usize;
@@ -887,7 +914,7 @@ impl SamplerWorker {
             + self.req_pool.iter().map(Vec::capacity).sum::<usize>()
                 * std::mem::size_of::<ReadSlice>();
         let actual = (self.offsets.capacity() * 8
-            + self.src_pos.capacity() * 4
+            + (self.src_pos.capacity() + self.run_ends.capacity()) * 4
             + pooled
             + self.planner.scratch_bytes()) as u64
             + 2 * self.cfg.ring_entries as u64 * ENTRY_BYTES
@@ -1389,7 +1416,7 @@ mod tests {
                     groups: Arc::clone(&groups),
                 });
                 assert_eq!(
-                    w.fetch_entries(entries).unwrap(),
+                    w.fetch_entries(entries, &[]).unwrap(),
                     want,
                     "{mode:?} {cache:?}"
                 );
@@ -1614,7 +1641,7 @@ mod tests {
         let mut w = worker(&graph, cfg);
         // An entry index far past the edge file: the cached path must
         // return a short-read error, not underflow `file_len - start`.
-        let err = w.fetch_entries(&[1 << 40]).unwrap_err();
+        let err = w.fetch_entries(&[1 << 40], &[]).unwrap_err();
         match err {
             SamplerError::Io(IoEngineError::ShortRead { got, .. }) => assert_eq!(got, 0),
             other => panic!("expected structured ShortRead, got {other:?}"),
@@ -1633,7 +1660,7 @@ mod tests {
         for engine in [EngineKind::Uring, EngineKind::Pread] {
             let cfg = SamplerConfig::new().fanouts(&[3]).ring_entries(4).engine(engine);
             let mut w = worker(&graph, cfg.clone());
-            match w.fetch_entries(&entries).unwrap_err() {
+            match w.fetch_entries(&entries, &[]).unwrap_err() {
                 SamplerError::Io(IoEngineError::ShortRead { .. }) => {}
                 other => panic!("{engine:?}: expected ShortRead, got {other:?}"),
             }

@@ -4,9 +4,15 @@
 //! engine, and replacement setting produces **byte-identical** samples, and the
 //! planner's request lists obey the structural invariants (sorted,
 //! non-overlapping after dedup, never more requests than the naive plan).
+//! Ordering a layer by its per-target runs puts its entries in exactly the
+//! comparison sort's order, and plans exactly what [`ReadPlanner::plan`] does.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
+use ringsampler::plan::sort_by_runs;
+use ringsampler::sampling::OffsetSampler;
 use ringsampler::worker::GROUP_BYTES_MAX;
 use ringsampler::{CachePolicy, ReadPlanMode, ReadPlanner, RingSampler, SamplerConfig};
 use ringsampler_graph::edgefile::write_csr;
@@ -25,18 +31,22 @@ enum Skew {
     Skewed,
 }
 
-fn build_graph(nodes: u32, edges_per_node: u32, skew: Skew, seed: u64) -> OnDiskGraph {
-    let id = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let base =
-        std::env::temp_dir().join(format!("rs-prop-plan-{}-{id}", std::process::id()));
-    // Simple deterministic LCG so edge structure depends only on (seed).
+/// Simple deterministic generator, so edge structure depends only on `seed`.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
+    move || {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
         state
-    };
+    }
+}
+
+fn build_graph(nodes: u32, edges_per_node: u32, skew: Skew, seed: u64) -> OnDiskGraph {
+    let id = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let base =
+        std::env::temp_dir().join(format!("rs-prop-plan-{}-{id}", std::process::id()));
+    let mut next = xorshift(seed);
     let mut edge_list = Vec::new();
     for v in 0..nodes {
         for _ in 0..edges_per_node {
@@ -81,6 +91,91 @@ fn boundary_graph(hub: u32) -> OnDiskGraph {
     write_csr(&csr, &base).unwrap()
 }
 
+/// A graph of ragged degree: every node has 0–8 out-neighbors, and over a
+/// fifth of the nodes have none.
+fn ragged_graph(nodes: u32, seed: u64) -> OnDiskGraph {
+    let id = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let base =
+        std::env::temp_dir().join(format!("rs-prop-ragged-{}-{id}", std::process::id()));
+    let mut next = xorshift(seed);
+    let mut edge_list = Vec::new();
+    for v in 0..nodes {
+        let degree = if next().is_multiple_of(5) { 0 } else { next() % 9 };
+        edge_list.extend((0..degree).map(|_| (v, (next() % u64::from(nodes)) as NodeId)));
+    }
+    let csr = CsrGraph::from_edges(nodes as usize, edge_list).unwrap();
+    write_csr(&csr, &base).unwrap()
+}
+
+/// One node-wise layer drawn the way the worker draws it: each target's
+/// offsets from its own range of the offset index, in target order. Returns
+/// the entries and, per target, the end of its run.
+fn draw_layer(
+    graph: &OnDiskGraph,
+    targets: &[NodeId],
+    fanout: usize,
+    replace: bool,
+    seed: u64,
+) -> (Vec<u64>, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sampler = OffsetSampler::new();
+    let (mut entries, mut run_ends) = (Vec::new(), Vec::new());
+    for &t in targets {
+        let r = graph.neighbor_range(t);
+        if replace {
+            sampler.sample_range_with_replacement(r.start, r.end, fanout, &mut rng, &mut entries);
+        } else {
+            sampler.sample_range(r.start, r.end, fanout, &mut rng, &mut entries);
+        }
+        run_ends.push(entries.len() as u32);
+    }
+    (entries, run_ends)
+}
+
+/// The entry values of `entries` in the order the runs put them, whether
+/// the runs held, and the values in comparison-sort order.
+fn run_and_sorted(entries: &[u64], run_ends: &[u32]) -> (Vec<u64>, bool, Vec<u64>) {
+    let mut order: Vec<u32> = (0..entries.len() as u32).collect();
+    let held = sort_by_runs(&mut order, run_ends, |i| entries[i as usize]);
+    let by_runs = order.iter().map(|&i| entries[i as usize]).collect();
+    let mut sorted = entries.to_vec();
+    sorted.sort_unstable();
+    (by_runs, held, sorted)
+}
+
+/// How a layer's targets are ordered.
+#[derive(Debug, Clone, Copy)]
+enum Targets {
+    /// A reduced frontier: every layer after the first.
+    SortedUnique,
+    /// First-layer seeds as the caller shuffled them.
+    CallerOrdered,
+    /// Sorted, each seed twice in a row.
+    Duplicated,
+}
+
+fn arb_targets() -> impl Strategy<Value = Targets> {
+    (0u8..3).prop_map(|i| match i {
+        0 => Targets::SortedUnique,
+        1 => Targets::CallerOrdered,
+        _ => Targets::Duplicated,
+    })
+}
+
+fn targets_of(kind: Targets, nodes: u32, seed: u64) -> Vec<NodeId> {
+    let sorted: Vec<NodeId> = (0..nodes).filter(|v| !(v ^ seed as u32).is_multiple_of(3)).collect();
+    match kind {
+        Targets::SortedUnique => sorted,
+        // A seeded rotation and interleave: caller order, not node order.
+        Targets::CallerOrdered => {
+            let k = (seed as usize) % sorted.len().max(1);
+            let (a, b) = sorted.split_at(k);
+            b.iter().rev().chain(a).copied().collect()
+        }
+        Targets::Duplicated => sorted.iter().flat_map(|&v| [v, v]).collect(),
+    }
+}
+
 /// Samples `seeds` as one mini-batch of one epoch.
 fn sample_one(sampler: &RingSampler, seeds: &[NodeId]) -> ringsampler::BatchSample {
     let got = std::sync::Mutex::new(None);
@@ -120,6 +215,7 @@ proptest! {
         engine_uring in arb_bool(),
         replace in arb_bool(),
         seed in 0u64..1_000,
+        order in arb_targets(),
     ) {
         let nodes = 96u32;
         let graph = build_graph(nodes, 6, skew, seed);
@@ -140,7 +236,7 @@ proptest! {
             }
             RingSampler::new(g, cfg).unwrap()
         };
-        let seeds: Vec<NodeId> = (0..nodes).collect();
+        let seeds = targets_of(order, nodes, seed);
         let naive = mk(graph, ReadPlanMode::Off, false, EngineKind::Pread);
         let tuned = mk(graph_b, mode, cached, engine);
         prop_assert_eq!(sample_one(&tuned, &seeds), sample_one(&naive, &seeds));
@@ -233,6 +329,37 @@ proptest! {
         }
     }
 
+    /// A node-wise layer ordered run by run is ordered exactly as a
+    /// comparison sort orders it, and planned exactly as `plan` plans it:
+    /// over sorted-unique, caller-ordered and duplicated targets, with
+    /// zero-degree targets, with and without replacement. Over a sorted
+    /// frontier the runs always hold.
+    #[test]
+    fn run_order_is_the_comparison_sort_order(
+        kind in arb_targets(),
+        fanout in 1usize..12,
+        replace in arb_bool(),
+        mode in arb_mode(),
+        seed in 0u64..1_000,
+    ) {
+        let graph = ragged_graph(80, seed);
+        let targets = targets_of(kind, 80, seed);
+        let (entries, run_ends) = draw_layer(&graph, &targets, fanout, replace, seed);
+        let (by_runs, held, sorted) = run_and_sorted(&entries, &run_ends);
+        prop_assert_eq!(&by_runs, &sorted);
+        prop_assert!(held || !matches!(kind, Targets::SortedUnique));
+
+        let mut full = ReadPlanner::new();
+        let want = full.plan(&entries, 8, ENTRY_BYTES as u32, mode);
+        let mut runs = ReadPlanner::new();
+        prop_assert_eq!(runs.plan_slices(&entries, &run_ends, 8, ENTRY_BYTES as u32, mode), want);
+        prop_assert_eq!(runs.slices(), full.slices());
+        let values = |p: &ReadPlanner| -> Vec<u64> {
+            p.perm().iter().map(|&i| entries[i as usize]).collect()
+        };
+        prop_assert_eq!(values(&runs), values(&full));
+    }
+
     /// Merging repeats alone (gap 0) must strictly shrink a duplicate-heavy plan.
     #[test]
     fn dedup_shrinks_duplicate_streams(
@@ -248,4 +375,30 @@ proptest! {
         prop_assert!(stats.planned_reads < entries.len() as u64);
         prop_assert!(stats.reads_saved() >= (entries.len() - uniques.len()) as u64);
     }
+}
+
+/// Runs that do not ascend — targets in descending node order, each drawing
+/// from a range below the previous one — take the comparison-sort fallback
+/// and still come out sorted; the same draws in ascending target order hold.
+#[test]
+fn descending_runs_take_the_fallback() {
+    let graph = ragged_graph(80, 7);
+    let ascending: Vec<NodeId> =
+        (0..80).filter(|&v| graph.neighbor_range(v).end > graph.neighbor_range(v).start).collect();
+    let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
+    for (targets, holds) in [(ascending, true), (descending, false)] {
+        for replace in [false, true] {
+            let (entries, run_ends) = draw_layer(&graph, &targets, 4, replace, 3);
+            let (by_runs, held, sorted) = run_and_sorted(&entries, &run_ends);
+            assert_eq!(held, holds, "replace {replace}");
+            assert_eq!(by_runs, sorted, "replace {replace}");
+        }
+    }
+    // Two runs that overlap inside one range: the second starts below the
+    // first's last entry.
+    let (by_runs, held, sorted) = run_and_sorted(&[5, 9, 7, 11], &[2]);
+    assert!(!held);
+    assert_eq!(by_runs, sorted);
+    // No run ends: the whole layer is one run, which always holds.
+    assert_eq!(run_and_sorted(&[3, 1, 2], &[]), (vec![1, 2, 3], true, vec![1, 2, 3]));
 }

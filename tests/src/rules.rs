@@ -4,8 +4,9 @@
 //! hot-path module opens with one canonical lint line, and `clippy.toml`
 //! lists the types and calls that line bans. What no lint expresses is
 //! checked here: which files carry the line, that every module entering a
-//! ring carries it, that none shares an `Arc<Atomic*>` cell, and that every
-//! weak atomic ordering states its reason. `tests/tests/invariants.rs`
+//! ring carries it, that none shares an `Arc<Atomic*>` cell, that every
+//! weak atomic ordering states its reason, and that every hot-path sort
+//! states what keeps it off the per-edge path. `tests/tests/invariants.rs`
 //! applies [`check_workspace`] to this workspace.
 
 use std::fmt;
@@ -80,8 +81,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// `lint-line`, `ring-entry-scope`, `shared-atomic`, `ordering-reason`
-    /// or `stale-ordering`.
+    /// `lint-line`, `ring-entry-scope`, `shared-atomic`, `ordering-reason`,
+    /// `stale-ordering`, `sort-reason` or `stale-sort`.
     pub rule: &'static str,
     /// What is wrong there.
     pub detail: String,
@@ -169,17 +170,38 @@ pub fn shared_atomics(file: &str, src: &str) -> Vec<Finding> {
         .collect()
 }
 
-/// std panics on `load(Release)` and `store(Acquire)`; what it allows but
-/// the acquire/release protocols do not explain is a `Relaxed` or `SeqCst`
-/// access. Each needs a non-empty `// ordering:` reason, on its line or in
-/// the comment lines directly above, and no reason may outlive its access.
-pub fn weak_orderings(file: &str, src: &str) -> Vec<Finding> {
+/// True if `code` calls a slice sort: `.sort(`, `.sort_unstable_by_key(`
+/// and the rest of the `.sort*(` family.
+fn sorts(code: &str) -> bool {
+    code.match_indices(".sort").any(|(at, _)| {
+        let rest = &code[at + 5..];
+        let name = rest
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        (name == 0 || rest.starts_with('_')) && rest[name..].starts_with('(')
+    })
+}
+
+/// Every line of the non-test part of `src` that `needs` picks out must
+/// carry a non-empty `// {tag}:` reason, on its line or in the comment
+/// lines directly above, and no reason may outlive its line. `subject`
+/// names what `needs` picks out; the rule pair names a missing or empty
+/// reason's findings, then a stale reason's.
+fn reasons(
+    file: &str,
+    src: &str,
+    tag: &str,
+    subject: &str,
+    needs: impl Fn(&str) -> bool,
+    (rule, stale_rule): (&'static str, &'static str),
+) -> Vec<Finding> {
+    let prefix = format!("{tag}:");
     let stale = |(line, reason): (usize, &str)| {
         finding(
             file,
             line,
-            "stale-ordering",
-            format!("`// ordering: {reason}` explains no `Relaxed`/`SeqCst` access"),
+            stale_rule,
+            format!("`// {tag}: {reason}` explains no {subject}"),
         )
     };
     let mut found = Vec::new();
@@ -187,7 +209,7 @@ pub fn weak_orderings(file: &str, src: &str) -> Vec<Finding> {
     for (n, code, comment) in code_lines(src) {
         let reason = comment
             .trim_start()
-            .strip_prefix("ordering:")
+            .strip_prefix(prefix.as_str())
             .map(str::trim);
         if code.trim().is_empty() {
             if let Some(reason) = reason {
@@ -196,21 +218,15 @@ pub fn weak_orderings(file: &str, src: &str) -> Vec<Finding> {
             continue;
         }
         let above = pending.take();
-        let weak = code.contains("Relaxed") || code.contains("SeqCst");
-        match (weak, reason.map(|r| (n, r)).or(above)) {
+        match (needs(code), reason.map(|r| (n, r)).or(above)) {
             (true, None) => found.push(finding(
                 file,
                 n,
-                "ordering-reason",
-                "`Relaxed`/`SeqCst` without an `// ordering:` reason",
+                rule,
+                format!("{subject} without a `// {tag}:` reason"),
             )),
             (true, Some((line, ""))) => {
-                found.push(finding(
-                    file,
-                    line,
-                    "ordering-reason",
-                    "empty `// ordering:` reason",
-                ));
+                found.push(finding(file, line, rule, format!("empty `// {tag}:` reason")));
             }
             (false, Some(reason)) => found.push(stale(reason)),
             (true, Some(_)) | (false, None) => {}
@@ -220,11 +236,44 @@ pub fn weak_orderings(file: &str, src: &str) -> Vec<Finding> {
     found
 }
 
+/// std panics on `load(Release)` and `store(Acquire)`; what it allows but
+/// the acquire/release protocols do not explain is a `Relaxed` or `SeqCst`
+/// access. Each needs a non-empty `// ordering:` reason, on its line or in
+/// the comment lines directly above, and no reason may outlive its access.
+pub fn weak_orderings(file: &str, src: &str) -> Vec<Finding> {
+    reasons(
+        file,
+        src,
+        "ordering",
+        "`Relaxed`/`SeqCst` access",
+        |code| code.contains("Relaxed") || code.contains("SeqCst"),
+        ("ordering-reason", "stale-ordering"),
+    )
+}
+
+/// A comparison sort is `O(n log n)` in what it sorts, and one over a
+/// layer's entries cost the planned fetch more per edge than its submits
+/// (EXPERIMENTS.md, "Sort nothing the draw already ordered"). Each
+/// `.sort*(` call in a hot-path module needs a non-empty `// sort:` reason
+/// saying what bounds it or why it is off the per-edge path, on its line
+/// or in the comment lines directly above, and no reason may outlive its
+/// sort.
+pub fn sort_reasons(file: &str, src: &str) -> Vec<Finding> {
+    reasons(
+        file,
+        src,
+        "sort",
+        "`.sort*(` call",
+        sorts,
+        ("sort-reason", "stale-sort"),
+    )
+}
+
 /// Every check over the workspace at `root`: [`HOT_PATH`] and [`SYS`] open
-/// with their lint lines, no hot file shares an atomic cell, every
-/// `crates/*/src` file that enters a ring is hot, and [`ATOMIC_PATH`]
-/// reasons its weak orderings. An unreadable listed file is a `lint-line`
-/// finding.
+/// with their lint lines, no hot file shares an atomic cell or sorts
+/// without a reason, every `crates/*/src` file that enters a ring is hot,
+/// and [`ATOMIC_PATH`] reasons its weak orderings. An unreadable listed
+/// file is a `lint-line` finding.
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let read = |rel: &str| {
         std::fs::read_to_string(root.join(rel))
@@ -241,6 +290,7 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
                 found.extend(lint_line(rel, &src, line));
                 if line == HOT_LINE {
                     found.extend(shared_atomics(rel, &src));
+                    found.extend(sort_reasons(rel, &src));
                 }
             }
             Err(unreadable) => found.push(unreadable),
@@ -323,6 +373,16 @@ mod tests {
             rules(&weak_orderings("f.rs", src)),
             [(2, "ordering-reason")]
         );
+    }
+
+    #[test]
+    fn only_slice_sort_calls_count_as_sorts() {
+        for code in ["v.sort();", "v.sort_unstable_by_key(|&i| i);", "x.sort_by(f)"] {
+            assert!(sorts(code), "{code}");
+        }
+        for code in ["let sorted = v;", "v.sorted()", "fn sort(v: &mut [u8])", "sort_by_runs(&mut o, &e, k);"] {
+            assert!(!sorts(code), "{code}");
+        }
     }
 
     #[test]

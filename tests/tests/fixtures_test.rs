@@ -3,8 +3,8 @@
 
 use ringsampler_integration::repo_root;
 use ringsampler_integration::rules::{
-    check_workspace, lint_line, shared_atomics, weak_orderings, Finding, ATOMIC_PATH, HOT_LINE,
-    HOT_PATH, SYS,
+    check_workspace, lint_line, shared_atomics, sort_reasons, weak_orderings, Finding,
+    ATOMIC_PATH, HOT_LINE, HOT_PATH, SYS,
 };
 
 /// `(line, rule)` of each finding, in order.
@@ -128,7 +128,7 @@ fn text_diagnostics_are_file_line_rule() {
     assert_eq!(
         found[0].to_string(),
         "crates/io/src/ring.rs:2: ordering-reason: \
-         `Relaxed`/`SeqCst` without an `// ordering:` reason"
+         `Relaxed`/`SeqCst` access without a `// ordering:` reason"
     );
     let missing = lint_line(
         "crates/core/src/plan.rs",
@@ -144,7 +144,41 @@ fn text_diagnostics_are_file_line_rule() {
     );
 }
 
-/// A copy of the workspace's listed modules is clean; a bad module put in
+const BAD_SORT: &str = "\
+pub fn plan(perm: &mut [u32], entries: &[u64]) {
+    perm.sort_unstable_by_key(|&i| entries[i as usize]);
+    // sort:
+    perm.sort();
+    // sort: the pages were sorted once, at build time
+    let n = perm.len();
+}
+";
+
+const GOOD_SORT: &str = "\
+pub fn plan(perm: &mut [u32], entries: &[u64], run: &mut [u32]) {
+    // sort: the fallback, for a layer whose runs do not ascend
+    perm.sort_unstable_by_key(|&i| entries[i as usize]);
+    run.sort(); // sort: one target's draws, at most its fanout
+    let sorted = perm.is_sorted();
+}
+";
+
+#[test]
+fn bad_sort_fixture_flags_unreasoned_and_stale_sorts() {
+    let found = sort_reasons("bad_sort.rs", BAD_SORT);
+    assert_eq!(
+        rules(&found),
+        [(2, "sort-reason"), (3, "sort-reason"), (5, "stale-sort")]
+    );
+    assert!(found[1].detail.contains("empty"), "{found:?}");
+}
+
+#[test]
+fn good_sort_fixture_is_clean() {
+    assert_eq!(sort_reasons("good_sort.rs", GOOD_SORT), []);
+}
+
+/// A copy of the workspace's listed modules is clean; bad modules put in
 /// the hot path, and a ring entry outside it, each fail the workspace check.
 #[test]
 fn bad_fixture_in_hot_path_module_fails_workspace_lint() {
@@ -170,6 +204,8 @@ fn bad_fixture_in_hot_path_module_fails_workspace_lint() {
     )
     .expect("write telemetry.rs");
     std::fs::write(ws.join("crates/io/src/ring.rs"), BAD_ATOMIC).expect("write ring.rs");
+    let bad_plan = format!("{HOT_LINE}\n{BAD_SORT}");
+    std::fs::write(ws.join("crates/core/src/plan.rs"), bad_plan).expect("write plan.rs");
     let found = check_workspace(&ws);
     std::fs::remove_dir_all(&ws).expect("clean up");
 
@@ -180,6 +216,9 @@ fn bad_fixture_in_hot_path_module_fails_workspace_lint() {
     assert_eq!(
         at,
         [
+            ("crates/core/src/plan.rs", 3, "sort-reason"),
+            ("crates/core/src/plan.rs", 4, "sort-reason"),
+            ("crates/core/src/plan.rs", 6, "stale-sort"),
             ("crates/core/src/hotset.rs", 1, "lint-line"),
             ("crates/core/src/hotset.rs", 3, "shared-atomic"),
             ("crates/io/src/ring.rs", 1, "lint-line"),

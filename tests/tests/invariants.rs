@@ -4,7 +4,7 @@
 //! catching a bad module.
 
 use ringsampler_integration::repo_root;
-use ringsampler_integration::rules::{check_workspace, ring_entry};
+use ringsampler_integration::rules::{check_workspace, ring_entry, sort_reasons};
 
 /// Fails on any finding of the given rules.
 fn assert_clean(rules: &[&str]) {
@@ -49,4 +49,17 @@ fn no_hot_path_file_shares_an_atomic_cell() {
 #[test]
 fn every_weak_ordering_states_its_reason() {
     assert_clean(&["ordering-reason", "stale-ordering"]);
+}
+
+/// Each hot-path comparison sort says what bounds it or why it is off the
+/// per-edge path, and the worker sorts nothing: a layer's order comes from
+/// its per-target runs (`plan::sort_by_runs`).
+#[test]
+fn every_hot_path_sort_states_its_reason() {
+    assert_clean(&["sort-reason", "stale-sort"]);
+    let rel = "crates/core/src/worker.rs";
+    let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
+    // With every reason struck out, any sort left in the worker is a finding.
+    let unreasoned = sort_reasons(rel, &src.replace("// sort:", "//"));
+    assert_eq!(unreasoned, [], "the worker sorts");
 }
