@@ -14,8 +14,11 @@
 #      crates/core also deny discarding a #[must_use] value (`let _ =`,
 #      `.ok()`) outside tests
 #   4. ringscope smoke — fig4_overall with --serve 127.0.0.1:0, asserting
-#      that /metrics serves HTTP 200 with the ringsampler_ metric families
-#      and /healthz reports ok while the run is live
+#      that /metrics serves HTTP 200 with the ringsampler_ metric families,
+#      that worker 0's sampled-edge counter and the /progress fleet's
+#      sampled_edges rise above 0 before the run and its linger end (a
+#      snapshot publishing zeros fails here), and that /healthz reports ok
+#      while the run is live
 #   5. ringtrace smoke — a small fig4_overall with --trace-events, whose
 #      flight-recorder dump is fed through the ringtrace analyzer with
 #      --assert-coverage 0.99: per-stage attribution (sample/plan/submit/
@@ -110,11 +113,24 @@ serve_fig4 200
 METRICS="$(curl -fsS "http://$ADDR/metrics")" || fail "/metrics not serving"
 echo "$METRICS" | grep -q "^ringsampler_up 1$" || fail "/metrics missing ringsampler_up"
 echo "$METRICS" | grep -q "^# TYPE ringsampler_workers gauge$" || fail "/metrics missing ringsampler_workers family"
+# The families alone would pass a snapshot that published zeros: poll until
+# worker 0's sampled edges and the fleet's are live, failing once the run
+# and its linger have ended.
+EDGES=0
+FLEET_EDGES=0
+while kill -0 "$SERVE_PID" 2>/dev/null; do
+    EDGES="$(curl -fsS "http://$ADDR/metrics" | sed -n 's/^ringsampler_worker_sampled_edges_total{worker="0"} //p' || true)"
+    FLEET_EDGES="$(curl -fsS "http://$ADDR/progress" | awk '/"fleet"/ { f = 1 } f && /"sampled_edges"/ { gsub(/[^0-9]/, ""); print; exit }' || true)"
+    [ "${EDGES:-0}" -gt 0 ] && [ "${FLEET_EDGES:-0}" -gt 0 ] && break
+    sleep 0.2
+done
+[ "${EDGES:-0}" -gt 0 ] || fail "/metrics: worker 0 published no sampled edge before the run ended"
+[ "${FLEET_EDGES:-0}" -gt 0 ] || fail "/progress: fleet sampled_edges stayed 0 until the run ended"
 HEALTH_CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz")"
 [ "$HEALTH_CODE" = "200" ] || fail "/healthz returned $HEALTH_CODE"
 curl -fsS "http://$ADDR/progress" | grep -q '"fleet"' || fail "/progress missing fleet object"
 stop_fig4
-echo "    ringscope smoke ok (/metrics, /healthz, /progress)"
+echo "    ringscope smoke ok (/metrics and /progress counting edges, /healthz)"
 
 echo "==> ringtrace smoke (fig4_overall --trace-events, stage coverage >= 99%)"
 TRACE_DUMP="$(mktemp -d)/fig4-events.json"

@@ -8,8 +8,8 @@
 //!   in-flight queue depth, and interval batch p99;
 //! * the windowed rates and EWMA/slope trends the server derived;
 //! * the worker's **congestion verdict**
-//!   (`ok | cpu_saturated | queue_saturated | cq_wait_rising | stalled |
-//!   straggler`), highlighted when non-`ok`, with the evidence that
+//!   (`ok | queue_saturated | cq_wait_rising | stalled | straggler`),
+//!   highlighted when non-`ok`, with the evidence that
 //!   drove it;
 //! * the **CPU column**: a windowed on-CPU-share sparkline from the
 //!   ringprof history points, plus the last completed epoch's

@@ -409,7 +409,7 @@ mod tests {
         );
         assert_eq!(r.trace_dropped, 0, "small epoch must not overflow rings");
         let json = r.to_json();
-        assert!(json.contains("\"schema_version\": 8"));
+        assert!(json.contains("\"schema_version\": 9"));
         assert!(json.contains(&format!("\"batches\": {}", r.metrics.batches)));
         let prom = r.to_prometheus();
         assert!(prom.contains(&format!(

@@ -17,87 +17,7 @@ use ringstat::{
 
 use crate::telemetry::{trace_event_json, CongestionEpisode, CongestionState};
 
-/// Counters accumulated while sampling (mergeable across threads).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SampleMetrics {
-    /// Mini-batches processed.
-    pub batches: u64,
-    /// Layer-sampling passes executed.
-    pub layers: u64,
-    /// Target nodes processed (summed over layers).
-    pub targets: u64,
-    /// Neighbor entries sampled (= edges in the output blocks).
-    pub sampled_edges: u64,
-    /// Individual disk read requests issued.
-    pub io_requests: u64,
-    /// Bytes read from disk.
-    pub io_bytes: u64,
-    /// I/O groups submitted.
-    pub io_groups: u64,
-    /// Syscalls issued by the I/O engine.
-    pub syscalls: u64,
-    /// Sampled entries served from the hot set (0 when caching is off).
-    pub cache_hits: u64,
-    /// Sampled entries the hot set does not hold (read from the file).
-    pub cache_misses: u64,
-    /// Read requests issued after read planning (0 with `read_plan = Off`;
-    /// see `crate::plan`).
-    pub reads_planned: u64,
-    /// Read requests the planner eliminated via dedup/coalescing, relative
-    /// to the naive one-read-per-entry plan.
-    pub reads_saved: u64,
-    /// Payload bytes the planner avoided transferring (saturating: a gap
-    /// merge that reads more than it saves contributes 0).
-    pub bytes_saved: u64,
-}
-
-impl SampleMetrics {
-    /// Merges `other` into `self`.
-    pub fn merge(&mut self, other: &SampleMetrics) {
-        self.batches += other.batches;
-        self.layers += other.layers;
-        self.targets += other.targets;
-        self.sampled_edges += other.sampled_edges;
-        self.io_requests += other.io_requests;
-        self.io_bytes += other.io_bytes;
-        self.io_groups += other.io_groups;
-        self.syscalls += other.syscalls;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.reads_planned += other.reads_planned;
-        self.reads_saved += other.reads_saved;
-        self.bytes_saved += other.bytes_saved;
-    }
-
-    /// Mean read requests per syscall — the io_uring batching win.
-    pub fn requests_per_syscall(&self) -> f64 {
-        if self.syscalls == 0 {
-            0.0
-        } else {
-            self.io_requests as f64 / self.syscalls as f64
-        }
-    }
-
-    /// Mean I/O-engine syscalls per mini-batch.
-    pub fn syscalls_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.syscalls as f64 / self.batches as f64
-        }
-    }
-
-    /// Mean naive reads folded into each planned read (≥ 1.0 once any
-    /// planning ran; 0.0 when `read_plan = Off`). The read-plan optimizer's
-    /// headline ratio: naive requests ÷ planned requests.
-    pub fn coalesce_ratio(&self) -> f64 {
-        if self.reads_planned == 0 {
-            0.0
-        } else {
-            (self.reads_planned + self.reads_saved) as f64 / self.reads_planned as f64
-        }
-    }
-}
+pub use ringstat::SampleMetrics;
 
 /// One worker's `ringprof` epoch delta: the kernel counter deltas its
 /// thread accumulated between epoch start and join, plus the time ledger
@@ -309,7 +229,7 @@ pub struct EpochReport {
     /// threads.
     pub trace_dropped: u64,
     /// Congestion episodes the telemetry history layer recorded during
-    /// this epoch (empty when telemetry or history is off): every
+    /// this epoch (empty when telemetry is off): every
     /// contiguous run of a non-`ok` verdict, with its time bounds on the
     /// telemetry timeline. Drained from the registry at epoch join.
     pub congestion: Vec<CongestionEpisode>,
@@ -372,10 +292,13 @@ impl EpochReport {
         }
     }
 
-    /// The report as a JSON tree (`schema_version` 8). Raw values only —
-    /// humanization is a Display concern.
+    /// The report as a JSON tree (`schema_version` 9). Raw values only —
+    /// humanization is a Display concern; the `counters` block is
+    /// [`SampleMetrics::counters`].
     ///
-    /// Schema history: v8 only removes — the `spans` block left with the
+    /// Schema history: v9 only removes — `congestion.by_state` lost the
+    /// `cpu_saturated` state, which could not fire; v8 only removes — the
+    /// `spans` block left with the
     /// span log (the Chrome trace is a fold over the `trace` events) and
     /// the counters `prepare_nanos` / `complete_nanos` were
     /// `phase_nanos.submit` / `.complete` stored twice; v7 only removes —
@@ -386,7 +309,8 @@ impl EpochReport {
     /// `resources` block (`ringprof`:
     /// per-worker kernel resource deltas, the conservation-checked time
     /// ledger, fleet CPU share, and the read-amplification ratios;
-    /// `null` when profiling is off) and the `cpu_saturated` congestion
+    /// `null` when no worker closed an epoch profile) and the
+    /// `cpu_saturated` congestion
     /// state; v5 added the `congestion` block (episodes with
     /// worker, state, and time bounds, plus per-state totals) from the
     /// telemetry history layer; v4 added the derived `syscalls_per_batch`
@@ -397,20 +321,10 @@ impl EpochReport {
     /// format.
     pub fn to_json_value(&self) -> Json {
         let m = &self.metrics;
-        let counters = Json::object()
-            .with("batches", Json::U64(m.batches))
-            .with("layers", Json::U64(m.layers))
-            .with("targets", Json::U64(m.targets))
-            .with("sampled_edges", Json::U64(m.sampled_edges))
-            .with("io_requests", Json::U64(m.io_requests))
-            .with("io_bytes", Json::U64(m.io_bytes))
-            .with("io_groups", Json::U64(m.io_groups))
-            .with("syscalls", Json::U64(m.syscalls))
-            .with("cache_hits", Json::U64(m.cache_hits))
-            .with("cache_misses", Json::U64(m.cache_misses))
-            .with("reads_planned", Json::U64(m.reads_planned))
-            .with("reads_saved", Json::U64(m.reads_saved))
-            .with("bytes_saved", Json::U64(m.bytes_saved));
+        let mut counters = Json::object();
+        for (key, _, value) in m.counters() {
+            counters.push(key, Json::U64(value));
+        }
         let derived = Json::object()
             .with("wait_fraction", Json::F64(self.wait_fraction()))
             .with("requests_per_syscall", Json::F64(m.requests_per_syscall()))
@@ -451,7 +365,7 @@ impl EpochReport {
             .with("by_state", by_state);
         let resources = self.resources_json_value();
         Json::object()
-            .with("schema_version", Json::U64(8))
+            .with("schema_version", Json::U64(9))
             .with("threads", Json::U64(self.threads as u64))
             .with("wall_seconds", Json::F64(self.seconds()))
             .with("counters", counters)
@@ -498,59 +412,18 @@ impl EpochReport {
         // `schema` label to detect format bumps, mirroring the JSON
         // export's `schema_version`.
         let mut with_schema: Vec<(&str, &str)> = labels.to_vec();
-        with_schema.push(("schema", "8"));
+        with_schema.push(("schema", "9"));
         w.gauge(
             "ringsampler_report_info",
             "Report format marker; the schema label tracks the JSON schema_version",
             &with_schema,
             1.0,
         );
-        w.counter("ringsampler_batches_total", "Mini-batches sampled", labels, m.batches);
-        w.counter(
-            "ringsampler_sampled_edges_total",
-            "Neighbor entries sampled",
-            labels,
-            m.sampled_edges,
-        );
-        w.counter(
-            "ringsampler_io_requests_total",
-            "Individual disk read requests",
-            labels,
-            m.io_requests,
-        );
-        w.counter("ringsampler_io_bytes_total", "Bytes read from disk", labels, m.io_bytes);
-        w.counter("ringsampler_io_groups_total", "I/O groups submitted", labels, m.io_groups);
-        w.counter(
-            "ringsampler_syscalls_total",
-            "Syscalls issued by the I/O engine",
-            labels,
-            m.syscalls,
-        );
-        w.counter("ringsampler_cache_hits_total", "Page-cache hits", labels, m.cache_hits);
-        w.counter(
-            "ringsampler_cache_misses_total",
-            "Page-cache misses",
-            labels,
-            m.cache_misses,
-        );
-        w.counter(
-            "ringsampler_reads_planned_total",
-            "Read requests issued after read planning",
-            labels,
-            m.reads_planned,
-        );
-        w.counter(
-            "ringsampler_reads_saved_total",
-            "Read requests eliminated by dedup/coalescing",
-            labels,
-            m.reads_saved,
-        );
-        w.counter(
-            "ringsampler_bytes_saved_total",
-            "Payload bytes the read planner avoided transferring",
-            labels,
-            m.bytes_saved,
-        );
+        for (key, help, value) in m.counters() {
+            if let Some(help) = help {
+                w.counter(&format!("ringsampler_{key}_total"), help, labels, value);
+            }
+        }
         w.counter(
             "ringsampler_trace_dropped_total",
             "Flight-recorder events dropped on ring overflow",
@@ -895,6 +768,23 @@ mod tests {
     }
 
     #[test]
+    fn every_counter_reaches_both_exports() {
+        // The one counter list builds both documents: every key is in the
+        // JSON `counters` block, and every counter with help is a
+        // `ringsampler_{key}_total` family carrying that help.
+        let r = WorkerStats::default().into_epoch_report(Duration::from_secs(1));
+        let (json, prom) = (r.to_json(), r.to_prometheus());
+        for (key, help, _) in r.metrics.counters() {
+            assert!(json.contains(&format!("\"{key}\": 0")), "missing {key} in {json}");
+            let family = format!("ringsampler_{key}_total");
+            match help {
+                Some(help) => assert!(prom.contains(&format!("# HELP {family} {help}\n")), "{family}"),
+                None => assert!(!prom.contains(&family), "{family} has no help, so no family"),
+            }
+        }
+    }
+
+    #[test]
     fn wait_fraction_math() {
         let mut r = EpochReport::default();
         r.account.add(Stage::Sample, 80);
@@ -994,7 +884,7 @@ mod tests {
         assert_eq!(r.threads, 1);
         let json = r.to_json();
         for key in [
-            "\"schema_version\": 8",
+            "\"schema_version\": 9",
             "\"counters\"",
             "\"derived\"",
             "\"phase_nanos\"",

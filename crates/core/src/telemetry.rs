@@ -45,8 +45,8 @@ use ringstat::history::{
     cq_wait_share_slope, ewma, interval_series, io_busy_share, mean_inflight, windowed_rates,
 };
 use ringstat::{
-    EventRing, HistoryPoint, HttpServer, Json, PromWriter, Response, SnapshotCell, TraceEvent,
-    WorkerSnapshot,
+    EventRing, HistoryPoint, HttpServer, Json, PromWriter, Response, SampleMetrics, SnapshotCell,
+    TraceEvent, WorkerSnapshot,
 };
 
 use crate::error::{Result, SamplerError};
@@ -119,7 +119,7 @@ struct Slot {
 impl Slot {
     fn new(ring: Option<Arc<EventRing>>) -> Self {
         Self {
-            cell: Arc::new(SnapshotCell::new(WorkerSnapshot::new())),
+            cell: Arc::new(SnapshotCell::new(WorkerSnapshot::default())),
             ring,
         }
     }
@@ -324,21 +324,14 @@ pub struct StallEvent {
 
 /// A worker's congestion verdict (DESIGN.md §14). Exactly one state per
 /// worker per tick; the detectors are checked in severity order
-/// (`stalled` > `cpu_saturated` > `queue_saturated` > `cq_wait_rising`
-/// > `straggler`).
+/// (`stalled` > `queue_saturated` > `cq_wait_rising` > `straggler`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CongestionState {
     /// No detector fired (also the verdict for inactive workers and
     /// windows too thin to judge).
     Ok,
-    /// The queue is pinned *and* the worker's windowed CPU share sits at
-    /// or above the CPU floor: the backlog is caused by the thread
-    /// itself being compute-bound, not by slow storage. Throwing more
-    /// ring depth at this worker cannot help; fanout or plan cost can.
-    CpuSaturated,
-    /// Mean in-flight read depth pinned at/above the queue threshold
-    /// while the worker still has CPU headroom: the drive (or the ring)
-    /// can no longer absorb bursts.
+    /// Mean in-flight read depth pinned at/above the queue threshold: the
+    /// drive (or the ring) can no longer absorb bursts.
     QueueSaturated,
     /// The share of I/O time spent blocked on the completion queue is
     /// both high and rising — the paper's congestion-collapse signature.
@@ -356,7 +349,6 @@ impl CongestionState {
     pub fn name(self) -> &'static str {
         match self {
             CongestionState::Ok => "ok",
-            CongestionState::CpuSaturated => "cpu_saturated",
             CongestionState::QueueSaturated => "queue_saturated",
             CongestionState::CqWaitRising => "cq_wait_rising",
             CongestionState::Stalled => "stalled",
@@ -366,9 +358,8 @@ impl CongestionState {
 
     /// Every non-`ok` state, in severity order — the stable label set
     /// for zero-initialized counters.
-    pub const NON_OK: [CongestionState; 5] = [
+    pub const NON_OK: [CongestionState; 4] = [
         CongestionState::Stalled,
-        CongestionState::CpuSaturated,
         CongestionState::QueueSaturated,
         CongestionState::CqWaitRising,
         CongestionState::Straggler,
@@ -564,12 +555,6 @@ const CQ_BUSY: f64 = 0.25;
 /// A worker is a `straggler` when its windowed batch rate falls below this
 /// fraction of the fleet median.
 const STRAGGLER_RATIO: f64 = 0.35;
-/// Windowed on-CPU share (thread CPU time over wall, from the ringprof
-/// snapshots) at or above which a saturated queue is attributed to the
-/// *thread* rather than the device: `cpu_saturated` instead of
-/// `queue_saturated`. A worker that never opened its epoch profile
-/// publishes no CPU time, so its share reads 0 and the split never fires.
-const CPU_FLOOR: f64 = 0.85;
 
 impl CongestionDetector {
     /// A detector with the built-in thresholds.
@@ -637,15 +622,7 @@ impl CongestionDetector {
         } else if !self.judgeable(pts) {
             CongestionState::Ok
         } else if evidence.mean_inflight >= QUEUE_DEPTH {
-            // A pinned queue has two distinct causes: the device can't
-            // drain it (queue_saturated), or the thread is too busy to
-            // feed/reap it (cpu_saturated). The ringprof CPU share is
-            // the discriminator.
-            if evidence.cpu_share >= CPU_FLOOR {
-                CongestionState::CpuSaturated
-            } else {
-                CongestionState::QueueSaturated
-            }
+            CongestionState::QueueSaturated
         } else if evidence.io_busy_share >= CQ_BUSY
             && evidence.cq_wait_share >= CQ_FLOOR
             && evidence.cq_wait_share_slope >= CQ_SLOPE
@@ -747,48 +724,18 @@ pub fn metrics_document(
             labels,
             if s.active { 1.0 } else { 0.0 },
         );
-        w.counter(
-            "ringsampler_worker_batches_total",
-            "Mini-batches completed this epoch",
-            labels,
-            s.batches,
-        );
-        w.counter(
-            "ringsampler_worker_targets_total",
-            "Seed nodes processed this epoch",
-            labels,
-            s.targets,
-        );
-        w.counter(
-            "ringsampler_worker_sampled_nodes_total",
-            "Frontier nodes whose neighbor lists were sampled",
-            labels,
-            s.sampled_nodes,
-        );
-        w.counter(
-            "ringsampler_worker_sampled_edges_total",
-            "Neighbor entries sampled",
-            labels,
-            s.sampled_edges,
-        );
-        w.counter(
-            "ringsampler_worker_io_bytes_total",
-            "Payload bytes read from disk",
-            labels,
-            s.bytes_read,
-        );
-        w.counter(
-            "ringsampler_worker_reads_submitted_total",
-            "Read requests submitted to the I/O engine",
-            labels,
-            s.reads_submitted,
-        );
-        w.counter(
-            "ringsampler_worker_io_groups_total",
-            "I/O groups submitted",
-            labels,
-            s.io_groups,
-        );
+        let m = &s.metrics;
+        for (name, help, value) in [
+            ("ringsampler_worker_batches_total", "Mini-batches completed this epoch", m.batches),
+            ("ringsampler_worker_targets_total", "Seed nodes processed this epoch", s.seeds),
+            ("ringsampler_worker_sampled_nodes_total", "Frontier nodes whose neighbor lists were sampled", m.targets),
+            ("ringsampler_worker_sampled_edges_total", "Neighbor entries sampled", m.sampled_edges),
+            ("ringsampler_worker_io_bytes_total", "Payload bytes read from disk", m.io_bytes),
+            ("ringsampler_worker_reads_submitted_total", "Read requests submitted to the I/O engine", m.io_requests),
+            ("ringsampler_worker_io_groups_total", "I/O groups submitted", m.io_groups),
+        ] {
+            w.counter(name, help, labels, value);
+        }
         w.gauge(
             "ringsampler_worker_inflight_reads",
             "Read requests the worker was blocked behind, time-averaged over its last batch",
@@ -805,7 +752,7 @@ pub fn metrics_document(
             "ringsampler_worker_batch_latency_seconds",
             "Wall latency per sampled mini-batch this epoch",
             labels,
-            &s.batch_latency,
+            &s.account.batch_latency,
         );
     }
     for t in traces {
@@ -881,61 +828,47 @@ pub(crate) fn trace_event_json(e: &TraceEvent) -> Json {
 /// Renders the `GET /progress` JSON document: per-worker rows plus a
 /// fleet aggregate. Pure: rates and stall state are passed in.
 pub fn progress_document(obs: &[WorkerObservation], stalled: &[usize], rates: &FleetRates) -> String {
+    let fraction = |done: u64, of: u64| if of > 0 { done as f64 / of as f64 } else { 0.0 };
     let mut workers = Vec::with_capacity(obs.len());
-    let mut fleet_batches = 0u64;
-    let mut fleet_total_batches = 0u64;
-    let mut fleet_edges = 0u64;
-    let mut fleet_bytes = 0u64;
-    let mut fleet_inflight = 0u64;
-    let mut fleet_active = 0u64;
+    let mut totals = SampleMetrics::default();
+    let (mut total_batches, mut inflight, mut active) = (0u64, 0u64, 0u64);
     for o in obs {
         let Some(s) = o.snapshot else { continue };
-        fleet_batches += s.batches;
-        fleet_total_batches += s.total_batches;
-        fleet_edges += s.sampled_edges;
-        fleet_bytes += s.bytes_read;
-        fleet_inflight += s.inflight;
-        fleet_active += u64::from(s.active);
-        let fraction = if s.total_batches > 0 {
-            s.batches as f64 / s.total_batches as f64
-        } else {
-            0.0
-        };
+        let m = &s.metrics;
+        totals.merge(m);
+        total_batches += s.total_batches;
+        inflight += s.inflight;
+        active += u64::from(s.active);
         workers.push(
             Json::object()
                 .with("worker", Json::U64(o.index as u64))
                 .with("epoch", Json::U64(s.epoch))
                 .with("active", Json::Bool(s.active))
                 .with("stalled", Json::Bool(stalled.contains(&o.index)))
-                .with("batches", Json::U64(s.batches))
+                .with("batches", Json::U64(m.batches))
                 .with("total_batches", Json::U64(s.total_batches))
-                .with("fraction", Json::F64(fraction))
-                .with("targets", Json::U64(s.targets))
-                .with("sampled_nodes", Json::U64(s.sampled_nodes))
-                .with("sampled_edges", Json::U64(s.sampled_edges))
-                .with("bytes_read", Json::U64(s.bytes_read))
-                .with("reads_submitted", Json::U64(s.reads_submitted))
+                .with("fraction", Json::F64(fraction(m.batches, s.total_batches)))
+                .with("targets", Json::U64(s.seeds))
+                .with("sampled_nodes", Json::U64(m.targets))
+                .with("sampled_edges", Json::U64(m.sampled_edges))
+                .with("bytes_read", Json::U64(m.io_bytes))
+                .with("reads_submitted", Json::U64(m.io_requests))
                 .with("inflight", Json::U64(s.inflight))
-                .with("io_groups", Json::U64(s.io_groups))
-                .with("batch_latency_p50_ns", Json::U64(s.batch_latency.p50()))
-                .with("batch_latency_p99_ns", Json::U64(s.batch_latency.p99())),
+                .with("io_groups", Json::U64(m.io_groups))
+                .with("batch_latency_p50_ns", Json::U64(s.account.batch_latency.p50()))
+                .with("batch_latency_p99_ns", Json::U64(s.account.batch_latency.p99())),
         );
     }
-    let fleet_fraction = if fleet_total_batches > 0 {
-        fleet_batches as f64 / fleet_total_batches as f64
-    } else {
-        0.0
-    };
     let fleet = Json::object()
         .with("workers", Json::U64(obs.len() as u64))
-        .with("active", Json::U64(fleet_active))
+        .with("active", Json::U64(active))
         .with("stalled", Json::U64(stalled.len() as u64))
-        .with("batches", Json::U64(fleet_batches))
-        .with("total_batches", Json::U64(fleet_total_batches))
-        .with("fraction", Json::F64(fleet_fraction))
-        .with("sampled_edges", Json::U64(fleet_edges))
-        .with("bytes_read", Json::U64(fleet_bytes))
-        .with("inflight", Json::U64(fleet_inflight))
+        .with("batches", Json::U64(totals.batches))
+        .with("total_batches", Json::U64(total_batches))
+        .with("fraction", Json::F64(fraction(totals.batches, total_batches)))
+        .with("sampled_edges", Json::U64(totals.sampled_edges))
+        .with("bytes_read", Json::U64(totals.io_bytes))
+        .with("inflight", Json::U64(inflight))
         .with("edges_per_sec", Json::F64(rates.edges_per_sec))
         .with("batches_per_sec", Json::F64(rates.batches_per_sec))
         .with(
@@ -964,7 +897,7 @@ pub fn history_document(windows: &[(usize, Vec<HistoryPoint>)], window: usize) -
         .iter()
         .map(|(worker, pts)| {
             let rates = windowed_rates(pts);
-            let edge_rates: Vec<f64> = interval_series(pts, |s| s.sampled_edges)
+            let edge_rates: Vec<f64> = interval_series(pts, |s| s.metrics.sampled_edges)
                 .iter()
                 .map(|&(_, r)| r)
                 .collect();
@@ -997,12 +930,12 @@ pub fn history_document(windows: &[(usize, Vec<HistoryPoint>)], window: usize) -
                 .map(|p| {
                     Json::object()
                         .with("t_ms", Json::U64(p.t_ms))
-                        .with("batches", Json::U64(p.snap.batches))
-                        .with("targets", Json::U64(p.snap.targets))
-                        .with("sampled_edges", Json::U64(p.snap.sampled_edges))
-                        .with("bytes_read", Json::U64(p.snap.bytes_read))
+                        .with("batches", Json::U64(p.snap.metrics.batches))
+                        .with("targets", Json::U64(p.snap.seeds))
+                        .with("sampled_edges", Json::U64(p.snap.metrics.sampled_edges))
+                        .with("bytes_read", Json::U64(p.snap.metrics.io_bytes))
                         .with("inflight", Json::U64(p.snap.inflight))
-                        .with("io_groups", Json::U64(p.snap.io_groups))
+                        .with("io_groups", Json::U64(p.snap.metrics.io_groups))
                         .with("batch_p99_ns", Json::F64(at(&p99s, p.t_ms)))
                         .with("cq_wait_share", Json::F64(at(&cq, p.t_ms)))
                         .with("cpu_share", Json::F64(at(&cpu, p.t_ms)))
@@ -1129,11 +1062,10 @@ impl Series {
         self.points.iter().skip(skip).copied().collect()
     }
 
-    /// Ends the series: its final edges and batches join `totals`.
-    fn end_into(self, totals: &mut (u64, u64)) {
+    /// Ends the series: its final counters join `totals`.
+    fn end_into(self, totals: &mut SampleMetrics) {
         if let Some(last) = self.points.back() {
-            totals.0 += last.snap.sampled_edges;
-            totals.1 += last.snap.batches;
+            totals.merge(&last.snap.metrics);
         }
     }
 }
@@ -1154,10 +1086,9 @@ pub struct Monitor {
     obs: Vec<WorkerObservation>,
     /// Per-worker series, by slot index.
     series: Vec<Series>,
-    /// Edges and batches counted by series that have ended (epoch change
-    /// or slot removed): the part of the lifetime totals no slot shows any
-    /// more.
-    finished: (u64, u64),
+    /// Counters of the series that have ended (epoch change or slot
+    /// removed): the part of the lifetime totals no slot shows any more.
+    finished: SampleMetrics,
     /// The latest tick's congestion verdicts.
     verdicts: Vec<CongestionVerdict>,
 }
@@ -1170,7 +1101,7 @@ impl Monitor {
             now: start,
             obs: Vec::new(),
             series: Vec::new(),
-            finished: (0, 0),
+            finished: SampleMetrics::default(),
             verdicts: Vec::new(),
         }
     }
@@ -1205,15 +1136,19 @@ impl Monitor {
             if series.points.back().is_some_and(|l| l.snap.epoch != snap.epoch) {
                 std::mem::take(series).end_into(&mut self.finished);
             }
-            let moved = series.points.back().is_none_or(|l| l.snap.batches != snap.batches);
+            let moved = series
+                .points
+                .back()
+                .is_none_or(|l| l.snap.metrics.batches != snap.metrics.batches);
             if moved || !snap.active {
                 series.moved_ms = now_ms;
                 series.stalled = false;
             }
-            series.points.push_back(HistoryPoint { t_ms: now_ms, snap });
-            if series.points.len() > HISTORY_POINTS {
+            // Drop before pushing, so the deque never outgrows its 512 slots.
+            if series.points.len() == HISTORY_POINTS {
                 series.points.pop_front();
             }
+            series.points.push_back(HistoryPoint { t_ms: now_ms, snap });
         }
         let threshold = STALL_THRESHOLD.as_millis() as u64;
         let mut newly_stalled = Vec::new();
@@ -1264,8 +1199,8 @@ impl Monitor {
         let (mut edges_per_sec, mut batches_per_sec) = (0.0, 0.0);
         for s in &self.series {
             let Some(last) = s.points.back() else { continue };
-            edges += last.snap.sampled_edges;
-            done += last.snap.batches;
+            edges += last.snap.metrics.sampled_edges;
+            done += last.snap.metrics.batches;
             assigned += last.snap.total_batches;
             if let Some(first) = s.points.iter().find(|p| p.t_ms >= horizon) {
                 let r = windowed_rates(&[*first, *last]);
@@ -1281,8 +1216,8 @@ impl Monitor {
             edges_per_sec,
             batches_per_sec,
             eta_seconds,
-            lifetime_edges_per_sec: lifetime(self.finished.0 + edges),
-            lifetime_batches_per_sec: lifetime(self.finished.1 + done),
+            lifetime_edges_per_sec: lifetime(self.finished.sampled_edges + edges),
+            lifetime_batches_per_sec: lifetime(self.finished.batches + done),
         }
     }
 
@@ -1420,10 +1355,10 @@ pub fn stall_blackbox_document(
         .with("event", Json::str("ringscope_stall"))
         .with("worker", Json::U64(event.worker as u64))
         .with("epoch", Json::U64(s.epoch))
-        .with("batches", Json::U64(s.batches))
-        .with("io_groups", Json::U64(s.io_groups))
+        .with("batches", Json::U64(s.metrics.batches))
+        .with("io_groups", Json::U64(s.metrics.io_groups))
         .with("inflight", Json::U64(s.inflight))
-        .with("reads_submitted", Json::U64(s.reads_submitted))
+        .with("reads_submitted", Json::U64(s.metrics.io_requests))
         .with("cpu_nanos", Json::U64(s.cpu_nanos));
     let trace = tails
         .iter()
@@ -1445,7 +1380,7 @@ pub fn stall_blackbox_document(
                 .map(|p| {
                     Json::object()
                         .with("t_ms", Json::U64(p.t_ms))
-                        .with("batches", Json::U64(p.snap.batches))
+                        .with("batches", Json::U64(p.snap.metrics.batches))
                         .with("inflight", Json::U64(p.snap.inflight))
                         .with("cpu_nanos", Json::U64(p.snap.cpu_nanos))
                 })
@@ -1493,20 +1428,23 @@ pub fn ensure_server(cfg: &TelemetryConfig) -> Result<TelemetryHandle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringstat::Stage;
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
 
     fn snap(batches: u64, total: u64, active: bool) -> WorkerSnapshot {
-        let mut s = WorkerSnapshot::new();
-        s.epoch = 1;
-        s.batches = batches;
-        s.total_batches = total;
-        s.sampled_edges = batches * 100;
-        s.bytes_read = batches * 4096;
-        s.reads_submitted = batches * 64;
-        s.inflight = 2;
-        s.io_groups = batches * 2;
-        s.active = active;
+        let mut s = WorkerSnapshot {
+            epoch: 1,
+            total_batches: total,
+            inflight: 2,
+            active,
+            ..Default::default()
+        };
+        s.metrics.batches = batches;
+        s.metrics.sampled_edges = batches * 100;
+        s.metrics.io_bytes = batches * 4096;
+        s.metrics.io_requests = batches * 64;
+        s.metrics.io_groups = batches * 2;
         s
     }
 
@@ -1531,7 +1469,7 @@ mod tests {
         extra.publish(snap(5, 10, true));
         let obs = reg.observe();
         assert_eq!(obs.len(), 4);
-        assert_eq!(obs[3].snapshot.unwrap().batches, 5);
+        assert_eq!(obs[3].snapshot.unwrap().metrics.batches, 5);
         reg.reset_epoch(1);
         assert_eq!(reg.observe().len(), 1);
         assert_eq!(reg.next_epoch(), 1);
@@ -1606,8 +1544,10 @@ mod tests {
     fn hist_pts(n: u64, shape: impl Fn(u64, &mut WorkerSnapshot)) -> Vec<HistoryPoint> {
         (0..n)
             .map(|i| {
-                let mut s = WorkerSnapshot::new();
-                s.active = true;
+                let mut s = WorkerSnapshot {
+                    active: true,
+                    ..Default::default()
+                };
                 shape(i, &mut s);
                 HistoryPoint { t_ms: i * 100, snap: s }
             })
@@ -1618,11 +1558,11 @@ mod tests {
     /// wait.
     fn healthy_window(n: u64) -> Vec<HistoryPoint> {
         hist_pts(n, |i, s| {
-            s.batches = i;
-            s.sampled_edges = i * 1000;
+            s.metrics.batches = i;
+            s.metrics.sampled_edges = i * 1000;
             s.inflight = 32;
-            s.submit_nanos = i * 900_000;
-            s.complete_nanos = i * 100_000;
+            s.account.add(Stage::Submit, i * 900_000);
+            s.account.add(Stage::Wait, i * 100_000);
         })
     }
 
@@ -1651,37 +1591,12 @@ mod tests {
     fn congestion_verdict_queue_saturated() {
         let det = CongestionDetector::new();
         let windows = vec![(0, hist_pts(12, |i, s| {
-            s.batches = i;
+            s.metrics.batches = i;
             s.inflight = 500; // pinned above the 448 threshold
         }))];
         let v = &det.assess(&windows, &[])[0];
         assert_eq!(v.state, CongestionState::QueueSaturated);
         assert!((v.evidence.mean_inflight - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn congestion_verdict_cpu_saturated_vs_queue_saturated() {
-        let det = CongestionDetector::new();
-        // Both workers sit pinned above the queue threshold; worker 0
-        // burns ~95% of each 100 ms interval on-CPU (compute-bound),
-        // worker 1 idles at ~5% (device-bound). The ringprof CPU share
-        // is the only difference between their windows.
-        let pinned = |cpu_per_tick: u64| {
-            move |i: u64, s: &mut WorkerSnapshot| {
-                s.batches = i;
-                s.inflight = 500;
-                s.cpu_nanos = i * cpu_per_tick;
-            }
-        };
-        let windows = vec![
-            (0, hist_pts(12, pinned(95_000_000))),
-            (1, hist_pts(12, pinned(5_000_000))),
-        ];
-        let verdicts = det.assess(&windows, &[]);
-        assert_eq!(verdicts[0].state, CongestionState::CpuSaturated, "{:?}", verdicts[0].evidence);
-        assert!(verdicts[0].evidence.cpu_share > 0.85, "{:?}", verdicts[0].evidence);
-        assert_eq!(verdicts[1].state, CongestionState::QueueSaturated, "{:?}", verdicts[1].evidence);
-        assert!(verdicts[1].evidence.cpu_share < 0.85, "{:?}", verdicts[1].evidence);
     }
 
     #[test]
@@ -1692,10 +1607,11 @@ mod tests {
         // the 0.25 busy gate — the collapse signature.
         let shape = |total: u64| {
             move |i: u64, s: &mut WorkerSnapshot| {
-                s.batches = i;
+                s.metrics.batches = i;
                 let share = (i as f64 * 0.04).min(0.95);
-                s.complete_nanos = i * (share * total as f64) as u64;
-                s.submit_nanos = i * total - s.complete_nanos;
+                let complete = i * (share * total as f64) as u64;
+                s.account.add(Stage::Wait, complete);
+                s.account.add(Stage::Submit, i * total - complete);
             }
         };
         let windows = vec![(0, hist_pts(24, shape(60_000_000)))];
@@ -1725,7 +1641,7 @@ mod tests {
         let det = CongestionDetector::new();
         // Worker 1 completes batches at 1/10th the fleet rate.
         let slow = hist_pts(12, |i, s| {
-            s.batches = i / 10;
+            s.metrics.batches = i / 10;
             s.inflight = 32;
         });
         let windows = vec![(0, healthy_window(12)), (1, slow)];
@@ -1734,7 +1650,7 @@ mod tests {
         assert_eq!(verdicts[1].state, CongestionState::Straggler, "{:?}", verdicts[1].evidence);
         assert!((verdicts[1].evidence.fleet_median_batches_per_sec - 10.0).abs() < 1e-6);
         // A lone worker is never judged against itself.
-        let solo = vec![(0, hist_pts(12, |i, s| s.batches = i / 10))];
+        let solo = vec![(0, hist_pts(12, |i, s| s.metrics.batches = i / 10))];
         assert_eq!(det.assess(&solo, &[])[0].state, CongestionState::Ok);
     }
 
@@ -1817,7 +1733,7 @@ mod tests {
         let windows = m.windows(8);
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[1].1.len(), 8);
-        assert_eq!(windows[1].1[7].snap.batches, 2 * (HISTORY_POINTS as u64 + 5));
+        assert_eq!(windows[1].1[7].snap.metrics.batches, 2 * (HISTORY_POINTS as u64 + 5));
         // Drop-oldest: the newest HISTORY_POINTS points survive.
         let all = m.windows(usize::MAX);
         assert_eq!(all[0].1.len(), HISTORY_POINTS);
@@ -1846,10 +1762,10 @@ mod tests {
                 edges += if fast { 1000 } else { 10 };
                 batches += if fast { 10 } else { 1 };
             }
-            let mut s = WorkerSnapshot::new();
-            s.batches = batches;
+            let mut s = WorkerSnapshot::default();
+            s.metrics.batches = batches;
             s.total_batches = 1000;
-            s.sampled_edges = edges;
+            s.metrics.sampled_edges = edges;
             s.active = true;
             tick_at(&mut m, &reg, t0, tick * 1000, &[s]);
         }
@@ -1874,12 +1790,14 @@ mod tests {
         let t0 = Instant::now();
         let mut m = Monitor::new(t0);
         let at = |epoch: u64, k: u64| {
-            let mut s = WorkerSnapshot::new();
-            s.epoch = epoch;
-            s.batches = k;
-            s.total_batches = 61;
-            s.sampled_edges = 100 * k;
-            s.active = true;
+            let mut s = WorkerSnapshot {
+                epoch,
+                total_batches: 61,
+                active: true,
+                ..Default::default()
+            };
+            s.metrics.batches = k;
+            s.metrics.sampled_edges = 100 * k;
             s
         };
         // Epoch 1: 61 ticks 200 ms apart, 100 edges and one batch each —
@@ -1901,10 +1819,10 @@ mod tests {
     #[test]
     fn history_document_renders_rates_trends_and_series() {
         let pts = hist_pts(4, |i, s| {
-            s.batches = i;
-            s.sampled_edges = i * 500;
-            s.bytes_read = i * 4096;
-            s.io_groups = i * 2;
+            s.metrics.batches = i;
+            s.metrics.sampled_edges = i * 500;
+            s.metrics.io_bytes = i * 4096;
+            s.metrics.io_groups = i * 2;
             s.inflight = 16;
         });
         let doc = history_document(&[(0, pts)], 64);
@@ -2129,7 +2047,7 @@ mod tests {
             },
         ];
         let windows = vec![(0, hist_pts(2, |_, _| {})), (1, hist_pts(3, |i, s| {
-            s.batches = i;
+            s.metrics.batches = i;
             s.inflight = 12;
             s.cpu_nanos = i * 1_000_000;
         }))];

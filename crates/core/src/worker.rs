@@ -20,8 +20,8 @@ use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 use ringsampler_io::engine::{GroupReader, GroupToken, PreadReader, ReadSlice, UringReader};
 use ringsampler_io::{EngineKind, IoEngineError};
 use ringstat::{
-    thread_cpu_nanos, EventKind, EventRing, ResourceSample, SnapshotCell, Stage, StageAccount,
-    TimeLedger, TraceEvent, WorkerSnapshot,
+    thread_cpu_nanos, EventKind, EventRing, ResourceSample, SnapshotCell, StageAccount, TimeLedger,
+    TraceEvent, WorkerSnapshot,
 };
 
 use crate::block::{BatchSample, LayerSample};
@@ -136,7 +136,7 @@ struct TelemetrySlot {
     cell: Arc<SnapshotCell<WorkerSnapshot>>,
     epoch: u64,
     total_batches: u64,
-    seeds_done: u64,
+    seeds: u64,
 }
 
 impl std::fmt::Debug for SamplerWorker {
@@ -296,7 +296,7 @@ impl SamplerWorker {
             cell,
             epoch,
             total_batches,
-            seeds_done: 0,
+            seeds: 0,
         });
     }
 
@@ -333,35 +333,25 @@ impl SamplerWorker {
         })
     }
 
-    /// Builds the current snapshot and publishes it through the seqlock
-    /// slot, if one is attached. The publish itself is wait-free: two
-    /// version-counter stores and a volatile payload store.
+    /// Publishes the worker's own record — its counters and stage account,
+    /// whole — through the seqlock slot, if one is attached. The publish
+    /// itself is wait-free: two version-counter stores and a volatile
+    /// payload store.
     ///
     /// Between batches the pipeline is drained, so the live count of lent
     /// requests is always 0 here; `inflight` is the device backlog of the
     /// batch just finished (see [`Self::sample_batch`]), 0 once inactive.
-    fn publish_snapshot(&mut self, active: bool, inflight: u64) {
-        if self.telemetry.is_none() {
-            return;
-        }
-        let m = self.metrics();
-        if let Some(slot) = &mut self.telemetry {
+    fn publish_snapshot(&self, active: bool, inflight: u64) {
+        if let Some(slot) = &self.telemetry {
             slot.cell.publish(WorkerSnapshot {
                 epoch: slot.epoch,
-                batches: m.batches,
                 total_batches: slot.total_batches,
-                targets: slot.seeds_done,
-                sampled_nodes: m.targets,
-                sampled_edges: m.sampled_edges,
-                bytes_read: m.io_bytes,
-                reads_submitted: m.io_requests,
-                inflight,
-                io_groups: m.io_groups,
+                seeds: slot.seeds,
                 active,
-                submit_nanos: self.account.get(Stage::Submit),
-                complete_nanos: self.account.complete(),
+                inflight,
                 cpu_nanos: self.cpu_nanos,
-                batch_latency: self.account.batch_latency,
+                metrics: self.metrics(),
+                account: self.account,
             });
         }
     }
@@ -471,7 +461,7 @@ impl SamplerWorker {
         }
         self.trace(EventKind::BatchEnd, batch_index, batch_nanos, layers.len() as u64, 0);
         if let Some(slot) = &mut self.telemetry {
-            slot.seeds_done += seeds.len() as u64;
+            slot.seeds += seeds.len() as u64;
         }
         // The queue gauge: the time-average, over the batch, of the
         // requests the worker was blocked behind. A group whose completions
@@ -932,6 +922,7 @@ impl SamplerWorker {
 mod tests {
     use super::*;
     use crate::config::CachePolicy;
+    use ringstat::Stage;
     use crate::memory::MemoryBudget;
     use ringsampler_graph::edgefile::write_csr;
     use ringsampler_graph::CsrGraph;
@@ -1193,8 +1184,9 @@ mod tests {
     #[test]
     fn stage_clock_conserves_exactly() {
         // Σ stages == Σ batch latency to the nanosecond, whatever feeds the
-        // fetch path: no stage event falls outside a batch, and the ledger
-        // built from the account conserves.
+        // fetch path: no stage event falls outside a batch, the ledger
+        // built from the account conserves, and the last live snapshot is
+        // the record the join returns.
         let graph = test_graph("conserve");
         let seeds: Vec<NodeId> = (0..64).collect();
         for (mode, cache) in fetch_shapes() {
@@ -1208,6 +1200,8 @@ mod tests {
                         .read_plan(mode)
                         .cache(cache);
                     let mut w = worker(&graph, cfg);
+                    let registry = SnapshotRegistry::new();
+                    w.attach_telemetry(&registry, None, 1, 3);
                     w.begin_epoch_profile();
                     for batch in 0..3 {
                         w.sample_batch(&seeds, batch).unwrap();
@@ -1218,10 +1212,14 @@ mod tests {
                     let what = format!("{mode:?} {cache:?} {engine:?} {pipeline:?}");
                     let batch_sum = s.account.batch_latency.sum();
                     assert_eq!(s.account.total(), batch_sum, "{what}");
-                    let ledger = s.resources.expect("the epoch profile was opened").ledger;
+                    let res = s.resources.expect("the epoch profile was opened");
+                    let ledger = res.ledger;
                     assert!(ledger.conserves(), "{what}: {ledger:?}");
                     assert_eq!(ledger.accounted_nanos(), batch_sum, "{what}");
                     assert!(ledger.other_nanos >= 3 * 200_000, "{what}: {ledger:?}");
+                    let live = registry.observe()[0].snapshot.expect("published");
+                    assert_eq!((live.metrics, live.account), (s.metrics, s.account), "{what}");
+                    assert_eq!(live.cpu_nanos, res.sample.cpu_nanos, "{what}");
                 }
             }
         }
@@ -1730,7 +1728,7 @@ mod tests {
                 w.sample_batch(&seeds, batch).unwrap();
                 let snap = published(&registry);
                 assert!(snap.active);
-                assert_eq!(snap.reads_submitted, 2048 * (batch + 1), "{engine:?}");
+                assert_eq!(snap.metrics.io_requests, 2048 * (batch + 1), "{engine:?}");
                 // Page-cache reads complete at submission: nothing to park on.
                 assert!((snap.inflight as f64) < QUEUE_DEPTH, "{engine:?}: {}", snap.inflight);
                 if engine == EngineKind::Pread {

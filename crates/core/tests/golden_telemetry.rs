@@ -20,7 +20,7 @@ use ringsampler::telemetry::{
     metrics_document, progress_document, trace_document, FleetRates, MetricsExtras, Monitor,
     SnapshotRegistry, WorkerObservation,
 };
-use ringstat::{EventKind, EventRing, TraceEvent, WorkerSnapshot};
+use ringstat::{EventKind, EventRing, Stage, TraceEvent, WorkerSnapshot};
 
 /// The fixed two-worker fleet: worker 0 mid-epoch with reads in flight,
 /// worker 1 further along. Deterministic histogram samples, no clocks.
@@ -35,39 +35,43 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
         registry.install(Some(1), Some(Arc::clone(&r1))),
     ];
 
-    let mut w0 = WorkerSnapshot::new();
-    w0.epoch = 1;
-    w0.batches = 3;
-    w0.total_batches = 8;
-    w0.targets = 384;
-    w0.sampled_nodes = 960;
-    w0.sampled_edges = 1_536;
-    w0.bytes_read = 6_144;
-    w0.reads_submitted = 1_536;
-    w0.inflight = 4;
-    w0.io_groups = 12;
-    w0.cpu_nanos = 2_000_000;
-    w0.active = true;
+    let mut w0 = WorkerSnapshot {
+        epoch: 1,
+        total_batches: 8,
+        seeds: 384,
+        inflight: 4,
+        cpu_nanos: 2_000_000,
+        active: true,
+        ..Default::default()
+    };
+    w0.metrics.batches = 3;
+    w0.metrics.targets = 960;
+    w0.metrics.sampled_edges = 1_536;
+    w0.metrics.io_bytes = 6_144;
+    w0.metrics.io_requests = 1_536;
+    w0.metrics.io_groups = 12;
     for v in [500_000u64, 600_000, 900_000] {
-        w0.batch_latency.record(v);
+        w0.account.batch_latency.record(v);
     }
     cells[0].publish(w0);
 
-    let mut w1 = WorkerSnapshot::new();
-    w1.epoch = 1;
-    w1.batches = 5;
-    w1.total_batches = 8;
-    w1.targets = 640;
-    w1.sampled_nodes = 1_600;
-    w1.sampled_edges = 2_560;
-    w1.bytes_read = 10_240;
-    w1.reads_submitted = 2_560;
-    w1.inflight = 0;
-    w1.io_groups = 20;
-    w1.cpu_nanos = 3_500_000;
-    w1.active = true;
+    let mut w1 = WorkerSnapshot {
+        epoch: 1,
+        total_batches: 8,
+        seeds: 640,
+        inflight: 0,
+        cpu_nanos: 3_500_000,
+        active: true,
+        ..Default::default()
+    };
+    w1.metrics.batches = 5;
+    w1.metrics.targets = 1_600;
+    w1.metrics.sampled_edges = 2_560;
+    w1.metrics.io_bytes = 10_240;
+    w1.metrics.io_requests = 2_560;
+    w1.metrics.io_groups = 20;
     for v in [400_000u64, 500_000, 700_000, 800_000, 1_100_000] {
-        w1.batch_latency.record(v);
+        w1.account.batch_latency.record(v);
     }
     cells[1].publish(w1);
 
@@ -188,23 +192,25 @@ fn golden_monitor(registry: &SnapshotRegistry) -> Monitor {
         let obs: Vec<WorkerObservation> = [(0usize, 1u64), (1usize, 10u64)]
             .iter()
             .map(|&(index, div)| {
-                let mut s = WorkerSnapshot::new();
-                s.epoch = 1;
-                s.batches = 4 * i / div;
-                s.total_batches = 64;
-                s.targets = 512 * i / div;
-                s.sampled_edges = 2_048 * i / div;
-                s.bytes_read = 8_192 * i / div;
-                s.inflight = 16 + 4 * i;
-                s.io_groups = 8 * i / div;
-                s.reads_submitted = 256 * i / div;
-                s.submit_nanos = 40_000_000 * i / div;
-                s.complete_nanos = 10_000_000 * i / div;
-                // ringprof column: worker 0 busy (~180/250 ms on-CPU per
-                // interval), the straggler mostly idle.
-                s.cpu_nanos = 180_000_000 * i / div;
-                s.active = true;
-                s.batch_latency.record(700_000 + 50_000 * i);
+                let mut s = WorkerSnapshot {
+                    epoch: 1,
+                    total_batches: 64,
+                    seeds: 512 * i / div,
+                    inflight: 16 + 4 * i,
+                    // ringprof column: worker 0 busy (~180/250 ms on-CPU
+                    // per interval), the straggler mostly idle.
+                    cpu_nanos: 180_000_000 * i / div,
+                    active: true,
+                    ..Default::default()
+                };
+                s.metrics.batches = 4 * i / div;
+                s.metrics.sampled_edges = 2_048 * i / div;
+                s.metrics.io_bytes = 8_192 * i / div;
+                s.metrics.io_groups = 8 * i / div;
+                s.metrics.io_requests = 256 * i / div;
+                s.account.add(Stage::Submit, 40_000_000 * i / div);
+                s.account.add(Stage::Wait, 10_000_000 * i / div);
+                s.account.batch_latency.record(700_000 + 50_000 * i);
                 WorkerObservation {
                     index,
                     snapshot: Some(s),
@@ -244,7 +250,7 @@ fn history_endpoint_body_is_pinned_through_http() {
 #[test]
 fn resources_endpoint_body_is_pinned_through_http() {
     use ringsampler::{EpochReport, ResourceReport, WorkerResources};
-    use ringstat::{Json, ResourceSample, Stage, StageAccount, TimeLedger};
+    use ringstat::{Json, ResourceSample, StageAccount, TimeLedger};
 
     // The same deterministic ringprof interval the report golden pins:
     // 250 ms wall, 240 ms on-CPU, fixed stage walls. The engine renders

@@ -12,6 +12,7 @@
 //! estimators are unit-testable with synthetic series.
 
 use crate::snapshot::WorkerSnapshot;
+use crate::stage::Stage;
 
 /// One timestamped history point: a full [`WorkerSnapshot`] as observed
 /// at `t_ms`. Cumulative counters are kept as-is (not pre-differenced)
@@ -53,10 +54,10 @@ pub fn windowed_rates(points: &[HistoryPoint]) -> WindowRates {
     let rate = |l: u64, f: u64| l.saturating_sub(f) as f64 / span;
     WindowRates {
         span_secs: span,
-        edges_per_sec: rate(last.snap.sampled_edges, first.snap.sampled_edges),
-        batches_per_sec: rate(last.snap.batches, first.snap.batches),
-        enters_per_sec: rate(last.snap.io_groups, first.snap.io_groups),
-        bytes_per_sec: rate(last.snap.bytes_read, first.snap.bytes_read),
+        edges_per_sec: rate(last.snap.metrics.sampled_edges, first.snap.metrics.sampled_edges),
+        batches_per_sec: rate(last.snap.metrics.batches, first.snap.metrics.batches),
+        enters_per_sec: rate(last.snap.metrics.io_groups, first.snap.metrics.io_groups),
+        bytes_per_sec: rate(last.snap.metrics.io_bytes, first.snap.metrics.io_bytes),
     }
 }
 
@@ -131,7 +132,7 @@ pub fn batch_p99_series(points: &[HistoryPoint]) -> Vec<(u64, f64)> {
         .windows(2)
         .filter_map(|w| {
             let (a, b) = (w.first()?, w.last()?);
-            let diff = b.snap.batch_latency.saturating_diff(&a.snap.batch_latency);
+            let diff = b.snap.account.batch_latency.saturating_diff(&a.snap.account.batch_latency);
             if diff.is_empty() {
                 return None;
             }
@@ -146,29 +147,24 @@ pub fn batch_p99_slope(points: &[HistoryPoint]) -> f64 {
     slope_per_sec(&batch_p99_series(points))
 }
 
-/// The cumulative CQ-wait share of one snapshot: the fraction of the
-/// worker's I/O wall time spent blocked on completions,
-/// `complete / (submit + complete)`. 0.0 before any I/O happened.
-pub fn cq_wait_share(snap: &WorkerSnapshot) -> f64 {
-    let total = snap.submit_nanos.saturating_add(snap.complete_nanos);
-    if total == 0 {
-        0.0
-    } else {
-        snap.complete_nanos as f64 / total as f64
-    }
+/// A snapshot's I/O time, `(submit, complete)` nanoseconds: the submit
+/// stage, and the completion stages (wait plus reap).
+fn io_nanos(snap: &WorkerSnapshot) -> (u64, u64) {
+    (snap.account.get(Stage::Submit), snap.account.complete())
 }
 
 /// Per-interval CQ-wait-share series: for each consecutive pair of
 /// points, the share of I/O time spent blocked on completions *within
-/// that interval*. Intervals with no I/O time are skipped.
+/// that interval*, `complete / (submit + complete)`. Intervals with no
+/// I/O time are skipped.
 pub fn cq_wait_share_series(points: &[HistoryPoint]) -> Vec<(u64, f64)> {
     points
         .windows(2)
         .filter_map(|w| {
             let (a, b) = (w.first()?, w.last()?);
-            let dc = b.snap.complete_nanos.saturating_sub(a.snap.complete_nanos);
-            let dp = b.snap.submit_nanos.saturating_sub(a.snap.submit_nanos);
-            let total = dc.saturating_add(dp);
+            let ((sa, ca), (sb, cb)) = (io_nanos(&a.snap), io_nanos(&b.snap));
+            let dc = cb.saturating_sub(ca);
+            let total = dc.saturating_add(sb.saturating_sub(sa));
             if total == 0 {
                 return None;
             }
@@ -235,15 +231,8 @@ pub fn io_busy_share(points: &[HistoryPoint]) -> f64 {
     if span_ns == 0 {
         return 0.0;
     }
-    let busy = last
-        .snap
-        .submit_nanos
-        .saturating_sub(first.snap.submit_nanos)
-        .saturating_add(
-            last.snap
-                .complete_nanos
-                .saturating_sub(first.snap.complete_nanos),
-        );
+    let ((sf, cf), (sl, cl)) = (io_nanos(&first.snap), io_nanos(&last.snap));
+    let busy = sl.saturating_sub(sf).saturating_add(cl.saturating_sub(cf));
     (busy as f64 / span_ns as f64).min(1.0)
 }
 
@@ -261,10 +250,12 @@ mod tests {
     use super::*;
 
     fn pt(t_ms: u64, edges: u64, batches: u64) -> HistoryPoint {
-        let mut snap = WorkerSnapshot::new();
-        snap.sampled_edges = edges;
-        snap.batches = batches;
-        snap.active = true;
+        let mut snap = WorkerSnapshot {
+            active: true,
+            ..Default::default()
+        };
+        snap.metrics.sampled_edges = edges;
+        snap.metrics.batches = batches;
         HistoryPoint { t_ms, snap }
     }
 
@@ -272,11 +263,11 @@ mod tests {
     fn windowed_rates_from_endpoint_deltas() {
         // 2 seconds, 2000 edges, 4 batches ⇒ 1000 edges/s, 2 batches/s.
         let mut a = pt(1000, 500, 2);
-        a.snap.io_groups = 10;
-        a.snap.bytes_read = 4096;
+        a.snap.metrics.io_groups = 10;
+        a.snap.metrics.io_bytes = 4096;
         let mut b = pt(3000, 2500, 6);
-        b.snap.io_groups = 30;
-        b.snap.bytes_read = 12288;
+        b.snap.metrics.io_groups = 30;
+        b.snap.metrics.io_bytes = 12288;
         let r = windowed_rates(&[a, b]);
         assert_eq!(r.span_secs, 2.0);
         assert_eq!(r.edges_per_sec, 1000.0);
@@ -322,22 +313,22 @@ mod tests {
     #[test]
     fn interval_series_rates_per_pair() {
         let pts = [pt(0, 0, 0), pt(1000, 100, 1), pt(3000, 500, 5)];
-        let s = interval_series(&pts, |s| s.sampled_edges);
+        let s = interval_series(&pts, |s| s.metrics.sampled_edges);
         assert_eq!(s, vec![(1000, 100.0), (3000, 200.0)]);
         // Zero-dt pairs are skipped, not divided by zero.
         let dup = [pt(0, 0, 0), pt(0, 50, 1)];
-        assert!(interval_series(&dup, |s| s.sampled_edges).is_empty());
+        assert!(interval_series(&dup, |s| s.metrics.sampled_edges).is_empty());
     }
 
     #[test]
     fn batch_p99_series_diffs_histograms() {
         let mut a = pt(0, 0, 0);
-        a.snap.batch_latency.record(1000);
+        a.snap.account.batch_latency.record(1000);
         let mut b = pt(1000, 0, 1);
-        b.snap.batch_latency = a.snap.batch_latency;
-        b.snap.batch_latency.record(8000); // the new sample in (a, b]
+        b.snap.account.batch_latency = a.snap.account.batch_latency;
+        b.snap.account.batch_latency.record(8000); // the new sample in (a, b]
         let mut c = pt(2000, 0, 1);
-        c.snap.batch_latency = b.snap.batch_latency; // idle interval
+        c.snap.account.batch_latency = b.snap.account.batch_latency; // idle interval
         let series = batch_p99_series(&[a, b, c]);
         assert_eq!(series.len(), 1, "idle interval must be skipped");
         let (t, p99) = series[0];
@@ -349,20 +340,19 @@ mod tests {
     #[test]
     fn cq_wait_share_and_slope() {
         let mut a = pt(0, 0, 0);
-        a.snap.submit_nanos = 900;
-        a.snap.complete_nanos = 100;
-        assert!((cq_wait_share(&a.snap) - 0.1).abs() < 1e-12);
-        assert_eq!(cq_wait_share(&WorkerSnapshot::new()), 0.0);
+        a.snap.account.add(Stage::Submit, 900);
+        a.snap.account.add(Stage::Wait, 100);
 
-        // Interval shares rise 0.1 → 0.5 → 0.9 over 2 seconds.
+        // Interval shares rise 0.5 → 0.9 over 2 seconds; completion is
+        // wait plus reap.
         let mut b = a;
         b.t_ms = 1000;
-        b.snap.submit_nanos += 500;
-        b.snap.complete_nanos += 500;
+        b.snap.account.add(Stage::Submit, 500);
+        b.snap.account.add(Stage::Wait, 500);
         let mut c = b;
         c.t_ms = 2000;
-        c.snap.submit_nanos += 100;
-        c.snap.complete_nanos += 900;
+        c.snap.account.add(Stage::Submit, 100);
+        c.snap.account.add(Stage::Reap, 900);
         let series = cq_wait_share_series(&[a, b, c]);
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 0.5).abs() < 1e-12);
@@ -402,11 +392,11 @@ mod tests {
         // 100 ms window, 40 ms submitting + 20 ms waiting ⇒ 0.6 busy.
         let a = pt(0, 0, 0);
         let mut b = pt(100, 0, 0);
-        b.snap.submit_nanos = 40_000_000;
-        b.snap.complete_nanos = 20_000_000;
+        b.snap.account.add(Stage::Submit, 40_000_000);
+        b.snap.account.add(Stage::Wait, 20_000_000);
         assert!((io_busy_share(&[a, b]) - 0.6).abs() < 1e-12);
         // Clock skew can push busy past the span; the share is clamped.
-        b.snap.submit_nanos = 500_000_000;
+        b.snap.account.add(Stage::Submit, 460_000_000);
         assert_eq!(io_busy_share(&[a, b]), 1.0);
         // Zero span ⇒ no signal.
         let c = pt(0, 0, 0);

@@ -17,13 +17,17 @@
 //!   flight-recorder event carries each, and the account a worker folds
 //!   its events into — the stage sums plus the batch, group and CQ-wait
 //!   histograms, with the four-phase view the reports export.
+//! * [`SampleMetrics`] — what a worker counts (batches, edges, reads,
+//!   bytes, groups, syscalls, hot-set and planner counters), and the one
+//!   list of their wire keys and Prometheus help the reports are built from.
 //! * [`Json`], [`PromWriter`], [`ChromeTrace`] — dependency-free exporters
 //!   for the three artifact formats every run leaves behind; the Chrome
 //!   `trace.json` (Perfetto-viewable) timeline is a fold over the flight
 //!   recorder's events.
 //! * [`SnapshotCell`] / [`WorkerSnapshot`] — the `ringscope` live-telemetry
 //!   publish side: a single-writer seqlock slot each worker overwrites
-//!   after every batch, readable by an observer thread without ever
+//!   after every batch with its own record (its [`SampleMetrics`] and
+//!   [`StageAccount`], whole), readable by an observer thread without ever
 //!   blocking the writer.
 //! * [`EventRing`] / [`TraceEvent`] — the `ringtrace` flight recorder: a
 //!   fixed-capacity, allocation-free, single-writer ring of seqlock
@@ -40,7 +44,8 @@
 //!   conservation-checked per-worker time ledger
 //!   `{compute, submit, io_wait, reap, other}`.
 //! * [`HttpServer`] — a bounded, dependency-free HTTP listener for the
-//!   embedded `/metrics` · `/progress` · `/healthz` endpoints.
+//!   embedded ringscope endpoints (`/metrics`, `/progress`, `/healthz`,
+//!   `/trace`, `/history`, `/congestion`, `/resources`).
 //! * [`human_bytes`] / [`human_count`] — display helpers for run reports.
 //!
 //! ## The synchronization-free invariant
@@ -62,6 +67,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod counters;
 pub mod events;
 pub mod fmt;
 pub mod hist;
@@ -74,6 +80,7 @@ pub mod snapshot;
 pub mod stage;
 pub mod trace;
 
+pub use counters::SampleMetrics;
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use fmt::{human_bytes, human_count, human_nanos};
 pub use hist::{LatencyHistogram, NUM_BUCKETS};

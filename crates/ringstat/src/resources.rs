@@ -67,19 +67,6 @@ pub struct ResourceSample {
 }
 
 impl ResourceSample {
-    /// An all-zero sample.
-    pub const fn zero() -> Self {
-        Self {
-            cpu_nanos: 0,
-            user_nanos: 0,
-            sys_nanos: 0,
-            vol_ctx_switches: 0,
-            invol_ctx_switches: 0,
-            minor_faults: 0,
-            major_faults: 0,
-        }
-    }
-
     /// Takes a full sample for the calling thread: one `clock_gettime`
     /// and one `getrusage(RUSAGE_THREAD)`.
     ///
@@ -87,8 +74,10 @@ impl ResourceSample {
     /// [`thread_cpu_nanos`] instead.
     #[expect(clippy::disallowed_methods, reason = "this is the epoch-boundary sampler; each caller carries its own expect")]
     pub fn now() -> Self {
-        let mut s = Self::zero();
-        s.cpu_nanos = thread_cpu_nanos();
+        let mut s = Self {
+            cpu_nanos: thread_cpu_nanos(),
+            ..Self::default()
+        };
         let mut ru = libc::rusage::default();
         // SAFETY: `ru` is a valid, writable out-parameter; RUSAGE_THREAD
         // scopes the query to the calling thread.
@@ -347,20 +336,26 @@ mod tests {
 
     #[test]
     fn delta_saturates_instead_of_underflowing() {
-        let mut big = ResourceSample::zero();
-        big.cpu_nanos = 100;
-        let d = ResourceSample::zero().delta(&big);
+        let big = ResourceSample {
+            cpu_nanos: 100,
+            ..Default::default()
+        };
+        let d = ResourceSample::default().delta(&big);
         assert_eq!(d.cpu_nanos, 0);
     }
 
     #[test]
     fn merge_adds_thread_fields() {
-        let mut a = ResourceSample::zero();
-        a.cpu_nanos = 10;
-        a.vol_ctx_switches = 3;
-        let mut b = ResourceSample::zero();
-        b.cpu_nanos = 5;
-        b.vol_ctx_switches = 2;
+        let mut a = ResourceSample {
+            cpu_nanos: 10,
+            vol_ctx_switches: 3,
+            ..Default::default()
+        };
+        let b = ResourceSample {
+            cpu_nanos: 5,
+            vol_ctx_switches: 2,
+            ..Default::default()
+        };
         a.merge(&b);
         assert_eq!(a.cpu_nanos, 15);
         assert_eq!(a.vol_ctx_switches, 5);

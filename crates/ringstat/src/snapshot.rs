@@ -39,35 +39,30 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use crate::hist::LatencyHistogram;
+use crate::counters::SampleMetrics;
+use crate::stage::StageAccount;
 
 /// Bounded retries in [`SnapshotCell::read`] before giving up. A
 /// single-writer cell can only stay torn this long if the writer died
 /// mid-publish, in which case `None` is the honest answer.
 const READ_RETRIES: usize = 64;
 
-/// A worker's live progress snapshot: everything the telemetry endpoints
-/// need, flattened into one `Copy` struct so it can be published through
-/// a [`SnapshotCell`] with a single volatile store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A worker's live progress snapshot: the worker's own record — the
+/// counters and stage account its epoch report will carry, copied whole —
+/// plus what only its telemetry slot knows, in one `Copy` struct published
+/// through a [`SnapshotCell`] with a single volatile store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerSnapshot {
     /// Epoch counter (increments at each `sample_epoch` / loader run).
     pub epoch: u64,
-    /// Mini-batches completed by this worker within the current epoch.
-    pub batches: u64,
     /// Mini-batches assigned to this worker for the current epoch
     /// (0 when unknown, e.g. streaming loaders).
     pub total_batches: u64,
-    /// Target (seed) nodes processed so far.
-    pub targets: u64,
-    /// Frontier nodes whose neighbor lists were sampled.
-    pub sampled_nodes: u64,
-    /// Neighbor entries (edges) sampled.
-    pub sampled_edges: u64,
-    /// Payload bytes read from disk.
-    pub bytes_read: u64,
-    /// Individual read requests submitted to the I/O engine.
-    pub reads_submitted: u64,
+    /// Seed nodes of the batches completed so far.
+    pub seeds: u64,
+    /// True while the worker is actively sampling; flipped off at epoch
+    /// join so the watchdog ignores finished workers.
+    pub active: bool,
     /// Device-backlog gauge: the time-average, over the batch just
     /// finished, of the read requests the worker was blocked behind — Σ over
     /// its I/O groups of (time parked in the engine's blocking wait × the
@@ -75,56 +70,16 @@ pub struct WorkerSnapshot {
     /// batch's latency. 0 when completions were always ready (or the
     /// engine never blocks), and once the worker is inactive.
     pub inflight: u64,
-    /// I/O groups submitted (one `io_uring_enter` batch each).
-    pub io_groups: u64,
-    /// True while the worker is actively sampling; flipped off at epoch
-    /// join so the watchdog ignores finished workers.
-    pub active: bool,
-    /// Cumulative nanoseconds in the submit stage (group forming, SQE
-    /// prep and `io_uring_enter`; `Stage::Submit` of the worker's account).
-    pub submit_nanos: u64,
-    /// Cumulative nanoseconds completing groups (the `Stage::Wait` and
-    /// `Stage::Reap` stages). The ratio `complete / (submit + complete)`
-    /// is the CQ-wait share the congestion detectors trend.
-    pub complete_nanos: u64,
     /// Cumulative thread CPU nanoseconds consumed this epoch
     /// (`CLOCK_THREAD_CPUTIME_ID`, updated per batch once the worker has
-    /// opened its epoch profile; 0 before). The history layer derives CPU share from
-    /// its growth rate, which is what separates `cpu_saturated` from
-    /// `queue_saturated` congestion verdicts.
+    /// opened its epoch profile; 0 before). The history layer derives the
+    /// windowed CPU share from its growth rate.
     pub cpu_nanos: u64,
-    /// Per-batch wall-latency distribution (log2 buckets, lossless
-    /// merge) for the current epoch.
-    pub batch_latency: LatencyHistogram,
-}
-
-impl WorkerSnapshot {
-    /// An all-zero, inactive snapshot.
-    pub const fn new() -> Self {
-        Self {
-            epoch: 0,
-            batches: 0,
-            total_batches: 0,
-            targets: 0,
-            sampled_nodes: 0,
-            sampled_edges: 0,
-            bytes_read: 0,
-            reads_submitted: 0,
-            inflight: 0,
-            io_groups: 0,
-            active: false,
-            submit_nanos: 0,
-            complete_nanos: 0,
-            cpu_nanos: 0,
-            batch_latency: LatencyHistogram::new(),
-        }
-    }
-}
-
-impl Default for WorkerSnapshot {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The worker's counters.
+    pub metrics: SampleMetrics,
+    /// The worker's stage account: the six stage sums and the batch, group
+    /// and CQ-wait histograms.
+    pub account: StageAccount,
 }
 
 /// A single-writer seqlock cell holding one `Copy` value.
@@ -136,8 +91,7 @@ impl Default for WorkerSnapshot {
 /// the read side concurrently. The write side is wait-free; the read
 /// side retries while a write is in progress.
 pub struct SnapshotCell<T> {
-    /// Even ⇒ stable, odd ⇒ write in progress. Monotonically increasing,
-    /// so readers also use it as a cheap progress heartbeat.
+    /// Even ⇒ stable, odd ⇒ write in progress; strictly increasing.
     version: AtomicU64,
     value: UnsafeCell<T>,
 }
@@ -161,7 +115,7 @@ impl<T: Copy + Send> SnapshotCell<T> {
     }
 
     /// Current version counter. Even ⇒ stable; strictly increases with
-    /// every publish, which is what the stall watchdog monitors.
+    /// every publish.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -296,13 +250,12 @@ mod tests {
 
     #[test]
     fn worker_snapshot_defaults_are_zero_and_inactive() {
-        let s = WorkerSnapshot::new();
-        assert_eq!(s.batches, 0);
-        assert_eq!(s.sampled_edges, 0);
+        let s = WorkerSnapshot::default();
+        assert_eq!(s.metrics.batches, 0);
+        assert_eq!(s.metrics.sampled_edges, 0);
         assert_eq!(s.inflight, 0);
         assert!(!s.active);
-        assert_eq!(s.batch_latency.count(), 0);
-        assert_eq!(WorkerSnapshot::default(), s);
+        assert_eq!(s.account.batch_latency.count(), 0);
     }
 
     #[test]
