@@ -3,7 +3,10 @@
 # pipeline and stops at the first failure:
 #
 #   1. release build of every crate
-#   2. the complete test suite (unit + integration + property tests)
+#   2. the complete test suite (unit + integration + property tests), with
+#      TMPDIR under target/ so the cold-file engine tests write to the build
+#      filesystem: on tmpfs POSIX_FADV_DONTNEED drops nothing, and those
+#      tests fail rather than skip when their file stayed cached
 #   3. clippy with warnings denied, which also holds the hot-path
 #      invariants (DESIGN.md §7): every unsafe block and unsafe fn is
 #      documented (workspace-wide); each hot-path file's first line denies
@@ -68,7 +71,8 @@ echo "==> cargo build --release"
 cargo build --workspace --release
 
 echo "==> cargo test"
-cargo test -q --workspace
+mkdir -p "$ROOT/target/tmp"
+TMPDIR="$ROOT/target/tmp" cargo test -q --workspace
 
 echo "==> cargo clippy (-D warnings; hot-path invariants, DESIGN.md §7)"
 cargo clippy --workspace --all-targets -- -D warnings

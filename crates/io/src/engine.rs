@@ -2,10 +2,10 @@
 //! Group-based read engines.
 //!
 //! RingSampler's sampling pipeline works in *I/O groups*: batches of up to
-//! queue-depth scattered reads that are submitted with one syscall and
-//! completed by polling the CQ (paper §3.1, "Overlapping computation and
-//! I/O"). This module defines that contract ([`GroupReader`]) and two
-//! implementations:
+//! queue-depth scattered reads that are submitted with one syscall — two
+//! while the page cache is missing pages, see below — and completed by
+//! polling the CQ (paper §3.1, "Overlapping computation and I/O"). This
+//! module defines that contract ([`GroupReader`]) and two implementations:
 //!
 //! * [`UringReader`] — the real thing, backed by [`crate::ring::Ring`].
 //! * [`PreadReader`] — a portable synchronous fallback with identical
@@ -27,6 +27,20 @@
 //! spells out. A group whose submit fails is orphaned and retires itself
 //! when its last completion is reaped; if the reader's drop cannot drain
 //! the ring, it leaks every filed buffer rather than free one.
+//!
+//! Wait on a page once. A group's reads arrive in file order, so a target's
+//! draws from one neighbour list are adjacent reads of one page. When that
+//! page is not cached, every read after the first finds it locked by the
+//! first and takes io_uring's async buffered-read path (a wait entry, a
+//! wake, task work and a second read), which costs more CPU than the read
+//! itself. So once a group's lend leaves reads in flight past its
+//! `io_uring_enter` — the page cache is missing pages — the next group's
+//! lend holds back each read whose first page is the last page of the read
+//! before it, and [`GroupReader::complete_group`] lends the held reads once
+//! every read lent for their group has been reaped: their pages are then up
+//! to date, and they complete inside one more enter. Every read keeps its
+//! own SQE into its own place in the buffer. On a file the page cache
+//! holds, every lend completes inside its enter and nothing is held.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -37,6 +51,10 @@ use std::time::Instant;
 
 use crate::error::{IoEngineError, Result};
 use crate::ring::{Completion, FileRef, Ring};
+
+/// Page-cache granularity: reads that share a page of this size wait on
+/// one another when it is not cached.
+const PAGE_BYTES: u64 = 4096;
 
 /// One scattered read: `len` bytes at byte `offset` of the reader's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +91,11 @@ pub struct ReaderStats {
     /// the calls that is the device's, not the CPU's. Always 0 for an
     /// engine that reads synchronously at submission.
     pub wait_nanos: u64,
+    /// Reads held back for a page an earlier read of their group was
+    /// fetching, to be lent once it has landed (never, if the group fails
+    /// first). Always 0 for an engine that reads synchronously at
+    /// submission.
+    pub held: u64,
 }
 
 /// A reader that executes scattered-read groups against one file.
@@ -208,6 +231,9 @@ struct Slot {
     reqs: Vec<ReadSlice>,
     /// Reads lent to the kernel whose completions have not been reaped.
     remaining: u32,
+    /// Reads held back from the group's first lend, waiting for the page
+    /// the read before them is fetching; lent once `remaining` is 0.
+    held: u32,
     /// First error observed among the group's completions.
     error: Option<IoEngineError>,
     /// The submit failed, so no token will come back for this group: it
@@ -228,7 +254,15 @@ pub struct UringReader {
     spare_reqs: Vec<Vec<ReadSlice>>,
     /// SQEs prepared whose CQEs have not been reaped: what `Drop` drains.
     outstanding: u64,
+    /// The last group's first lend left reads in flight past its enter:
+    /// the page cache is missing pages, so the next group's holds its
+    /// same-page reads.
+    missing: bool,
     wait_nanos: u64,
+    held: u64,
+    /// Most SQEs ever outstanding at once.
+    #[cfg(test)]
+    peak_outstanding: u64,
 }
 
 impl UringReader {
@@ -254,7 +288,11 @@ impl UringReader {
             groups: SlotTable::new(),
             spare_reqs: Vec::new(),
             outstanding: 0,
+            missing: false,
             wait_nanos: 0,
+            held: 0,
+            #[cfg(test)]
+            peak_outstanding: 0,
         })
     }
 
@@ -318,20 +356,49 @@ impl UringReader {
     }
 
     /// Prepares one SQE per request of the filed group `id`, each pointing
-    /// into the group's buffer, and submits them. Each SQE is counted as it
-    /// is prepared: once published it is the kernel's, submit error or not.
+    /// into its place in the group's buffer, and submits them. The first
+    /// lend of a group holds back its same-page reads while the page cache
+    /// is missing pages; a second lend, once the rest are reaped, sends
+    /// exactly those. Each SQE is counted as it is prepared: once published
+    /// it is the kernel's, submit error or not.
     fn lend(&mut self, id: u64) -> Result<()> {
         let file = if self.registered {
             FileRef::Registered(0)
         } else {
             FileRef::Fd(self.file.as_raw_fd())
         };
+        let sqes = match self.groups.get_mut(id) {
+            Some(slot) if slot.held > 0 => slot.held as usize,
+            Some(slot) => slot.reqs.len(),
+            None => return Err(IoEngineError::InvalidToken(id)),
+        };
+        // Make SQ room if earlier groups still occupy slots.
+        while self.ring.sq_space() < sqes {
+            self.pump_one(true)?;
+        }
         let slot = self
             .groups
             .get_mut(id)
             .ok_or(IoEngineError::InvalidToken(id))?;
+        let held_lend = std::mem::take(&mut slot.held) > 0;
+        // A first lend holds the reads that would wait on the page the read
+        // before them fetches, while pages are missing; the held lend sends
+        // exactly those. Otherwise every read goes out.
+        let split = held_lend || self.missing;
         let mut cursor = 0usize;
+        let mut last_page = None;
         for (i, r) in slot.reqs.iter().enumerate() {
+            if split {
+                let waits = last_page == Some(r.offset / PAGE_BYTES);
+                last_page = Some(r.offset.saturating_add(u64::from(r.len.max(1)) - 1) / PAGE_BYTES);
+                if waits != held_lend {
+                    if !held_lend {
+                        slot.held += 1;
+                    }
+                    cursor += r.len as usize;
+                    continue;
+                }
+            }
             // SAFETY: the destination lies in the buffer of the group filed
             // under `id`, and cursor+len <= buf.len() since the buffer was
             // sized to the sum of the request lengths. The table frees that
@@ -349,7 +416,17 @@ impl UringReader {
             self.outstanding += 1;
             cursor += r.len as usize;
         }
+        self.held += u64::from(slot.held);
+        #[cfg(test)]
+        {
+            self.peak_outstanding = self.peak_outstanding.max(self.outstanding);
+        }
         self.ring.submit()?;
+        // A held lend's pages are known to be up to date: it tells nothing
+        // about the page cache.
+        if !held_lend {
+            self.missing = (self.ring.cq_ready() as u64) < self.outstanding;
+        }
         Ok(())
     }
 
@@ -391,11 +468,6 @@ impl GroupReader for UringReader {
         // Zero-fills only a genuine extension: the reads overwrite the rest.
         buf.resize(total, 0);
 
-        // Make SQ room if earlier groups still occupy slots.
-        while self.ring.sq_space() < reqs.len() {
-            self.pump_one(true)?;
-        }
-
         // Own first, lend second: the group is filed before any SQE points
         // into its buffer, so a failed submit cannot free what it lent.
         let mut table = self.spare_reqs.pop().unwrap_or_default();
@@ -406,6 +478,7 @@ impl GroupReader for UringReader {
             buf,
             reqs: table,
             remaining: 0,
+            held: 0,
             error: None,
             orphaned: false,
         });
@@ -419,11 +492,27 @@ impl GroupReader for UringReader {
     }
 
     fn complete_group(&mut self, token: GroupToken) -> Result<Vec<u8>> {
-        // Completion polling mode: reap what the CQ already holds (no
-        // syscall) and park in the blocking wait only when it is empty.
-        while self.groups.get_mut(token.id).is_some_and(|s| s.remaining > 0) {
-            if !self.pump_one(false)? {
-                self.pump_one(true)?;
+        loop {
+            // Completion polling mode: reap what the CQ already holds (no
+            // syscall) and park in the blocking wait only when it is empty.
+            while self.groups.get_mut(token.id).is_some_and(|s| s.remaining > 0) {
+                if !self.pump_one(false)? {
+                    self.pump_one(true)?;
+                }
+            }
+            // Every lent read is in, so the pages the held ones wait on are
+            // up to date. After a failed read the group fails whole, so its
+            // held reads are never lent.
+            if !self
+                .groups
+                .get_mut(token.id)
+                .is_some_and(|s| s.held > 0 && s.error.is_none())
+            {
+                break;
+            }
+            if let Err(e) = self.lend(token.id) {
+                self.orphan(token.id);
+                return Err(e);
             }
         }
         let slot = self
@@ -441,6 +530,7 @@ impl GroupReader for UringReader {
         ReaderStats {
             syscalls: self.ring.enter_calls(),
             wait_nanos: self.wait_nanos,
+            held: self.held,
         }
     }
 
@@ -549,6 +639,7 @@ impl GroupReader for PreadReader {
         ReaderStats {
             syscalls: self.syscalls,
             wait_nanos: 0,
+            held: 0,
         }
     }
 
@@ -566,6 +657,57 @@ mod tests {
         let data: Vec<u8> = (0..n).flat_map(|x| x.to_le_bytes()).collect();
         std::fs::write(&path, data).unwrap();
         path
+    }
+
+    /// A file of `n` little-endian u32s, each its own index, written back
+    /// and then dropped from the page cache: its reads go to the device.
+    fn write_cold_u32_file(n: u32) -> std::path::PathBuf {
+        let path = write_u32_file(n);
+        let file = File::open(&path).unwrap();
+        file.sync_all().unwrap();
+        #[cfg(target_arch = "x86_64")]
+        const SYS_FADVISE64: libc::c_long = 221;
+        #[cfg(target_arch = "aarch64")]
+        const SYS_FADVISE64: libc::c_long = 223;
+        const POSIX_FADV_DONTNEED: libc::c_long = 4;
+        // SAFETY: fadvise64 takes a descriptor and three integers and
+        // touches no user memory; `file` is open for the call.
+        let r = unsafe {
+            libc::syscall(SYS_FADVISE64, file.as_raw_fd(), 0i64, 0i64, POSIX_FADV_DONTNEED)
+        };
+        assert_eq!(r, 0, "fadvise(DONTNEED): {}", std::io::Error::last_os_error());
+        path
+    }
+
+    /// `runs` runs of `len` adjacent 4-byte reads, each run on its own page
+    /// and the runs `stride` pages apart: what a sorted group of a target's
+    /// draws from one neighbour list looks like.
+    fn same_page_runs(first: u64, runs: u64, len: u64, stride: u64) -> Vec<ReadSlice> {
+        (0..runs)
+            .flat_map(|k| (0..len).map(move |i| ReadSlice::new((first + k * stride) * PAGE_BYTES + i * 12, 4)))
+            .collect()
+    }
+
+    /// The entries `reqs` read from a [`write_u32_file`] file.
+    fn entries_of(reqs: &[ReadSlice]) -> Vec<u8> {
+        reqs.iter().flat_map(|r| ((r.offset / 4) as u32).to_le_bytes()).collect()
+    }
+
+    /// Reads `groups` the way the worker's pipeline does, one group
+    /// submitted ahead of the one being completed, and returns the buffers.
+    fn pipelined(r: &mut dyn GroupReader, groups: &[Vec<ReadSlice>]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut ahead: Option<GroupToken> = None;
+        for g in groups {
+            let t = r.submit_group(g, Vec::new()).unwrap();
+            if let Some(prev) = ahead.replace(t) {
+                out.push(r.complete_group(prev).unwrap());
+            }
+        }
+        if let Some(last) = ahead {
+            out.push(r.complete_group(last).unwrap());
+        }
+        out
     }
 
     fn check_reader(mut r: Box<dyn GroupReader>, n: u32) {
@@ -722,7 +864,9 @@ mod tests {
         let (g1, want1) = group(1);
         let t1 = r.submit_group(&g1, Vec::new()).unwrap();
         // Group 2's SQEs are published, then its enter fails: the next
-        // enter carries them, into group 2's buffer.
+        // enter carries them, into group 2's buffer. All eight of them,
+        // whether or not group 1's reads were still in flight.
+        r.missing = false;
         r.ring.fail_next_submit = true;
         assert!(matches!(
             r.submit_group(&group(2).0, Vec::new()),
@@ -779,6 +923,7 @@ mod tests {
                 buf: Vec::new(),
                 reqs: vec![ReadSlice::new(id * 8, 4), ReadSlice::new(id * 8 + 4, 4)],
                 remaining: 2,
+                held: 0,
                 error: None,
                 orphaned: false,
             });
@@ -818,7 +963,7 @@ mod tests {
         let reqs: Vec<ReadSlice> = (0..8u64).map(|i| ReadSlice::new(i * 4, 4)).collect();
         let mut p = PreadReader::open(&path, 8).unwrap();
         read_group_blocking(&mut p, &reqs, Vec::new()).unwrap();
-        assert_eq!(p.stats(), ReaderStats { syscalls: 8, wait_nanos: 0 });
+        assert_eq!(p.stats(), ReaderStats { syscalls: 8, wait_nanos: 0, held: 0 });
         let mut u = UringReader::open(&path, 8).unwrap();
         let t = u.submit_group(&reqs, Vec::new()).unwrap();
         // Every CQE is reaped by a peek or by the parked wait; only the
@@ -829,6 +974,105 @@ mod tests {
         while u.pump_one(false).unwrap() {}
         assert_eq!(u.stats().wait_nanos, parked);
         u.complete_group(t).unwrap();
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn warm_same_page_runs_hold_nothing() {
+        let path = write_u32_file(1 << 16);
+        let qd = 32u32;
+        let groups: Vec<Vec<ReadSlice>> = (0..8).map(|k| same_page_runs(k * 8, 4, 8, 1)).collect();
+        let mut r = UringReader::open(&path, qd).unwrap();
+        let got = pipelined(&mut r, &groups);
+        for (g, buf) in groups.iter().zip(&got) {
+            assert_eq!(buf, &entries_of(g));
+        }
+        // Every lend completes inside its enter: nothing is held back and
+        // each group costs one syscall.
+        assert!(!r.missing);
+        assert_eq!(r.stats().held, 0);
+        assert_eq!(r.stats().syscalls, groups.len() as u64);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn cold_same_page_runs_wait_on_each_page_once() {
+        // 32 MiB, so runs 64 pages apart each start on a page no readahead
+        // of another run has brought in.
+        let n = 8 << 20;
+        let path = write_cold_u32_file(n);
+        let qd = 32u32;
+        let groups: Vec<Vec<ReadSlice>> =
+            (0..8).map(|k| same_page_runs(k * 4 * 64, 4, 8, 64)).collect();
+        let mut r = UringReader::open(&path, qd).unwrap();
+        let got = pipelined(&mut r, &groups);
+        let mut p = PreadReader::open(&path, qd).unwrap();
+        assert_eq!(got, pipelined(&mut p, &groups));
+        // Each group's lend is a chance to find reads in flight past its
+        // enter (a busy host can post a read's completion before the enter
+        // returns); missing all eight means the file stayed cached.
+        assert!(
+            r.stats().held > 0,
+            "no lend of a dropped file left a read in flight: \
+             POSIX_FADV_DONTNEED took no effect (is TMPDIR on tmpfs?)"
+        );
+        assert_eq!(r.outstanding, 0);
+        assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
+        // A held read is lent only after its group's other reads are reaped,
+        // so the two groups in flight never outgrow the CQ (2 × depth).
+        assert!(r.peak_outstanding <= 2 * u64::from(qd), "{}", r.peak_outstanding);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn held_reads_behind_a_failed_read_are_never_lent() {
+        let path = write_u32_file(4);
+        let mut r = UringReader::open(&path, 8).unwrap();
+        // Past EOF: one read lent, the two on its page held.
+        let eof = [0, 4, 8].map(|i| ReadSlice::new((1 << 20) + i, 4));
+        r.missing = true;
+        let t = r.submit_group(&eof, Vec::new()).unwrap();
+        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.held)), Some((1, 2)));
+        assert_eq!(r.outstanding, 1, "a held read is counted once it is queued");
+        assert!(matches!(
+            r.complete_group(t),
+            Err(IoEngineError::ShortRead { offset: 1_048_576, .. })
+        ));
+        assert_eq!((r.stats().held, r.peak_outstanding), (2, 1), "a held read went out behind a failed one");
+        assert_eq!(r.outstanding, 0);
+        assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
+        let reqs = [ReadSlice::new(4, 4), ReadSlice::new(12, 4)];
+        assert_eq!(read_group_blocking(&mut r, &reqs, Vec::new()).unwrap(), entries_of(&reqs));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn failed_held_lend_frees_nothing_the_kernel_writes() {
+        let path = write_u32_file(1_000);
+        let mut r = UringReader::open(&path, 32).unwrap();
+        let g1 = same_page_runs(0, 1, 8, 1);
+        r.missing = true;
+        let t1 = r.submit_group(&g1, Vec::new()).unwrap();
+        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.held)), Some((1, 7)));
+        // The held reads' SQEs are published, then their enter fails: the
+        // next enter carries them, into group 1's buffer.
+        r.ring.fail_next_submit = true;
+        assert!(matches!(
+            r.complete_group(t1),
+            Err(IoEngineError::Ring { op: "enter", .. })
+        ));
+        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.orphaned)), Some((7, true)));
+        for k in [2, 3] {
+            let reqs: Vec<ReadSlice> = (0..4).map(|i| ReadSlice::new(k * 4 + i * 12, 4)).collect();
+            assert_eq!(read_group_blocking(&mut r, &reqs, Vec::new()).unwrap(), entries_of(&reqs));
+        }
+        while r.outstanding > 0 {
+            r.pump_one(true).unwrap();
+        }
+        // Group 1 took its own completions and retired with the last one:
+        // it pins no slot.
+        assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
+        assert_eq!(r.groups.next_id(), 4);
         std::fs::remove_file(path).ok();
     }
 

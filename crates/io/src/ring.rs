@@ -318,8 +318,9 @@ impl Ring {
 
     /// Queues a `pread`-style read of `len` bytes from `file` at byte
     /// `offset` into `buf`: the one way memory is lent to a ring. Its only
-    /// non-test caller is `UringReader::lend`, which `submit_group` runs
-    /// only after filing the group that owns the buffer.
+    /// non-test caller is `UringReader::lend`, which runs only while the
+    /// group that owns the buffer is filed: from `submit_group` for a
+    /// group's first reads, from `complete_group` for its held ones.
     ///
     /// # Errors
     /// [`IoEngineError::SubmissionQueueFull`] if no SQ slot is free.
@@ -408,6 +409,19 @@ impl Ring {
                 user_data: cqe.user_data,
                 result: cqe.res,
             })
+        }
+    }
+
+    /// Completions waiting in the CQ: reads that have landed and are not yet
+    /// reaped. Right after a submit, fewer of these than reads lent means
+    /// some went to the device.
+    pub fn cq_ready(&self) -> usize {
+        // SAFETY: cq_head/cq_tail point into the live mapping.
+        unsafe {
+            // ordering: cq_head's sole writer is this thread; the kernel only reads it, so no acquire is needed
+            let head = (*self.cq_head).load(Ordering::Relaxed);
+            let tail = (*self.cq_tail).load(Ordering::Acquire);
+            tail.wrapping_sub(head) as usize
         }
     }
 

@@ -151,6 +151,15 @@ pub fn ring_entry(src: &str) -> Option<usize> {
         .map(|(n, _, _)| n)
 }
 
+/// The non-test lines of `src` that call `name(..)`.
+pub fn call_sites(src: &str, name: &str) -> Vec<usize> {
+    code_lines(src)
+        .into_iter()
+        .filter(|(_, code, _)| calls(code, name))
+        .map(|(n, _, _)| n)
+        .collect()
+}
+
 /// Every `Arc<Atomic*>` in the non-test part of `src`: a shared mutable
 /// cell smuggled past the lock ban, where hot-path state is per worker.
 pub fn shared_atomics(file: &str, src: &str) -> Vec<Finding> {

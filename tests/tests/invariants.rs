@@ -3,8 +3,8 @@
 //! `ringsampler_integration::rules`; `fixtures_test.rs` shows each check
 //! catching a bad module.
 
-use ringsampler_integration::repo_root;
-use ringsampler_integration::rules::{check_workspace, ring_entry, sort_reasons};
+use ringsampler_integration::rules::{call_sites, check_workspace, ring_entry, sort_reasons};
+use ringsampler_integration::{crate_sources, repo_root};
 
 /// Fails on any finding of the given rules.
 fn assert_clean(rules: &[&str]) {
@@ -35,6 +35,31 @@ fn every_ring_entry_caller_is_hot_path() {
         let src = std::fs::read_to_string(root.join(rel)).expect(rel);
         assert!(ring_entry(&src).is_some(), "{rel} no longer enters a ring");
     }
+}
+
+/// `Ring::prepare_read` is the one way memory is lent to a ring, and
+/// `UringReader::lend` its one caller: a group's first reads and its held
+/// same-page reads go out through the same loan of the filed buffer
+/// (DESIGN.md §11).
+#[test]
+fn one_lend_site() {
+    let root = repo_root();
+    let mut sites = Vec::new();
+    for rel in crate_sources(&root) {
+        let src = std::fs::read_to_string(root.join(&rel)).expect(&rel);
+        for line in call_sites(&src, "prepare_read") {
+            // The innermost `fn` opened above the call.
+            let owner = src
+                .lines()
+                .take(line)
+                .filter_map(|l| l.split_whitespace().skip_while(|w| *w != "fn").nth(1))
+                .last()
+                .and_then(|name| name.split(['(', '<']).next())
+                .map(str::to_owned);
+            sites.push((rel.clone(), owner));
+        }
+    }
+    assert_eq!(sites, [("crates/io/src/engine.rs".to_owned(), Some("lend".to_owned()))]);
 }
 
 /// `Arc<AtomicX>` is a shared mutable cell smuggled past the lock ban:
