@@ -26,7 +26,9 @@
 #      flight-recorder dump is fed through the ringtrace analyzer with
 #      --assert-coverage 0.99: per-stage attribution (sample/plan/submit/
 #      wait/reap/scatter) sums to the end-to-end batch latency exactly
-#      unless the recorder dropped events (see DESIGN.md §12)
+#      unless the recorder dropped events (see DESIGN.md §12); run once
+#      under the default naive plan and once with RS_READ_PLAN=coalesce,
+#      so the planner's own stage is held to the ledger too
 #   6. config-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
 #      crates/**/*.rs may not exceed 10 (33 before the ring-mode ladder was
 #      removed, 25 before the RS_CONGESTION_* overrides were, 17 before
@@ -136,13 +138,16 @@ curl -fsS "http://$ADDR/progress" | grep -q '"fleet"' || fail "/progress missing
 stop_fig4
 echo "    ringscope smoke ok (/metrics and /progress counting edges, /healthz)"
 
-echo "==> ringtrace smoke (fig4_overall --trace-events, stage coverage >= 99%)"
-TRACE_DUMP="$(mktemp -d)/fig4-events.json"
-RS_SCALE=100000 RS_TARGETS=200 RS_EPOCHS=1 RS_THREADS=2 \
-RS_DATA_DIR="$(mktemp -d)" \
-    "$BIN"/fig4_overall --trace-events "$TRACE_DUMP" >/dev/null
-"$BIN"/ringtrace "$TRACE_DUMP" --assert-coverage 0.99 >/dev/null
-echo "    ringtrace smoke ok (stage attribution covers >= 99% of batch time)"
+echo "==> ringtrace smoke (fig4_overall --trace-events, stage coverage >= 99%, naive and coalesced plans)"
+for PLAN in off coalesce; do
+    TRACE_DUMP="$(mktemp -d)/fig4-events.json"
+    RS_SCALE=100000 RS_TARGETS=200 RS_EPOCHS=1 RS_THREADS=2 RS_READ_PLAN="$PLAN" \
+    RS_DATA_DIR="$(mktemp -d)" \
+        "$BIN"/fig4_overall --trace-events "$TRACE_DUMP" >/dev/null
+    "$BIN"/ringtrace "$TRACE_DUMP" --assert-coverage 0.99 >/dev/null \
+        || fail "ringtrace: stage coverage below 99% under RS_READ_PLAN=$PLAN"
+done
+echo "    ringtrace smoke ok (stage attribution covers >= 99% of batch time under both plans)"
 
 echo "==> config-surface ratchet (RS_*/RINGSAMPLER_* names <= 10, SamplerConfig fields <= 13, TelemetryConfig fields <= 2, #[expect( <= 10)"
 KNOBS="$(grep -rhoE '\b(RS|RINGSAMPLER)_[A-Z0-9_]*[A-Z0-9]\b' "$ROOT/crates" --include='*.rs' | sort -u)"

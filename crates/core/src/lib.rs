@@ -46,7 +46,6 @@ pub mod block;
 pub mod cache;
 pub mod config;
 pub mod engine;
-pub mod layerwise;
 pub mod error;
 mod hotset;
 pub mod memory;
@@ -60,7 +59,6 @@ pub mod worker;
 pub use block::{BatchSample, LayerSample};
 pub use config::{CachePolicy, PipelineMode, SamplerConfig};
 pub use engine::{epoch_targets, RingSampler};
-pub use layerwise::LayerwisePlan;
 pub use error::{Result, SamplerError};
 pub use memory::{parse_budget, MemoryBudget, MemoryCharge};
 pub use metrics::{EpochReport, ResourceReport, SampleMetrics, WorkerResources, WorkerStats};

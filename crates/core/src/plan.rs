@@ -8,24 +8,28 @@
 //! same 4 KiB SSD page. The [`ReadPlanner`] turns a layer's raw entry list
 //! into a minimal request list:
 //!
-//! 1. **Order** a scratch index permutation by entry value (never the
-//!    entries themselves — `src_pos` alignment in the caller must survive
-//!    planning). A node-wise layer arrives as one run of draws per target,
+//! 1. **Order** a scratch index permutation (never the entries themselves
+//!    — `src_pos` alignment in the caller must survive planning) into
+//!    *slice order*: the entries of each planned slice together, slices
+//!    ascending. A node-wise layer arrives as one run of draws per target,
 //!    and targets' offset ranges are disjoint and ascend with node id, so
-//!    over a sorted frontier sorting each run is sorting the layer
-//!    ([`sort_by_runs`]); anything else takes one comparison sort.
+//!    over a sorted frontier only a run that straddles a slice boundary
+//!    needs sorting: [`ReadPlanner::plan_slices`] takes every other run
+//!    whole, in draw order, from its least and greatest entry. Runs that
+//!    do not ascend, and [`ReadPlanner::plan`], take one comparison sort.
 //! 2. **Coalesce** in one greedy pass: an exact repeat is served by the
 //!    read that already covers it, and runs whose byte extents fall within
 //!    a configurable gap threshold (default: one 4 KiB page; `0` merges
 //!    only repeats and exact neighbours, so no junk byte is read) become
 //!    single larger [`ReadSlice`]s, bounded by [`MAX_COALESCED_BYTES`].
-//! 3. Expose the sorted order ([`ReadPlanner::perm`]): slices are sorted
+//! 3. Expose the slice order ([`ReadPlanner::perm`]): slices are sorted
 //!    and disjoint, so the entries one slice serves are a contiguous run of
-//!    `perm`, and the worker decodes each completed slice straight into the
-//!    output slots of its run — no payload is ever concatenated. The
-//!    **scatter map** (every original position's byte offset inside the
-//!    concatenation of all slices) is kept for callers that do materialise
-//!    the payload (the benchmark's layer walk, the planner's own oracle).
+//!    `perm`, in any order within it, and the worker decodes each completed
+//!    slice straight into the output slots of its run — no payload is ever
+//!    concatenated. The **scatter map** (every original position's byte
+//!    offset inside the concatenation of all slices) is kept for callers
+//!    that do materialise the payload (the benchmark's layer walk, the
+//!    planner's own oracle).
 //!
 //! All scratch is reused across calls; the planner's footprint is
 //! `O(layer width)` — 4 bytes per entry plus the slice list, 12 with the
@@ -146,17 +150,17 @@ impl PlanStats {
 }
 
 /// Sorts `order` — input positions, ascending on entry — by `key`, run by
-/// run. Run `k` holds the positions at or above `run_ends[k - 1]` and below
-/// `run_ends[k]`; the positions past the last end form one final run, so
-/// empty `run_ends` make the whole of `order` one run.
+/// run, leaving ties in any order. Run `k` holds the positions at or above
+/// `run_ends[k - 1]` and below `run_ends[k]`; the positions past the last
+/// end form one final run, so empty `run_ends` make the whole of `order`
+/// one run.
 ///
-/// Each run is sorted on its own. When every non-empty run then starts at
-/// or above the key the previous one ended on, the runs already are the
-/// sorted whole and no comparison crossed a run; otherwise the whole of
-/// `order` is sorted once. Returns whether the runs held. The check is on
-/// keys, so a zero-degree target's empty run and a with-replacement run's
-/// repeats never break it; first-layer seeds in caller order and
-/// duplicate seeds usually do.
+/// Only a run whose keys differ is sorted: keyed by page, just the runs
+/// that cross a page boundary. When every non-empty run starts at or above
+/// the key the previous one ended on, the runs already are the sorted
+/// whole; otherwise the whole of `order` is sorted once. Returns whether
+/// the runs held. The check is on keys, so empty runs and repeats never
+/// break it; first-layer seeds in caller order usually do.
 pub fn sort_by_runs(order: &mut [u32], run_ends: &[u32], key: impl Fn(u32) -> u64) -> bool {
     let mut rest = &mut *order;
     let mut floor = 0u64;
@@ -165,15 +169,19 @@ pub fn sort_by_runs(order: &mut [u32], run_ends: &[u32], key: impl Fn(u32) -> u6
         let len = rest.iter().position(|&p| p >= end).unwrap_or(rest.len());
         let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
         rest = tail;
-        // sort: one target's draws, at most its fanout; std sorts a run this
-        // short by insertion.
-        run.sort_unstable_by_key(|&p| key(p));
-        if let (Some(&first), Some(&last)) = (run.first(), run.last()) {
-            if key(first) < floor {
-                held = false;
-                break;
-            }
-            floor = key(last);
+        if run.is_empty() {
+            continue;
+        }
+        let (lo, hi) = key_range(run.iter().map(|&p| key(p)));
+        if lo < floor {
+            held = false;
+            break;
+        }
+        floor = hi;
+        if lo < hi {
+            // sort: one target's draws, at most its fanout; std sorts a run
+            // this short by insertion.
+            run.sort_unstable_by_key(|&p| key(p));
         }
     }
     if !held {
@@ -184,11 +192,81 @@ pub fn sort_by_runs(order: &mut [u32], run_ends: &[u32], key: impl Fn(u32) -> u6
     held
 }
 
+/// The least and greatest of `keys`; `(u64::MAX, 0)` when there are none.
+fn key_range(keys: impl Iterator<Item = u64>) -> (u64, u64) {
+    // A plain loop: a `fold` over the pair measured twice as slow.
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for k in keys {
+        lo = lo.min(k);
+        hi = hi.max(k);
+    }
+    (lo, hi)
+}
+
+/// The greedy left-to-right merge: entries arrive as byte offsets in
+/// ascending order (repeats allowed), and each joins the open slice or
+/// closes it and opens the next.
+struct Merge {
+    stride: u64,
+    gap: u64,
+    /// The open slice as (start byte, end byte, payload byte of its start).
+    open: Option<(u64, u64, u64)>,
+    /// Payload bytes of the closed slices.
+    payload: u64,
+}
+
+impl Merge {
+    fn new(stride: u64, gap: u64) -> Self {
+        Merge { stride, gap, open: None, payload: 0 }
+    }
+
+    /// The open slice's start, if an entry at byte `b` joins it: `b` lies
+    /// within `gap` past its end and the grown slice keeps to the cap. An
+    /// entry already inside the extent (a repeat) never grows it and always
+    /// joins.
+    fn joins(&self, b: u64) -> Option<u64> {
+        let (start, end, _) = self.open?;
+        let fits = b + self.stride <= end || b + self.stride - start <= MAX_COALESCED_BYTES;
+        (b <= end.saturating_add(self.gap) && fits).then_some(start)
+    }
+
+    /// Whether entries from byte `lo` to byte `hi` all land in the slice
+    /// `lo` joins or opens: each starts within `gap` of the end of `lo`'s
+    /// extent and none reaches past the cap, so taking `lo` and `hi` alone
+    /// builds the slice the sorted merge does.
+    fn takes_whole(&self, lo: u64, hi: u64) -> bool {
+        let start = self.joins(lo).unwrap_or(lo);
+        hi - lo <= self.gap + self.stride && hi + self.stride - start <= MAX_COALESCED_BYTES
+    }
+
+    /// Takes the entry at byte `b`, at or above every entry taken so far,
+    /// and returns its byte in the concatenated payload.
+    fn take(&mut self, b: u64, slices: &mut Vec<ReadSlice>) -> u64 {
+        if let (Some(start), Some((_, end, pbase))) = (self.joins(b), &mut self.open) {
+            *end = (*end).max(b + self.stride);
+            return *pbase + (b - start);
+        }
+        self.close(slices);
+        self.open = Some((b, b + self.stride, self.payload));
+        self.payload
+    }
+
+    /// Closes the open slice, if any, onto `slices`; returns the payload
+    /// bytes of every slice closed so far.
+    fn close(&mut self, slices: &mut Vec<ReadSlice>) -> u64 {
+        if let Some((start, end, _)) = self.open.take() {
+            slices.push(ReadSlice::new(start, (end - start) as u32));
+            self.payload += end - start;
+        }
+        self.payload
+    }
+}
+
 /// Reusable read-plan builder. One per worker; all scratch survives across
 /// layers and epochs so steady-state planning allocates nothing.
 #[derive(Debug, Default)]
 pub struct ReadPlanner {
-    /// Input positions sorted by entry value (empty after an `Off` plan).
+    /// Input positions in slice order (empty after an `Off` plan).
     perm: Vec<u32>,
     /// The planned request list, sorted by offset, non-overlapping.
     slices: Vec<ReadSlice>,
@@ -209,10 +287,11 @@ impl ReadPlanner {
         &self.slices
     }
 
-    /// The input positions of the last [`ReadPlanner::plan`] call, sorted by
-    /// entry value: the entries slice `k` serves are the run of `perm` that
-    /// follows slice `k - 1`'s. Empty after an `Off` (identity) plan, whose
-    /// slice `k` serves exactly position `k`.
+    /// The input positions of the last plan in slice order: the entries
+    /// slice `k` serves are the run of `perm` that follows slice `k - 1`'s,
+    /// in any order within the run ([`ReadPlanner::plan`] sorts them by
+    /// entry value). Empty after an `Off` (identity) plan, whose slice `k`
+    /// serves exactly position `k`.
     pub fn perm(&self) -> &[u32] {
         &self.perm
     }
@@ -246,15 +325,31 @@ impl ReadPlanner {
         stride: u32,
         mode: ReadPlanMode,
     ) -> PlanStats {
-        self.build(entries, &[], base, stride, mode, true)
+        let (mut stats, merge) = self.start(entries, base, stride, mode);
+        let Some(merge) = merge else {
+            self.scatter.extend((0..entries.len() as u64).map(|i| i * u64::from(stride)));
+            return stats;
+        };
+        self.scatter.resize(entries.len(), 0);
+        stats.planned_bytes = self.merge_sorted(entries, base, merge);
+        stats.planned_reads = self.slices.len() as u64;
+        stats
     }
 
-    /// [`ReadPlanner::plan`] without the scatter map (left empty), ordering
-    /// `entries` by the runs `run_ends` cut them into (see [`sort_by_runs`];
-    /// `&[]` is one run): the same slices, stats and sorted entry sequence.
-    /// For a caller that decodes slice by slice through
-    /// [`ReadPlanner::perm`] and never concatenates the payload, the map is
-    /// 8 bytes of scratch and one random store per entry for nothing.
+    /// [`ReadPlanner::plan`] without the scatter map (left empty), for
+    /// `entries` cut into runs by `run_ends` (one per target, as in
+    /// [`sort_by_runs`]; `&[]` is one run): the same slices and stats, with
+    /// [`ReadPlanner::perm`] in slice order. For a caller that decodes
+    /// slice by slice through `perm` and never concatenates the payload,
+    /// the map is 8 bytes of scratch and one random store per entry for
+    /// nothing.
+    ///
+    /// One pass takes each run's least and greatest entry. A run that lands
+    /// whole in one slice — the open one, or the one it opens — joins it in
+    /// draw order; only a run that straddles a slice boundary (a hub whose
+    /// draws spread wider than `gap`, or a run that crosses the 64 KiB cap)
+    /// is sorted and merged entry by entry. Runs that do not ascend (the
+    /// first layer's caller-ordered seeds) take one comparison sort.
     pub fn plan_slices(
         &mut self,
         entries: &[u64],
@@ -263,113 +358,113 @@ impl ReadPlanner {
         stride: u32,
         mode: ReadPlanMode,
     ) -> PlanStats {
-        self.build(entries, run_ends, base, stride, mode, false)
+        let (mut stats, merge) = self.start(entries, base, stride, mode);
+        let Some(mut merge) = merge else {
+            return stats;
+        };
+        let byte = |e: u64| base + e * u64::from(stride);
+        let key = |i: u32| entries.get(i as usize).copied().unwrap_or(u64::MAX);
+        let mut floor = 0u64;
+        let mut lo = 0usize;
+        let mut held = true;
+        for end in run_ends.iter().map(|&e| e as usize).chain([entries.len()]) {
+            let hi = end.clamp(lo, entries.len());
+            // `perm` is still the identity: a run's positions are its own.
+            let (Some(run), Some(order)) = (entries.get(lo..hi), self.perm.get_mut(lo..hi))
+            else {
+                break;
+            };
+            lo = hi;
+            if run.is_empty() {
+                continue;
+            }
+            let (least, most) = key_range(run.iter().copied());
+            if least < floor {
+                held = false;
+                break;
+            }
+            floor = most;
+            if merge.takes_whole(byte(least), byte(most)) {
+                merge.take(byte(least), &mut self.slices);
+                merge.take(byte(most), &mut self.slices);
+            } else {
+                // sort: one target's draws, at most its fanout, and only when
+                // they straddle a slice boundary.
+                order.sort_unstable_by_key(|&i| key(i));
+                for &i in order.iter() {
+                    merge.take(byte(key(i)), &mut self.slices);
+                }
+            }
+        }
+        stats.planned_bytes = if held {
+            merge.close(&mut self.slices)
+        } else {
+            self.merge_sorted(entries, base, Merge::new(merge.stride, merge.gap))
+        };
+        stats.planned_reads = self.slices.len() as u64;
+        stats
     }
 
-    fn build(
+    /// Sorts `perm` by entry value and merges every entry in that order
+    /// into fresh slices, filling the scatter map if it is sized; returns
+    /// the payload bytes.
+    fn merge_sorted(&mut self, entries: &[u64], base: u64, mut merge: Merge) -> u64 {
+        // An out-of-range key sorts last (`unwrap_or(0)` measured ~1.7x
+        // slower to sort by).
+        let key = |i: u32| entries.get(i as usize).copied().unwrap_or(u64::MAX);
+        // sort: `plan`, the whole-layer planner behind the scatter map (the
+        // benchmark's layer walk), and the fallback for a layer whose runs do
+        // not ascend (the first layer's caller-ordered seeds).
+        self.perm.sort_unstable_by_key(|&i| key(i));
+        self.slices.clear();
+        for &pi in &self.perm {
+            let at = merge.take(base + key(pi) * merge.stride, &mut self.slices);
+            if let Some(s) = self.scatter.get_mut(pi as usize) {
+                *s = at;
+            }
+        }
+        merge.close(&mut self.slices)
+    }
+
+    /// Clears the last plan and returns the naive plan's stats — one read
+    /// per entry — with a merge to plan `entries` by, over an identity
+    /// `perm`. Without a merge the naive plan is built, one slice per entry
+    /// in input order: under `Off`, for an empty layer, and for one too
+    /// wide for the `u32` permutation (> 4 Gi entries, which no supported
+    /// batch/fanout config reaches; degrading beats truncating).
+    fn start(
         &mut self,
         entries: &[u64],
-        run_ends: &[u32],
         base: u64,
         stride: u32,
         mode: ReadPlanMode,
-        want_scatter: bool,
-    ) -> PlanStats {
+    ) -> (PlanStats, Option<Merge>) {
         let n = entries.len();
-        let stride64 = u64::from(stride);
-        let mut stats = PlanStats {
+        let bytes = n as u64 * u64::from(stride);
+        let stats = PlanStats {
             naive_reads: n as u64,
-            planned_reads: 0,
-            naive_bytes: n as u64 * stride64,
-            planned_bytes: 0,
+            planned_reads: n as u64,
+            naive_bytes: bytes,
+            planned_bytes: bytes,
         };
         self.slices.clear();
         self.scatter.clear();
         self.perm.clear();
-
-        // Positions must fit the u32 scratch permutation; a layer this wide
-        // (> 4 Gi entries) cannot occur under any supported batch/fanout
-        // config, but degrade to the naive plan rather than truncate.
-        let gap = match mode {
-            ReadPlanMode::Coalesce { gap } if n > 0 && n <= u32::MAX as usize => u64::from(gap),
+        match mode {
+            ReadPlanMode::Coalesce { gap } if n > 0 && n <= u32::MAX as usize => {
+                self.perm.extend(0..n as u32);
+                (stats, Some(Merge::new(u64::from(stride), u64::from(gap))))
+            }
             _ => {
                 self.slices.reserve(n);
                 self.slices.extend(
                     entries
                         .iter()
-                        .map(|&e| ReadSlice::new(base + e * stride64, stride)),
+                        .map(|&e| ReadSlice::new(base + e * u64::from(stride), stride)),
                 );
-                if want_scatter {
-                    self.scatter.extend((0..n as u64).map(|i| i * stride64));
-                }
-                stats.planned_reads = n as u64;
-                stats.planned_bytes = n as u64 * stride64;
-                return stats;
-            }
-        };
-
-        // With no scatter map to fill, the `get_mut` stores below find no slot.
-        if want_scatter {
-            self.scatter.resize(n, 0);
-        }
-        self.perm.extend(0..n as u32);
-        // The order of equal entries is irrelevant: they scatter to the same
-        // payload byte.
-        sort_by_runs(&mut self.perm, run_ends, |i| {
-            entries.get(i as usize).copied().unwrap_or(u64::MAX)
-        });
-
-        // Greedy left-to-right merge over the sorted view. `cur` tracks the
-        // open slice as (start byte, end byte, payload base).
-        let mut payload = 0u64;
-        let mut cur: Option<(u64, u64, u64)> = None;
-        for &pi in &self.perm {
-            let e = entries.get(pi as usize).copied().unwrap_or(0);
-            let b = base + e * stride64;
-            let merged = match cur {
-                // Bridge up to `gap` bytes past the open slice's end, as
-                // long as the merged extent respects the cap. An entry
-                // already inside the extent (duplicate) never grows it and
-                // always merges.
-                Some((start, end, pbase))
-                    if b <= end.saturating_add(gap)
-                        && (b + stride64 <= end
-                            || b + stride64 - start <= MAX_COALESCED_BYTES) =>
-                {
-                    Some(pbase)
-                }
-                _ => None,
-            };
-            match (merged, &mut cur) {
-                (Some(pbase), Some((start, end, _))) => {
-                    if b + stride64 > *end {
-                        *end = b + stride64;
-                    }
-                    if let Some(s) = self.scatter.get_mut(pi as usize) {
-                        *s = pbase + (b - *start);
-                    }
-                }
-                _ => {
-                    // Close the open slice and start a new one at `b`.
-                    if let Some((start, end, _)) = cur.take() {
-                        self.slices.push(ReadSlice::new(start, (end - start) as u32));
-                        payload += end - start;
-                    }
-                    cur = Some((b, b + stride64, payload));
-                    if let Some(s) = self.scatter.get_mut(pi as usize) {
-                        *s = payload;
-                    }
-                }
+                (stats, None)
             }
         }
-        if let Some((start, end, _)) = cur.take() {
-            self.slices.push(ReadSlice::new(start, (end - start) as u32));
-            payload += end - start;
-        }
-
-        stats.planned_reads = self.slices.len() as u64;
-        stats.planned_bytes = payload;
-        stats
     }
 }
 

@@ -76,8 +76,8 @@ pub struct SamplerWorker {
     buf_pool: Vec<Vec<u8>>,
     /// Recycled per-group request lists (at most `queue_depth` each).
     req_pool: Vec<Vec<ReadSlice>>,
-    /// Read-plan builder (sort/dedup/coalesce scratch + sorted order).
-    planner: ReadPlanner,
+    /// The plan and the hot-set misses of the layer being fetched.
+    fetch: FetchScratch,
     workspace_charge: MemoryCharge,
     charged_bytes: u64,
     /// Requests handed to the reader and not yet got back (what
@@ -128,6 +128,26 @@ struct InFlight {
     id: u64,
     /// Start of the group's submit lap.
     since: Instant,
+}
+
+/// A fetch's reusable scratch, lent out of the worker for the length of
+/// one fetch and kept across layers, so it is charged with the rest of the
+/// workspace.
+#[derive(Debug, Default)]
+struct FetchScratch {
+    /// Read-plan builder (merge scratch + slice order).
+    planner: ReadPlanner,
+    /// Output positions of the entries the hot set missed, in page order.
+    misses: Vec<u32>,
+    /// The unique pages the misses fall on, ascending.
+    pages: Vec<u64>,
+}
+
+impl FetchScratch {
+    /// Bytes of scratch currently held.
+    fn bytes(&self) -> usize {
+        self.planner.scratch_bytes() + self.misses.capacity() * 4 + self.pages.capacity() * 8
+    }
 }
 
 /// Per-worker publish state for live telemetry (cold fields read every
@@ -230,7 +250,7 @@ impl SamplerWorker {
             run_ends: Vec::new(),
             buf_pool: Vec::new(),
             req_pool: Vec::new(),
-            planner: ReadPlanner::new(),
+            fetch: FetchScratch::default(),
             workspace_charge,
             charged_bytes: base,
             inflight_reqs: 0,
@@ -354,11 +374,6 @@ impl SamplerWorker {
                 account: self.account,
             });
         }
-    }
-
-    /// The graph this worker samples from.
-    pub(crate) fn graph_handle(&self) -> &OnDiskGraph {
-        &self.graph
     }
 
     /// Length of the edge file when this worker opened it.
@@ -531,8 +546,10 @@ impl SamplerWorker {
     /// Fetches the neighbor values at `entry_indices` from the edge file:
     /// the single plan → read → scatter path of every configuration.
     /// `run_ends` cuts the entries into runs (one per target, see
-    /// [`sort_by_runs`]; `&[]` for one run) that every ordering below
-    /// sorts within, crossing runs only when they do not ascend.
+    /// [`sort_by_runs`]; `&[]` for one run). Every ordering below sorts a
+    /// run only when it crosses a boundary the read cares about — a slice
+    /// for the planner, a page for the hot-set misses — and crosses runs
+    /// only when they do not ascend.
     ///
     /// 1. **Hot set** (when the sampler has one): resident pages answer
     ///    their entries; the misses, ordered run by run into page order,
@@ -552,14 +569,14 @@ impl SamplerWorker {
         entry_indices: &[u64],
         run_ends: &[u32],
     ) -> Result<Vec<NodeId>> {
-        // The scatter step borrows the planner and the hot set while the
-        // executor borrows the rest of the worker; both are handed back
-        // before an error propagates so the planner's capacity (and its
+        // The scatter step borrows the fetch scratch and the hot set while
+        // the executor borrows the rest of the worker; both are handed back
+        // before an error propagates so the scratch's capacity (and its
         // workspace charge) survives a failed batch.
-        let mut planner = std::mem::take(&mut self.planner);
+        let mut scratch = std::mem::take(&mut self.fetch);
         let hot = self.hot.take();
-        let res = self.fetch_through(entry_indices, run_ends, &mut planner, hot.as_deref());
-        self.planner = planner;
+        let res = self.fetch_through(entry_indices, run_ends, &mut scratch, hot.as_deref());
+        self.fetch = scratch;
         self.hot = hot;
         res
     }
@@ -568,9 +585,10 @@ impl SamplerWorker {
         &mut self,
         entries: &[u64],
         run_ends: &[u32],
-        planner: &mut ReadPlanner,
+        scratch: &mut FetchScratch,
         hot: Option<&HotSet>,
     ) -> Result<Vec<NodeId>> {
+        let FetchScratch { planner, misses, pages } = scratch;
         let n = entries.len();
         if n > u32::MAX as usize {
             return Err(SamplerError::Internal("layer wider than 2^32 entries"));
@@ -581,7 +599,8 @@ impl SamplerWorker {
         let byte_at = |i: u32| entries.get(i as usize).map_or(u64::MAX, |&e| byte_of(e));
         let mut out = vec![0 as NodeId; n];
         // Output positions of the entries still to read, ascending.
-        let mut misses: Vec<u32> = Vec::new();
+        misses.clear();
+        pages.clear();
         if let Some(hot) = hot {
             for (i, (&e, slot)) in (0u32..).zip(entries.iter().zip(out.iter_mut())) {
                 let byte = byte_of(e);
@@ -603,9 +622,8 @@ impl SamplerWorker {
             // Page order is all the scatter needs: the requests are whole
             // pages, ascending, so each one's entries are a run of `misses`.
             // A target's misses are a subsequence of its run, so the runs
-            // order them.
-            sort_by_runs(&mut misses, run_ends, byte_at);
-            let mut pages: Vec<u64> = Vec::new();
+            // order them, and only a run whose misses span pages is sorted.
+            sort_by_runs(misses, run_ends, |i| page_of(byte_at(i)).0);
             for page in misses.iter().map(|&i| page_of(byte_at(i)).0) {
                 if pages.last() != Some(&page) {
                     pages.push(page);
@@ -628,7 +646,7 @@ impl SamplerWorker {
                 ReadPlanMode::Coalesce { .. } => ReadPlanMode::Coalesce { gap: 0 },
                 ReadPlanMode::Off => ReadPlanMode::Off,
             };
-            let stats = planner.plan_slices(&pages, &[], 0, PAGE_SIZE as u32, page_mode);
+            let stats = planner.plan_slices(pages, &[], 0, PAGE_SIZE as u32, page_mode);
             (pages.len(), (!page_mode.is_off()).then_some(stats))
         } else if mode.is_off() {
             (n, None)
@@ -741,7 +759,7 @@ impl SamplerWorker {
     /// the file's final page clamped to EOF: the hot set's one-time load,
     /// planned and streamed like the cached fetch's miss pages.
     pub(crate) fn read_pages(&mut self, pages: &[u64], dst: &mut [u8]) -> Result<()> {
-        let mut planner = std::mem::take(&mut self.planner);
+        let mut planner = std::mem::take(&mut self.fetch.planner);
         planner.plan_slices(pages, &[], 0, PAGE_SIZE as u32, ReadPlanMode::Coalesce { gap: 0 });
         let eof = self.file_len;
         let reqs = planner.slices().iter().map(|&r| clamped(r, eof));
@@ -754,7 +772,7 @@ impl SamplerWorker {
             at += buf.len();
             Ok(())
         });
-        self.planner = planner;
+        self.fetch.planner = planner;
         res?;
         // The reader fails a short read itself; a gap here is a planning bug.
         if at < dst.len() {
@@ -906,7 +924,7 @@ impl SamplerWorker {
         let actual = (self.offsets.capacity() * 8
             + (self.src_pos.capacity() + self.run_ends.capacity()) * 4
             + pooled
-            + self.planner.scratch_bytes()) as u64
+            + self.fetch.bytes()) as u64
             + 2 * self.cfg.ring_entries as u64 * ENTRY_BYTES
             + 64 * 1024;
         if actual > self.charged_bytes {
@@ -1081,6 +1099,33 @@ mod tests {
             wc.sample_batch(&seeds, 0).unwrap(),
             wr.sample_batch(&seeds, 0).unwrap()
         );
+    }
+
+    #[test]
+    fn cached_miss_scratch_is_kept_and_charged() {
+        // A one-page hot set: nearly every entry misses, so the miss list
+        // and its pages are layer-wide scratch that the worker keeps and
+        // charges like the rest of its workspace.
+        let graph = long_graph("misscharge", 64 * 1024);
+        let cfg = SamplerConfig::new()
+            .fanouts(&[8, 4])
+            .ring_entries(8)
+            .seed(13)
+            .cache(CachePolicy::Page {
+                budget_bytes: PAGE_SIZE as u64,
+            });
+        let mut w = worker(&graph, cfg);
+        let seeds: Vec<NodeId> = (0..256).collect();
+        let first = w.sample_batch(&seeds, 0).unwrap();
+        assert!(w.metrics().cache_misses > 0);
+        let FetchScratch { planner, misses, pages } = &w.fetch;
+        assert!(misses.capacity() > 0 && pages.capacity() > 0, "miss scratch not kept");
+        let held = planner.scratch_bytes() + misses.capacity() * 4 + pages.capacity() * 8;
+        assert!(w.charged_bytes >= held as u64);
+        let (charged, misses) = (w.charged_bytes, w.fetch.misses.as_ptr());
+        assert_eq!(w.sample_batch(&seeds, 0).unwrap(), first);
+        assert_eq!(w.charged_bytes, charged, "nothing grows after warm-up");
+        assert_eq!(w.fetch.misses.as_ptr(), misses, "the miss list is reused");
     }
 
     #[test]

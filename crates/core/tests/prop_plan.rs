@@ -5,13 +5,18 @@
 //! planner's request lists obey the structural invariants (sorted,
 //! non-overlapping after dedup, never more requests than the naive plan).
 //! Ordering a layer by its per-target runs puts its entries in exactly the
-//! comparison sort's order, and plans exactly what [`ReadPlanner::plan`] does.
+//! comparison sort's order; planning it by its runs builds exactly the
+//! slices and stats [`ReadPlanner::plan`] does, with an entry order the
+//! worker's slice-by-slice decode consumes whole; and the hot-set miss
+//! path's page order reads the same pages into the same output as a
+//! comparison sort.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ringsampler::plan::sort_by_runs;
+use ringsampler::cache::{page_of, PAGE_SIZE};
+use ringsampler::plan::{sort_by_runs, MAX_COALESCED_BYTES};
 use ringsampler::sampling::OffsetSampler;
 use ringsampler::worker::GROUP_BYTES_MAX;
 use ringsampler::{CachePolicy, ReadPlanMode, ReadPlanner, RingSampler, SamplerConfig};
@@ -141,6 +146,36 @@ fn run_and_sorted(entries: &[u64], run_ends: &[u32]) -> (Vec<u64>, bool, Vec<u64
     let mut sorted = entries.to_vec();
     sorted.sort_unstable();
     (by_runs, held, sorted)
+}
+
+/// Plans `entries` (4-byte entries from byte 8) by their runs, checks that
+/// this builds exactly the slices and stats [`ReadPlanner::plan`] builds,
+/// and checks the worker's decode contract: `perm` is a permutation of the
+/// input positions, and walking it against the slices — each slice taking
+/// the next entries its extent contains, as `read_and_scatter` does —
+/// serves every slice and consumes every entry.
+fn plan_by_runs(entries: &[u64], run_ends: &[u32], mode: ReadPlanMode) -> ReadPlanner {
+    let mut full = ReadPlanner::new();
+    let want = full.plan(entries, 8, ENTRY_BYTES as u32, mode);
+    let mut p = ReadPlanner::new();
+    assert_eq!(p.plan_slices(entries, run_ends, 8, ENTRY_BYTES as u32, mode), want);
+    assert_eq!(p.slices(), full.slices(), "{mode:?}");
+    if mode.is_off() {
+        return p;
+    }
+    let mut seen = vec![false; entries.len()];
+    for &i in p.perm() {
+        assert!(!std::mem::replace(&mut seen[i as usize], true), "position {i} twice");
+    }
+    assert!(seen.iter().all(|&s| s), "perm misses a position");
+    let mut order = p.perm().iter().map(|&i| 8 + entries[i as usize] * ENTRY_BYTES).peekable();
+    for s in p.slices() {
+        let extent = s.offset..s.offset + u64::from(s.len);
+        assert!(order.next_if(|b| extent.contains(b)).is_some(), "slice {s:?} serves no entry");
+        while order.next_if(|b| extent.contains(b)).is_some() {}
+    }
+    assert_eq!(order.next(), None, "entries left unserved");
+    p
 }
 
 /// How a layer's targets are ordered.
@@ -330,10 +365,11 @@ proptest! {
     }
 
     /// A node-wise layer ordered run by run is ordered exactly as a
-    /// comparison sort orders it, and planned exactly as `plan` plans it:
-    /// over sorted-unique, caller-ordered and duplicated targets, with
-    /// zero-degree targets, with and without replacement. Over a sorted
-    /// frontier the runs always hold.
+    /// comparison sort orders it, and planned by its runs into exactly the
+    /// slices and stats `plan` builds, in an order the worker's decode
+    /// consumes whole: over sorted-unique, caller-ordered and duplicated
+    /// targets, with zero-degree targets, with and without replacement.
+    /// Over a sorted frontier the runs always hold.
     #[test]
     fn run_order_is_the_comparison_sort_order(
         kind in arb_targets(),
@@ -348,16 +384,53 @@ proptest! {
         let (by_runs, held, sorted) = run_and_sorted(&entries, &run_ends);
         prop_assert_eq!(&by_runs, &sorted);
         prop_assert!(held || !matches!(kind, Targets::SortedUnique));
+        plan_by_runs(&entries, &run_ends, mode);
+    }
 
-        let mut full = ReadPlanner::new();
-        let want = full.plan(&entries, 8, ENTRY_BYTES as u32, mode);
-        let mut runs = ReadPlanner::new();
-        prop_assert_eq!(runs.plan_slices(&entries, &run_ends, 8, ENTRY_BYTES as u32, mode), want);
-        prop_assert_eq!(runs.slices(), full.slices());
-        let values = |p: &ReadPlanner| -> Vec<u64> {
-            p.perm().iter().map(|&i| entries[i as usize]).collect()
-        };
-        prop_assert_eq!(values(&runs), values(&full));
+    /// Hub-heavy layers plan by their runs as `plan` plans them. A
+    /// group-sized hub's draws spread past every gap and the cap; a
+    /// cap-sized one's lie within the 64 KiB gap, so the cap alone splits
+    /// it or the small runs after it; small nodes' draws sit within 28
+    /// bytes (`hub_layers_take_both_branches` checks each case happens).
+    #[test]
+    fn hub_layers_plan_like_plan(
+        gap in (0usize..3).prop_map(|i| [0u32, 4096, 65_536][i]),
+        hub in (0usize..6).prop_map(hub_size),
+        fanout in (1usize..12, 4_000usize..20_000, 0u8..3).prop_map(|(s, l, pick)| [s, l, 20_000][pick as usize]),
+        replace in arb_bool(),
+        kind in arb_targets(),
+        seed in 0u64..1_000,
+    ) {
+        let (graph, targets) = hub_layer(hub, kind, seed);
+        let (entries, run_ends) = draw_layer(&graph, &targets, fanout, replace, seed);
+        plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap });
+    }
+
+    /// The hot-set miss path's order — misses sorted by page within runs,
+    /// a run sorted only when its misses span pages — reads the same miss
+    /// pages as a comparison sort by byte, and the worker's walk of those
+    /// pages fills the same output.
+    #[test]
+    fn page_order_reads_what_the_comparison_sort_reads(
+        kind in arb_targets(),
+        fanout in 1usize..40,
+        replace in arb_bool(),
+        hot_every in 2u64..6,
+        seed in 0u64..1_000,
+    ) {
+        let (graph, targets) = hub_layer(hub_size(seed as usize % 6), kind, seed);
+        let (entries, run_ends) = draw_layer(&graph, &targets, fanout, replace, seed);
+        let byte_at = |i: u32| OnDiskGraph::entry_byte_offset(entries[i as usize]);
+        // Every `hot_every`-th page is resident; the rest miss.
+        let misses: Vec<u32> = (0..entries.len() as u32)
+            .filter(|&i| !(page_of(byte_at(i)).0 + seed).is_multiple_of(hot_every))
+            .collect();
+        let mut by_pages = misses.clone();
+        sort_by_runs(&mut by_pages, &run_ends, |i| page_of(byte_at(i)).0);
+        let mut sorted = misses;
+        sorted.sort_unstable_by_key(|&i| byte_at(i));
+        let (pages, out) = read_misses(&by_pages, byte_at, entries.len());
+        prop_assert_eq!((pages, out), read_misses(&sorted, byte_at, entries.len()));
     }
 
     /// Merging repeats alone (gap 0) must strictly shrink a duplicate-heavy plan.
@@ -375,6 +448,83 @@ proptest! {
         prop_assert!(stats.planned_reads < entries.len() as u64);
         prop_assert!(stats.reads_saved() >= (entries.len() - uniques.len()) as u64);
     }
+}
+
+/// Hub sizes of `boundary_graph`, in entries: one short of, exactly and
+/// one past a full group's bytes, then 16 Ki entries (one 64 KiB slice)
+/// less 64, exactly, and plus 16.
+fn hub_size(i: usize) -> u32 {
+    let full_group = (GROUP_BYTES_MAX as u64 / ENTRY_BYTES) as u32;
+    let cap = (MAX_COALESCED_BYTES / ENTRY_BYTES) as u32;
+    [full_group - 1, full_group, full_group + 1, cap - 64, cap, cap + 16][i]
+}
+
+/// A layer over `boundary_graph(hub)`: the hub (node 0) first, then a
+/// seeded subset of the other nodes, ordered as `kind` orders targets.
+fn hub_layer(hub: u32, kind: Targets, seed: u64) -> (OnDiskGraph, Vec<NodeId>) {
+    let mut targets = targets_of(kind, 64, seed);
+    if targets.first() != Some(&0) {
+        targets.insert(0, 0);
+    }
+    (boundary_graph(hub), targets)
+}
+
+/// The miss pages `misses` read in the order given (its page runs), and
+/// the output the worker's walk of those pages fills: each page takes the
+/// next misses it contains, and a slot holds the byte read into it, or
+/// `u64::MAX` if the walk never reached its miss.
+fn read_misses(misses: &[u32], byte_at: impl Fn(u32) -> u64, n: usize) -> (Vec<u64>, Vec<u64>) {
+    let mut pages: Vec<u64> = misses.iter().map(|&i| page_of(byte_at(i)).0).collect();
+    pages.dedup();
+    let mut out = vec![u64::MAX; n];
+    let mut order = misses.iter().map(|&i| (byte_at(i), i)).peekable();
+    for &page in &pages {
+        let extent = page * PAGE_SIZE as u64..(page + 1) * PAGE_SIZE as u64;
+        while let Some((byte, i)) = order.next_if(|(b, _)| extent.contains(b)) {
+            out[i as usize] = byte;
+        }
+    }
+    (pages, out)
+}
+
+/// Both branches of the run walk plan hub-heavy layers as `plan` does:
+/// some run lands whole in one slice with its unsorted draws left in draw
+/// order, which only the whole-run branch does; some run is served by
+/// several slices, which only the straddling branch plans; and some of
+/// those lie within the gap, so the cap alone split them.
+#[test]
+fn hub_layers_take_both_branches() {
+    let (mut whole_unsorted, mut straddling, mut cap_split) = (0, 0, 0);
+    let cap_hubs = [3, 4, 5].map(|i| (hub_size(i), hub_size(i) as usize, false));
+    let layers = [(hub_size(1), 6, true), (hub_size(1), 9_000, true)].into_iter().chain(cap_hubs);
+    for (seed, (hub, fanout, replace)) in (1u64..).zip(layers) {
+        let (graph, targets) = hub_layer(hub, Targets::SortedUnique, seed);
+        let (entries, run_ends) = draw_layer(&graph, &targets, fanout, replace, seed);
+        for gap in [0u32, 4096, 65_536] {
+            let p = plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap });
+            let slice_of = |e: u64| {
+                p.slices().partition_point(|s| s.offset + u64::from(s.len) <= 8 + e * ENTRY_BYTES)
+            };
+            for (lo, hi) in [0].iter().chain(&run_ends).zip(&run_ends) {
+                let run = *lo as usize..*hi as usize;
+                let draws = &entries[run.clone()];
+                let (Some(&least), Some(&most)) = (draws.iter().min(), draws.iter().max()) else {
+                    continue;
+                };
+                if slice_of(least) != slice_of(most) {
+                    straddling += 1;
+                    cap_split += usize::from((most - least) * ENTRY_BYTES <= u64::from(gap));
+                } else if draws.is_sorted() {
+                    continue;
+                } else if p.perm()[run.clone()].iter().copied().eq(*lo..*hi) {
+                    whole_unsorted += 1;
+                }
+            }
+        }
+    }
+    assert!(whole_unsorted > 0, "no run was taken whole");
+    assert!(straddling > 0, "no run straddled a slice boundary");
+    assert!(cap_split > 0, "the cap split no run");
 }
 
 /// Runs that do not ascend — targets in descending node order, each drawing

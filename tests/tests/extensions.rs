@@ -1,8 +1,7 @@
-//! Integration tests for the extension features: layer-wise sampling
-//! feeding the GNN substrate, optimizers, and checkpoint round-trips
-//! through a real training flow.
+//! Integration tests for the extension features: optimizers and
+//! checkpoint round-trips through a real training flow.
 
-use ringsampler::{LayerwisePlan, RingSampler, SamplerConfig};
+use ringsampler::{RingSampler, SamplerConfig};
 use ringsampler_gnn::features::SyntheticFeatures;
 use ringsampler_gnn::model::SageModel;
 use ringsampler_gnn::optim::{Adam, Optimizer, Sgd};
@@ -30,54 +29,6 @@ fn sampler(tag: &str, fanouts: &[usize]) -> RingSampler {
             .seed(21),
     )
     .unwrap()
-}
-
-#[test]
-fn layerwise_batches_feed_the_gnn() {
-    let s = sampler("lwgnn", &[6, 4]);
-    let mut w = s.worker().unwrap();
-    let plan = LayerwisePlan::new(&[64, 32]);
-    let feats = SyntheticFeatures::new(8, 4, 0.3, 5);
-    let mut model = SageModel::new(8, &[12], 4, 2, 9);
-
-    let seeds: Vec<NodeId> = (0..128).collect();
-    let mut losses = Vec::new();
-    for step in 0..10 {
-        let batch = w.sample_batch_layerwise(&seeds, &plan, step).unwrap();
-        let labels: Vec<usize> = batch.seeds().iter().map(|&v| feats.label(v)).collect();
-        let (logits, cache) = model.forward(&batch, &feats).unwrap();
-        assert!(logits.as_slice().iter().all(|v| v.is_finite()));
-        let (loss, dl) = softmax_cross_entropy(&logits, &labels);
-        let grads = model.backward(&cache, &dl);
-        model.sgd_step(&grads, 0.3);
-        losses.push(loss);
-    }
-    assert!(
-        losses.last().unwrap() < &losses[0],
-        "layer-wise training should reduce loss: {losses:?}"
-    );
-}
-
-#[test]
-fn layerwise_bounds_io_versus_nodewise() {
-    // The point of layer-wise sampling: bounded layer width ⇒ bounded
-    // reads for deep models.
-    let s = sampler("lwio", &[10, 10, 10]);
-    let seeds: Vec<NodeId> = (0..128).collect();
-
-    let mut w1 = s.worker().unwrap();
-    w1.sample_batch(&seeds, 0).unwrap();
-    let nodewise_reads = w1.metrics().io_requests;
-
-    let mut w2 = s.worker().unwrap();
-    let plan = LayerwisePlan::new(&[64, 64, 64]);
-    w2.sample_batch_layerwise(&seeds, &plan, 0).unwrap();
-    let layerwise_reads = w2.metrics().io_requests;
-
-    assert!(
-        layerwise_reads * 2 < nodewise_reads,
-        "layer-wise should read far less at depth 3: {layerwise_reads} vs {nodewise_reads}"
-    );
 }
 
 #[test]

@@ -177,30 +177,3 @@ fn missing_index_file_is_reported_with_path() {
     }
     cleanup(&base);
 }
-
-#[test]
-fn layerwise_and_nodewise_coexist_on_one_worker() {
-    let (base, g) = make_graph("mixed");
-    let csr = g.load_csr().unwrap();
-    let sampler = RingSampler::new(
-        g,
-        SamplerConfig::new().fanouts(&[4, 3]).ring_entries(32).seed(2),
-    )
-    .unwrap();
-    let mut w = sampler.worker().unwrap();
-    let seeds: Vec<NodeId> = (0..60).collect();
-    let nodewise = w.sample_batch(&seeds, 0).unwrap();
-    let plan = ringsampler::LayerwisePlan::new(&[16, 8]);
-    let layerwise = w.sample_batch_layerwise(&seeds, &plan, 0).unwrap();
-    let nodewise2 = w.sample_batch(&seeds, 0).unwrap();
-    // Interleaving layer-wise sampling does not disturb node-wise streams.
-    assert_eq!(nodewise, nodewise2);
-    for s in [&nodewise, &layerwise] {
-        for layer in &s.layers {
-            for (src, dst) in layer.iter_edges() {
-                assert!(csr.neighbors(src).contains(&dst));
-            }
-        }
-    }
-    cleanup(&base);
-}
