@@ -265,6 +265,15 @@ pub struct UringReader {
     peak_outstanding: u64,
 }
 
+/// Tells the kernel that `file` is read at random: a sampler's reads are,
+/// by construction, so a missing page is read alone instead of with the
+/// readahead window behind it. Every reader does this once, when it is
+/// built. Best effort: returns whether the advice was taken, and a file
+/// that takes none is read all the same.
+fn advise_random(file: &File) -> bool {
+    crate::sys::fadvise(file.as_raw_fd(), crate::sys::POSIX_FADV_RANDOM).is_ok()
+}
+
 impl UringReader {
     /// Opens `path` and a dedicated ring with `queue_depth` entries.
     ///
@@ -281,6 +290,7 @@ impl UringReader {
     /// # Errors
     /// Fails if the ring cannot be created.
     pub fn with_file(file: File, queue_depth: u32) -> Result<Self> {
+        advise_random(&file);
         Ok(Self {
             ring: Ring::new(queue_depth)?,
             file,
@@ -583,6 +593,7 @@ impl PreadReader {
 
     /// Builds a reader from an already-open file.
     pub fn with_file(file: File, queue_depth: u32) -> Self {
+        advise_random(&file);
         Self {
             file,
             queue_depth: queue_depth.max(1) as usize,

@@ -19,6 +19,16 @@ pub const SYS_IO_URING_ENTER: libc::c_long = 426;
 /// `io_uring_register(2)` syscall number on x86_64.
 pub const SYS_IO_URING_REGISTER: libc::c_long = 427;
 
+/// `fadvise64(2)` syscall number.
+#[cfg(target_arch = "x86_64")]
+pub const SYS_FADVISE64: libc::c_long = 221;
+/// `fadvise64(2)` syscall number.
+#[cfg(target_arch = "aarch64")]
+pub const SYS_FADVISE64: libc::c_long = 223;
+/// `posix_fadvise` advice: the file is read at random, so read no pages
+/// ahead of the ones asked for.
+pub const POSIX_FADV_RANDOM: libc::c_long = 1;
+
 // --- setup flags (io_uring_params.flags) ---
 
 /// App specifies the CQ size (via `cq_entries`).
@@ -284,6 +294,22 @@ pub fn io_uring_enter(
     }
 }
 
+/// `posix_fadvise(fd, 0, 0, advice)`: advice on the whole file, for the
+/// open file description behind `fd` only.
+///
+/// # Errors
+/// Propagates the kernel errno (`EBADF`, `ESPIPE` for a pipe).
+pub fn fadvise(fd: i32, advice: libc::c_long) -> io::Result<()> {
+    // SAFETY: fadvise64 takes a descriptor and three integers and touches
+    // no user memory.
+    let ret = unsafe { libc::syscall(SYS_FADVISE64, fd as libc::c_long, 0i64, 0i64, advice) };
+    if ret < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(())
+    }
+}
+
 /// Thin wrapper over the `io_uring_register(2)` syscall.
 ///
 /// # Errors
@@ -318,6 +344,17 @@ pub unsafe fn io_uring_register(
 mod tests {
     use super::*;
     use std::mem::size_of;
+
+    #[test]
+    fn fadvise_takes_a_file_and_refuses_a_bad_descriptor() {
+        use std::os::fd::AsRawFd;
+        let path = crate::test_path("fadvise");
+        std::fs::write(&path, [0u8; 64]).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        fadvise(file.as_raw_fd(), POSIX_FADV_RANDOM).unwrap();
+        assert!(fadvise(-1, POSIX_FADV_RANDOM).is_err());
+        std::fs::remove_file(&path).ok();
+    }
 
     #[test]
     fn sqe_layout_is_64_bytes() {
