@@ -54,10 +54,13 @@
 #      checked against BENCHMARK.json), then one `ringbench --quick` pass
 #      whose epoch_skew_coalesce peak RSS must stay within 1.5x of
 #      epoch_skew_naive's: a planned fetch may not hold more than the
-#      naive one (see DESIGN.md §9); and whose epoch_skew_cached peak RSS
-#      may exceed epoch_skew_coalesce's by at most 1.5x the quick cache
-#      budget (2 MiB): the hot set is paid once per sampler, not per thread
-#      or epoch
+#      naive one (see DESIGN.md §9); whose epoch_skew_naive peak RSS must
+#      stay within 1.3x of ondemand_skew_b1's: one-target requests hold no
+#      layer-sized scratch, so the ratio is what a worker keeps per layer
+#      of a 1024-seed batch, and a worker holds a group of a layer, not the
+#      layer (DESIGN.md §9); and whose epoch_skew_cached peak RSS may exceed
+#      epoch_skew_coalesce's by at most 1.5x the quick cache budget (2 MiB):
+#      the hot set is paid once per sampler, not per thread or epoch
 #
 # No gate writes a tracked file: the experiment binaries of gates 4-8 run
 # with their cwd in a scratch directory (emit_table writes results/<name>.txt
@@ -214,7 +217,7 @@ stop_fig4
 echo "    ringprof gate ok (conserving ledgers, /resources, ringtop CPU column)"
 
 cd "$ROOT"
-echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive and cached/coalesce peak RSS)"
+echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive, naive/on-demand and cached/coalesce peak RSS)"
 # benchmark/ changes only in [benchmark] PRs, so its Cargo.lock can trail the
 # crates' manifests (crates/io no longer depends on ringstat); cargo then
 # rewrites it while building. The EXIT trap puts the committed bytes back,
@@ -232,6 +235,11 @@ RSS_COALESCE="$(rss_of epoch_skew_coalesce)"
 awk -v c="$RSS_COALESCE" -v n="$RSS_NAIVE" 'BEGIN { exit !(c <= 1.5 * n) }' \
     || { echo "epoch_skew_coalesce peak RSS $RSS_COALESCE MB > 1.5 x epoch_skew_naive $RSS_NAIVE MB"; exit 1; }
 echo "    ringbench gate ok (coalesce $RSS_COALESCE MB vs naive $RSS_NAIVE MB at quick size)"
+RSS_ONDEMAND="$(rss_of ondemand_skew_b1)"
+[ -n "$RSS_ONDEMAND" ] || { echo "$QUICK"; echo "ringbench --quick printed no ondemand_skew_b1 peak_rss_mb"; exit 1; }
+awk -v n="$RSS_NAIVE" -v o="$RSS_ONDEMAND" 'BEGIN { exit !(n <= 1.3 * o) }' \
+    || { echo "epoch_skew_naive peak RSS $RSS_NAIVE MB > 1.3 x ondemand_skew_b1 $RSS_ONDEMAND MB: a worker holds a layer"; exit 1; }
+echo "    ringbench gate ok (naive $RSS_NAIVE MB vs on-demand $RSS_ONDEMAND MB: a worker holds a group, not a layer)"
 # The quick cache budget is CACHE_BYTES / QUICK_DIV = 2 MiB (benchmark/src/spec.rs).
 RSS_CACHED="$(rss_of epoch_skew_cached)"
 [ -n "$RSS_CACHED" ] || { echo "$QUICK"; echo "ringbench --quick printed no epoch_skew_cached peak_rss_mb"; exit 1; }

@@ -4,19 +4,19 @@
 //! engine, and replacement setting produces **byte-identical** samples, and the
 //! planner's request lists obey the structural invariants (sorted,
 //! non-overlapping after dedup, never more requests than the naive plan).
-//! Ordering a layer by its per-target runs puts its entries in exactly the
-//! comparison sort's order; planning it by its runs builds exactly the
-//! slices and stats [`ReadPlanner::plan`] does, with an entry order the
-//! worker's slice-by-slice decode consumes whole; and the hot-set miss
-//! path's page order reads the same pages into the same output as a
-//! comparison sort.
+//! The runs of a layer drawn over a sorted frontier always ascend;
+//! planning a layer by its runs builds exactly the slices and stats
+//! [`ReadPlanner::plan`] does, with an entry order the worker's
+//! slice-by-slice decode consumes whole, whether the runs ascend or the walk
+//! falls back to one comparison sort; and the hot-set miss path's page
+//! order reads the same pages into the same output as a comparison sort.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ringsampler::cache::{page_of, PAGE_SIZE};
-use ringsampler::plan::{sort_by_runs, MAX_COALESCED_BYTES};
+use ringsampler::plan::{RunWalk, WalkCounts, MAX_COALESCED_BYTES};
 use ringsampler::sampling::OffsetSampler;
 use ringsampler::worker::GROUP_BYTES_MAX;
 use ringsampler::{CachePolicy, ReadPlanMode, ReadPlanner, RingSampler, SamplerConfig};
@@ -137,45 +137,56 @@ fn draw_layer(
     (entries, run_ends)
 }
 
-/// The entry values of `entries` in the order the runs put them, whether
-/// the runs held, and the values in comparison-sort order.
-fn run_and_sorted(entries: &[u64], run_ends: &[u32]) -> (Vec<u64>, bool, Vec<u64>) {
-    let mut order: Vec<u32> = (0..entries.len() as u32).collect();
-    let held = sort_by_runs(&mut order, run_ends, |i| entries[i as usize]);
-    let by_runs = order.iter().map(|&i| entries[i as usize]).collect();
-    let mut sorted = entries.to_vec();
-    sorted.sort_unstable();
-    (by_runs, held, sorted)
+/// Whether the runs of `entries` (4-byte entries from byte 8) ascend: a run
+/// walk that has already taken an entry never falls back to its comparison
+/// sort, so it reports runs that do not.
+fn runs_hold(entries: &[u64], run_ends: &[u32]) -> bool {
+    let mut walk = RunWalk::default();
+    walk.start(ENTRY_BYTES as u32, ReadPlanMode::Coalesce { gap: 0 }, MAX_COALESCED_BYTES);
+    assert!(walk.runs(&mut [(0, 0)], &[], |b| b));
+    let mut pairs: Vec<(u64, u32)> =
+        entries.iter().zip(0..).map(|(&e, i)| (8 + e * ENTRY_BYTES, i)).collect();
+    walk.runs(&mut pairs, run_ends, |b| b)
 }
 
-/// Plans `entries` (4-byte entries from byte 8) by their runs, checks that
-/// this builds exactly the slices and stats [`ReadPlanner::plan`] builds,
-/// and checks the worker's decode contract: `perm` is a permutation of the
-/// input positions, and walking it against the slices — each slice taking
-/// the next entries its extent contains, as `read_and_scatter` does —
-/// serves every slice and consumes every entry.
-fn plan_by_runs(entries: &[u64], run_ends: &[u32], mode: ReadPlanMode) -> ReadPlanner {
+/// Plans `entries` (4-byte entries from byte 8) with a run walk over their
+/// runs, checks that it builds exactly the slices and stats
+/// [`ReadPlanner::plan`] builds, and checks the worker's decode contract:
+/// the walk leaves every input position once, in slice order; each slice,
+/// taken alone, serves the next as many positions as it counts, each
+/// inside its extent and at the payload byte `plan`'s scatter map gives
+/// it. Returns `plan`'s planner and the walked (payload byte, position)
+/// pairs.
+fn plan_by_runs(entries: &[u64], run_ends: &[u32], mode: ReadPlanMode) -> (ReadPlanner, Vec<(u64, u32)>) {
     let mut full = ReadPlanner::new();
     let want = full.plan(entries, 8, ENTRY_BYTES as u32, mode);
-    let mut p = ReadPlanner::new();
-    assert_eq!(p.plan_slices(entries, run_ends, 8, ENTRY_BYTES as u32, mode), want);
-    assert_eq!(p.slices(), full.slices(), "{mode:?}");
-    if mode.is_off() {
-        return p;
-    }
+    let mut walk = RunWalk::default();
+    walk.start(ENTRY_BYTES as u32, mode, MAX_COALESCED_BYTES);
+    let mut pairs: Vec<(u64, u32)> =
+        entries.iter().zip(0..).map(|(&e, i)| (8 + e * ENTRY_BYTES, i)).collect();
+    assert!(walk.runs(&mut pairs, run_ends, |b| b), "{mode:?}");
+    walk.close();
+    assert_eq!(walk.stats_since(WalkCounts::default(), false), want, "{mode:?}");
     let mut seen = vec![false; entries.len()];
-    for &i in p.perm() {
+    for &(_, i) in &pairs {
         assert!(!std::mem::replace(&mut seen[i as usize], true), "position {i} twice");
     }
-    assert!(seen.iter().all(|&s| s), "perm misses a position");
-    let mut order = p.perm().iter().map(|&i| 8 + entries[i as usize] * ENTRY_BYTES).peekable();
-    for s in p.slices() {
-        let extent = s.offset..s.offset + u64::from(s.len);
-        assert!(order.next_if(|b| extent.contains(b)).is_some(), "slice {s:?} serves no entry");
-        while order.next_if(|b| extent.contains(b)).is_some() {}
+    assert!(seen.iter().all(|&s| s), "the walk misses a position");
+    let mut served = pairs.iter();
+    let mut group = Vec::new();
+    for s in full.slices() {
+        group.clear();
+        let (_, n) = walk.group(1, usize::MAX, u64::MAX, &mut group).expect("closed");
+        assert_eq!(group, [*s], "{mode:?}");
+        assert!(n > 0, "{mode:?}: slice {s:?} serves no entry");
+        for &(at, i) in served.by_ref().take(n) {
+            let b = 8 + entries[i as usize] * ENTRY_BYTES;
+            assert!(b >= s.offset && b + ENTRY_BYTES <= s.offset + u64::from(s.len), "{mode:?}");
+            assert_eq!(at, full.scatter()[i as usize], "{mode:?}: position {i}");
+        }
     }
-    assert_eq!(order.next(), None, "entries left unserved");
-    p
+    assert_eq!(served.next(), None, "entries left unserved");
+    (full, pairs)
 }
 
 /// How a layer's targets are ordered.
@@ -364,12 +375,12 @@ proptest! {
         }
     }
 
-    /// A node-wise layer ordered run by run is ordered exactly as a
-    /// comparison sort orders it, and planned by its runs into exactly the
-    /// slices and stats `plan` builds, in an order the worker's decode
-    /// consumes whole: over sorted-unique, caller-ordered and duplicated
-    /// targets, with zero-degree targets, with and without replacement.
-    /// Over a sorted frontier the runs always hold.
+    /// A node-wise layer planned by its runs gets exactly the slices and
+    /// stats the comparison sort's `plan` builds, in an order the worker's
+    /// decode consumes whole: over sorted-unique, caller-ordered and
+    /// duplicated targets, with zero-degree targets, with and without
+    /// replacement. Over a sorted frontier the runs always hold, so the
+    /// layer can be planned a chunk at a time.
     #[test]
     fn run_order_is_the_comparison_sort_order(
         kind in arb_targets(),
@@ -381,9 +392,7 @@ proptest! {
         let graph = ragged_graph(80, seed);
         let targets = targets_of(kind, 80, seed);
         let (entries, run_ends) = draw_layer(&graph, &targets, fanout, replace, seed);
-        let (by_runs, held, sorted) = run_and_sorted(&entries, &run_ends);
-        prop_assert_eq!(&by_runs, &sorted);
-        prop_assert!(held || !matches!(kind, Targets::SortedUnique));
+        prop_assert!(runs_hold(&entries, &run_ends) || !matches!(kind, Targets::SortedUnique));
         plan_by_runs(&entries, &run_ends, mode);
     }
 
@@ -406,8 +415,8 @@ proptest! {
         plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap });
     }
 
-    /// The hot-set miss path's order — misses sorted by page within runs,
-    /// a run sorted only when its misses span pages — reads the same miss
+    /// The hot-set miss path's order — the run walk keyed by page, which
+    /// sorts a run only when its misses span pages — reads the same miss
     /// pages as a comparison sort by byte, and the worker's walk of those
     /// pages fills the same output.
     #[test]
@@ -425,8 +434,15 @@ proptest! {
         let misses: Vec<u32> = (0..entries.len() as u32)
             .filter(|&i| !(page_of(byte_at(i)).0 + seed).is_multiple_of(hot_every))
             .collect();
-        let mut by_pages = misses.clone();
-        sort_by_runs(&mut by_pages, &run_ends, |i| page_of(byte_at(i)).0);
+        // The misses' own runs: each target's misses end where its draws do.
+        let miss_ends: Vec<u32> =
+            run_ends.iter().map(|&e| misses.partition_point(|&i| i < e) as u32).collect();
+        let mut pairs: Vec<(u64, u32)> = misses.iter().map(|&i| (byte_at(i), i)).collect();
+        let mut walk = RunWalk::default();
+        let page = PAGE_SIZE as u64;
+        walk.start(PAGE_SIZE as u32, ReadPlanMode::Coalesce { gap: 0 }, page);
+        prop_assert!(walk.runs(&mut pairs, &miss_ends, |b| b - b % page));
+        let by_pages: Vec<u32> = pairs.iter().map(|p| p.1).collect();
         let mut sorted = misses;
         sorted.sort_unstable_by_key(|&i| byte_at(i));
         let (pages, out) = read_misses(&by_pages, byte_at, entries.len());
@@ -501,7 +517,7 @@ fn hub_layers_take_both_branches() {
         let (graph, targets) = hub_layer(hub, Targets::SortedUnique, seed);
         let (entries, run_ends) = draw_layer(&graph, &targets, fanout, replace, seed);
         for gap in [0u32, 4096, 65_536] {
-            let p = plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap });
+            let (p, pairs) = plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap });
             let slice_of = |e: u64| {
                 p.slices().partition_point(|s| s.offset + u64::from(s.len) <= 8 + e * ENTRY_BYTES)
             };
@@ -516,7 +532,7 @@ fn hub_layers_take_both_branches() {
                     cap_split += usize::from((most - least) * ENTRY_BYTES <= u64::from(gap));
                 } else if draws.is_sorted() {
                     continue;
-                } else if p.perm()[run.clone()].iter().copied().eq(*lo..*hi) {
+                } else if pairs[run.clone()].iter().map(|p| p.1).eq(*lo..*hi) {
                     whole_unsorted += 1;
                 }
             }
@@ -529,7 +545,8 @@ fn hub_layers_take_both_branches() {
 
 /// Runs that do not ascend — targets in descending node order, each drawing
 /// from a range below the previous one — take the comparison-sort fallback
-/// and still come out sorted; the same draws in ascending target order hold.
+/// and still plan as `plan` does; the same draws in ascending target order
+/// hold.
 #[test]
 fn descending_runs_take_the_fallback() {
     let graph = ragged_graph(80, 7);
@@ -539,16 +556,14 @@ fn descending_runs_take_the_fallback() {
     for (targets, holds) in [(ascending, true), (descending, false)] {
         for replace in [false, true] {
             let (entries, run_ends) = draw_layer(&graph, &targets, 4, replace, 3);
-            let (by_runs, held, sorted) = run_and_sorted(&entries, &run_ends);
-            assert_eq!(held, holds, "replace {replace}");
-            assert_eq!(by_runs, sorted, "replace {replace}");
+            assert_eq!(runs_hold(&entries, &run_ends), holds, "replace {replace}");
+            plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap: 0 });
         }
     }
     // Two runs that overlap inside one range: the second starts below the
     // first's last entry.
-    let (by_runs, held, sorted) = run_and_sorted(&[5, 9, 7, 11], &[2]);
-    assert!(!held);
-    assert_eq!(by_runs, sorted);
+    assert!(!runs_hold(&[5, 9, 7, 11], &[2]));
+    plan_by_runs(&[5, 9, 7, 11], &[2], ReadPlanMode::Coalesce { gap: 0 });
     // No run ends: the whole layer is one run, which always holds.
-    assert_eq!(run_and_sorted(&[3, 1, 2], &[]), (vec![1, 2, 3], true, vec![1, 2, 3]));
+    assert!(runs_hold(&[3, 1, 2], &[]));
 }

@@ -78,7 +78,7 @@ fn every_weak_ordering_states_its_reason() {
 
 /// Each hot-path comparison sort says what bounds it or why it is off the
 /// per-edge path, and the worker sorts nothing: a layer's order comes from
-/// its per-target runs (`plan::sort_by_runs`).
+/// its per-target runs (`plan::RunWalk`).
 #[test]
 fn every_hot_path_sort_states_its_reason() {
     assert_clean(&["sort-reason", "stale-sort"]);
