@@ -811,6 +811,43 @@ mod tests {
         assert_eq!(dump.reports[0].workers[0].events.len(), 2);
     }
 
+    /// A sink holding two reports of two workers each, every worker with
+    /// one complete batch whose stages carry time.
+    fn two_report_sink() -> StatsSink {
+        use ringstat::{EventKind, TraceEvent};
+        let ev = |ts_ns, kind, a, b, c, d| TraceEvent { ts_ns, kind, a, b, c, d };
+        let mut s = StatsSink::from_arg_list(&strings(&["--trace-events", "unused.json"]));
+        for (label, t0) in [("fig4/epoch0", 0), ("fig4/epoch1", 50_000)] {
+            let mut report = ringsampler::EpochReport::default();
+            for w in 0..2u64 {
+                let ts = t0 + 10_000 * w;
+                report.thread_events.push(vec![
+                    ev(ts, EventKind::BatchStart, w, 64, 0, 0),
+                    ev(ts + 3_000, EventKind::SampleDone, 3, 192, 2_500, 0),
+                    ev(ts + 4_000, EventKind::GroupSubmit, 1, 16, 16, 700),
+                    ev(ts + 7_000, EventKind::GroupComplete, 1, 2_600, 2_400, 300),
+                    ev(ts + 8_000, EventKind::ScatterDone, 192, 900, 0, 0),
+                    ev(ts + 9_000, EventKind::BatchEnd, w, 9_000, 2, 0),
+                ]);
+            }
+            s.note(label, &report);
+        }
+        s
+    }
+
+    #[test]
+    fn chrome_trace_of_the_dump_matches_the_sink_trace() {
+        // `ringtrace --chrome` over the `--trace-events` dump lays out the
+        // same `label/worker-N` lanes, in the same order, as the sink's own
+        // Chrome trace of its reports.
+        let s = two_report_sink();
+        let dump = ringtrace::TraceDump::parse(&s.trace_events_document()).unwrap();
+        let chrome = ringtrace::to_chrome(&dump);
+        assert_eq!(chrome, s.trace_document());
+        assert!(chrome.contains("\"fig4/epoch1/worker-1\""), "{chrome}");
+        assert_eq!(chrome.matches("\"name\": \"batch\"").count(), 4, "{chrome}");
+    }
+
     #[test]
     fn build_and_measure_tiny() {
         // A miniature end-to-end pass through the harness with a tiny
