@@ -28,11 +28,14 @@
 #      wait/reap/scatter) sums to the end-to-end batch latency exactly
 #      unless the recorder dropped events (see DESIGN.md §12); run once
 #      under the default naive plan and once with RS_READ_PLAN=coalesce,
-#      so the planner's own stage is held to the ledger too
+#      so the planner's own stage is held to the ledger too; each dump is
+#      also exported with `ringtrace --chrome`, the one producer of a
+#      Chrome trace, which must carry traceEvents and a worker-0 lane
 #   6. config-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
-#      crates/**/*.rs may not exceed 10 (33 before the ring-mode ladder was
+#      crates/**/*.rs may not exceed 9 (33 before the ring-mode ladder was
 #      removed, 25 before the RS_CONGESTION_* overrides were, 17 before
-#      plan_compare and prof_compare were), the pub fields of SamplerConfig
+#      plan_compare and prof_compare were, 10 before RS_TRACE_EVENTS, which
+#      duplicated the --trace-events flag, was), the pub fields of SamplerConfig
 #      may not exceed 13 (19 before PRs 16-22, 14 before profile_resources
 #      became always-on) and those of TelemetryConfig
 #      2 (4 before stall_threshold and history_capacity became constants),
@@ -141,7 +144,7 @@ curl -fsS "http://$ADDR/progress" | grep -q '"fleet"' || fail "/progress missing
 stop_fig4
 echo "    ringscope smoke ok (/metrics and /progress counting edges, /healthz)"
 
-echo "==> ringtrace smoke (fig4_overall --trace-events, stage coverage >= 99%, naive and coalesced plans)"
+echo "==> ringtrace smoke (fig4_overall --trace-events, stage coverage >= 99% and a Chrome export, naive and coalesced plans)"
 for PLAN in off coalesce; do
     TRACE_DUMP="$(mktemp -d)/fig4-events.json"
     RS_SCALE=100000 RS_TARGETS=200 RS_EPOCHS=1 RS_THREADS=2 RS_READ_PLAN="$PLAN" \
@@ -149,12 +152,17 @@ for PLAN in off coalesce; do
         "$BIN"/fig4_overall --trace-events "$TRACE_DUMP" >/dev/null
     "$BIN"/ringtrace "$TRACE_DUMP" --assert-coverage 0.99 >/dev/null \
         || fail "ringtrace: stage coverage below 99% under RS_READ_PLAN=$PLAN"
+    CHROME_OUT="$(mktemp -d)/fig4-chrome.json"
+    "$BIN"/ringtrace "$TRACE_DUMP" --chrome "$CHROME_OUT" >/dev/null \
+        || fail "ringtrace --chrome failed under RS_READ_PLAN=$PLAN"
+    grep -q '"traceEvents"' "$CHROME_OUT" || fail "ringtrace --chrome: no traceEvents under RS_READ_PLAN=$PLAN"
+    grep -q '/worker-0"' "$CHROME_OUT" || fail "ringtrace --chrome: no worker-0 lane under RS_READ_PLAN=$PLAN"
 done
-echo "    ringtrace smoke ok (stage attribution covers >= 99% of batch time under both plans)"
+echo "    ringtrace smoke ok (stage attribution covers >= 99% of batch time, Chrome export has worker lanes, under both plans)"
 
-echo "==> config-surface ratchet (RS_*/RINGSAMPLER_* names <= 10, SamplerConfig fields <= 13, TelemetryConfig fields <= 2, #[expect( <= 10)"
+echo "==> config-surface ratchet (RS_*/RINGSAMPLER_* names <= 9, SamplerConfig fields <= 13, TelemetryConfig fields <= 2, #[expect( <= 10)"
 KNOBS="$(grep -rhoE '\b(RS|RINGSAMPLER)_[A-Z0-9_]*[A-Z0-9]\b' "$ROOT/crates" --include='*.rs' | sort -u)"
-[ "$(echo "$KNOBS" | wc -l)" -le 10 ] || { echo "$KNOBS"; fail "more than 10 env knob names under crates/"; }
+[ "$(echo "$KNOBS" | wc -l)" -le 9 ] || { echo "$KNOBS"; fail "more than 9 env knob names under crates/"; }
 # pub_fields FILE STRUCT: the `pub` fields declared in STRUCT's body.
 pub_fields() {
     awk -v s="pub struct $2 {" '$0 ~ s { on = 1; next } on && /^}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }' "$1"

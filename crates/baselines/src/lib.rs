@@ -9,7 +9,6 @@
 //! | DGL-UVA / gSampler-UVA | host graph + UVA | [`GpuSimSampler`] (simulated device, real sampling) |
 //! | SmartSSD | in-situ FPGA | [`SmartSsdSampler`] (simulated device, real sampling) |
 //! | Marius | out-of-core partitions | [`MariusLikeSampler`] (real) |
-//! | Ginex (§2.2.1) | out-of-core neighbor cache | [`GinexLikeSampler`] (real) |
 //!
 //! Every system implements [`NeighborSampler`] so the benchmark harness
 //! can sweep them uniformly; hardware we don't have (A100, SmartSSD) is
@@ -20,14 +19,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cpu_shared;
-pub mod ginex_like;
 pub mod gpu_sim;
 pub mod in_memory;
 pub mod marius_like;
 pub mod smartssd_sim;
 pub mod traits;
 
-pub use ginex_like::GinexLikeSampler;
 pub use gpu_sim::{DeviceModel, GpuFlavor, GpuMode, GpuSimSampler};
 pub use in_memory::InMemorySampler;
 pub use marius_like::{MariusLikeSampler, PREPROCESS_BYTES_PER_EDGE};

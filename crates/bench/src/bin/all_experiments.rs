@@ -2,15 +2,15 @@
 //! prints a combined summary. Equivalent to invoking the six dedicated
 //! binaries; useful for one-shot reproduction runs.
 //!
-//! When `--stats-json PATH` (or another artifact flag) is passed, each
-//! child writes its own `PATH.<bin>.json` (see [`per_bin_args`]).
+//! When `--stats-json PATH` or `--trace-events PATH` is passed, each child
+//! writes its own `PATH.<bin>.json` (see [`per_bin_args`]); turn a child's
+//! event dump into a Chrome trace with `ringtrace DUMP --chrome OUT`.
 
 use std::process::Command;
 
-/// Rewrites `--stats-json` / `--trace` / `--prometheus` /
-/// `--trace-events` values so each child writes `path.<bin>.<ext>`
-/// instead of all children overwriting one `path`: `run.json` becomes
-/// `run.fig4_overall.json`.
+/// Rewrites `--stats-json` / `--trace-events` values so each child writes
+/// `path.<bin>.<ext>` instead of all children overwriting one `path`:
+/// `run.json` becomes `run.fig4_overall.json`.
 fn per_bin_args(args: &[String], bin: &str) -> Vec<String> {
     let mut out = Vec::with_capacity(args.len());
     let mut rewrite_next = false;
@@ -31,10 +31,7 @@ fn per_bin_args(args: &[String], bin: &str) -> Vec<String> {
             rewrite_next = false;
             continue;
         }
-        rewrite_next = matches!(
-            a.as_str(),
-            "--stats-json" | "--trace" | "--prometheus" | "--trace-events"
-        );
+        rewrite_next = matches!(a.as_str(), "--stats-json" | "--trace-events");
         out.push(a.clone());
     }
     out

@@ -14,7 +14,7 @@
 //! `--chrome OUT.json` additionally writes a Perfetto-loadable trace with
 //! labeled worker lanes. `--assert-coverage FRAC` exits nonzero unless
 //! every report's attributed stage time covers at least `FRAC` of the
-//! end-to-end batch time (the CI gate uses 0.90).
+//! end-to-end batch time (the CI gate uses 0.99).
 
 use ringsampler_bench::ringtrace::{coverage, report_analysis, report_batches, to_chrome, TraceDump};
 

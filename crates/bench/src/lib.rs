@@ -39,7 +39,7 @@ use ringsampler::{
     epoch_targets, EpochReport, MemoryBudget, ReadPlanMode, RingSampler, SamplerConfig,
     SamplerError, TelemetryConfig,
 };
-use ringstat::{ChromeTrace, Json, PromWriter};
+use ringstat::Json;
 use ringsampler_baselines::marius_like::DiskModel;
 use ringsampler_baselines::{
     DeviceModel, GpuFlavor, GpuMode, GpuSimSampler, InMemorySampler, MariusLikeSampler,
@@ -317,20 +317,14 @@ pub fn build_system(
 ///
 /// * `--stats-json PATH` — all reports as one JSON document
 ///   (`{"schema_version": 1, "reports": [{"label", "report"}, ...]}`);
-/// * `--prometheus PATH` — Prometheus text exposition, one series set per
-///   report with a `run` label;
-/// * `--trace PATH` — Chrome `trace.json` (Perfetto-loadable) with one
-///   timeline row per sampling worker, folded from the same events
-///   `--trace-events` dumps raw;
-/// * `--trace-events PATH` (env `RS_TRACE_EVENTS`) — raw flight-recorder
-///   event dump, the input of the `ringtrace` analyzer bin.
+/// * `--trace-events PATH` — raw flight-recorder event dump, the input of
+///   the `ringtrace` analyzer bin (whose `--chrome` turns it into a
+///   Perfetto-loadable `trace.json`).
 ///
 /// With no flags the sink is disabled and [`note`](Self::note) is free.
 #[derive(Debug, Default)]
 pub struct StatsSink {
     json_path: Option<PathBuf>,
-    trace_path: Option<PathBuf>,
-    prom_path: Option<PathBuf>,
     trace_events_path: Option<PathBuf>,
     reports: Vec<(String, EpochReport)>,
 }
@@ -341,11 +335,9 @@ impl StatsSink {
         Self::default()
     }
 
-    /// Parses `--stats-json`, `--trace`, `--prometheus` and
-    /// `--trace-events` from the process arguments (with `RS_TRACE_EVENTS`
-    /// as the environment fallback for the last). Unknown arguments are
-    /// ignored (the experiment binaries take their main knobs from `RS_*`
-    /// environment variables).
+    /// Parses `--stats-json` and `--trace-events` from the process
+    /// arguments. Unknown arguments are ignored (the experiment binaries
+    /// take their main knobs from `RS_*` environment variables).
     pub fn from_args() -> Self {
         Self::from_arg_list(&std::env::args().skip(1).collect::<Vec<_>>())
     }
@@ -361,14 +353,6 @@ impl StatsSink {
                     sink.json_path = value;
                     i += 1;
                 }
-                "--trace" => {
-                    sink.trace_path = value;
-                    i += 1;
-                }
-                "--prometheus" => {
-                    sink.prom_path = value;
-                    i += 1;
-                }
                 "--trace-events" => {
                     sink.trace_events_path = value;
                     i += 1;
@@ -377,21 +361,12 @@ impl StatsSink {
             }
             i += 1;
         }
-        if sink.trace_events_path.is_none() {
-            sink.trace_events_path = std::env::var("RS_TRACE_EVENTS")
-                .ok()
-                .filter(|s| !s.is_empty())
-                .map(PathBuf::from);
-        }
         sink
     }
 
     /// True if any output path was requested.
     pub fn is_enabled(&self) -> bool {
-        self.json_path.is_some()
-            || self.trace_path.is_some()
-            || self.prom_path.is_some()
-            || self.trace_events_path.is_some()
+        self.json_path.is_some() || self.trace_events_path.is_some()
     }
 
     /// Number of reports recorded so far.
@@ -426,28 +401,6 @@ impl StatsSink {
             .with("schema_version", Json::U64(1))
             .with("reports", Json::Array(reports))
             .to_string_pretty()
-    }
-
-    /// The Prometheus exposition content (one series set per report,
-    /// distinguished by a `run` label).
-    pub fn prometheus_document(&self) -> String {
-        let mut w = PromWriter::new();
-        for (label, report) in &self.reports {
-            report.write_prometheus(&mut w, &[("run", label)]);
-        }
-        w.finish()
-    }
-
-    /// The Chrome trace document, folded from the flight-recorder events.
-    /// Workers of every report are laid out on distinct `tid` rows so
-    /// epochs don't overdraw each other; metadata events label each lane
-    /// `<run label>/worker-N` in Perfetto instead of a bare tid.
-    pub fn trace_document(&self) -> String {
-        let lanes = self.reports.iter().flat_map(|(label, report)| {
-            let workers = report.thread_events.iter().enumerate();
-            workers.map(move |(w, evs)| (format!("{label}/worker-{w}"), evs.as_slice()))
-        });
-        ChromeTrace::from_events(lanes).to_json()
     }
 
     /// The raw flight-recorder dump written to `--trace-events`: every
@@ -486,12 +439,6 @@ impl StatsSink {
         }
         if let Some(p) = &self.json_path {
             write(p, &self.json_document())?;
-        }
-        if let Some(p) = &self.prom_path {
-            write(p, &self.prometheus_document())?;
-        }
-        if let Some(p) = &self.trace_path {
-            write(p, &self.trace_document())?;
         }
         if let Some(p) = &self.trace_events_path {
             write(p, &self.trace_events_document())?;
@@ -729,23 +676,20 @@ mod tests {
         let s = StatsSink::from_arg_list(&strings(&[
             "--stats-json",
             "a.json",
-            "--trace",
-            "t.json",
-            "--prometheus",
-            "m.prom",
             "--trace-events",
             "e.json",
         ]));
         assert!(s.is_enabled());
+        assert_eq!(s.json_path.as_deref(), Some(Path::new("a.json")));
         assert_eq!(s.trace_events_path.as_deref(), Some(Path::new("e.json")));
-        if std::env::var("RS_TRACE_EVENTS").is_err() {
-            let none = StatsSink::from_arg_list(&strings(&["--unrelated", "x"]));
-            assert!(!none.is_enabled());
-            // A trailing flag with no value stays disabled rather than
-            // panicking.
-            let dangling = StatsSink::from_arg_list(&strings(&["--stats-json"]));
-            assert!(!dangling.is_enabled());
-        }
+        // Only those two flags write anything: a Chrome trace comes from
+        // `ringtrace --chrome` over the dump.
+        let none = StatsSink::from_arg_list(&strings(&["--trace", "t.json", "--prometheus", "m"]));
+        assert!(!none.is_enabled());
+        // A trailing flag with no value stays disabled rather than
+        // panicking.
+        let dangling = StatsSink::from_arg_list(&strings(&["--stats-json"]));
+        assert!(!dangling.is_enabled());
     }
 
     #[test]
@@ -767,15 +711,6 @@ mod tests {
         assert!(json.contains("\"schema_version\": 1"), "{json}");
         assert!(json.contains("\"label\": \"fig4/epoch0\""), "{json}");
         assert!(json.contains("\"batches\": 3"), "{json}");
-        let prom = s.prometheus_document();
-        assert!(
-            prom.contains("ringsampler_batches_total{run=\"fig4/epoch0\"} 3"),
-            "{prom}"
-        );
-        let trace = s.trace_document();
-        assert!(trace.contains("\"traceEvents\""), "{trace}");
-        assert!(trace.contains("\"process_name\""), "{trace}");
-        assert!(trace.contains("ringsampler"), "{trace}");
     }
 
     #[test]
@@ -836,14 +771,17 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_of_the_dump_matches_the_sink_trace() {
-        // `ringtrace --chrome` over the `--trace-events` dump lays out the
-        // same `label/worker-N` lanes, in the same order, as the sink's own
-        // Chrome trace of its reports.
+    fn chrome_trace_of_the_dump_matches_the_reports() {
+        // `ringtrace --chrome` over the `--trace-events` dump folds every
+        // report's events into `label/worker-N` lanes, in report order.
         let s = two_report_sink();
         let dump = ringtrace::TraceDump::parse(&s.trace_events_document()).unwrap();
         let chrome = ringtrace::to_chrome(&dump);
-        assert_eq!(chrome, s.trace_document());
+        let lanes = s.reports.iter().flat_map(|(label, report)| {
+            let workers = report.thread_events.iter().enumerate();
+            workers.map(move |(w, evs)| (format!("{label}/worker-{w}"), evs.as_slice()))
+        });
+        assert_eq!(chrome, ringstat::ChromeTrace::from_events(lanes).to_json());
         assert!(chrome.contains("\"fig4/epoch1/worker-1\""), "{chrome}");
         assert_eq!(chrome.matches("\"name\": \"batch\"").count(), 4, "{chrome}");
     }

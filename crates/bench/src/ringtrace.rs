@@ -12,8 +12,8 @@
 //!   bucketed over the run);
 //! * **straggler-group detection** — I/O groups whose submit→complete
 //!   latency exceeds `k · p99`;
-//! * a **Chrome/Perfetto export** — the same event fold `--trace` and
-//!   `EpochReport::to_chrome_trace` use, over the parsed dump.
+//! * a **Chrome/Perfetto export** — the workspace's one producer of a
+//!   Chrome trace, folding the parsed dump with [`ChromeTrace::from_events`].
 //!
 //! Everything here is pure (strings in, strings out) so the stage table
 //! can be byte-pinned by golden tests; the thin `ringtrace` binary only

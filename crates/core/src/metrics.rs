@@ -3,16 +3,15 @@
 //!
 //! Each worker thread privately accumulates a [`SampleMetrics`] plus the
 //! `ringstat` distributions ([`WorkerStats`]); at epoch join the engine
-//! folds them into one [`EpochReport`], which exports three artifact
-//! formats: JSON ([`EpochReport::to_json`]), Prometheus text exposition
-//! ([`EpochReport::to_prometheus`]), and a Chrome/Perfetto trace
-//! ([`EpochReport::to_chrome_trace`]).
+//! folds them into one [`EpochReport`], which leaves the process as JSON
+//! ([`EpochReport::to_json`]) and, for the `ringtrace` analyzer, as its
+//! raw flight-recorder events ([`EpochReport::trace_events_json_value`]).
 
 use std::time::Duration;
 
 use ringstat::{
-    human_bytes, human_count, human_nanos, ChromeTrace, Json, LatencyHistogram, PromWriter,
-    ResourceSample, Stage, StageAccount, TimeLedger, TraceEvent,
+    human_bytes, human_count, human_nanos, Json, LatencyHistogram, ResourceSample, Stage,
+    StageAccount, TimeLedger, TraceEvent,
 };
 
 use crate::telemetry::{trace_event_json, CongestionEpisode, CongestionState};
@@ -222,8 +221,8 @@ pub struct EpochReport {
     /// is the whole completion lap — polling, parking and reaping).
     pub account: StageAccount,
     /// One flight-recorder event list per worker thread (indexed by
-    /// worker id), feeding the Chrome trace export, the `--trace-events`
-    /// dump and the `ringtrace` analyzer.
+    /// worker id), feeding the `--trace-events` dump, which the
+    /// `ringtrace` analyzer reads and folds into a Chrome trace.
     pub thread_events: Vec<Vec<TraceEvent>>,
     /// Total flight-recorder events dropped on ring overflow, across all
     /// threads.
@@ -322,7 +321,7 @@ impl EpochReport {
     pub fn to_json_value(&self) -> Json {
         let m = &self.metrics;
         let mut counters = Json::object();
-        for (key, _, value) in m.counters() {
+        for (key, value) in m.counters() {
             counters.push(key, Json::U64(value));
         }
         let derived = Json::object()
@@ -402,177 +401,6 @@ impl EpochReport {
     /// The JSON report document (pretty-printed, stable key order).
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string_pretty()
-    }
-
-    /// Appends this report's metric families to a Prometheus exposition,
-    /// tagging every sample with `labels` (e.g. `[("run", "fig4")]`).
-    pub fn write_prometheus(&self, w: &mut PromWriter, labels: &[(&str, &str)]) {
-        let m = &self.metrics;
-        // Info-style schema marker (value always 1): scrapers key off the
-        // `schema` label to detect format bumps, mirroring the JSON
-        // export's `schema_version`.
-        let mut with_schema: Vec<(&str, &str)> = labels.to_vec();
-        with_schema.push(("schema", "9"));
-        w.gauge(
-            "ringsampler_report_info",
-            "Report format marker; the schema label tracks the JSON schema_version",
-            &with_schema,
-            1.0,
-        );
-        for (key, help, value) in m.counters() {
-            if let Some(help) = help {
-                w.counter(&format!("ringsampler_{key}_total"), help, labels, value);
-            }
-        }
-        w.counter(
-            "ringsampler_trace_dropped_total",
-            "Flight-recorder events dropped on ring overflow",
-            labels,
-            self.trace_dropped,
-        );
-        // Congestion episodes by state, every non-ok state emitted
-        // (zeros included) so the label set is stable across runs.
-        for state in CongestionState::NON_OK {
-            let n = self.congestion.iter().filter(|e| e.state == state).count() as u64;
-            let mut with_state: Vec<(&str, &str)> = labels.to_vec();
-            with_state.push(("state", state.name()));
-            w.counter(
-                "ringsampler_congestion_episodes_total",
-                "Congestion episodes (contiguous non-ok verdicts) recorded this epoch",
-                &with_state,
-                n,
-            );
-        }
-        for (name, nanos) in self.account.phases() {
-            let mut with_phase: Vec<(&str, &str)> = labels.to_vec();
-            with_phase.push(("phase", name));
-            w.counter(
-                "ringsampler_phase_nanos_total",
-                "Nanoseconds per pipeline phase",
-                &with_phase,
-                nanos,
-            );
-        }
-        // ringprof families — emitted only when an epoch profile closed.
-        if let Some(r) = &self.resources {
-            for (mode, nanos) in [("user", r.fleet.user_nanos), ("sys", r.fleet.sys_nanos)] {
-                let mut with_mode: Vec<(&str, &str)> = labels.to_vec();
-                with_mode.push(("mode", mode));
-                w.gauge(
-                    "ringsampler_cpu_seconds_total",
-                    "Fleet CPU time by mode (getrusage RUSAGE_THREAD, summed over workers)",
-                    &with_mode,
-                    nanos as f64 / 1e9,
-                );
-            }
-            for (kind, n) in [
-                ("voluntary", r.fleet.vol_ctx_switches),
-                ("involuntary", r.fleet.invol_ctx_switches),
-            ] {
-                let mut with_kind: Vec<(&str, &str)> = labels.to_vec();
-                with_kind.push(("kind", kind));
-                w.counter(
-                    "ringsampler_ctx_switches_total",
-                    "Fleet context switches by kind",
-                    &with_kind,
-                    n,
-                );
-            }
-            for (kind, n) in [("minor", r.fleet.minor_faults), ("major", r.fleet.major_faults)] {
-                let mut with_kind: Vec<(&str, &str)> = labels.to_vec();
-                with_kind.push(("kind", kind));
-                w.counter(
-                    "ringsampler_page_faults_total",
-                    "Fleet page faults by kind",
-                    &with_kind,
-                    n,
-                );
-            }
-            for (bucket, nanos) in r.fleet_ledger.buckets() {
-                let mut with_bucket: Vec<(&str, &str)> = labels.to_vec();
-                with_bucket.push(("bucket", bucket));
-                w.counter(
-                    "ringsampler_ledger_nanos_total",
-                    "Fleet time-ledger nanoseconds by bucket (other = between batches)",
-                    &with_bucket,
-                    nanos,
-                );
-            }
-            w.gauge(
-                "ringsampler_cpu_share",
-                "Fleet on-CPU fraction of epoch wall time",
-                labels,
-                r.fleet_cpu_share(),
-            );
-            w.gauge(
-                "ringsampler_read_amplification",
-                "Process-wide kernel-boundary bytes (rchar) per logical byte sampled",
-                labels,
-                r.read_amplification(),
-            );
-            w.gauge(
-                "ringsampler_block_read_amplification",
-                "Storage-layer bytes (read_bytes) per logical byte sampled",
-                labels,
-                r.block_read_amplification(),
-            );
-        }
-        w.gauge("ringsampler_epoch_seconds", "Epoch wall time", labels, self.seconds());
-        w.gauge(
-            "ringsampler_wait_fraction",
-            "Fraction of I/O-path time spent waiting on completions",
-            labels,
-            self.wait_fraction(),
-        );
-        w.gauge(
-            "ringsampler_requests_per_syscall",
-            "Mean read requests per syscall",
-            labels,
-            m.requests_per_syscall(),
-        );
-        w.gauge(
-            "ringsampler_coalesce_ratio",
-            "Mean naive reads folded into each planned read",
-            labels,
-            m.coalesce_ratio(),
-        );
-        w.gauge("ringsampler_threads", "Worker threads", labels, self.threads as f64);
-        w.histogram(
-            "ringsampler_io_group_latency_seconds",
-            "Submit-to-complete latency per I/O group",
-            labels,
-            &self.account.group_latency,
-        );
-        w.histogram(
-            "ringsampler_batch_latency_seconds",
-            "Wall latency per sampled mini-batch",
-            labels,
-            &self.account.batch_latency,
-        );
-        w.histogram(
-            "ringsampler_cq_wait_seconds",
-            "CQ wait time per completed group",
-            labels,
-            &self.account.cq_wait,
-        );
-    }
-
-    /// The full Prometheus text-exposition document for this report.
-    pub fn to_prometheus(&self) -> String {
-        let mut w = PromWriter::new();
-        self.write_prometheus(&mut w, &[]);
-        w.finish()
-    }
-
-    /// A Chrome trace-event document (Perfetto-viewable): one timeline row
-    /// per worker thread, with its batches and their stages folded from
-    /// the flight-recorder events. Metadata events name the process and
-    /// each worker lane so the viewer shows "ringsampler / worker-N"
-    /// instead of bare pid/tid numbers.
-    pub fn to_chrome_trace(&self) -> String {
-        let lanes = self.thread_events.iter().enumerate();
-        ChromeTrace::from_events(lanes.map(|(tid, evs)| (format!("worker-{tid}"), evs.as_slice())))
-            .to_json()
     }
 }
 
@@ -756,31 +584,15 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        let prom = r.to_prometheus();
-        for family in [
-            "ringsampler_reads_planned_total 25",
-            "ringsampler_reads_saved_total 75",
-            "ringsampler_bytes_saved_total 300",
-            "ringsampler_coalesce_ratio 4",
-        ] {
-            assert!(prom.contains(family), "missing {family} in {prom}");
-        }
     }
 
     #[test]
-    fn every_counter_reaches_both_exports() {
-        // The one counter list builds both documents: every key is in the
-        // JSON `counters` block, and every counter with help is a
-        // `ringsampler_{key}_total` family carrying that help.
+    fn every_counter_reaches_the_json() {
+        // The one counter list builds the JSON `counters` block.
         let r = WorkerStats::default().into_epoch_report(Duration::from_secs(1));
-        let (json, prom) = (r.to_json(), r.to_prometheus());
-        for (key, help, _) in r.metrics.counters() {
+        let json = r.to_json();
+        for (key, _) in r.metrics.counters() {
             assert!(json.contains(&format!("\"{key}\": 0")), "missing {key} in {json}");
-            let family = format!("ringsampler_{key}_total");
-            match help {
-                Some(help) => assert!(prom.contains(&format!("# HELP {family} {help}\n")), "{family}"),
-                None => assert!(!prom.contains(&family), "{family} has no help, so no family"),
-            }
         }
     }
 
@@ -867,10 +679,6 @@ mod tests {
         assert_eq!(r.account.get(Stage::Sample), 200);
         assert_eq!(r.thread_events.len(), 2);
         assert_eq!(r.thread_events[1].len(), 3);
-
-        let trace = r.to_chrome_trace();
-        assert!(trace.contains("\"tid\": 1"));
-        assert_eq!(trace.matches("\"ph\": \"X\"").count(), 5);
     }
 
     #[test]
@@ -934,8 +742,6 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"trace\""), "{json}");
         assert!(json.contains("\"dropped\": 3"), "{json}");
-        let prom = r.to_prometheus();
-        assert!(prom.contains("ringsampler_trace_dropped_total 3"), "{prom}");
         // The raw dump round-trips through the JSON parser.
         let dump = r.trace_events_json_value().to_string_pretty();
         let parsed = Json::parse(&dump).expect("dump parses");
@@ -949,45 +755,5 @@ mod tests {
             Some("batch_start")
         );
         assert_eq!(ev0[1].get("b").and_then(Json::as_u64), Some(5));
-    }
-
-    #[test]
-    fn chrome_trace_names_process_and_lanes() {
-        let w = WorkerStats {
-            events: vec![batch_end(5, 0, 5)],
-            ..Default::default()
-        };
-        let r = w.into_epoch_report(Duration::from_secs(1));
-        let trace = r.to_chrome_trace();
-        assert!(trace.contains("\"ph\": \"M\""), "{trace}");
-        assert!(trace.contains("process_name"), "{trace}");
-        assert!(trace.contains("ringsampler"), "{trace}");
-        assert!(trace.contains("worker-0"), "{trace}");
-    }
-
-    #[test]
-    fn prometheus_export_has_all_families() {
-        let mut w = WorkerStats::default();
-        w.metrics.io_requests = 64;
-        w.metrics.syscalls = 2;
-        w.account.group_latency.record(50_000);
-        let r = w.into_epoch_report(Duration::from_millis(100));
-        let text = r.to_prometheus();
-        for family in [
-            "ringsampler_io_requests_total 64",
-            "ringsampler_requests_per_syscall 32",
-            "ringsampler_phase_nanos_total{phase=\"prepare\"}",
-            "ringsampler_io_group_latency_seconds_bucket",
-            "ringsampler_io_group_latency_seconds_count 1",
-            "ringsampler_epoch_seconds 0.1",
-        ] {
-            assert!(text.contains(family), "missing {family} in {text}");
-        }
-        // Labeled variant tags every sample.
-        let mut pw = PromWriter::new();
-        r.write_prometheus(&mut pw, &[("run", "fig4")]);
-        let labeled = pw.finish();
-        assert!(labeled.contains("ringsampler_batches_total{run=\"fig4\"}"));
-        assert!(labeled.contains("{run=\"fig4\",phase=\"complete\"}"));
     }
 }

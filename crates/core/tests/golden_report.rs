@@ -1,7 +1,7 @@
 //! Golden-file tests pinning the exact bytes of the machine-readable
 //! report formats. Downstream consumers (dashboards, the paper-figure
-//! scripts, Prometheus scrapers) parse these — any change to the JSON
-//! schema or the exposition format must be deliberate and show up in
+//! scripts, trace viewers) parse these — any change to the JSON schema,
+//! the event dump or the Chrome fold must be deliberate and show up in
 //! review as a golden-file diff.
 //!
 //! To regenerate after an intentional format change:
@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ringsampler::{EpochReport, SampleMetrics, WorkerResources, WorkerStats};
-use ringstat::{EventKind, PromWriter, ResourceSample, Stage, TimeLedger, TraceEvent};
+use ringstat::{ChromeTrace, EventKind, ResourceSample, Stage, TimeLedger, TraceEvent};
 
 /// A fully deterministic report: fixed counters, fixed histogram samples,
 /// fixed event timestamps. No clocks involved.
@@ -128,15 +128,13 @@ fn json_schema_is_pinned() {
 }
 
 #[test]
-fn prometheus_format_is_pinned() {
-    let mut w = PromWriter::new();
-    golden_report().write_prometheus(&mut w, &[("run", "golden")]);
-    check_golden("report.prom", &w.finish());
-}
-
-#[test]
 fn chrome_trace_is_pinned() {
-    check_golden("trace.json", &golden_report().to_chrome_trace());
+    // The fold `ringtrace --chrome` applies to a dump, over the golden
+    // report's events with one `worker-N` lane per worker.
+    let report = golden_report();
+    let lanes = report.thread_events.iter().enumerate();
+    let lanes = lanes.map(|(w, evs)| (format!("worker-{w}"), evs.as_slice()));
+    check_golden("trace.json", &ChromeTrace::from_events(lanes).to_json());
 }
 
 #[test]

@@ -37,7 +37,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod checkpoint;
 pub mod dataloader;
 pub mod features;
 pub mod model;
@@ -45,7 +44,6 @@ pub mod optim;
 pub mod tensor;
 pub mod train;
 
-pub use checkpoint::{load_model, save_model, CheckpointError};
 pub use dataloader::DataLoader;
 pub use features::{FeatureStore, InMemoryFeatures, OnDiskFeatures, SyntheticFeatures};
 pub use model::{ForwardCache, SageLayer, SageLayerGrads, SageModel};

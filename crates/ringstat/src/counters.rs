@@ -36,25 +36,23 @@ pub struct SampleMetrics {
 }
 
 impl SampleMetrics {
-    /// Every counter as `(wire key, Prometheus help, value)`, in report
-    /// order. This list alone is the epoch report's `counters` block and
-    /// its `ringsampler_{key}_total` families; a counter without help gets
-    /// no family.
-    pub fn counters(&self) -> [(&'static str, Option<&'static str>, u64); 13] {
+    /// Every counter as `(wire key, value)`, in report order. This list
+    /// alone is the epoch report's `counters` block.
+    pub fn counters(&self) -> [(&'static str, u64); 13] {
         [
-            ("batches", Some("Mini-batches sampled"), self.batches),
-            ("layers", None, self.layers),
-            ("targets", None, self.targets),
-            ("sampled_edges", Some("Neighbor entries sampled"), self.sampled_edges),
-            ("io_requests", Some("Individual disk read requests"), self.io_requests),
-            ("io_bytes", Some("Bytes read from disk"), self.io_bytes),
-            ("io_groups", Some("I/O groups submitted"), self.io_groups),
-            ("syscalls", Some("Syscalls issued by the I/O engine"), self.syscalls),
-            ("cache_hits", Some("Sampled entries served from the hot set"), self.cache_hits),
-            ("cache_misses", Some("Sampled entries the hot set does not hold"), self.cache_misses),
-            ("reads_planned", Some("Read requests issued after read planning"), self.reads_planned),
-            ("reads_saved", Some("Read requests eliminated by dedup/coalescing"), self.reads_saved),
-            ("bytes_saved", Some("Payload bytes the read planner avoided transferring"), self.bytes_saved),
+            ("batches", self.batches),
+            ("layers", self.layers),
+            ("targets", self.targets),
+            ("sampled_edges", self.sampled_edges),
+            ("io_requests", self.io_requests),
+            ("io_bytes", self.io_bytes),
+            ("io_groups", self.io_groups),
+            ("syscalls", self.syscalls),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("reads_planned", self.reads_planned),
+            ("reads_saved", self.reads_saved),
+            ("bytes_saved", self.bytes_saved),
         ]
     }
 
@@ -128,14 +126,12 @@ mod tests {
             reads_saved: 12,
             bytes_saved: 13,
         };
-        let values: Vec<u64> = m.counters().iter().map(|&(_, _, v)| v).collect();
+        let values: Vec<u64> = m.counters().iter().map(|&(_, v)| v).collect();
         assert_eq!(values, (1..=13).collect::<Vec<u64>>());
         let mut doubled = m;
         doubled.merge(&m);
-        for ((_, _, v), (_, _, w)) in m.counters().iter().zip(doubled.counters()) {
+        for ((_, v), (_, w)) in m.counters().iter().zip(doubled.counters()) {
             assert_eq!(2 * v, w, "merge adds every counter");
         }
-        let bare: Vec<&str> = m.counters().iter().filter(|c| c.1.is_none()).map(|c| c.0).collect();
-        assert_eq!(bare, ["layers", "targets"]);
     }
 }

@@ -19,11 +19,11 @@
 //!   histograms, with the four-phase view the reports export.
 //! * [`SampleMetrics`] — what a worker counts (batches, edges, reads,
 //!   bytes, groups, syscalls, hot-set and planner counters), and the one
-//!   list of their wire keys and Prometheus help the reports are built from.
-//! * [`Json`], [`PromWriter`], [`ChromeTrace`] — dependency-free exporters
-//!   for the three artifact formats every run leaves behind; the Chrome
-//!   `trace.json` (Perfetto-viewable) timeline is a fold over the flight
-//!   recorder's events.
+//!   list of their wire keys the reports are built from.
+//! * [`Json`], [`PromWriter`], [`ChromeTrace`] — dependency-free exporters:
+//!   JSON for the epoch report and every endpoint, Prometheus text for the
+//!   live `/metrics`, and the Chrome `trace.json` (Perfetto-viewable)
+//!   timeline `ringtrace` folds from the flight recorder's events.
 //! * [`SnapshotCell`] / [`WorkerSnapshot`] — the `ringscope` live-telemetry
 //!   publish side: a single-writer seqlock slot each worker overwrites
 //!   after every batch with its own record (its [`SampleMetrics`] and

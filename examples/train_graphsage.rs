@@ -5,11 +5,11 @@
 //!
 //! Run with: `cargo run --release --example train_graphsage`
 //!
-//! Pass `--stats-json PATH` / `--trace PATH` / `--prometheus PATH` to dump
-//! the sampling-side observability report of every epoch (latency
-//! histograms, phase times, per-worker stage timeline), and `--trace-events PATH`
-//! (or `RS_TRACE_EVENTS=PATH`) for the raw flight-recorder dump that the
-//! `ringtrace` analyzer turns into a per-stage latency breakdown. Pass
+//! Pass `--stats-json PATH` to dump the sampling-side observability report
+//! of every epoch (counters, latency histograms, phase times), and
+//! `--trace-events PATH` for the raw flight-recorder dump that the
+//! `ringtrace` analyzer turns into a per-stage latency breakdown (and,
+//! with `--chrome OUT`, into a per-worker Perfetto timeline). Pass
 //! `--serve <addr>` (or set `RS_SERVE=<addr>`) to watch the run live:
 //! `curl <addr>/progress`.
 

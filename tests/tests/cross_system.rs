@@ -4,8 +4,8 @@
 
 use ringsampler::{epoch_targets, MemoryBudget, RingSampler, SamplerConfig, SamplerError};
 use ringsampler_baselines::{
-    DeviceModel, GinexLikeSampler, GpuFlavor, GpuMode, GpuSimSampler, InMemorySampler,
-    MariusLikeSampler, NeighborSampler, RingSamplerSystem, SmartSsdModel, SmartSsdSampler,
+    DeviceModel, GpuFlavor, GpuMode, GpuSimSampler, InMemorySampler, MariusLikeSampler,
+    NeighborSampler, RingSamplerSystem, SmartSsdModel, SmartSsdSampler,
 };
 use ringsampler_graph::gen::GeneratorSpec;
 use ringsampler_graph::preprocess::{build_dataset, PreprocessOptions};
@@ -79,7 +79,6 @@ fn all_systems(g: &OnDiskGraph) -> Vec<Box<dyn NeighborSampler>> {
         ),
         Box::new(SmartSsdSampler::new(g, small_ssd, &FANOUTS, BATCH, &budget, 1).unwrap()),
         Box::new(MariusLikeSampler::new(g, 8, &FANOUTS, BATCH, &budget, false, 1).unwrap()),
-        Box::new(GinexLikeSampler::new(g, 1 << 16, &FANOUTS, BATCH, &budget, 1).unwrap()),
     ]
 }
 

@@ -1,12 +1,11 @@
-//! Integration tests for the extension features: optimizers and
-//! checkpoint round-trips through a real training flow.
+//! Integration tests for the extension features: optimizers driving a
+//! real training flow, and the dataset validator.
 
 use ringsampler::{RingSampler, SamplerConfig};
 use ringsampler_gnn::features::SyntheticFeatures;
 use ringsampler_gnn::model::SageModel;
 use ringsampler_gnn::optim::{Adam, Optimizer, Sgd};
 use ringsampler_gnn::tensor::softmax_cross_entropy;
-use ringsampler_gnn::{evaluate, load_model, save_model};
 use ringsampler_graph::gen::GeneratorSpec;
 use ringsampler_graph::preprocess::{build_dataset, PreprocessOptions};
 use ringsampler_graph::NodeId;
@@ -29,29 +28,6 @@ fn sampler(tag: &str, fanouts: &[usize]) -> RingSampler {
             .seed(21),
     )
     .unwrap()
-}
-
-#[test]
-fn checkpoint_roundtrip_through_training() {
-    let s = sampler("ckpt", &[5, 3]);
-    let feats = SyntheticFeatures::new(8, 4, 0.3, 7);
-    let mut model = SageModel::new(8, &[10], 4, 2, 3);
-    let targets: Vec<NodeId> = (0..500).collect();
-
-    // Train a little, checkpoint, evaluate.
-    ringsampler_gnn::train_epoch(&s, &mut model, &feats, |v| feats.label(v), &targets, 0.2)
-        .unwrap();
-    let path = std::env::temp_dir().join(format!("rs-it-ckpt-{}", std::process::id()));
-    save_model(&model, &path).unwrap();
-    let before = evaluate(&s, &model, &feats, |v| feats.label(v), &targets).unwrap();
-
-    // Restore into a freshly initialized model: identical evaluation.
-    let mut restored = SageModel::new(8, &[10], 4, 2, 12345);
-    load_model(&mut restored, &path).unwrap();
-    let after = evaluate(&s, &restored, &feats, |v| feats.label(v), &targets).unwrap();
-    assert!((before.loss - after.loss).abs() < 1e-6);
-    assert!((before.accuracy - after.accuracy).abs() < 1e-6);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
