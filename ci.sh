@@ -43,9 +43,9 @@
 #      10 (14 allow comments before clippy held the invariants):
 #      lower a ceiling when a knob or an exemption goes, never raise it
 #   7. ringtop gate — a small fig4_overall with --serve, asserting that
-#      /history serves the per-worker time series, /congestion serves
-#      verdicts, and `ringtop --once` renders a frame with every worker
-#      present and judged ok once the fleet idles (see DESIGN.md §14)
+#      /history serves the per-worker time series, /progress names the
+#      dominant stage, and `ringtop --once` renders a frame with both
+#      workers' rows and the fleet roll-up (see DESIGN.md §14)
 #   8. ringprof gate — a small fig4_overall with profiling on asserting,
 #      from one read of /resources once the run has finished, that every
 #      worker's time ledger conserves (stage buckets sum exactly to
@@ -175,24 +175,23 @@ N_TELEMETRY="$(pub_fields "$ROOT/crates/core/src/telemetry.rs" TelemetryConfig)"
 N_EXPECT="$(grep -rhF '#[expect(' "$ROOT"/crates/*/src --include='*.rs' | wc -l || true)"
 [ "$N_EXPECT" -le 10 ] || fail "crates/*/src has $N_EXPECT #[expect( exemptions (ceiling 10)"
 
-echo "==> ringtop gate (fig4_overall --serve, /history + /congestion + ringtop --once)"
+echo "==> ringtop gate (fig4_overall --serve, /history + /progress + ringtop --once)"
 # 8192 targets = 8 batches of 1024: both workers own batches, so both
-# appear in /history and must converge to an ok verdict.
+# appear in /history and in the ringtop frame.
 serve_fig4 8192
 curl -fsS "http://$ADDR/history?window=32" | grep -q '"workers"' || fail "/history missing workers array"
-curl -fsS "http://$ADDR/congestion" | grep -q '"fleet"' || fail "/congestion missing fleet rollup"
-# Once the run winds down the fleet idles, and an idle fleet must judge
-# all-ok: poll ringtop --once until the frame shows both workers ok.
+curl -fsS "http://$ADDR/progress" | grep -q '"dominant_stage"' || fail "/progress missing dominant_stage"
+# Poll ringtop --once until the frame shows a row for each worker.
 FRAME=""
 for _ in $(seq 1 100); do
     FRAME="$("$BIN"/ringtop --once "$ADDR" 2>/dev/null || true)"
-    if echo "$FRAME" | grep -q '^worker 0 \[ok\]' && echo "$FRAME" | grep -q '^worker 1 \[ok\]'; then
+    if echo "$FRAME" | grep -q '^worker 0 ' && echo "$FRAME" | grep -q '^worker 1 '; then
         break
     fi
     FRAME=""
     sleep 0.2
 done
-[ -n "$FRAME" ] || { "$BIN"/ringtop --once "$ADDR" || true; fail "ringtop --once never rendered an all-ok two-worker frame"; }
+[ -n "$FRAME" ] || { "$BIN"/ringtop --once "$ADDR" || true; fail "ringtop --once never rendered a two-worker frame"; }
 echo "$FRAME" | grep -q '^fleet:' || fail "ringtop frame missing fleet roll-up"
 # Capture rather than pipe: under pipefail an early-exiting grep -q
 # would otherwise turn the (large) JSON dump into a SIGPIPE failure.
@@ -200,7 +199,7 @@ TOP_JSON="$("$BIN"/ringtop --once --json "$ADDR")"
 echo "$TOP_JSON" | grep -q '"history"' || fail "ringtop --json missing history document"
 echo "$TOP_JSON" | grep -q '"resources"' || fail "ringtop --json missing resources document"
 stop_fig4
-echo "    ringtop gate ok (/history, /congestion, ringtop --once all-ok frame)"
+echo "    ringtop gate ok (/history, /progress dominant stage, ringtop --once two-worker frame)"
 
 echo "==> ringprof gate (fig4_overall /resources ledger + ringtop CPU column)"
 serve_fig4 8192

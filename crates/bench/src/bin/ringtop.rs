@@ -6,19 +6,16 @@
 //! ```
 //!
 //! Connects to the ringscope endpoint printed at sampler startup
-//! (`ringscope listening on http://ADDR`), polls `GET /history`,
-//! `GET /congestion`, and `GET /resources` every `--interval` ms
-//! (default 1000), and redraws a per-worker dashboard: throughput /
-//! queue-depth / batch-p99 / CPU-share sparklines, windowed rates, EWMA
-//! trends, the congestion verdict (highlighted when non-`ok`), the
-//! ringprof time-ledger bar with read-amplification figures, plus a
-//! fleet roll-up.
+//! (`ringscope listening on http://ADDR`), polls `GET /history` and
+//! `GET /resources` every `--interval` ms (default 1000), and redraws a
+//! per-worker dashboard: throughput / queue-depth / batch-p99 / CPU-share
+//! sparklines, windowed rates, EWMA trends, the ringprof time-ledger bar
+//! with read-amplification figures, plus a fleet roll-up.
 //!
-//! * `--once` renders a single plain-text frame (no escape codes) and
-//!   exits — the CI-friendly mode the gate asserts on.
-//! * `--json` dumps the three raw documents (one
-//!   `{"history", "congestion", "resources"}` wrapper object) instead of
-//!   rendering, for scripted consumers.
+//! * `--once` renders a single frame (no escape codes) and exits — the
+//!   CI-friendly mode the gate asserts on.
+//! * `--json` dumps the two raw documents (one `{"history", "resources"}`
+//!   wrapper object) instead of rendering, for scripted consumers.
 //! * `--window N` bounds the requested series length (server clamps to
 //!   its retained capacity).
 
@@ -26,9 +23,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ringsampler_bench::ringtop::{
-    parse_congestion, parse_history, parse_resources, render_frame, ResourcesView, Style,
-};
+use ringsampler_bench::ringtop::{parse_history, parse_resources, render_frame, ResourcesView};
 
 fn usage() -> ! {
     eprintln!("usage: ringtop ADDR [--once] [--json] [--window N] [--interval MS] [--width W]");
@@ -110,10 +105,8 @@ fn main() {
     let Some(addr) = addr else { usage() };
 
     loop {
-        let fetched = http_get(&addr, &format!("/history?window={window}"))
-            .and_then(|h| http_get(&addr, "/congestion").map(|c| (h, c)));
-        let (history_text, congestion_text) = match fetched {
-            Ok(texts) => texts,
+        let history_text = match http_get(&addr, &format!("/history?window={window}")) {
+            Ok(text) => text,
             Err(e) => {
                 eprintln!("ringtop: {e}");
                 std::process::exit(1);
@@ -129,9 +122,8 @@ fn main() {
             // A closed pipe (`ringtop --json | head`) is a normal way for a
             // consumer to stop reading, not an error worth a panic.
             let doc = format!(
-                "{{\"history\": {}, \"congestion\": {}, \"resources\": {}}}\n",
+                "{{\"history\": {}, \"resources\": {}}}\n",
                 history_text.trim_end(),
-                congestion_text.trim_end(),
                 resources_text.trim_end()
             );
             if std::io::stdout().write_all(doc.as_bytes()).is_err() {
@@ -145,29 +137,17 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            let verdicts = match parse_congestion(&congestion_text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("ringtop: bad /congestion document: {e}");
-                    std::process::exit(1);
-                }
-            };
             let resources = parse_resources(&resources_text).unwrap_or_else(|_| {
                 eprintln!("ringtop: bad /resources document (ignored)");
                 ResourcesView::default()
             });
+            let frame = render_frame(&series, &resources, width);
             if once {
-                print!(
-                    "{}",
-                    render_frame(&series, &verdicts, &resources, width, Style::Plain)
-                );
+                print!("{frame}");
             } else {
                 // Clear + home, then the frame: a flicker-free redraw for
                 // the sub-second polling cadence.
-                print!(
-                    "\x1b[2J\x1b[H{}",
-                    render_frame(&series, &verdicts, &resources, width, Style::Ansi)
-                );
+                print!("\x1b[2J\x1b[H{frame}");
                 let _ = std::io::stdout().flush();
             }
         }

@@ -1,16 +1,11 @@
 //! `ringtop` — live terminal dashboard over the ringscope history feed.
 //!
-//! Polls a running sampler's `GET /history` and `GET /congestion`
-//! endpoints (the time-series layer described in DESIGN.md §14) and
-//! renders a per-worker panel:
+//! Polls a running sampler's `GET /history` endpoint (the time-series
+//! layer described in DESIGN.md §14) and renders a per-worker panel:
 //!
 //! * **sparklines** over the retained window — edge throughput,
 //!   in-flight queue depth, and interval batch p99;
 //! * the windowed rates and EWMA/slope trends the server derived;
-//! * the worker's **congestion verdict**
-//!   (`ok | queue_saturated | cq_wait_rising | stalled | straggler`),
-//!   highlighted when non-`ok`, with the evidence that
-//!   drove it;
 //! * the **CPU column**: a windowed on-CPU-share sparkline from the
 //!   ringprof history points, plus the last completed epoch's
 //!   **time-ledger bar** and read-amplification figures from
@@ -72,26 +67,6 @@ pub struct WorkerSeries {
     pub series: Vec<SeriesPoint>,
 }
 
-/// One worker's `/congestion` verdict with the evidence that drove it.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct WorkerVerdict {
-    /// Worker (thread) index.
-    pub worker: u64,
-    /// Verdict name (`ok`, `queue_saturated`, `cq_wait_rising`,
-    /// `stalled`, `straggler`).
-    pub state: String,
-    /// Mean in-flight depth over the evidence window.
-    pub mean_inflight: f64,
-    /// Last interval CQ-wait share.
-    pub cq_wait_share: f64,
-    /// CQ-wait-share slope, share per second.
-    pub cq_wait_share_slope: f64,
-    /// This worker's windowed batch rate.
-    pub batches_per_sec: f64,
-    /// The fleet's median windowed batch rate.
-    pub fleet_median_batches_per_sec: f64,
-}
-
 fn f64_field(obj: &Json, key: &str) -> f64 {
     obj.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
@@ -141,37 +116,6 @@ pub fn parse_history(text: &str) -> Result<Vec<WorkerSeries>, String> {
             });
         }
         out.push(ws);
-    }
-    Ok(out)
-}
-
-/// Parses a `GET /congestion` document into per-worker verdicts.
-///
-/// # Errors
-/// Returns a message when the text is not JSON or lacks a `workers`
-/// array.
-pub fn parse_congestion(text: &str) -> Result<Vec<WorkerVerdict>, String> {
-    let root = Json::parse(text)?;
-    let workers = root
-        .get("workers")
-        .and_then(Json::as_array)
-        .ok_or("not a /congestion document (no \"workers\" array)")?;
-    let mut out = Vec::new();
-    for w in workers {
-        let e = w.get("evidence").cloned().unwrap_or(Json::object());
-        out.push(WorkerVerdict {
-            worker: u64_field(w, "worker"),
-            state: w
-                .get("state")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            mean_inflight: f64_field(&e, "mean_inflight"),
-            cq_wait_share: f64_field(&e, "cq_wait_share"),
-            cq_wait_share_slope: f64_field(&e, "cq_wait_share_slope"),
-            batches_per_sec: f64_field(&e, "batches_per_sec"),
-            fleet_median_batches_per_sec: f64_field(&e, "fleet_median_batches_per_sec"),
-        });
     }
     Ok(out)
 }
@@ -351,27 +295,6 @@ fn deltas(series: &[SeriesPoint], get: impl Fn(&SeriesPoint) -> u64) -> Vec<f64>
         .collect()
 }
 
-fn verdict_for(verdicts: &[WorkerVerdict], worker: u64) -> Option<&WorkerVerdict> {
-    verdicts.iter().find(|v| v.worker == worker)
-}
-
-/// How a frame is rendered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Style {
-    /// Plain text: no escape codes (for `--once`, CI logs, goldens).
-    Plain,
-    /// ANSI: non-`ok` verdicts are highlighted bold red.
-    Ansi,
-}
-
-fn verdict_cell(state: &str, style: Style) -> String {
-    match style {
-        Style::Plain => format!("[{state}]"),
-        Style::Ansi if state == "ok" => format!("\x1b[32m[{state}]\x1b[0m"),
-        Style::Ansi => format!("\x1b[1;31m[{state}]\x1b[0m"),
-    }
-}
-
 fn ledger_for(resources: &ResourcesView, worker: u64) -> Option<&WorkerLedger> {
     resources
         .present
@@ -379,37 +302,23 @@ fn ledger_for(resources: &ResourcesView, worker: u64) -> Option<&WorkerLedger> {
         .flatten()
 }
 
-/// Renders one dashboard frame from parsed `/history` series,
-/// `/congestion` verdicts, and the `/resources` attribution (pass
-/// `ResourcesView::default()` when the endpoint had nothing — the
-/// ledger rows and amplification figures are simply omitted).
-/// Pure and byte-stable for fixed inputs.
-pub fn render_frame(
-    series: &[WorkerSeries],
-    verdicts: &[WorkerVerdict],
-    resources: &ResourcesView,
-    width: usize,
-    style: Style,
-) -> String {
+/// Renders one dashboard frame from parsed `/history` series and the
+/// `/resources` attribution (pass `ResourcesView::default()` when the
+/// endpoint had nothing — the ledger rows and amplification figures are
+/// simply omitted). Pure and byte-stable for fixed inputs.
+pub fn render_frame(series: &[WorkerSeries], resources: &ResourcesView, width: usize) -> String {
     let mut out = String::new();
     let mut fleet_edges = 0.0;
     let mut fleet_batches = 0.0;
     let mut fleet_bytes = 0.0;
-    let congested = verdicts.iter().filter(|v| v.state != "ok").count();
-    out.push_str(&format!(
-        "ringtop — {} worker(s), {} congested\n",
-        series.len(),
-        congested
-    ));
+    out.push_str(&format!("ringtop — {} worker(s)\n", series.len()));
     for ws in series {
         fleet_edges += ws.edges_per_sec;
         fleet_batches += ws.batches_per_sec;
         fleet_bytes += ws.bytes_per_sec;
-        let state = verdict_for(verdicts, ws.worker).map_or("?", |v| v.state.as_str());
         out.push_str(&format!(
-            "worker {} {} {} edges/s · {:.1} batches/s · {}/s · {:.1} enters/s · cpu {:.0}%\n",
+            "worker {} {} edges/s · {:.1} batches/s · {}/s · {:.1} enters/s · cpu {:.0}%\n",
             ws.worker,
-            verdict_cell(state, style),
             human_count(ws.edges_per_sec as u64),
             ws.batches_per_sec,
             human_bytes(ws.bytes_per_sec as u64),
@@ -450,20 +359,6 @@ pub fn render_frame(
                 human_nanos(l.wall_nanos),
                 resources.epoch,
             ));
-        }
-        if let Some(v) = verdict_for(verdicts, ws.worker) {
-            if v.state != "ok" {
-                out.push_str(&format!(
-                    "  !! {}: {:.1} batches/s vs fleet median {:.1} · mean queue {:.0} \
-                     · cq share {:.2} ({:+.3}/s)\n",
-                    v.state,
-                    v.batches_per_sec,
-                    v.fleet_median_batches_per_sec,
-                    v.mean_inflight,
-                    v.cq_wait_share,
-                    v.cq_wait_share_slope,
-                ));
-            }
         }
     }
     out.push_str(&format!(
@@ -519,18 +414,6 @@ mod tests {
                 pt(200, 1000, 32, 100_000.0),
                 pt(300, 1500, 16, 95_000.0),
             ],
-        }
-    }
-
-    fn ok_verdict(worker: u64) -> WorkerVerdict {
-        WorkerVerdict {
-            worker,
-            state: "ok".into(),
-            mean_inflight: 18.0,
-            cq_wait_share: 0.1,
-            cq_wait_share_slope: 0.0,
-            batches_per_sec: 10.0,
-            fleet_median_batches_per_sec: 10.0,
         }
     }
 
@@ -606,43 +489,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_congestion_round_trips_document_fields() {
-        let text = r#"{"fleet": {"workers": 2, "ok": 1, "congested": 1,
-            "states": {"stalled": 0, "queue_saturated": 0,
-                       "cq_wait_rising": 0, "straggler": 1}},
-            "workers": [
-              {"worker": 0, "state": "ok", "evidence": {
-                 "window_start_ms": 0, "window_end_ms": 1000, "points": 10,
-                 "mean_inflight": 16.0, "cq_wait_share": 0.1,
-                 "cq_wait_share_slope": 0.0, "batches_per_sec": 10.0,
-                 "fleet_median_batches_per_sec": 10.0,
-                 "batch_p99_slope_ns_per_sec": 0.0}},
-              {"worker": 1, "state": "straggler", "evidence": {
-                 "window_start_ms": 0, "window_end_ms": 1000, "points": 10,
-                 "mean_inflight": 16.0, "cq_wait_share": 0.1,
-                 "cq_wait_share_slope": 0.0, "batches_per_sec": 1.0,
-                 "fleet_median_batches_per_sec": 10.0,
-                 "batch_p99_slope_ns_per_sec": 0.0}}]}"#;
-        let parsed = parse_congestion(text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].state, "ok");
-        assert_eq!(parsed[1].state, "straggler");
-        assert_eq!(parsed[1].fleet_median_batches_per_sec, 10.0);
-        assert!(parse_congestion("{\"x\": 1}").is_err());
-    }
-
-    #[test]
-    fn plain_frame_shows_workers_verdicts_and_fleet() {
+    fn plain_frame_shows_workers_and_fleet() {
         let series = [sample_series(0), sample_series(1)];
-        let mut verdicts = vec![ok_verdict(0), ok_verdict(1)];
-        verdicts[1].state = "straggler".into();
-        verdicts[1].batches_per_sec = 1.0;
         let resources = sample_resources(&[0, 1]);
-        let frame = render_frame(&series, &verdicts, &resources, 16, Style::Plain);
-        assert!(frame.contains("2 worker(s), 1 congested"), "{frame}");
-        assert!(frame.contains("worker 0 [ok]"), "{frame}");
-        assert!(frame.contains("worker 1 [straggler]"), "{frame}");
-        assert!(frame.contains("!! straggler: 1.0 batches/s vs fleet median 10.0"), "{frame}");
+        let frame = render_frame(&series, &resources, 16);
+        assert!(frame.starts_with("ringtop — 2 worker(s)\n"), "{frame}");
+        assert!(frame.contains("worker 0 5,000 edges/s · 10.0 batches/s"), "{frame}");
+        assert!(frame.contains("worker 1 5,000 edges/s"), "{frame}");
         assert!(frame.contains("throughput |"), "{frame}");
         assert!(frame.contains("queue      |"), "{frame}");
         assert!(frame.contains("batch p99  |"), "{frame}");
@@ -652,39 +505,26 @@ mod tests {
         assert!(frame.contains("acc 90% of 250.0 ms (epoch 3)"), "{frame}");
         assert!(frame.contains("fleet: 10,000 edges/s · 20.0 batches/s"), "{frame}");
         assert!(frame.contains("· amp 2.50x (block 1.25x)"), "{frame}");
-        // Plain frames carry no escape codes — safe for goldens and CI logs.
+        // Frames carry no escape codes — safe for goldens and CI logs.
         assert!(!frame.contains('\x1b'), "{frame}");
     }
 
     #[test]
-    fn ansi_frame_highlights_non_ok_only() {
-        let series = [sample_series(0)];
-        let mut verdicts = vec![ok_verdict(0)];
-        let none = ResourcesView::default();
-        let ok_frame = render_frame(&series, &verdicts, &none, 16, Style::Ansi);
-        assert!(ok_frame.contains("\x1b[32m[ok]\x1b[0m"), "{ok_frame}");
-        assert!(!ok_frame.contains("\x1b[1;31m"), "{ok_frame}");
-        verdicts[0].state = "stalled".into();
-        let bad_frame = render_frame(&series, &verdicts, &none, 16, Style::Ansi);
-        assert!(bad_frame.contains("\x1b[1;31m[stalled]\x1b[0m"), "{bad_frame}");
-    }
-
-    #[test]
-    fn frame_tolerates_missing_verdicts_and_empty_series() {
+    fn frame_tolerates_empty_series() {
         let series = [WorkerSeries {
             worker: 7,
             ..WorkerSeries::default()
         }];
         let none = ResourcesView::default();
-        let frame = render_frame(&series, &[], &none, 8, Style::Plain);
-        assert!(frame.contains("worker 7 [?]"), "{frame}");
+        let frame = render_frame(&series, &none, 8);
+        assert!(frame.contains("worker 7 0 edges/s"), "{frame}");
         // No resources published: the ledger row and fleet amplification
         // figures are omitted, the CPU sparkline stays (reads as 0%).
         assert!(!frame.contains("ledger     |"), "{frame}");
         assert!(!frame.contains("amp "), "{frame}");
         assert!(frame.contains("cpu        |"), "{frame}");
-        let empty = render_frame(&[], &[], &none, 8, Style::Plain);
-        assert!(empty.contains("0 worker(s), 0 congested"), "{empty}");
+        let empty = render_frame(&[], &none, 8);
+        assert!(empty.contains("0 worker(s)"), "{empty}");
         assert!(empty.contains("fleet: 0 edges/s"), "{empty}");
     }
 

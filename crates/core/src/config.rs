@@ -82,7 +82,7 @@ pub struct SamplerConfig {
     /// Live telemetry (`ringscope`): when set, every worker publishes a
     /// per-batch snapshot through a seqlock slot and an embedded HTTP
     /// server exposes `/metrics`, `/progress`, `/healthz`, `/trace`,
-    /// `/history`, `/congestion` and `/resources` plus a stall watchdog.
+    /// `/history` and `/resources` plus a stall watchdog.
     /// `None` (default) adds zero work to the hot path.
     pub telemetry: Option<TelemetryConfig>,
 }

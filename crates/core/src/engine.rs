@@ -227,9 +227,6 @@ impl RingSampler {
             res.logical_bytes = report.metrics.sampled_edges * ENTRY_BYTES;
         }
         if let Some(handle) = &self.telemetry {
-            // Fold the epoch's congestion episodes (closing any still
-            // open) into the post-mortem report.
-            report.congestion = handle.registry().drain_episodes();
             if report.resources.is_some() {
                 // Publish the finished attribution for GET /resources.
                 let doc = ringstat::Json::object()
@@ -411,7 +408,7 @@ mod tests {
         use ringstat::{EventKind, Json};
         let json = Json::parse(&r.to_json()).unwrap();
         let at = |path: &[&str]| path.iter().try_fold(&json, |j, k| j.get(k)).and_then(Json::as_u64);
-        assert_eq!(at(&["schema_version"]), Some(9));
+        assert_eq!(at(&["schema_version"]), Some(10));
         assert_eq!(at(&["counters", "batches"]), Some(r.metrics.batches));
         assert_eq!(at(&["histograms", "io_group_latency", "count"]), Some(r.metrics.io_groups));
         let events = r.thread_events.iter().flatten();
@@ -477,7 +474,7 @@ mod tests {
         on.attach_telemetry(&registry, None, 1, 0);
         on.sample_batch(&(0..SEEDS as NodeId).collect::<Vec<_>>(), 0).unwrap();
         let mut monitor = Monitor::new(Instant::now());
-        monitor.tick(registry.observe(), Instant::now(), &registry);
+        monitor.tick(registry.observe(), Instant::now());
         // The indices of `path`'s workers that `is_on` picks out.
         let listed = |path: &str, is_on: &dyn Fn(&Json) -> bool| -> Vec<u64> {
             let doc = Json::parse(monitor.route(path, &registry).body()).unwrap();

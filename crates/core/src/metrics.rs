@@ -14,7 +14,7 @@ use ringstat::{
     StageAccount, TimeLedger, TraceEvent,
 };
 
-use crate::telemetry::{trace_event_json, CongestionEpisode, CongestionState};
+use crate::telemetry::trace_event_json;
 
 pub use ringstat::SampleMetrics;
 
@@ -227,11 +227,6 @@ pub struct EpochReport {
     /// Total flight-recorder events dropped on ring overflow, across all
     /// threads.
     pub trace_dropped: u64,
-    /// Congestion episodes the telemetry history layer recorded during
-    /// this epoch (empty when telemetry is off): every
-    /// contiguous run of a non-`ok` verdict, with its time bounds on the
-    /// telemetry timeline. Drained from the registry at epoch join.
-    pub congestion: Vec<CongestionEpisode>,
     /// `ringprof` kernel resource attribution: per-worker deltas, the
     /// fleet roll-up, and the read-amplification ratios. `None` when no
     /// worker closed an epoch profile. Worker entries accumulate via
@@ -291,12 +286,15 @@ impl EpochReport {
         }
     }
 
-    /// The report as a JSON tree (`schema_version` 9). Raw values only —
+    /// The report as a JSON tree (`schema_version` 10). Raw values only —
     /// humanization is a Display concern; the `counters` block is
     /// [`SampleMetrics::counters`].
     ///
-    /// Schema history: v9 only removes — `congestion.by_state` lost the
-    /// `cpu_saturated` state, which could not fire; v8 only removes — the
+    /// Schema history: v10 removes the `congestion` block with the live
+    /// verdicts that filled it, and adds `derived.dominant_stage` and
+    /// `derived.dominant_share` ([`StageAccount::dominant`]); v9 only
+    /// removes — `congestion.by_state` lost the `cpu_saturated` state,
+    /// which could not fire; v8 only removes — the
     /// `spans` block left with the
     /// span log (the Chrome trace is a fold over the `trace` events) and
     /// the counters `prepare_nanos` / `complete_nanos` were
@@ -330,6 +328,7 @@ impl EpochReport {
             .with("syscalls_per_batch", Json::F64(m.syscalls_per_batch()))
             .with("coalesce_ratio", Json::F64(m.coalesce_ratio()))
             .with("edges_per_second", Json::F64(self.edges_per_second()));
+        let derived = with_dominant(derived, &self.account);
         let mut phases = Json::object();
         for (name, nanos) in self.account.phases() {
             phases.push(name, Json::U64(nanos));
@@ -343,28 +342,9 @@ impl EpochReport {
             .with("threads", Json::U64(self.thread_events.len() as u64))
             .with("events", Json::U64(trace_events))
             .with("dropped", Json::U64(self.trace_dropped));
-        let episodes: Vec<Json> = self
-            .congestion
-            .iter()
-            .map(|e| {
-                Json::object()
-                    .with("worker", Json::U64(e.worker as u64))
-                    .with("state", Json::str(e.state.name()))
-                    .with("start_ms", Json::U64(e.start_ms))
-                    .with("end_ms", Json::U64(e.end_ms))
-            })
-            .collect();
-        let mut by_state = Json::object();
-        for state in CongestionState::NON_OK {
-            let n = self.congestion.iter().filter(|e| e.state == state).count();
-            by_state.push(state.name(), Json::U64(n as u64));
-        }
-        let congestion = Json::object()
-            .with("episodes", Json::Array(episodes))
-            .with("by_state", by_state);
         let resources = self.resources_json_value();
         Json::object()
-            .with("schema_version", Json::U64(9))
+            .with("schema_version", Json::U64(10))
             .with("threads", Json::U64(self.threads as u64))
             .with("wall_seconds", Json::F64(self.seconds()))
             .with("counters", counters)
@@ -372,7 +352,6 @@ impl EpochReport {
             .with("phase_nanos", phases)
             .with("histograms", histograms)
             .with("trace", trace)
-            .with("congestion", congestion)
             .with("resources", resources)
     }
 
@@ -402,6 +381,19 @@ impl EpochReport {
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string_pretty()
     }
+}
+
+/// `obj` with the two dominant-stage keys of `account` appended:
+/// `dominant_stage` (a stage name, `null` for an empty account) and
+/// `dominant_share` (its share of all stage time, 0 for an empty account).
+/// The report's `derived` block and `/progress`'s fleet row both end so.
+pub(crate) fn with_dominant(obj: Json, account: &StageAccount) -> Json {
+    let (stage, share) = match account.dominant() {
+        Some((stage, share)) => (Json::str(stage.name()), share),
+        None => (Json::Null, 0.0),
+    };
+    obj.with("dominant_stage", stage)
+        .with("dominant_share", Json::F64(share))
 }
 
 /// The `resources` JSON block (shared by the epoch report and the
@@ -565,6 +557,9 @@ mod tests {
         let r = EpochReport::default();
         assert_eq!(r.wait_fraction(), 0.0);
         assert_eq!(r.edges_per_second(), 0.0);
+        let json = r.to_json();
+        assert!(json.contains("\"dominant_stage\": null"), "{json}");
+        assert!(json.contains("\"dominant_share\": 0.0"), "{json}");
     }
 
     #[test]
@@ -692,11 +687,13 @@ mod tests {
         assert_eq!(r.threads, 1);
         let json = r.to_json();
         for key in [
-            "\"schema_version\": 9",
+            "\"schema_version\": 10",
             "\"counters\"",
             "\"derived\"",
             "\"phase_nanos\"",
             "\"submit\": 123",
+            "\"dominant_stage\": \"submit\"",
+            "\"dominant_share\": 1.0",
             "\"io_group_latency\"",
             "\"p50_nanos\"",
             "\"p95_nanos\"",

@@ -13,10 +13,8 @@
 //!   [`SnapshotRegistry`] each poll tick and hands the snapshots to its
 //!   [`Monitor`], which appends them to one plain series per worker. Every
 //!   live view is a fold over those series: `GET /history` (windowed
-//!   rates, EWMA trends, slope estimators), `GET /congestion` (per-worker
-//!   verdicts — `ok`, `queue_saturated`, `cq_wait_rising`, `stalled`,
-//!   `straggler` — with the evidence window behind them, DESIGN.md §14),
-//!   `GET /progress` (fleet throughput and ETA) and `GET /healthz`. The
+//!   rates, EWMA trends, slope estimators, DESIGN.md §14), `GET /progress`
+//!   (fleet throughput, ETA and the dominant stage) and `GET /healthz`. The
 //!   stall watchdog is a fact about a series too: an active worker whose
 //!   `batches` count has not moved for 10 s is reported once with its
 //!   last-known state, recent history and flight-recorder tail, and flips
@@ -24,10 +22,6 @@
 //!   events. `GET /metrics` (Prometheus text) and
 //!   `GET /trace` (the live tail of each flight-recorder ring, read with
 //!   the non-destructive [`EventRing::recent`]) complete the set.
-//!   Congestion episodes — contiguous runs of a non-`ok` verdict — are
-//!   tracked with their time bounds and folded into the post-mortem
-//!   [`crate::metrics::EpochReport`]. Thresholds are the constants next
-//!   to [`CongestionDetector`].
 //!
 //! Everything here is cold-path: the registry's `Mutex`es are touched
 //! only at epoch setup and by the telemetry thread, never per batch, and
@@ -42,14 +36,15 @@ use std::time::{Duration, Instant};
 use ringsampler_io::IoEngineError;
 use ringstat::history::{
     batch_p99_series, batch_p99_slope, cpu_share, cpu_share_series, cq_wait_share_series,
-    cq_wait_share_slope, ewma, interval_series, io_busy_share, mean_inflight, windowed_rates,
+    cq_wait_share_slope, ewma, interval_series, windowed_rates,
 };
 use ringstat::{
     EventRing, HistoryPoint, HttpServer, Json, PromWriter, Response, SampleMetrics, SnapshotCell,
-    TraceEvent, WorkerSnapshot,
+    StageAccount, TraceEvent, WorkerSnapshot,
 };
 
 use crate::error::{Result, SamplerError};
+use crate::metrics::with_dominant;
 
 /// Configuration for the embedded telemetry server. The history length
 /// (512 points per worker) and the stall window (10 s) are constants.
@@ -134,9 +129,6 @@ pub struct SnapshotRegistry {
     /// [`EventRing::recent`], never the destructive drain.
     slots: Mutex<Vec<Slot>>,
     epochs: Mutex<u64>,
-    /// Congestion episode tracking (verdict transitions with their time
-    /// bounds), updated by the telemetry thread, drained at epoch join.
-    congestion: Mutex<CongestionLog>,
     /// The last completed epoch's rendered ringprof document, published
     /// by the engine at epoch join and served verbatim by
     /// `GET /resources`. Deliberately *not* cleared on epoch reset: the
@@ -174,53 +166,11 @@ impl SnapshotRegistry {
 
     /// Starts an epoch of `n` workers: every slot, ring included, is
     /// replaced by `n` empty ones for the epoch's workers to install
-    /// theirs into, and open congestion episodes are dropped (cumulative
-    /// episode counters survive, so `/metrics` counters stay monotonic).
-    /// History needs no reset: the [`Monitor`] restarts a worker's series
-    /// when it sees the slot's epoch change.
+    /// theirs into. History needs no reset: the [`Monitor`] restarts a
+    /// worker's series when it sees the slot's epoch change.
     pub fn reset_epoch(&self, n: usize) {
         if let Ok(mut slots) = self.slots.lock() {
             *slots = (0..n).map(|_| Slot::new(None)).collect();
-        }
-        if let Ok(mut log) = self.congestion.lock() {
-            log.reset();
-        }
-    }
-
-    /// Feeds one tick's verdicts into the episode tracker: a worker
-    /// whose state changed closes its open episode (if any) at `now_ms`
-    /// and opens a new one when the new state is not `ok`. Telemetry
-    /// thread only.
-    pub fn update_congestion(&self, verdicts: &[CongestionVerdict], now_ms: u64) {
-        if let Ok(mut log) = self.congestion.lock() {
-            log.update(verdicts, now_ms);
-        }
-    }
-
-    /// Every worker's current congestion state, in slot-index order.
-    pub fn congestion_states(&self) -> Vec<(usize, CongestionState)> {
-        match self.congestion.lock() {
-            Ok(log) => log.states(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Cumulative count of congestion episodes *started* per worker
-    /// (monotonic across epochs — the `/metrics` counter).
-    pub fn episode_counts(&self) -> Vec<(usize, u64)> {
-        match self.congestion.lock() {
-            Ok(log) => log.counts(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Closes every open episode at the last observed instant and
-    /// returns all episodes recorded since the previous drain (epoch
-    /// join path — the result lands in `EpochReport::congestion`).
-    pub fn drain_episodes(&self) -> Vec<CongestionEpisode> {
-        match self.congestion.lock() {
-            Ok(mut log) => log.drain(),
-            Err(_) => Vec::new(),
         }
     }
 
@@ -322,325 +272,6 @@ pub struct StallEvent {
     pub snapshot: WorkerSnapshot,
 }
 
-/// A worker's congestion verdict (DESIGN.md §14). Exactly one state per
-/// worker per tick; the detectors are checked in severity order
-/// (`stalled` > `queue_saturated` > `cq_wait_rising` > `straggler`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CongestionState {
-    /// No detector fired (also the verdict for inactive workers and
-    /// windows too thin to judge).
-    Ok,
-    /// Mean in-flight read depth pinned at/above the queue threshold: the
-    /// drive (or the ring) can no longer absorb bursts.
-    QueueSaturated,
-    /// The share of I/O time spent blocked on the completion queue is
-    /// both high and rising — the paper's congestion-collapse signature.
-    CqWaitRising,
-    /// The stall watchdog fired: the worker's snapshot stopped advancing
-    /// entirely.
-    Stalled,
-    /// The worker's windowed batch rate fell far below the fleet median.
-    Straggler,
-}
-
-impl CongestionState {
-    /// Stable wire name used in `/congestion`, `/metrics` labels, and
-    /// `EpochReport` JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            CongestionState::Ok => "ok",
-            CongestionState::QueueSaturated => "queue_saturated",
-            CongestionState::CqWaitRising => "cq_wait_rising",
-            CongestionState::Stalled => "stalled",
-            CongestionState::Straggler => "straggler",
-        }
-    }
-
-    /// Every non-`ok` state, in severity order — the stable label set
-    /// for zero-initialized counters.
-    pub const NON_OK: [CongestionState; 4] = [
-        CongestionState::Stalled,
-        CongestionState::QueueSaturated,
-        CongestionState::CqWaitRising,
-        CongestionState::Straggler,
-    ];
-}
-
-/// The evidence window behind one congestion verdict: every quantity a
-/// detector compared against its threshold, so a verdict is auditable
-/// from the `/congestion` document alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CongestionEvidence {
-    /// Timeline instant of the oldest point in the window (ms).
-    pub window_start_ms: u64,
-    /// Timeline instant of the newest point in the window (ms).
-    pub window_end_ms: u64,
-    /// Points in the window.
-    pub points: u64,
-    /// Mean in-flight read depth across the window.
-    pub mean_inflight: f64,
-    /// CQ-wait share of the most recent interval (0 when no I/O ran).
-    pub cq_wait_share: f64,
-    /// Least-squares slope of the CQ-wait share, per second.
-    pub cq_wait_share_slope: f64,
-    /// Fraction of the window's wall time the worker spent in I/O —
-    /// the significance gate for the CQ-wait figures.
-    pub io_busy_share: f64,
-    /// The worker's windowed on-CPU share (thread CPU time over wall),
-    /// from the ringprof column of the history points. 0 until the worker
-    /// opens its epoch profile.
-    pub cpu_share: f64,
-    /// This worker's windowed batch completion rate.
-    pub batches_per_sec: f64,
-    /// The fleet median windowed batch rate (active workers with enough
-    /// points; 0 when fewer than two participate).
-    pub fleet_median_batches_per_sec: f64,
-    /// Least-squares slope of the per-interval batch p99, ns per second.
-    pub batch_p99_slope_ns_per_sec: f64,
-}
-
-/// One worker's verdict for one tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CongestionVerdict {
-    /// Slot index.
-    pub worker: usize,
-    /// The verdict.
-    pub state: CongestionState,
-    /// The window that produced it.
-    pub evidence: CongestionEvidence,
-}
-
-/// A contiguous run of one non-`ok` verdict on one worker, with its
-/// time bounds on the telemetry timeline (ms since server start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CongestionEpisode {
-    /// Slot index.
-    pub worker: usize,
-    /// The non-`ok` state held throughout the episode.
-    pub state: CongestionState,
-    /// Timeline instant the verdict first appeared.
-    pub start_ms: u64,
-    /// Timeline instant the verdict ended (last tick it was observed,
-    /// for episodes still open at drain time).
-    pub end_ms: u64,
-}
-
-/// Episode bookkeeping behind [`SnapshotRegistry`]: current state, open
-/// episode, and cumulative started-count per worker.
-#[derive(Debug, Default)]
-struct CongestionLog {
-    /// Per-worker current state (grown on demand).
-    states: Vec<CongestionState>,
-    /// Per-worker open episode: `(state, start_ms)`.
-    open: Vec<Option<(CongestionState, u64)>>,
-    /// Per-worker cumulative episodes started (survives epoch resets).
-    counts: Vec<u64>,
-    /// Episodes closed since the last drain.
-    closed: Vec<CongestionEpisode>,
-    /// The newest instant fed to `update` — where still-open episodes
-    /// are closed at drain time.
-    last_ms: u64,
-}
-
-impl CongestionLog {
-    fn grow(&mut self, n: usize) {
-        while self.states.len() < n {
-            self.states.push(CongestionState::Ok);
-            self.open.push(None);
-        }
-        while self.counts.len() < n {
-            self.counts.push(0);
-        }
-    }
-
-    fn update(&mut self, verdicts: &[CongestionVerdict], now_ms: u64) {
-        self.last_ms = self.last_ms.max(now_ms);
-        for v in verdicts {
-            self.grow(v.worker + 1);
-            let open = match self.open.get_mut(v.worker) {
-                Some(o) => o,
-                None => continue,
-            };
-            match *open {
-                Some((state, start_ms)) if state != v.state => {
-                    self.closed.push(CongestionEpisode {
-                        worker: v.worker,
-                        state,
-                        start_ms,
-                        end_ms: now_ms,
-                    });
-                    *open = None;
-                }
-                _ => {}
-            }
-            if open.is_none() && v.state != CongestionState::Ok {
-                *open = Some((v.state, now_ms));
-                if let Some(c) = self.counts.get_mut(v.worker) {
-                    *c += 1;
-                }
-            }
-            if let Some(s) = self.states.get_mut(v.worker) {
-                *s = v.state;
-            }
-        }
-    }
-
-    fn states(&self) -> Vec<(usize, CongestionState)> {
-        self.states.iter().copied().enumerate().collect()
-    }
-
-    fn counts(&self) -> Vec<(usize, u64)> {
-        self.counts.iter().copied().enumerate().collect()
-    }
-
-    fn drain(&mut self) -> Vec<CongestionEpisode> {
-        let last_ms = self.last_ms;
-        for (worker, open) in self.open.iter_mut().enumerate() {
-            if let Some((state, start_ms)) = open.take() {
-                self.closed.push(CongestionEpisode {
-                    worker,
-                    state,
-                    start_ms,
-                    end_ms: last_ms,
-                });
-            }
-        }
-        let mut episodes = std::mem::take(&mut self.closed);
-        episodes.sort_by_key(|e| (e.start_ms, e.worker));
-        for s in &mut self.states {
-            *s = CongestionState::Ok;
-        }
-        episodes
-    }
-
-    /// Epoch reset: forget per-epoch state but keep the cumulative
-    /// episode counts so `/metrics` counters stay monotonic.
-    fn reset(&mut self) {
-        self.states.clear();
-        self.open.clear();
-        self.closed.clear();
-        self.last_ms = 0;
-    }
-}
-
-/// The online congestion detectors: pure threshold checks over history
-/// windows, deterministic and clock-free so each verdict state has a
-/// synthetic-sequence unit test. Severity order decides ties; the full
-/// evidence is attached to every verdict, `ok` included.
-#[derive(Debug, Default)]
-pub struct CongestionDetector;
-
-/// History points per evidence window: each worker's verdict is derived
-/// from its most recent `WINDOW` points.
-const WINDOW: usize = 12;
-/// Minimum points before any non-stall verdict is attempted; thinner
-/// windows stay `ok`.
-const MIN_POINTS: usize = 5;
-/// Mean device backlog (`WorkerSnapshot::inflight`: requests the worker
-/// was blocked behind, averaged over each batch's time) at or above which
-/// a worker is `queue_saturated`. Sits just under the default 512-entry
-/// ring: a worker parked on that many requests most of the time can no
-/// longer absorb bursts.
-pub(crate) const QUEUE_DEPTH: f64 = 448.0;
-/// Minimum per-second upward slope of the CQ-wait share for
-/// `cq_wait_rising`.
-const CQ_SLOPE: f64 = 0.15;
-/// The CQ-wait share the latest interval must also reach before a rising
-/// slope is flagged — a worker rising from 1% to 3% is not congested yet.
-const CQ_FLOOR: f64 = 0.6;
-/// Minimum fraction of the window's wall-clock time spent in I/O at all
-/// before a CQ-wait verdict is attempted. A mostly-idle worker's share is
-/// computed over microscopic denominators and carries no signal.
-const CQ_BUSY: f64 = 0.25;
-/// A worker is a `straggler` when its windowed batch rate falls below this
-/// fraction of the fleet median.
-const STRAGGLER_RATIO: f64 = 0.35;
-
-impl CongestionDetector {
-    /// A detector with the built-in thresholds.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Judges every worker from its history window. `stalled` comes from
-    /// the [`Monitor`]'s series (a 10 s standstill is a wedge no
-    /// rate-based window needs to confirm).
-    pub fn assess(
-        &self,
-        windows: &[(usize, Vec<HistoryPoint>)],
-        stalled: &[usize],
-    ) -> Vec<CongestionVerdict> {
-        // Fleet median over active workers with judgeable windows — the
-        // straggler baseline. Upper median; a sole participant is never
-        // judged against itself (the median then stays 0).
-        let mut rates: Vec<f64> = windows
-            .iter()
-            .filter(|(_, pts)| self.judgeable(pts))
-            .map(|(_, pts)| windowed_rates(pts).batches_per_sec)
-            .collect();
-        rates.sort_by(f64::total_cmp);
-        let median = if rates.len() >= 2 {
-            rates.get(rates.len() / 2).copied().unwrap_or(0.0)
-        } else {
-            0.0
-        };
-        windows
-            .iter()
-            .map(|(worker, pts)| self.judge(*worker, pts, stalled, median))
-            .collect()
-    }
-
-    /// True when a window is thick and fresh enough for rate verdicts.
-    fn judgeable(&self, pts: &[HistoryPoint]) -> bool {
-        pts.len() >= MIN_POINTS && pts.last().map(|p| p.snap.active).unwrap_or(false)
-    }
-
-    fn judge(
-        &self,
-        worker: usize,
-        pts: &[HistoryPoint],
-        stalled: &[usize],
-        median: f64,
-    ) -> CongestionVerdict {
-        let rates = windowed_rates(pts);
-        let cq_series = cq_wait_share_series(pts);
-        let evidence = CongestionEvidence {
-            window_start_ms: pts.first().map(|p| p.t_ms).unwrap_or(0),
-            window_end_ms: pts.last().map(|p| p.t_ms).unwrap_or(0),
-            points: pts.len() as u64,
-            mean_inflight: mean_inflight(pts),
-            cq_wait_share: cq_series.last().map(|&(_, s)| s).unwrap_or(0.0),
-            cq_wait_share_slope: cq_wait_share_slope(pts),
-            io_busy_share: io_busy_share(pts),
-            cpu_share: cpu_share(pts),
-            batches_per_sec: rates.batches_per_sec,
-            fleet_median_batches_per_sec: median,
-            batch_p99_slope_ns_per_sec: batch_p99_slope(pts),
-        };
-        let state = if stalled.contains(&worker) {
-            CongestionState::Stalled
-        } else if !self.judgeable(pts) {
-            CongestionState::Ok
-        } else if evidence.mean_inflight >= QUEUE_DEPTH {
-            CongestionState::QueueSaturated
-        } else if evidence.io_busy_share >= CQ_BUSY
-            && evidence.cq_wait_share >= CQ_FLOOR
-            && evidence.cq_wait_share_slope >= CQ_SLOPE
-        {
-            CongestionState::CqWaitRising
-        } else if median > 0.0 && evidence.batches_per_sec < STRAGGLER_RATIO * median {
-            CongestionState::Straggler
-        } else {
-            CongestionState::Ok
-        };
-        CongestionVerdict {
-            worker,
-            state,
-            evidence,
-        }
-    }
-}
-
 /// Fleet-wide rates the server derives from successive polls; split out
 /// so document rendering stays pure (golden-testable without clocks).
 #[derive(Debug, Clone, Copy, Default)]
@@ -662,20 +293,15 @@ pub struct FleetRates {
 }
 
 /// Server-level facts `/metrics` exports beyond the per-worker slots:
-/// uptime, build identity, and the congestion tracker's current output.
-/// Split out (with a [`Default`]) so `metrics_document` stays pure and
-/// golden-testable — the [`Monitor`] fills it from its timeline and the
-/// registry per request.
+/// uptime and build identity. Split out (with a [`Default`]) so
+/// `metrics_document` stays pure and golden-testable — the [`Monitor`]
+/// fills it from its timeline per request.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsExtras {
     /// Seconds since the telemetry server started.
     pub uptime_seconds: f64,
     /// Crate version for the `ringsampler_build_info` info family.
     pub version: String,
-    /// Every worker's current congestion state.
-    pub congestion_states: Vec<(usize, CongestionState)>,
-    /// Cumulative congestion episodes started, per worker.
-    pub congestion_episodes: Vec<(usize, u64)>,
 }
 
 /// Renders the `GET /metrics` Prometheus document for one poll's
@@ -771,26 +397,6 @@ pub fn metrics_document(
             t.dropped,
         );
     }
-    for &(worker, state) in &extras.congestion_states {
-        let idx = worker.to_string();
-        let labels: &[(&str, &str)] = &[("worker", &idx), ("state", state.name())];
-        w.gauge(
-            "ringsampler_worker_congestion_state",
-            "Current congestion verdict (constant 1; the state lives in the labels)",
-            labels,
-            1.0,
-        );
-    }
-    for &(worker, count) in &extras.congestion_episodes {
-        let idx = worker.to_string();
-        let labels: &[(&str, &str)] = &[("worker", &idx)];
-        w.counter(
-            "ringsampler_congestion_episodes_total",
-            "Congestion episodes (contiguous non-ok verdicts) started",
-            labels,
-            count,
-        );
-    }
     w.finish()
 }
 
@@ -826,16 +432,19 @@ pub(crate) fn trace_event_json(e: &TraceEvent) -> Json {
 }
 
 /// Renders the `GET /progress` JSON document: per-worker rows plus a
-/// fleet aggregate. Pure: rates and stall state are passed in.
+/// fleet aggregate, whose `dominant_stage` is the largest stage of the
+/// merged accounts. Pure: rates and stall state are passed in.
 pub fn progress_document(obs: &[WorkerObservation], stalled: &[usize], rates: &FleetRates) -> String {
     let fraction = |done: u64, of: u64| if of > 0 { done as f64 / of as f64 } else { 0.0 };
     let mut workers = Vec::with_capacity(obs.len());
     let mut totals = SampleMetrics::default();
+    let mut account = StageAccount::default();
     let (mut total_batches, mut inflight, mut active) = (0u64, 0u64, 0u64);
     for o in obs {
         let Some(s) = o.snapshot else { continue };
         let m = &s.metrics;
         totals.merge(m);
+        account.merge(&s.account);
         total_batches += s.total_batches;
         inflight += s.inflight;
         active += u64::from(s.active);
@@ -885,7 +494,7 @@ pub fn progress_document(obs: &[WorkerObservation], stalled: &[usize], rates: &F
         );
     Json::object()
         .with("workers", Json::Array(workers))
-        .with("fleet", fleet)
+        .with("fleet", with_dominant(fleet, &account))
         .to_string_pretty()
 }
 
@@ -963,59 +572,6 @@ pub fn history_document(windows: &[(usize, Vec<HistoryPoint>)], window: usize) -
         .to_string_pretty()
 }
 
-/// Renders the `GET /congestion` JSON document: the fleet rollup plus
-/// every worker's verdict with its full evidence window. Pure.
-pub fn congestion_document(verdicts: &[CongestionVerdict]) -> String {
-    let ok = verdicts
-        .iter()
-        .filter(|v| v.state == CongestionState::Ok)
-        .count();
-    let mut states = Json::object();
-    for state in CongestionState::NON_OK {
-        let n = verdicts.iter().filter(|v| v.state == state).count();
-        states = states.with(state.name(), Json::U64(n as u64));
-    }
-    let fleet = Json::object()
-        .with("workers", Json::U64(verdicts.len() as u64))
-        .with("ok", Json::U64(ok as u64))
-        .with("congested", Json::U64((verdicts.len() - ok) as u64))
-        .with("states", states);
-    let workers: Vec<Json> = verdicts
-        .iter()
-        .map(|v| {
-            let e = &v.evidence;
-            Json::object()
-                .with("worker", Json::U64(v.worker as u64))
-                .with("state", Json::str(v.state.name()))
-                .with(
-                    "evidence",
-                    Json::object()
-                        .with("window_start_ms", Json::U64(e.window_start_ms))
-                        .with("window_end_ms", Json::U64(e.window_end_ms))
-                        .with("points", Json::U64(e.points))
-                        .with("mean_inflight", Json::F64(e.mean_inflight))
-                        .with("cq_wait_share", Json::F64(e.cq_wait_share))
-                        .with("cq_wait_share_slope", Json::F64(e.cq_wait_share_slope))
-                        .with("io_busy_share", Json::F64(e.io_busy_share))
-                        .with("cpu_share", Json::F64(e.cpu_share))
-                        .with("batches_per_sec", Json::F64(e.batches_per_sec))
-                        .with(
-                            "fleet_median_batches_per_sec",
-                            Json::F64(e.fleet_median_batches_per_sec),
-                        )
-                        .with(
-                            "batch_p99_slope_ns_per_sec",
-                            Json::F64(e.batch_p99_slope_ns_per_sec),
-                        ),
-                )
-        })
-        .collect();
-    Json::object()
-        .with("fleet", fleet)
-        .with("workers", Json::Array(workers))
-        .to_string_pretty()
-}
-
 /// Parses one `u64` query parameter from a raw request path
 /// (`/history?worker=1&window=32`). Absent or unparsable ⇒ `None`.
 fn query_param(path: &str, key: &str) -> Option<u64> {
@@ -1089,8 +645,6 @@ pub struct Monitor {
     /// Counters of the series that have ended (epoch change or slot
     /// removed): the part of the lifetime totals no slot shows any more.
     finished: SampleMetrics,
-    /// The latest tick's congestion verdicts.
-    verdicts: Vec<CongestionVerdict>,
 }
 
 impl Monitor {
@@ -1102,7 +656,6 @@ impl Monitor {
             obs: Vec::new(),
             series: Vec::new(),
             finished: SampleMetrics::default(),
-            verdicts: Vec::new(),
         }
     }
 
@@ -1110,17 +663,11 @@ impl Monitor {
         self.now.saturating_duration_since(self.start).as_millis() as u64
     }
 
-    /// Appends one point per observed snapshot at `now`, judges every
-    /// worker, and rolls the registry's congestion episodes forward.
-    /// Returns the workers that stalled at this tick (each standstill is
-    /// reported once). A series restarts when its slot's epoch changes;
-    /// slots that disappeared end theirs.
-    pub fn tick(
-        &mut self,
-        obs: Vec<WorkerObservation>,
-        now: Instant,
-        registry: &SnapshotRegistry,
-    ) -> Vec<StallEvent> {
+    /// Appends one point per observed snapshot at `now`. Returns the
+    /// workers that stalled at this tick (each standstill is reported
+    /// once). A series restarts when its slot's epoch changes; slots that
+    /// disappeared end theirs.
+    pub fn tick(&mut self, obs: Vec<WorkerObservation>, now: Instant) -> Vec<StallEvent> {
         self.now = now;
         let now_ms = self.now_ms();
         let slots = obs.iter().map(|o| o.index + 1).max().unwrap_or(0);
@@ -1163,8 +710,6 @@ impl Monitor {
                 });
             }
         }
-        self.verdicts = CongestionDetector::new().assess(&self.windows(WINDOW), &self.stalled());
-        registry.update_congestion(&self.verdicts, now_ms);
         self.obs = obs;
         newly_stalled
     }
@@ -1222,27 +767,23 @@ impl Monitor {
     }
 
     /// The one-shot black box for a worker [`tick`](Self::tick) just
-    /// declared stalled, carrying this tick's verdicts.
+    /// declared stalled.
     fn black_box(&self, event: &StallEvent, registry: &SnapshotRegistry) -> Json {
         stall_blackbox_document(
             event,
             &registry.observe_traces(STALL_TRACE_TAIL),
             &self.windows(STALL_HISTORY_POINTS),
-            &self.verdicts,
         )
     }
 
     /// Serves one request from the monitor's state as of its latest tick
-    /// (plus the registry's flight-recorder rings, episode counts and
-    /// resource document).
+    /// (plus the registry's flight-recorder rings and resource document).
     pub fn route(&self, path: &str, registry: &SnapshotRegistry) -> Response {
         match path {
             "/metrics" => {
                 let extras = MetricsExtras {
                     uptime_seconds: self.now.saturating_duration_since(self.start).as_secs_f64(),
                     version: env!("CARGO_PKG_VERSION").to_string(),
-                    congestion_states: registry.congestion_states(),
-                    congestion_episodes: registry.episode_counts(),
                 };
                 let traces = registry.observe_traces(0);
                 Response::prometheus(metrics_document(&self.obs, &traces, &extras))
@@ -1251,7 +792,6 @@ impl Monitor {
                 Response::json(progress_document(&self.obs, &self.stalled(), &self.rates()))
             }
             "/trace" => Response::json(trace_document(&registry.observe_traces(256))),
-            "/congestion" => Response::json(congestion_document(&self.verdicts)),
             "/resources" => Response::json(registry.resources_document()),
             path if path == "/history" || path.starts_with("/history?") => {
                 let window = query_param(path, "window")
@@ -1327,7 +867,7 @@ pub fn spawn_server(cfg: &TelemetryConfig, registry: Arc<SnapshotRegistry>) -> R
     let spawned = builder.spawn(move || {
         let mut monitor = Monitor::new(Instant::now());
         while !shutdown.load(Ordering::Acquire) {
-            for event in monitor.tick(registry.observe(), Instant::now(), &registry) {
+            for event in monitor.tick(registry.observe(), Instant::now()) {
                 eprintln!("{}", monitor.black_box(&event, &registry).to_string_compact());
             }
             server.poll(8, |req| monitor.route(&req.path, &registry));
@@ -1340,15 +880,13 @@ pub fn spawn_server(cfg: &TelemetryConfig, registry: Arc<SnapshotRegistry>) -> R
 
 /// Builds the one-shot `ringscope_stall` black-box document: the
 /// worker's last-known snapshot, the tail of its flight-recorder ring
-/// (what the worker was *doing* when it wedged), its recent history
-/// points (how it got there), and the fleet's congestion verdicts from
-/// the same tick (who else was suffering). Pure: same inputs ⇒ same
-/// document; the server emits it compactly to stderr.
+/// (what the worker was *doing* when it wedged) and its recent history
+/// points (how it got there). Pure: same inputs ⇒ same document; the
+/// server emits it compactly to stderr.
 pub fn stall_blackbox_document(
     event: &StallEvent,
     tails: &[TraceTail],
     windows: &[(usize, Vec<HistoryPoint>)],
-    verdicts: &[CongestionVerdict],
 ) -> Json {
     let s = &event.snapshot;
     let doc = Json::object()
@@ -1388,17 +926,7 @@ pub fn stall_blackbox_document(
             Json::Array(points)
         })
         .unwrap_or(Json::Null);
-    let fleet: Vec<Json> = verdicts
-        .iter()
-        .map(|v| {
-            Json::object()
-                .with("worker", Json::U64(v.worker as u64))
-                .with("state", Json::str(v.state.name()))
-        })
-        .collect();
-    doc.with("trace", trace)
-        .with("history", history)
-        .with("verdicts", Json::Array(fleet))
+    doc.with("trace", trace).with("history", history)
 }
 
 /// The process-global telemetry server: bench binaries construct many
@@ -1478,15 +1006,9 @@ mod tests {
 
     /// Ticks `monitor` at `ms` past `t0` with one observation per
     /// snapshot, returning the workers that stalled at that tick.
-    fn tick_at(
-        monitor: &mut Monitor,
-        reg: &SnapshotRegistry,
-        t0: Instant,
-        ms: u64,
-        snaps: &[WorkerSnapshot],
-    ) -> Vec<usize> {
+    fn tick_at(monitor: &mut Monitor, t0: Instant, ms: u64, snaps: &[WorkerSnapshot]) -> Vec<usize> {
         let now = t0 + Duration::from_millis(ms);
-        monitor.tick(obs_of(snaps), now, reg).iter().map(|e| e.worker).collect()
+        monitor.tick(obs_of(snaps), now).iter().map(|e| e.worker).collect()
     }
 
     #[test]
@@ -1497,34 +1019,34 @@ mod tests {
         let both = [snap(1, 10, true), snap(1, 10, true)];
         let healthz = |m: &Monitor| m.route("/healthz", &reg).status();
 
-        assert!(tick_at(&mut m, &reg, t0, 0, &both).is_empty(), "first sight never stalls");
+        assert!(tick_at(&mut m, t0, 0, &both).is_empty(), "first sight never stalls");
         // No new batch, but within the threshold: not stalled yet.
-        assert!(tick_at(&mut m, &reg, t0, 9_800, &both).is_empty());
+        assert!(tick_at(&mut m, t0, 9_800, &both).is_empty());
         assert_eq!(healthz(&m), 200);
 
         // STALL_THRESHOLD without a new batch: both fire, exactly once.
-        let stalled = m.tick(obs_of(&both), t0 + STALL_THRESHOLD, &reg);
+        let stalled = m.tick(obs_of(&both), t0 + STALL_THRESHOLD);
         assert_eq!(stalled.iter().map(|e| e.worker).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(stalled[0].snapshot.inflight, 2, "the black box carries the last state");
         assert_eq!(healthz(&m), 503);
         assert_eq!(m.route("/healthz", &reg).body(), "stalled workers: [0, 1]\n");
-        assert!(tick_at(&mut m, &reg, t0, 30_000, &both).is_empty(), "stall warnings are one-shot");
+        assert!(tick_at(&mut m, t0, 30_000, &both).is_empty(), "stall warnings are one-shot");
         assert_eq!(m.stalled(), vec![0, 1]);
         let box0 = m.black_box(&stalled[0], &reg).to_string_compact();
-        assert!(box0.contains("\"state\":\"stalled\""), "{box0}");
+        assert!(box0.contains("\"event\":\"ringscope_stall\""), "{box0}");
 
         // Worker 0 completes a batch: it recovers; worker 1 stays stalled.
         let advanced = [snap(2, 10, true), snap(1, 10, true)];
-        assert!(tick_at(&mut m, &reg, t0, 30_200, &advanced).is_empty());
+        assert!(tick_at(&mut m, t0, 30_200, &advanced).is_empty());
         assert_eq!(m.stalled(), vec![1]);
         assert_eq!(healthz(&m), 503);
 
         // Worker 1's next batch: healthy again, and a fresh standstill is
         // reported afresh.
         let recovered = [snap(2, 10, true), snap(2, 10, true)];
-        assert!(tick_at(&mut m, &reg, t0, 30_400, &recovered).is_empty());
+        assert!(tick_at(&mut m, t0, 30_400, &recovered).is_empty());
         assert_eq!(healthz(&m), 200);
-        assert_eq!(tick_at(&mut m, &reg, t0, 40_400, &recovered), vec![0, 1]);
+        assert_eq!(tick_at(&mut m, t0, 40_400, &recovered), vec![0, 1]);
     }
 
     #[test]
@@ -1533,8 +1055,8 @@ mod tests {
         let t0 = Instant::now();
         let mut m = Monitor::new(t0);
         let finished = [snap(4, 4, false)];
-        tick_at(&mut m, &reg, t0, 0, &finished);
-        assert!(tick_at(&mut m, &reg, t0, 60_000, &finished).is_empty());
+        tick_at(&mut m, t0, 0, &finished);
+        assert!(tick_at(&mut m, t0, 60_000, &finished).is_empty());
         assert!(m.stalled().is_empty());
         assert_eq!(m.route("/healthz", &reg).status(), 200);
     }
@@ -1554,181 +1076,12 @@ mod tests {
             .collect()
     }
 
-    /// A healthy window: steady 10 batches/s, modest queue, flat low CQ
-    /// wait.
-    fn healthy_window(n: u64) -> Vec<HistoryPoint> {
-        hist_pts(n, |i, s| {
-            s.metrics.batches = i;
-            s.metrics.sampled_edges = i * 1000;
-            s.inflight = 32;
-            s.account.add(Stage::Submit, i * 900_000);
-            s.account.add(Stage::Wait, i * 100_000);
-        })
-    }
-
-    #[test]
-    fn congestion_verdict_ok_for_healthy_fleet() {
-        let det = CongestionDetector::new();
-        let windows = vec![(0, healthy_window(12)), (1, healthy_window(12))];
-        let verdicts = det.assess(&windows, &[]);
-        assert_eq!(verdicts.len(), 2);
-        for v in &verdicts {
-            assert_eq!(v.state, CongestionState::Ok, "worker {}", v.worker);
-            assert!(v.evidence.points == 12);
-            assert!((v.evidence.batches_per_sec - 10.0).abs() < 1e-6);
-        }
-        // Thin windows and inactive workers also judge ok.
-        let thin = vec![(0, healthy_window(3))];
-        assert_eq!(det.assess(&thin, &[])[0].state, CongestionState::Ok);
-        let mut finished = healthy_window(12);
-        for p in &mut finished {
-            p.snap.active = false;
-        }
-        assert_eq!(det.assess(&[(0, finished)], &[])[0].state, CongestionState::Ok);
-    }
-
-    #[test]
-    fn congestion_verdict_queue_saturated() {
-        let det = CongestionDetector::new();
-        let windows = vec![(0, hist_pts(12, |i, s| {
-            s.metrics.batches = i;
-            s.inflight = 500; // pinned above the 448 threshold
-        }))];
-        let v = &det.assess(&windows, &[])[0];
-        assert_eq!(v.state, CongestionState::QueueSaturated);
-        assert!((v.evidence.mean_inflight - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn congestion_verdict_cq_wait_rising() {
-        let det = CongestionDetector::new();
-        // Interval CQ share climbs 0.04·i with 60 ms of I/O per 100 ms
-        // interval: past the 0.6 floor, slope ≫ 0.15/s, and well above
-        // the 0.25 busy gate — the collapse signature.
-        let shape = |total: u64| {
-            move |i: u64, s: &mut WorkerSnapshot| {
-                s.metrics.batches = i;
-                let share = (i as f64 * 0.04).min(0.95);
-                let complete = i * (share * total as f64) as u64;
-                s.account.add(Stage::Wait, complete);
-                s.account.add(Stage::Submit, i * total - complete);
-            }
-        };
-        let windows = vec![(0, hist_pts(24, shape(60_000_000)))];
-        let v = &det.assess(&windows, &[])[0];
-        assert_eq!(v.state, CongestionState::CqWaitRising, "{:?}", v.evidence);
-        assert!(v.evidence.cq_wait_share >= 0.6, "{:?}", v.evidence);
-        assert!(v.evidence.cq_wait_share_slope > 0.15, "{:?}", v.evidence);
-        assert!(v.evidence.io_busy_share >= 0.25, "{:?}", v.evidence);
-        // The same share trajectory from a mostly-idle worker (1 ms of
-        // I/O per 100 ms) carries no signal: the busy gate holds it ok.
-        let idle = vec![(0, hist_pts(24, shape(1_000_000)))];
-        let v = &det.assess(&idle, &[])[0];
-        assert_eq!(v.state, CongestionState::Ok, "{:?}", v.evidence);
-    }
-
-    #[test]
-    fn congestion_verdict_stalled_overrides_everything() {
-        let det = CongestionDetector::new();
-        let windows = vec![(0, healthy_window(12)), (1, healthy_window(12))];
-        let verdicts = det.assess(&windows, &[1]);
-        assert_eq!(verdicts[0].state, CongestionState::Ok);
-        assert_eq!(verdicts[1].state, CongestionState::Stalled);
-    }
-
-    #[test]
-    fn congestion_verdict_straggler_vs_fleet_median() {
-        let det = CongestionDetector::new();
-        // Worker 1 completes batches at 1/10th the fleet rate.
-        let slow = hist_pts(12, |i, s| {
-            s.metrics.batches = i / 10;
-            s.inflight = 32;
-        });
-        let windows = vec![(0, healthy_window(12)), (1, slow)];
-        let verdicts = det.assess(&windows, &[]);
-        assert_eq!(verdicts[0].state, CongestionState::Ok);
-        assert_eq!(verdicts[1].state, CongestionState::Straggler, "{:?}", verdicts[1].evidence);
-        assert!((verdicts[1].evidence.fleet_median_batches_per_sec - 10.0).abs() < 1e-6);
-        // A lone worker is never judged against itself.
-        let solo = vec![(0, hist_pts(12, |i, s| s.metrics.batches = i / 10))];
-        assert_eq!(det.assess(&solo, &[])[0].state, CongestionState::Ok);
-    }
-
-    fn verdict(worker: usize, state: CongestionState) -> CongestionVerdict {
-        CongestionVerdict {
-            worker,
-            state,
-            evidence: CongestionEvidence {
-                window_start_ms: 0,
-                window_end_ms: 0,
-                points: 0,
-                mean_inflight: 0.0,
-                cq_wait_share: 0.0,
-                cq_wait_share_slope: 0.0,
-                io_busy_share: 0.0,
-                cpu_share: 0.0,
-                batches_per_sec: 0.0,
-                fleet_median_batches_per_sec: 0.0,
-                batch_p99_slope_ns_per_sec: 0.0,
-            },
-        }
-    }
-
-    #[test]
-    fn episode_tracker_records_time_bounds() {
-        let reg = SnapshotRegistry::new();
-        // ok → straggler (t=100..300) → ok → queue_saturated (t=400, open).
-        reg.update_congestion(&[verdict(0, CongestionState::Ok)], 0);
-        reg.update_congestion(&[verdict(0, CongestionState::Straggler)], 100);
-        reg.update_congestion(&[verdict(0, CongestionState::Straggler)], 200);
-        reg.update_congestion(&[verdict(0, CongestionState::Ok)], 300);
-        reg.update_congestion(&[verdict(0, CongestionState::QueueSaturated)], 400);
-        assert_eq!(
-            reg.congestion_states(),
-            vec![(0, CongestionState::QueueSaturated)]
-        );
-        assert_eq!(reg.episode_counts(), vec![(0, 2)]);
-        let episodes = reg.drain_episodes();
-        assert_eq!(episodes.len(), 2);
-        assert_eq!(
-            episodes[0],
-            CongestionEpisode {
-                worker: 0,
-                state: CongestionState::Straggler,
-                start_ms: 100,
-                end_ms: 300,
-            }
-        );
-        // The open episode is closed at the last observed instant.
-        assert_eq!(
-            episodes[1],
-            CongestionEpisode {
-                worker: 0,
-                state: CongestionState::QueueSaturated,
-                start_ms: 400,
-                end_ms: 400,
-            }
-        );
-        // Drain is destructive; counts survive (monotonic /metrics).
-        assert!(reg.drain_episodes().is_empty());
-        assert_eq!(reg.episode_counts(), vec![(0, 2)]);
-        // A state *switch* without an ok gap closes and reopens.
-        reg.update_congestion(&[verdict(1, CongestionState::Straggler)], 500);
-        reg.update_congestion(&[verdict(1, CongestionState::Stalled)], 600);
-        let episodes = reg.drain_episodes();
-        assert_eq!(episodes.len(), 2);
-        assert_eq!(episodes[0].state, CongestionState::Straggler);
-        assert_eq!(episodes[0].end_ms, 600);
-        assert_eq!(episodes[1].state, CongestionState::Stalled);
-    }
-
     #[test]
     fn monitor_series_keep_the_newest_points_and_restart_per_epoch() {
-        let reg = SnapshotRegistry::new();
         let t0 = Instant::now();
         let mut m = Monitor::new(t0);
         for i in 0..HISTORY_POINTS as u64 + 6 {
-            tick_at(&mut m, &reg, t0, i * 100, &[snap(i, 8, true), snap(i * 2, 8, true)]);
+            tick_at(&mut m, t0, i * 100, &[snap(i, 8, true), snap(i * 2, 8, true)]);
         }
         let windows = m.windows(8);
         assert_eq!(windows.len(), 2);
@@ -1741,7 +1094,7 @@ mod tests {
         // A new epoch restarts the worker's series; a vanished slot ends its.
         let mut next = snap(1, 8, true);
         next.epoch = 2;
-        tick_at(&mut m, &reg, t0, 60_000, &[next]);
+        tick_at(&mut m, t0, 60_000, &[next]);
         let windows = m.windows(8);
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].1.len(), 1);
@@ -1751,7 +1104,6 @@ mod tests {
     #[test]
     fn compute_rates_windowed_vs_lifetime() {
         // 5 fast seconds (1000 edges/s), then 10 slow seconds (10/s).
-        let reg = SnapshotRegistry::new();
         let t0 = Instant::now();
         let mut m = Monitor::new(t0);
         let mut edges = 0u64;
@@ -1767,7 +1119,7 @@ mod tests {
             s.total_batches = 1000;
             s.metrics.sampled_edges = edges;
             s.active = true;
-            tick_at(&mut m, &reg, t0, tick * 1000, &[s]);
+            tick_at(&mut m, t0, tick * 1000, &[s]);
         }
         let last = m.rates();
         // Lifetime average is dominated by the fast warmup…
@@ -1804,7 +1156,7 @@ mod tests {
         // longer than the 10 s rate window. Epoch 2: three more ticks.
         let ticks = (1..=61).map(|k| at(1, k)).chain((1..=3).map(|k| at(2, k)));
         for (i, s) in ticks.enumerate() {
-            tick_at(&mut m, &reg, t0, i as u64 * 200, &[s]);
+            tick_at(&mut m, t0, i as u64 * 200, &[s]);
         }
         let rates = m.rates();
         assert!((rates.edges_per_sec - 500.0).abs() < 1e-6, "{rates:?}");
@@ -1841,22 +1193,6 @@ mod tests {
     }
 
     #[test]
-    fn congestion_document_renders_verdicts_and_rollup() {
-        let verdicts = [
-            verdict(0, CongestionState::Ok),
-            verdict(1, CongestionState::Straggler),
-        ];
-        let doc = congestion_document(&verdicts);
-        assert!(doc.contains("\"workers\": 2"), "{doc}");
-        assert!(doc.contains("\"ok\": 1"), "{doc}");
-        assert!(doc.contains("\"congested\": 1"), "{doc}");
-        assert!(doc.contains("\"straggler\": 1"), "{doc}");
-        assert!(doc.contains("\"state\": \"straggler\""), "{doc}");
-        assert!(doc.contains("\"fleet_median_batches_per_sec\""), "{doc}");
-        assert!(Json::parse(&doc).is_ok());
-    }
-
-    #[test]
     fn query_param_parses_history_requests() {
         assert_eq!(query_param("/history?window=32", "window"), Some(32));
         assert_eq!(query_param("/history?worker=1&window=8", "worker"), Some(1));
@@ -1870,8 +1206,6 @@ mod tests {
         MetricsExtras {
             uptime_seconds: 12.5,
             version: "0.1.0".into(),
-            congestion_states: vec![(0, CongestionState::Ok), (1, CongestionState::Straggler)],
-            congestion_episodes: vec![(0, 0), (1, 2)],
         }
     }
 
@@ -1921,23 +1255,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_document_carries_uptime_build_info_and_congestion() {
+    fn metrics_document_carries_uptime_and_build_info() {
         let doc = metrics_document(&obs_of(&[snap(1, 4, true)]), &[], &extras());
         assert!(doc.contains("ringsampler_uptime_seconds 12.5"), "{doc}");
         assert!(
             doc.contains(r#"ringsampler_build_info{version="0.1.0"} 1"#),
-            "{doc}"
-        );
-        assert!(
-            doc.contains(r#"ringsampler_worker_congestion_state{worker="0",state="ok"} 1"#),
-            "{doc}"
-        );
-        assert!(
-            doc.contains(r#"ringsampler_worker_congestion_state{worker="1",state="straggler"} 1"#),
-            "{doc}"
-        );
-        assert!(
-            doc.contains(r#"ringsampler_congestion_episodes_total{worker="1"} 2"#),
             "{doc}"
         );
     }
@@ -2008,7 +1330,15 @@ mod tests {
             lifetime_edges_per_sec: 750.0,
             lifetime_batches_per_sec: 7.5,
         };
-        let doc = progress_document(&obs_of(&[snap(3, 8, true), snap(5, 8, true)]), &[1], &rates);
+        // Worker 0 mostly waits, worker 1 mostly samples: the fleet row
+        // names the largest stage of the merged accounts.
+        let (mut a, mut b) = (snap(3, 8, true), snap(5, 8, true));
+        a.account.add(Stage::Wait, 600);
+        a.account.add(Stage::Sample, 100);
+        b.account.add(Stage::Sample, 300);
+        let doc = progress_document(&obs_of(&[a, b]), &[1], &rates);
+        assert!(doc.contains("\"dominant_stage\": \"wait\""), "{doc}");
+        assert!(doc.contains("\"dominant_share\": 0.6"), "{doc}");
         assert!(doc.contains("\"batches\": 8"), "{doc}");
         assert!(doc.contains("\"total_batches\": 16"));
         assert!(doc.contains("\"fraction\": 0.5"));
@@ -2021,7 +1351,7 @@ mod tests {
     }
 
     #[test]
-    fn stall_blackbox_carries_trace_history_and_verdicts() {
+    fn stall_blackbox_carries_trace_and_history() {
         use ringstat::EventKind;
         let mut s = snap(3, 8, true);
         s.cpu_nanos = 42_000_000;
@@ -2051,11 +1381,7 @@ mod tests {
             s.inflight = 12;
             s.cpu_nanos = i * 1_000_000;
         }))];
-        let verdicts = [
-            verdict(0, CongestionState::Ok),
-            verdict(1, CongestionState::QueueSaturated),
-        ];
-        let doc = stall_blackbox_document(&event, &tails, &windows, &verdicts).to_string_compact();
+        let doc = stall_blackbox_document(&event, &tails, &windows).to_string_compact();
         assert!(doc.contains("\"event\":\"ringscope_stall\""), "{doc}");
         assert!(doc.contains("\"worker\":1"), "{doc}");
         assert!(doc.contains("\"cpu_nanos\":42000000"), "{doc}");
@@ -2063,12 +1389,11 @@ mod tests {
         assert!(doc.contains("\"group_submit\""), "{doc}");
         assert!(doc.contains("\"dropped\":2"), "{doc}");
         assert!(!doc.contains("\"batch_start\""), "{doc}");
-        // History points and fleet verdicts travel too.
+        // History points travel too.
         assert!(doc.contains("\"t_ms\":200"), "{doc}");
-        assert!(doc.contains("\"queue_saturated\""), "{doc}");
         assert!(Json::parse(&doc).is_ok(), "{doc}");
         // Without trace/history for the worker, the sections are null.
-        let bare = stall_blackbox_document(&event, &[], &[], &[]).to_string_compact();
+        let bare = stall_blackbox_document(&event, &[], &[]).to_string_compact();
         assert!(bare.contains("\"trace\":null"), "{bare}");
         assert!(bare.contains("\"history\":null"), "{bare}");
     }
@@ -2126,11 +1451,9 @@ mod tests {
         let (code, body) = http_get(handle.addr(), "/progress");
         assert_eq!(code, 200);
         assert!(body.contains("\"fleet\""));
-        for path in ["/history?window=8", "/congestion"] {
-            let (code, body) = http_get(handle.addr(), path);
-            assert_eq!(code, 200, "{path}");
-            assert!(body.contains("\"workers\""), "{path}: {body}");
-        }
+        let (code, body) = http_get(handle.addr(), "/history?window=8");
+        assert_eq!(code, 200);
+        assert!(body.contains("\"workers\""), "{body}");
         // The /trace tail serves installed flight-recorder rings live.
         ring.record(TraceEvent {
             ts_ns: 1,

@@ -1804,9 +1804,11 @@ mod tests {
     fn queue_gauge_reads_backlog_not_group_size() {
         // The default 512-entry ring and 2048 reads a batch: two full groups
         // are lent out at once, so a gauge of lent-out requests would read
-        // 1024 and convict every healthy run. The published gauge counts
-        // them only while the worker is blocked on them.
-        use crate::telemetry::QUEUE_DEPTH;
+        // 1024 on every healthy run. The published gauge counts them only
+        // while the worker is blocked on them. `NEAR_FULL` is ⅞ of the ring:
+        // far above what page-cache reads leave waiting, within a parked
+        // window.
+        const NEAR_FULL: f64 = 448.0;
         let graph = long_graph("gauge", 1 << 14);
         let seeds: Vec<NodeId> = (0..1024).collect();
         let cfg = SamplerConfig::new().fanouts(&[2]).seed(9);
@@ -1825,7 +1827,7 @@ mod tests {
                 assert!(snap.active);
                 assert_eq!(snap.metrics.io_requests, 2048 * (batch + 1), "{engine:?}");
                 // Page-cache reads complete at submission: nothing to park on.
-                assert!((snap.inflight as f64) < QUEUE_DEPTH, "{engine:?}: {}", snap.inflight);
+                assert!((snap.inflight as f64) < NEAR_FULL, "{engine:?}: {}", snap.inflight);
                 if engine == EngineKind::Pread {
                     assert_eq!(snap.inflight, 0, "pread never queues");
                 }
@@ -1848,7 +1850,7 @@ mod tests {
                 "{pipeline:?}: parked worker published {inflight}"
             );
             if pipeline == PipelineMode::Async {
-                assert!(inflight as f64 >= QUEUE_DEPTH, "saturation must be reachable");
+                assert!(inflight as f64 >= NEAR_FULL, "a parked backlog must reach ⅞ of the ring");
             }
             w.take_stats();
             assert_eq!(published(&registry).inflight, 0, "inactive");

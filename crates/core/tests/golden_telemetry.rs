@@ -1,13 +1,12 @@
 //! Golden-file tests pinning the exact bytes of the `ringscope` live
 //! endpoints (`GET /metrics`, `GET /progress`, `GET /trace`,
-//! `GET /history`, `GET /congestion`, `GET /resources`) against a fixed
-//! two-worker snapshot registry. The documents are rendered by the same
-//! pure functions the telemetry thread calls, with all time-dependent
-//! inputs (rates, ETA, uptime, history timestamps) fixed — so the goldens
-//! are byte-stable. The history, congestion and resources goldens go
-//! through `Monitor::route`, the handler the server's socket loop calls,
-//! over a synthetic timeline: the bytes asserted are the body a live
-//! `ringtop` would receive.
+//! `GET /history`, `GET /resources`) against a fixed two-worker snapshot
+//! registry. The documents are rendered by the same pure functions the
+//! telemetry thread calls, with all time-dependent inputs (rates, ETA,
+//! uptime, history timestamps) fixed — so the goldens are byte-stable.
+//! The history and resources goldens go through `Monitor::route`, the
+//! handler the server's socket loop calls, over a synthetic timeline: the
+//! bytes asserted are the body a live `ringtop` would receive.
 //!
 //! To regenerate after an intentional format change:
 //! `UPDATE_GOLDEN=1 cargo test -p ringsampler --test golden_telemetry`
@@ -53,6 +52,10 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     for v in [500_000u64, 600_000, 900_000] {
         w0.account.batch_latency.record(v);
     }
+    // Stage time: worker 0 waits on the device, worker 1 mostly samples;
+    // the merged accounts are 60 % wait.
+    w0.account.add(Stage::Submit, 300_000);
+    w0.account.add(Stage::Wait, 1_500_000);
     cells[0].publish(w0);
 
     let mut w1 = WorkerSnapshot {
@@ -73,6 +76,7 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     for v in [400_000u64, 500_000, 700_000, 800_000, 1_100_000] {
         w1.account.batch_latency.record(v);
     }
+    w1.account.add(Stage::Sample, 700_000);
     cells[1].publish(w1);
 
     let ev = |ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64, d: u64| TraceEvent {
@@ -114,17 +118,12 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// Fixed non-registry inputs of the `/metrics` document (uptime, build
-/// version, congestion roll-up) — the live server reads these from
-/// clocks and the episode tracker; the golden pins a representative set.
+/// version) — the live server reads these from its clock and build; the
+/// golden pins a representative set.
 fn golden_extras() -> MetricsExtras {
     MetricsExtras {
         uptime_seconds: 12.5,
         version: "0.1.0".to_string(),
-        congestion_states: vec![
-            (0, ringsampler::telemetry::CongestionState::Ok),
-            (1, ringsampler::telemetry::CongestionState::Straggler),
-        ],
-        congestion_episodes: vec![(0, 0), (1, 2)],
     }
 }
 
@@ -136,8 +135,6 @@ fn metrics_endpoint_body_is_pinned() {
     // of the pinned bytes.
     assert!(doc.contains("ringsampler_uptime_seconds 12.5"));
     assert!(doc.contains(r#"ringsampler_build_info{version="0.1.0"} 1"#));
-    assert!(doc.contains(r#"ringsampler_worker_congestion_state{worker="1",state="straggler"} 1"#));
-    assert!(doc.contains(r#"ringsampler_congestion_episodes_total{worker="1"} 2"#));
     // Acceptance criteria: per-worker sampled-edge counters and in-flight
     // SQE gauges are present before byte-pinning the whole document.
     assert!(doc.contains(r#"ringsampler_worker_sampled_edges_total{worker="0"} 1536"#));
@@ -177,15 +174,16 @@ fn progress_endpoint_body_is_pinned() {
     assert!(doc.contains("\"total_batches\": 16"));
     assert!(doc.contains("\"edges_per_sec\": 4096.0"));
     assert!(doc.contains("\"lifetime_edges_per_sec\": 6144.0"));
+    assert!(doc.contains("\"dominant_stage\": \"wait\""), "{doc}");
+    assert!(doc.contains("\"dominant_share\": 0.6"), "{doc}");
     check_golden("telemetry_progress.json", &doc);
 }
 
 /// Ticks a monitor through the fixed history timeline: six 250 ms-spaced
 /// points per worker, worker 0 progressing at full rate, worker 1 at a
-/// tenth of it (the straggler the congestion golden convicts). Instants
-/// are synthetic, so the series — and everything derived from them — are
-/// byte-stable.
-fn golden_monitor(registry: &SnapshotRegistry) -> Monitor {
+/// tenth of it. Instants are synthetic, so the series — and everything
+/// derived from them — are byte-stable.
+fn golden_monitor() -> Monitor {
     let start = Instant::now();
     let mut monitor = Monitor::new(start);
     for i in 0..6u64 {
@@ -198,7 +196,7 @@ fn golden_monitor(registry: &SnapshotRegistry) -> Monitor {
                     seeds: 512 * i / div,
                     inflight: 16 + 4 * i,
                     // ringprof column: worker 0 busy (~180/250 ms on-CPU
-                    // per interval), the straggler mostly idle.
+                    // per interval), worker 1 mostly idle.
                     cpu_nanos: 180_000_000 * i / div,
                     active: true,
                     ..Default::default()
@@ -217,7 +215,7 @@ fn golden_monitor(registry: &SnapshotRegistry) -> Monitor {
                 }
             })
             .collect();
-        let stalled = monitor.tick(obs, start + Duration::from_millis(250 * i), registry);
+        let stalled = monitor.tick(obs, start + Duration::from_millis(250 * i));
         assert!(stalled.is_empty());
     }
     monitor
@@ -232,7 +230,7 @@ fn get(monitor: &Monitor, registry: &SnapshotRegistry, path: &str) -> (u16, Stri
 #[test]
 fn history_endpoint_body_is_pinned_through_http() {
     let registry = SnapshotRegistry::new();
-    let monitor = golden_monitor(&registry);
+    let monitor = golden_monitor();
 
     let (code, body) = get(&monitor, &registry, "/history?window=8");
     assert_eq!(code, 200);
@@ -307,21 +305,10 @@ fn resources_endpoint_body_is_pinned_through_http() {
 }
 
 #[test]
-fn congestion_endpoint_body_is_pinned() {
-    // Before its first tick the monitor judges nobody.
+fn congestion_endpoint_is_gone() {
+    // No congestion endpoint: why a worker is slow is `/progress`'s
+    // dominant stage and `/history`'s CQ-wait share.
     let registry = SnapshotRegistry::new();
-    let (code, body) = get(&Monitor::new(Instant::now()), &registry, "/congestion");
-    assert_eq!(code, 200);
-    assert!(body.contains("\"workers\": 0"), "{body}");
-
-    // The detector the telemetry thread runs, over the monitor's series:
-    // worker 1 completes batches at a tenth of the fleet median and must
-    // be convicted as the straggler.
-    let monitor = golden_monitor(&registry);
-    let (code, doc) = get(&monitor, &registry, "/congestion");
-    assert_eq!(code, 200);
-    assert!(doc.contains("\"state\": \"ok\""), "{doc}");
-    assert!(doc.contains("\"state\": \"straggler\""), "{doc}");
-    assert!(doc.contains("\"congested\": 1"), "{doc}");
-    check_golden("telemetry_congestion.json", &doc);
+    let (code, _) = get(&golden_monitor(), &registry, "/congestion");
+    assert_eq!(code, 404);
 }

@@ -6,10 +6,11 @@
 //! so nothing here is shared and nothing needs an atomic or a lock.
 //!
 //! The free functions below are *pure* — they take a window of points
-//! and return rates, EWMA trends, and least-squares slopes. All the
-//! congestion policy (thresholds, verdicts) lives in the consumer
-//! (`ringscope`'s detector); this module only does arithmetic, so the
-//! estimators are unit-testable with synthetic series.
+//! and return rates, EWMA trends, and least-squares slopes, which
+//! `/history` serves and `ringtop` draws. They judge nothing: why a worker
+//! is slow is read off its stage account ([`crate::StageAccount::dominant`]),
+//! and this module only does arithmetic, so the estimators are
+//! unit-testable with synthetic series.
 
 use crate::snapshot::WorkerSnapshot;
 use crate::stage::Stage;
@@ -147,35 +148,37 @@ pub fn batch_p99_slope(points: &[HistoryPoint]) -> f64 {
     slope_per_sec(&batch_p99_series(points))
 }
 
-/// A snapshot's I/O time, `(submit, complete)` nanoseconds: the submit
-/// stage, and the completion stages (wait plus reap).
+/// A snapshot's I/O time, `(wait, io)` nanoseconds: the time blocked on
+/// completions, and all I/O stage time (submit + wait + reap).
 fn io_nanos(snap: &WorkerSnapshot) -> (u64, u64) {
-    (snap.account.get(Stage::Submit), snap.account.complete())
+    let wait = snap.account.get(Stage::Wait);
+    let io = snap.account.get(Stage::Submit).saturating_add(snap.account.complete());
+    (wait, io)
 }
 
 /// Per-interval CQ-wait-share series: for each consecutive pair of
 /// points, the share of I/O time spent blocked on completions *within
-/// that interval*, `complete / (submit + complete)`. Intervals with no
+/// that interval*, `wait / (submit + wait + reap)`. Reaping does not
+/// block, so it counts as I/O time but not as waiting. Intervals with no
 /// I/O time are skipped.
 pub fn cq_wait_share_series(points: &[HistoryPoint]) -> Vec<(u64, f64)> {
     points
         .windows(2)
         .filter_map(|w| {
             let (a, b) = (w.first()?, w.last()?);
-            let ((sa, ca), (sb, cb)) = (io_nanos(&a.snap), io_nanos(&b.snap));
-            let dc = cb.saturating_sub(ca);
-            let total = dc.saturating_add(sb.saturating_sub(sa));
-            if total == 0 {
+            let ((wa, ia), (wb, ib)) = (io_nanos(&a.snap), io_nanos(&b.snap));
+            let io = ib.saturating_sub(ia);
+            if io == 0 {
                 return None;
             }
-            Some((b.t_ms, dc as f64 / total as f64))
+            Some((b.t_ms, wb.saturating_sub(wa) as f64 / io as f64))
         })
         .collect()
 }
 
 /// Least-squares slope of the per-interval CQ-wait share, per second.
 /// Positive ⇒ the worker is spending a growing fraction of its I/O time
-/// blocked on the completion queue — the paper's congestion signature.
+/// blocked on the completion queue.
 pub fn cq_wait_share_slope(points: &[HistoryPoint]) -> f64 {
     slope_per_sec(&cq_wait_share_series(points))
 }
@@ -215,34 +218,6 @@ pub fn cpu_share(points: &[HistoryPoint]) -> f64 {
     }
     let dc = last.snap.cpu_nanos.saturating_sub(first.snap.cpu_nanos);
     (dc as f64 / span_ns as f64).min(1.0)
-}
-
-/// The fraction of the window's wall-clock time the worker spent in I/O
-/// at all (submitting or waiting on completions). A CQ-wait
-/// share only carries congestion signal when this is substantial: a
-/// worker that touches the ring for 1 ms out of every 100 ms has a
-/// noisy, meaningless share. 0.0 for windows of fewer than two points
-/// or with no time span.
-pub fn io_busy_share(points: &[HistoryPoint]) -> f64 {
-    let (Some(first), Some(last)) = (points.first(), points.last()) else {
-        return 0.0;
-    };
-    let span_ns = last.t_ms.saturating_sub(first.t_ms).saturating_mul(1_000_000);
-    if span_ns == 0 {
-        return 0.0;
-    }
-    let ((sf, cf), (sl, cl)) = (io_nanos(&first.snap), io_nanos(&last.snap));
-    let busy = sl.saturating_sub(sf).saturating_add(cl.saturating_sub(cf));
-    (busy as f64 / span_ns as f64).min(1.0)
-}
-
-/// Mean in-flight read count (live queue depth) across a window.
-/// 0.0 for an empty window.
-pub fn mean_inflight(points: &[HistoryPoint]) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
-    points.iter().map(|p| p.snap.inflight as f64).sum::<f64>() / points.len() as f64
 }
 
 #[cfg(test)]
@@ -352,13 +327,24 @@ mod tests {
         let mut c = b;
         c.t_ms = 2000;
         c.snap.account.add(Stage::Submit, 100);
-        c.snap.account.add(Stage::Reap, 900);
+        c.snap.account.add(Stage::Wait, 800);
+        c.snap.account.add(Stage::Reap, 100);
         let series = cq_wait_share_series(&[a, b, c]);
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 0.5).abs() < 1e-12);
-        assert!((series[1].1 - 0.9).abs() < 1e-12);
+        assert!((series[1].1 - 0.8).abs() < 1e-12);
         let slope = cq_wait_share_slope(&[a, b, c]);
-        assert!((slope - 0.4).abs() < 1e-9, "slope {slope}");
+        assert!((slope - 0.3).abs() < 1e-9, "slope {slope}");
+    }
+
+    #[test]
+    fn reaping_is_not_waiting() {
+        // A page-cache interval: completions are reaped, never waited for.
+        let a = pt(0, 0, 0);
+        let mut b = pt(1000, 0, 0);
+        b.snap.account.add(Stage::Submit, 400);
+        b.snap.account.add(Stage::Reap, 600);
+        assert_eq!(cq_wait_share_series(&[a, b]), vec![(1000, 0.0)]);
     }
 
     #[test]
@@ -383,33 +369,5 @@ mod tests {
         assert!(cpu_share_series(&[c, c]).is_empty());
         // ringprof disabled ⇒ all-zero signal, not NaN.
         assert_eq!(cpu_share(&[pt(0, 0, 0), pt(100, 5, 5)]), 0.0);
-    }
-
-    #[test]
-    fn io_busy_share_is_wall_clock_fraction() {
-        assert_eq!(io_busy_share(&[]), 0.0);
-        assert_eq!(io_busy_share(&[pt(5, 0, 0)]), 0.0);
-        // 100 ms window, 40 ms submitting + 20 ms waiting ⇒ 0.6 busy.
-        let a = pt(0, 0, 0);
-        let mut b = pt(100, 0, 0);
-        b.snap.account.add(Stage::Submit, 40_000_000);
-        b.snap.account.add(Stage::Wait, 20_000_000);
-        assert!((io_busy_share(&[a, b]) - 0.6).abs() < 1e-12);
-        // Clock skew can push busy past the span; the share is clamped.
-        b.snap.account.add(Stage::Submit, 460_000_000);
-        assert_eq!(io_busy_share(&[a, b]), 1.0);
-        // Zero span ⇒ no signal.
-        let c = pt(0, 0, 0);
-        assert_eq!(io_busy_share(&[a, c]), 0.0);
-    }
-
-    #[test]
-    fn mean_inflight_averages_window() {
-        assert_eq!(mean_inflight(&[]), 0.0);
-        let mut a = pt(0, 0, 0);
-        a.snap.inflight = 10;
-        let mut b = pt(1, 0, 0);
-        b.snap.inflight = 30;
-        assert_eq!(mean_inflight(&[a, b]), 20.0);
     }
 }

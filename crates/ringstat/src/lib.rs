@@ -16,7 +16,8 @@
 //!   stages (sample, plan, submit, wait, reap, scatter), which word of which
 //!   flight-recorder event carries each, and the account a worker folds
 //!   its events into — the stage sums plus the batch, group and CQ-wait
-//!   histograms, with the four-phase view the reports export.
+//!   histograms, with the four-phase view the reports export and the
+//!   dominant stage they name as the reason a run was slow.
 //! * [`SampleMetrics`] — what a worker counts (batches, edges, reads,
 //!   bytes, groups, syscalls, hot-set and planner counters), and the one
 //!   list of their wire keys the reports are built from.
@@ -36,8 +37,7 @@
 //! * [`HistoryPoint`] — the `ringtop` time-series layer: one timestamped
 //!   [`WorkerSnapshot`] (the telemetry thread keeps each worker's series
 //!   itself), plus pure derivation helpers (windowed rates, EWMA trends,
-//!   p99 and CQ-wait-share slope estimators) the congestion detectors
-//!   consume.
+//!   p99 and CQ-wait-share slope estimators) that `/history` serves.
 //! * [`ResourceSample`] / [`TimeLedger`] — the `ringprof` kernel-truth
 //!   layer: per-thread CPU clock and rusage counters plus process-wide
 //!   `/proc/self/io` bytes, folded with the stage attribution into a
@@ -45,7 +45,7 @@
 //!   `{compute, submit, io_wait, reap, other}`.
 //! * [`HttpServer`] — a bounded, dependency-free HTTP listener for the
 //!   embedded ringscope endpoints (`/metrics`, `/progress`, `/healthz`,
-//!   `/trace`, `/history`, `/congestion`, `/resources`).
+//!   `/trace`, `/history`, `/resources`).
 //! * [`human_bytes`] / [`human_count`] — display helpers for run reports.
 //!
 //! ## The synchronization-free invariant

@@ -130,6 +130,20 @@ impl StageAccount {
         self.get(Stage::Wait).saturating_add(self.get(Stage::Reap))
     }
 
+    /// The stage that took the most time and its share of all six, or
+    /// `None` for an empty account; a tie goes to the earlier stage. What
+    /// the report and `/progress` name as the reason a run was slow.
+    pub fn dominant(&self) -> Option<(Stage, f64)> {
+        let total = self.total();
+        if total == 0 {
+            return None;
+        }
+        let best = Stage::ALL
+            .into_iter()
+            .reduce(|best, s| if self.get(s) > self.get(best) { s } else { best })?;
+        Some((best, self.get(best) as f64 / total as f64))
+    }
+
     /// The four-phase view the reports export (`phase_nanos` and the
     /// Prometheus `phase` label): prepare = sample + plan, submit,
     /// complete = wait + reap, aggregate = scatter.
@@ -225,6 +239,18 @@ mod tests {
             [("prepare", 120), ("submit", 150), ("complete", 750), ("aggregate", 9_000)]
         );
         assert_eq!(a.phases().iter().map(|&(_, n)| n).sum::<u64>(), a.total());
+    }
+
+    #[test]
+    fn dominant_is_the_largest_stage_and_ties_go_earlier() {
+        let mut a = StageAccount::default();
+        assert_eq!(a.dominant(), None, "an empty account has no dominant stage");
+        a.add(Stage::Submit, 300);
+        a.add(Stage::Wait, 500);
+        a.add(Stage::Reap, 200);
+        assert_eq!(a.dominant(), Some((Stage::Wait, 0.5)));
+        a.add(Stage::Submit, 200);
+        assert_eq!(a.dominant(), Some((Stage::Submit, 500.0 / 1200.0)), "submit ties wait and runs first");
     }
 
     #[test]
