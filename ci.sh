@@ -16,21 +16,27 @@
 #      are reasoned #[expect]s that fail once stale; crates/io and
 #      crates/core also deny discarding a #[must_use] value (`let _ =`,
 #      `.ok()`) outside tests
-#   4. ringscope smoke — fig4_overall with --serve 127.0.0.1:0, asserting
-#      that /metrics serves HTTP 200 with the ringsampler_ metric families,
-#      that worker 0's sampled-edge counter and the /progress fleet's
-#      sampled_edges rise above 0 before the run and its linger end (a
-#      snapshot publishing zeros fails here), and that /healthz reports ok
-#      while the run is live
-#   5. ringtrace smoke — a small fig4_overall with --trace-events, whose
-#      flight-recorder dump is fed through the ringtrace analyzer with
-#      --assert-coverage 0.99: per-stage attribution (sample/plan/submit/
-#      wait/reap/scatter) sums to the end-to-end batch latency exactly
-#      unless the recorder dropped events (see DESIGN.md §12); run once
-#      under the default naive plan and once with RS_READ_PLAN=coalesce,
-#      so the planner's own stage is held to the ledger too; each dump is
-#      also exported with `ringtrace --chrome`, the one producer of a
-#      Chrome trace, which must carry traceEvents and a worker-0 lane
+#   4. ringscope smoke — fig4_overall (8192 targets, so both workers own
+#      batches) with --serve 127.0.0.1:0, asserting that /metrics serves
+#      HTTP 200 with the ringsampler_ metric families, that worker 0's
+#      sampled-edge counter and the /progress fleet's sampled_edges rise
+#      above 0 before the run and its linger end (a snapshot publishing
+#      zeros fails here), that /metrics carries a stage="wait" stage-time
+#      sample for worker 0 and for worker 1, that /progress names the
+#      dominant stage, and that /healthz reports ok while the run is live
+#   5. ringtrace smoke — a small fig4_overall with --trace-events and
+#      --stats-json. Its flight-recorder dump is fed through the ringtrace
+#      analyzer with --assert-coverage 0.99: per-stage attribution
+#      (sample/plan/submit/wait/reap/scatter) sums to the end-to-end batch
+#      latency exactly unless the recorder dropped events (see DESIGN.md
+#      §12). Its report document must conserve the stage clock: in every
+#      report the six stage_nanos sum exactly to
+#      histograms.batch_latency.sum_nanos, the in-batch wall, and at least
+#      one report's sum is non-zero. Run once under the default naive plan
+#      and once with RS_READ_PLAN=coalesce, so the planner's own stage is
+#      held to both checks too; each dump is also exported with
+#      `ringtrace --chrome`, the one producer of a Chrome trace, which must
+#      carry traceEvents and a worker-0 lane
 #   6. config-surface ratchet — the distinct RS_* / RINGSAMPLER_* names in
 #      crates/**/*.rs may not exceed 9 (33 before the ring-mode ladder was
 #      removed, 25 before the RS_CONGESTION_* overrides were, 17 before
@@ -40,18 +46,10 @@
 #      became always-on) and those of TelemetryConfig
 #      2 (4 before stall_threshold and history_capacity became constants),
 #      and the lint exemptions (`#[expect(` in crates/*/src) may not exceed
-#      10 (14 allow comments before clippy held the invariants):
-#      lower a ceiling when a knob or an exemption goes, never raise it
-#   7. ringtop gate — a small fig4_overall with --serve, asserting that
-#      /history serves the per-worker time series, /progress names the
-#      dominant stage, and `ringtop --once` renders a frame with both
-#      workers' rows and the fleet roll-up (see DESIGN.md §14)
-#   8. ringprof gate — a small fig4_overall with profiling on asserting,
-#      from one read of /resources once the run has finished, that every
-#      worker's time ledger conserves (stage buckets sum exactly to
-#      in-batch wall) and the attribution is served, and `ringtop --once`
-#      renders the CPU column and the ledger bar (see DESIGN.md §15)
-#   9. ringbench gate — benchmark/check.sh (build + every workload at 1/16
+#      9 (14 allow comments before clippy held the invariants, 10 until the
+#      ceiling caught up with the count): lower a ceiling when a knob or an
+#      exemption goes, never raise it
+#   7. ringbench gate — benchmark/check.sh (build + every workload at 1/16
 #      size, untraced and traced, on seeds 1 and 2: samples checked against
 #      the graph, one digest across the epoch_skew_* workloads, metric names
 #      checked against BENCHMARK.json), then one `ringbench --quick` pass
@@ -65,7 +63,7 @@
 #      epoch_skew_coalesce's by at most 1.5x the quick cache budget (2 MiB):
 #      the hot set is paid once per sampler, not per thread or epoch
 #
-# No gate writes a tracked file: the experiment binaries of gates 4-8 run
+# No gate writes a tracked file: the experiment binaries of gates 4-5 run
 # with their cwd in a scratch directory (emit_table writes results/<name>.txt
 # relative to cwd), so `git status --porcelain` is empty after a pass.
 #
@@ -120,36 +118,54 @@ stop_fig4() {
 }
 
 cd "$(mktemp -d)"
-echo "==> ringscope smoke (fig4_overall --serve, live /metrics + /healthz)"
-serve_fig4 200
+echo "==> ringscope smoke (fig4_overall --serve, live /metrics + /progress + /healthz)"
+# 8192 targets = 8 batches of 1024: both workers own batches, so both
+# publish stage time.
+serve_fig4 8192
 METRICS="$(curl -fsS "http://$ADDR/metrics")" || fail "/metrics not serving"
 echo "$METRICS" | grep -q "^ringsampler_up 1$" || fail "/metrics missing ringsampler_up"
 echo "$METRICS" | grep -q "^# TYPE ringsampler_workers gauge$" || fail "/metrics missing ringsampler_workers family"
 # The families alone would pass a snapshot that published zeros: poll until
-# worker 0's sampled edges and the fleet's are live, failing once the run
-# and its linger have ended.
+# worker 0's sampled edges and the fleet's are live and both workers carry
+# a wait-stage sample, failing once the run and its linger have ended.
 EDGES=0
 FLEET_EDGES=0
+WAITS=0
 while kill -0 "$SERVE_PID" 2>/dev/null; do
-    EDGES="$(curl -fsS "http://$ADDR/metrics" | sed -n 's/^ringsampler_worker_sampled_edges_total{worker="0"} //p' || true)"
+    # Capture rather than pipe into grep -q: under pipefail an early exit
+    # would turn the write of the rest of the document into a failure.
+    METRICS="$(curl -fsS "http://$ADDR/metrics" || true)"
+    EDGES="$(echo "$METRICS" | sed -n 's/^ringsampler_worker_sampled_edges_total{worker="0"} //p')"
+    WAITS="$(echo "$METRICS" | grep -cE '^ringsampler_worker_stage_nanos_total\{worker="[01]",stage="wait"\} ' || true)"
     FLEET_EDGES="$(curl -fsS "http://$ADDR/progress" | awk '/"fleet"/ { f = 1 } f && /"sampled_edges"/ { gsub(/[^0-9]/, ""); print; exit }' || true)"
-    [ "${EDGES:-0}" -gt 0 ] && [ "${FLEET_EDGES:-0}" -gt 0 ] && break
+    [ "${EDGES:-0}" -gt 0 ] && [ "${FLEET_EDGES:-0}" -gt 0 ] && [ "${WAITS:-0}" -eq 2 ] && break
     sleep 0.2
 done
 [ "${EDGES:-0}" -gt 0 ] || fail "/metrics: worker 0 published no sampled edge before the run ended"
 [ "${FLEET_EDGES:-0}" -gt 0 ] || fail "/progress: fleet sampled_edges stayed 0 until the run ended"
+[ "${WAITS:-0}" -eq 2 ] || { echo "$METRICS"; fail "/metrics: no stage=\"wait\" sample for both worker 0 and worker 1"; }
 HEALTH_CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz")"
 [ "$HEALTH_CODE" = "200" ] || fail "/healthz returned $HEALTH_CODE"
-curl -fsS "http://$ADDR/progress" | grep -q '"fleet"' || fail "/progress missing fleet object"
+PROGRESS="$(curl -fsS "http://$ADDR/progress")" || fail "/progress not serving"
+echo "$PROGRESS" | grep -q '"fleet"' || fail "/progress missing fleet object"
+echo "$PROGRESS" | grep -q '"dominant_stage"' || fail "/progress missing dominant_stage"
 stop_fig4
-echo "    ringscope smoke ok (/metrics and /progress counting edges, /healthz)"
+echo "    ringscope smoke ok (/metrics and /progress counting edges, both workers' stage time, /progress dominant stage, /healthz)"
 
-echo "==> ringtrace smoke (fig4_overall --trace-events, stage coverage >= 99% and a Chrome export, naive and coalesced plans)"
+echo "==> ringtrace smoke (fig4_overall --trace-events --stats-json, stage coverage >= 99%, stage_nanos == batch wall and a Chrome export, naive and coalesced plans)"
 for PLAN in off coalesce; do
     TRACE_DUMP="$(mktemp -d)/fig4-events.json"
+    STATS="$(mktemp -d)/fig4-stats.json"
     RS_SCALE=100000 RS_TARGETS=200 RS_EPOCHS=1 RS_THREADS=2 RS_READ_PLAN="$PLAN" \
     RS_DATA_DIR="$(mktemp -d)" \
-        "$BIN"/fig4_overall --trace-events "$TRACE_DUMP" >/dev/null
+        "$BIN"/fig4_overall --trace-events "$TRACE_DUMP" --stats-json "$STATS" >/dev/null
+    # The stage clock conserves: every report's six stage sums are exactly
+    # its in-batch wall (the identity stage_clock_conserves_exactly holds),
+    # and at least one report timed something.
+    jq -e '[.reports[].report | {s: ([.stage_nanos[]] | add), w: .histograms.batch_latency.sum_nanos}]
+           | all(.s == .w) and any(.s > 0)' "$STATS" >/dev/null \
+        || { jq -c '.reports[] | [.label, .report.stage_nanos, .report.histograms.batch_latency.sum_nanos]' "$STATS"; \
+             fail "--stats-json: stage_nanos do not sum to the batch wall under RS_READ_PLAN=$PLAN"; }
     "$BIN"/ringtrace "$TRACE_DUMP" --assert-coverage 0.99 >/dev/null \
         || fail "ringtrace: stage coverage below 99% under RS_READ_PLAN=$PLAN"
     CHROME_OUT="$(mktemp -d)/fig4-chrome.json"
@@ -158,9 +174,9 @@ for PLAN in off coalesce; do
     grep -q '"traceEvents"' "$CHROME_OUT" || fail "ringtrace --chrome: no traceEvents under RS_READ_PLAN=$PLAN"
     grep -q '/worker-0"' "$CHROME_OUT" || fail "ringtrace --chrome: no worker-0 lane under RS_READ_PLAN=$PLAN"
 done
-echo "    ringtrace smoke ok (stage attribution covers >= 99% of batch time, Chrome export has worker lanes, under both plans)"
+echo "    ringtrace smoke ok (stage attribution covers >= 99% of batch time, stage_nanos sum to the batch wall, Chrome export has worker lanes, under both plans)"
 
-echo "==> config-surface ratchet (RS_*/RINGSAMPLER_* names <= 9, SamplerConfig fields <= 13, TelemetryConfig fields <= 2, #[expect( <= 10)"
+echo "==> config-surface ratchet (RS_*/RINGSAMPLER_* names <= 9, SamplerConfig fields <= 13, TelemetryConfig fields <= 2, #[expect( <= 9)"
 KNOBS="$(grep -rhoE '\b(RS|RINGSAMPLER)_[A-Z0-9_]*[A-Z0-9]\b' "$ROOT/crates" --include='*.rs' | sort -u)"
 [ "$(echo "$KNOBS" | wc -l)" -le 9 ] || { echo "$KNOBS"; fail "more than 9 env knob names under crates/"; }
 # pub_fields FILE STRUCT: the `pub` fields declared in STRUCT's body.
@@ -173,55 +189,7 @@ N_TELEMETRY="$(pub_fields "$ROOT/crates/core/src/telemetry.rs" TelemetryConfig)"
 [ "$N_SAMPLER" -le 13 ] || fail "SamplerConfig has $N_SAMPLER pub fields (ceiling 13)"
 [ "$N_TELEMETRY" -le 2 ] || fail "TelemetryConfig has $N_TELEMETRY pub fields (ceiling 2)"
 N_EXPECT="$(grep -rhF '#[expect(' "$ROOT"/crates/*/src --include='*.rs' | wc -l || true)"
-[ "$N_EXPECT" -le 10 ] || fail "crates/*/src has $N_EXPECT #[expect( exemptions (ceiling 10)"
-
-echo "==> ringtop gate (fig4_overall --serve, /history + /progress + ringtop --once)"
-# 8192 targets = 8 batches of 1024: both workers own batches, so both
-# appear in /history and in the ringtop frame.
-serve_fig4 8192
-curl -fsS "http://$ADDR/history?window=32" | grep -q '"workers"' || fail "/history missing workers array"
-curl -fsS "http://$ADDR/progress" | grep -q '"dominant_stage"' || fail "/progress missing dominant_stage"
-# Poll ringtop --once until the frame shows a row for each worker.
-FRAME=""
-for _ in $(seq 1 100); do
-    FRAME="$("$BIN"/ringtop --once "$ADDR" 2>/dev/null || true)"
-    if echo "$FRAME" | grep -q '^worker 0 ' && echo "$FRAME" | grep -q '^worker 1 '; then
-        break
-    fi
-    FRAME=""
-    sleep 0.2
-done
-[ -n "$FRAME" ] || { "$BIN"/ringtop --once "$ADDR" || true; fail "ringtop --once never rendered a two-worker frame"; }
-echo "$FRAME" | grep -q '^fleet:' || fail "ringtop frame missing fleet roll-up"
-# Capture rather than pipe: under pipefail an early-exiting grep -q
-# would otherwise turn the (large) JSON dump into a SIGPIPE failure.
-TOP_JSON="$("$BIN"/ringtop --once --json "$ADDR")"
-echo "$TOP_JSON" | grep -q '"history"' || fail "ringtop --json missing history document"
-echo "$TOP_JSON" | grep -q '"resources"' || fail "ringtop --json missing resources document"
-stop_fig4
-echo "    ringtop gate ok (/history, /progress dominant stage, ringtop --once two-worker frame)"
-
-echo "==> ringprof gate (fig4_overall /resources ledger + ringtop CPU column)"
-serve_fig4 8192
-# Wait for the run to finish (it announces its linger), then read the last
-# epoch's attribution once: every worker's stage buckets must sum exactly
-# to its in-batch wall (the JSON carries the verdict as "conserved").
-for _ in $(seq 1 300); do
-    grep -q '^ringscope lingering' "$SERVE_LOG" && break
-    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SERVE_LOG"; fail "fig4_overall exited before lingering"; }
-    sleep 0.2
-done
-RES="$(curl -fsS "http://$ADDR/resources")" || fail "/resources not serving"
-echo "$RES" | grep -q '"workers"' || { echo "$RES"; fail "/resources missing workers"; }
-echo "$RES" | grep -q '"conserved": true' && ! echo "$RES" | grep -q '"conserved": false' \
-    || { echo "$RES"; fail "/resources: a ledger does not conserve"; }
-echo "$RES" | grep -q '"read_amplification"' || fail "/resources missing read_amplification"
-# The dashboard must render the ringprof columns from the live feed.
-PROF_FRAME="$("$BIN"/ringtop --once "$ADDR")"
-echo "$PROF_FRAME" | grep -q '^  cpu        |' || { echo "$PROF_FRAME"; fail "ringtop frame missing CPU column"; }
-echo "$PROF_FRAME" | grep -q '^  ledger     |' || { echo "$PROF_FRAME"; fail "ringtop frame missing ledger bar"; }
-stop_fig4
-echo "    ringprof gate ok (conserving ledgers, /resources, ringtop CPU column)"
+[ "$N_EXPECT" -le 9 ] || fail "crates/*/src has $N_EXPECT #[expect( exemptions (ceiling 9)"
 
 cd "$ROOT"
 echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive, naive/on-demand and cached/coalesce peak RSS)"

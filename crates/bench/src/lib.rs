@@ -29,7 +29,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ringtop;
 pub mod ringtrace;
 
 use std::io::Write;

@@ -81,8 +81,8 @@ pub struct SamplerConfig {
     pub read_plan: ReadPlanMode,
     /// Live telemetry (`ringscope`): when set, every worker publishes a
     /// per-batch snapshot through a seqlock slot and an embedded HTTP
-    /// server exposes `/metrics`, `/progress`, `/healthz`, `/trace`,
-    /// `/history` and `/resources` plus a stall watchdog.
+    /// server exposes `/metrics`, `/progress`, `/healthz` and `/trace`
+    /// plus a stall watchdog.
     /// `None` (default) adds zero work to the hot path.
     pub telemetry: Option<TelemetryConfig>,
 }

@@ -226,16 +226,6 @@ impl RingSampler {
             res.physical_rchar = rc1.saturating_sub(rc0);
             res.logical_bytes = report.metrics.sampled_edges * ENTRY_BYTES;
         }
-        if let Some(handle) = &self.telemetry {
-            if report.resources.is_some() {
-                // Publish the finished attribution for GET /resources.
-                let doc = ringstat::Json::object()
-                    .with("epoch", ringstat::Json::U64(epoch))
-                    .with("resources", report.resources_json_value())
-                    .to_string_pretty();
-                handle.registry().publish_resources(doc);
-            }
-        }
         Ok(report)
     }
 }
@@ -408,7 +398,7 @@ mod tests {
         use ringstat::{EventKind, Json};
         let json = Json::parse(&r.to_json()).unwrap();
         let at = |path: &[&str]| path.iter().try_fold(&json, |j, k| j.get(k)).and_then(Json::as_u64);
-        assert_eq!(at(&["schema_version"]), Some(10));
+        assert_eq!(at(&["schema_version"]), Some(11));
         assert_eq!(at(&["counters", "batches"]), Some(r.metrics.batches));
         assert_eq!(at(&["histograms", "io_group_latency", "count"]), Some(r.metrics.io_groups));
         let events = r.thread_events.iter().flatten();
@@ -432,20 +422,19 @@ mod tests {
         let r = sampler.sample_epoch(&targets).unwrap();
         let res = r.resources.as_ref().expect("profiling is always on");
         assert_eq!(res.workers.len(), 2, "one resource row per worker");
+        // Each worker's stages fit inside its wall, and together they are
+        // the report's in-batch wall.
         for w in &res.workers {
             assert!(w.wall_nanos > 0);
-            assert_eq!(w.ledger.wall_nanos, w.wall_nanos);
-            let sum: u64 = w.ledger.buckets().iter().map(|&(_, ns)| ns).sum();
-            assert_eq!(sum, w.wall_nanos, "ledger buckets must sum to wall");
+            assert!(w.account.total() <= w.wall_nanos, "{w:?}");
         }
+        let stage_sum: u64 = res.workers.iter().map(|w| w.account.total()).sum();
+        assert_eq!(stage_sum, r.account.batch_latency.sum());
         assert_eq!(
             res.logical_bytes,
             r.metrics.sampled_edges * ENTRY_BYTES,
             "logical bytes mirror the sampled edge volume"
         );
-        // The fleet roll-up sums thread-scoped wall time.
-        let wall_sum: u64 = res.workers.iter().map(|w| w.wall_nanos).sum();
-        assert_eq!(res.fleet_ledger.wall_nanos, wall_sum);
         let json = r.to_json();
         assert!(json.contains("\"resources\""));
         assert!(json.contains("\"read_amplification\""));

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use ringstat::{
     human_bytes, human_count, human_nanos, Json, LatencyHistogram, ResourceSample, Stage,
-    StageAccount, TimeLedger, TraceEvent,
+    StageAccount, TraceEvent,
 };
 
 use crate::telemetry::trace_event_json;
@@ -19,19 +19,21 @@ use crate::telemetry::trace_event_json;
 pub use ringstat::SampleMetrics;
 
 /// One worker's `ringprof` epoch delta: the kernel counter deltas its
-/// thread accumulated between epoch start and join, plus the time ledger
-/// derived from them and the stage account.
+/// thread accumulated between epoch start and join, beside its epoch wall
+/// and its stage account. The time between its batches is
+/// `wall_nanos − account.total()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerResources {
     /// Wall nanoseconds between the worker's epoch-start and epoch-end
-    /// resource samples (the ledger's denominator).
+    /// resource samples.
     pub wall_nanos: u64,
     /// Kernel counter deltas over the epoch. Thread-scoped except the
     /// `proc_*` fields, which are process-wide (see
     /// [`ringstat::ResourceSample`]).
     pub sample: ResourceSample,
-    /// The `{compute, submit, io_wait, reap, other}` wall-time split.
-    pub ledger: TimeLedger,
+    /// The worker's stage account at epoch join: its six sums are the
+    /// row's `stage_nanos`.
+    pub account: StageAccount,
     /// Logical bytes this worker's sampling consumed
     /// (`sampled_edges × ENTRY_BYTES`) — the denominator of its
     /// proportional share of the process-wide physical bytes.
@@ -79,9 +81,9 @@ fn per_sec(count: u64, wall_nanos: u64) -> f64 {
     }
 }
 
-/// The epoch-level `ringprof` block (report schema v6): per-worker
-/// deltas, the fleet roll-up, the process-wide physical I/O deltas, and
-/// the derived read-amplification ratios.
+/// The epoch-level `ringprof` block: per-worker deltas, the fleet
+/// roll-up, the process-wide physical I/O deltas, and the derived
+/// read-amplification ratios.
 ///
 /// `/proc/self/io` is **process-wide**, so per-worker physical bytes
 /// exist only as a proportional attribution over `logical_bytes` — the
@@ -95,8 +97,6 @@ pub struct ResourceReport {
     /// Merged kernel deltas: thread-scoped fields summed, process-wide
     /// fields maxed (see [`ResourceSample::merge`]).
     pub fleet: ResourceSample,
-    /// Bucket-wise sum of every worker's ledger.
-    pub fleet_ledger: TimeLedger,
     /// Process-wide `rchar` delta across the epoch: bytes requested from
     /// the kernel through read paths. **Not** incremented by `io_uring`
     /// reads on current kernels; the pread engine counts fully.
@@ -113,7 +113,6 @@ impl ResourceReport {
     /// Folds one worker's epoch delta into the block.
     pub fn absorb(&mut self, worker: WorkerResources) {
         self.fleet.merge(&worker.sample);
-        self.fleet_ledger.merge(&worker.ledger);
         self.workers.push(worker);
     }
 
@@ -141,12 +140,14 @@ impl ResourceReport {
         }
     }
 
-    /// Fraction of the fleet's wall time its threads spent on-CPU.
+    /// Fraction of the fleet's wall time (the sum of the workers'
+    /// `wall_nanos`) its threads spent on-CPU.
     pub fn fleet_cpu_share(&self) -> f64 {
-        if self.fleet_ledger.wall_nanos == 0 {
+        let wall: u64 = self.workers.iter().map(|w| w.wall_nanos).sum();
+        if wall == 0 {
             0.0
         } else {
-            (self.fleet.cpu_nanos as f64 / self.fleet_ledger.wall_nanos as f64).min(1.0)
+            (self.fleet.cpu_nanos as f64 / wall as f64).min(1.0)
         }
     }
 
@@ -159,12 +160,6 @@ impl ResourceReport {
         }
         ((self.physical_rchar as u128 * worker_logical as u128)
             / self.logical_bytes as u128) as u64
-    }
-
-    /// True iff every worker's stage buckets sum exactly to its in-batch
-    /// wall (see [`TimeLedger::conserves`]).
-    pub fn conserves(&self) -> bool {
-        self.workers.iter().all(|w| w.ledger.conserves())
     }
 }
 
@@ -215,8 +210,8 @@ pub struct EpochReport {
     pub wall: Duration,
     /// Worker threads used.
     pub threads: usize,
-    /// Merged stage accounts across all threads: `phase_nanos` is its
-    /// four-phase view, and its group, batch and CQ-wait histograms are
+    /// Merged stage accounts across all threads: `stage_nanos` is its six
+    /// sums, and its group, batch and CQ-wait histograms are
     /// `histograms.{io_group_latency, batch_latency, cq_wait}` (the CQ wait
     /// is the whole completion lap — polling, parking and reaping).
     pub account: StageAccount,
@@ -263,16 +258,6 @@ impl EpochReport {
         }
     }
 
-    /// The `resources` block alone as a JSON value (`Null` without an
-    /// epoch profile) — also the payload the engine publishes for
-    /// ringscope's `GET /resources`.
-    pub fn resources_json_value(&self) -> Json {
-        match &self.resources {
-            Some(r) => resources_json(r),
-            None => Json::Null,
-        }
-    }
-
     /// Fraction of pipeline time ahead of the decode spent waiting on
     /// completions rather than preparing and submitting work,
     /// `complete / (prepare + submit + complete)` — the quantity the
@@ -286,19 +271,24 @@ impl EpochReport {
         }
     }
 
-    /// The report as a JSON tree (`schema_version` 10). Raw values only —
+    /// The report as a JSON tree (`schema_version` 11). Raw values only —
     /// humanization is a Display concern; the `counters` block is
     /// [`SampleMetrics::counters`].
     ///
-    /// Schema history: v10 removes the `congestion` block with the live
-    /// verdicts that filled it, and adds `derived.dominant_stage` and
+    /// Schema history: v11 replaces the four-phase block (prepare, submit,
+    /// complete, aggregate) with the six-stage `stage_nanos` and each
+    /// worker's time `ledger` with its `stage_nanos`, and removes
+    /// `resources.fleet.ledger` and `resources.conserved` (the time between
+    /// a worker's batches is its `wall_nanos` minus its stage sum); v10
+    /// removes the `congestion` block with the live verdicts that filled
+    /// it, and adds `derived.dominant_stage` and
     /// `derived.dominant_share` ([`StageAccount::dominant`]); v9 only
     /// removes — `congestion.by_state` lost the `cpu_saturated` state,
     /// which could not fire; v8 only removes — the
     /// `spans` block left with the
     /// span log (the Chrome trace is a fold over the `trace` events) and
-    /// the counters `prepare_nanos` / `complete_nanos` were
-    /// `phase_nanos.submit` / `.complete` stored twice; v7 only removes —
+    /// the counters `prepare_nanos` / `complete_nanos` were the phase
+    /// block's `submit` / `complete` stored twice; v7 only removes —
     /// the `ring` block and the counters `fixed_buf_reads`,
     /// `regbuf_fallbacks`, `bufring_reads`, `bufring_recycles`,
     /// `ring_mode_fallbacks` left with the ring-mode
@@ -329,10 +319,6 @@ impl EpochReport {
             .with("coalesce_ratio", Json::F64(m.coalesce_ratio()))
             .with("edges_per_second", Json::F64(self.edges_per_second()));
         let derived = with_dominant(derived, &self.account);
-        let mut phases = Json::object();
-        for (name, nanos) in self.account.phases() {
-            phases.push(name, Json::U64(nanos));
-        }
         let histograms = Json::object()
             .with("io_group_latency", hist_json(&self.account.group_latency))
             .with("batch_latency", hist_json(&self.account.batch_latency))
@@ -342,14 +328,14 @@ impl EpochReport {
             .with("threads", Json::U64(self.thread_events.len() as u64))
             .with("events", Json::U64(trace_events))
             .with("dropped", Json::U64(self.trace_dropped));
-        let resources = self.resources_json_value();
+        let resources = self.resources.as_ref().map_or(Json::Null, resources_json);
         Json::object()
-            .with("schema_version", Json::U64(10))
+            .with("schema_version", Json::U64(11))
             .with("threads", Json::U64(self.threads as u64))
             .with("wall_seconds", Json::F64(self.seconds()))
             .with("counters", counters)
             .with("derived", derived)
-            .with("phase_nanos", phases)
+            .with("stage_nanos", stage_json(&self.account))
             .with("histograms", histograms)
             .with("trace", trace)
             .with("resources", resources)
@@ -396,9 +382,17 @@ pub(crate) fn with_dominant(obj: Json, account: &StageAccount) -> Json {
         .with("dominant_share", Json::F64(share))
 }
 
-/// The `resources` JSON block (shared by the epoch report and the
-/// `ringscope` `/resources` endpoint, so both stay byte-compatible).
-pub(crate) fn resources_json(r: &ResourceReport) -> Json {
+/// An account's six stage sums as JSON, keyed by [`Stage::name`].
+fn stage_json(account: &StageAccount) -> Json {
+    let mut out = Json::object();
+    for stage in Stage::ALL {
+        out.push(stage.name(), Json::U64(account.get(stage)));
+    }
+    out
+}
+
+/// The report's `resources` JSON block.
+fn resources_json(r: &ResourceReport) -> Json {
     let workers: Vec<Json> = r
         .workers
         .iter()
@@ -423,7 +417,7 @@ pub(crate) fn resources_json(r: &ResourceReport) -> Json {
                     "attributed_physical_bytes",
                     Json::U64(r.attributed_physical_bytes(w.logical_bytes)),
                 )
-                .with("ledger", ledger_json(&w.ledger))
+                .with("stage_nanos", stage_json(&w.account))
         })
         .collect();
     let fleet = Json::object()
@@ -434,8 +428,7 @@ pub(crate) fn resources_json(r: &ResourceReport) -> Json {
         .with("vol_ctx_switches", Json::U64(r.fleet.vol_ctx_switches))
         .with("invol_ctx_switches", Json::U64(r.fleet.invol_ctx_switches))
         .with("minor_faults", Json::U64(r.fleet.minor_faults))
-        .with("major_faults", Json::U64(r.fleet.major_faults))
-        .with("ledger", ledger_json(&r.fleet_ledger));
+        .with("major_faults", Json::U64(r.fleet.major_faults));
     Json::object()
         .with("workers", Json::Array(workers))
         .with("fleet", fleet)
@@ -450,19 +443,6 @@ pub(crate) fn resources_json(r: &ResourceReport) -> Json {
         // /proc/self/io is process-wide: per-worker physical bytes above
         // are a proportional attribution, and this label says so.
         .with("physical_attribution", Json::str("proportional"))
-        .with("conserved", Json::Bool(r.conserves()))
-}
-
-/// One time ledger as JSON: the five buckets, the stage share of wall and
-/// the between-batches share, and the conservation verdict.
-pub(crate) fn ledger_json(l: &TimeLedger) -> Json {
-    let mut out = Json::object().with("wall_nanos", Json::U64(l.wall_nanos));
-    for (name, ns) in l.buckets() {
-        out.push(&format!("{name}_nanos"), Json::U64(ns));
-    }
-    out.with("accounted_share", Json::F64(l.accounted_share()))
-        .with("unaccounted_share", Json::F64(l.unaccounted_share()))
-        .with("conserved", Json::Bool(l.conserves()))
 }
 
 fn hist_json(h: &LatencyHistogram) -> Json {
@@ -687,10 +667,10 @@ mod tests {
         assert_eq!(r.threads, 1);
         let json = r.to_json();
         for key in [
-            "\"schema_version\": 10",
+            "\"schema_version\": 11",
             "\"counters\"",
             "\"derived\"",
-            "\"phase_nanos\"",
+            "\"stage_nanos\"",
             "\"submit\": 123",
             "\"dominant_stage\": \"submit\"",
             "\"dominant_share\": 1.0",
@@ -705,6 +685,43 @@ mod tests {
         // No epoch profile closed for this synthetic report: the
         // resources block must be explicitly null, not missing.
         assert!(json.contains("\"resources\": null"), "{json}");
+    }
+
+    #[test]
+    fn worker_stage_nanos_are_its_account() {
+        // Two workers with different accounts: each resources row carries
+        // its own worker's six sums, and the top level their merge.
+        let mk = |scale: u64| {
+            let mut w = WorkerStats::default();
+            for (i, stage) in Stage::ALL.into_iter().enumerate() {
+                w.account.add(stage, scale * (i as u64 + 1));
+            }
+            w.resources = Some(WorkerResources {
+                wall_nanos: 1_000_000,
+                account: w.account,
+                ..Default::default()
+            });
+            w
+        };
+        let workers = [mk(10), mk(1_000)];
+        let mut r = EpochReport::default();
+        for w in workers.iter().cloned() {
+            r.absorb(w);
+        }
+        let json = Json::parse(&r.to_json()).unwrap();
+        let rows = json.get("resources").and_then(|r| r.get("workers")).and_then(Json::as_array).unwrap();
+        assert_eq!(rows.len(), 2);
+        for (row, w) in rows.iter().zip(&workers) {
+            let stages = row.get("stage_nanos").unwrap();
+            for stage in Stage::ALL {
+                let got = stages.get(stage.name()).and_then(Json::as_u64);
+                assert_eq!(got, Some(w.account.get(stage)), "{}", stage.name());
+            }
+        }
+        let top = json.get("stage_nanos").unwrap();
+        for stage in Stage::ALL {
+            assert_eq!(top.get(stage.name()).and_then(Json::as_u64), Some(r.account.get(stage)));
+        }
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //!   memory-ordering argument.
 //! * **Observe side** — one telemetry thread reads every slot of the
 //!   [`SnapshotRegistry`] each poll tick and hands the snapshots to its
-//!   [`Monitor`], which appends them to one plain series per worker. Every
-//!   live view is a fold over those series: `GET /history` (windowed
-//!   rates, EWMA trends, slope estimators, DESIGN.md §14), `GET /progress`
-//!   (fleet throughput, ETA and the dominant stage) and `GET /healthz`. The
-//!   stall watchdog is a fact about a series too: an active worker whose
-//!   `batches` count has not moved for 10 s is reported once with its
-//!   last-known state, recent history and flight-recorder tail, and flips
-//!   `/healthz` to `503` — turning silent io_uring wedges into diagnosable
-//!   events. `GET /metrics` (Prometheus text) and
-//!   `GET /trace` (the live tail of each flight-recorder ring, read with
-//!   the non-destructive [`EventRing::recent`]) complete the set.
+//!   [`Monitor`], which appends them to one plain series per worker (DESIGN.md
+//!   §14). `GET /metrics` (Prometheus text) exports every worker's counters,
+//!   queue gauge, batch-latency histogram and stage sums as they stand, so a
+//!   scraper derives any rate or share itself. `GET /progress` (fleet
+//!   throughput, ETA and the dominant stage) and `GET /healthz` are folds
+//!   over the series. The stall watchdog is a fact about a series too: an
+//!   active worker whose `batches` count has not moved for 10 s is reported
+//!   once with its last-known state, recent history and flight-recorder
+//!   tail, and flips `/healthz` to `503` — turning silent io_uring wedges
+//!   into diagnosable events. `GET /trace` (the live tail of each
+//!   flight-recorder ring, read with the non-destructive
+//!   [`EventRing::recent`]) completes the set.
 //!
 //! Everything here is cold-path: the registry's `Mutex`es are touched
 //! only at epoch setup and by the telemetry thread, never per batch, and
@@ -34,13 +35,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ringsampler_io::IoEngineError;
-use ringstat::history::{
-    batch_p99_series, batch_p99_slope, cpu_share, cpu_share_series, cq_wait_share_series,
-    cq_wait_share_slope, ewma, interval_series, windowed_rates,
-};
+use ringstat::history::windowed_rates;
 use ringstat::{
     EventRing, HistoryPoint, HttpServer, Json, PromWriter, Response, SampleMetrics, SnapshotCell,
-    StageAccount, TraceEvent, WorkerSnapshot,
+    Stage, StageAccount, TraceEvent, WorkerSnapshot,
 };
 
 use crate::error::{Result, SamplerError};
@@ -129,12 +127,6 @@ pub struct SnapshotRegistry {
     /// [`EventRing::recent`], never the destructive drain.
     slots: Mutex<Vec<Slot>>,
     epochs: Mutex<u64>,
-    /// The last completed epoch's rendered ringprof document, published
-    /// by the engine at epoch join and served verbatim by
-    /// `GET /resources`. Deliberately *not* cleared on epoch reset: the
-    /// previous epoch's attribution stays queryable while the next one
-    /// runs.
-    resources: Mutex<Option<String>>,
 }
 
 impl SnapshotRegistry {
@@ -172,30 +164,6 @@ impl SnapshotRegistry {
         if let Ok(mut slots) = self.slots.lock() {
             *slots = (0..n).map(|_| Slot::new(None)).collect();
         }
-    }
-
-    /// Publishes the rendered ringprof document for `GET /resources`
-    /// (epoch-join path; the engine renders it from the final
-    /// [`crate::metrics::EpochReport`]).
-    pub fn publish_resources(&self, doc: String) {
-        if let Ok(mut res) = self.resources.lock() {
-            *res = Some(doc);
-        }
-    }
-
-    /// The document `GET /resources` serves: the last published ringprof
-    /// attribution, or an explicit `"resources": null` placeholder
-    /// before the first epoch joins.
-    pub fn resources_document(&self) -> String {
-        if let Ok(res) = self.resources.lock() {
-            if let Some(doc) = res.as_ref() {
-                return doc.clone();
-            }
-        }
-        Json::object()
-            .with("epoch", Json::U64(0))
-            .with("resources", Json::Null)
-            .to_string_pretty()
     }
 
     /// The slots as of now, read outside the lock.
@@ -380,6 +348,14 @@ pub fn metrics_document(
             labels,
             &s.account.batch_latency,
         );
+        for stage in Stage::ALL {
+            w.counter(
+                "ringsampler_worker_stage_nanos_total",
+                "In-batch wall nanoseconds spent in each pipeline stage this epoch",
+                &[("worker", &idx), ("stage", stage.name())],
+                s.account.get(stage),
+            );
+        }
     }
     for t in traces {
         let idx = t.index.to_string();
@@ -496,91 +472,6 @@ pub fn progress_document(obs: &[WorkerObservation], stalled: &[usize], rates: &F
         .with("workers", Json::Array(workers))
         .with("fleet", with_dominant(fleet, &account))
         .to_string_pretty()
-}
-
-/// Renders the `GET /history` JSON document: per-worker windowed rates,
-/// EWMA/slope trends, and the raw point series. Pure: same windows ⇒
-/// same text. `window` echoes the requested window size.
-pub fn history_document(windows: &[(usize, Vec<HistoryPoint>)], window: usize) -> String {
-    let workers: Vec<Json> = windows
-        .iter()
-        .map(|(worker, pts)| {
-            let rates = windowed_rates(pts);
-            let edge_rates: Vec<f64> = interval_series(pts, |s| s.metrics.sampled_edges)
-                .iter()
-                .map(|&(_, r)| r)
-                .collect();
-            let trends = Json::object()
-                .with("edges_per_sec_ewma", Json::F64(ewma(&edge_rates, 0.4)))
-                .with(
-                    "batch_p99_slope_ns_per_sec",
-                    Json::F64(batch_p99_slope(pts)),
-                )
-                .with(
-                    "cq_wait_share_slope_per_sec",
-                    Json::F64(cq_wait_share_slope(pts)),
-                )
-                .with("cpu_share", Json::F64(cpu_share(pts)));
-            // Per-point derived columns are aligned with the raw series:
-            // interval quantities (p99, cq share) describe the interval
-            // *ending* at each point, so the first point reports zeros.
-            let p99s = batch_p99_series(pts);
-            let cq = cq_wait_share_series(pts);
-            let cpu = cpu_share_series(pts);
-            let at = |series: &[(u64, f64)], t_ms: u64| {
-                series
-                    .iter()
-                    .find(|&&(t, _)| t == t_ms)
-                    .map(|&(_, v)| v)
-                    .unwrap_or(0.0)
-            };
-            let points: Vec<Json> = pts
-                .iter()
-                .map(|p| {
-                    Json::object()
-                        .with("t_ms", Json::U64(p.t_ms))
-                        .with("batches", Json::U64(p.snap.metrics.batches))
-                        .with("targets", Json::U64(p.snap.seeds))
-                        .with("sampled_edges", Json::U64(p.snap.metrics.sampled_edges))
-                        .with("bytes_read", Json::U64(p.snap.metrics.io_bytes))
-                        .with("inflight", Json::U64(p.snap.inflight))
-                        .with("io_groups", Json::U64(p.snap.metrics.io_groups))
-                        .with("batch_p99_ns", Json::F64(at(&p99s, p.t_ms)))
-                        .with("cq_wait_share", Json::F64(at(&cq, p.t_ms)))
-                        .with("cpu_share", Json::F64(at(&cpu, p.t_ms)))
-                })
-                .collect();
-            Json::object()
-                .with("worker", Json::U64(*worker as u64))
-                .with("points", Json::U64(pts.len() as u64))
-                .with("span_secs", Json::F64(rates.span_secs))
-                .with(
-                    "rates",
-                    Json::object()
-                        .with("edges_per_sec", Json::F64(rates.edges_per_sec))
-                        .with("batches_per_sec", Json::F64(rates.batches_per_sec))
-                        .with("enters_per_sec", Json::F64(rates.enters_per_sec))
-                        .with("bytes_per_sec", Json::F64(rates.bytes_per_sec)),
-                )
-                .with("trends", trends)
-                .with("series", Json::Array(points))
-        })
-        .collect();
-    Json::object()
-        .with("window", Json::U64(window as u64))
-        .with("workers", Json::Array(workers))
-        .to_string_pretty()
-}
-
-/// Parses one `u64` query parameter from a raw request path
-/// (`/history?worker=1&window=32`). Absent or unparsable ⇒ `None`.
-fn query_param(path: &str, key: &str) -> Option<u64> {
-    let (_, query) = path.split_once('?')?;
-    query
-        .split('&')
-        .filter_map(|kv| kv.split_once('='))
-        .find(|&(k, _)| k == key)
-        .and_then(|(_, v)| v.parse().ok())
 }
 
 /// Points one worker's series retains: one point per poll tick, oldest
@@ -777,7 +668,7 @@ impl Monitor {
     }
 
     /// Serves one request from the monitor's state as of its latest tick
-    /// (plus the registry's flight-recorder rings and resource document).
+    /// (plus the registry's flight-recorder rings).
     pub fn route(&self, path: &str, registry: &SnapshotRegistry) -> Response {
         match path {
             "/metrics" => {
@@ -792,17 +683,6 @@ impl Monitor {
                 Response::json(progress_document(&self.obs, &self.stalled(), &self.rates()))
             }
             "/trace" => Response::json(trace_document(&registry.observe_traces(256))),
-            "/resources" => Response::json(registry.resources_document()),
-            path if path == "/history" || path.starts_with("/history?") => {
-                let window = query_param(path, "window")
-                    .map(|w| (w as usize).clamp(2, 4096))
-                    .unwrap_or(64);
-                let mut windows = self.windows(window);
-                if let Some(worker) = query_param(path, "worker") {
-                    windows.retain(|(w, _)| *w as u64 == worker);
-                }
-                Response::json(history_document(&windows, window))
-            }
             "/healthz" => {
                 let stalled = self.stalled();
                 if stalled.is_empty() {
@@ -1168,40 +1048,6 @@ mod tests {
         assert!(doc.body().contains("\"edges_per_sec\": 500.0"), "{}", doc.body());
     }
 
-    #[test]
-    fn history_document_renders_rates_trends_and_series() {
-        let pts = hist_pts(4, |i, s| {
-            s.metrics.batches = i;
-            s.metrics.sampled_edges = i * 500;
-            s.metrics.io_bytes = i * 4096;
-            s.metrics.io_groups = i * 2;
-            s.inflight = 16;
-        });
-        let doc = history_document(&[(0, pts)], 64);
-        assert!(doc.contains("\"window\": 64"), "{doc}");
-        assert!(doc.contains("\"edges_per_sec\": 5000.0"), "{doc}");
-        assert!(doc.contains("\"enters_per_sec\": 20.0"), "{doc}");
-        assert!(doc.contains("\"edges_per_sec_ewma\": 5000.0"), "{doc}");
-        assert!(doc.contains("\"cq_wait_share_slope_per_sec\""), "{doc}");
-        let parsed = Json::parse(&doc).expect("history document parses");
-        let workers = parsed.get("workers").and_then(Json::as_array).unwrap();
-        let series = workers[0].get("series").and_then(Json::as_array).unwrap();
-        assert_eq!(series.len(), 4);
-        assert_eq!(series[3].get("t_ms").and_then(Json::as_u64), Some(300));
-        // An empty fleet still renders a valid document.
-        assert!(Json::parse(&history_document(&[], 8)).is_ok());
-    }
-
-    #[test]
-    fn query_param_parses_history_requests() {
-        assert_eq!(query_param("/history?window=32", "window"), Some(32));
-        assert_eq!(query_param("/history?worker=1&window=8", "worker"), Some(1));
-        assert_eq!(query_param("/history?worker=1&window=8", "window"), Some(8));
-        assert_eq!(query_param("/history", "window"), None);
-        assert_eq!(query_param("/history?window=abc", "window"), None);
-        assert_eq!(query_param("/history?window", "window"), None);
-    }
-
     fn extras() -> MetricsExtras {
         MetricsExtras {
             uptime_seconds: 12.5,
@@ -1398,19 +1244,6 @@ mod tests {
         assert!(bare.contains("\"history\":null"), "{bare}");
     }
 
-    #[test]
-    fn resources_document_serves_placeholder_then_published() {
-        let reg = SnapshotRegistry::new();
-        let placeholder = reg.resources_document();
-        assert!(placeholder.contains("\"resources\": null"), "{placeholder}");
-        assert!(Json::parse(&placeholder).is_ok());
-        reg.publish_resources("{\"epoch\": 3, \"resources\": {\"logical_bytes\": 64}}".to_string());
-        assert!(reg.resources_document().contains("\"logical_bytes\": 64"));
-        // Epoch reset keeps the last attribution queryable.
-        reg.reset_epoch(2);
-        assert!(reg.resources_document().contains("\"logical_bytes\": 64"));
-    }
-
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         for _ in 0..50 {
             if let Ok(mut stream) = TcpStream::connect(addr) {
@@ -1451,9 +1284,6 @@ mod tests {
         let (code, body) = http_get(handle.addr(), "/progress");
         assert_eq!(code, 200);
         assert!(body.contains("\"fleet\""));
-        let (code, body) = http_get(handle.addr(), "/history?window=8");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"workers\""), "{body}");
         // The /trace tail serves installed flight-recorder rings live.
         ring.record(TraceEvent {
             ts_ns: 1,
@@ -1467,15 +1297,6 @@ mod tests {
         assert_eq!(code, 200);
         assert!(body.contains("\"batch_start\""), "{body}");
         assert!(body.contains("\"recorded\": 1"), "{body}");
-        // /resources serves the placeholder until an epoch publishes,
-        // then the published document verbatim.
-        let (code, body) = http_get(handle.addr(), "/resources");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"resources\": null"), "{body}");
-        registry.publish_resources("{\"epoch\": 1, \"resources\": {\"conserved\": true}}".to_string());
-        let (code, body) = http_get(handle.addr(), "/resources");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"conserved\": true"), "{body}");
         let (code, body) = http_get(handle.addr(), "/healthz");
         assert_eq!((code, body.as_str()), (200, "ok\n"));
         let (code, _) = http_get(handle.addr(), "/nope");

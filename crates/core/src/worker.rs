@@ -25,7 +25,7 @@ use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 use ringsampler_io::engine::{GroupReader, GroupToken, PreadReader, ReadSlice, UringReader};
 use ringsampler_io::{EngineKind, IoEngineError};
 use ringstat::{
-    thread_cpu_nanos, EventKind, EventRing, ResourceSample, SnapshotCell, StageAccount, TimeLedger,
+    thread_cpu_nanos, EventKind, EventRing, ResourceSample, SnapshotCell, StageAccount,
     TraceEvent, WorkerSnapshot,
 };
 
@@ -546,8 +546,8 @@ impl SamplerWorker {
     }
 
     /// Closes the epoch's resource interval: takes the end sample,
-    /// differences it against the anchor, and folds the stage account
-    /// and CPU time into the time ledger. Consumes the anchor, so it fires once per
+    /// differences it against the anchor, and keeps the stage account
+    /// beside it. Consumes the anchor, so it fires once per
     /// `begin_epoch_profile`. Runs on the worker's own thread (the
     /// epoch-join path calls it from `take_stats`).
     fn finish_epoch_resources(&mut self) -> Option<WorkerResources> {
@@ -560,7 +560,7 @@ impl SamplerWorker {
         self.cpu_nanos = sample.cpu_nanos;
         Some(WorkerResources {
             wall_nanos: wall,
-            ledger: TimeLedger::build(wall, &self.account, sample.cpu_nanos),
+            account: self.account,
             logical_bytes: self.metrics.sampled_edges * ENTRY_BYTES,
             sample,
         })
@@ -1194,8 +1194,15 @@ mod tests {
         let seeds: Vec<NodeId> = (0..64).collect();
         w.sample_batch(&seeds, 0).unwrap();
         let s = w.take_stats();
-        for (phase, nanos) in s.account.phases() {
-            assert!(nanos > 0, "{phase} time recorded");
+        let a = &s.account;
+        let prepare = a.get(Stage::Sample) + a.get(Stage::Plan);
+        for (what, nanos) in [
+            ("prepare", prepare),
+            ("submit", a.get(Stage::Submit)),
+            ("complete", a.complete()),
+            ("scatter", a.get(Stage::Scatter)),
+        ] {
+            assert!(nanos > 0, "{what} time recorded");
         }
         let f = s.into_epoch_report(std::time::Duration::ZERO).wait_fraction();
         assert!(f > 0.0 && f < 1.0);
@@ -1242,9 +1249,9 @@ mod tests {
     #[test]
     fn stage_clock_conserves_exactly() {
         // Σ stages == Σ batch latency to the nanosecond, whatever feeds the
-        // fetch path: no stage event falls outside a batch, the ledger
-        // built from the account conserves, and the last live snapshot is
-        // the record the join returns.
+        // fetch path: no stage event falls outside a batch, the time between
+        // batches is the epoch wall less the stages, and the last live
+        // snapshot is the record the join returns.
         let graph = test_graph("conserve");
         let seeds: Vec<NodeId> = (0..64).collect();
         for (mode, cache) in fetch_shapes() {
@@ -1271,10 +1278,9 @@ mod tests {
                     let batch_sum = s.account.batch_latency.sum();
                     assert_eq!(s.account.total(), batch_sum, "{what}");
                     let res = s.resources.expect("the epoch profile was opened");
-                    let ledger = res.ledger;
-                    assert!(ledger.conserves(), "{what}: {ledger:?}");
-                    assert_eq!(ledger.accounted_nanos(), batch_sum, "{what}");
-                    assert!(ledger.other_nanos >= 3 * 200_000, "{what}: {ledger:?}");
+                    assert_eq!(res.account, s.account, "{what}");
+                    let between = res.wall_nanos - s.account.total();
+                    assert!(between >= 3 * 200_000, "{what}: {between} ns between batches");
                     let live = registry.observe()[0].snapshot.expect("published");
                     assert_eq!((live.metrics, live.account), (s.metrics, s.account), "{what}");
                     assert_eq!(live.cpu_nanos, res.sample.cpu_nanos, "{what}");

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ringsampler::{EpochReport, SampleMetrics, WorkerResources, WorkerStats};
-use ringstat::{ChromeTrace, EventKind, ResourceSample, Stage, TimeLedger, TraceEvent};
+use ringstat::{ChromeTrace, EventKind, ResourceSample, Stage, TraceEvent};
 
 /// A fully deterministic report: fixed counters, fixed histogram samples,
 /// fixed event timestamps. No clocks involved.
@@ -34,9 +34,8 @@ fn golden_report() -> EpochReport {
         },
         ..Default::default()
     };
-    // The stage account, set stage by stage and sample by sample: the
-    // four-phase view is prepare 400 µs, submit 600 µs, complete 3 ms and
-    // aggregate 250 µs.
+    // The stage account, set stage by stage and sample by sample: 4.25 ms
+    // of stage time, 2.8 ms of it waiting.
     let account = &mut worker.account;
     for v in [1_000u64, 2_000, 4_000, 8_000, 150_000] {
         account.group_latency.record(v);
@@ -76,9 +75,8 @@ fn golden_report() -> EpochReport {
     ];
     worker.trace_dropped = 2;
     // A deterministic ringprof interval: 250 ms wall, 240 ms on-CPU,
-    // stages as recorded above (they fit the wall, so the ledger
-    // conserves; everything else is between-batches `other`). No clocks
-    // involved.
+    // stages as recorded above (everything else of the wall lies between
+    // batches). No clocks involved.
     let sample = ResourceSample {
         cpu_nanos: 240_000_000,
         user_nanos: 200_000_000,
@@ -90,7 +88,7 @@ fn golden_report() -> EpochReport {
     };
     worker.resources = Some(WorkerResources {
         wall_nanos: 250_000_000,
-        ledger: TimeLedger::build(250_000_000, &worker.account, sample.cpu_nanos),
+        account: worker.account,
         logical_bytes: 2_048 * 8,
         sample,
     });

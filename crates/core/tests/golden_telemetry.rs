@@ -1,23 +1,19 @@
 //! Golden-file tests pinning the exact bytes of the `ringscope` live
-//! endpoints (`GET /metrics`, `GET /progress`, `GET /trace`,
-//! `GET /history`, `GET /resources`) against a fixed two-worker snapshot
-//! registry. The documents are rendered by the same pure functions the
-//! telemetry thread calls, with all time-dependent inputs (rates, ETA,
-//! uptime, history timestamps) fixed — so the goldens are byte-stable.
-//! The history and resources goldens go through `Monitor::route`, the
-//! handler the server's socket loop calls, over a synthetic timeline: the
-//! bytes asserted are the body a live `ringtop` would receive.
+//! endpoints (`GET /metrics`, `GET /progress`, `GET /trace`) against a
+//! fixed two-worker snapshot registry. The documents are rendered by the
+//! same pure functions the telemetry thread calls, with all time-dependent
+//! inputs (rates, ETA, uptime) fixed — so the goldens are byte-stable.
 //!
 //! To regenerate after an intentional format change:
 //! `UPDATE_GOLDEN=1 cargo test -p ringsampler --test golden_telemetry`
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ringsampler::telemetry::{
     metrics_document, progress_document, trace_document, FleetRates, MetricsExtras, Monitor,
-    SnapshotRegistry, WorkerObservation,
+    SnapshotRegistry,
 };
 use ringstat::{EventKind, EventRing, Stage, TraceEvent, WorkerSnapshot};
 
@@ -143,6 +139,11 @@ fn metrics_endpoint_body_is_pinned() {
     assert!(doc.contains(r#"ringsampler_worker_inflight_reads{worker="1"} 0"#));
     assert!(doc.contains(r#"ringsampler_trace_recorded_total{worker="0"} 4"#));
     assert!(doc.contains(r#"ringsampler_trace_dropped_total{worker="1"} 1"#));
+    // Every worker's six stage sums, so a scraper can take stage shares.
+    assert!(doc.contains("# TYPE ringsampler_worker_stage_nanos_total counter"));
+    assert!(doc.contains(r#"ringsampler_worker_stage_nanos_total{worker="0",stage="wait"} 1500000"#));
+    assert!(doc.contains(r#"ringsampler_worker_stage_nanos_total{worker="1",stage="sample"} 700000"#));
+    assert!(doc.contains(r#"ringsampler_worker_stage_nanos_total{worker="1",stage="wait"} 0"#));
     check_golden("telemetry_metrics.prom", &doc);
 }
 
@@ -179,136 +180,16 @@ fn progress_endpoint_body_is_pinned() {
     check_golden("telemetry_progress.json", &doc);
 }
 
-/// Ticks a monitor through the fixed history timeline: six 250 ms-spaced
-/// points per worker, worker 0 progressing at full rate, worker 1 at a
-/// tenth of it. Instants are synthetic, so the series — and everything
-/// derived from them — are byte-stable.
-fn golden_monitor() -> Monitor {
-    let start = Instant::now();
-    let mut monitor = Monitor::new(start);
-    for i in 0..6u64 {
-        let obs: Vec<WorkerObservation> = [(0usize, 1u64), (1usize, 10u64)]
-            .iter()
-            .map(|&(index, div)| {
-                let mut s = WorkerSnapshot {
-                    epoch: 1,
-                    total_batches: 64,
-                    seeds: 512 * i / div,
-                    inflight: 16 + 4 * i,
-                    // ringprof column: worker 0 busy (~180/250 ms on-CPU
-                    // per interval), worker 1 mostly idle.
-                    cpu_nanos: 180_000_000 * i / div,
-                    active: true,
-                    ..Default::default()
-                };
-                s.metrics.batches = 4 * i / div;
-                s.metrics.sampled_edges = 2_048 * i / div;
-                s.metrics.io_bytes = 8_192 * i / div;
-                s.metrics.io_groups = 8 * i / div;
-                s.metrics.io_requests = 256 * i / div;
-                s.account.add(Stage::Submit, 40_000_000 * i / div);
-                s.account.add(Stage::Wait, 10_000_000 * i / div);
-                s.account.batch_latency.record(700_000 + 50_000 * i);
-                WorkerObservation {
-                    index,
-                    snapshot: Some(s),
-                }
-            })
-            .collect();
-        let stalled = monitor.tick(obs, start + Duration::from_millis(250 * i));
-        assert!(stalled.is_empty());
+#[test]
+fn removed_endpoints_are_gone() {
+    // `/progress` names the dominant stage and `/metrics` carries every
+    // counter and stage sum, so no endpoint re-derives them: the
+    // congestion verdicts, the history series and the resources ledger
+    // answer 404 even over a monitor that has observed the fleet.
+    let registry = golden_registry();
+    let mut monitor = Monitor::new(Instant::now());
+    monitor.tick(registry.observe(), Instant::now());
+    for path in ["/congestion", "/history", "/history?window=8", "/resources"] {
+        assert_eq!(monitor.route(path, &registry).status(), 404, "{path}");
     }
-    monitor
-}
-
-/// `GET path` answered by `monitor` (status, body).
-fn get(monitor: &Monitor, registry: &SnapshotRegistry, path: &str) -> (u16, String) {
-    let response = monitor.route(path, registry);
-    (response.status(), response.body().to_string())
-}
-
-#[test]
-fn history_endpoint_body_is_pinned_through_http() {
-    let registry = SnapshotRegistry::new();
-    let monitor = golden_monitor();
-
-    let (code, body) = get(&monitor, &registry, "/history?window=8");
-    assert_eq!(code, 200);
-    assert!(body.contains("\"t_ms\": 1250"));
-    assert!(body.contains("\"edges_per_sec\": 8192.0"), "{body}");
-    check_golden("telemetry_history.json", &body);
-
-    // The worker filter narrows the document to the requested series.
-    let (code, filtered) = get(&monitor, &registry, "/history?worker=1&window=8");
-    assert_eq!(code, 200);
-    assert!(filtered.contains("\"worker\": 1"));
-    assert!(!filtered.contains("\"worker\": 0"));
-}
-
-#[test]
-fn resources_endpoint_body_is_pinned_through_http() {
-    use ringsampler::{EpochReport, ResourceReport, WorkerResources};
-    use ringstat::{Json, ResourceSample, StageAccount, TimeLedger};
-
-    // The same deterministic ringprof interval the report golden pins:
-    // 250 ms wall, 240 ms on-CPU, fixed stage walls. The engine renders
-    // this exact document at epoch join and publishes it verbatim.
-    let mut stages = StageAccount::default();
-    for (stage, nanos) in [
-        (Stage::Sample, 300_000),
-        (Stage::Plan, 100_000),
-        (Stage::Submit, 600_000),
-        (Stage::Wait, 2_800_000),
-        (Stage::Reap, 200_000),
-        (Stage::Scatter, 250_000),
-    ] {
-        stages.add(stage, nanos);
-    }
-    let sample = ResourceSample {
-        cpu_nanos: 240_000_000,
-        user_nanos: 200_000_000,
-        sys_nanos: 40_000_000,
-        vol_ctx_switches: 40,
-        invol_ctx_switches: 8,
-        minor_faults: 1_200,
-        major_faults: 3,
-    };
-    let mut res = ResourceReport::default();
-    res.absorb(WorkerResources {
-        wall_nanos: 250_000_000,
-        ledger: TimeLedger::build(250_000_000, &stages, sample.cpu_nanos),
-        logical_bytes: 16_384,
-        sample,
-    });
-    res.physical_rchar = 5 << 20;
-    res.physical_read_bytes = 2 << 20;
-    res.logical_bytes = 16_384;
-    let report = EpochReport {
-        resources: Some(res),
-        ..Default::default()
-    };
-    let doc = Json::object()
-        .with("epoch", Json::U64(1))
-        .with("resources", report.resources_json_value())
-        .to_string_pretty();
-
-    // Travel the registry → route path: the bytes asserted are the body
-    // a live scraper receives from GET /resources.
-    let registry = SnapshotRegistry::new();
-    registry.publish_resources(doc);
-    let (code, body) = get(&Monitor::new(Instant::now()), &registry, "/resources");
-    assert_eq!(code, 200);
-    assert!(body.contains("\"read_amplification\": 320.0"), "{body}");
-    assert!(body.contains("\"conserved\": true"), "{body}");
-    assert!(body.contains("\"physical_attribution\": \"proportional\""), "{body}");
-    check_golden("telemetry_resources.json", &body);
-}
-
-#[test]
-fn congestion_endpoint_is_gone() {
-    // No congestion endpoint: why a worker is slow is `/progress`'s
-    // dominant stage and `/history`'s CQ-wait share.
-    let registry = SnapshotRegistry::new();
-    let (code, _) = get(&golden_monitor(), &registry, "/congestion");
-    assert_eq!(code, 404);
 }

@@ -188,46 +188,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// The bucket-wise difference `self − earlier`: the histogram of the
-    /// samples recorded *between* the `earlier` snapshot and this one.
-    ///
-    /// Exact for counts, buckets, and sum when `earlier` is a true prior
-    /// snapshot of `self` (cumulative histograms only grow, and merging
-    /// is bucket-wise addition, so subtraction inverts it losslessly).
-    /// `min`/`max` cannot be recovered exactly from buckets alone; they
-    /// are approximated by the bounds of the first and last non-empty
-    /// diffed bucket (clamped to `self.max`), which is tight enough for
-    /// the windowed quantile estimates the history layer derives. All
-    /// arithmetic saturates, so unrelated histograms produce an empty or
-    /// partial diff instead of wrapped garbage.
-    pub fn saturating_diff(&self, earlier: &Self) -> Self {
-        let mut out = Self::new();
-        for ((o, &a), &b) in out
-            .counts
-            .iter_mut()
-            .zip(self.counts.iter())
-            .zip(earlier.counts.iter())
-        {
-            *o = a.saturating_sub(b);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for (lo, hi, _) in out.nonzero_buckets() {
-            if lo < min {
-                min = lo;
-            }
-            let hi = hi.min(self.max);
-            if hi > max {
-                max = hi;
-            }
-        }
-        out.min = min;
-        out.max = max;
-        out
-    }
-
     /// Median estimate.
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)

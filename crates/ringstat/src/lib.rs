@@ -16,8 +16,9 @@
 //!   stages (sample, plan, submit, wait, reap, scatter), which word of which
 //!   flight-recorder event carries each, and the account a worker folds
 //!   its events into — the stage sums plus the batch, group and CQ-wait
-//!   histograms, with the four-phase view the reports export and the
-//!   dominant stage they name as the reason a run was slow.
+//!   histograms, exported as the report's `stage_nanos` and the live
+//!   `/metrics` stage counters, with the dominant stage the report and
+//!   `/progress` name as the reason a run was slow.
 //! * [`SampleMetrics`] — what a worker counts (batches, edges, reads,
 //!   bytes, groups, syscalls, hot-set and planner counters), and the one
 //!   list of their wire keys the reports are built from.
@@ -34,18 +35,16 @@
 //!   fixed-capacity, allocation-free, single-writer ring of seqlock
 //!   slots recording per-batch / per-I/O-group lifecycle events, with an
 //!   overflow-drop counter instead of blocking.
-//! * [`HistoryPoint`] — the `ringtop` time-series layer: one timestamped
-//!   [`WorkerSnapshot`] (the telemetry thread keeps each worker's series
-//!   itself), plus pure derivation helpers (windowed rates, EWMA trends,
-//!   p99 and CQ-wait-share slope estimators) that `/history` serves.
-//! * [`ResourceSample`] / [`TimeLedger`] — the `ringprof` kernel-truth
-//!   layer: per-thread CPU clock and rusage counters plus process-wide
-//!   `/proc/self/io` bytes, folded with the stage attribution into a
-//!   conservation-checked per-worker time ledger
-//!   `{compute, submit, io_wait, reap, other}`.
+//! * [`HistoryPoint`] — one timestamped [`WorkerSnapshot`] (the telemetry
+//!   thread keeps each worker's series itself), and the windowed rates
+//!   `/progress` reads off a series.
+//! * [`ResourceSample`] — the `ringprof` kernel-truth layer: per-thread CPU
+//!   clock and rusage counters plus process-wide `/proc/self/io` bytes.
+//!   It splits no time; the stage account is the one record of where time
+//!   went.
 //! * [`HttpServer`] — a bounded, dependency-free HTTP listener for the
 //!   embedded ringscope endpoints (`/metrics`, `/progress`, `/healthz`,
-//!   `/trace`, `/history`, `/resources`).
+//!   `/trace`).
 //! * [`human_bytes`] / [`human_count`] — display helpers for run reports.
 //!
 //! ## The synchronization-free invariant
@@ -88,7 +87,7 @@ pub use history::{HistoryPoint, WindowRates};
 pub use http::{HttpServer, Request, Response};
 pub use json::Json;
 pub use prometheus::PromWriter;
-pub use resources::{parse_proc_io, proc_io_now, thread_cpu_nanos, ResourceSample, TimeLedger};
+pub use resources::{parse_proc_io, proc_io_now, thread_cpu_nanos, ResourceSample};
 pub use snapshot::{SnapshotCell, WorkerSnapshot};
 pub use stage::{Stage, StageAccount};
 pub use trace::ChromeTrace;

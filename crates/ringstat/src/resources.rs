@@ -14,12 +14,10 @@
 //!   epoch with it.
 //! * [`thread_cpu_nanos`] — the one call sanctioned on the per-batch hot
 //!   path: a single `clock_gettime` read, no `getrusage`, no procfs.
-//! * [`TimeLedger`] — folds the worker's stage account
-//!   ([`StageAccount`]) together with thread CPU time into the
-//!   buckets `{compute, submit, io_wait, reap, other}`. The four stage
-//!   buckets sum *exactly* to the in-batch wall the clock measured —
-//!   that identity is the conservation rule — and `other` is the wall
-//!   time between batches, reported explicitly and never gated.
+//!
+//! Nothing here splits time: where a worker's in-batch time went is its
+//! [`StageAccount`](crate::StageAccount), and the time between its batches
+//! is its epoch wall minus the account's total.
 //!
 //! ## Sources and their failure modes
 //!
@@ -40,8 +38,6 @@
 //!   are documented where the ratios surface. If `/proc` is unmounted
 //!   the fields read as 0 and every derived ratio degrades to 0 rather
 //!   than erroring.
-
-use crate::stage::{Stage, StageAccount};
 
 /// A point-in-time kernel resource reading for the calling thread.
 ///
@@ -182,126 +178,6 @@ pub fn proc_io_now() -> (u64, u64) {
     }
 }
 
-/// A per-worker epoch time ledger: wall time split into five buckets
-/// that sum exactly to wall. The four stage buckets come from the
-/// worker's stage account, which holds every in-batch nanosecond of its
-/// lap clock in one stage, so together they equal the in-batch wall;
-/// `other` is what lies between batches.
-///
-/// | bucket    | meaning                                                |
-/// |-----------|--------------------------------------------------------|
-/// | `compute` | the sample, plan and scatter stages: drawing offsets,  |
-/// |           | cache probe, read planning, frontier reduce, decode    |
-/// | `submit`  | group building + SQE preparation + `io_uring_enter`    |
-/// | `io_wait` | off-CPU time inside the completion stage (blocked on   |
-/// |           | CQEs)                                                  |
-/// | `reap`    | on-CPU time inside the completion stage (polling and   |
-/// |           | draining CQEs)                                         |
-/// | `other`   | wall time outside every batch — the consumer's         |
-/// |           | callback, the sample's drop, thread start and join.    |
-/// |           | Reported, never gated: the sampler does not own it.    |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimeLedger {
-    /// Wall-clock nanoseconds the ledger covers.
-    pub wall_nanos: u64,
-    /// In-batch wall nanoseconds the stage clock measured (the sum of
-    /// its six stages): what the stage buckets must add up to.
-    pub batch_nanos: u64,
-    /// Sample + plan + scatter stage nanoseconds.
-    pub compute_nanos: u64,
-    /// Submission-stage nanoseconds.
-    pub submit_nanos: u64,
-    /// Off-CPU completion-wait nanoseconds.
-    pub io_wait_nanos: u64,
-    /// On-CPU completion-reap nanoseconds.
-    pub reap_nanos: u64,
-    /// Wall nanoseconds outside every batch.
-    pub other_nanos: u64,
-}
-
-impl TimeLedger {
-    /// Builds a ledger from one worker's wall time, its stage account,
-    /// and its measured thread CPU time.
-    ///
-    /// The completion stages' wall time (wait + reap) is split by the CPU
-    /// clock: the part the thread spent off-CPU is `io_wait`, the on-CPU
-    /// part is `reap` (with `cpu_nanos = 0` all of it is wait).
-    /// Stage time cannot exceed the wall that contains it; should the
-    /// inputs say otherwise (stages carried over from an earlier epoch)
-    /// the stages are clamped in pipeline order so the five buckets still
-    /// sum to `wall_nanos`, and [`conserves`](Self::conserves) reports it.
-    pub fn build(wall_nanos: u64, account: &StageAccount, cpu_nanos: u64) -> Self {
-        let wall = wall_nanos;
-        let submit = account.get(Stage::Submit).min(wall);
-        let complete = account.complete().min(wall - submit);
-        // Every other stage is compute: sample, plan and scatter.
-        let others = account.get(Stage::Submit).saturating_add(account.complete());
-        let compute = account.total().saturating_sub(others).min(wall - submit - complete);
-        let io_wait = complete.min(wall.saturating_sub(cpu_nanos));
-        Self {
-            wall_nanos: wall,
-            batch_nanos: account.total(),
-            compute_nanos: compute,
-            submit_nanos: submit,
-            io_wait_nanos: io_wait,
-            reap_nanos: complete - io_wait,
-            other_nanos: wall - submit - complete - compute,
-        }
-    }
-
-    /// Nanoseconds attributed to a named bucket (everything but `other`).
-    pub fn accounted_nanos(&self) -> u64 {
-        self.compute_nanos
-            .saturating_add(self.submit_nanos)
-            .saturating_add(self.io_wait_nanos)
-            .saturating_add(self.reap_nanos)
-    }
-
-    /// `accounted / wall` in `[0, 1]`; an empty ledger counts as fully
-    /// accounted.
-    pub fn accounted_share(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 1.0;
-        }
-        self.accounted_nanos() as f64 / self.wall_nanos as f64
-    }
-
-    /// The between-batches share, `other / wall`.
-    pub fn unaccounted_share(&self) -> f64 {
-        1.0 - self.accounted_share()
-    }
-
-    /// The conservation rule: the stage buckets sum exactly to the
-    /// in-batch wall. Holds by construction whenever the stages fit in
-    /// the wall; false only if [`build`](Self::build) had to clamp.
-    pub fn conserves(&self) -> bool {
-        self.accounted_nanos() == self.batch_nanos
-    }
-
-    /// Bucket-wise add (for fleet roll-ups). Lossless: sums conserve
-    /// because each addend conserves.
-    pub fn merge(&mut self, other: &TimeLedger) {
-        self.wall_nanos = self.wall_nanos.saturating_add(other.wall_nanos);
-        self.batch_nanos = self.batch_nanos.saturating_add(other.batch_nanos);
-        self.compute_nanos = self.compute_nanos.saturating_add(other.compute_nanos);
-        self.submit_nanos = self.submit_nanos.saturating_add(other.submit_nanos);
-        self.io_wait_nanos = self.io_wait_nanos.saturating_add(other.io_wait_nanos);
-        self.reap_nanos = self.reap_nanos.saturating_add(other.reap_nanos);
-        self.other_nanos = self.other_nanos.saturating_add(other.other_nanos);
-    }
-
-    /// `(name, nanos)` pairs in canonical display order.
-    pub fn buckets(&self) -> [(&'static str, u64); 5] {
-        [
-            ("compute", self.compute_nanos),
-            ("submit", self.submit_nanos),
-            ("io_wait", self.io_wait_nanos),
-            ("reap", self.reap_nanos),
-            ("other", self.other_nanos),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,89 +235,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.cpu_nanos, 15);
         assert_eq!(a.vol_ctx_switches, 5);
-    }
-
-    /// An account holding `stages`, as a worker's events would fold them.
-    fn account(stages: &[(Stage, u64)]) -> StageAccount {
-        let mut a = StageAccount::default();
-        for &(stage, nanos) in stages {
-            a.add(stage, nanos);
-        }
-        a
-    }
-
-    #[test]
-    fn ledger_conserves_exactly_on_clean_input() {
-        let stages = account(&[
-            (Stage::Sample, 150),
-            (Stage::Plan, 50),
-            (Stage::Submit, 100),
-            (Stage::Wait, 300),
-            (Stage::Reap, 100),
-            (Stage::Scatter, 100),
-        ]);
-        // 1000ns wall, 500ns on CPU: the completion stages' 400 are all
-        // off-CPU wait (off_cpu = 500 >= 400) and 0 reap.
-        let l = TimeLedger::build(1000, &stages, 500);
-        assert_eq!(l.submit_nanos, 100);
-        assert_eq!(l.io_wait_nanos, 400);
-        assert_eq!(l.reap_nanos, 0);
-        assert_eq!(l.compute_nanos, 300, "sample + plan + scatter, nothing else");
-        assert_eq!(l.other_nanos, 200, "the time between batches");
-        assert_eq!(l.accounted_nanos(), stages.total());
-        assert_eq!(l.accounted_nanos() + l.other_nanos, l.wall_nanos);
-        assert!(l.conserves());
-    }
-
-    #[test]
-    fn ledger_splits_busy_completion_into_reap() {
-        let stages = account(&[(Stage::Wait, 600)]);
-        // Thread was on-CPU the whole second: completion time is reap,
-        // not io_wait — and CPU burnt between batches stays in `other`.
-        let l = TimeLedger::build(1000, &stages, 1000);
-        assert_eq!(l.io_wait_nanos, 0);
-        assert_eq!(l.reap_nanos, 600);
-        assert_eq!(l.compute_nanos, 0);
-        assert_eq!(l.other_nanos, 400);
-        assert!(l.conserves());
-    }
-
-    #[test]
-    fn ledger_degrades_to_stage_walls_without_cpu_profiling() {
-        let stages = account(&[
-            (Stage::Sample, 300),
-            (Stage::Submit, 100),
-            (Stage::Reap, 500),
-            (Stage::Scatter, 50),
-        ]);
-        let l = TimeLedger::build(1000, &stages, 0);
-        assert_eq!(l.io_wait_nanos, 500, "no CPU signal: completion is wait");
-        assert_eq!(l.reap_nanos, 0);
-        assert_eq!(l.compute_nanos, 350);
-        assert_eq!(l.other_nanos, 50);
-        assert!(l.conserves());
-    }
-
-    #[test]
-    fn ledger_clamps_overreported_stages() {
-        let stages = account(&[(Stage::Submit, 5_000), (Stage::Wait, 5_000), (Stage::Plan, 5_000)]);
-        let l = TimeLedger::build(1000, &stages, 1000);
-        let sum: u64 = l.buckets().iter().map(|&(_, ns)| ns).sum();
-        assert_eq!(sum, 1000, "buckets must sum exactly to wall");
-        assert_eq!(l.submit_nanos, 1000);
-        assert!(!l.conserves(), "stages that cannot fit the wall are flagged");
-    }
-
-    #[test]
-    fn merged_ledgers_still_conserve() {
-        let stages = account(&[(Stage::Submit, 100), (Stage::Wait, 200), (Stage::Reap, 100)]);
-        let mut a = TimeLedger::build(1000, &stages, 600);
-        let b = TimeLedger::build(500, &stages, 450);
-        a.merge(&b);
-        assert_eq!(a.wall_nanos, 1500);
-        assert_eq!(a.accounted_nanos(), 800);
-        assert_eq!(a.accounted_nanos() + a.other_nanos, 1500);
-        assert!(a.conserves());
     }
 
     #[test]

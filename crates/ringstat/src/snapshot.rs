@@ -72,8 +72,8 @@ pub struct WorkerSnapshot {
     pub inflight: u64,
     /// Cumulative thread CPU nanoseconds consumed this epoch
     /// (`CLOCK_THREAD_CPUTIME_ID`, updated per batch once the worker has
-    /// opened its epoch profile; 0 before). The history layer derives the
-    /// windowed CPU share from its growth rate.
+    /// opened its epoch profile; 0 before); `/metrics` exports it as
+    /// `ringsampler_worker_cpu_nanos_total`.
     pub cpu_nanos: u64,
     /// The worker's counters.
     pub metrics: SampleMetrics,

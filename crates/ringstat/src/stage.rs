@@ -144,18 +144,6 @@ impl StageAccount {
         Some((best, self.get(best) as f64 / total as f64))
     }
 
-    /// The four-phase view the reports export (`phase_nanos` and the
-    /// Prometheus `phase` label): prepare = sample + plan, submit,
-    /// complete = wait + reap, aggregate = scatter.
-    pub fn phases(&self) -> [(&'static str, u64); 4] {
-        [
-            ("prepare", self.get(Stage::Sample).saturating_add(self.get(Stage::Plan))),
-            ("submit", self.get(Stage::Submit)),
-            ("complete", self.complete()),
-            ("aggregate", self.get(Stage::Scatter)),
-        ]
-    }
-
     /// Merges `other` into `self`: stage sums add, histograms merge.
     pub fn merge(&mut self, other: &Self) {
         for (a, b) in self.nanos.iter_mut().zip(other.nanos) {
@@ -226,19 +214,6 @@ mod tests {
         assert_eq!((a.batch_latency.count(), a.group_latency.sum()), (1, 71));
         assert_eq!((a.cq_wait.count(), a.cq_wait.sum()), (1, 71));
         assert_eq!(a.complete(), 71);
-    }
-
-    #[test]
-    fn four_phase_view_groups_the_six_stages() {
-        let mut a = StageAccount::default();
-        for (stage, nanos) in Stage::ALL.into_iter().zip([100, 20, 150, 700, 50, 9_000]) {
-            a.add(stage, nanos);
-        }
-        assert_eq!(
-            a.phases(),
-            [("prepare", 120), ("submit", 150), ("complete", 750), ("aggregate", 9_000)]
-        );
-        assert_eq!(a.phases().iter().map(|&(_, n)| n).sum::<u64>(), a.total());
     }
 
     #[test]
