@@ -59,9 +59,14 @@
 #      stay within 1.3x of ondemand_skew_b1's: one-target requests hold no
 #      layer-sized scratch, so the ratio is what a worker keeps per layer
 #      of a 1024-seed batch, and a worker holds a group of a layer, not the
-#      layer (DESIGN.md §9); and whose epoch_skew_cached peak RSS may exceed
+#      layer (DESIGN.md §9); whose epoch_skew_cached peak RSS may exceed
 #      epoch_skew_coalesce's by at most 1.5x the quick cache budget (2 MiB):
-#      the hot set is paid once per sampler, not per thread or epoch
+#      the hot set is paid once per sampler, not per thread or epoch; and
+#      whose epoch_uniform_cold cpu_ns_per_edge must stay within 1.35x
+#      epoch_skew_naive's: a missing page is read once, by one span per
+#      same-page run (DESIGN.md §11). Five quick runs per side put the
+#      ratio at 1.51-1.81 with one 4-byte read per draw on cold pages and
+#      at 0.62-1.10 with spans (EXPERIMENTS.md, "Read a missing page once")
 #
 # No gate writes a tracked file: the experiment binaries of gates 4-5 run
 # with their cwd in a scratch directory (emit_table writes results/<name>.txt
@@ -192,7 +197,7 @@ N_EXPECT="$(grep -rhF '#[expect(' "$ROOT"/crates/*/src --include='*.rs' | wc -l 
 [ "$N_EXPECT" -le 9 ] || fail "crates/*/src has $N_EXPECT #[expect( exemptions (ceiling 9)"
 
 cd "$ROOT"
-echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive, naive/on-demand and cached/coalesce peak RSS)"
+echo "==> ringbench gate (benchmark/check.sh + quick coalesce/naive, naive/on-demand and cached/coalesce peak RSS, cold/naive CPU per edge)"
 # benchmark/ changes only in [benchmark] PRs, so its Cargo.lock can trail the
 # crates' manifests (crates/io no longer depends on ringstat); cargo then
 # rewrites it while building. The EXIT trap puts the committed bytes back,
@@ -221,5 +226,12 @@ RSS_CACHED="$(rss_of epoch_skew_cached)"
 awk -v c="$RSS_CACHED" -v k="$RSS_COALESCE" 'BEGIN { exit !(c - k <= 1.5 * 2 * 1048576 / 1e6) }' \
     || { echo "epoch_skew_cached peak RSS $RSS_CACHED MB exceeds epoch_skew_coalesce $RSS_COALESCE MB by more than 1.5 x the 2 MiB cache"; exit 1; }
 echo "    ringbench gate ok (cached $RSS_CACHED MB vs coalesce $RSS_COALESCE MB: one 2 MiB hot set)"
+cpu_of() { echo "$QUICK" | awk -v w="$1:" '$1 == w { on = 1 } on && $1 == "cpu_ns_per_edge" { print $2; exit }'; }
+CPU_NAIVE="$(cpu_of epoch_skew_naive)"
+CPU_COLD="$(cpu_of epoch_uniform_cold)"
+[ -n "$CPU_NAIVE" ] && [ -n "$CPU_COLD" ] || { echo "$QUICK"; echo "ringbench --quick printed no cpu_ns_per_edge"; exit 1; }
+awk -v c="$CPU_COLD" -v n="$CPU_NAIVE" 'BEGIN { exit !(c <= 1.35 * n) }' \
+    || { echo "epoch_uniform_cold $CPU_COLD ns/edge > 1.35 x epoch_skew_naive $CPU_NAIVE ns/edge: cold pages are read per draw"; exit 1; }
+echo "    ringbench gate ok (cold $CPU_COLD ns/edge vs naive $CPU_NAIVE ns/edge: a missing page is read once)"
 
 echo "CI: all gates passed."

@@ -35,12 +35,13 @@ fn golden_report() -> EpochReport {
         ..Default::default()
     };
     // The stage account, set stage by stage and sample by sample: 4.25 ms
-    // of stage time, 2.8 ms of it waiting.
+    // of stage time, 2.8 ms of it waiting, over four batches whose
+    // latencies sum to the same 4.25 ms, as a sampler's always do.
     let account = &mut worker.account;
     for v in [1_000u64, 2_000, 4_000, 8_000, 150_000] {
         account.group_latency.record(v);
     }
-    for v in [500_000u64, 600_000, 900_000, 1_200_000] {
+    for v in [500_000u64, 750_000, 1_200_000, 1_800_000] {
         account.batch_latency.record(v);
     }
     for v in [200u64, 400, 90_000] {
@@ -123,6 +124,21 @@ fn check_golden(name: &str, actual: &str) {
 #[test]
 fn json_schema_is_pinned() {
     check_golden("report.json", &golden_report().to_json());
+}
+
+#[test]
+fn golden_report_conserves_the_stage_clock() {
+    // The identity ci.sh gate 5 holds every real report to: the six stage
+    // sums are the in-batch wall, the sum of the batch latencies — for the
+    // report and for each worker's row.
+    let report = golden_report();
+    assert_eq!(report.account.total(), 4_250_000);
+    assert_eq!(report.account.total(), report.account.batch_latency.sum());
+    let workers = &report.resources.as_ref().unwrap().workers;
+    assert!(!workers.is_empty());
+    for w in workers {
+        assert_eq!(w.account.total(), w.account.batch_latency.sum());
+    }
 }
 
 #[test]

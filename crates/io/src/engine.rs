@@ -2,10 +2,10 @@
 //! Group-based read engines.
 //!
 //! RingSampler's sampling pipeline works in *I/O groups*: batches of up to
-//! queue-depth scattered reads that are submitted with one syscall — two
-//! while the page cache is missing pages, see below — and completed by
-//! polling the CQ (paper §3.1, "Overlapping computation and I/O"). This
-//! module defines that contract ([`GroupReader`]) and two implementations:
+//! queue-depth scattered reads that are submitted with one syscall and
+//! completed by polling the CQ (paper §3.1, "Overlapping computation and
+//! I/O"). This module defines that contract ([`GroupReader`]) and two
+//! implementations:
 //!
 //! * [`UringReader`] — the real thing, backed by [`crate::ring::Ring`].
 //! * [`PreadReader`] — a portable synchronous fallback with identical
@@ -28,19 +28,17 @@
 //! when its last completion is reaped; if the reader's drop cannot drain
 //! the ring, it leaks every filed buffer rather than free one.
 //!
-//! Wait on a page once. A group's reads arrive in file order, so a target's
-//! draws from one neighbour list are adjacent reads of one page. When that
-//! page is not cached, every read after the first finds it locked by the
-//! first and takes io_uring's async buffered-read path (a wait entry, a
-//! wake, task work and a second read), which costs more CPU than the read
+//! Read a missing page once. A group's reads arrive in file order, so a
+//! target's draws from one neighbour list are adjacent reads of one page.
+//! When that page is not cached, every read after the first finds it locked
+//! by the first and takes io_uring's async buffered-read path (a wait entry,
+//! a wake, task work and a second read), which costs more CPU than the read
 //! itself. So once a group's lend leaves reads in flight past its
-//! `io_uring_enter` — the page cache is missing pages — the next group's
-//! lend holds back each read whose first page is the last page of the read
-//! before it, and [`GroupReader::complete_group`] lends the held reads once
-//! every read lent for their group has been reaped: their pages are then up
-//! to date, and they complete inside one more enter. Every read keeps its
-//! own SQE into its own place in the buffer. On a file the page cache
-//! holds, every lend completes inside its enter and nothing is held.
+//! `io_uring_enter` — the page cache is missing pages — the next group reads
+//! each run of two or more consecutive requests on one page with one SQE, a
+//! *span* of the run's extent, into a bounded staging tail of its buffer,
+//! and copies each request's bytes into place when the span is reaped. On a
+//! file the page cache holds, nothing spans: one SQE per request.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -55,6 +53,10 @@ use crate::ring::{Completion, FileRef, Ring};
 /// Page-cache granularity: reads that share a page of this size wait on
 /// one another when it is not cached.
 const PAGE_BYTES: u64 = 4096;
+
+/// Staging bytes one group's spans may take past its payload: sixteen
+/// whole pages. A run past it is read read by read.
+const SPAN_BYTES_MAX: usize = 16 * PAGE_BYTES as usize;
 
 /// One scattered read: `len` bytes at byte `offset` of the reader's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,11 +93,10 @@ pub struct ReaderStats {
     /// the calls that is the device's, not the CPU's. Always 0 for an
     /// engine that reads synchronously at submission.
     pub wait_nanos: u64,
-    /// Reads held back for a page an earlier read of their group was
-    /// fetching, to be lent once it has landed (never, if the group fails
-    /// first). Always 0 for an engine that reads synchronously at
-    /// submission.
-    pub held: u64,
+    /// Reads served from a span — one read of their run's extent on one
+    /// page — instead of read alone. Always 0 for an engine that reads
+    /// synchronously at submission.
+    pub spanned: u64,
 }
 
 /// A reader that executes scattered-read groups against one file.
@@ -229,16 +230,74 @@ struct Slot {
     buf: Vec<u8>,
     /// The group's requests, indexed by the low bits of user_data.
     reqs: Vec<ReadSlice>,
+    /// The group's spans; span `k` completes as index `reqs.len() + k`.
+    spans: Vec<Span>,
     /// Reads lent to the kernel whose completions have not been reaped.
     remaining: u32,
-    /// Reads held back from the group's first lend, waiting for the page
-    /// the read before them is fetching; lent once `remaining` is 0.
-    held: u32,
     /// First error observed among the group's completions.
     error: Option<IoEngineError>,
     /// The submit failed, so no token will come back for this group: it
     /// retires when its last completion is reaped.
     orphaned: bool,
+}
+
+/// A run of two or more consecutive requests on one page, read by one SQE:
+/// requests `first..end`, whose places start at payload byte `dst`, are
+/// served from `read`, their extent, which lands at `stage`, past the payload.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    first: usize,
+    end: usize,
+    dst: usize,
+    stage: usize,
+    read: ReadSlice,
+}
+
+/// Files in `spans` each run of two or more consecutive `reqs` on one page,
+/// staged one after another from byte `payload` on, as long as the staging
+/// stays within [`SPAN_BYTES_MAX`]. Returns the bytes staged.
+fn plan_spans(reqs: &[ReadSlice], payload: usize, spans: &mut Vec<Span>) -> usize {
+    // The page a request lies on, if it lies on one.
+    let page = |r: &ReadSlice| {
+        let last = r.offset.checked_add(u64::from(r.len.max(1)) - 1)?;
+        (last / PAGE_BYTES == r.offset / PAGE_BYTES).then_some(last / PAGE_BYTES)
+    };
+    let (mut first, mut dst, mut staged) = (0, 0, 0);
+    while let Some(rest) = reqs.get(first..).filter(|rest| !rest.is_empty()) {
+        let on = rest.first().and_then(page);
+        let len = rest.iter().take_while(|r| on.is_some() && page(r) == on).count();
+        let run = rest.get(..len.max(1)).unwrap_or_default();
+        let lo = run.iter().map(|r| r.offset).min().unwrap_or(0);
+        // At most a page: every request of the run lies on one.
+        let extent = run.iter().map(|r| r.offset - lo + u64::from(r.len)).max().unwrap_or(0) as usize;
+        if run.len() > 1 && staged + extent <= SPAN_BYTES_MAX {
+            let read = ReadSlice::new(lo, extent as u32);
+            spans.push(Span { first, end: first + run.len(), dst, stage: payload + staged, read });
+            staged += extent;
+        }
+        dst += run.iter().map(|r| r.len as usize).sum::<usize>();
+        first += run.len();
+    }
+    staged
+}
+
+impl Slot {
+    /// Copies landed span `s` to its requests' places; returns how many.
+    fn serve(&mut self, s: Span) -> u64 {
+        let base = self.buf.as_mut_ptr();
+        let mut dst = s.dst;
+        let run = self.reqs.get(s.first..s.end).unwrap_or_default();
+        for r in run {
+            let from = s.stage + (r.offset - s.read.offset) as usize;
+            // SAFETY: `plan_spans` put each request inside the extent, at
+            // `stage..stage + read.len` past the payload, and its place in the
+            // payload: in bounds, disjoint, and no SQE in flight points at
+            // either. Raw pointers: other reads may still land in the buffer.
+            unsafe { std::ptr::copy_nonoverlapping(base.add(from), base.add(dst), r.len as usize) };
+            dst += r.len as usize;
+        }
+        run.len() as u64
+    }
 }
 
 /// io_uring-backed [`GroupReader`] bound to a single file.
@@ -250,16 +309,16 @@ pub struct UringReader {
     /// and reads use `IOSQE_FIXED_FILE` (skips per-I/O fd refcounting).
     registered: bool,
     groups: SlotTable<Slot>,
-    /// Request tables of completed groups, recycled into the next slots.
-    spare_reqs: Vec<Vec<ReadSlice>>,
+    /// Request and span tables of completed groups, for the next slots.
+    spare: Vec<(Vec<ReadSlice>, Vec<Span>)>,
     /// SQEs prepared whose CQEs have not been reaped: what `Drop` drains.
     outstanding: u64,
-    /// The last group's first lend left reads in flight past its enter:
-    /// the page cache is missing pages, so the next group's holds its
-    /// same-page reads.
+    /// The last group's lend left reads in flight past its enter: the page
+    /// cache is missing pages, so the next group reads its same-page runs
+    /// as spans.
     missing: bool,
     wait_nanos: u64,
-    held: u64,
+    spanned: u64,
     /// Most SQEs ever outstanding at once.
     #[cfg(test)]
     peak_outstanding: u64,
@@ -296,11 +355,11 @@ impl UringReader {
             file,
             registered: false,
             groups: SlotTable::new(),
-            spare_reqs: Vec::new(),
+            spare: Vec::new(),
             outstanding: 0,
             missing: false,
             wait_nanos: 0,
-            held: 0,
+            spanned: 0,
             #[cfg(test)]
             peak_outstanding: 0,
         })
@@ -344,17 +403,24 @@ impl UringReader {
     }
 
     /// Files a completion under its group, wherever in the table that is:
-    /// CQEs arrive in the kernel's order, not submission order.
+    /// CQEs arrive in the kernel's order, not submission order. A span
+    /// serves its requests only if it landed whole.
     fn file_completion(&mut self, c: Completion) {
         let idx = (c.user_data & 0xFFFFF) as usize;
         let Some(slot) = self.groups.get_mut(c.user_data >> 20) else {
             return;
         };
-        let failure = match slot.reqs.get(idx) {
-            Some(r) => read_failure(r, c.bytes().map(|n| n as usize)),
+        let got = c.bytes().map(|n| n as usize);
+        let span = idx.checked_sub(slot.reqs.len()).and_then(|k| slot.spans.get(k)).copied();
+        let failure = match (slot.reqs.get(idx), span) {
+            (Some(r), _) => read_failure(r, got),
+            (None, Some(s)) => read_failure(&s.read, got).or_else(|| {
+                self.spanned += slot.serve(s);
+                None
+            }),
             // A CQE whose user_data indexes outside the group it names:
             // a ring accounting bug, reported instead of panicking.
-            None => Some(IoEngineError::InvalidToken(c.user_data)),
+            (None, None) => Some(IoEngineError::InvalidToken(c.user_data)),
         };
         if slot.error.is_none() {
             slot.error = failure;
@@ -365,78 +431,58 @@ impl UringReader {
         }
     }
 
-    /// Prepares one SQE per request of the filed group `id`, each pointing
-    /// into its place in the group's buffer, and submits them. The first
-    /// lend of a group holds back its same-page reads while the page cache
-    /// is missing pages; a second lend, once the rest are reaped, sends
-    /// exactly those. Each SQE is counted as it is prepared: once published
-    /// it is the kernel's, submit error or not.
+    /// Prepares the SQEs of the filed group `id` — one per span into its
+    /// staging, one per other request into its place in the payload — and
+    /// submits them with one enter. Each SQE is counted as it is prepared:
+    /// once published it is the kernel's, submit error or not.
     fn lend(&mut self, id: u64) -> Result<()> {
         let file = if self.registered {
             FileRef::Registered(0)
         } else {
             FileRef::Fd(self.file.as_raw_fd())
         };
-        let sqes = match self.groups.get_mut(id) {
-            Some(slot) if slot.held > 0 => slot.held as usize,
-            Some(slot) => slot.reqs.len(),
-            None => return Err(IoEngineError::InvalidToken(id)),
-        };
+        let slot = self.groups.get_mut(id).ok_or(IoEngineError::InvalidToken(id))?;
+        let sqes = slot.reqs.len() - slot.spans.iter().map(|s| s.end - s.first - 1).sum::<usize>();
         // Make SQ room if earlier groups still occupy slots.
         while self.ring.sq_space() < sqes {
             self.pump_one(true)?;
         }
-        let slot = self
-            .groups
-            .get_mut(id)
-            .ok_or(IoEngineError::InvalidToken(id))?;
-        let held_lend = std::mem::take(&mut slot.held) > 0;
-        // A first lend holds the reads that would wait on the page the read
-        // before them fetches, while pages are missing; the held lend sends
-        // exactly those. Otherwise every read goes out.
-        let split = held_lend || self.missing;
+        let slot = self.groups.get_mut(id).ok_or(IoEngineError::InvalidToken(id))?;
+        let base = slot.buf.as_mut_ptr();
+        let mut spans = slot.spans.iter().zip(slot.reqs.len()..).peekable();
+        let mut span_end = 0;
         let mut cursor = 0usize;
-        let mut last_page = None;
         for (i, r) in slot.reqs.iter().enumerate() {
-            if split {
-                let waits = last_page == Some(r.offset / PAGE_BYTES);
-                last_page = Some(r.offset.saturating_add(u64::from(r.len.max(1)) - 1) / PAGE_BYTES);
-                if waits != held_lend {
-                    if !held_lend {
-                        slot.held += 1;
-                    }
-                    cursor += r.len as usize;
-                    continue;
+            let place = cursor;
+            cursor += r.len as usize;
+            let (at, read, idx) = match spans.next_if(|(s, _)| s.first == i) {
+                Some((s, k)) => {
+                    span_end = s.end;
+                    (s.stage, s.read, k)
                 }
-            }
+                None if i < span_end => continue,
+                None => (place, *r, i),
+            };
             // SAFETY: the destination lies in the buffer of the group filed
-            // under `id`, and cursor+len <= buf.len() since the buffer was
-            // sized to the sum of the request lengths. The table frees that
-            // buffer only once `remaining` — counted up as soon as the SQE
-            // is queued — is back to 0, and `Drop` leaks it otherwise, so it
-            // outlives the read. Moving the slot within the table does not
-            // move the heap allocation. Registered index 0 is this reader's
-            // file.
+            // under `id`, which `submit_group` sized to the payload plus the
+            // staging of its spans. The table frees that buffer only once
+            // `remaining` — counted up as soon as the SQE is queued — is
+            // back to 0, and `Drop` leaks it otherwise, so it outlives the
+            // read. Moving the slot within the table does not move the heap
+            // allocation. Registered index 0 is this reader's file.
             unsafe {
-                let dst = slot.buf.as_mut_ptr().add(cursor);
                 self.ring
-                    .prepare_read(file, dst, r.len, r.offset, (id << 20) | i as u64)?;
+                    .prepare_read(file, base.add(at), read.len, read.offset, (id << 20) | idx as u64)?;
             }
             slot.remaining += 1;
             self.outstanding += 1;
-            cursor += r.len as usize;
         }
-        self.held += u64::from(slot.held);
         #[cfg(test)]
         {
             self.peak_outstanding = self.peak_outstanding.max(self.outstanding);
         }
         self.ring.submit()?;
-        // A held lend's pages are known to be up to date: it tells nothing
-        // about the page cache.
-        if !held_lend {
-            self.missing = (self.ring.cq_ready() as u64) < self.outstanding;
-        }
+        self.missing = (self.ring.cq_ready() as u64) < self.outstanding;
         Ok(())
     }
 
@@ -449,11 +495,11 @@ impl UringReader {
         }
     }
 
-    /// Takes group `id` out of the table for good, keeping its request
-    /// table for the next group.
+    /// Takes group `id` out of the table for good, keeping its request and
+    /// span tables for the next group.
     fn retire(&mut self, id: u64) {
         if let Some(slot) = self.groups.take(id) {
-            self.spare_reqs.push(slot.reqs);
+            self.spare.push((slot.reqs, slot.spans));
         }
     }
 }
@@ -471,24 +517,30 @@ impl GroupReader for UringReader {
             });
         }
         assert!(
-            reqs.len() < (1 << 20),
-            "group index must fit in 20 bits of user_data"
+            2 * reqs.len() < (1 << 20),
+            "a group's request and span indices must fit in 20 bits of user_data"
         );
+        let (mut table, mut spans) = self.spare.pop().unwrap_or_default();
+        table.clear();
+        table.extend_from_slice(reqs);
         let total: usize = reqs.iter().map(|r| r.len as usize).sum();
+        spans.clear();
+        let staged = if self.missing { plan_spans(reqs, total, &mut spans) } else { 0 };
         // Zero-fills only a genuine extension: the reads overwrite the rest.
+        // Staging is reserved exactly: a buffer outgrows its payload by at
+        // most `SPAN_BYTES_MAX`, and completion cuts the staging off.
         buf.resize(total, 0);
+        buf.reserve_exact(staged);
+        buf.resize(total + staged, 0);
 
         // Own first, lend second: the group is filed before any SQE points
         // into its buffer, so a failed submit cannot free what it lent.
-        let mut table = self.spare_reqs.pop().unwrap_or_default();
-        table.clear();
-        table.extend_from_slice(reqs);
         let id = self.groups.next_id();
         self.groups.push(Slot {
             buf,
             reqs: table,
+            spans,
             remaining: 0,
-            held: 0,
             error: None,
             orphaned: false,
         });
@@ -502,34 +554,22 @@ impl GroupReader for UringReader {
     }
 
     fn complete_group(&mut self, token: GroupToken) -> Result<Vec<u8>> {
-        loop {
-            // Completion polling mode: reap what the CQ already holds (no
-            // syscall) and park in the blocking wait only when it is empty.
-            while self.groups.get_mut(token.id).is_some_and(|s| s.remaining > 0) {
-                if !self.pump_one(false)? {
-                    self.pump_one(true)?;
-                }
-            }
-            // Every lent read is in, so the pages the held ones wait on are
-            // up to date. After a failed read the group fails whole, so its
-            // held reads are never lent.
-            if !self
-                .groups
-                .get_mut(token.id)
-                .is_some_and(|s| s.held > 0 && s.error.is_none())
-            {
-                break;
-            }
-            if let Err(e) = self.lend(token.id) {
-                self.orphan(token.id);
-                return Err(e);
+        // Completion polling mode: reap what the CQ already holds (no
+        // syscall) and park in the blocking wait only when it is empty.
+        while self.groups.get_mut(token.id).is_some_and(|s| s.remaining > 0) {
+            if !self.pump_one(false)? {
+                self.pump_one(true)?;
             }
         }
-        let slot = self
+        let mut slot = self
             .groups
             .take(token.id)
             .ok_or(IoEngineError::InvalidToken(token.id))?;
-        self.spare_reqs.push(slot.reqs);
+        // The payload ends where the first span's staging starts.
+        if let Some(s) = slot.spans.first() {
+            slot.buf.truncate(s.stage);
+        }
+        self.spare.push((slot.reqs, slot.spans));
         match slot.error {
             Some(e) => Err(e),
             None => Ok(slot.buf),
@@ -540,7 +580,7 @@ impl GroupReader for UringReader {
         ReaderStats {
             syscalls: self.ring.enter_calls(),
             wait_nanos: self.wait_nanos,
-            held: self.held,
+            spanned: self.spanned,
         }
     }
 
@@ -650,7 +690,7 @@ impl GroupReader for PreadReader {
         ReaderStats {
             syscalls: self.syscalls,
             wait_nanos: 0,
-            held: 0,
+            spanned: 0,
         }
     }
 
@@ -934,7 +974,7 @@ mod tests {
                 buf: Vec::new(),
                 reqs: vec![ReadSlice::new(id * 8, 4), ReadSlice::new(id * 8 + 4, 4)],
                 remaining: 2,
-                held: 0,
+                spans: Vec::new(),
                 error: None,
                 orphaned: false,
             });
@@ -974,7 +1014,7 @@ mod tests {
         let reqs: Vec<ReadSlice> = (0..8u64).map(|i| ReadSlice::new(i * 4, 4)).collect();
         let mut p = PreadReader::open(&path, 8).unwrap();
         read_group_blocking(&mut p, &reqs, Vec::new()).unwrap();
-        assert_eq!(p.stats(), ReaderStats { syscalls: 8, wait_nanos: 0, held: 0 });
+        assert_eq!(p.stats(), ReaderStats { syscalls: 8, wait_nanos: 0, spanned: 0 });
         let mut u = UringReader::open(&path, 8).unwrap();
         let t = u.submit_group(&reqs, Vec::new()).unwrap();
         // Every CQE is reaped by a peek or by the parked wait; only the
@@ -998,10 +1038,10 @@ mod tests {
         for (g, buf) in groups.iter().zip(&got) {
             assert_eq!(buf, &entries_of(g));
         }
-        // Every lend completes inside its enter: nothing is held back and
-        // each group costs one syscall.
+        // Every lend completes inside its enter: nothing spans, each request
+        // keeps its own SQE and each group costs one syscall.
         assert!(!r.missing);
-        assert_eq!(r.stats().held, 0);
+        assert_eq!(r.stats().spanned, 0);
         assert_eq!(r.stats().syscalls, groups.len() as u64);
         std::fs::remove_file(path).ok();
     }
@@ -1023,56 +1063,131 @@ mod tests {
         // enter (a busy host can post a read's completion before the enter
         // returns); missing all eight means the file stayed cached.
         assert!(
-            r.stats().held > 0,
+            r.stats().spanned > 0,
             "no lend of a dropped file left a read in flight: \
              POSIX_FADV_DONTNEED took no effect (is TMPDIR on tmpfs?)"
         );
         assert_eq!(r.outstanding, 0);
         assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
-        // A held read is lent only after its group's other reads are reaped,
-        // so the two groups in flight never outgrow the CQ (2 × depth).
+        // A group lends at most one SQE per request, so the two groups in
+        // flight never outgrow the CQ (2 × depth).
         assert!(r.peak_outstanding <= 2 * u64::from(qd), "{}", r.peak_outstanding);
         std::fs::remove_file(path).ok();
     }
 
+    /// The page of each request that lies on one page: the oracle the span
+    /// tests count their SQEs by.
+    fn one_page(r: &ReadSlice) -> Option<u64> {
+        let page = r.offset / PAGE_BYTES;
+        ((r.offset + u64::from(r.len) - 1) / PAGE_BYTES == page).then_some(page)
+    }
+
     #[test]
-    fn held_reads_behind_a_failed_read_are_never_lent() {
-        let path = write_u32_file(4);
-        let mut r = UringReader::open(&path, 8).unwrap();
-        // Past EOF: one read lent, the two on its page held.
-        let eof = [0, 4, 8].map(|i| ReadSlice::new((1 << 20) + i, 4));
-        r.missing = true;
-        let t = r.submit_group(&eof, Vec::new()).unwrap();
-        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.held)), Some((1, 2)));
-        assert_eq!(r.outstanding, 1, "a held read is counted once it is queued");
-        assert!(matches!(
-            r.complete_group(t),
-            Err(IoEngineError::ShortRead { offset: 1_048_576, .. })
-        ));
-        assert_eq!((r.stats().held, r.peak_outstanding), (2, 1), "a held read went out behind a failed one");
-        assert_eq!(r.outstanding, 0);
-        assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
-        let reqs = [ReadSlice::new(4, 4), ReadSlice::new(12, 4)];
-        assert_eq!(read_group_blocking(&mut r, &reqs, Vec::new()).unwrap(), entries_of(&reqs));
+    fn spanned_runs_read_what_pread_reads_with_one_sqe_per_run() {
+        // Random groups of same-page runs of 1–8 sorted 4-byte reads, each
+        // run on another page than the one before, with now and then a read
+        // that straddles two pages and so joins no run.
+        let pages = 256u64;
+        let path = write_u32_file((pages * PAGE_BYTES / 4) as u32);
+        let qd = 32usize;
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut r = UringReader::open(&path, qd as u32).unwrap();
+        let mut p = PreadReader::open(&path, qd as u32).unwrap();
+        let (mut page, mut spanned) = (0u64, 0u64);
+        for _ in 0..40 {
+            let mut reqs = Vec::new();
+            while reqs.len() < qd {
+                page = (page + 1 + next(7)) % (pages - 1);
+                if next(5) == 0 {
+                    reqs.push(ReadSlice::new((page + 1) * PAGE_BYTES - 4, 8));
+                    continue;
+                }
+                let mut slots: Vec<u64> = (0..1 + next(8)).map(|_| next(1024)).collect();
+                slots.sort_unstable();
+                let room = qd - reqs.len();
+                reqs.extend(slots.iter().take(room).map(|&s| ReadSlice::new(page * PAGE_BYTES + s * 4, 4)));
+            }
+            // One SQE per maximal run of reads on one page, one per other read.
+            let runs: Vec<usize> = reqs
+                .chunk_by(|a, b| one_page(a).is_some() && one_page(a) == one_page(b))
+                .map(<[ReadSlice]>::len)
+                .collect();
+            spanned += runs.iter().filter(|&&n| n > 1).sum::<usize>() as u64;
+            let enters = r.stats().syscalls;
+            r.missing = true;
+            let t = r.submit_group(&reqs, Vec::new()).unwrap();
+            assert_eq!(r.outstanding, runs.len() as u64, "{reqs:?}");
+            let got = r.complete_group(t).unwrap();
+            assert_eq!(got, read_group_blocking(&mut p, &reqs, Vec::new()).unwrap());
+            assert_eq!(got.len(), reqs.iter().map(|q| q.len as usize).sum::<usize>());
+            assert_eq!(r.stats().syscalls - enters, 1, "one enter per group");
+        }
+        assert_eq!(r.stats().spanned, spanned);
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn failed_held_lend_frees_nothing_the_kernel_writes() {
-        let path = write_u32_file(1_000);
-        let mut r = UringReader::open(&path, 32).unwrap();
-        let g1 = same_page_runs(0, 1, 8, 1);
+    fn only_whole_page_runs_span() {
+        let mut spans = Vec::new();
+        let at = |offset, len| ReadSlice::new(offset, len);
+        // A run of three on page 1, a read straddling pages 1 and 2 that
+        // joins no run, a lone read, then two reads whose page ends the
+        // address space and one whose end overflows it.
+        let reqs = [
+            at(4096, 4), at(4100, 8), at(4096, 4), at(8190, 4),
+            at(9000, 4),
+            at(u64::MAX - 7, 4), at(u64::MAX - 3, 4), at(u64::MAX - 1, 4),
+        ];
+        assert_eq!(plan_spans(&reqs, 100, &mut spans), 12 + 8);
+        let got: Vec<_> = spans.iter().map(|s| (s.first, s.end, s.dst, s.stage, s.read)).collect();
+        assert_eq!(got, [(0, 3, 0, 100, at(4096, 12)), (5, 7, 24, 112, at(u64::MAX - 7, 8))]);
+    }
+
+    #[test]
+    fn short_span_fails_its_group_and_fills_nothing() {
+        let path = write_u32_file(4);
+        let mut r = UringReader::open(&path, 8).unwrap();
+        // One run on page 0 whose extent, [0, 20), passes the 16-byte EOF.
+        let eof: Vec<ReadSlice> = (0..5).map(|i| ReadSlice::new(i * 4, 4)).collect();
         r.missing = true;
-        let t1 = r.submit_group(&g1, Vec::new()).unwrap();
-        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.held)), Some((1, 7)));
-        // The held reads' SQEs are published, then their enter fails: the
-        // next enter carries them, into group 1's buffer.
+        let t = r.submit_group(&eof, Vec::new()).unwrap();
+        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.spans.len())), Some((1, 1)));
+        assert!(matches!(
+            r.complete_group(t),
+            Err(IoEngineError::ShortRead { offset: 0, expected: 20, got: 16 })
+        ));
+        assert_eq!(r.stats().spanned, 0, "a short span served a request");
+        assert_eq!(r.outstanding, 0);
+        assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
+        // The reader goes on: the next span is served whole.
+        let reqs = [ReadSlice::new(4, 4), ReadSlice::new(12, 4)];
+        r.missing = true;
+        assert_eq!(read_group_blocking(&mut r, &reqs, Vec::new()).unwrap(), entries_of(&reqs));
+        assert_eq!(r.stats().spanned, 2);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn failed_span_lend_frees_nothing_the_kernel_writes() {
+        let path = write_u32_file(4_096);
+        let mut r = UringReader::open(&path, 32).unwrap();
+        // Two runs of eight on pages 0 and 1: two spans, two SQEs.
+        let g1 = same_page_runs(0, 2, 8, 1);
+        r.missing = true;
+        // The spans' SQEs are published, then their enter fails: the next
+        // enter carries them, into group 1's staging.
         r.ring.fail_next_submit = true;
         assert!(matches!(
-            r.complete_group(t1),
+            r.submit_group(&g1, Vec::new()),
             Err(IoEngineError::Ring { op: "enter", .. })
         ));
-        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.orphaned)), Some((7, true)));
+        assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.orphaned)), Some((2, true)));
         for k in [2, 3] {
             let reqs: Vec<ReadSlice> = (0..4).map(|i| ReadSlice::new(k * 4 + i * 12, 4)).collect();
             assert_eq!(read_group_blocking(&mut r, &reqs, Vec::new()).unwrap(), entries_of(&reqs));
@@ -1084,6 +1199,28 @@ mod tests {
         // it pins no slot.
         assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
         assert_eq!(r.groups.next_id(), 4);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn span_staging_stays_within_its_bound() {
+        let path = write_u32_file(1 << 16);
+        let qd = 64u32;
+        // 32 runs of two reads at the two ends of a page: whole-page spans,
+        // of which the bound stages 16; the other 16 runs go read by read.
+        let reqs: Vec<ReadSlice> = (0..32u64)
+            .flat_map(|k| [0, PAGE_BYTES - 4].map(|at| ReadSlice::new(k * PAGE_BYTES + at, 4)))
+            .collect();
+        let bounded = SPAN_BYTES_MAX / PAGE_BYTES as usize;
+        let mut r = UringReader::open(&path, qd).unwrap();
+        r.missing = true;
+        let t = r.submit_group(&reqs, Vec::new()).unwrap();
+        assert_eq!(r.outstanding, (bounded + 2 * (32 - bounded)) as u64);
+        assert_eq!(r.groups.get_mut(1).map(|s| s.buf.len()), Some(reqs.len() * 4 + SPAN_BYTES_MAX));
+        let got = r.complete_group(t).unwrap();
+        assert_eq!(got, entries_of(&reqs));
+        assert!(got.capacity() <= reqs.len() * 4 + SPAN_BYTES_MAX, "{}", got.capacity());
+        assert_eq!(r.stats().spanned, 2 * bounded as u64);
         std::fs::remove_file(path).ok();
     }
 

@@ -318,9 +318,9 @@ impl Ring {
 
     /// Queues a `pread`-style read of `len` bytes from `file` at byte
     /// `offset` into `buf`: the one way memory is lent to a ring. Its only
-    /// non-test caller is `UringReader::lend`, which runs only while the
-    /// group that owns the buffer is filed: from `submit_group` for a
-    /// group's first reads, from `complete_group` for its held ones.
+    /// non-test caller is `UringReader::lend`, which `submit_group` runs
+    /// once per group, after filing the group that owns the buffer: each
+    /// read points into the group's payload, each span into its staging.
     ///
     /// # Errors
     /// [`IoEngineError::SubmissionQueueFull`] if no SQ slot is free.

@@ -106,9 +106,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same-page runs read the same bytes from both engines, warm or cold.
-    /// Cold, the reader holds a run's later reads until its first has
-    /// landed; warm, it holds nothing and enters once per group. A cold
-    /// case that holds nothing means the drop took no effect, and fails.
+    /// Cold, the reader reads a run with one span of its extent and serves
+    /// each read from it; warm, nothing spans and it enters once per group.
+    /// A cold case that serves no read from a span means the drop took no
+    /// effect, and fails.
     #[test]
     fn same_page_runs_agree_warm_and_cold(reqs in arb_runs(), qd in 4usize..16, cold in 0u8..2) {
         let cold = cold == 1;
@@ -127,11 +128,11 @@ proptest! {
         let stats = uring.stats();
         if cold {
             prop_assert!(
-                stats.held > 0,
-                "nothing held on a dropped file: POSIX_FADV_DONTNEED took no effect (is TMPDIR on tmpfs?)"
+                stats.spanned > 0,
+                "no read served from a span on a dropped file: POSIX_FADV_DONTNEED took no effect (is TMPDIR on tmpfs?)"
             );
         } else {
-            prop_assert_eq!((stats.held, stats.syscalls), (0, groups.len() as u64));
+            prop_assert_eq!((stats.spanned, stats.syscalls), (0, groups.len() as u64));
         }
     }
 

@@ -38,9 +38,9 @@ fn every_ring_entry_caller_is_hot_path() {
 }
 
 /// `Ring::prepare_read` is the one way memory is lent to a ring, and
-/// `UringReader::lend` its one caller: a group's first reads and its held
-/// same-page reads go out through the same loan of the filed buffer
-/// (DESIGN.md §11).
+/// `UringReader::lend` its one caller: a group's reads and its spans go out
+/// through the same loan of the filed buffer, into its payload and its
+/// staging tail (DESIGN.md §11).
 #[test]
 fn one_lend_site() {
     let root = repo_root();
