@@ -1,7 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **async vs sync pipeline** (paper Fig. 3b) — overlap of I/O
-//!   preparation with completion polling;
 //! * **offset-based sampling vs full-list fetch** (paper Fig. 2) — read
 //!   only the sampled entries vs the baselines' whole-neighborhood reads;
 //! * **hot set on/off** — the Fig. 8 mechanism (one profiled page region
@@ -13,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ringsampler::sampling::OffsetSampler;
-use ringsampler::{CachePolicy, PipelineMode, RingSampler, SamplerConfig};
+use ringsampler::{CachePolicy, RingSampler, SamplerConfig};
 use ringsampler_graph::gen::GeneratorSpec;
 use ringsampler_graph::preprocess::{build_dataset, PreprocessOptions};
 use ringsampler_graph::{NodeId, OnDiskGraph};
@@ -41,29 +39,6 @@ fn bench_graph() -> OnDiskGraph {
 
 fn targets(n: usize) -> Vec<NodeId> {
     (0..n as NodeId).map(|i| (i * 97) % 100_000).collect()
-}
-
-fn bench_pipeline_modes(c: &mut Criterion) {
-    let graph = bench_graph();
-    let t = targets(2_000);
-    let mut g = c.benchmark_group("ablation/pipeline");
-    for (label, mode) in [("async", PipelineMode::Async), ("sync", PipelineMode::Sync)] {
-        g.bench_function(label, |b| {
-            let sampler = RingSampler::new(
-                graph.clone(),
-                SamplerConfig::new()
-                    .fanouts(&[10, 10])
-                    .batch_size(512)
-                    .threads(2)
-                    .ring_entries(256)
-                    .pipeline(mode)
-                    .seed(1),
-            )
-            .unwrap();
-            b.iter(|| sampler.sample_epoch(&t).unwrap());
-        });
-    }
-    g.finish();
 }
 
 fn bench_offset_vs_full_fetch(c: &mut Criterion) {
@@ -181,7 +156,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_pipeline_modes, bench_offset_vs_full_fetch, bench_cache_policies,
+    targets = bench_offset_vs_full_fetch, bench_cache_policies,
         bench_offset_sampler_strategies
 }
 criterion_main!(benches);

@@ -7,18 +7,6 @@ use crate::memory::MemoryBudget;
 use crate::plan::ReadPlanMode;
 use crate::telemetry::TelemetryConfig;
 
-/// How the per-thread I/O pipeline schedules groups (paper Fig. 3b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Overlap group *k*'s completion with group *k+1*'s preparation
-    /// (the paper's asynchronous pipeline; default).
-    #[default]
-    Async,
-    /// Prepare → submit → wait for each group before the next (the
-    /// baseline pipeline of Fig. 3b; kept for the ablation bench).
-    Sync,
-}
-
 /// Neighbor caching policy layered over the edge file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
@@ -57,14 +45,14 @@ pub struct SamplerConfig {
     pub ring_entries: u32,
     /// Force an I/O engine (`None` = best available).
     pub engine: Option<EngineKind>,
-    /// Sync vs async group pipeline.
-    pub pipeline: PipelineMode,
     /// Neighbor caching policy.
     pub cache: CachePolicy,
     /// Memory budget all allocations are charged against.
     pub budget: MemoryBudget,
     /// RNG seed; sampling is deterministic per (seed, batch index),
-    /// independent of thread count.
+    /// independent of thread count and ring size. Every layer draws its
+    /// targets in node order (duplicate seeds adjacently), so a batch's
+    /// (seed, neighbour) pairs do not depend on the order of its seeds.
     pub seed: u64,
     /// Sample neighbors **with replacement** (DGL `replace=True`
     /// semantics): always draw exactly `fanout` neighbors when the node
@@ -95,7 +83,6 @@ impl Default for SamplerConfig {
             num_threads: default_threads(),
             ring_entries: 512,
             engine: None,
-            pipeline: PipelineMode::Async,
             cache: CachePolicy::None,
             budget: MemoryBudget::unlimited(),
             seed: 0x5EED,
@@ -147,12 +134,6 @@ impl SamplerConfig {
     /// Forces a specific I/O engine.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = Some(kind);
-        self
-    }
-
-    /// Selects the pipeline mode.
-    pub fn pipeline(mut self, mode: PipelineMode) -> Self {
-        self.pipeline = mode;
         self
     }
 
@@ -277,7 +258,6 @@ mod tests {
         assert_eq!(c.fanouts, vec![20, 15, 10]);
         assert_eq!(c.batch_size, 1024);
         assert_eq!(c.ring_entries, 512);
-        assert_eq!(c.pipeline, PipelineMode::Async);
         assert_eq!(c.cache, CachePolicy::None);
         assert_eq!(c.trace_capacity, 8192);
         assert!(c.validate().is_ok());
@@ -291,11 +271,9 @@ mod tests {
             .batch_size(64)
             .threads(2)
             .ring_entries(32)
-            .seed(7)
-            .pipeline(PipelineMode::Sync);
+            .seed(7);
         assert_eq!(c.num_layers(), 2);
         assert_eq!(c.batch_size, 64);
-        assert_eq!(c.pipeline, PipelineMode::Sync);
         assert!(c.validate().is_ok());
     }
 

@@ -143,7 +143,10 @@ impl RingSampler {
     /// `config.batch_size`; batch *i* is processed by thread
     /// `i % num_threads`. Batch RNG streams depend only on
     /// `(seed, batch index)`, so results are reproducible for any thread
-    /// count.
+    /// count and ring size. Every layer draws its targets in node order,
+    /// duplicate seeds adjacently, so a batch's samples do not depend on
+    /// the order of its seeds: its first layer keeps the seeds as given,
+    /// and only its `dst`/`src_pos` layout follows node order.
     ///
     /// # Errors
     /// Propagates the first worker error (I/O or OOM).
@@ -274,7 +277,6 @@ impl BatchCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineMode;
     use crate::memory::MemoryBudget;
     use ringsampler_graph::edgefile::write_csr;
     use ringsampler_graph::gen::GeneratorSpec;
@@ -398,7 +400,7 @@ mod tests {
         use ringstat::{EventKind, Json};
         let json = Json::parse(&r.to_json()).unwrap();
         let at = |path: &[&str]| path.iter().try_fold(&json, |j, k| j.get(k)).and_then(Json::as_u64);
-        assert_eq!(at(&["schema_version"]), Some(11));
+        assert_eq!(at(&["schema_version"]), Some(12));
         assert_eq!(at(&["counters", "batches"]), Some(r.metrics.batches));
         assert_eq!(at(&["histograms", "io_group_latency", "count"]), Some(r.metrics.io_groups));
         let events = r.thread_events.iter().flatten();
@@ -614,29 +616,43 @@ mod tests {
     }
 
     #[test]
-    fn sync_pipeline_epoch_matches_async() {
-        let g = test_graph("syncasync", 300, 6_000);
-        let run = |mode| {
-            let sampler = RingSampler::new(
-                g.clone(),
-                SamplerConfig::new()
-                    .fanouts(&[4, 2])
-                    .batch_size(64)
-                    .threads(2)
-                    .ring_entries(8)
-                    .pipeline(mode)
-                    .seed(5),
-            )
-            .unwrap();
-            let targets: Vec<NodeId> = (0..300).collect();
+    fn seed_order_threads_and_ring_size_change_no_batch() {
+        // Every layer is drawn in node order, so permuting each batch's
+        // seeds leaves its first layer the same multiset of (seed,
+        // neighbour) pairs and every later layer byte-identical; and
+        // neither the thread count nor the ring size changes a batch.
+        let g = test_graph("seedorder", 300, 6_000);
+        let run = |targets: &[NodeId], threads: usize, ring_entries: u32| {
+            let cfg = SamplerConfig::new()
+                .fanouts(&[4, 3, 2])
+                .batch_size(64)
+                .threads(threads)
+                .ring_entries(ring_entries)
+                .seed(5);
+            let sampler = RingSampler::new(g.clone(), cfg).unwrap();
             let acc = std::sync::Mutex::new(std::collections::BTreeMap::new());
             sampler
-                .sample_epoch_with(&targets, |i, s| {
+                .sample_epoch_with(targets, |i, s| {
                     acc.lock().unwrap().insert(i, s);
                 })
                 .unwrap();
             acc.into_inner().unwrap()
         };
-        assert_eq!(run(PipelineMode::Async), run(PipelineMode::Sync));
+        let targets = epoch_targets(300, 0, 3);
+        let want = run(&targets, 2, 8);
+        assert_eq!(run(&targets, 1, 512), want);
+        assert_eq!(run(&targets, 3, 4), want);
+        let reversed: Vec<NodeId> = targets.chunks(64).flat_map(|c| c.iter().rev().copied()).collect();
+        let got = run(&reversed, 2, 8);
+        assert_eq!(got.len(), want.len());
+        let pairs = |s: &BatchSample| {
+            let mut v: Vec<(NodeId, NodeId)> = s.layers[0].iter_edges().collect();
+            v.sort_unstable();
+            v
+        };
+        for (i, (a, b)) in want.values().zip(got.values()).enumerate() {
+            assert_eq!(pairs(a), pairs(b), "batch {i}: first layer");
+            assert_eq!(a.layers[1..], b.layers[1..], "batch {i}: later layers");
+        }
     }
 }

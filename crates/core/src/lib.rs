@@ -57,7 +57,7 @@ pub mod telemetry;
 pub mod worker;
 
 pub use block::{BatchSample, LayerSample};
-pub use config::{CachePolicy, PipelineMode, SamplerConfig};
+pub use config::{CachePolicy, SamplerConfig};
 pub use engine::{epoch_targets, RingSampler};
 pub use error::{Result, SamplerError};
 pub use memory::{parse_budget, MemoryBudget, MemoryCharge};

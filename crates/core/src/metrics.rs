@@ -271,11 +271,13 @@ impl EpochReport {
         }
     }
 
-    /// The report as a JSON tree (`schema_version` 11). Raw values only —
+    /// The report as a JSON tree (`schema_version` 12). Raw values only —
     /// humanization is a Display concern; the `counters` block is
     /// [`SampleMetrics::counters`].
     ///
-    /// Schema history: v11 replaces the four-phase block (prepare, submit,
+    /// Schema history: v12 only adds — the counter `spanned_reads`
+    /// (requests the reader served from one read of a missing page's
+    /// extent); v11 replaces the four-phase block (prepare, submit,
     /// complete, aggregate) with the six-stage `stage_nanos` and each
     /// worker's time `ledger` with its `stage_nanos`, and removes
     /// `resources.fleet.ledger` and `resources.conserved` (the time between
@@ -330,7 +332,7 @@ impl EpochReport {
             .with("dropped", Json::U64(self.trace_dropped));
         let resources = self.resources.as_ref().map_or(Json::Null, resources_json);
         Json::object()
-            .with("schema_version", Json::U64(11))
+            .with("schema_version", Json::U64(12))
             .with("threads", Json::U64(self.threads as u64))
             .with("wall_seconds", Json::F64(self.seconds()))
             .with("counters", counters)
@@ -667,7 +669,7 @@ mod tests {
         assert_eq!(r.threads, 1);
         let json = r.to_json();
         for key in [
-            "\"schema_version\": 11",
+            "\"schema_version\": 12",
             "\"counters\"",
             "\"derived\"",
             "\"stage_nanos\"",

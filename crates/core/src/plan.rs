@@ -11,11 +11,11 @@
 //! 1. **Order** the entries into *slice order* — the entries of each
 //!    planned slice together, slices ascending — without losing any
 //!    entry's output position. A node-wise layer arrives as one run of
-//!    draws per target, and targets' offset ranges are disjoint and ascend
-//!    with node id, so over a sorted frontier only a run that straddles a
+//!    draws per node, drawn in node order, and nodes' offset ranges are
+//!    disjoint and ascend with node id, so only a run that straddles a
 //!    slice boundary needs sorting: the [`RunWalk`] takes every other run
-//!    whole, in draw order, from its least and greatest entry. Runs that
-//!    do not ascend, and [`ReadPlanner::plan`], take one comparison sort.
+//!    whole, in draw order, from its least and greatest entry.
+//!    [`ReadPlanner::plan`] takes one comparison sort.
 //! 2. **Coalesce** in one greedy pass: an exact repeat is served by the
 //!    read that already covers it, and runs whose byte extents fall within
 //!    a configurable gap threshold (default: one 4 KiB page; `0` merges
@@ -162,25 +162,6 @@ fn key_range(keys: impl Iterator<Item = u64>) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Whether each non-empty run of `pairs` (cut as [`RunWalk::runs`] cuts
-/// them) starts at or above the key the run before it ended on.
-fn runs_ascend(pairs: &[(u64, u32)], run_ends: &[u32], key: impl Fn(u64) -> u64) -> bool {
-    let (mut lo, mut floor) = (0, 0);
-    for end in run_ends.iter().map(|&e| e as usize).chain([pairs.len()]) {
-        let hi = end.clamp(lo, pairs.len());
-        let (least, most) = key_range(pairs.get(lo..hi).unwrap_or_default().iter().map(|p| key(p.0)));
-        lo = hi;
-        if least > most {
-            continue;
-        }
-        if least < floor {
-            return false;
-        }
-        floor = most;
-    }
-    true
-}
-
 /// The greedy left-to-right merge: entries arrive as byte offsets in
 /// ascending order (repeats allowed), and each joins the open slice or
 /// closes it and opens the next.
@@ -323,10 +304,8 @@ impl RunWalk {
     /// each run in slice order with its bytes replaced by payload bytes.
     ///
     /// Runs must ascend: each starts at or above the key the one before it
-    /// ended on, which a frontier in node order guarantees. If they do not
-    /// and the walk has taken nothing yet — the layer is planned whole — it
-    /// takes all of `pairs` in one comparison sort instead. Otherwise it
-    /// returns `false`, having taken runs up to the one that broke the order.
+    /// ended on, which drawing a layer in node order guarantees. If one does
+    /// not, it returns `false`, having taken the runs before it.
     pub fn runs(
         &mut self,
         pairs: &mut [(u64, u32)],
@@ -341,16 +320,6 @@ impl RunWalk {
             }
             return true;
         };
-        if merge.open.is_none() && merge.closed == 0 && !runs_ascend(pairs, run_ends, &key) {
-            // sort: the fallback, for a layer planned whole whose runs do not
-            // ascend (the first layer's caller-ordered seeds); a layer drawn
-            // in frontier order never reaches it.
-            pairs.sort_unstable_by_key(|p| key(p.0));
-            self.take_each(&mut merge, pairs, &key);
-            self.floor = merge.last.unwrap_or(0);
-            self.merge = Some(merge);
-            return true;
-        }
         let mut lo = 0;
         let mut held = true;
         for end in run_ends.iter().map(|&e| e as usize).chain([pairs.len()]) {
@@ -376,23 +345,18 @@ impl RunWalk {
                 }
                 self.entries += run.len() as u64;
             } else {
-                // sort: one target's draws, at most its fanout, and only when
-                // they straddle a slice boundary.
+                // sort: one node's draws, its fanout per time it is a target,
+                // and only when they straddle a slice boundary.
                 run.sort_unstable_by_key(|p| key(p.0));
-                self.take_each(&mut merge, run, &key);
+                for p in run.iter_mut() {
+                    let k = key(p.0);
+                    p.0 = self.take(&mut merge, k) + (p.0 - k);
+                    self.entries += 1;
+                }
             }
         }
         self.merge = Some(merge);
         held
-    }
-
-    /// Takes `run`, sorted by key, one pair at a time.
-    fn take_each(&mut self, merge: &mut Merge, run: &mut [(u64, u32)], key: impl Fn(u64) -> u64) {
-        for p in run.iter_mut() {
-            let k = key(p.0);
-            p.0 = self.take(merge, k) + (p.0 - k);
-            self.entries += 1;
-        }
     }
 
     /// Takes `key` into `merge`; a slice it closes serves the pairs taken
@@ -752,9 +716,10 @@ mod tests {
         // The worker's contract: the walk leaves the entries permuted into
         // slice order, each slice serves the next as many as it counts, all
         // inside its extent, each at the payload byte `plan`'s scatter map
-        // gives it; and it builds `plan`'s slices and stats. These runs do
-        // not ascend, so the walk takes its fallback sort.
-        let entries = [900u64, 3, 17_000, 4, 3, 40_000, 16_999, 5, 900];
+        // gives it; and it builds `plan`'s slices and stats. The runs
+        // ascend, each unsorted within, with repeats, and the last spreads
+        // past every gap, so it is sorted.
+        let entries = [4u64, 3, 3, 5, 900, 900, 40_000, 16_999, 17_000];
         for mode in [ReadPlanMode::Coalesce { gap: 0 }, ReadPlanMode::coalesce()] {
             let mut full = ReadPlanner::new();
             let want = full.plan(&entries, 8, 4, mode);
@@ -762,7 +727,7 @@ mod tests {
             walk.start(4, mode, MAX_COALESCED_BYTES);
             let mut pairs: Vec<(u64, u32)> =
                 entries.iter().zip(0..).map(|(&e, i)| (8 + e * 4, i)).collect();
-            assert!(walk.runs(&mut pairs, &[1, 2], |b| b));
+            assert!(walk.runs(&mut pairs, &[4, 6], |b| b));
             walk.close();
             assert_eq!(walk.stats_since(WalkCounts::default(), false), want);
             let mut served = pairs.iter();

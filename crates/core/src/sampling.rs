@@ -13,10 +13,16 @@
 //!
 //! Both are exactly uniform over `k`-subsets. The strategy switch is purely
 //! an optimization and is covered by distribution tests.
+//!
+//! A layer's targets are drawn in node order ([`node_order`]), so each
+//! target's draws are one run of the edge file at or above the run before
+//! it: the order the read planner's run walk takes them in.
 
 use std::collections::HashSet;
 
 use rand::Rng;
+
+use ringsampler_graph::NodeId;
 
 /// Degree threshold below which partial Fisher–Yates is used.
 const FISHER_YATES_MAX: u64 = 4096;
@@ -106,6 +112,21 @@ impl OffsetSampler {
     }
 }
 
+/// The order a layer draws `targets` in: each with its position among
+/// them, by node and, among equal nodes, by position, so duplicates are
+/// drawn adjacently. `None` when the targets already strictly ascend, as
+/// every reduced frontier does: they are drawn as given.
+pub fn node_order(targets: &[NodeId]) -> Option<Vec<(NodeId, u32)>> {
+    if targets.is_sorted_by(|a, b| a < b) {
+        return None;
+    }
+    let mut order: Vec<(NodeId, u32)> = targets.iter().copied().zip(0..).collect();
+    // sort: once per batch, over its seeds (at most `batch_size`): only the
+    // first layer's caller-ordered targets are not already in node order.
+    order.sort_unstable();
+    Some(order)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +139,17 @@ mod tests {
         let mut out = Vec::new();
         s.sample_range(lo, hi, fanout, &mut rng, &mut out);
         out
+    }
+
+    #[test]
+    fn node_order_is_a_stable_argsort() {
+        assert_eq!(node_order(&[]), None);
+        assert_eq!(node_order(&[4]), None);
+        assert_eq!(node_order(&[1, 5, 9]), None);
+        assert_eq!(node_order(&[9, 1, 5]), Some(vec![(1, 1), (5, 2), (9, 0)]));
+        // Duplicates break strict ascent and keep their caller order.
+        assert_eq!(node_order(&[3, 3]), Some(vec![(3, 0), (3, 1)]));
+        assert_eq!(node_order(&[7, 2, 7, 2]), Some(vec![(2, 1), (2, 3), (7, 0), (7, 2)]));
     }
 
     #[test]

@@ -327,6 +327,7 @@ pub fn metrics_document(
             ("ringsampler_worker_io_bytes_total", "Payload bytes read from disk", m.io_bytes),
             ("ringsampler_worker_reads_submitted_total", "Read requests submitted to the I/O engine", m.io_requests),
             ("ringsampler_worker_io_groups_total", "I/O groups submitted", m.io_groups),
+            ("ringsampler_worker_spanned_reads_total", "Read requests served from one read of a missing page's extent", m.spanned_reads),
         ] {
             w.counter(name, help, labels, value);
         }

@@ -9,9 +9,10 @@
 //! ("Eliminating thread synchronization").
 //!
 //! A layer is a cursor over I/O groups (`Layer`): each step draws the
-//! next targets until a group is full, plans them and submits the group,
-//! while the group before it is in flight. So besides a layer's output a
-//! worker holds a group of the layer, not the layer (the paper's pillar 1).
+//! next targets, in node order, until a group is full, plans them and
+//! submits the group, while the group before it is in flight. So besides a
+//! layer's output a worker holds a group of the layer, not the layer (the
+//! paper's pillar 1).
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -31,19 +32,25 @@ use ringstat::{
 
 use crate::block::{BatchSample, LayerSample};
 use crate::cache::{page_of, PAGE_SIZE};
-use crate::config::{PipelineMode, SamplerConfig};
+use crate::config::SamplerConfig;
 use crate::error::{Result, SamplerError};
 use crate::hotset::HotSet;
 use crate::memory::MemoryCharge;
 use crate::metrics::{SampleMetrics, WorkerResources, WorkerStats};
 use crate::plan::{ReadPlanMode, RunWalk, WalkCounts, MAX_COALESCED_BYTES};
-use crate::sampling::OffsetSampler;
+use crate::sampling::{node_order, OffsetSampler};
 use crate::telemetry::SnapshotRegistry;
+
+/// I/O groups in flight at once: while the kernel reads group *k*, the
+/// worker draws, plans and submits group *k+1*, then reaps *k* (paper
+/// Fig. 3b). On a cold file one group at a time measured ~20 % fewer
+/// edges/s (EXPERIMENTS.md, "One pipeline depth").
+const PIPELINE_DEPTH: usize = 2;
 
 /// Byte ceiling of one I/O group's buffer. A group closes at `queue_depth`
 /// requests or before its payload would pass this, so a worker's buffer
-/// pool is at most pipeline-depth × this many bytes however wide a layer
-/// or dense a plan is. 512 KiB holds eight full planned slices or 128
+/// pool is at most [`PIPELINE_DEPTH`] × this many bytes however wide a
+/// layer or dense a plan is. 512 KiB holds eight full planned slices or 128
 /// pages, and keeps the two in-flight buffers plus what they are decoded
 /// into well inside a 4 MiB L2: at 2 MiB the cached fetch measured ~20 %
 /// slower, at 256 KiB–1 MiB the same (EXPERIMENTS.md, "Streaming fetch").
@@ -157,25 +164,36 @@ impl FetchScratch {
     }
 }
 
-/// What a layer still has to draw: its targets from the next one on, each
-/// target's draws one run of the layer's entries.
+/// What a layer still has to draw: its targets in node order from the
+/// next one on, each node's draws one run of the layer's entries.
 struct Draw<'a> {
     targets: &'a [NodeId],
-    /// The next target's position in the layer: its draws' `src_pos`.
-    next: u32,
+    /// The targets in node order with their positions, when they are not
+    /// already in it (see [`node_order`]).
+    order: Option<&'a [(NodeId, u32)]>,
+    /// Targets drawn so far.
+    next: usize,
     fanout: usize,
     rng: &'a mut StdRng,
     src_pos: &'a mut Vec<u32>,
 }
 
+impl Draw<'_> {
+    /// The next target to draw and its position in the layer: its draws'
+    /// `src_pos`.
+    fn peek(&self) -> Option<(NodeId, u32)> {
+        match self.order {
+            Some(order) => order.get(self.next).copied(),
+            None => self.targets.get(self.next).map(|&t| (t, self.next as u32)),
+        }
+    }
+}
+
 /// One layer's fetch as a cursor over I/O groups (see the module docs),
-/// drawing its targets in the order given with the same RNG calls as a
-/// whole-layer draw, and decoding into `out`. A layer `whole` is drawn and
-/// planned in its first step.
+/// drawing its targets in node order and decoding into `out`.
 struct Layer<'a> {
     draw: Option<Draw<'a>>,
     hot: Option<&'a HotSet>,
-    whole: bool,
     /// Under `Off` without a hot set, every entry is its own request, in
     /// draw order, so the groups' buffers concatenate to `out`: no pair is
     /// kept.
@@ -199,18 +217,19 @@ trait Groups {
 
 impl Layer<'_> {
     /// Draws the next targets into the scratch: a chunk of at least `qd`
-    /// entries (the rest of the layer when it is drawn whole).
+    /// entries. A repeated seed's draws extend the run of the one before
+    /// it, whose range they share, so a chunk ends only between nodes.
     fn draw(&mut self, w: &mut SamplerWorker, qd: usize) {
         let Some(d) = &mut self.draw else {
             return;
         };
         let FetchScratch { offsets, run_ends, .. } = &mut self.s;
-        let chunk = if self.whole { usize::MAX } else { qd };
-        while offsets.len() < chunk {
-            let Some((&t, rest)) = d.targets.split_first() else {
+        let mut last = None;
+        while let Some((t, pos)) = d.peek() {
+            if offsets.len() >= qd && last != Some(t) {
                 break;
-            };
-            d.targets = rest;
+            }
+            d.next += 1;
             let range = w.graph.neighbor_range(t);
             let before = offsets.len();
             if w.cfg.with_replacement {
@@ -219,9 +238,12 @@ impl Layer<'_> {
             } else {
                 w.sampler.sample_range(range.start, range.end, d.fanout, d.rng, offsets);
             }
-            d.src_pos.extend(std::iter::repeat_n(d.next, offsets.len() - before));
-            d.next += 1;
+            d.src_pos.extend(std::iter::repeat_n(pos, offsets.len() - before));
+            if last == Some(t) {
+                run_ends.pop();
+            }
             run_ends.push(offsets.len() as u32);
+            last = Some(t);
         }
     }
 
@@ -259,12 +281,12 @@ impl Layer<'_> {
             pairs.extend(drawn.map(|(&e, pos)| (byte_of(e), pos)));
         }
         if !walk.runs(pairs, run_ends, |b| b & key_mask) {
-            return Err(SamplerError::Internal("a streamed layer's runs stopped ascending"));
+            return Err(SamplerError::Internal("a layer's runs stopped ascending"));
         }
         order.extend(pairs.iter().map(|&(at, pos)| (at as u32, pos)));
         offsets.clear();
         run_ends.clear();
-        if self.draw.as_ref().is_none_or(|d| d.targets.is_empty()) {
+        if self.draw.as_ref().is_none_or(|d| d.peek().is_none()) {
             walk.close();
         }
         Ok(())
@@ -598,8 +620,10 @@ impl SamplerWorker {
     pub fn metrics(&self) -> SampleMetrics {
         let mut m = self.metrics;
         // The reader lives exactly as long as the worker: its lifetime
-        // syscall count is the worker's.
-        m.syscalls = self.reader.stats().syscalls;
+        // syscall and span counts are the worker's.
+        let io = self.reader.stats();
+        m.syscalls = io.syscalls;
+        m.spanned_reads = io.spanned;
         m
     }
 
@@ -719,12 +743,9 @@ impl SamplerWorker {
         };
         let n: usize = targets.iter().map(width).sum();
         let mut src_pos = Vec::with_capacity(n);
-        let draw = Draw { targets: &targets, next: 0, fanout, rng, src_pos: &mut src_pos };
-        // Only a frontier in node order draws runs that ascend; other
-        // targets (the first layer's caller-ordered seeds) are drawn whole,
-        // for the planner's comparison sort.
-        let whole = !targets.windows(2).all(|w| w.first() < w.last());
-        let dst = self.fetch(Some(draw), n, whole, |_| ())?;
+        let order = node_order(&targets);
+        let draw = Draw { targets: &targets, order: order.as_deref(), next: 0, fanout, rng, src_pos: &mut src_pos };
+        let dst = self.fetch(Some(draw), n, |_| ())?;
         self.metrics.targets += targets.len() as u64;
         if src_pos.len() != dst.len() {
             return Err(SamplerError::Internal("a layer drew other than its width"));
@@ -742,7 +763,6 @@ impl SamplerWorker {
         &mut self,
         draw: Option<Draw<'_>>,
         n: usize,
-        whole: bool,
         preload: impl FnOnce(&mut FetchScratch),
     ) -> Result<Vec<NodeId>> {
         if n > u32::MAX as usize {
@@ -769,7 +789,6 @@ impl SamplerWorker {
         let mut layer = Layer {
             draw,
             hot: hot.as_deref(),
-            whole,
             seq: hot.is_none() && self.cfg.read_plan.is_off(),
             drawn: 0,
             base: 0,
@@ -813,12 +832,9 @@ impl SamplerWorker {
     /// `queue_depth` requests and [`GROUP_BYTES_MAX`] bytes each — handing
     /// each completed one back to `src` **in submission order**. A group's
     /// buffer returns to the pool once decoded, so the pool never holds more
-    /// than `depth` buffers of at most that size however wide the layer is.
-    ///
-    /// Async mode keeps two groups in flight: while the kernel works on
-    /// group *k*, the CPU draws, plans and submits group *k+1*, then polls
-    /// *k*'s completions from the CQ (paper Fig. 3b). Sync mode submits and
-    /// waits one group at a time.
+    /// than [`PIPELINE_DEPTH`] buffers of at most that size however wide the
+    /// layer is: while the kernel works on group *k*, the CPU draws, plans
+    /// and submits group *k+1*, then polls *k*'s completions from the CQ.
     ///
     /// This is the one account of the groups: the reader only reads, so
     /// the counters and the `group_submit`/`group_complete` events all
@@ -826,7 +842,7 @@ impl SamplerWorker {
     /// Returns the nanoseconds of the laps that decoded the groups: the
     /// fetch's scatter stage.
     fn pipelined_read(&mut self, src: &mut impl Groups) -> Result<u64> {
-        let mut inflight = VecDeque::with_capacity(2);
+        let mut inflight = VecDeque::with_capacity(PIPELINE_DEPTH);
         let res = self.run_groups(src, &mut inflight);
         // After a failure, wait out the groups still in flight: their
         // buffers return to the pool and the reader's slot table empties.
@@ -841,13 +857,8 @@ impl SamplerWorker {
     }
 
     fn run_groups(&mut self, src: &mut impl Groups, inflight: &mut VecDeque<InFlight>) -> Result<u64> {
-        let depth = match self.cfg.pipeline {
-            PipelineMode::Sync => 1,
-            PipelineMode::Async => 2,
-        };
         let mut scatter_nanos = 0;
-        // Groups complete strictly in submission order (FIFO), so `scatter`
-        // sees the same byte stream at every depth.
+        // Groups complete strictly in submission order (FIFO).
         loop {
             let mut group = self.req_pool.pop().unwrap_or_default();
             group.clear();
@@ -883,7 +894,7 @@ impl SamplerWorker {
             }
             // Complete the oldest groups until the window has room for the
             // next submit — or, once the requests are drained, is empty.
-            let window = if drained { 0 } else { depth - 1 };
+            let window = if drained { 0 } else { PIPELINE_DEPTH - 1 };
             while inflight.len() > window {
                 let Some(g) = inflight.pop_front() else {
                     break;
@@ -918,8 +929,7 @@ impl SamplerWorker {
 
     /// Grows the workspace memory charge to match actual scratch capacity;
     /// the failure mode is the paper's OOM under cgroup limits. Every term
-    /// is bounded by the group pipeline, except what a layer drawn whole
-    /// holds (the first layer's, when its seeds are not in node order).
+    /// is bounded by the group pipeline.
     fn ensure_workspace_charge(&mut self) -> Result<()> {
         let pooled = self.buf_pool.iter().map(Vec::capacity).sum::<usize>()
             + self.req_pool.iter().map(Vec::capacity).sum::<usize>()
@@ -941,14 +951,13 @@ mod tests {
     use super::*;
 
     impl SamplerWorker {
-        /// Fetches the neighbor values at `entry_indices`, cut into runs by
-        /// `run_ends` (one per target; `&[]` for one run), as a layer drawn
-        /// whole is fetched.
-        pub(crate) fn fetch_entries(&mut self, entry_indices: &[u64], run_ends: &[u32]) -> Result<Vec<NodeId>> {
+        /// Fetches the neighbor values at `entry_indices` as one run,
+        /// planned in one step.
+        pub(crate) fn fetch_entries(&mut self, entry_indices: &[u64]) -> Result<Vec<NodeId>> {
             let n = entry_indices.len();
-            self.fetch(None, n, true, |s| {
+            self.fetch(None, n, |s| {
                 s.offsets.extend_from_slice(entry_indices);
-                s.run_ends.extend(run_ends.iter().copied().chain([n as u32]));
+                s.run_ends.push(n as u32);
             })
         }
     }
@@ -1032,24 +1041,6 @@ mod tests {
         assert_eq!(a, b);
         let c = w2.sample_batch(&seeds, 6).unwrap();
         assert_ne!(a, c, "different batch seeds should differ");
-    }
-
-    #[test]
-    fn sync_and_async_pipelines_agree() {
-        let graph = test_graph("pipe");
-        let mk = |mode| {
-            SamplerConfig::new()
-                .fanouts(&[4, 3])
-                .ring_entries(4) // force many groups per layer
-                .pipeline(mode)
-                .seed(3)
-        };
-        let mut wa = worker(&graph, mk(PipelineMode::Async));
-        let mut ws = worker(&graph, mk(PipelineMode::Sync));
-        let seeds: Vec<NodeId> = (0..64).collect();
-        let a = wa.sample_batch(&seeds, 1).unwrap();
-        let s = ws.sample_batch(&seeds, 1).unwrap();
-        assert_eq!(a, s);
     }
 
     #[test]
@@ -1256,35 +1247,32 @@ mod tests {
         let seeds: Vec<NodeId> = (0..64).collect();
         for (mode, cache) in fetch_shapes() {
             for engine in [EngineKind::Uring, EngineKind::Pread] {
-                for pipeline in [PipelineMode::Async, PipelineMode::Sync] {
-                    let cfg = SamplerConfig::new()
-                        .fanouts(&[4, 3])
-                        .ring_entries(4) // many groups per layer
-                        .engine(engine)
-                        .pipeline(pipeline)
-                        .read_plan(mode)
-                        .cache(cache);
-                    let mut w = worker(&graph, cfg);
-                    let registry = SnapshotRegistry::new();
-                    w.attach_telemetry(&registry, None, 1, 3);
-                    w.begin_epoch_profile();
-                    for batch in 0..3 {
-                        w.sample_batch(&seeds, batch).unwrap();
-                        // What a consumer does between batches is nobody's stage.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    let s = w.take_stats();
-                    let what = format!("{mode:?} {cache:?} {engine:?} {pipeline:?}");
-                    let batch_sum = s.account.batch_latency.sum();
-                    assert_eq!(s.account.total(), batch_sum, "{what}");
-                    let res = s.resources.expect("the epoch profile was opened");
-                    assert_eq!(res.account, s.account, "{what}");
-                    let between = res.wall_nanos - s.account.total();
-                    assert!(between >= 3 * 200_000, "{what}: {between} ns between batches");
-                    let live = registry.observe()[0].snapshot.expect("published");
-                    assert_eq!((live.metrics, live.account), (s.metrics, s.account), "{what}");
-                    assert_eq!(live.cpu_nanos, res.sample.cpu_nanos, "{what}");
+                let cfg = SamplerConfig::new()
+                    .fanouts(&[4, 3])
+                    .ring_entries(4) // many groups per layer
+                    .engine(engine)
+                    .read_plan(mode)
+                    .cache(cache);
+                let mut w = worker(&graph, cfg);
+                let registry = SnapshotRegistry::new();
+                w.attach_telemetry(&registry, None, 1, 3);
+                w.begin_epoch_profile();
+                for batch in 0..3 {
+                    w.sample_batch(&seeds, batch).unwrap();
+                    // What a consumer does between batches is nobody's stage.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
                 }
+                let s = w.take_stats();
+                let what = format!("{mode:?} {cache:?} {engine:?}");
+                let batch_sum = s.account.batch_latency.sum();
+                assert_eq!(s.account.total(), batch_sum, "{what}");
+                let res = s.resources.expect("the epoch profile was opened");
+                assert_eq!(res.account, s.account, "{what}");
+                let between = res.wall_nanos - s.account.total();
+                assert!(between >= 3 * 200_000, "{what}: {between} ns between batches");
+                let live = registry.observe()[0].snapshot.expect("published");
+                assert_eq!((live.metrics, live.account), (s.metrics, s.account), "{what}");
+                assert_eq!(live.cpu_nanos, res.sample.cpu_nanos, "{what}");
             }
         }
     }
@@ -1294,38 +1282,35 @@ mod tests {
         // The account is the fold of the worker's events, so with nothing
         // dropped, folding the drained events reproduces it exactly —
         // stage sums and histograms — with a page cache in front too (the
-        // probe loop is part of the plan lap), for either engine and
-        // pipeline depth, and whether or not the trace origin was ever
-        // re-anchored. Every lap of a batch is in one stage event, so the
-        // stages sum to the batch latency.
+        // probe loop is part of the plan lap), for either engine, and
+        // whether or not the trace origin was ever re-anchored (the io_uring
+        // worker's is, the pread one's is not). Every lap of a batch is in
+        // one stage event, so the stages sum to the batch latency.
         let graph = long_graph("coverage", 1 << 18);
         let seeds: Vec<NodeId> = (0..1024).collect();
         for (mode, cache) in fetch_shapes() {
             for engine in [EngineKind::Uring, EngineKind::Pread] {
-                for pipeline in [PipelineMode::Async, PipelineMode::Sync] {
-                    let cfg = SamplerConfig::new()
-                        .fanouts(&[10, 10])
-                        .seed(5)
-                        .engine(engine)
-                        .pipeline(pipeline)
-                        .read_plan(mode)
-                        .cache(cache);
-                    let mut w = worker(&graph, cfg);
-                    if pipeline == PipelineMode::Async {
-                        w.set_trace_origin(Instant::now());
-                    }
-                    for batch in 0..4 {
-                        w.sample_batch(&seeds, batch).unwrap();
-                    }
-                    let s = w.take_stats();
-                    let what = format!("{mode:?} {cache:?} {engine:?} {pipeline:?}");
-                    assert_eq!(s.trace_dropped, 0, "{what}");
-                    let mut folded = StageAccount::default();
-                    s.events.iter().for_each(|e| folded.record(e));
-                    assert_eq!(folded, s.account, "{what}");
-                    assert_eq!(folded.batch_latency.count(), 4, "{what}");
-                    assert_eq!(folded.total(), folded.batch_latency.sum(), "{what}");
+                let cfg = SamplerConfig::new()
+                    .fanouts(&[10, 10])
+                    .seed(5)
+                    .engine(engine)
+                    .read_plan(mode)
+                    .cache(cache);
+                let mut w = worker(&graph, cfg);
+                if engine == EngineKind::Uring {
+                    w.set_trace_origin(Instant::now());
                 }
+                for batch in 0..4 {
+                    w.sample_batch(&seeds, batch).unwrap();
+                }
+                let s = w.take_stats();
+                let what = format!("{mode:?} {cache:?} {engine:?}");
+                assert_eq!(s.trace_dropped, 0, "{what}");
+                let mut folded = StageAccount::default();
+                s.events.iter().for_each(|e| folded.record(e));
+                assert_eq!(folded, s.account, "{what}");
+                assert_eq!(folded.batch_latency.count(), 4, "{what}");
+                assert_eq!(folded.total(), folded.batch_latency.sum(), "{what}");
             }
         }
     }
@@ -1464,58 +1449,55 @@ mod tests {
             (ReadPlanMode::coalesce(), page_cache, 64, all),
         ] {
             let (entries, want) = (&entries[..take], &want[..take]);
-            for pipeline in [PipelineMode::Async, PipelineMode::Sync] {
-                let cfg = SamplerConfig::new()
-                    .fanouts(&[1])
-                    .ring_entries(qd)
-                    .pipeline(pipeline)
-                    .read_plan(mode)
-                    .cache(cache);
-                let mut w = worker(&graph, cfg);
-                let groups = Arc::new(std::sync::Mutex::new(Vec::new()));
-                w.reader = Box::new(Recording {
-                    inner: Box::new(PreadReader::open(graph.edge_path(), qd).unwrap()),
-                    groups: Arc::clone(&groups),
-                });
-                assert_eq!(
-                    w.fetch_entries(entries, &[]).unwrap(),
-                    want,
-                    "{mode:?} {cache:?}"
-                );
-                let groups = groups.lock().unwrap();
-                assert!(!groups.is_empty());
-                for &(reqs, bytes) in groups.iter() {
-                    assert!(
-                        reqs >= 1 && reqs <= qd as usize,
-                        "{mode:?}: {reqs} requests"
-                    );
-                    assert!(bytes <= GROUP_BYTES_MAX, "{mode:?}: {bytes} bytes");
-                }
-                let capped = groups.iter().filter(|g| g.1 == GROUP_BYTES_MAX).count();
-                match (mode, cache) {
-                    // One exactly-full group, then the slice that did not
-                    // fit and the one-entry tail.
-                    (ReadPlanMode::Coalesce { .. }, CachePolicy::None) => assert_eq!(
-                        *groups,
-                        [(per_group as usize, GROUP_BYTES_MAX), (2, 64 * 1024 + 4)]
-                    ),
-                    // The byte ceiling, not the queue depth, closed a group
-                    // (the hot page may split a run, so not always to the byte).
-                    (_, CachePolicy::Page { .. }) => assert!(
-                        groups.iter().any(|&(r, b)| {
-                            r < qd as usize && b + MAX_COALESCED_BYTES as usize > GROUP_BYTES_MAX
-                        }),
-                        "{mode:?}: {groups:?}"
-                    ),
-                    _ => assert_eq!(capped, 0),
-                }
+            let cfg = SamplerConfig::new()
+                .fanouts(&[1])
+                .ring_entries(qd)
+                .read_plan(mode)
+                .cache(cache);
+            let mut w = worker(&graph, cfg);
+            let groups = Arc::new(std::sync::Mutex::new(Vec::new()));
+            w.reader = Box::new(Recording {
+                inner: Box::new(PreadReader::open(graph.edge_path(), qd).unwrap()),
+                groups: Arc::clone(&groups),
+            });
+            assert_eq!(
+                w.fetch_entries(entries).unwrap(),
+                want,
+                "{mode:?} {cache:?}"
+            );
+            let groups = groups.lock().unwrap();
+            assert!(!groups.is_empty());
+            for &(reqs, bytes) in groups.iter() {
                 assert!(
-                    w.buf_pool.len() <= 2,
-                    "pool holds {} buffers",
-                    w.buf_pool.len()
+                    reqs >= 1 && reqs <= qd as usize,
+                    "{mode:?}: {reqs} requests"
                 );
-                assert!(w.buf_pool.iter().all(|b| b.capacity() <= GROUP_BYTES_MAX));
+                assert!(bytes <= GROUP_BYTES_MAX, "{mode:?}: {bytes} bytes");
             }
+            let capped = groups.iter().filter(|g| g.1 == GROUP_BYTES_MAX).count();
+            match (mode, cache) {
+                // One exactly-full group, then the slice that did not
+                // fit and the one-entry tail.
+                (ReadPlanMode::Coalesce { .. }, CachePolicy::None) => assert_eq!(
+                    *groups,
+                    [(per_group as usize, GROUP_BYTES_MAX), (2, 64 * 1024 + 4)]
+                ),
+                // The byte ceiling, not the queue depth, closed a group
+                // (the hot page may split a run, so not always to the byte).
+                (_, CachePolicy::Page { .. }) => assert!(
+                    groups.iter().any(|&(r, b)| {
+                        r < qd as usize && b + MAX_COALESCED_BYTES as usize > GROUP_BYTES_MAX
+                    }),
+                    "{mode:?}: {groups:?}"
+                ),
+                _ => assert_eq!(capped, 0),
+            }
+            assert!(
+                w.buf_pool.len() <= PIPELINE_DEPTH,
+                "pool holds {} buffers",
+                w.buf_pool.len()
+            );
+            assert!(w.buf_pool.iter().all(|b| b.capacity() <= GROUP_BYTES_MAX));
         }
     }
 
@@ -1591,6 +1573,26 @@ mod tests {
             assert!(widest > 750_000, "{widest}");
             let grown = (w.charged_bytes - narrow) as usize;
             assert!(grown <= bound, "{mode:?} {cache:?}: grew {grown} bytes, bound {bound}");
+        }
+    }
+
+    #[test]
+    fn shuffled_seeds_hold_no_more_workspace_than_sorted() {
+        // The first layer is drawn in node order a group at a time like
+        // every other, so a batch's seed order changes no charge: none of
+        // the first layer's 32 Ki draws is held beyond its group.
+        let graph = long_graph("seedorder", 1 << 18);
+        let shuffled = crate::engine::epoch_targets(1024, 0, 1);
+        let sorted: Vec<NodeId> = (0..1024).collect();
+        for (mode, cache) in fetch_shapes() {
+            let cfg = SamplerConfig::new().fanouts(&[32, 2]).ring_entries(16).seed(3).read_plan(mode).cache(cache);
+            let charged = |seeds: &[NodeId]| {
+                let mut w = worker(&graph, cfg.clone());
+                w.sample_batch(seeds, 0).unwrap();
+                w.charged_bytes
+            };
+            let (shuffled, sorted) = (charged(&shuffled), charged(&sorted));
+            assert!(shuffled <= sorted, "{mode:?} {cache:?}: shuffled {shuffled} B, sorted {sorted} B");
         }
     }
 
@@ -1740,7 +1742,7 @@ mod tests {
         let mut w = worker(&graph, cfg);
         // An entry index far past the edge file: the cached path must
         // return a short-read error, not underflow `file_len - start`.
-        let err = w.fetch_entries(&[1 << 40], &[]).unwrap_err();
+        let err = w.fetch_entries(&[1 << 40]).unwrap_err();
         match err {
             SamplerError::Io(IoEngineError::ShortRead { got, .. }) => assert_eq!(got, 0),
             other => panic!("expected structured ShortRead, got {other:?}"),
@@ -1759,7 +1761,7 @@ mod tests {
         for engine in [EngineKind::Uring, EngineKind::Pread] {
             let cfg = SamplerConfig::new().fanouts(&[3]).ring_entries(4).engine(engine);
             let mut w = worker(&graph, cfg.clone());
-            match w.fetch_entries(&entries, &[]).unwrap_err() {
+            match w.fetch_entries(&entries).unwrap_err() {
                 SamplerError::Io(IoEngineError::ShortRead { .. }) => {}
                 other => panic!("{engine:?}: expected ShortRead, got {other:?}"),
             }
@@ -1841,26 +1843,67 @@ mod tests {
         }
         // A device that cannot keep up: every group is waited for, far
         // longer than it takes to form the next one.
-        for (pipeline, window) in [(PipelineMode::Async, 1024), (PipelineMode::Sync, 512)] {
-            let (mut w, registry) = publishing(cfg.clone().pipeline(pipeline));
-            w.reader = Box::new(Parking {
-                inner: PreadReader::open(graph.edge_path(), 512).unwrap(),
-                park: std::time::Duration::from_millis(5),
-                waited: 0,
-            });
-            w.sample_batch(&seeds, 0).unwrap();
-            let inflight = published(&registry).inflight;
-            // Parked for most of the batch on a full window.
-            assert!(
-                inflight > window / 2 && inflight <= window,
-                "{pipeline:?}: parked worker published {inflight}"
-            );
-            if pipeline == PipelineMode::Async {
-                assert!(inflight as f64 >= NEAR_FULL, "a parked backlog must reach ⅞ of the ring");
-            }
-            w.take_stats();
-            assert_eq!(published(&registry).inflight, 0, "inactive");
+        let (mut w, registry) = publishing(cfg);
+        w.reader = Box::new(Parking {
+            inner: PreadReader::open(graph.edge_path(), 512).unwrap(),
+            park: std::time::Duration::from_millis(5),
+            waited: 0,
+        });
+        w.sample_batch(&seeds, 0).unwrap();
+        let inflight = published(&registry).inflight;
+        // Parked for most of the batch on a full window.
+        let window = PIPELINE_DEPTH as u64 * 512;
+        assert!(
+            inflight > window / 2 && inflight <= window,
+            "parked worker published {inflight}"
+        );
+        assert!(inflight as f64 >= NEAR_FULL, "a parked backlog must reach ⅞ of the ring");
+        w.take_stats();
+        assert_eq!(published(&registry).inflight, 0, "inactive");
+    }
+
+    /// A reader that says it served every request it was given from a
+    /// span, the way `UringReader` counts the reads of a missing page.
+    struct Spanning(PreadReader, u64);
+
+    impl GroupReader for Spanning {
+        fn queue_depth(&self) -> usize {
+            self.0.queue_depth()
         }
+        fn submit_group(
+            &mut self,
+            reqs: &[ReadSlice],
+            buf: Vec<u8>,
+        ) -> ringsampler_io::Result<GroupToken> {
+            self.1 += reqs.len() as u64;
+            self.0.submit_group(reqs, buf)
+        }
+        fn complete_group(&mut self, token: GroupToken) -> ringsampler_io::Result<Vec<u8>> {
+            self.0.complete_group(token)
+        }
+        fn stats(&self) -> ringsampler_io::ReaderStats {
+            ringsampler_io::ReaderStats { spanned: self.1, ..self.0.stats() }
+        }
+        fn engine_name(&self) -> &'static str {
+            "spanning"
+        }
+    }
+
+    #[test]
+    fn spanned_reads_reach_the_counters() {
+        let graph = test_graph("spanned");
+        let mut w = worker(&graph, SamplerConfig::new().fanouts(&[4, 3]).ring_entries(8));
+        w.reader = Box::new(Spanning(PreadReader::open(graph.edge_path(), 8).unwrap(), 0));
+        let seeds: Vec<NodeId> = (0..64).collect();
+        w.sample_batch(&seeds, 0).unwrap();
+        let m = w.metrics();
+        assert!(m.spanned_reads > 0);
+        assert_eq!(m.spanned_reads, m.io_requests);
+        let report = w.take_stats().into_epoch_report(std::time::Duration::ZERO);
+        assert_eq!(report.metrics.spanned_reads, m.spanned_reads);
+        let counters = report.to_json_value();
+        let counters = counters.get("counters").expect("counters block");
+        assert_eq!(counters.get("spanned_reads").and_then(|v| v.as_u64()), Some(m.spanned_reads));
     }
 
     #[test]

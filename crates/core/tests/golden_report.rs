@@ -26,6 +26,7 @@ fn golden_report() -> EpochReport {
             io_bytes: 4 << 20,
             io_groups: 32,
             syscalls: 16,
+            spanned_reads: 40,
             cache_hits: 100,
             cache_misses: 28,
             reads_planned: 768,

@@ -4,12 +4,12 @@
 //! engine, and replacement setting produces **byte-identical** samples, and the
 //! planner's request lists obey the structural invariants (sorted,
 //! non-overlapping after dedup, never more requests than the naive plan).
-//! The runs of a layer drawn over a sorted frontier always ascend;
-//! planning a layer by its runs builds exactly the slices and stats
-//! [`ReadPlanner::plan`] does, with an entry order the worker's
-//! slice-by-slice decode consumes whole, whether the runs ascend or the walk
-//! falls back to one comparison sort; and the hot-set miss path's page
-//! order reads the same pages into the same output as a comparison sort.
+//! The runs of a layer drawn in node order always ascend, whatever order
+//! its targets come in; planning a layer by its runs builds exactly the
+//! slices and stats [`ReadPlanner::plan`] does, with an entry order the
+//! worker's slice-by-slice decode consumes whole; runs that do not ascend
+//! are refused; and the hot-set miss path's page order reads the same
+//! pages into the same output as a comparison sort.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use ringsampler::cache::{page_of, PAGE_SIZE};
 use ringsampler::plan::{RunWalk, WalkCounts, MAX_COALESCED_BYTES};
-use ringsampler::sampling::OffsetSampler;
+use ringsampler::sampling::{node_order, OffsetSampler};
 use ringsampler::worker::GROUP_BYTES_MAX;
 use ringsampler::{CachePolicy, ReadPlanMode, ReadPlanner, RingSampler, SamplerConfig};
 use ringsampler_graph::edgefile::write_csr;
@@ -112,10 +112,26 @@ fn ragged_graph(nodes: u32, seed: u64) -> OnDiskGraph {
     write_csr(&csr, &base).unwrap()
 }
 
-/// One node-wise layer drawn the way the worker draws it: each target's
-/// offsets from its own range of the offset index, in target order. Returns
-/// the entries and, per target, the end of its run.
+/// One node-wise layer drawn the way the worker draws it: in node order
+/// ([`node_order`]), each node's offsets from its own range of the offset
+/// index. Returns the entries and, per node, the end of its run.
 fn draw_layer(
+    graph: &OnDiskGraph,
+    targets: &[NodeId],
+    fanout: usize,
+    replace: bool,
+    seed: u64,
+) -> (Vec<u64>, Vec<u32>) {
+    let ordered: Vec<NodeId> = match node_order(targets) {
+        Some(order) => order.iter().map(|&(t, _)| t).collect(),
+        None => targets.to_vec(),
+    };
+    draw_in(graph, &ordered, fanout, replace, seed)
+}
+
+/// Draws `targets` in the order given: each target's offsets one run, which
+/// a repeat of the target just before extends.
+fn draw_in(
     graph: &OnDiskGraph,
     targets: &[NodeId],
     fanout: usize,
@@ -125,6 +141,7 @@ fn draw_layer(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sampler = OffsetSampler::new();
     let (mut entries, mut run_ends) = (Vec::new(), Vec::new());
+    let mut last = None;
     for &t in targets {
         let r = graph.neighbor_range(t);
         if replace {
@@ -132,18 +149,20 @@ fn draw_layer(
         } else {
             sampler.sample_range(r.start, r.end, fanout, &mut rng, &mut entries);
         }
+        if last == Some(t) {
+            run_ends.pop();
+        }
         run_ends.push(entries.len() as u32);
+        last = Some(t);
     }
     (entries, run_ends)
 }
 
-/// Whether the runs of `entries` (4-byte entries from byte 8) ascend: a run
-/// walk that has already taken an entry never falls back to its comparison
-/// sort, so it reports runs that do not.
+/// Whether the runs of `entries` (4-byte entries from byte 8) ascend: the
+/// run walk refuses runs that do not.
 fn runs_hold(entries: &[u64], run_ends: &[u32]) -> bool {
     let mut walk = RunWalk::default();
     walk.start(ENTRY_BYTES as u32, ReadPlanMode::Coalesce { gap: 0 }, MAX_COALESCED_BYTES);
-    assert!(walk.runs(&mut [(0, 0)], &[], |b| b));
     let mut pairs: Vec<(u64, u32)> =
         entries.iter().zip(0..).map(|(&e, i)| (8 + e * ENTRY_BYTES, i)).collect();
     walk.runs(&mut pairs, run_ends, |b| b)
@@ -379,8 +398,8 @@ proptest! {
     /// stats the comparison sort's `plan` builds, in an order the worker's
     /// decode consumes whole: over sorted-unique, caller-ordered and
     /// duplicated targets, with zero-degree targets, with and without
-    /// replacement. Over a sorted frontier the runs always hold, so the
-    /// layer can be planned a chunk at a time.
+    /// replacement. Drawn in node order the runs always hold, so the layer
+    /// can be planned a chunk at a time.
     #[test]
     fn run_order_is_the_comparison_sort_order(
         kind in arb_targets(),
@@ -392,7 +411,7 @@ proptest! {
         let graph = ragged_graph(80, seed);
         let targets = targets_of(kind, 80, seed);
         let (entries, run_ends) = draw_layer(&graph, &targets, fanout, replace, seed);
-        prop_assert!(runs_hold(&entries, &run_ends) || !matches!(kind, Targets::SortedUnique));
+        prop_assert!(runs_hold(&entries, &run_ends));
         plan_by_runs(&entries, &run_ends, mode);
     }
 
@@ -543,27 +562,30 @@ fn hub_layers_take_both_branches() {
     assert!(cap_split > 0, "the cap split no run");
 }
 
-/// Runs that do not ascend — targets in descending node order, each drawing
-/// from a range below the previous one — take the comparison-sort fallback
-/// and still plan as `plan` does; the same draws in ascending target order
-/// hold.
+/// Runs that do not ascend — targets drawn in descending node order, each
+/// from a range below the previous one — are refused, having taken the runs
+/// before them; the same targets drawn in node order hold and plan as
+/// `plan` does.
 #[test]
-fn descending_runs_take_the_fallback() {
+fn runs_that_do_not_ascend_are_refused() {
     let graph = ragged_graph(80, 7);
     let ascending: Vec<NodeId> =
         (0..80).filter(|&v| graph.neighbor_range(v).end > graph.neighbor_range(v).start).collect();
     let descending: Vec<NodeId> = ascending.iter().rev().copied().collect();
-    for (targets, holds) in [(ascending, true), (descending, false)] {
-        for replace in [false, true] {
-            let (entries, run_ends) = draw_layer(&graph, &targets, 4, replace, 3);
-            assert_eq!(runs_hold(&entries, &run_ends), holds, "replace {replace}");
-            plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap: 0 });
-        }
+    for replace in [false, true] {
+        let (entries, run_ends) = draw_in(&graph, &descending, 4, replace, 3);
+        assert!(!runs_hold(&entries, &run_ends), "replace {replace}");
+        let (entries, run_ends) = draw_layer(&graph, &descending, 4, replace, 3);
+        assert!(runs_hold(&entries, &run_ends), "replace {replace}");
+        plan_by_runs(&entries, &run_ends, ReadPlanMode::Coalesce { gap: 0 });
     }
     // Two runs that overlap inside one range: the second starts below the
-    // first's last entry.
+    // first's last entry, and only the first is taken.
     assert!(!runs_hold(&[5, 9, 7, 11], &[2]));
-    plan_by_runs(&[5, 9, 7, 11], &[2], ReadPlanMode::Coalesce { gap: 0 });
+    let mut walk = RunWalk::default();
+    walk.start(ENTRY_BYTES as u32, ReadPlanMode::Coalesce { gap: 0 }, MAX_COALESCED_BYTES);
+    assert!(!walk.runs(&mut [(20, 0), (36, 1), (28, 2), (44, 3)], &[2], |b| b));
+    assert_eq!(walk.counts().entries, 2);
     // No run ends: the whole layer is one run, which always holds.
     assert!(runs_hold(&[3, 1, 2], &[]));
 }

@@ -140,8 +140,9 @@ pub trait GroupReader: Send {
     fn engine_name(&self) -> &'static str;
 }
 
-/// Convenience: submit + immediately complete one group (the "synchronous
-/// pipeline" of paper Fig. 3b; also the building block for simple callers).
+/// Convenience: submit + immediately complete one group, for callers that
+/// read one group at a time (benches, tests, baselines); the sampler keeps
+/// two groups in flight instead.
 ///
 /// # Errors
 /// Propagates submission and completion errors.

@@ -21,6 +21,9 @@ pub struct SampleMetrics {
     pub io_groups: u64,
     /// Syscalls issued by the I/O engine.
     pub syscalls: u64,
+    /// Read requests the I/O engine served from a span: one read of a
+    /// missing page's extent shared by the requests on that page.
+    pub spanned_reads: u64,
     /// Sampled entries served from the hot set (0 when caching is off).
     pub cache_hits: u64,
     /// Sampled entries the hot set does not hold (read from the file).
@@ -38,7 +41,7 @@ pub struct SampleMetrics {
 impl SampleMetrics {
     /// Every counter as `(wire key, value)`, in report order. This list
     /// alone is the epoch report's `counters` block.
-    pub fn counters(&self) -> [(&'static str, u64); 13] {
+    pub fn counters(&self) -> [(&'static str, u64); 14] {
         [
             ("batches", self.batches),
             ("layers", self.layers),
@@ -48,6 +51,7 @@ impl SampleMetrics {
             ("io_bytes", self.io_bytes),
             ("io_groups", self.io_groups),
             ("syscalls", self.syscalls),
+            ("spanned_reads", self.spanned_reads),
             ("cache_hits", self.cache_hits),
             ("cache_misses", self.cache_misses),
             ("reads_planned", self.reads_planned),
@@ -66,6 +70,7 @@ impl SampleMetrics {
         self.io_bytes += other.io_bytes;
         self.io_groups += other.io_groups;
         self.syscalls += other.syscalls;
+        self.spanned_reads += other.spanned_reads;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.reads_planned += other.reads_planned;
@@ -120,14 +125,15 @@ mod tests {
             io_bytes: 6,
             io_groups: 7,
             syscalls: 8,
-            cache_hits: 9,
-            cache_misses: 10,
-            reads_planned: 11,
-            reads_saved: 12,
-            bytes_saved: 13,
+            spanned_reads: 9,
+            cache_hits: 10,
+            cache_misses: 11,
+            reads_planned: 12,
+            reads_saved: 13,
+            bytes_saved: 14,
         };
         let values: Vec<u64> = m.counters().iter().map(|&(_, v)| v).collect();
-        assert_eq!(values, (1..=13).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=14).collect::<Vec<u64>>());
         let mut doubled = m;
         doubled.merge(&m);
         for ((_, v), (_, w)) in m.counters().iter().zip(doubled.counters()) {

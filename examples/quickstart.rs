@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ringsampler::{epoch_targets, PipelineMode, RingSampler, SamplerConfig};
+use ringsampler::{epoch_targets, RingSampler, SamplerConfig};
 use ringsampler_graph::gen::GeneratorSpec;
 use ringsampler_graph::preprocess::{build_dataset, PreprocessOptions};
 use ringsampler_graph::stats::{human_bytes, GraphStats};
@@ -40,8 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SamplerConfig::new()
             .fanouts(&[20, 15, 10])
             .batch_size(1024)
-            .ring_entries(512)
-            .pipeline(PipelineMode::Async),
+            .ring_entries(512),
     )?;
     println!(
         "sampling with {} threads, ring size {}, engine auto-detected",

@@ -1,8 +1,10 @@
 //! Integration-test host package; all tests live in `tests/tests/`.
 //!
-//! The library holds what they share: the workspace walk below and the
-//! text-level hot-path checks in [`rules`] (DESIGN.md §7).
+//! The library holds what they share: the workspace walk below, the
+//! text-level hot-path checks in [`rules`] (DESIGN.md §7) and the exact
+//! reference sampler in [`reference`].
 
+pub mod reference;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
