@@ -2000,6 +2000,45 @@ mod tests {
     }
 
     #[test]
+    fn flight_recorder_keeps_the_newest_events() {
+        // A worker that records more events than its ring holds shows its
+        // last moments: `/trace`'s tail ends at its last batch, and the join
+        // drains the newest ring-full, having counted each event it wrote
+        // over.
+        use crate::telemetry::Monitor;
+        use ringstat::Json;
+        const RING: u64 = 8192;
+        const BATCHES: u64 = 40;
+        let graph = test_graph("newest");
+        let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(4).seed(3);
+        let mut w = worker(&graph, cfg);
+        let registry = SnapshotRegistry::new();
+        w.attach_telemetry(&registry, None, 1, BATCHES);
+        let seeds: Vec<NodeId> = (0..64).collect();
+        for batch in 0..BATCHES {
+            w.sample_batch(&seeds, batch).unwrap();
+        }
+        let mut monitor = Monitor::new(Instant::now());
+        monitor.tick(registry.observe(), Instant::now());
+        let doc = Json::parse(monitor.route("/trace", &registry).body()).unwrap();
+        let row = doc.get("workers").and_then(Json::as_array).unwrap()[0].clone();
+        let recorded = row.get("recorded").and_then(Json::as_u64).unwrap();
+        let tail = row.get("events").and_then(Json::as_array).unwrap().to_vec();
+        let last_end = tail
+            .iter()
+            .filter(|e| e.get("kind").and_then(Json::as_str) == Some("batch_end"))
+            .filter_map(|e| e.get("a")?.as_u64())
+            .last();
+        assert_eq!(last_end, Some(BATCHES - 1), "the live tail ends at the last batch");
+        let s = w.take_stats();
+        assert!(recorded > RING, "the ring must overflow: {recorded} events");
+        assert_eq!(s.events.len() as u64, RING);
+        assert_eq!(s.trace_dropped, recorded - RING);
+        let last = s.events.last().map(|e| (e.kind, e.a));
+        assert_eq!(last, Some((EventKind::BatchEnd, BATCHES - 1)), "the drain ends at the last batch");
+    }
+
+    #[test]
     fn flight_recorder_counts_cache_traffic() {
         let graph = test_graph("tracecache");
         let cfg = SamplerConfig::new()
