@@ -13,8 +13,9 @@
 //! | `fig8_threads` | Fig. 8 — thread scalability, constrained/unconstrained |
 //!
 //! Criterion benches (`cargo bench`) cover the micro/ablation studies the
-//! design motivates: sync vs async pipeline, offset vs full-list reads,
-//! queue-depth sweep, ring vs pread syscall counts.
+//! design motivates: offset vs full-list reads, cache policies and offset
+//! sampler strategies (`ablations`); NOP submission, io_uring vs pread and
+//! a queue-depth sweep (`micro`).
 //!
 //! ## Scaling
 //!
@@ -86,21 +87,16 @@ pub struct HarnessConfig {
     /// default `off`, the paper-faithful one-read-per-entry pattern).
     pub read_plan: ReadPlanMode,
     /// Bind address for the embedded `ringscope` telemetry server
-    /// (`--serve <addr>` or `RS_SERVE=<addr>`; e.g. `127.0.0.1:9898`, or
-    /// port `0` to pick a free port). `None` (the default) disables
-    /// telemetry entirely — no listener, no snapshot publishing.
+    /// (`--serve <addr>`; e.g. `127.0.0.1:9898`, or port `0` to pick a free
+    /// port). `None` (the default) disables telemetry entirely — no
+    /// listener, no snapshot publishing.
     pub serve: Option<String>,
-    /// Flight-recorder ring capacity override (`RS_TRACE_CAPACITY`;
-    /// `0` disables event recording entirely). `None` keeps
-    /// [`SamplerConfig`]'s default capacity.
-    pub trace_capacity: Option<usize>,
 }
 
 impl HarnessConfig {
     /// Reads `RS_SCALE`, `RS_TARGETS`, `RS_EPOCHS`, `RS_DATA_DIR`,
-    /// `RS_THREADS`, `RS_READ_PLAN`, `RS_TRACE_CAPACITY` and `RS_SERVE`
-    /// from the environment, then lets a `--serve <addr>` process argument
-    /// override the serve address.
+    /// `RS_THREADS` and `RS_READ_PLAN` from the environment, and the serve
+    /// address from a `--serve <addr>` process argument.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::from_env_and_args(&args)
@@ -117,10 +113,6 @@ impl HarnessConfig {
                 .unwrap_or(8)
                 .min(64),
         ) as usize;
-        let serve_arg = args
-            .windows(2)
-            .find(|w| w[0] == "--serve")
-            .map(|w| w[1].clone());
         Self {
             scale,
             targets_per_epoch: env_u64("RS_TARGETS", 10_000) as usize,
@@ -133,11 +125,7 @@ impl HarnessConfig {
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(ReadPlanMode::Off),
-            serve: serve_arg.or_else(|| std::env::var("RS_SERVE").ok().filter(|s| !s.is_empty())),
-            // Unlike env_u64 this admits 0 (= recording off).
-            trace_capacity: std::env::var("RS_TRACE_CAPACITY")
-                .ok()
-                .and_then(|v| v.parse().ok()),
+            serve: args.windows(2).find(|w| w[0] == "--serve").map(|w| w[1].clone()),
         }
     }
 
@@ -256,7 +244,7 @@ pub fn build_system(
     let scale = harness.scale;
     Ok(match kind {
         SystemKind::RingSampler => {
-            let mut cfg = SamplerConfig::new()
+            let cfg = SamplerConfig::new()
                 .fanouts(fanouts)
                 .batch_size(batch)
                 .threads(threads)
@@ -264,9 +252,6 @@ pub fn build_system(
                 .read_plan(harness.read_plan)
                 .telemetry_opt(harness.telemetry())
                 .seed(seed);
-            if let Some(n) = harness.trace_capacity {
-                cfg = cfg.trace_capacity(n);
-            }
             Box::new(RingSamplerSystem::new(RingSampler::new(graph.clone(), cfg)?))
         }
         SystemKind::DglCpu => Box::new(InMemorySampler::new(
@@ -634,12 +619,10 @@ mod tests {
         assert_eq!(t.addr, "127.0.0.1:0");
         // A dangling --serve with no value stays off, as does no flag.
         let dangling = HarnessConfig::from_env_and_args(&strings(&["--serve"]));
-        assert!(dangling.serve.is_none() || std::env::var("RS_SERVE").is_ok());
+        assert!(dangling.serve.is_none());
         let off = HarnessConfig::from_env_and_args(&[]);
-        if std::env::var("RS_SERVE").is_err() {
-            assert!(off.serve.is_none());
-            assert!(off.telemetry().is_none());
-        }
+        assert!(off.serve.is_none());
+        assert!(off.telemetry().is_none());
     }
 
     #[test]
@@ -797,7 +780,6 @@ mod tests {
             threads: 2,
             read_plan: ReadPlanMode::Coalesce { gap: 0 },
             serve: None,
-            trace_capacity: None,
         };
         let spec = DatasetSpec::scaled(DatasetId::OgbnPapers, h.scale);
         let graph = h.dataset(&spec).unwrap();

@@ -59,10 +59,6 @@ pub struct SamplerConfig {
     /// has any, duplicates allowed. Default: without replacement
     /// ("up to fanout", the paper's Fig. 1 semantics).
     pub with_replacement: bool,
-    /// Capacity of each worker's `ringtrace` lifecycle event ring
-    /// (per-thread; fixed-size, recording drops instead of blocking when
-    /// full — see `ringstat::EventRing`). 0 disables event recording.
-    pub trace_capacity: usize,
     /// Read-plan optimization for the per-layer entry fetch (see
     /// [`crate::plan`]). `Off` (default) issues the paper-faithful one
     /// read per sampled entry, bit-identical to pre-planner behavior.
@@ -87,7 +83,6 @@ impl Default for SamplerConfig {
             budget: MemoryBudget::unlimited(),
             seed: 0x5EED,
             with_replacement: false,
-            trace_capacity: 8192,
             read_plan: ReadPlanMode::Off,
             telemetry: None,
         }
@@ -161,9 +156,10 @@ impl SamplerConfig {
         self
     }
 
-    // No-ops: the span log is gone and `ringprof` is always on. Kept only
-    // because the frozen `benchmark/src/layers.rs` calls
-    // `.span_capacity(0).profile_resources(false)`; they leave with it.
+    // No-ops: the span log is gone, and `ringprof` and the flight recorder
+    // are always on. Kept only because the frozen `benchmark/src/layers.rs`
+    // calls `.trace_capacity(0).span_capacity(0).profile_resources(false)`;
+    // they leave with it.
     #[doc(hidden)]
     pub fn span_capacity(self, _: usize) -> Self {
         self
@@ -174,10 +170,8 @@ impl SamplerConfig {
         self
     }
 
-    /// Sets the per-worker lifecycle event-ring capacity (0 disables
-    /// `ringtrace` event recording).
-    pub fn trace_capacity(mut self, n: usize) -> Self {
-        self.trace_capacity = n;
+    #[doc(hidden)]
+    pub fn trace_capacity(self, _: usize) -> Self {
         self
     }
 
@@ -259,9 +253,7 @@ mod tests {
         assert_eq!(c.batch_size, 1024);
         assert_eq!(c.ring_entries, 512);
         assert_eq!(c.cache, CachePolicy::None);
-        assert_eq!(c.trace_capacity, 8192);
         assert!(c.validate().is_ok());
-        assert_eq!(SamplerConfig::new().trace_capacity(0).trace_capacity, 0);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! epoch runs with zero inter-thread synchronization besides the final
 //! metric merge.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -185,10 +184,6 @@ impl RingSampler {
                     // flight-recorder timestamps are comparable across
                     // threads in the Chrome trace and the ringtrace tables.
                     worker.set_trace_origin(start);
-                    // Thread-scoped clocks (CLOCK_THREAD_CPUTIME_ID,
-                    // RUSAGE_THREAD) must be opened on the worker's own
-                    // thread, so the profile interval starts here.
-                    worker.begin_epoch_profile();
                     if let Some(h) = &self.telemetry {
                         // Round-robin partition: worker t owns batches
                         // t, t + n, t + 2n, … — its assigned total. One
@@ -255,28 +250,10 @@ pub fn epoch_targets(num_nodes: u64, epoch: u64, seed: u64) -> Vec<NodeId> {
     order
 }
 
-/// Shared atomic counter helper for `on_batch` callbacks in tests/benches.
-#[derive(Debug, Default)]
-pub struct BatchCounter(AtomicU64);
-
-impl BatchCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Increments and returns the previous value.
-    pub fn bump(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed)
-    }
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use crate::memory::MemoryBudget;
     use ringsampler_graph::edgefile::write_csr;
     use ringsampler_graph::gen::GeneratorSpec;
@@ -312,15 +289,16 @@ mod tests {
         )
         .unwrap();
         let targets = epoch_targets(500, 0, 1);
-        let counter = BatchCounter::new();
+        let counter = AtomicU64::new(0);
         let report = sampler
             .sample_epoch_with(&targets, |_, s| {
                 assert!(!s.seeds().is_empty());
-                counter.bump();
+                counter.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
-        assert_eq!(counter.get(), 500u64.div_ceil(64));
-        assert_eq!(report.metrics.batches, counter.get());
+        let batches = counter.into_inner();
+        assert_eq!(batches, 500u64.div_ceil(64));
+        assert_eq!(report.metrics.batches, batches);
         assert!(report.metrics.sampled_edges > 0);
         assert!(report.seconds() > 0.0);
         assert_eq!(report.threads, 4);
@@ -446,22 +424,20 @@ mod tests {
 
     #[test]
     fn standalone_worker_traces_under_its_own_slot() {
-        // A trace-off standalone worker, then a trace-on one, each
-        // appending its slot the way `worker()` does, to a registry no other
-        // test reaches: the second worker's `/trace` tail must be listed
-        // under its `/progress` slot, not under whichever ring number
-        // happened to be free.
+        // An idle standalone worker, then a sampling one, each appending
+        // its slot the way `worker()` does, to a registry no other test
+        // reaches: the second worker's `/trace` tail must be listed under
+        // its `/progress` slot.
         use crate::telemetry::{Monitor, SnapshotRegistry};
         use ringstat::Json;
         const SEEDS: u64 = 37;
         let g = test_graph("slots", 300, 3_000);
         let cfg = SamplerConfig::new().fanouts(&[3]).batch_size(64).ring_entries(16);
-        let quiet = RingSampler::new(g.clone(), cfg.clone().trace_capacity(0)).unwrap();
-        let traced = RingSampler::new(g, cfg).unwrap();
+        let sampler = RingSampler::new(g, cfg).unwrap();
         let registry = SnapshotRegistry::new();
-        let mut off = quiet.worker().unwrap();
+        let mut off = sampler.worker().unwrap();
         off.attach_telemetry(&registry, None, 1, 0);
-        let mut on = traced.worker().unwrap();
+        let mut on = sampler.worker().unwrap();
         on.attach_telemetry(&registry, None, 1, 0);
         on.sample_batch(&(0..SEEDS as NodeId).collect::<Vec<_>>(), 0).unwrap();
         let mut monitor = Monitor::new(Instant::now());

@@ -81,7 +81,6 @@ impl HotSet {
             .cache(CachePolicy::None)
             .read_plan(ReadPlanMode::coalesce())
             .seed(seed)
-            .trace_capacity(0)
             .telemetry_opt(None);
         let mut worker = SamplerWorker::new(Arc::clone(graph), profiler, None)?;
         let file_len = worker.file_len();

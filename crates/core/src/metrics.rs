@@ -182,8 +182,8 @@ pub struct WorkerStats {
     /// Events the ring dropped on overflow (recording never blocks; the
     /// drop counter is the recorder's overload signal).
     pub trace_dropped: u64,
-    /// `ringprof` epoch delta for this worker: closed by `take_stats`
-    /// when `begin_epoch_profile` opened it, `None` otherwise.
+    /// `ringprof` epoch delta for this worker: opened by its first batch
+    /// and closed by `take_stats`; `None` when it sampled no batch.
     pub resources: Option<WorkerResources>,
 }
 
@@ -258,10 +258,10 @@ impl EpochReport {
         }
     }
 
-    /// Fraction of pipeline time ahead of the decode spent waiting on
-    /// completions rather than preparing and submitting work,
-    /// `complete / (prepare + submit + complete)` — the quantity the
-    /// Fig. 3b async pipeline minimizes.
+    /// Fraction of the in-batch time outside the scatter stage spent
+    /// completing groups rather than sampling, planning and submitting,
+    /// `(wait + reap) / (sample + plan + submit + wait + reap)` — the
+    /// quantity the Fig. 3b async pipeline minimizes.
     pub fn wait_fraction(&self) -> f64 {
         let total = self.account.total() - self.account.get(Stage::Scatter);
         if total == 0 {

@@ -13,8 +13,8 @@
 //!   [`SnapshotRegistry`] each poll tick and hands the snapshots to its
 //!   [`Monitor`], which appends them to one plain series per worker (DESIGN.md
 //!   §14). `GET /metrics` (Prometheus text) exports every worker's counters,
-//!   queue gauge, batch-latency histogram and stage sums as they stand, so a
-//!   scraper derives any rate or share itself. `GET /progress` (fleet
+//!   batch-latency histogram and stage sums as they stand, so a scraper
+//!   derives any rate or share itself. `GET /progress` (fleet
 //!   throughput, ETA and the dominant stage) and `GET /healthz` are folds
 //!   over the series. The stall watchdog is a fact about a series too: an
 //!   active worker whose `batches` count has not moved for 10 s is reported
@@ -100,9 +100,9 @@ pub struct WorkerObservation {
     pub snapshot: Option<WorkerSnapshot>,
 }
 
-/// One worker's telemetry slot: its snapshot cell and, with tracing on,
-/// its flight-recorder ring — installed together, so every view names a
-/// worker by the same index.
+/// One worker's telemetry slot: its snapshot cell and its flight-recorder
+/// ring — installed together, so every view names a worker by the same
+/// index. A slot no worker has installed yet holds no ring.
 #[derive(Debug, Clone)]
 struct Slot {
     cell: Arc<SnapshotCell<WorkerSnapshot>>,
@@ -136,16 +136,15 @@ impl SnapshotRegistry {
     }
 
     /// Installs a worker's slot in one step — a fresh snapshot cell and its
-    /// ring (`None` with tracing off) — at `index` (an epoch worker's thread
-    /// index) or appended (a standalone worker, e.g. a `DataLoader`, listed
-    /// with `active = false` once it finishes). Returns the cell to publish
-    /// into.
+    /// ring — at `index` (an epoch worker's thread index) or appended (a
+    /// standalone worker, e.g. a `DataLoader`, listed with `active = false`
+    /// once it finishes). Returns the cell to publish into.
     pub fn install(
         &self,
         index: Option<usize>,
-        ring: Option<Arc<EventRing>>,
+        ring: Arc<EventRing>,
     ) -> Arc<SnapshotCell<WorkerSnapshot>> {
-        let slot = Slot::new(ring);
+        let slot = Slot::new(Some(ring));
         let cell = Arc::clone(&slot.cell);
         if let Ok(mut slots) = self.slots.lock() {
             let at = index.unwrap_or(slots.len());
@@ -331,12 +330,6 @@ pub fn metrics_document(
         ] {
             w.counter(name, help, labels, value);
         }
-        w.gauge(
-            "ringsampler_worker_inflight_reads",
-            "Read requests the worker was blocked behind, time-averaged over its last batch",
-            labels,
-            s.inflight as f64,
-        );
         w.counter(
             "ringsampler_worker_cpu_nanos_total",
             "Thread CPU time consumed this epoch (ringprof; 0 until the worker opens its epoch profile)",
@@ -416,14 +409,13 @@ pub fn progress_document(obs: &[WorkerObservation], stalled: &[usize], rates: &F
     let mut workers = Vec::with_capacity(obs.len());
     let mut totals = SampleMetrics::default();
     let mut account = StageAccount::default();
-    let (mut total_batches, mut inflight, mut active) = (0u64, 0u64, 0u64);
+    let (mut total_batches, mut active) = (0u64, 0u64);
     for o in obs {
         let Some(s) = o.snapshot else { continue };
         let m = &s.metrics;
         totals.merge(m);
         account.merge(&s.account);
         total_batches += s.total_batches;
-        inflight += s.inflight;
         active += u64::from(s.active);
         workers.push(
             Json::object()
@@ -439,7 +431,6 @@ pub fn progress_document(obs: &[WorkerObservation], stalled: &[usize], rates: &F
                 .with("sampled_edges", Json::U64(m.sampled_edges))
                 .with("bytes_read", Json::U64(m.io_bytes))
                 .with("reads_submitted", Json::U64(m.io_requests))
-                .with("inflight", Json::U64(s.inflight))
                 .with("io_groups", Json::U64(m.io_groups))
                 .with("batch_latency_p50_ns", Json::U64(s.account.batch_latency.p50()))
                 .with("batch_latency_p99_ns", Json::U64(s.account.batch_latency.p99())),
@@ -454,7 +445,6 @@ pub fn progress_document(obs: &[WorkerObservation], stalled: &[usize], rates: &F
         .with("fraction", Json::F64(fraction(totals.batches, total_batches)))
         .with("sampled_edges", Json::U64(totals.sampled_edges))
         .with("bytes_read", Json::U64(totals.io_bytes))
-        .with("inflight", Json::U64(inflight))
         .with("edges_per_sec", Json::F64(rates.edges_per_sec))
         .with("batches_per_sec", Json::F64(rates.batches_per_sec))
         .with(
@@ -776,7 +766,6 @@ pub fn stall_blackbox_document(
         .with("epoch", Json::U64(s.epoch))
         .with("batches", Json::U64(s.metrics.batches))
         .with("io_groups", Json::U64(s.metrics.io_groups))
-        .with("inflight", Json::U64(s.inflight))
         .with("reads_submitted", Json::U64(s.metrics.io_requests))
         .with("cpu_nanos", Json::U64(s.cpu_nanos));
     let trace = tails
@@ -800,7 +789,6 @@ pub fn stall_blackbox_document(
                     Json::object()
                         .with("t_ms", Json::U64(p.t_ms))
                         .with("batches", Json::U64(p.snap.metrics.batches))
-                        .with("inflight", Json::U64(p.snap.inflight))
                         .with("cpu_nanos", Json::U64(p.snap.cpu_nanos))
                 })
                 .collect();
@@ -845,7 +833,6 @@ mod tests {
         let mut s = WorkerSnapshot {
             epoch: 1,
             total_batches: total,
-            inflight: 2,
             active,
             ..Default::default()
         };
@@ -874,7 +861,7 @@ mod tests {
         assert!(reg.observe().is_empty());
         reg.reset_epoch(3);
         assert_eq!(reg.observe().len(), 3);
-        let extra = reg.install(None, None);
+        let extra = reg.install(None, Arc::new(EventRing::new(4)));
         extra.publish(snap(5, 10, true));
         let obs = reg.observe();
         assert_eq!(obs.len(), 4);
@@ -908,7 +895,7 @@ mod tests {
         // STALL_THRESHOLD without a new batch: both fire, exactly once.
         let stalled = m.tick(obs_of(&both), t0 + STALL_THRESHOLD);
         assert_eq!(stalled.iter().map(|e| e.worker).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(stalled[0].snapshot.inflight, 2, "the black box carries the last state");
+        assert_eq!(stalled[0].snapshot.metrics.io_groups, 2, "the black box carries the last state");
         assert_eq!(healthz(&m), 503);
         assert_eq!(m.route("/healthz", &reg).body(), "stalled workers: [0, 1]\n");
         assert!(tick_at(&mut m, t0, 30_000, &both).is_empty(), "stall warnings are one-shot");
@@ -1062,8 +1049,8 @@ mod tests {
         assert!(doc.contains("# TYPE ringsampler_worker_sampled_edges_total counter"));
         assert!(doc.contains(r#"ringsampler_worker_sampled_edges_total{worker="0"} 300"#));
         assert!(doc.contains(r#"ringsampler_worker_sampled_edges_total{worker="1"} 200"#));
-        assert!(doc.contains("# TYPE ringsampler_worker_inflight_reads gauge"));
-        assert!(doc.contains(r#"ringsampler_worker_inflight_reads{worker="0"} 2"#));
+        assert!(doc.contains("# TYPE ringsampler_worker_active gauge"));
+        assert!(doc.contains(r#"ringsampler_worker_active{worker="0"} 1"#));
         assert!(doc.contains("ringsampler_workers 2"));
         // HELP/TYPE emitted once per family despite two workers.
         assert_eq!(doc.matches("# HELP ringsampler_worker_batches_total").count(), 1);
@@ -1119,8 +1106,8 @@ mod tests {
         let r1 = Arc::new(EventRing::new(8));
         let r0 = Arc::new(EventRing::new(8));
         // Installed out of order: each ring is listed under its slot.
-        reg.install(Some(1), Some(Arc::clone(&r1)));
-        reg.install(Some(0), Some(Arc::clone(&r0)));
+        reg.install(Some(1), Arc::clone(&r1));
+        reg.install(Some(0), Arc::clone(&r0));
         r0.record(trace_ev(5, EventKind::BatchStart, 0));
         r0.record(trace_ev(9, EventKind::BatchEnd, 0));
         let tails = reg.observe_traces(8);
@@ -1130,10 +1117,9 @@ mod tests {
         assert_eq!(tails[0].events.len(), 2);
         assert_eq!(tails[1].index, 1);
         assert!(tails[1].events.is_empty());
-        // A standalone worker without a ring, then one with: the ring is
-        // listed under its own slot, not under the next free ring number.
-        reg.install(None, None);
-        reg.install(None, Some(Arc::new(EventRing::new(4))));
+        // A slot past the end: the gap it leaves holds no ring, and the
+        // ring is listed under its own slot, not under the next free one.
+        reg.install(Some(3), Arc::new(EventRing::new(4)));
         assert_eq!(reg.observe().len(), 4);
         let indices: Vec<usize> = reg.observe_traces(0).iter().map(|t| t.index).collect();
         assert_eq!(indices, [0, 1, 3]);
@@ -1225,7 +1211,6 @@ mod tests {
         ];
         let windows = vec![(0, hist_pts(2, |_, _| {})), (1, hist_pts(3, |i, s| {
             s.metrics.batches = i;
-            s.inflight = 12;
             s.cpu_nanos = i * 1_000_000;
         }))];
         let doc = stall_blackbox_document(&event, &tails, &windows).to_string_compact();
@@ -1276,7 +1261,7 @@ mod tests {
         let handle = spawn_server(&cfg, Arc::clone(&registry)).expect("spawn server");
 
         let ring = Arc::new(EventRing::new(16));
-        let cell = registry.install(None, Some(Arc::clone(&ring)));
+        let cell = registry.install(None, Arc::clone(&ring));
         cell.publish(snap(1, 4, true));
 
         let (code, body) = http_get(handle.addr(), "/metrics");

@@ -57,6 +57,10 @@ const PIPELINE_DEPTH: usize = 2;
 pub const GROUP_BYTES_MAX: usize = 512 << 10;
 const _: () = assert!(GROUP_BYTES_MAX as u64 >= MAX_COALESCED_BYTES);
 
+/// Events each worker's flight recorder keeps: its newest, the ring
+/// overwriting the oldest (56-byte slots: 448 KiB a worker once full).
+const TRACE_EVENTS: usize = 8192;
+
 /// Nanoseconds between two instants, saturating at zero and `u64::MAX`.
 #[inline]
 fn nanos_between(start: Instant, end: Instant) -> u64 {
@@ -89,11 +93,6 @@ pub struct SamplerWorker {
     /// Requests handed to the reader and not yet got back (what
     /// `group_submit.c` carries).
     inflight_reqs: u64,
-    /// Request·nanoseconds the current batch spent blocked on the device:
-    /// over its groups, Σ (the reader's blocking wait × the requests lent
-    /// out during it). Divided by the batch's latency it is the queue gauge
-    /// the batch's snapshot publishes.
-    parked_req_nanos: u64,
     /// The stage clock (paper Fig. 3b's stages on one thread): the instant
     /// of the last [`Self::lap`]. It charges nothing itself: each lap
     /// travels in the one event that ends its stage.
@@ -106,20 +105,19 @@ pub struct SamplerWorker {
     /// word stores + a fence — the one sanctioned hot-path exception to
     /// "no atomics"; see `ringstat::snapshot`). `None` costs one branch.
     telemetry: Option<TelemetrySlot>,
-    /// `ringtrace` flight recorder: a fixed-capacity event ring whose
-    /// single writer is this worker. `None` when `trace_capacity == 0`;
-    /// recording costs one branch, and the ring drops on overflow instead
-    /// of blocking.
-    events: Option<Arc<EventRing>>,
+    /// `ringtrace` flight recorder: a ring of the [`TRACE_EVENTS`] newest
+    /// events whose single writer is this worker; it overwrites its oldest
+    /// event instead of blocking.
+    events: Arc<EventRing>,
     /// Timestamp origin for trace events; rebased to the epoch start by
     /// [`SamplerWorker::set_trace_origin`].
     trace_origin: Instant,
-    /// `ringprof` epoch anchor: the full resource sample and wall
-    /// instant taken by [`SamplerWorker::begin_epoch_profile`] **on this
-    /// worker's own thread** (the thread-CPU clock and `RUSAGE_THREAD`
-    /// are meaningless cross-thread). `None` until that call.
+    /// `ringprof` interval anchor: the full resource sample and wall
+    /// instant the first batch after [`SamplerWorker::new`] or
+    /// [`SamplerWorker::take_stats`] takes, on the thread that samples.
+    /// `None` until then.
     res_start: Option<(ResourceSample, Instant)>,
-    /// Thread CPU nanoseconds consumed since the epoch anchor — updated
+    /// Thread CPU nanoseconds consumed since the anchor — updated
     /// once per batch with a single `CLOCK_THREAD_CPUTIME_ID` read (the
     /// one resource syscall sanctioned on the hot path) and published in
     /// every snapshot.
@@ -469,11 +467,6 @@ impl SamplerWorker {
         // with actual vector capacity as batches expand.
         let base = 2 * cfg.ring_entries as u64 * ENTRY_BYTES + 64 * 1024;
         let workspace_charge = cfg.budget.charge(base, "thread workspace")?;
-        let events = if cfg.trace_capacity > 0 {
-            Some(Arc::new(EventRing::new(cfg.trace_capacity)))
-        } else {
-            None
-        };
         let now = Instant::now();
         let mut w = Self {
             graph,
@@ -489,11 +482,10 @@ impl SamplerWorker {
             workspace_charge,
             charged_bytes: base,
             inflight_reqs: 0,
-            parked_req_nanos: 0,
             last: now,
             account: StageAccount::default(),
             telemetry: None,
-            events,
+            events: Arc::new(EventRing::new(TRACE_EVENTS)),
             trace_origin: now,
             res_start: None,
             cpu_nanos: 0,
@@ -516,8 +508,8 @@ impl SamplerWorker {
     }
 
     /// The one record call: folds an event stamped with the last lap's
-    /// instant into the account, then, with tracing on, pushes it onto the
-    /// ring (a seqlock-cell publish that drops rather than blocks).
+    /// instant into the account, then pushes it onto the ring (a
+    /// seqlock-cell publish that overwrites rather than blocks).
     #[inline]
     fn trace(&mut self, kind: EventKind, a: u64, b: u64, c: u64, d: u64) {
         let ev = TraceEvent {
@@ -529,9 +521,7 @@ impl SamplerWorker {
             d,
         };
         self.account.record(&ev);
-        if let Some(ring) = &self.events {
-            ring.record(ev);
-        }
+        self.events.record(ev);
     }
 
     /// Installs this worker's telemetry slot — snapshot cell and ring in
@@ -546,7 +536,7 @@ impl SamplerWorker {
         epoch: u64,
         total_batches: u64,
     ) {
-        let cell = registry.install(index, self.events.clone());
+        let cell = registry.install(index, Arc::clone(&self.events));
         self.telemetry = Some(TelemetrySlot {
             cell,
             epoch,
@@ -555,26 +545,14 @@ impl SamplerWorker {
         });
     }
 
-    /// Anchors `ringprof` for this epoch: takes the full epoch-start
-    /// [`ResourceSample`] (two syscalls — epoch boundary, never per
-    /// batch). Must run **on the worker's own
-    /// thread**, after it has been moved into its epoch thread; the
-    /// thread-CPU clock and `RUSAGE_THREAD` scope to the caller.
-    pub fn begin_epoch_profile(&mut self) {
-        #[expect(clippy::disallowed_methods, reason = "epoch boundary: runs once before the batch loop, on the worker's own thread")]
-        let start = ResourceSample::now();
-        self.res_start = Some((start, Instant::now()));
-        self.cpu_nanos = 0;
-    }
-
-    /// Closes the epoch's resource interval: takes the end sample,
-    /// differences it against the anchor, and keeps the stage account
-    /// beside it. Consumes the anchor, so it fires once per
-    /// `begin_epoch_profile`. Runs on the worker's own thread (the
-    /// epoch-join path calls it from `take_stats`).
+    /// Closes the resource interval the first batch opened: takes the end
+    /// sample, differences it against the anchor, and keeps the stage
+    /// account beside it. Consumes the anchor, so the next batch opens a
+    /// fresh interval. Runs on the sampling thread (the epoch-join path
+    /// calls it from `take_stats`).
     fn finish_epoch_resources(&mut self) -> Option<WorkerResources> {
         let (start, wall0) = self.res_start.take()?;
-        #[expect(clippy::disallowed_methods, reason = "epoch join: closes the interval opened by begin_epoch_profile, once per epoch")]
+        #[expect(clippy::disallowed_methods, reason = "epoch join: closes the interval the first batch opened, once per epoch")]
         let sample = ResourceSample::now().delta(&start);
         let wall = nanos_between(wall0, Instant::now());
         // Pin the published CPU counter to the precise final delta so
@@ -592,18 +570,13 @@ impl SamplerWorker {
     /// whole — through the seqlock slot, if one is attached. The publish
     /// itself is wait-free: two version-counter stores and a volatile
     /// payload store.
-    ///
-    /// Between batches the pipeline is drained, so the live count of lent
-    /// requests is always 0 here; `inflight` is the device backlog of the
-    /// batch just finished (see [`Self::sample_batch`]), 0 once inactive.
-    fn publish_snapshot(&self, active: bool, inflight: u64) {
+    fn publish_snapshot(&self, active: bool) {
         if let Some(slot) = &self.telemetry {
             slot.cell.publish(WorkerSnapshot {
                 epoch: slot.epoch,
                 total_batches: slot.total_batches,
                 seeds: slot.seeds,
                 active,
-                inflight,
                 cpu_nanos: self.cpu_nanos,
                 metrics: self.metrics(),
                 account: self.account,
@@ -649,16 +622,12 @@ impl SamplerWorker {
         let resources = self.finish_epoch_resources();
         // Final telemetry publish: the worker is done, so the watchdog
         // must stop expecting its version to advance.
-        self.publish_snapshot(false, 0);
-        let (events, trace_dropped) = match &self.events {
-            Some(ring) => (ring.drain(), ring.dropped()),
-            None => (Vec::new(), 0),
-        };
+        self.publish_snapshot(false);
         WorkerStats {
             metrics: self.metrics(),
             account: self.account,
-            events,
-            trace_dropped,
+            events: self.events.drain(),
+            trace_dropped: self.events.dropped(),
             resources,
         }
     }
@@ -671,11 +640,19 @@ impl SamplerWorker {
     /// # Errors
     /// Propagates I/O errors and memory-budget exhaustion.
     pub fn sample_batch(&mut self, seeds: &[NodeId], batch_seed: u64) -> Result<BatchSample> {
+        // The first batch after `new` or `take_stats` opens the `ringprof`
+        // interval, on the thread that samples: the thread-CPU clock and
+        // `RUSAGE_THREAD` read the caller's thread.
+        if self.res_start.is_none() {
+            #[expect(clippy::disallowed_methods, reason = "interval boundary: once per epoch, on the sampling thread")]
+            let start = ResourceSample::now();
+            self.res_start = Some((start, Instant::now()));
+            self.cpu_nanos = 0;
+        }
         // The batch starts the stage clock; from here to the last lap
         // below every nanosecond lands in a stage event.
         let start = Instant::now();
         self.last = start;
-        self.parked_req_nanos = 0;
         let batch_index = self.metrics.batches;
         self.trace(EventKind::BatchStart, batch_index, seeds.len() as u64, 0, 0);
         let mut rng =
@@ -715,13 +692,7 @@ impl SamplerWorker {
         if let Some(slot) = &mut self.telemetry {
             slot.seeds += seeds.len() as u64;
         }
-        // The queue gauge: the time-average, over the batch, of the
-        // requests the worker was blocked behind. A group whose completions
-        // were already in the CQ adds nothing, so a device that keeps up —
-        // or an engine that never blocks in `complete_group` — reads 0
-        // whatever the group sizes; a worker parked on a full window for
-        // the whole batch reads the window.
-        self.publish_snapshot(true, self.parked_req_nanos / batch_nanos.max(1));
+        self.publish_snapshot(true);
         self.ensure_workspace_charge()?;
         Ok(BatchSample { layers })
     }
@@ -906,7 +877,6 @@ impl SamplerWorker {
                 // reader can tell; the rest is reaping.
                 let waited = self.reader.stats().wait_nanos - waited;
                 let parked = waited.min(lap_nanos);
-                self.parked_req_nanos += parked * self.inflight_reqs;
                 self.inflight_reqs -= g.reqs.len() as u64;
                 let latency = nanos_between(g.since, self.last);
                 self.trace(
@@ -1256,7 +1226,6 @@ mod tests {
                 let mut w = worker(&graph, cfg);
                 let registry = SnapshotRegistry::new();
                 w.attach_telemetry(&registry, None, 1, 3);
-                w.begin_epoch_profile();
                 for batch in 0..3 {
                     w.sample_batch(&seeds, batch).unwrap();
                     // What a consumer does between batches is nobody's stage.
@@ -1809,57 +1778,33 @@ mod tests {
     }
 
     #[test]
-    fn queue_gauge_reads_backlog_not_group_size() {
-        // The default 512-entry ring and 2048 reads a batch: two full groups
-        // are lent out at once, so a gauge of lent-out requests would read
-        // 1024 on every healthy run. The published gauge counts them only
-        // while the worker is blocked on them. `NEAR_FULL` is ⅞ of the ring:
-        // far above what page-cache reads leave waiting, within a parked
-        // window.
-        const NEAR_FULL: f64 = 448.0;
-        let graph = long_graph("gauge", 1 << 14);
+    fn parked_time_lands_in_the_wait_stage() {
+        // What the device keeps the worker waiting for is the wait stage
+        // (`group_complete.c`): nothing under `pread`, which never blocks in
+        // `complete_group`, and every park of a reader that does.
+        let graph = long_graph("parked", 1 << 14);
         let seeds: Vec<NodeId> = (0..1024).collect();
         let cfg = SamplerConfig::new().fanouts(&[2]).seed(9);
-        let publishing = |cfg: SamplerConfig| {
-            let mut w = worker(&graph, cfg);
-            let registry = SnapshotRegistry::new();
-            w.attach_telemetry(&registry, None, 1, 0);
-            (w, registry)
-        };
-        let published = |r: &SnapshotRegistry| r.observe()[0].snapshot.unwrap();
-        for engine in [EngineKind::Uring, EngineKind::Pread] {
-            let (mut w, registry) = publishing(cfg.clone().engine(engine));
-            for batch in 0..3 {
-                w.sample_batch(&seeds, batch).unwrap();
-                let snap = published(&registry);
-                assert!(snap.active);
-                assert_eq!(snap.metrics.io_requests, 2048 * (batch + 1), "{engine:?}");
-                // Page-cache reads complete at submission: nothing to park on.
-                assert!((snap.inflight as f64) < NEAR_FULL, "{engine:?}: {}", snap.inflight);
-                if engine == EngineKind::Pread {
-                    assert_eq!(snap.inflight, 0, "pread never queues");
-                }
-            }
-        }
+        let mut w = worker(&graph, cfg.clone().engine(EngineKind::Pread));
+        w.sample_batch(&seeds, 0).unwrap();
+        let s = w.take_stats();
+        assert_eq!(s.account.get(Stage::Wait), 0, "pread never waits");
+        assert!(s.account.get(Stage::Reap) > 0);
         // A device that cannot keep up: every group is waited for, far
         // longer than it takes to form the next one.
-        let (mut w, registry) = publishing(cfg);
+        let park = std::time::Duration::from_millis(5);
+        let mut w = worker(&graph, cfg);
         w.reader = Box::new(Parking {
             inner: PreadReader::open(graph.edge_path(), 512).unwrap(),
-            park: std::time::Duration::from_millis(5),
+            park,
             waited: 0,
         });
         w.sample_batch(&seeds, 0).unwrap();
-        let inflight = published(&registry).inflight;
-        // Parked for most of the batch on a full window.
-        let window = PIPELINE_DEPTH as u64 * 512;
-        assert!(
-            inflight > window / 2 && inflight <= window,
-            "parked worker published {inflight}"
-        );
-        assert!(inflight as f64 >= NEAR_FULL, "a parked backlog must reach ⅞ of the ring");
-        w.take_stats();
-        assert_eq!(published(&registry).inflight, 0, "inactive");
+        let s = w.take_stats();
+        let a = &s.account;
+        assert!(s.metrics.io_groups >= 2, "{} groups", s.metrics.io_groups);
+        assert!(a.get(Stage::Wait) >= s.metrics.io_groups * park.as_nanos() as u64);
+        assert_eq!(a.total(), a.batch_latency.sum(), "the parks stay inside the batch");
     }
 
     /// A reader that says it served every request it was given from a
@@ -1953,50 +1898,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_trace_capacity_disables_recording() {
-        let graph = test_graph("notrace");
-        let cfg = SamplerConfig::new()
-            .fanouts(&[3])
-            .ring_entries(8)
-            .trace_capacity(0);
-        let mut w = worker(&graph, cfg);
-        w.set_trace_origin(Instant::now());
-        let seeds: Vec<NodeId> = (0..32).collect();
-        w.sample_batch(&seeds, 0).unwrap();
-        let s = w.take_stats();
-        assert!(s.events.is_empty());
-        assert_eq!(s.trace_dropped, 0);
-    }
-
-    #[test]
     fn account_stays_exact_without_the_ring() {
-        // The fold happens as each event is recorded, so a worker that
-        // keeps no events, or whose ring overflows, still accounts every
-        // batch, group and lap.
+        // The fold happens as each event is recorded, so a worker whose ring
+        // overflows still accounts every batch, group and lap.
         let graph = test_graph("fold");
         let seeds: Vec<NodeId> = (0..64).collect();
-        for capacity in [0, 16] {
-            let cfg = SamplerConfig::new()
-                .fanouts(&[4, 3])
-                .ring_entries(4) // many groups per layer
-                .trace_capacity(capacity);
-            let mut w = worker(&graph, cfg);
-            for batch in 0..3 {
-                w.sample_batch(&seeds, batch).unwrap();
-            }
-            let s = w.take_stats();
-            let a = &s.account;
-            if capacity == 0 {
-                assert!(s.events.is_empty() && s.trace_dropped == 0);
-            } else {
-                assert_eq!(s.events.len(), capacity);
-                assert!(s.trace_dropped > 0, "the ring must overflow");
-            }
-            assert_eq!(a.batch_latency.count(), 3, "capacity {capacity}");
-            assert_eq!(a.group_latency.count(), s.metrics.io_groups, "capacity {capacity}");
-            assert_eq!(a.cq_wait.count(), s.metrics.io_groups, "capacity {capacity}");
-            assert_eq!(a.total(), a.batch_latency.sum(), "capacity {capacity}");
+        let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(4); // many groups per layer
+        let mut w = worker(&graph, cfg);
+        let mut batches = 0;
+        while w.events.dropped() == 0 {
+            w.sample_batch(&seeds, batches).unwrap();
+            batches += 1;
         }
+        let s = w.take_stats();
+        let a = &s.account;
+        assert_eq!(s.events.len(), TRACE_EVENTS);
+        assert!(s.trace_dropped > 0, "the ring must overflow");
+        assert_eq!(a.batch_latency.count(), batches);
+        assert_eq!(a.group_latency.count(), s.metrics.io_groups);
+        assert_eq!(a.cq_wait.count(), s.metrics.io_groups);
+        assert_eq!(a.total(), a.batch_latency.sum());
     }
 
     #[test]
@@ -2007,7 +1928,7 @@ mod tests {
         // over.
         use crate::telemetry::Monitor;
         use ringstat::Json;
-        const RING: u64 = 8192;
+        const RING: u64 = TRACE_EVENTS as u64;
         const BATCHES: u64 = 40;
         let graph = test_graph("newest");
         let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(4).seed(3);
@@ -2026,9 +1947,9 @@ mod tests {
         let tail = row.get("events").and_then(Json::as_array).unwrap().to_vec();
         let last_end = tail
             .iter()
-            .filter(|e| e.get("kind").and_then(Json::as_str) == Some("batch_end"))
-            .filter_map(|e| e.get("a")?.as_u64())
-            .last();
+            .rev()
+            .find(|e| e.get("kind").and_then(Json::as_str) == Some("batch_end"))
+            .and_then(|e| e.get("a")?.as_u64());
         assert_eq!(last_end, Some(BATCHES - 1), "the live tail ends at the last batch");
         let s = w.take_stats();
         assert!(recorded > RING, "the ring must overflow: {recorded} events");

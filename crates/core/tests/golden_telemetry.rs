@@ -23,18 +23,18 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     let registry = Arc::new(SnapshotRegistry::new());
     registry.reset_epoch(2);
     // Flight-recorder rings: worker 0 mid-batch (submit without its
-    // complete yet), worker 1 with one full group lifecycle and a drop.
+    // complete yet), worker 1 with one full group lifecycle, its ring of
+    // two having overwritten the batch start before it.
     let (r0, r1) = (Arc::new(EventRing::new(8)), Arc::new(EventRing::new(2)));
     let cells = [
-        registry.install(Some(0), Some(Arc::clone(&r0))),
-        registry.install(Some(1), Some(Arc::clone(&r1))),
+        registry.install(Some(0), Arc::clone(&r0)),
+        registry.install(Some(1), Arc::clone(&r1)),
     ];
 
     let mut w0 = WorkerSnapshot {
         epoch: 1,
         total_batches: 8,
         seeds: 384,
-        inflight: 4,
         cpu_nanos: 2_000_000,
         active: true,
         ..Default::default()
@@ -58,7 +58,6 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
         epoch: 1,
         total_batches: 8,
         seeds: 640,
-        inflight: 0,
         cpu_nanos: 3_500_000,
         active: true,
         ..Default::default()
@@ -87,9 +86,9 @@ fn golden_registry() -> Arc<SnapshotRegistry> {
     r0.record(ev(1_500, EventKind::SampleDone, 10, 640, 450, 0));
     r0.record(ev(1_800, EventKind::PlanBuilt, 640, 320, 1_280, 250));
     r0.record(ev(2_000, EventKind::GroupSubmit, 6, 32, 32, 150));
+    r1.record(ev(600, EventKind::BatchStart, 4, 128, 0, 0)); // overwritten
     r1.record(ev(900, EventKind::GroupSubmit, 9, 32, 32, 140));
     r1.record(ev(4_000, EventKind::GroupComplete, 9, 3_100, 2_600, 500));
-    r1.record(ev(4_200, EventKind::ScatterDone, 640, 180, 0, 0)); // dropped
 
     registry
 }
@@ -131,12 +130,10 @@ fn metrics_endpoint_body_is_pinned() {
     // of the pinned bytes.
     assert!(doc.contains("ringsampler_uptime_seconds 12.5"));
     assert!(doc.contains(r#"ringsampler_build_info{version="0.1.0"} 1"#));
-    // Acceptance criteria: per-worker sampled-edge counters and in-flight
-    // SQE gauges are present before byte-pinning the whole document.
+    // Acceptance criteria: per-worker sampled-edge counters are present
+    // before byte-pinning the whole document.
     assert!(doc.contains(r#"ringsampler_worker_sampled_edges_total{worker="0"} 1536"#));
     assert!(doc.contains(r#"ringsampler_worker_sampled_edges_total{worker="1"} 2560"#));
-    assert!(doc.contains(r#"ringsampler_worker_inflight_reads{worker="0"} 4"#));
-    assert!(doc.contains(r#"ringsampler_worker_inflight_reads{worker="1"} 0"#));
     assert!(doc.contains(r#"ringsampler_trace_recorded_total{worker="0"} 4"#));
     assert!(doc.contains(r#"ringsampler_trace_dropped_total{worker="1"} 1"#));
     // Every worker's six stage sums, so a scraper can take stage shares.

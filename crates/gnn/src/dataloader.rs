@@ -41,8 +41,6 @@ impl DataLoader {
         let batches = targets.len().div_ceil(batch_size.max(1));
         let (tx, rx) = sync_channel(prefetch.max(1));
         let producer = std::thread::spawn(move || {
-            // The thread-scoped clocks open on the producer's own thread.
-            worker.begin_epoch_profile();
             for (i, chunk) in targets.chunks(batch_size).enumerate() {
                 let item = worker.sample_batch(chunk, i as u64).map(|s| (i, s));
                 let failed = item.is_err();

@@ -8,10 +8,11 @@
 //! pipeline — batch start/end, read-plan construction, I/O-group submit
 //! and completion, scatter/decode, cache hits and misses, registration
 //! fallbacks. Recording is **allocation-free, lock-free, RMW-free and
-//! never blocks**: when the ring is full, new events are counted in a
-//! drop counter instead of overwriting or waiting, so the paper's §3.1
-//! sync-free hot-path invariant holds (the hot-path clippy line above and
-//! the `// ordering:` check in `tests/tests/invariants.rs` hold it there).
+//! never blocks**: when the ring is full, a new event overwrites the oldest
+//! undrained one, which is counted in a drop counter, so the ring always
+//! holds the worker's newest events and the paper's §3.1 sync-free
+//! hot-path invariant holds (the hot-path clippy line above and the
+//! `// ordering:` check in `tests/tests/invariants.rs` hold it there).
 //!
 //! ## Single-writer contract
 //!
@@ -135,47 +136,42 @@ pub struct TraceEvent {
     pub d: u64,
 }
 
-impl TraceEvent {
-    /// The all-zero placeholder used to initialize ring slots; never
-    /// returned by [`EventRing::drain`] or [`EventRing::recent`].
-    const fn empty() -> Self {
-        Self {
-            ts_ns: 0,
-            kind: EventKind::BatchStart,
-            a: 0,
-            b: 0,
-            c: 0,
-            d: 0,
-        }
-    }
-}
+// A ring's slots start as zeroed memory, which must be a valid (unread)
+// event: discriminant 0 is an `EventKind`.
+const _: () = assert!(EventKind::BatchStart as u8 == 0);
 
-/// A fixed-capacity, allocation-free, single-writer event ring with an
-/// overflow-drop counter. See the module docs for the writer contract
-/// and memory-ordering argument.
+/// A fixed-capacity, allocation-free, single-writer event ring that
+/// keeps its newest events and counts the ones it overwrote. See the
+/// module docs for the writer contract and memory-ordering argument.
 pub struct EventRing {
     /// One seqlock cell per slot; slot `i % capacity` holds event `i`.
     slots: Box<[SnapshotCell<TraceEvent>]>,
     /// Monotonic count of events ever written (single-writer cursor).
     head: AtomicU64,
-    /// Monotonic count of events drained by the writer. `head - tail`
-    /// is the ring occupancy; the writer drops when it reaches capacity.
+    /// The oldest undrained event: advanced by a drain, and by a record
+    /// that overwrites it. `head - tail` is the ring occupancy.
     tail: AtomicU64,
-    /// Events dropped because the ring was full at record time.
+    /// Events overwritten before a drain reached them.
     dropped: AtomicU64,
 }
 
 impl EventRing {
     /// Creates a ring holding at most `capacity` undrained events
-    /// (clamped to at least 1 — callers model "tracing off" by not
-    /// constructing a ring at all, not with a zero capacity).
+    /// (clamped to at least 1). The slots are zeroed memory, so a slot's
+    /// pages become resident only once an event is written there: a worker
+    /// that records few events pays for those, not for the whole ring.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let slots: Vec<SnapshotCell<TraceEvent>> = (0..capacity)
-            .map(|_| SnapshotCell::new(TraceEvent::empty()))
-            .collect();
+        let slots = Box::<[SnapshotCell<TraceEvent>]>::new_zeroed_slice(capacity);
+        // SAFETY: all-zero bytes are a valid `SnapshotCell<TraceEvent>`: the
+        // version is an `AtomicU64` (same layout as `u64`), the value an
+        // `UnsafeCell` (same layout as its `TraceEvent`) of five `u64`s and
+        // an `EventKind` whose discriminant 0 exists (asserted above). It is
+        // the cell `SnapshotCell::new` makes at version 0, and no slot is
+        // read before an event is written to it (reads stop at `head`).
+        let slots = unsafe { slots.assume_init() };
         Self {
-            slots: slots.into_boxed_slice(),
+            slots,
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -188,18 +184,18 @@ impl EventRing {
     }
 
     /// Records one event (writer side; owning thread only). Wait-free:
-    /// when the ring is full the event is counted in
-    /// [`dropped`](Self::dropped) and discarded — never blocks, never
-    /// overwrites an undrained slot.
+    /// when the ring is full the event overwrites the oldest undrained one,
+    /// which is counted in [`dropped`](Self::dropped) — never blocks, and
+    /// never discards the newest event.
     pub fn record(&self, ev: TraceEvent) {
         let h = self.head.load(Ordering::Acquire);
         let t = self.tail.load(Ordering::Acquire);
         if h.wrapping_sub(t) >= self.slots.len() as u64 {
-            // Store-only increment: sound because only the single writer
-            // ever stores `dropped`.
+            // Store-only increments: sound because only the single writer
+            // ever stores `tail` and `dropped`.
+            self.tail.store(t.wrapping_add(1), Ordering::Release);
             let d = self.dropped.load(Ordering::Acquire);
             self.dropped.store(d.wrapping_add(1), Ordering::Release);
-            return;
         }
         let idx = (h % self.slots.len() as u64) as usize;
         if let Some(slot) = self.slots.get(idx) {
@@ -265,7 +261,8 @@ impl EventRing {
         self.len() == 0
     }
 
-    /// Events dropped because the ring was full (readable any thread).
+    /// Events overwritten before a drain reached them (readable from any
+    /// thread).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Acquire)
     }
@@ -324,10 +321,11 @@ mod tests {
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.dropped(), 6);
-        // The four *oldest* events survive (drop-new, not overwrite-old).
+        assert_eq!(ring.head(), 10, "every event is written");
+        // The four *newest* events survive (overwrite-old, not drop-new).
         let out = ring.drain();
         let kept: Vec<u64> = out.iter().map(|e| e.ts_ns).collect();
-        assert_eq!(kept, vec![0, 1, 2, 3]);
+        assert_eq!(kept, vec![6, 7, 8, 9]);
         // Capacity is available again after the drain.
         ring.record(ev(99, EventKind::BatchEnd, 0));
         assert_eq!(ring.drain().len(), 1);
@@ -372,6 +370,7 @@ mod tests {
         ring.record(ev(2, EventKind::PlanBuilt, 0));
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.dropped(), 1);
+        assert_eq!(ring.drain()[0].ts_ns, 2, "the newest event is kept");
     }
 
     #[test]

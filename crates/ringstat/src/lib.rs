@@ -33,8 +33,9 @@
 //!   blocking the writer.
 //! * [`EventRing`] / [`TraceEvent`] — the `ringtrace` flight recorder: a
 //!   fixed-capacity, allocation-free, single-writer ring of seqlock
-//!   slots recording per-batch / per-I/O-group lifecycle events, with an
-//!   overflow-drop counter instead of blocking.
+//!   slots recording per-batch / per-I/O-group lifecycle events; when
+//!   full it overwrites its oldest event and counts it, instead of
+//!   blocking.
 //! * [`HistoryPoint`] — one timestamped [`WorkerSnapshot`] (the telemetry
 //!   thread keeps each worker's series itself), and the windowed rates
 //!   `/progress` reads off a series.

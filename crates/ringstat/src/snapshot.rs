@@ -63,16 +63,9 @@ pub struct WorkerSnapshot {
     /// True while the worker is actively sampling; flipped off at epoch
     /// join so the watchdog ignores finished workers.
     pub active: bool,
-    /// Device-backlog gauge: the time-average, over the batch just
-    /// finished, of the read requests the worker was blocked behind — Σ over
-    /// its I/O groups of (time parked in the engine's blocking wait × the
-    /// requests handed to the engine and not yet got back), over the
-    /// batch's latency. 0 when completions were always ready (or the
-    /// engine never blocks), and once the worker is inactive.
-    pub inflight: u64,
     /// Cumulative thread CPU nanoseconds consumed this epoch
-    /// (`CLOCK_THREAD_CPUTIME_ID`, updated per batch once the worker has
-    /// opened its epoch profile; 0 before); `/metrics` exports it as
+    /// (`CLOCK_THREAD_CPUTIME_ID`, read after every batch since the
+    /// epoch's first); `/metrics` exports it as
     /// `ringsampler_worker_cpu_nanos_total`.
     pub cpu_nanos: u64,
     /// The worker's counters.
@@ -253,7 +246,6 @@ mod tests {
         let s = WorkerSnapshot::default();
         assert_eq!(s.metrics.batches, 0);
         assert_eq!(s.metrics.sampled_edges, 0);
-        assert_eq!(s.inflight, 0);
         assert!(!s.active);
         assert_eq!(s.account.batch_latency.count(), 0);
     }

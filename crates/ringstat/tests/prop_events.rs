@@ -1,7 +1,8 @@
 //! Property tests for [`ringstat::EventRing`]: arbitrary write/drain
 //! interleavings against a reference model. Below capacity **no event is
-//! ever lost or reordered**; above capacity **every overflowed event is
-//! counted** in the drop counter — the ring never silently truncates.
+//! ever lost or reordered**; above capacity the ring keeps the newest
+//! events and **every overwritten event is counted** in the drop counter —
+//! the ring never silently truncates.
 
 use proptest::prelude::*;
 use ringstat::{EventKind, EventRing, TraceEvent};
@@ -32,9 +33,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Replays a random interleaving against a FIFO model: drains must
-    /// return exactly the model's accepted-but-undrained events in
-    /// order, and `dropped()` must equal the model's rejection count.
+    /// Replays a random interleaving against a FIFO model that drops its
+    /// oldest event when full: drains must return exactly the model's
+    /// undrained events in order, and `dropped()` must equal the number of
+    /// events the model overwrote.
     #[test]
     fn interleavings_lose_nothing_below_capacity_and_count_every_drop(
         capacity in 1usize..=32,
@@ -44,7 +46,7 @@ proptest! {
         prop_assert_eq!(ring.capacity(), capacity.max(1));
 
         let mut next_seq = 0u64;
-        let mut pending: Vec<u64> = Vec::new(); // accepted, undrained
+        let mut pending: Vec<u64> = Vec::new(); // undrained, newest last
         let mut expect_dropped = 0u64;
 
         for op in &ops {
@@ -52,11 +54,11 @@ proptest! {
                 Op::Write(n) => {
                     for _ in 0..*n {
                         ring.record(ev(next_seq));
-                        if pending.len() < ring.capacity() {
-                            pending.push(next_seq);
-                        } else {
+                        if pending.len() == ring.capacity() {
+                            pending.remove(0);
                             expect_dropped += 1;
                         }
+                        pending.push(next_seq);
                         next_seq += 1;
                     }
                 }
@@ -80,7 +82,7 @@ proptest! {
         let final_drained: Vec<u64> = ring.drain().iter().map(|e| e.a).collect();
         prop_assert_eq!(final_drained, pending);
         prop_assert_eq!(ring.dropped(), expect_dropped);
-        prop_assert_eq!(ring.head() + ring.dropped(), next_seq);
+        prop_assert_eq!(ring.head(), next_seq);
     }
 
     /// A writer that never outruns the drain cadence loses nothing, no
@@ -103,5 +105,27 @@ proptest! {
         prop_assert_eq!(ring.dropped(), 0);
         let expect: Vec<u64> = (0..seq).collect();
         prop_assert_eq!(all, expect);
+    }
+
+    /// For n records into a ring of capacity c, with no drain between:
+    /// `recent(k)` is the last min(k, n, c) events, `drain` the last
+    /// min(n, c) in order, and `dropped` is n − min(n, c).
+    #[test]
+    fn the_ring_keeps_the_newest_events(
+        capacity in 1usize..=32,
+        n in 0u64..=100,
+        k in 0usize..=40,
+    ) {
+        let ring = EventRing::new(capacity);
+        for seq in 0..n {
+            ring.record(ev(seq));
+        }
+        let last = |m: u64| -> Vec<u64> { (n - m..n).collect() };
+        let kept = n.min(capacity as u64);
+        let recent: Vec<u64> = ring.recent(k).iter().map(|e| e.a).collect();
+        prop_assert_eq!(recent, last(kept.min(k as u64)));
+        let drained: Vec<u64> = ring.drain().iter().map(|e| e.a).collect();
+        prop_assert_eq!(drained, last(kept));
+        prop_assert_eq!(ring.dropped(), n - kept);
     }
 }

@@ -10,8 +10,7 @@
 //! `--trace-events PATH` for the raw flight-recorder dump that the
 //! `ringtrace` analyzer turns into a per-stage latency breakdown (and,
 //! with `--chrome OUT`, into a per-worker Perfetto timeline). Pass
-//! `--serve <addr>` (or set `RS_SERVE=<addr>`) to watch the run live:
-//! `curl <addr>/progress`.
+//! `--serve <addr>` to watch the run live: `curl <addr>/progress`.
 
 use ringsampler::{RingSampler, SamplerConfig, TelemetryConfig};
 use ringsampler_bench::StatsSink;
@@ -50,14 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = build_dataset(n as u64, edges.into_iter(), &base, &PreprocessOptions::default())?;
     println!("graph: {} nodes, {} edges", graph.num_nodes(), graph.num_edges());
 
-    // `--serve <addr>` / `RS_SERVE` turn on ringscope live telemetry for
-    // the DataLoader's prefetch worker (args win over the environment).
+    // `--serve <addr>` turns on ringscope live telemetry for the
+    // DataLoader's prefetch worker.
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let serve = args
-        .windows(2)
-        .find(|w| w[0] == "--serve")
-        .map(|w| w[1].clone())
-        .or_else(|| std::env::var("RS_SERVE").ok().filter(|s| !s.is_empty()));
+    let serve = args.windows(2).find(|w| w[0] == "--serve").map(|w| w[1].clone());
 
     let sampler = RingSampler::new(
         graph,
