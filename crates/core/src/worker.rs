@@ -899,12 +899,14 @@ impl SamplerWorker {
 
     /// Grows the workspace memory charge to match actual scratch capacity;
     /// the failure mode is the paper's OOM under cgroup limits. Every term
-    /// is bounded by the group pipeline.
+    /// is bounded by the group pipeline, the staging arenas of a direct
+    /// reader's groups included.
     fn ensure_workspace_charge(&mut self) -> Result<()> {
         let pooled = self.buf_pool.iter().map(Vec::capacity).sum::<usize>()
             + self.req_pool.iter().map(Vec::capacity).sum::<usize>()
                 * std::mem::size_of::<ReadSlice>();
         let actual = (pooled + self.fetch.bytes()) as u64
+            + self.reader.stats().staging_bytes
             + 2 * self.cfg.ring_entries as u64 * ENTRY_BYTES
             + 64 * 1024;
         if actual > self.charged_bytes {
@@ -1392,6 +1394,73 @@ mod tests {
         let edges = (0..entries).map(|j| (j % 1024, j.wrapping_mul(2_654_435_761) % 1024));
         let csr = CsrGraph::from_edges(1024, edges).unwrap();
         Arc::new(write_csr(&csr, &base).unwrap())
+    }
+
+    /// Writes `graph`'s edge file back and drops it from the page cache: a
+    /// worker built next reads it with `O_DIRECT`.
+    fn drop_edge_cache(graph: &OnDiskGraph) {
+        use std::os::fd::AsRawFd;
+        let file = File::open(graph.edge_path()).unwrap();
+        file.sync_all().unwrap();
+        let dontneed = ringsampler_io::sys::POSIX_FADV_DONTNEED;
+        ringsampler_io::sys::fadvise(file.as_raw_fd(), dontneed).unwrap();
+    }
+
+    #[test]
+    fn direct_staging_is_charged_to_the_budget() {
+        let graph = long_graph("directcharge", 1 << 20);
+        let seeds: Vec<NodeId> = (0..64).collect();
+        let cfg = |budget: &MemoryBudget| {
+            SamplerConfig::new()
+                .fanouts(&[10, 5])
+                .ring_entries(64)
+                .engine(EngineKind::Uring)
+                .seed(5)
+                .budget(budget.clone())
+        };
+        // One batch on the file as written (buffered) and dropped (direct):
+        // the same samples and the same charge, but for the staging.
+        let batch = |cold: bool| {
+            if cold {
+                drop_edge_cache(&graph);
+            }
+            let budget = MemoryBudget::unlimited();
+            let mut w = worker(&graph, cfg(&budget));
+            let sample = w.sample_batch(&seeds, 0).unwrap();
+            (budget.used(), w.reader.stats().staging_bytes, sample)
+        };
+        let (warm, none, a) = batch(false);
+        let (cold, staged, b) = batch(true);
+        assert_eq!(a, b);
+        assert_eq!(none, 0);
+        assert!(staged > 0, "a dropped file was read buffered (is TMPDIR on tmpfs?)");
+        assert_eq!(cold - warm, staged, "the charge covers the staging");
+        // A budget that holds the buffered batch but not the staging.
+        drop_edge_cache(&graph);
+        let mut w = worker(&graph, cfg(&MemoryBudget::limited(cold - staged / 2)));
+        match w.sample_batch(&seeds, 0) {
+            Err(SamplerError::OutOfMemory { .. }) => {}
+            other => panic!("expected OutOfMemory, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn read_pages_of_a_dropped_file_match_pread() {
+        // 300,000 entries: 293 pages, the last one partial.
+        let graph = long_graph("droppedpages", 300_000);
+        let len = File::open(graph.edge_path()).unwrap().metadata().unwrap().len();
+        let pages: Vec<u64> = (0..len.div_ceil(PAGE_SIZE as u64)).filter(|p| p % 3 != 1).collect();
+        let bytes: u64 = pages.iter().map(|&p| (len - p * PAGE_SIZE as u64).min(PAGE_SIZE as u64)).sum();
+        let load = |engine| {
+            drop_edge_cache(&graph);
+            let mut w = worker(&graph, SamplerConfig::new().ring_entries(16).engine(engine));
+            let mut region = vec![0u8; bytes as usize];
+            w.read_pages(&pages, &mut region).unwrap();
+            (region, w.reader.stats().spanned)
+        };
+        let (direct, spanned) = load(EngineKind::Uring);
+        assert!(spanned > 0, "a dropped file was read buffered (is TMPDIR on tmpfs?)");
+        assert_eq!(direct, load(EngineKind::Pread).0);
     }
 
     #[test]

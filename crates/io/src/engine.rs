@@ -28,35 +28,38 @@
 //! when its last completion is reaped; if the reader's drop cannot drain
 //! the ring, it leaks every filed buffer rather than free one.
 //!
-//! Read a missing page once. A group's reads arrive in file order, so a
-//! target's draws from one neighbour list are adjacent reads of one page.
-//! When that page is not cached, every read after the first finds it locked
-//! by the first and takes io_uring's async buffered-read path (a wait entry,
-//! a wake, task work and a second read), which costs more CPU than the read
-//! itself. So once a group's lend leaves reads in flight past its
-//! `io_uring_enter` — the page cache is missing pages — the next group reads
-//! each run of two or more consecutive requests on one page with one SQE, a
-//! *span* of the run's extent, into a bounded staging tail of its buffer,
-//! and copies each request's bytes into place when the span is reaped. On a
-//! file the page cache holds, nothing spans: one SQE per request.
+//! Read what the page cache does not hold with `O_DIRECT`. When a uring
+//! reader opens, it samples how much of its file the page cache holds
+//! (`cachestat(2)`). A file mostly not held is read through a second open
+//! file description with `O_DIRECT`: each run of a group's requests on one
+//! page — a request alone on its page, or one that crosses pages, is a run
+//! of one — is one read of the run's extent rounded out to the direct-I/O
+//! block, into a page-aligned staging arena that the group's slot owns, and
+//! each request's bytes are copied into place when that read is reaped. No
+//! page lock, no page-cache copy, and a same-page run is read once. A file
+//! the page cache holds is read buffered, one SQE per request.
 
 use std::collections::VecDeque;
-use std::fs::File;
-use std::os::unix::fs::FileExt;
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::{FileExt, OpenOptionsExt};
 use std::os::unix::io::AsRawFd;
 use std::path::Path;
 use std::time::Instant;
 
 use crate::error::{IoEngineError, Result};
 use crate::ring::{Completion, FileRef, Ring};
+use crate::sys;
 
-/// Page-cache granularity: reads that share a page of this size wait on
-/// one another when it is not cached.
+/// Page-cache granularity: a same-page run is read once, and a staging
+/// arena is counted in pages of this size.
 const PAGE_BYTES: u64 = 4096;
 
-/// Staging bytes one group's spans may take past its payload: sixteen
-/// whole pages. A run past it is read read by read.
-const SPAN_BYTES_MAX: usize = 16 * PAGE_BYTES as usize;
+/// The residency probe reads this many windows, spread evenly over the
+/// file, of at most [`PROBE_PAGES`] pages each: its cost does not grow
+/// with the file.
+const PROBE_WINDOWS: u64 = 16;
+/// Pages in one window of the residency probe.
+const PROBE_PAGES: u64 = 16;
 
 /// One scattered read: `len` bytes at byte `offset` of the reader's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,10 +96,14 @@ pub struct ReaderStats {
     /// the calls that is the device's, not the CPU's. Always 0 for an
     /// engine that reads synchronously at submission.
     pub wait_nanos: u64,
-    /// Reads served from a span — one read of their run's extent on one
-    /// page — instead of read alone. Always 0 for an engine that reads
-    /// synchronously at submission.
+    /// Requests served from a staged direct read — one `O_DIRECT` read of
+    /// their run's extent — instead of read alone. Always 0 for a reader
+    /// that reads through the page cache.
     pub spanned: u64,
+    /// Bytes of page-aligned staging the reader holds for its direct reads:
+    /// the capacity of its arenas, which only grows. Not cumulative; always
+    /// 0 for a reader that reads through the page cache.
+    pub staging_bytes: u64,
 }
 
 /// A reader that executes scattered-read groups against one file.
@@ -227,24 +234,43 @@ impl<T> SlotTable<T> {
 // io_uring implementation
 // ---------------------------------------------------------------------------
 
+/// One page of a staging arena: a `Vec` of these is page-aligned, and so
+/// meets any direct-I/O memory alignment up to a page.
+#[derive(Clone, Copy)]
+#[repr(C, align(4096))]
+struct StagePage([u8; PAGE_BYTES as usize]);
+
+#[derive(Default)]
 struct Slot {
     buf: Vec<u8>,
-    /// The group's requests, indexed by the low bits of user_data.
+    /// The group's requests; a buffered read's CQE indexes them by the low
+    /// bits of user_data.
     reqs: Vec<ReadSlice>,
-    /// The group's spans; span `k` completes as index `reqs.len() + k`.
+    /// A direct group's reads, one per run, indexed by the low bits of
+    /// user_data. Empty for a buffered group.
     spans: Vec<Span>,
+    /// The page-aligned arena the spans land in. It goes back to `spare`
+    /// with the slot, so an arena only grows to the largest group it served.
+    stage: Vec<StagePage>,
     /// Reads lent to the kernel whose completions have not been reaped.
     remaining: u32,
-    /// First error observed among the group's completions.
-    error: Option<IoEngineError>,
+    /// The failure of the group's earliest failed request, by index,
+    /// whatever order the kernel completed its reads in.
+    error: Option<(usize, IoEngineError)>,
     /// The submit failed, so no token will come back for this group: it
     /// retires when its last completion is reaped.
     orphaned: bool,
 }
 
-/// A run of two or more consecutive requests on one page, read by one SQE:
-/// requests `first..end`, whose places start at payload byte `dst`, are
-/// served from `read`, their extent, which lands at `stage`, past the payload.
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} request(s), {} span(s), {} staging page(s)", self.reqs.len(), self.spans.len(), self.stage.len())
+    }
+}
+
+/// One direct read: requests `first..end`, whose places start at payload
+/// byte `dst`, are served from `read` — their extent rounded out to the
+/// direct-I/O block — which lands at byte `stage` of the slot's arena.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     first: usize,
@@ -254,10 +280,12 @@ struct Span {
     read: ReadSlice,
 }
 
-/// Files in `spans` each run of two or more consecutive `reqs` on one page,
-/// staged one after another from byte `payload` on, as long as the staging
-/// stays within [`SPAN_BYTES_MAX`]. Returns the bytes staged.
-fn plan_spans(reqs: &[ReadSlice], payload: usize, spans: &mut Vec<Span>) -> usize {
+/// Files in `spans` one direct read per run of consecutive `reqs` on one
+/// page — a request alone on its page, or one that crosses pages, is a run
+/// of one — its extent rounded out to `block`, staged one after another.
+/// Returns the bytes staged: at most a page per same-page run (`block`
+/// divides the page), a crossing request's own length plus two blocks.
+fn plan_spans(reqs: &[ReadSlice], block: u64, spans: &mut Vec<Span>) -> usize {
     // The page a request lies on, if it lies on one.
     let page = |r: &ReadSlice| {
         let last = r.offset.checked_add(u64::from(r.len.max(1)) - 1)?;
@@ -266,38 +294,53 @@ fn plan_spans(reqs: &[ReadSlice], payload: usize, spans: &mut Vec<Span>) -> usiz
     let (mut first, mut dst, mut staged) = (0, 0, 0);
     while let Some(rest) = reqs.get(first..).filter(|rest| !rest.is_empty()) {
         let on = rest.first().and_then(page);
-        let len = rest.iter().take_while(|r| on.is_some() && page(r) == on).count();
-        let run = rest.get(..len.max(1)).unwrap_or_default();
+        let len = rest.iter().take_while(|r| on.is_some() && page(r) == on).count().max(1);
+        let run = rest.get(..len).unwrap_or_default();
         let lo = run.iter().map(|r| r.offset).min().unwrap_or(0);
-        // At most a page: every request of the run lies on one.
-        let extent = run.iter().map(|r| r.offset - lo + u64::from(r.len)).max().unwrap_or(0) as usize;
-        if run.len() > 1 && staged + extent <= SPAN_BYTES_MAX {
-            let read = ReadSlice::new(lo, extent as u32);
-            spans.push(Span { first, end: first + run.len(), dst, stage: payload + staged, read });
-            staged += extent;
-        }
+        let hi = run.iter().map(|r| r.offset.saturating_add(u64::from(r.len))).max().unwrap_or(0);
+        let (start, end) = (lo - lo % block, hi.div_ceil(block).saturating_mul(block));
+        let read = ReadSlice::new(start, u32::try_from(end - start).unwrap_or(u32::MAX));
+        spans.push(Span { first, end: first + len, dst, stage: staged, read });
+        staged += read.len as usize;
         dst += run.iter().map(|r| r.len as usize).sum::<usize>();
-        first += run.len();
+        first += len;
     }
     staged
 }
 
 impl Slot {
-    /// Copies landed span `s` to its requests' places; returns how many.
-    fn serve(&mut self, s: Span) -> u64 {
-        let base = self.buf.as_mut_ptr();
-        let mut dst = s.dst;
+    /// Serves the requests of span `s`, of which the kernel read `got`
+    /// bytes: copies each into its place and returns how many. A read cut
+    /// short (at EOF) that still covers its requests is whole; one that
+    /// leaves a request short fills nothing and fails at that request.
+    fn serve(&mut self, s: Span, got: usize) -> std::result::Result<u64, (usize, IoEngineError)> {
+        // The arena holds `read.len` bytes of the span, whatever the CQE says.
+        let got = got.min(s.read.len as usize);
         let run = self.reqs.get(s.first..s.end).unwrap_or_default();
+        for (i, r) in (s.first..).zip(run) {
+            let have = got.saturating_sub((r.offset - s.read.offset) as usize).min(r.len as usize);
+            if have < r.len as usize {
+                let short = IoEngineError::ShortRead { offset: r.offset, expected: r.len, got: have as i32 };
+                return Err((i, short));
+            }
+        }
+        let staged = self.stage.as_ptr().cast::<u8>();
+        let mut dst = s.dst;
         for r in run {
             let from = s.stage + (r.offset - s.read.offset) as usize;
-            // SAFETY: `plan_spans` put each request inside the extent, at
-            // `stage..stage + read.len` past the payload, and its place in the
-            // payload: in bounds, disjoint, and no SQE in flight points at
-            // either. Raw pointers: other reads may still land in the buffer.
-            unsafe { std::ptr::copy_nonoverlapping(base.add(from), base.add(dst), r.len as usize) };
+            // SAFETY: `plan_spans` put each request inside its span's read,
+            // staged at `stage..stage + read.len` in the arena, and the loop
+            // above checked that its bytes landed: in bounds, written, and no
+            // SQE in flight points at them. Other reads may still land
+            // elsewhere in the arena, so only this request's bytes are
+            // borrowed.
+            let bytes = unsafe { std::slice::from_raw_parts(staged.add(from), r.len as usize) };
+            if let Some(place) = self.buf.get_mut(dst..dst + r.len as usize) {
+                place.copy_from_slice(bytes);
+            }
             dst += r.len as usize;
         }
-        run.len() as u64
+        Ok(run.len() as u64)
     }
 }
 
@@ -305,21 +348,22 @@ impl Slot {
 #[derive(Debug)]
 pub struct UringReader {
     ring: Ring,
+    /// The file the reader reads: the caller's, or its `O_DIRECT` twin.
     file: File,
+    /// The direct-I/O block when `file` was opened `O_DIRECT`: reads are
+    /// staged spans, aligned to it. `None`: buffered, one read per request.
+    block: Option<u64>,
     /// When true, the file is in the ring's registered table at index 0
     /// and reads use `IOSQE_FIXED_FILE` (skips per-I/O fd refcounting).
     registered: bool,
     groups: SlotTable<Slot>,
-    /// Request and span tables of completed groups, for the next slots.
-    spare: Vec<(Vec<ReadSlice>, Vec<Span>)>,
+    /// Slots of retired groups, their tables and arenas kept for the next.
+    spare: Vec<Slot>,
     /// SQEs prepared whose CQEs have not been reaped: what `Drop` drains.
     outstanding: u64,
-    /// The last group's lend left reads in flight past its enter: the page
-    /// cache is missing pages, so the next group reads its same-page runs
-    /// as spans.
-    missing: bool,
     wait_nanos: u64,
     spanned: u64,
+    staging_bytes: u64,
     /// Most SQEs ever outstanding at once.
     #[cfg(test)]
     peak_outstanding: u64,
@@ -327,11 +371,56 @@ pub struct UringReader {
 
 /// Tells the kernel that `file` is read at random: a sampler's reads are,
 /// by construction, so a missing page is read alone instead of with the
-/// readahead window behind it. Every reader does this once, when it is
-/// built. Best effort: returns whether the advice was taken, and a file
-/// that takes none is read all the same.
+/// readahead window behind it. Every reader that reads through the page
+/// cache does this once, when it is built. Best effort: returns whether the
+/// advice was taken, and a file that takes none is read all the same.
 fn advise_random(file: &File) -> bool {
     crate::sys::fadvise(file.as_raw_fd(), crate::sys::POSIX_FADV_RANDOM).is_ok()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Makes the next [`direct_twin`] on this thread refuse, the way a
+    /// kernel without `cachestat(2)` or a filesystem without `O_DIRECT` does.
+    static REFUSE_DIRECT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The `O_DIRECT` twin of `file` and its direct-I/O block, if the page
+/// cache holds fewer than half the pages of a fixed sample of the file and
+/// the filesystem reads it direct, with an alignment of at most a page.
+/// The twin is a second open file description (reopened through
+/// `/proc/self/fd`): the flag never touches the caller's, which every
+/// `try_clone` of it shares. `None` keeps the reader buffered.
+fn direct_twin(file: &File) -> Option<(File, u64)> {
+    #[cfg(test)]
+    if REFUSE_DIRECT.take() {
+        return None;
+    }
+    let fd = file.as_raw_fd();
+    let pages = file.metadata().ok()?.len().div_ceil(PAGE_BYTES);
+    let (mut sampled, mut cached) = (0, 0);
+    for k in 0..PROBE_WINDOWS {
+        let first = pages * k / PROBE_WINDOWS;
+        let n = (pages * (k + 1) / PROBE_WINDOWS - first).min(PROBE_PAGES);
+        if n > 0 {
+            cached += sys::cachestat(fd, first * PAGE_BYTES, n * PAGE_BYTES).ok()?.nr_cache;
+            sampled += n;
+        }
+    }
+    if sampled == 0 || 2 * cached >= sampled {
+        return None;
+    }
+    let (mem, offset) = sys::dio_align(fd).ok()?;
+    let block = u64::from(mem.max(offset));
+    if block == 0 || !block.is_power_of_two() || block > PAGE_BYTES {
+        return None;
+    }
+    let twin = OpenOptions::new()
+        .read(true)
+        .custom_flags(sys::O_DIRECT)
+        .open(format!("/proc/self/fd/{fd}"))
+        .ok()?;
+    Some((twin, block))
 }
 
 impl UringReader {
@@ -345,22 +434,32 @@ impl UringReader {
     }
 
     /// Builds a reader from an already-open file and a dedicated ring with
-    /// `queue_depth` entries.
+    /// `queue_depth` entries. A file the page cache mostly does not hold is
+    /// read with `O_DIRECT` through its own open file description; this is
+    /// decided here, once.
     ///
     /// # Errors
     /// Fails if the ring cannot be created.
     pub fn with_file(file: File, queue_depth: u32) -> Result<Self> {
-        advise_random(&file);
+        let ring = Ring::new(queue_depth)?;
+        let (file, block) = match direct_twin(&file) {
+            Some((twin, block)) => (twin, Some(block)),
+            None => {
+                advise_random(&file);
+                (file, None)
+            }
+        };
         Ok(Self {
-            ring: Ring::new(queue_depth)?,
+            ring,
             file,
+            block,
             registered: false,
             groups: SlotTable::new(),
             spare: Vec::new(),
             outstanding: 0,
-            missing: false,
             wait_nanos: 0,
             spanned: 0,
+            staging_bytes: 0,
             #[cfg(test)]
             peak_outstanding: 0,
         })
@@ -384,6 +483,11 @@ impl UringReader {
         self.registered
     }
 
+    /// Whether the reader reads its file with `O_DIRECT`, in staged spans.
+    pub fn is_direct(&self) -> bool {
+        self.block.is_some()
+    }
+
     /// Reaps one completion; when `block` is false, only if one is ready.
     /// The blocking wait is the one place an engine reads the clock.
     fn pump_one(&mut self, block: bool) -> Result<bool> {
@@ -405,26 +509,31 @@ impl UringReader {
 
     /// Files a completion under its group, wherever in the table that is:
     /// CQEs arrive in the kernel's order, not submission order. A span
-    /// serves its requests only if it landed whole.
+    /// serves its requests only if it covers them.
     fn file_completion(&mut self, c: Completion) {
         let idx = (c.user_data & 0xFFFFF) as usize;
         let Some(slot) = self.groups.get_mut(c.user_data >> 20) else {
             return;
         };
         let got = c.bytes().map(|n| n as usize);
-        let span = idx.checked_sub(slot.reqs.len()).and_then(|k| slot.spans.get(k)).copied();
-        let failure = match (slot.reqs.get(idx), span) {
-            (Some(r), _) => read_failure(r, got),
-            (None, Some(s)) => read_failure(&s.read, got).or_else(|| {
-                self.spanned += slot.serve(s);
-                None
-            }),
-            // A CQE whose user_data indexes outside the group it names:
-            // a ring accounting bug, reported instead of panicking.
-            (None, None) => Some(IoEngineError::InvalidToken(c.user_data)),
-        };
-        if slot.error.is_none() {
-            slot.error = failure;
+        let failure = if slot.spans.is_empty() {
+            slot.reqs.get(idx).map(|r| read_failure(r, got).map(|e| (idx, e)))
+        } else {
+            slot.spans.get(idx).copied().map(|s| match got {
+                Ok(n) => slot.serve(s, n).map(|served| self.spanned += served).err(),
+                Err(source) => {
+                    let offset = slot.reqs.get(s.first).map_or(s.read.offset, |r| r.offset);
+                    Some((s.first, IoEngineError::Completion { offset, source }))
+                }
+            })
+        }
+        // A CQE whose user_data indexes outside the group it names: a ring
+        // accounting bug, reported instead of panicking.
+        .unwrap_or(Some((idx, IoEngineError::InvalidToken(c.user_data))));
+        if let Some((i, e)) = failure {
+            if slot.error.as_ref().is_none_or(|(first, _)| i < *first) {
+                slot.error = Some((i, e));
+            }
         }
         slot.remaining -= 1;
         if slot.orphaned && slot.remaining == 0 {
@@ -432,10 +541,10 @@ impl UringReader {
         }
     }
 
-    /// Prepares the SQEs of the filed group `id` — one per span into its
-    /// staging, one per other request into its place in the payload — and
-    /// submits them with one enter. Each SQE is counted as it is prepared:
-    /// once published it is the kernel's, submit error or not.
+    /// Prepares the SQEs of the filed group `id` — one per request into its
+    /// place in the payload, or, direct, one per span into its staging —
+    /// and submits them with one enter. Each SQE is counted as it is
+    /// prepared: once published it is the kernel's, submit error or not.
     fn lend(&mut self, id: u64) -> Result<()> {
         let file = if self.registered {
             FileRef::Registered(0)
@@ -443,37 +552,31 @@ impl UringReader {
             FileRef::Fd(self.file.as_raw_fd())
         };
         let slot = self.groups.get_mut(id).ok_or(IoEngineError::InvalidToken(id))?;
-        let sqes = slot.reqs.len() - slot.spans.iter().map(|s| s.end - s.first - 1).sum::<usize>();
+        let buffered = slot.spans.is_empty();
+        let sqes = if buffered { slot.reqs.len() } else { slot.spans.len() };
         // Make SQ room if earlier groups still occupy slots.
         while self.ring.sq_space() < sqes {
             self.pump_one(true)?;
         }
         let slot = self.groups.get_mut(id).ok_or(IoEngineError::InvalidToken(id))?;
-        let base = slot.buf.as_mut_ptr();
-        let mut spans = slot.spans.iter().zip(slot.reqs.len()..).peekable();
-        let mut span_end = 0;
-        let mut cursor = 0usize;
-        for (i, r) in slot.reqs.iter().enumerate() {
-            let place = cursor;
-            cursor += r.len as usize;
-            let (at, read, idx) = match spans.next_if(|(s, _)| s.first == i) {
-                Some((s, k)) => {
-                    span_end = s.end;
-                    (s.stage, s.read, k)
-                }
-                None if i < span_end => continue,
-                None => (place, *r, i),
-            };
-            // SAFETY: the destination lies in the buffer of the group filed
-            // under `id`, which `submit_group` sized to the payload plus the
-            // staging of its spans. The table frees that buffer only once
+        let (payload, staged) = (slot.buf.as_mut_ptr(), slot.stage.as_mut_ptr().cast::<u8>());
+        let places = slot.reqs.iter().take(if buffered { sqes } else { 0 }).scan(0, |at, r| {
+            let place = *at;
+            *at += r.len as usize;
+            Some((payload.wrapping_add(place), *r))
+        });
+        let spans = slot.spans.iter().map(|s| (staged.wrapping_add(s.stage), s.read));
+        for (idx, (dst, read)) in places.chain(spans).enumerate() {
+            // SAFETY: the destination lies in the payload of the group filed
+            // under `id`, which `submit_group` sized to its requests, or in
+            // its arena, sized to its spans. The table frees both only once
             // `remaining` — counted up as soon as the SQE is queued — is
-            // back to 0, and `Drop` leaks it otherwise, so it outlives the
-            // read. Moving the slot within the table does not move the heap
-            // allocation. Registered index 0 is this reader's file.
+            // back to 0, and `Drop` leaks them otherwise, so they outlive
+            // the read. Moving the slot within the table does not move the
+            // heap allocations. Registered index 0 is this reader's file.
             unsafe {
                 self.ring
-                    .prepare_read(file, base.add(at), read.len, read.offset, (id << 20) | idx as u64)?;
+                    .prepare_read(file, dst, read.len, read.offset, (id << 20) | idx as u64)?;
             }
             slot.remaining += 1;
             self.outstanding += 1;
@@ -483,7 +586,6 @@ impl UringReader {
             self.peak_outstanding = self.peak_outstanding.max(self.outstanding);
         }
         self.ring.submit()?;
-        self.missing = (self.ring.cq_ready() as u64) < self.outstanding;
         Ok(())
     }
 
@@ -496,11 +598,12 @@ impl UringReader {
         }
     }
 
-    /// Takes group `id` out of the table for good, keeping its request and
-    /// span tables for the next group.
+    /// Takes group `id` out of the table for good, keeping its slot — not
+    /// its buffer — for the next group.
     fn retire(&mut self, id: u64) {
-        if let Some(slot) = self.groups.take(id) {
-            self.spare.push((slot.reqs, slot.spans));
+        if let Some(mut slot) = self.groups.take(id) {
+            slot.buf = Vec::new();
+            self.spare.push(slot);
         }
     }
 }
@@ -518,33 +621,33 @@ impl GroupReader for UringReader {
             });
         }
         assert!(
-            2 * reqs.len() < (1 << 20),
+            reqs.len() < (1 << 20),
             "a group's request and span indices must fit in 20 bits of user_data"
         );
-        let (mut table, mut spans) = self.spare.pop().unwrap_or_default();
-        table.clear();
-        table.extend_from_slice(reqs);
-        let total: usize = reqs.iter().map(|r| r.len as usize).sum();
-        spans.clear();
-        let staged = if self.missing { plan_spans(reqs, total, &mut spans) } else { 0 };
+        let mut slot = self.spare.pop().unwrap_or_default();
+        slot.reqs.clear();
+        slot.reqs.extend_from_slice(reqs);
+        slot.spans.clear();
+        (slot.remaining, slot.error, slot.orphaned) = (0, None, false);
+        if let Some(block) = self.block {
+            let pages = plan_spans(reqs, block, &mut slot.spans).div_ceil(PAGE_BYTES as usize);
+            if slot.stage.len() < pages {
+                let held = slot.stage.capacity();
+                slot.stage.reserve_exact(pages - slot.stage.len());
+                slot.stage.resize(pages, StagePage([0; PAGE_BYTES as usize]));
+                self.staging_bytes += ((slot.stage.capacity() - held) as u64) * PAGE_BYTES;
+            }
+        }
         // Zero-fills only a genuine extension: the reads overwrite the rest.
-        // Staging is reserved exactly: a buffer outgrows its payload by at
-        // most `SPAN_BYTES_MAX`, and completion cuts the staging off.
+        let total: usize = reqs.iter().map(|r| r.len as usize).sum();
         buf.resize(total, 0);
-        buf.reserve_exact(staged);
-        buf.resize(total + staged, 0);
+        slot.buf = buf;
 
         // Own first, lend second: the group is filed before any SQE points
-        // into its buffer, so a failed submit cannot free what it lent.
+        // into its buffer or arena, so a failed submit cannot free what it
+        // lent.
         let id = self.groups.next_id();
-        self.groups.push(Slot {
-            buf,
-            reqs: table,
-            spans,
-            remaining: 0,
-            error: None,
-            orphaned: false,
-        });
+        self.groups.push(slot);
         match self.lend(id) {
             Ok(()) => Ok(GroupToken { id }),
             Err(e) => {
@@ -566,14 +669,11 @@ impl GroupReader for UringReader {
             .groups
             .take(token.id)
             .ok_or(IoEngineError::InvalidToken(token.id))?;
-        // The payload ends where the first span's staging starts.
-        if let Some(s) = slot.spans.first() {
-            slot.buf.truncate(s.stage);
-        }
-        self.spare.push((slot.reqs, slot.spans));
-        match slot.error {
-            Some(e) => Err(e),
-            None => Ok(slot.buf),
+        let (buf, error) = (std::mem::take(&mut slot.buf), slot.error.take());
+        self.spare.push(slot);
+        match error {
+            Some((_, e)) => Err(e),
+            None => Ok(buf),
         }
     }
 
@@ -582,6 +682,7 @@ impl GroupReader for UringReader {
             syscalls: self.ring.enter_calls(),
             wait_nanos: self.wait_nanos,
             spanned: self.spanned,
+            staging_bytes: self.staging_bytes,
         }
     }
 
@@ -692,6 +793,7 @@ impl GroupReader for PreadReader {
             syscalls: self.syscalls,
             wait_nanos: 0,
             spanned: 0,
+            staging_bytes: 0,
         }
     }
 
@@ -711,24 +813,28 @@ mod tests {
         path
     }
 
+    /// Writes `file`'s dirty pages back and drops every page of it from the
+    /// page cache, so a reader opened next reads it with `O_DIRECT`.
+    fn drop_cached(file: &File) {
+        file.sync_all().unwrap();
+        crate::sys::fadvise(file.as_raw_fd(), crate::sys::POSIX_FADV_DONTNEED).unwrap();
+    }
+
     /// A file of `n` little-endian u32s, each its own index, written back
-    /// and then dropped from the page cache: its reads go to the device.
+    /// and then dropped from the page cache: a reader opened on it next
+    /// reads it direct.
     fn write_cold_u32_file(n: u32) -> std::path::PathBuf {
         let path = write_u32_file(n);
-        let file = File::open(&path).unwrap();
-        file.sync_all().unwrap();
-        #[cfg(target_arch = "x86_64")]
-        const SYS_FADVISE64: libc::c_long = 221;
-        #[cfg(target_arch = "aarch64")]
-        const SYS_FADVISE64: libc::c_long = 223;
-        const POSIX_FADV_DONTNEED: libc::c_long = 4;
-        // SAFETY: fadvise64 takes a descriptor and three integers and
-        // touches no user memory; `file` is open for the call.
-        let r = unsafe {
-            libc::syscall(SYS_FADVISE64, file.as_raw_fd(), 0i64, 0i64, POSIX_FADV_DONTNEED)
-        };
-        assert_eq!(r, 0, "fadvise(DONTNEED): {}", std::io::Error::last_os_error());
+        drop_cached(&File::open(&path).unwrap());
         path
+    }
+
+    /// A direct reader on the cold file at `path`; fails if the filesystem
+    /// keeps the file cached or refuses `O_DIRECT` (tmpfs).
+    fn direct_reader(path: &Path, qd: u32) -> UringReader {
+        let r = UringReader::open(path, qd).unwrap();
+        assert!(r.is_direct(), "a dropped file opened buffered (is TMPDIR on tmpfs?)");
+        r
     }
 
     /// `runs` runs of `len` adjacent 4-byte reads, each run on its own page
@@ -918,7 +1024,6 @@ mod tests {
         // Group 2's SQEs are published, then its enter fails: the next
         // enter carries them, into group 2's buffer. All eight of them,
         // whether or not group 1's reads were still in flight.
-        r.missing = false;
         r.ring.fail_next_submit = true;
         assert!(matches!(
             r.submit_group(&group(2).0, Vec::new()),
@@ -972,12 +1077,9 @@ mod tests {
         for id in 1..=3u64 {
             assert_eq!(r.groups.next_id(), id);
             r.groups.push(Slot {
-                buf: Vec::new(),
                 reqs: vec![ReadSlice::new(id * 8, 4), ReadSlice::new(id * 8 + 4, 4)],
                 remaining: 2,
-                spans: Vec::new(),
-                error: None,
-                orphaned: false,
+                ..Slot::default()
             });
         }
         let cqe = |id: u64, idx: u64, result| Completion {
@@ -998,7 +1100,7 @@ mod tests {
         let second = r.groups.take(2).unwrap();
         assert!(matches!(
             second.error,
-            Some(IoEngineError::ShortRead { offset: 16, expected: 4, got: 2 })
+            Some((0, IoEngineError::ShortRead { offset: 16, expected: 4, got: 2 }))
         ));
         assert!(r.groups.take(2).is_none(), "a group is taken once");
         assert_eq!(r.groups.oldest, 1);
@@ -1015,7 +1117,7 @@ mod tests {
         let reqs: Vec<ReadSlice> = (0..8u64).map(|i| ReadSlice::new(i * 4, 4)).collect();
         let mut p = PreadReader::open(&path, 8).unwrap();
         read_group_blocking(&mut p, &reqs, Vec::new()).unwrap();
-        assert_eq!(p.stats(), ReaderStats { syscalls: 8, wait_nanos: 0, spanned: 0 });
+        assert_eq!(p.stats(), ReaderStats { syscalls: 8, wait_nanos: 0, spanned: 0, staging_bytes: 0 });
         let mut u = UringReader::open(&path, 8).unwrap();
         let t = u.submit_group(&reqs, Vec::new()).unwrap();
         // Every CQE is reaped by a peek or by the parked wait; only the
@@ -1035,39 +1137,46 @@ mod tests {
         let qd = 32u32;
         let groups: Vec<Vec<ReadSlice>> = (0..8).map(|k| same_page_runs(k * 8, 4, 8, 1)).collect();
         let mut r = UringReader::open(&path, qd).unwrap();
+        // Just written, the file is in the page cache: the reader reads it
+        // buffered, one SQE per request, and stages nothing.
+        assert!(!r.is_direct());
         let got = pipelined(&mut r, &groups);
         for (g, buf) in groups.iter().zip(&got) {
             assert_eq!(buf, &entries_of(g));
         }
-        // Every lend completes inside its enter: nothing spans, each request
-        // keeps its own SQE and each group costs one syscall.
-        assert!(!r.missing);
-        assert_eq!(r.stats().spanned, 0);
-        assert_eq!(r.stats().syscalls, groups.len() as u64);
+        let stats = r.stats();
+        assert_eq!((stats.spanned, stats.staging_bytes), (0, 0));
+        assert_eq!(stats.syscalls, groups.len() as u64, "one enter per group");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn cold_same_page_runs_wait_on_each_page_once() {
-        // 32 MiB, so runs 64 pages apart each start on a page no readahead
-        // of another run has brought in.
+        // 32 MiB, runs 64 pages apart: a dropped file, read direct.
         let n = 8 << 20;
         let path = write_cold_u32_file(n);
         let qd = 32u32;
         let groups: Vec<Vec<ReadSlice>> =
             (0..8).map(|k| same_page_runs(k * 4 * 64, 4, 8, 64)).collect();
-        let mut r = UringReader::open(&path, qd).unwrap();
-        let got = pipelined(&mut r, &groups);
+        let mut r = direct_reader(&path, qd);
+        let mut sqes = Vec::new();
+        let mut ahead: Option<GroupToken> = None;
+        let mut got = Vec::new();
+        for g in &groups {
+            let before = r.outstanding;
+            let t = r.submit_group(g, Vec::new()).unwrap();
+            sqes.push(r.outstanding - before);
+            if let Some(prev) = ahead.replace(t) {
+                got.push(r.complete_group(prev).unwrap());
+            }
+        }
+        got.push(r.complete_group(ahead.unwrap()).unwrap());
         let mut p = PreadReader::open(&path, qd).unwrap();
         assert_eq!(got, pipelined(&mut p, &groups));
-        // Each group's lend is a chance to find reads in flight past its
-        // enter (a busy host can post a read's completion before the enter
-        // returns); missing all eight means the file stayed cached.
-        assert!(
-            r.stats().spanned > 0,
-            "no lend of a dropped file left a read in flight: \
-             POSIX_FADV_DONTNEED took no effect (is TMPDIR on tmpfs?)"
-        );
+        // Each page is read once, by one read of its run, and every request
+        // is served from it.
+        assert_eq!(sqes, vec![4; groups.len()]);
+        assert_eq!(r.stats().spanned, (groups.len() * 32) as u64);
         assert_eq!(r.outstanding, 0);
         assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
         // A group lends at most one SQE per request, so the two groups in
@@ -1087,9 +1196,9 @@ mod tests {
     fn spanned_runs_read_what_pread_reads_with_one_sqe_per_run() {
         // Random groups of same-page runs of 1–8 sorted 4-byte reads, each
         // run on another page than the one before, with now and then a read
-        // that straddles two pages and so joins no run.
+        // that straddles two pages and so is a run of its own.
         let pages = 256u64;
-        let path = write_u32_file((pages * PAGE_BYTES / 4) as u32);
+        let path = write_cold_u32_file((pages * PAGE_BYTES / 4) as u32);
         let qd = 32usize;
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |n: u64| {
@@ -1098,9 +1207,9 @@ mod tests {
             seed ^= seed << 17;
             seed % n
         };
-        let mut r = UringReader::open(&path, qd as u32).unwrap();
+        let mut r = direct_reader(&path, qd as u32);
         let mut p = PreadReader::open(&path, qd as u32).unwrap();
-        let (mut page, mut spanned) = (0u64, 0u64);
+        let (mut page, mut requests) = (0u64, 0u64);
         for _ in 0..40 {
             let mut reqs = Vec::new();
             while reqs.len() < qd {
@@ -1115,21 +1224,17 @@ mod tests {
                 reqs.extend(slots.iter().take(room).map(|&s| ReadSlice::new(page * PAGE_BYTES + s * 4, 4)));
             }
             // One SQE per maximal run of reads on one page, one per other read.
-            let runs: Vec<usize> = reqs
-                .chunk_by(|a, b| one_page(a).is_some() && one_page(a) == one_page(b))
-                .map(<[ReadSlice]>::len)
-                .collect();
-            spanned += runs.iter().filter(|&&n| n > 1).sum::<usize>() as u64;
+            let runs = reqs.chunk_by(|a, b| one_page(a).is_some() && one_page(a) == one_page(b)).count();
+            requests += reqs.len() as u64;
             let enters = r.stats().syscalls;
-            r.missing = true;
             let t = r.submit_group(&reqs, Vec::new()).unwrap();
-            assert_eq!(r.outstanding, runs.len() as u64, "{reqs:?}");
+            assert_eq!(r.outstanding, runs as u64, "{reqs:?}");
             let got = r.complete_group(t).unwrap();
             assert_eq!(got, read_group_blocking(&mut p, &reqs, Vec::new()).unwrap());
             assert_eq!(got.len(), reqs.iter().map(|q| q.len as usize).sum::<usize>());
-            assert_eq!(r.stats().syscalls - enters, 1, "one enter per group");
+            assert!(r.stats().syscalls > enters, "a group's reads take an enter");
         }
-        assert_eq!(r.stats().spanned, spanned);
+        assert_eq!(r.stats().spanned, requests, "every request is served from staging");
         std::fs::remove_file(path).ok();
     }
 
@@ -1137,38 +1242,52 @@ mod tests {
     fn only_whole_page_runs_span() {
         let mut spans = Vec::new();
         let at = |offset, len| ReadSlice::new(offset, len);
-        // A run of three on page 1, a read straddling pages 1 and 2 that
-        // joins no run, a lone read, then two reads whose page ends the
-        // address space and one whose end overflows it.
+        // A run of three on page 1, a read straddling pages 1 and 2, a lone
+        // read, then two reads whose page ends the address space and one
+        // whose end overflows it: each run is one read of its extent,
+        // rounded out to the 512-byte block, staged one after another.
         let reqs = [
             at(4096, 4), at(4100, 8), at(4096, 4), at(8190, 4),
             at(9000, 4),
             at(u64::MAX - 7, 4), at(u64::MAX - 3, 4), at(u64::MAX - 1, 4),
         ];
-        assert_eq!(plan_spans(&reqs, 100, &mut spans), 12 + 8);
+        assert_eq!(plan_spans(&reqs, 512, &mut spans), 512 + 1024 + 512 + 511 + 511);
         let got: Vec<_> = spans.iter().map(|s| (s.first, s.end, s.dst, s.stage, s.read)).collect();
-        assert_eq!(got, [(0, 3, 0, 100, at(4096, 12)), (5, 7, 24, 112, at(u64::MAX - 7, 8))]);
+        let last = u64::MAX - 511;
+        assert_eq!(
+            got,
+            [
+                (0, 3, 0, 0, at(4096, 512)),
+                (3, 4, 16, 512, at(7680, 1024)),
+                (4, 5, 20, 1536, at(8704, 512)),
+                (5, 7, 24, 2048, at(last, 511)),
+                (7, 8, 32, 2559, at(last, 511)),
+            ]
+        );
     }
 
     #[test]
     fn short_span_fails_its_group_and_fills_nothing() {
-        let path = write_u32_file(4);
-        let mut r = UringReader::open(&path, 8).unwrap();
-        // One run on page 0 whose extent, [0, 20), passes the 16-byte EOF.
+        // 16 bytes: each span reads a whole block and gets 16 back.
+        let path = write_cold_u32_file(4);
+        let mut r = direct_reader(&path, 8);
+        let mut p = PreadReader::open(&path, 8).unwrap();
+        // One run on page 0 whose fifth request, at 16, lies past EOF.
         let eof: Vec<ReadSlice> = (0..5).map(|i| ReadSlice::new(i * 4, 4)).collect();
-        r.missing = true;
         let t = r.submit_group(&eof, Vec::new()).unwrap();
         assert_eq!(r.groups.get_mut(1).map(|s| (s.remaining, s.spans.len())), Some((1, 1)));
-        assert!(matches!(
-            r.complete_group(t),
-            Err(IoEngineError::ShortRead { offset: 0, expected: 20, got: 16 })
-        ));
+        let short = |e| match e {
+            Err(IoEngineError::ShortRead { offset, expected, got }) => (offset, expected, got),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(short(r.complete_group(t)), (16, 4, 0));
+        assert_eq!(short(read_group_blocking(&mut p, &eof, Vec::new())), (16, 4, 0));
         assert_eq!(r.stats().spanned, 0, "a short span served a request");
         assert_eq!(r.outstanding, 0);
         assert!(r.groups.slots.is_empty(), "{:?}", r.groups);
-        // The reader goes on: the next span is served whole.
+        // The reader goes on: a read cut short at EOF that covers its
+        // requests serves them.
         let reqs = [ReadSlice::new(4, 4), ReadSlice::new(12, 4)];
-        r.missing = true;
         assert_eq!(read_group_blocking(&mut r, &reqs, Vec::new()).unwrap(), entries_of(&reqs));
         assert_eq!(r.stats().spanned, 2);
         std::fs::remove_file(path).ok();
@@ -1176,11 +1295,10 @@ mod tests {
 
     #[test]
     fn failed_span_lend_frees_nothing_the_kernel_writes() {
-        let path = write_u32_file(4_096);
-        let mut r = UringReader::open(&path, 32).unwrap();
+        let path = write_cold_u32_file(4_096);
+        let mut r = direct_reader(&path, 32);
         // Two runs of eight on pages 0 and 1: two spans, two SQEs.
         let g1 = same_page_runs(0, 2, 8, 1);
-        r.missing = true;
         // The spans' SQEs are published, then their enter fails: the next
         // enter carries them, into group 1's staging.
         r.ring.fail_next_submit = true;
@@ -1205,23 +1323,104 @@ mod tests {
 
     #[test]
     fn span_staging_stays_within_its_bound() {
-        let path = write_u32_file(1 << 16);
+        let path = write_cold_u32_file(1 << 20);
         let qd = 64u32;
-        // 32 runs of two reads at the two ends of a page: whole-page spans,
-        // of which the bound stages 16; the other 16 runs go read by read.
-        let reqs: Vec<ReadSlice> = (0..32u64)
+        let mut r = direct_reader(&path, qd);
+        let block = r.block.unwrap();
+        // 32 runs of two reads at the two ends of a page: each run's read is
+        // its whole page, and the staging is one page per run.
+        let runs: Vec<ReadSlice> = (0..32u64)
             .flat_map(|k| [0, PAGE_BYTES - 4].map(|at| ReadSlice::new(k * PAGE_BYTES + at, 4)))
             .collect();
-        let bounded = SPAN_BYTES_MAX / PAGE_BYTES as usize;
-        let mut r = UringReader::open(&path, qd).unwrap();
-        r.missing = true;
-        let t = r.submit_group(&reqs, Vec::new()).unwrap();
-        assert_eq!(r.outstanding, (bounded + 2 * (32 - bounded)) as u64);
-        assert_eq!(r.groups.get_mut(1).map(|s| s.buf.len()), Some(reqs.len() * 4 + SPAN_BYTES_MAX));
-        let got = r.complete_group(t).unwrap();
-        assert_eq!(got, entries_of(&reqs));
-        assert!(got.capacity() <= reqs.len() * 4 + SPAN_BYTES_MAX, "{}", got.capacity());
-        assert_eq!(r.stats().spanned, 2 * bounded as u64);
+        assert_eq!(read_group_blocking(&mut r, &runs, Vec::new()).unwrap(), entries_of(&runs));
+        assert_eq!(r.stats().staging_bytes, 32 * PAGE_BYTES);
+        // Four 64 KiB slices that start and end inside pages: each a run of
+        // one, staged in at most its own length plus two blocks.
+        let slices: Vec<ReadSlice> = (0..4u64).map(|k| ReadSlice::new(k * 70_000 + 12, 64 << 10)).collect();
+        let mut p = PreadReader::open(&path, qd).unwrap();
+        let got = read_group_blocking(&mut r, &slices, Vec::new()).unwrap();
+        assert_eq!(got, read_group_blocking(&mut p, &slices, Vec::new()).unwrap());
+        let bound = 4 * ((64 << 10) + 2 * block);
+        // One slot served both groups: its arena grew to the larger.
+        assert_eq!(r.spare.len(), 1);
+        assert_eq!(r.stats().staging_bytes, bound.max(32 * PAGE_BYTES).div_ceil(PAGE_BYTES) * PAGE_BYTES);
+        assert_eq!(r.stats().spanned, (runs.len() + slices.len()) as u64);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn direct_reads_match_pread_on_a_file_no_block_divides() {
+        // 4,001 entries: 16,004 bytes, a multiple of no direct-I/O block.
+        let n = 4_001u32;
+        let path = write_cold_u32_file(n);
+        let mut r = direct_reader(&path, 64);
+        let mut p = PreadReader::open(&path, 64).unwrap();
+        let groups: Vec<Vec<ReadSlice>> = (0..6u64)
+            .map(|g| (0..64u64).map(|i| ReadSlice::new((g * 631 + i * i * 17) % u64::from(n) * 4, 4)).collect())
+            .collect();
+        let mut groups = groups;
+        // The file's last entry, and a read that ends exactly at EOF.
+        groups.push(vec![ReadSlice::new(u64::from(n - 1) * 4, 4), ReadSlice::new(16_004 - 1_000, 1_000)]);
+        assert_eq!(pipelined(&mut r, &groups), pipelined(&mut p, &groups));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn truncated_direct_file_fails_where_pread_does() {
+        let path = write_cold_u32_file(16 << 10);
+        let mut r = direct_reader(&path, 16);
+        let mut p = PreadReader::open(&path, 16).unwrap();
+        // The file loses its tail after both readers opened it: 10,002
+        // bytes are left, so the read at 10,000 is cut short after 2 bytes
+        // and every read past it gets nothing.
+        File::options().write(true).open(&path).unwrap().set_len(10_002).unwrap();
+        let reqs: Vec<ReadSlice> =
+            [40_000, 12_000, 10_000, 4, 9_996, 20_000].map(|at| ReadSlice::new(at, 4)).to_vec();
+        let short = |e: Result<Vec<u8>>| match e {
+            Err(IoEngineError::ShortRead { offset, expected, got }) => (offset, expected, got),
+            other => panic!("{other:?}"),
+        };
+        // The earliest request that failed, whichever read completed first.
+        let want = short(read_group_blocking(&mut p, &reqs, Vec::new()));
+        assert_eq!(want, (40_000, 4, 0));
+        assert_eq!(short(read_group_blocking(&mut r, &reqs, Vec::new())), want);
+        let tail = [ReadSlice::new(4, 4), ReadSlice::new(10_000, 4)];
+        assert_eq!(short(read_group_blocking(&mut r, &tail, Vec::new())), (10_000, 4, 2));
+        assert_eq!(short(read_group_blocking(&mut p, &tail, Vec::new())), (10_000, 4, 2));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn page_straddling_coalesced_slices_match_pread() {
+        let path = write_cold_u32_file(1 << 20);
+        let mut r = direct_reader(&path, 8);
+        let mut p = PreadReader::open(&path, 8).unwrap();
+        // 64 KiB slices at every alignment a coalesced plan produces: on a
+        // page boundary, inside a page, and ending a byte into the next.
+        let groups: Vec<Vec<ReadSlice>> = (0..4u64)
+            .map(|g| (0..8u64).map(|i| ReadSlice::new(g * 600_000 + i * 70_001 + g * 4, 64 << 10)).collect())
+            .collect();
+        assert_eq!(pipelined(&mut r, &groups), pipelined(&mut p, &groups));
+        assert_eq!(r.stats().spanned, 32);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn refused_direct_reads_the_dropped_file_buffered() {
+        let path = write_cold_u32_file(1 << 20);
+        // The probe refuses, as without cachestat(2) or on a filesystem
+        // that takes no O_DIRECT: the reader stays buffered.
+        REFUSE_DIRECT.set(true);
+        let mut r = UringReader::open(&path, 32).unwrap();
+        assert!(!r.is_direct());
+        let mut p = PreadReader::open(&path, 32).unwrap();
+        let groups: Vec<Vec<ReadSlice>> = (0..8).map(|k| same_page_runs(k * 64, 4, 8, 3)).collect();
+        assert_eq!(pipelined(&mut r, &groups), pipelined(&mut p, &groups));
+        assert_eq!((r.stats().spanned, r.stats().staging_bytes), (0, 0));
+        // The refusal was for one reader: the next one on a dropped file
+        // reads direct.
+        drop_cached(&File::open(&path).unwrap());
+        assert!(direct_reader(&path, 32).is_direct());
         std::fs::remove_file(path).ok();
     }
 

@@ -320,7 +320,8 @@ impl Ring {
     /// `offset` into `buf`: the one way memory is lent to a ring. Its only
     /// non-test caller is `UringReader::lend`, which `submit_group` runs
     /// once per group, after filing the group that owns the buffer: each
-    /// read points into the group's payload, each span into its staging.
+    /// buffered read points into the group's payload, each direct read into
+    /// its staging arena.
     ///
     /// # Errors
     /// [`IoEngineError::SubmissionQueueFull`] if no SQ slot is free.
@@ -409,19 +410,6 @@ impl Ring {
                 user_data: cqe.user_data,
                 result: cqe.res,
             })
-        }
-    }
-
-    /// Completions waiting in the CQ: reads that have landed and are not yet
-    /// reaped. Right after a submit, fewer of these than reads lent means
-    /// some went to the device.
-    pub fn cq_ready(&self) -> usize {
-        // SAFETY: cq_head/cq_tail point into the live mapping.
-        unsafe {
-            // ordering: cq_head's sole writer is this thread; the kernel only reads it, so no acquire is needed
-            let head = (*self.cq_head).load(Ordering::Relaxed);
-            let tail = (*self.cq_tail).load(Ordering::Acquire);
-            tail.wrapping_sub(head) as usize
         }
     }
 

@@ -1,6 +1,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 //! Raw io_uring ABI: syscall numbers, shared-memory structure layouts, and
-//! constants, transcribed from `<linux/io_uring.h>`.
+//! constants, transcribed from `<linux/io_uring.h>`; plus the file-state
+//! calls a reader opens with (`fadvise64`, `cachestat`, `statx`).
 //!
 //! This module is deliberately free of any policy: it only defines the
 //! kernel interface. The safe wrapper lives in [`crate::ring`].
@@ -28,6 +29,29 @@ pub const SYS_FADVISE64: libc::c_long = 223;
 /// `posix_fadvise` advice: the file is read at random, so read no pages
 /// ahead of the ones asked for.
 pub const POSIX_FADV_RANDOM: libc::c_long = 1;
+/// `posix_fadvise` advice: drop the file's clean pages from the page cache
+/// (what a cold-file test or benchmark does before it reads).
+pub const POSIX_FADV_DONTNEED: libc::c_long = 4;
+
+/// `cachestat(2)` syscall number (kernel ≥ 6.5; one number on every
+/// architecture).
+pub const SYS_CACHESTAT: libc::c_long = 451;
+/// `statx(2)` syscall number.
+#[cfg(target_arch = "x86_64")]
+pub const SYS_STATX: libc::c_long = 332;
+/// `statx(2)` syscall number.
+#[cfg(target_arch = "aarch64")]
+pub const SYS_STATX: libc::c_long = 291;
+/// `statx` flag: the path is empty, so the call describes the descriptor.
+pub const AT_EMPTY_PATH: libc::c_int = 0x1000;
+/// `statx` mask bit: report `stx_dio_mem_align` and `stx_dio_offset_align`.
+pub const STATX_DIOALIGN: u32 = 0x2000;
+/// `open(2)` flag: reads bypass the page cache.
+#[cfg(target_arch = "x86_64")]
+pub const O_DIRECT: libc::c_int = 0o40000;
+/// `open(2)` flag: reads bypass the page cache.
+#[cfg(target_arch = "aarch64")]
+pub const O_DIRECT: libc::c_int = 0o200000;
 
 // --- setup flags (io_uring_params.flags) ---
 
@@ -242,6 +266,94 @@ pub struct IoUringProbeOp {
 /// `IoUringProbeOp::flags` bit: the opcode is supported.
 pub const IO_URING_OP_SUPPORTED: u16 = 1 << 0;
 
+/// The byte range `cachestat(2)` reports on (`len` 0: to the end of file).
+#[repr(C)]
+struct CachestatRange {
+    off: u64,
+    len: u64,
+}
+
+/// Page-cache state of a `cachestat(2)` range, in pages.
+#[repr(C)]
+#[derive(Debug, Default, Clone, Copy)]
+#[allow(missing_docs)] // fields mirror <linux/mman.h> verbatim
+pub struct Cachestat {
+    pub nr_cache: u64,
+    pub nr_dirty: u64,
+    pub nr_writeback: u64,
+    pub nr_evicted: u64,
+    pub nr_recently_evicted: u64,
+}
+
+/// `struct statx` (fixed 256-byte layout). Only the mask and the two
+/// direct-I/O alignments are read here; the fields around them are opaque.
+#[repr(C)]
+struct Statx {
+    stx_mask: u32,
+    /// `stx_blksize` through `stx_mnt_id`.
+    opaque: [u32; 37],
+    stx_dio_mem_align: u32,
+    stx_dio_offset_align: u32,
+    spare: [u64; 12],
+}
+
+/// `cachestat(fd, [off, off + len), ..)`: how many of the range's pages the
+/// page cache holds.
+///
+/// # Errors
+/// Propagates the kernel errno (`ENOSYS` before 6.5 or under a seccomp
+/// policy that refuses it, `EBADF`, `EOPNOTSUPP` for a hugetlbfs file).
+pub fn cachestat(fd: i32, off: u64, len: u64) -> io::Result<Cachestat> {
+    let range = CachestatRange { off, len };
+    let mut out = Cachestat::default();
+    // SAFETY: `range` is read and `out` written by the kernel during the
+    // call only; both are valid for their types, and the flags are 0.
+    let ret = unsafe {
+        libc::syscall(
+            SYS_CACHESTAT,
+            fd as libc::c_long,
+            &range as *const CachestatRange,
+            &mut out as *mut Cachestat,
+            0 as libc::c_ulong,
+        )
+    };
+    if ret < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(out)
+    }
+}
+
+/// The direct-I/O alignment of the file behind `fd`, from
+/// `statx(STATX_DIOALIGN)`: `(memory, file offset)` in bytes, `(0, 0)` if
+/// the file takes no direct I/O or the kernel does not say.
+///
+/// # Errors
+/// Propagates the kernel errno.
+pub fn dio_align(fd: i32) -> io::Result<(u32, u32)> {
+    let mut out = Statx { stx_mask: 0, opaque: [0; 37], stx_dio_mem_align: 0, stx_dio_offset_align: 0, spare: [0; 12] };
+    // SAFETY: the path is an empty NUL-terminated string and `out` is a
+    // valid, writable `struct statx`, written during the call only.
+    let ret = unsafe {
+        libc::syscall(
+            SYS_STATX,
+            fd as libc::c_long,
+            c"".as_ptr(),
+            AT_EMPTY_PATH as libc::c_long,
+            STATX_DIOALIGN as libc::c_ulong,
+            &mut out as *mut Statx,
+        )
+    };
+    if ret < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(if out.stx_mask & STATX_DIOALIGN == 0 {
+        (0, 0)
+    } else {
+        (out.stx_dio_mem_align, out.stx_dio_offset_align)
+    })
+}
+
 /// Thin wrapper over the `io_uring_setup(2)` syscall.
 ///
 /// # Errors
@@ -354,6 +466,32 @@ mod tests {
         fadvise(file.as_raw_fd(), POSIX_FADV_RANDOM).unwrap();
         assert!(fadvise(-1, POSIX_FADV_RANDOM).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn cachestat_and_dio_align_describe_a_file() {
+        use std::os::fd::AsRawFd;
+        let path = crate::test_path("cachestat");
+        std::fs::write(&path, vec![7u8; 3 * 4096]).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        // Just written: every page is in the page cache.
+        let cs = cachestat(file.as_raw_fd(), 0, 0).unwrap();
+        assert_eq!(cs.nr_cache, 3, "{cs:?}");
+        assert_eq!(cachestat(file.as_raw_fd(), 4096, 4096).unwrap().nr_cache, 1);
+        assert!(cachestat(-1, 0, 0).is_err());
+        // An alignment is 0 or a power of two, the two together.
+        let (mem, off) = dio_align(file.as_raw_fd()).unwrap();
+        assert_eq!(mem == 0, off == 0, "({mem}, {off})");
+        assert!(mem == 0 || (mem.is_power_of_two() && off.is_power_of_two()));
+        assert!(dio_align(-1).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn statx_layout_is_256_bytes() {
+        assert_eq!(size_of::<Statx>(), 256);
+        assert_eq!(std::mem::offset_of!(Statx, stx_dio_mem_align), 152);
+        assert_eq!(size_of::<Cachestat>(), 40);
     }
 
     #[test]

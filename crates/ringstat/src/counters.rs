@@ -21,8 +21,8 @@ pub struct SampleMetrics {
     pub io_groups: u64,
     /// Syscalls issued by the I/O engine.
     pub syscalls: u64,
-    /// Read requests the I/O engine served from a span: one read of a
-    /// missing page's extent shared by the requests on that page.
+    /// Read requests the I/O engine served from a staged direct read: one
+    /// `O_DIRECT` read of the extent of the requests on one page.
     pub spanned_reads: u64,
     /// Sampled entries served from the hot set (0 when caching is off).
     pub cache_hits: u64,

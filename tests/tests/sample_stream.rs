@@ -12,12 +12,16 @@
 //! pin that order for caller-ordered seeds, whose first layer keeps the
 //! caller's targets while its draws follow node order; the ascending
 //! batch's seeds are already in node order.
+//!
+//! The same graph with its edge file dropped from the page cache is read
+//! with `O_DIRECT`, in staged reads: the cold shapes must fold to the same
+//! digests.
 
 use ringsampler::{epoch_targets, BatchSample, CachePolicy, ReadPlanMode, RingSampler, SamplerConfig};
 use ringsampler_graph::gen::GeneratorSpec;
 use ringsampler_graph::preprocess::{build_dataset, PreprocessOptions};
 use ringsampler_graph::{NodeId, OnDiskGraph};
-use ringsampler_io::EngineKind;
+use ringsampler_io::{sys, EngineKind};
 
 const NODES: u64 = 20_000;
 const BATCH: usize = 128;
@@ -34,6 +38,19 @@ fn batch_digest(idx: usize, sample: &BatchSample) -> u64 {
         fold(layer.dst.len() as u64);
     }
     h
+}
+
+/// Puts the edge file of `graph` in the page cache, or, `cold`, writes it
+/// back and drops it from there, so the readers built next read it direct.
+fn set_cached(graph: &OnDiskGraph, cold: bool) {
+    use std::os::fd::AsRawFd;
+    if !cold {
+        std::fs::read(graph.edge_path()).unwrap();
+        return;
+    }
+    let file = std::fs::File::open(graph.edge_path()).unwrap();
+    file.sync_all().unwrap();
+    sys::fadvise(file.as_raw_fd(), sys::POSIX_FADV_DONTNEED).unwrap();
 }
 
 /// The pinned digests of batches 0, 1 and 2, without and with replacement.
@@ -64,7 +81,7 @@ fn sample_stream_is_pinned() {
     ];
     for (replace, want) in [(false, WITHOUT_REPLACEMENT), (true, WITH_REPLACEMENT)] {
         for (mode, cache) in shapes {
-            for engine in [EngineKind::Uring, EngineKind::Pread] {
+            for (engine, cold) in [(EngineKind::Uring, false), (EngineKind::Pread, false), (EngineKind::Uring, true)] {
                 let cfg = SamplerConfig::new()
                     .fanouts(&[15, 10, 5])
                     .batch_size(BATCH)
@@ -74,19 +91,24 @@ fn sample_stream_is_pinned() {
                     .cache(cache)
                     .with_replacement(replace)
                     .seed(11);
-                let sampler = RingSampler::new(OnDiskGraph::open(&base).unwrap(), cfg).unwrap();
+                let graph = OnDiskGraph::open(&base).unwrap();
+                set_cached(&graph, cold);
+                let sampler = RingSampler::new(graph, cfg).unwrap();
                 let mut w = sampler.worker().unwrap();
                 let got: Vec<u64> = batches
                     .iter()
                     .enumerate()
                     .map(|(i, seeds)| batch_digest(i, &w.sample_batch(seeds, i as u64).unwrap()))
                     .collect();
-                let what = format!("{mode:?} {cache:?} {engine:?} replace {replace}");
+                let what = format!("{mode:?} {cache:?} {engine:?} cold {cold} replace {replace}");
                 assert_eq!(got, want, "{what}: {:#x?}", got);
+                let m = w.metrics();
                 if cache != CachePolicy::None {
-                    let m = w.metrics();
                     assert!(m.cache_hits > 0 && m.cache_misses > 0, "{what}: {m:?}");
                 }
+                // Cold, every request is served from a staged direct read.
+                let spanned = if cold { m.io_requests } else { 0 };
+                assert_eq!(m.spanned_reads, spanned, "{what} (is TMPDIR on tmpfs?): {m:?}");
             }
         }
     }
