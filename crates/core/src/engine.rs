@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 
+use ringsampler_io::PageWitness;
 use ringstat::proc_io_now;
 
 use crate::block::BatchSample;
@@ -36,6 +37,11 @@ pub struct RingSampler {
     cfg: SamplerConfig,
     /// The read-only page region every worker shares (`CachePolicy::Page`).
     hot: Option<Arc<HotSet>>,
+    /// What the page cache kept and served of the edge file, shared by
+    /// every worker the sampler builds: its epochs read direct once the
+    /// cache is seen to lose what earlier ones read and to hold little of
+    /// what they sampled.
+    witness: Arc<PageWitness>,
     /// Shared with the on-demand service's rebatched copy, which shares
     /// the graph.
     _index_charge: Arc<MemoryCharge>,
@@ -72,6 +78,7 @@ impl RingSampler {
             graph,
             cfg,
             hot,
+            witness: Arc::default(),
             _index_charge: Arc::new(index_charge),
             telemetry,
         })
@@ -87,6 +94,7 @@ impl RingSampler {
             graph: Arc::clone(&self.graph),
             cfg,
             hot: self.hot.clone(),
+            witness: Arc::clone(&self.witness),
             _index_charge: Arc::clone(&self._index_charge),
             telemetry: self.telemetry.clone(),
         })
@@ -113,8 +121,12 @@ impl RingSampler {
     /// # Errors
     /// Propagates worker construction failures.
     pub fn worker(&self) -> Result<SamplerWorker> {
-        let mut worker =
-            SamplerWorker::new(Arc::clone(&self.graph), self.cfg.clone(), self.hot.clone())?;
+        let mut worker = SamplerWorker::new(
+            Arc::clone(&self.graph),
+            self.cfg.clone(),
+            self.hot.clone(),
+            Arc::clone(&self.witness),
+        )?;
         if let Some(h) = &self.telemetry {
             // A standalone worker (DataLoader path) appends its own slot;
             // batch totals are unknown, so the snapshot carries 0.
@@ -179,6 +191,7 @@ impl RingSampler {
                         Arc::clone(&self.graph),
                         self.cfg.clone(),
                         self.hot.clone(),
+                        Arc::clone(&self.witness),
                     )?;
                     // All workers share the epoch-start origin, so their
                     // flight-recorder timestamps are comparable across

@@ -82,7 +82,8 @@ impl HotSet {
             .read_plan(ReadPlanMode::coalesce())
             .seed(seed)
             .telemetry_opt(None);
-        let mut worker = SamplerWorker::new(Arc::clone(graph), profiler, None)?;
+        // No witness: the profile and the page load read buffered.
+        let mut worker = SamplerWorker::new(Arc::clone(graph), profiler, None, Arc::default())?;
         let file_len = worker.file_len();
         let pages = usize::try_from(file_len.div_ceil(PAGE_SIZE as u64))
             .map_err(|_| SamplerError::Internal("edge file has more pages than memory"))?;

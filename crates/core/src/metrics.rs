@@ -276,7 +276,7 @@ impl EpochReport {
     /// [`SampleMetrics::counters`].
     ///
     /// Schema history: v12 only adds — the counter `spanned_reads`
-    /// (requests the reader served from a staged direct read); v11
+    /// (requests the reader served from a staged read); v11
     /// replaces the four-phase block (prepare, submit,
     /// complete, aggregate) with the six-stage `stage_nanos` and each
     /// worker's time `ledger` with its `stage_nanos`, and removes

@@ -326,7 +326,7 @@ pub fn metrics_document(
             ("ringsampler_worker_io_bytes_total", "Payload bytes read from disk", m.io_bytes),
             ("ringsampler_worker_reads_submitted_total", "Read requests submitted to the I/O engine", m.io_requests),
             ("ringsampler_worker_io_groups_total", "I/O groups submitted", m.io_groups),
-            ("ringsampler_worker_spanned_reads_total", "Read requests served from a staged direct read", m.spanned_reads),
+            ("ringsampler_worker_spanned_reads_total", "Read requests served from a staged read", m.spanned_reads),
         ] {
             w.counter(name, help, labels, value);
         }

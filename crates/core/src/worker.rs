@@ -24,7 +24,7 @@ use rand::SeedableRng;
 
 use ringsampler_graph::{NodeId, OnDiskGraph, ENTRY_BYTES};
 use ringsampler_io::engine::{GroupReader, GroupToken, PreadReader, ReadSlice, UringReader};
-use ringsampler_io::{EngineKind, IoEngineError};
+use ringsampler_io::{EngineKind, IoEngineError, PageWitness};
 use ringstat::{
     thread_cpu_nanos, EventKind, EventRing, ResourceSample, SnapshotCell, StageAccount,
     TraceEvent, WorkerSnapshot,
@@ -434,7 +434,9 @@ fn entry_in_page(data: &[u8], within: usize, entry_byte: u64) -> Result<NodeId> 
 
 impl SamplerWorker {
     /// Creates a worker for `graph` under `cfg`, serving the pages of
-    /// `hot` (the sampler's hot set, if it has one) from memory.
+    /// `hot` (the sampler's hot set, if it has one) from memory. A uring
+    /// reader reads the edge file with `O_DIRECT` if `witness` (the
+    /// sampler's) saw the page cache lose what earlier workers read.
     ///
     /// # Errors
     /// Fails on reader/ring setup, or if the initial workspace charge
@@ -443,6 +445,7 @@ impl SamplerWorker {
         graph: Arc<OnDiskGraph>,
         cfg: SamplerConfig,
         hot: Option<Arc<HotSet>>,
+        witness: Arc<PageWitness>,
     ) -> Result<Self> {
         let file = File::open(graph.edge_path())
             .map_err(|e| crate::error::SamplerError::Io(IoEngineError::File(e)))?;
@@ -454,7 +457,7 @@ impl SamplerWorker {
         let mut regfile_fallback = false;
         let reader: Box<dyn GroupReader> = match engine {
             EngineKind::Uring => {
-                let mut r = UringReader::with_file(file, cfg.ring_entries)?;
+                let mut r = UringReader::with_witness(file, cfg.ring_entries, witness)?;
                 // Best effort: fall back to plain fd addressing if the
                 // kernel refuses registration, but record the degradation
                 // so operators can see it in the flight recorder.
@@ -954,16 +957,20 @@ mod tests {
         Arc::new(write_csr(&csr, &base).unwrap())
     }
 
-    /// A worker as `RingSampler` makes one: with the hot set built, when
-    /// `cfg` asks for a cache.
+    /// A worker as a new `RingSampler` makes one: with the hot set built,
+    /// when `cfg` asks for a cache, and nothing witnessed yet.
     fn worker(graph: &Arc<OnDiskGraph>, cfg: SamplerConfig) -> SamplerWorker {
+        witnessed_worker(graph, cfg, Arc::default())
+    }
+
+    fn witnessed_worker(graph: &Arc<OnDiskGraph>, cfg: SamplerConfig, witness: Arc<PageWitness>) -> SamplerWorker {
         let hot = match cfg.cache {
             CachePolicy::None => None,
             CachePolicy::Page { budget_bytes } => {
                 Some(Arc::new(HotSet::build(graph, &cfg, budget_bytes).unwrap()))
             }
         };
-        SamplerWorker::new(Arc::clone(graph), cfg, hot).unwrap()
+        SamplerWorker::new(Arc::clone(graph), cfg, hot, witness).unwrap()
     }
 
     fn validate_sample(graph: &OnDiskGraph, csr: &CsrGraph, s: &BatchSample, fanouts: &[usize]) {
@@ -1123,7 +1130,7 @@ mod tests {
             .fanouts(&[3])
             .ring_entries(8)
             .budget(MemoryBudget::limited(100));
-        match SamplerWorker::new(graph, cfg, None) {
+        match SamplerWorker::new(graph, cfg, None, Arc::default()) {
             Err(crate::error::SamplerError::OutOfMemory { .. }) => {}
             other => panic!("expected OOM, got {:?}", other.map(|_| ())),
         }
@@ -1396,14 +1403,74 @@ mod tests {
         Arc::new(write_csr(&csr, &base).unwrap())
     }
 
-    /// Writes `graph`'s edge file back and drops it from the page cache: a
-    /// worker built next reads it with `O_DIRECT`.
+    /// Writes `graph`'s edge file back and drops it from the page cache.
+    /// Just written, an ext4 file can keep pages its journal still holds
+    /// past a drop, so this drops until none is cached.
     fn drop_edge_cache(graph: &OnDiskGraph) {
+        use ringsampler_io::sys;
         use std::os::fd::AsRawFd;
         let file = File::open(graph.edge_path()).unwrap();
         file.sync_all().unwrap();
-        let dontneed = ringsampler_io::sys::POSIX_FADV_DONTNEED;
-        ringsampler_io::sys::fadvise(file.as_raw_fd(), dontneed).unwrap();
+        for _ in 0..1000 {
+            sys::fadvise(file.as_raw_fd(), sys::POSIX_FADV_DONTNEED).unwrap();
+            if sys::cachestat(file.as_raw_fd(), 0, 0).unwrap().nr_cache == 0 {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("the page cache keeps the edge file (is TMPDIR on tmpfs?)");
+    }
+
+    /// A witness to a buffered read of the first page of `graph`'s edge
+    /// file, which the page cache did not hold, and the file then dropped
+    /// from the cache: a worker built with it reads the file with
+    /// `O_DIRECT`.
+    fn lost_witness(graph: &OnDiskGraph) -> Arc<PageWitness> {
+        let witness = Arc::new(PageWitness::default());
+        drop_edge_cache(graph);
+        let file = File::open(graph.edge_path()).unwrap();
+        let mut r = UringReader::with_witness(file, 1, Arc::clone(&witness)).unwrap();
+        ringsampler_io::engine::read_group_blocking(&mut r, &[ReadSlice::new(0, 1)], Vec::new()).unwrap();
+        drop(r);
+        drop_edge_cache(graph);
+        witness
+    }
+
+    #[test]
+    fn direct_reads_sample_what_buffered_reads_sample() {
+        let graph = long_graph("directshapes", 1 << 20);
+        let shuffled: Vec<NodeId> = (0..96u32).map(|i| i.wrapping_mul(389) % 1024).collect();
+        let batches: [&[NodeId]; 2] = [&shuffled[..48], &shuffled[48..]];
+        let hot = CachePolicy::Page { budget_bytes: 64 * PAGE_SIZE as u64 };
+        for (mode, cache) in [(ReadPlanMode::Off, CachePolicy::None), (ReadPlanMode::coalesce(), CachePolicy::None), (ReadPlanMode::coalesce(), hot)] {
+            for replace in [false, true] {
+                let cfg = SamplerConfig::new()
+                    .fanouts(&[12, 6, 3])
+                    .ring_entries(64)
+                    .engine(EngineKind::Uring)
+                    .read_plan(mode)
+                    .cache(cache)
+                    .with_replacement(replace)
+                    .seed(9);
+                let run = |mut w: SamplerWorker| {
+                    let got: Vec<BatchSample> =
+                        batches.iter().enumerate().map(|(i, b)| w.sample_batch(b, i as u64).unwrap()).collect();
+                    (got, w.metrics())
+                };
+                let (buffered, _) = run(worker(&graph, cfg.clone()));
+                // The hot set's load reads the file in: the cache loses it
+                // after that.
+                let hot = match cache {
+                    CachePolicy::Page { budget_bytes } => Some(Arc::new(HotSet::build(&graph, &cfg, budget_bytes).unwrap())),
+                    CachePolicy::None => None,
+                };
+                let witness = lost_witness(&graph);
+                let (direct, m) = run(SamplerWorker::new(Arc::clone(&graph), cfg, hot, witness).unwrap());
+                let what = format!("{mode:?} {cache:?} replace {replace}");
+                assert!(buffered == direct, "{what}");
+                assert_eq!(m.spanned_reads, m.io_requests, "{what}: every request is served from staging");
+            }
+        }
     }
 
     #[test]
@@ -1418,14 +1485,13 @@ mod tests {
                 .seed(5)
                 .budget(budget.clone())
         };
-        // One batch on the file as written (buffered) and dropped (direct):
+        // One batch on the file as written (buffered) and once the cache
+        // lost a read of it (direct):
         // the same samples and the same charge, but for the staging.
         let batch = |cold: bool| {
-            if cold {
-                drop_edge_cache(&graph);
-            }
+            let witness = if cold { lost_witness(&graph) } else { Arc::default() };
             let budget = MemoryBudget::unlimited();
-            let mut w = worker(&graph, cfg(&budget));
+            let mut w = witnessed_worker(&graph, cfg(&budget), witness);
             let sample = w.sample_batch(&seeds, 0).unwrap();
             (budget.used(), w.reader.stats().staging_bytes, sample)
         };
@@ -1436,8 +1502,8 @@ mod tests {
         assert!(staged > 0, "a dropped file was read buffered (is TMPDIR on tmpfs?)");
         assert_eq!(cold - warm, staged, "the charge covers the staging");
         // A budget that holds the buffered batch but not the staging.
-        drop_edge_cache(&graph);
-        let mut w = worker(&graph, cfg(&MemoryBudget::limited(cold - staged / 2)));
+        let witness = lost_witness(&graph);
+        let mut w = witnessed_worker(&graph, cfg(&MemoryBudget::limited(cold - staged / 2)), witness);
         match w.sample_batch(&seeds, 0) {
             Err(SamplerError::OutOfMemory { .. }) => {}
             other => panic!("expected OutOfMemory, got {:?}", other.map(|_| ())),
@@ -1452,8 +1518,8 @@ mod tests {
         let pages: Vec<u64> = (0..len.div_ceil(PAGE_SIZE as u64)).filter(|p| p % 3 != 1).collect();
         let bytes: u64 = pages.iter().map(|&p| (len - p * PAGE_SIZE as u64).min(PAGE_SIZE as u64)).sum();
         let load = |engine| {
-            drop_edge_cache(&graph);
-            let mut w = worker(&graph, SamplerConfig::new().ring_entries(16).engine(engine));
+            let cfg = SamplerConfig::new().ring_entries(16).engine(engine);
+            let mut w = witnessed_worker(&graph, cfg, lost_witness(&graph));
             let mut region = vec![0u8; bytes as usize];
             w.read_pages(&pages, &mut region).unwrap();
             (region, w.reader.stats().spanned)

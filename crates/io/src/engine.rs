@@ -28,22 +28,35 @@
 //! when its last completion is reaped; if the reader's drop cannot drain
 //! the ring, it leaks every filed buffer rather than free one.
 //!
-//! Read what the page cache does not hold with `O_DIRECT`. When a uring
-//! reader opens, it samples how much of its file the page cache holds
-//! (`cachestat(2)`). A file mostly not held is read through a second open
-//! file description with `O_DIRECT`: each run of a group's requests on one
-//! page — a request alone on its page, or one that crosses pages, is a run
-//! of one — is one read of the run's extent rounded out to the direct-I/O
-//! block, into a page-aligned staging arena that the group's slot owns, and
-//! each request's bytes are copied into place when that read is reaped. No
-//! page lock, no page-cache copy, and a same-page run is read once. A file
-//! the page cache holds is read buffered, one SQE per request.
+//! Read what the page cache does not keep with `O_DIRECT`. A uring reader
+//! built with a [`PageWitness`] notes a few of the pages it reads, and how
+//! often the cache already held a group's pages; the next reader built with
+//! the same witness asks the page cache (`cachestat(2)`) whether it still
+//! holds the noted pages. If it lost all of them and held less than half of
+//! the sampled ones, the cache neither keeps nor serves what this file's
+//! readers read, and the reader reads through a second
+//! open file description with `O_DIRECT`: each run of a group's requests on
+//! one page — a request alone on its page, or one that crosses pages, is a
+//! run of one — is one read of the run's extent rounded out to the
+//! direct-I/O block, into a page-aligned staging arena that the group's slot
+//! owns, and each request's bytes are copied into place when that read is
+//! reaped. No page lock, no page-cache copy, and a same-page run is read
+//! once. Every other reader reads buffered, so a cold file the cache can
+//! keep warms up: one SQE per request while the cache holds what it reads,
+//! and once a group's lend leaves reads in flight past its
+//! `io_uring_enter` — the cache is missing pages — the next group reads
+//! each run of two or more requests on one page with one staged span of
+//! the run's extent. Every read after the first of a run on a missing page
+//! would find it locked and take io_uring's async buffered-read path, which
+//! costs more CPU than the read itself.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::{FileExt, OpenOptionsExt};
 use std::os::unix::io::AsRawFd;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{IoEngineError, Result};
@@ -54,12 +67,23 @@ use crate::sys;
 /// arena is counted in pages of this size.
 const PAGE_BYTES: u64 = 4096;
 
-/// The residency probe reads this many windows, spread evenly over the
-/// file, of at most [`PROBE_PAGES`] pages each: its cost does not grow
-/// with the file.
-const PROBE_WINDOWS: u64 = 16;
-/// Pages in one window of the residency probe.
-const PROBE_PAGES: u64 = 16;
+/// Staging bytes one buffered group's spans may take: sixteen whole
+/// pages. A run past it is read request by request.
+const SPAN_BYTES_MAX: usize = 16 * PAGE_BYTES as usize;
+
+/// A reader reads direct only if the page cache held less than this share,
+/// in 1/1024, of the pages the last buffered reader sampled (one half):
+/// above it, pages recur within a reader's life and the cache serves them,
+/// which direct reads would send to the device again.
+const HELD_MAX: u64 = 512;
+
+/// A buffered reader with a witness samples the page cache (one
+/// `cachestat(2)`) at one group in this many.
+const HELD_EVERY: u64 = 8;
+
+/// Pages a [`PageWitness`] holds: the first pages of a reader's groups 1,
+/// 2, 4, … 2^15, so its oldest reads are among them.
+const WITNESS_PAGES: usize = 16;
 
 /// One scattered read: `len` bytes at byte `offset` of the reader's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,13 +120,14 @@ pub struct ReaderStats {
     /// the calls that is the device's, not the CPU's. Always 0 for an
     /// engine that reads synchronously at submission.
     pub wait_nanos: u64,
-    /// Requests served from a staged direct read — one `O_DIRECT` read of
-    /// their run's extent — instead of read alone. Always 0 for a reader
-    /// that reads through the page cache.
+    /// Requests served from a staged read — one read of their run's
+    /// extent, with `O_DIRECT` or, on a page missing from the page cache,
+    /// buffered — instead of read alone. Always 0 for a reader whose file
+    /// the page cache holds.
     pub spanned: u64,
-    /// Bytes of page-aligned staging the reader holds for its direct reads:
-    /// the capacity of its arenas, which only grows. Not cumulative; always
-    /// 0 for a reader that reads through the page cache.
+    /// Bytes of page-aligned staging the reader holds for its spans: the
+    /// capacity of its arenas, which only grows. Not cumulative; always 0
+    /// for a reader whose file the page cache holds.
     pub staging_bytes: u64,
 }
 
@@ -268,24 +293,28 @@ impl std::fmt::Debug for Slot {
     }
 }
 
-/// One direct read: requests `first..end`, whose places start at payload
-/// byte `dst`, are served from `read` — their extent rounded out to the
-/// direct-I/O block — which lands at byte `stage` of the slot's arena.
+/// One read of a spanned group: requests `first..end`, whose places start
+/// at payload byte `dst`, are served from `read` — their extent, rounded
+/// out to the direct-I/O block when direct — which lands at byte `stage` of
+/// the slot's arena, or, `stage` `None`, is one request read in place.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     first: usize,
     end: usize,
     dst: usize,
-    stage: usize,
+    stage: Option<usize>,
     read: ReadSlice,
 }
 
-/// Files in `spans` one direct read per run of consecutive `reqs` on one
-/// page — a request alone on its page, or one that crosses pages, is a run
-/// of one — its extent rounded out to `block`, staged one after another.
-/// Returns the bytes staged: at most a page per same-page run (`block`
-/// divides the page), a crossing request's own length plus two blocks.
-fn plan_spans(reqs: &[ReadSlice], block: u64, spans: &mut Vec<Span>) -> usize {
+/// Files in `spans` one read per run of consecutive `reqs` on one page — a
+/// request alone on its page, or one that crosses pages, is a run of one —
+/// and returns the bytes staged. Direct (`block`), every run is staged, its
+/// extent rounded out to the block: at most a page per same-page run
+/// (`block` divides the page), a crossing request's own length plus two
+/// blocks. Buffered, a run of two or more is staged as its extent while the
+/// staging stays within [`SPAN_BYTES_MAX`], and every other request is read
+/// in place.
+fn plan_spans(reqs: &[ReadSlice], block: Option<u64>, spans: &mut Vec<Span>) -> usize {
     // The page a request lies on, if it lies on one.
     let page = |r: &ReadSlice| {
         let last = r.offset.checked_add(u64::from(r.len.max(1)) - 1)?;
@@ -298,9 +327,22 @@ fn plan_spans(reqs: &[ReadSlice], block: u64, spans: &mut Vec<Span>) -> usize {
         let run = rest.get(..len).unwrap_or_default();
         let lo = run.iter().map(|r| r.offset).min().unwrap_or(0);
         let hi = run.iter().map(|r| r.offset.saturating_add(u64::from(r.len))).max().unwrap_or(0);
-        let (start, end) = (lo - lo % block, hi.div_ceil(block).saturating_mul(block));
+        let (start, end) = match block {
+            Some(block) => (lo - lo % block, hi.div_ceil(block).saturating_mul(block)),
+            // A run of two or more lies on one page: its extent is at most one.
+            None if len > 1 && staged + (hi - lo) as usize <= SPAN_BYTES_MAX => (lo, hi),
+            None => {
+                let mut at = dst;
+                for (i, r) in (first..).zip(run) {
+                    spans.push(Span { first: i, end: i + 1, dst: at, stage: None, read: *r });
+                    at += r.len as usize;
+                }
+                (dst, first) = (at, first + len);
+                continue;
+            }
+        };
         let read = ReadSlice::new(start, u32::try_from(end - start).unwrap_or(u32::MAX));
-        spans.push(Span { first, end: first + len, dst, stage: staged, read });
+        spans.push(Span { first, end: first + len, dst, stage: Some(staged), read });
         staged += read.len as usize;
         dst += run.iter().map(|r| r.len as usize).sum::<usize>();
         first += len;
@@ -310,10 +352,14 @@ fn plan_spans(reqs: &[ReadSlice], block: u64, spans: &mut Vec<Span>) -> usize {
 
 impl Slot {
     /// Serves the requests of span `s`, of which the kernel read `got`
-    /// bytes: copies each into its place and returns how many. A read cut
-    /// short (at EOF) that still covers its requests is whole; one that
-    /// leaves a request short fills nothing and fails at that request.
+    /// bytes: copies each staged one into its place and returns how many. A
+    /// read cut short (at EOF) that still covers its requests is whole; one
+    /// that leaves a request short fills nothing and fails at that request.
     fn serve(&mut self, s: Span, got: usize) -> std::result::Result<u64, (usize, IoEngineError)> {
+        let Some(stage) = s.stage else {
+            // One request, read in place.
+            return read_failure(&s.read, Ok(got)).map_or(Ok(0), |e| Err((s.first, e)));
+        };
         // The arena holds `read.len` bytes of the span, whatever the CQE says.
         let got = got.min(s.read.len as usize);
         let run = self.reqs.get(s.first..s.end).unwrap_or_default();
@@ -327,7 +373,7 @@ impl Slot {
         let staged = self.stage.as_ptr().cast::<u8>();
         let mut dst = s.dst;
         for r in run {
-            let from = s.stage + (r.offset - s.read.offset) as usize;
+            let from = stage + (r.offset - s.read.offset) as usize;
             // SAFETY: `plan_spans` put each request inside its span's read,
             // staged at `stage..stage + read.len` in the arena, and the loop
             // above checked that its bytes landed: in bounds, written, and no
@@ -351,8 +397,21 @@ pub struct UringReader {
     /// The file the reader reads: the caller's, or its `O_DIRECT` twin.
     file: File,
     /// The direct-I/O block when `file` was opened `O_DIRECT`: reads are
-    /// staged spans, aligned to it. `None`: buffered, one read per request.
+    /// staged spans, aligned to it. `None`: buffered, one read per request,
+    /// or staged spans after a lend that found pages missing.
     block: Option<u64>,
+    /// Where a buffered reader notes pages it reads for the readers built
+    /// after it; `None` for a direct reader or one built without a witness.
+    witness: Option<Arc<PageWitness>>,
+    /// A buffered reader's last lend left reads in flight past its enter:
+    /// the page cache is missing pages, so the next group reads its
+    /// same-page runs as staged spans.
+    missing: bool,
+    /// Groups a buffered reader with a witness sampled (one in
+    /// [`HELD_EVERY`]), and at how many of them the page cache held the
+    /// middle request's page: what the cache serves, by sample.
+    sampled: u64,
+    held: u64,
     /// When true, the file is in the ring's registered table at index 0
     /// and reads use `IOSQE_FIXED_FILE` (skips per-I/O fd refcounting).
     registered: bool,
@@ -367,6 +426,67 @@ pub struct UringReader {
     /// Most SQEs ever outstanding at once.
     #[cfg(test)]
     peak_outstanding: u64,
+}
+
+/// What the page cache kept and served of one file between the uring
+/// readers opened on it. A buffered reader built
+/// [`UringReader::with_witness`] notes the first page of its groups 1, 2,
+/// 4, … (so its oldest reads are among them), and, when dropped, the share
+/// of its groups whose middle page the cache held before the group read
+/// it. A reader built next with the same witness asks the page cache
+/// whether it still holds the noted pages. If it kept none of them, the
+/// cache does not keep what this file's readers read — the file outgrows
+/// it, or something drops it — and if it also held less than half the
+/// sampled pages, pages do not recur within a reader's life either: that
+/// reader reads with `O_DIRECT`. Otherwise it reads buffered, since there
+/// the reads the cache serves beat direct ones (DESIGN.md §13). A direct
+/// reader notes nothing: nothing it reads enters the cache. A sampler
+/// keeps one witness for its edge file and hands it to every worker it
+/// builds, epoch after epoch.
+#[derive(Debug, Default)]
+pub struct PageWitness {
+    /// Page number + 1 of each noted page; 0 while the slot is empty.
+    pages: [AtomicU64; WITNESS_PAGES],
+    /// 1 + the share, in 1/1024, of the last buffered reader's groups whose
+    /// sampled page the page cache held; 0 until one is dropped.
+    held_share: AtomicU64,
+}
+
+impl PageWitness {
+    /// Notes that a buffered reader's group `group` (counted from 1) read
+    /// `offset` first; only groups that are powers of two are kept.
+    fn note(&self, group: u64, offset: u64) {
+        if group.is_power_of_two() {
+            if let Some(slot) = self.pages.get(group.trailing_zeros() as usize) {
+                // Relaxed: a hint read when a later reader opens; readers of
+                // one epoch may overwrite each other's pages.
+                slot.store(offset / PAGE_BYTES + 1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Records that the page cache held the sampled page of `held` of the
+    /// `sampled` groups a buffered reader submitted.
+    fn note_held(&self, sampled: u64, held: u64) {
+        if let Some(share) = (held.min(sampled) * 1024).checked_div(sampled) {
+            self.held_share.store(1 + share, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether the page cache kept none of the noted pages of `file` and
+    /// held less than [`HELD_MAX`] of the pages the last buffered reader
+    /// sampled: `None` if nothing is noted or sampled yet, or
+    /// `cachestat(2)` is refused.
+    fn lost(&self, file: &File) -> Option<bool> {
+        let held = self.held_share.load(Ordering::Relaxed).checked_sub(1)?;
+        let (mut noted, mut kept) = (0u64, 0u64);
+        for page in self.pages.iter().map(|p| p.load(Ordering::Relaxed)).filter(|&p| p > 0) {
+            let at = (page - 1) * PAGE_BYTES;
+            kept += sys::cachestat(file.as_raw_fd(), at, PAGE_BYTES).ok()?.nr_cache.min(1);
+            noted += 1;
+        }
+        (noted > 0).then_some(kept == 0 && held < HELD_MAX)
+    }
 }
 
 /// Tells the kernel that `file` is read at random: a sampler's reads are,
@@ -385,31 +505,22 @@ thread_local! {
     static REFUSE_DIRECT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// The `O_DIRECT` twin of `file` and its direct-I/O block, if the page
-/// cache holds fewer than half the pages of a fixed sample of the file and
-/// the filesystem reads it direct, with an alignment of at most a page.
-/// The twin is a second open file description (reopened through
+/// The `O_DIRECT` twin of `file` and its direct-I/O block, if `witness`
+/// saw the page cache lose all that this file's readers read and hold less
+/// than half of what the last of them sampled, and the filesystem reads it
+/// direct, with an alignment of at most a page. The
+/// twin is a second open file description (reopened through
 /// `/proc/self/fd`): the flag never touches the caller's, which every
 /// `try_clone` of it shares. `None` keeps the reader buffered.
-fn direct_twin(file: &File) -> Option<(File, u64)> {
+fn direct_twin(file: &File, witness: &PageWitness) -> Option<(File, u64)> {
     #[cfg(test)]
     if REFUSE_DIRECT.take() {
         return None;
     }
-    let fd = file.as_raw_fd();
-    let pages = file.metadata().ok()?.len().div_ceil(PAGE_BYTES);
-    let (mut sampled, mut cached) = (0, 0);
-    for k in 0..PROBE_WINDOWS {
-        let first = pages * k / PROBE_WINDOWS;
-        let n = (pages * (k + 1) / PROBE_WINDOWS - first).min(PROBE_PAGES);
-        if n > 0 {
-            cached += sys::cachestat(fd, first * PAGE_BYTES, n * PAGE_BYTES).ok()?.nr_cache;
-            sampled += n;
-        }
-    }
-    if sampled == 0 || 2 * cached >= sampled {
+    if !witness.lost(file)? {
         return None;
     }
+    let fd = file.as_raw_fd();
     let (mem, offset) = sys::dio_align(fd).ok()?;
     let block = u64::from(mem.max(offset));
     if block == 0 || !block.is_power_of_two() || block > PAGE_BYTES {
@@ -424,7 +535,8 @@ fn direct_twin(file: &File) -> Option<(File, u64)> {
 }
 
 impl UringReader {
-    /// Opens `path` and a dedicated ring with `queue_depth` entries.
+    /// Opens `path` and a dedicated ring with `queue_depth` entries, to
+    /// read it buffered.
     ///
     /// # Errors
     /// Fails if the file cannot be opened or the ring cannot be created.
@@ -434,25 +546,45 @@ impl UringReader {
     }
 
     /// Builds a reader from an already-open file and a dedicated ring with
-    /// `queue_depth` entries. A file the page cache mostly does not hold is
-    /// read with `O_DIRECT` through its own open file description; this is
-    /// decided here, once.
+    /// `queue_depth` entries. It reads buffered: without a witness nothing
+    /// shows that the page cache cannot keep the file.
     ///
     /// # Errors
     /// Fails if the ring cannot be created.
     pub fn with_file(file: File, queue_depth: u32) -> Result<Self> {
+        Self::build(file, queue_depth, None)
+    }
+
+    /// [`UringReader::with_file`], reading with `O_DIRECT` if `witness`
+    /// saw the page cache lose every page it noted of this file's earlier
+    /// readers and hold less than half the pages the last of them sampled
+    /// (decided here, once), and otherwise noting in `witness` some of the
+    /// pages it reads and how often the cache held them, for the readers
+    /// built after it.
+    ///
+    /// # Errors
+    /// Fails if the ring cannot be created.
+    pub fn with_witness(file: File, queue_depth: u32, witness: Arc<PageWitness>) -> Result<Self> {
+        Self::build(file, queue_depth, Some(witness))
+    }
+
+    fn build(file: File, queue_depth: u32, witness: Option<Arc<PageWitness>>) -> Result<Self> {
         let ring = Ring::new(queue_depth)?;
-        let (file, block) = match direct_twin(&file) {
-            Some((twin, block)) => (twin, Some(block)),
+        let (file, block, witness) = match witness.as_deref().and_then(|w| direct_twin(&file, w)) {
+            Some((twin, block)) => (twin, Some(block), None),
             None => {
                 advise_random(&file);
-                (file, None)
+                (file, None, witness)
             }
         };
         Ok(Self {
             ring,
             file,
             block,
+            witness,
+            missing: false,
+            sampled: 0,
+            held: 0,
             registered: false,
             groups: SlotTable::new(),
             spare: Vec::new(),
@@ -542,9 +674,10 @@ impl UringReader {
     }
 
     /// Prepares the SQEs of the filed group `id` — one per request into its
-    /// place in the payload, or, direct, one per span into its staging —
-    /// and submits them with one enter. Each SQE is counted as it is
-    /// prepared: once published it is the kernel's, submit error or not.
+    /// place in the payload, or, spanned, one per span into its staging or
+    /// its request's place — and submits them with one enter. Each SQE is
+    /// counted as it is prepared: once published it is the kernel's, submit
+    /// error or not.
     fn lend(&mut self, id: u64) -> Result<()> {
         let file = if self.registered {
             FileRef::Registered(0)
@@ -565,14 +698,17 @@ impl UringReader {
             *at += r.len as usize;
             Some((payload.wrapping_add(place), *r))
         });
-        let spans = slot.spans.iter().map(|s| (staged.wrapping_add(s.stage), s.read));
+        let spans = slot.spans.iter().map(|s| match s.stage {
+            Some(at) => (staged.wrapping_add(at), s.read),
+            None => (payload.wrapping_add(s.dst), s.read),
+        });
         for (idx, (dst, read)) in places.chain(spans).enumerate() {
             // SAFETY: the destination lies in the payload of the group filed
             // under `id`, which `submit_group` sized to its requests, or in
-            // its arena, sized to its spans. The table frees both only once
-            // `remaining` — counted up as soon as the SQE is queued — is
-            // back to 0, and `Drop` leaks them otherwise, so they outlive
-            // the read. Moving the slot within the table does not move the
+            // its arena, sized to its staged spans. The table frees both
+            // only once `remaining` — counted up as soon as the SQE is
+            // queued — is back to 0, and `Drop` leaks them otherwise, so
+            // they outlive the read. Moving the slot within the table does not move the
             // heap allocations. Registered index 0 is this reader's file.
             unsafe {
                 self.ring
@@ -586,6 +722,9 @@ impl UringReader {
             self.peak_outstanding = self.peak_outstanding.max(self.outstanding);
         }
         self.ring.submit()?;
+        if self.block.is_none() {
+            self.missing = (self.ring.cq_ready() as u64) < self.outstanding;
+        }
         Ok(())
     }
 
@@ -629,8 +768,8 @@ impl GroupReader for UringReader {
         slot.reqs.extend_from_slice(reqs);
         slot.spans.clear();
         (slot.remaining, slot.error, slot.orphaned) = (0, None, false);
-        if let Some(block) = self.block {
-            let pages = plan_spans(reqs, block, &mut slot.spans).div_ceil(PAGE_BYTES as usize);
+        if self.block.is_some() || self.missing {
+            let pages = plan_spans(reqs, self.block, &mut slot.spans).div_ceil(PAGE_BYTES as usize);
             if slot.stage.len() < pages {
                 let held = slot.stage.capacity();
                 slot.stage.reserve_exact(pages - slot.stage.len());
@@ -647,6 +786,18 @@ impl GroupReader for UringReader {
         // into its buffer or arena, so a failed submit cannot free what it
         // lent.
         let id = self.groups.next_id();
+        if let (Some(w), Some(first), Some(mid)) = (&self.witness, reqs.first(), reqs.get(reqs.len() / 2)) {
+            w.note(id, first.offset);
+            // Every `HELD_EVERY`th group from the first: whether the page
+            // cache holds the page of its middle request before the group
+            // reads it — a page only earlier groups can have read — as a
+            // sample of what the cache serves. (A group's first page is
+            // often its predecessor's last.)
+            if id % HELD_EVERY == 1 {
+                let held = sys::cachestat(self.file.as_raw_fd(), mid.offset, 1).map_or(0, |c| c.nr_cache.min(1));
+                (self.sampled, self.held) = (self.sampled + 1, self.held + held);
+            }
+        }
         self.groups.push(slot);
         match self.lend(id) {
             Ok(()) => Ok(GroupToken { id }),
@@ -693,6 +844,9 @@ impl GroupReader for UringReader {
 
 impl Drop for UringReader {
     fn drop(&mut self) {
+        if let Some(w) = &self.witness {
+            w.note_held(self.sampled, self.held);
+        }
         // Drain every outstanding completion so the kernel never writes
         // into freed buffers. Destructors must not fail: if the drain does,
         // the kernel may still write into any filed buffer, so they leak.
@@ -814,25 +968,44 @@ mod tests {
     }
 
     /// Writes `file`'s dirty pages back and drops every page of it from the
-    /// page cache, so a reader opened next reads it with `O_DIRECT`.
+    /// page cache. Just written, an ext4 file can keep pages its journal
+    /// still holds past a drop, so this drops until none is cached.
     fn drop_cached(file: &File) {
         file.sync_all().unwrap();
-        crate::sys::fadvise(file.as_raw_fd(), crate::sys::POSIX_FADV_DONTNEED).unwrap();
+        for _ in 0..1000 {
+            crate::sys::fadvise(file.as_raw_fd(), crate::sys::POSIX_FADV_DONTNEED).unwrap();
+            if crate::sys::cachestat(file.as_raw_fd(), 0, 0).unwrap().nr_cache == 0 {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("the page cache keeps the file (is TMPDIR on tmpfs?)");
     }
 
     /// A file of `n` little-endian u32s, each its own index, written back
-    /// and then dropped from the page cache: a reader opened on it next
-    /// reads it direct.
+    /// and then dropped from the page cache.
     fn write_cold_u32_file(n: u32) -> std::path::PathBuf {
         let path = write_u32_file(n);
         drop_cached(&File::open(&path).unwrap());
         path
     }
 
-    /// A direct reader on the cold file at `path`; fails if the filesystem
-    /// keeps the file cached or refuses `O_DIRECT` (tmpfs).
+    /// A witness to a buffered read of the first page of the file at
+    /// `path` that the page cache did not serve, and the file dropped from
+    /// the cache: it neither served nor kept what was read.
+    fn lost_witness(path: &Path) -> Arc<PageWitness> {
+        let witness = PageWitness::default();
+        witness.note(1, 0);
+        witness.note_held(1, 0);
+        drop_cached(&File::open(path).unwrap());
+        Arc::new(witness)
+    }
+
+    /// A direct reader on the file at `path`, whose page cache lost a read
+    /// of it; fails if the filesystem keeps the file cached or refuses
+    /// `O_DIRECT` (tmpfs).
     fn direct_reader(path: &Path, qd: u32) -> UringReader {
-        let r = UringReader::open(path, qd).unwrap();
+        let r = UringReader::with_witness(File::open(path).unwrap(), qd, lost_witness(path)).unwrap();
         assert!(r.is_direct(), "a dropped file opened buffered (is TMPDIR on tmpfs?)");
         r
     }
@@ -1136,9 +1309,12 @@ mod tests {
         let path = write_u32_file(1 << 16);
         let qd = 32u32;
         let groups: Vec<Vec<ReadSlice>> = (0..8).map(|k| same_page_runs(k * 8, 4, 8, 1)).collect();
-        let mut r = UringReader::open(&path, qd).unwrap();
-        // Just written, the file is in the page cache: the reader reads it
+        // The page cache kept what the last reader read: the next reads it
         // buffered, one SQE per request, and stages nothing.
+        let witness = Arc::new(PageWitness::default());
+        let file = || File::open(&path).unwrap();
+        pipelined(&mut UringReader::with_witness(file(), qd, Arc::clone(&witness)).unwrap(), &groups);
+        let mut r = UringReader::with_witness(file(), qd, witness).unwrap();
         assert!(!r.is_direct());
         let got = pipelined(&mut r, &groups);
         for (g, buf) in groups.iter().zip(&got) {
@@ -1147,6 +1323,41 @@ mod tests {
         let stats = r.stats();
         assert_eq!((stats.spanned, stats.staging_bytes), (0, 0));
         assert_eq!(stats.syscalls, groups.len() as u64, "one enter per group");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_cold_file_warms_until_the_cache_loses_it() {
+        let path = write_cold_u32_file(1 << 18);
+        let groups: Vec<Vec<ReadSlice>> = (0..8).map(|k| same_page_runs(k * 16, 4, 8, 2)).collect();
+        let witness = Arc::new(PageWitness::default());
+        let open = || UringReader::with_witness(File::open(&path).unwrap(), 32, Arc::clone(&witness)).unwrap();
+        let cached = || {
+            let fd = File::open(&path).unwrap();
+            groups.iter().flatten().filter(|r| crate::sys::cachestat(fd.as_raw_fd(), r.offset, 1).unwrap().nr_cache > 0).count()
+        };
+        // Cold, and nothing noted yet: the first reader reads buffered and
+        // leaves what it read in the page cache.
+        assert_eq!(cached(), 0);
+        let mut first = open();
+        assert!(!first.is_direct());
+        pipelined(&mut first, &groups);
+        drop(first);
+        assert_eq!(cached(), 8 * 32);
+        // The cache kept it, so the next reader reads buffered too.
+        assert!(!open().is_direct());
+        // The first reader's groups each began on a page the cache did not
+        // hold. Once the cache loses what was read, the next reader reads
+        // direct, and nothing it reads enters the cache.
+        drop_cached(&File::open(&path).unwrap());
+        let mut third = open();
+        assert!(third.is_direct());
+        let got = pipelined(&mut third, &groups);
+        assert_eq!(cached(), 0);
+        let mut p = PreadReader::open(&path, 32).unwrap();
+        assert_eq!(got, pipelined(&mut p, &groups));
+        // A reader built without a witness reads buffered, whatever the cache.
+        assert!(!UringReader::open(&path, 32).unwrap().is_direct());
         std::fs::remove_file(path).ok();
     }
 
@@ -1244,26 +1455,103 @@ mod tests {
         let at = |offset, len| ReadSlice::new(offset, len);
         // A run of three on page 1, a read straddling pages 1 and 2, a lone
         // read, then two reads whose page ends the address space and one
-        // whose end overflows it: each run is one read of its extent,
-        // rounded out to the 512-byte block, staged one after another.
+        // whose end overflows it.
         let reqs = [
             at(4096, 4), at(4100, 8), at(4096, 4), at(8190, 4),
             at(9000, 4),
             at(u64::MAX - 7, 4), at(u64::MAX - 3, 4), at(u64::MAX - 1, 4),
         ];
-        assert_eq!(plan_spans(&reqs, 512, &mut spans), 512 + 1024 + 512 + 511 + 511);
+        // Direct: each run is one read of its extent, rounded out to the
+        // 512-byte block, staged one after another.
+        assert_eq!(plan_spans(&reqs, Some(512), &mut spans), 512 + 1024 + 512 + 511 + 511);
         let got: Vec<_> = spans.iter().map(|s| (s.first, s.end, s.dst, s.stage, s.read)).collect();
         let last = u64::MAX - 511;
         assert_eq!(
             got,
             [
-                (0, 3, 0, 0, at(4096, 512)),
-                (3, 4, 16, 512, at(7680, 1024)),
-                (4, 5, 20, 1536, at(8704, 512)),
-                (5, 7, 24, 2048, at(last, 511)),
-                (7, 8, 32, 2559, at(last, 511)),
+                (0, 3, 0, Some(0), at(4096, 512)),
+                (3, 4, 16, Some(512), at(7680, 1024)),
+                (4, 5, 20, Some(1536), at(8704, 512)),
+                (5, 7, 24, Some(2048), at(last, 511)),
+                (7, 8, 32, Some(2559), at(last, 511)),
             ]
         );
+        // Buffered: the runs of two or more are staged as their extent, and
+        // every other request is read in place.
+        spans.clear();
+        // The run that ends the address space stops a byte short of it.
+        assert_eq!(plan_spans(&reqs, None, &mut spans), 12 + 7);
+        let got: Vec<_> = spans.iter().map(|s| (s.first, s.end, s.dst, s.stage, s.read)).collect();
+        assert_eq!(
+            got,
+            [
+                (0, 3, 0, Some(0), at(4096, 12)),
+                (3, 4, 16, None, at(8190, 4)),
+                (4, 5, 20, None, at(9000, 4)),
+                (5, 7, 24, Some(12), at(u64::MAX - 7, 7)),
+                (7, 8, 32, None, at(u64::MAX - 1, 4)),
+            ]
+        );
+    }
+
+    #[test]
+    fn missing_pages_span_buffered_runs() {
+        let pages = 64u64;
+        let path = write_cold_u32_file((pages * PAGE_BYTES / 4) as u32);
+        let qd = 32u32;
+        let mut r = UringReader::open(&path, qd).unwrap();
+        assert!(!r.is_direct());
+        let mut p = PreadReader::open(&path, qd).unwrap();
+        // Runs of eight on pages 0, 2, 4 and 6, then a page-straddling read
+        // and a lone one: four spans and two reads in place.
+        let mut reqs = same_page_runs(0, 4, 6, 2);
+        reqs.push(ReadSlice::new(9 * PAGE_BYTES - 4, 8));
+        reqs.push(ReadSlice::new(20 * PAGE_BYTES, 4));
+        // Missing pages, as the last group's lend saw them: this group spans.
+        r.missing = true;
+        let t = r.submit_group(&reqs, Vec::new()).unwrap();
+        assert_eq!(r.outstanding, 6);
+        let got = r.complete_group(t).unwrap();
+        assert_eq!(got, read_group_blocking(&mut p, &reqs, Vec::new()).unwrap());
+        assert_eq!(r.stats().spanned, 24, "the four runs are served from staging");
+        assert_eq!(r.stats().staging_bytes, PAGE_BYTES, "four runs of 24 bytes take one page");
+        // With nothing missing, the reader lends one SQE per request.
+        r.missing = false;
+        let t = r.submit_group(&reqs, Vec::new()).unwrap();
+        assert_eq!(r.outstanding, reqs.len() as u64);
+        assert_eq!(r.complete_group(t).unwrap(), got);
+        assert_eq!(r.stats().spanned, 24);
+        // A run whose page ends short of its reads fails at the first one
+        // past EOF, as pread does.
+        let tail = [ReadSlice::new((pages - 1) * PAGE_BYTES + 4088, 4), ReadSlice::new((pages - 1) * PAGE_BYTES + 4092, 8)];
+        r.missing = true;
+        let short = |e| match e {
+            Err(IoEngineError::ShortRead { offset, expected, got }) => (offset, expected, got),
+            other => panic!("{other:?}"),
+        };
+        let want = short(read_group_blocking(&mut p, &tail, Vec::new()));
+        assert_eq!(short(read_group_blocking(&mut r, &tail, Vec::new())), want);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn buffered_span_staging_stays_within_its_bound() {
+        let path = write_u32_file(1 << 20);
+        let qd = 64u32;
+        let mut r = UringReader::open(&path, qd).unwrap();
+        let mut p = PreadReader::open(&path, qd).unwrap();
+        // 32 runs of two reads at the two ends of a page: each run's extent
+        // is its whole page, and only sixteen pages may be staged.
+        let runs: Vec<ReadSlice> = (0..32u64)
+            .flat_map(|k| [0, PAGE_BYTES - 4].map(|at| ReadSlice::new(k * PAGE_BYTES + at, 4)))
+            .collect();
+        r.missing = true;
+        let t = r.submit_group(&runs, Vec::new()).unwrap();
+        assert_eq!(r.outstanding, 16 + 2 * 16, "sixteen spans, then the rest read by read");
+        assert_eq!(r.complete_group(t).unwrap(), read_group_blocking(&mut p, &runs, Vec::new()).unwrap());
+        assert_eq!(r.stats().staging_bytes, SPAN_BYTES_MAX as u64);
+        assert_eq!(r.stats().spanned, 32);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1406,21 +1694,45 @@ mod tests {
     }
 
     #[test]
+    fn pages_the_cache_served_keep_the_next_reader_buffered() {
+        let path = write_u32_file(1 << 18);
+        let groups: Vec<Vec<ReadSlice>> = (0..8).map(|k| same_page_runs(k * 16, 4, 8, 2)).collect();
+        let witness = Arc::new(PageWitness::default());
+        let open = || UringReader::with_witness(File::open(&path).unwrap(), 32, Arc::clone(&witness)).unwrap();
+        // The file is cached: the page cache serves every read.
+        let mut r = open();
+        pipelined(&mut r, &groups);
+        assert_eq!((r.held, r.sampled), (1, 1), "group 1 is sampled, and the cache holds its page");
+        drop(r);
+        // It loses the file, but it served what the last reader read: pages
+        // may recur, so the next reader reads buffered.
+        drop_cached(&File::open(&path).unwrap());
+        assert!(!open().is_direct());
+        // A last reader whose groups began on a page the cache held less
+        // than half the time: direct.
+        witness.note_held(8, 3);
+        assert!(open().is_direct());
+        witness.note_held(8, 4);
+        assert!(!open().is_direct());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn refused_direct_reads_the_dropped_file_buffered() {
-        let path = write_cold_u32_file(1 << 20);
+        let path = write_u32_file(1 << 20);
+        let witness = lost_witness(&path);
         // The probe refuses, as without cachestat(2) or on a filesystem
         // that takes no O_DIRECT: the reader stays buffered.
         REFUSE_DIRECT.set(true);
-        let mut r = UringReader::open(&path, 32).unwrap();
+        let mut r = UringReader::with_witness(File::open(&path).unwrap(), 32, Arc::clone(&witness)).unwrap();
         assert!(!r.is_direct());
         let mut p = PreadReader::open(&path, 32).unwrap();
         let groups: Vec<Vec<ReadSlice>> = (0..8).map(|k| same_page_runs(k * 64, 4, 8, 3)).collect();
         assert_eq!(pipelined(&mut r, &groups), pipelined(&mut p, &groups));
-        assert_eq!((r.stats().spanned, r.stats().staging_bytes), (0, 0));
-        // The refusal was for one reader: the next one on a dropped file
-        // reads direct.
+        // The refusal was for one reader: once the cache loses what it
+        // read, the next one reads direct.
         drop_cached(&File::open(&path).unwrap());
-        assert!(direct_reader(&path, 32).is_direct());
+        assert!(UringReader::with_witness(File::open(&path).unwrap(), 32, witness).unwrap().is_direct());
         std::fs::remove_file(path).ok();
     }
 

@@ -45,7 +45,7 @@ pub mod probe;
 pub mod ring;
 pub mod sys;
 
-pub use engine::{GroupReader, PreadReader, ReadSlice, ReaderStats, UringReader};
+pub use engine::{GroupReader, PageWitness, PreadReader, ReadSlice, ReaderStats, UringReader};
 pub use error::{IoEngineError, Result};
 pub use probe::{default_engine, open_reader, uring_available, uring_caps, EngineKind, UringCaps};
 pub use ring::{Completion, Ring};

@@ -413,6 +413,19 @@ impl Ring {
         }
     }
 
+    /// Completions waiting in the CQ: reads that have landed and are not yet
+    /// reaped. Right after a submit, fewer of these than reads lent means
+    /// some went to the device.
+    pub fn cq_ready(&self) -> usize {
+        // SAFETY: cq_head/cq_tail point into the live mapping.
+        unsafe {
+            // ordering: cq_head's sole writer is this thread; the kernel only reads it, so no acquire is needed
+            let head = (*self.cq_head).load(Ordering::Relaxed);
+            let tail = (*self.cq_tail).load(Ordering::Acquire);
+            tail.wrapping_sub(head) as usize
+        }
+    }
+
     /// Blocks until a completion is available and returns it.
     ///
     /// Spins on the CQ first (cheap when I/O is already done), then parks in

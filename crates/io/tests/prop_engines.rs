@@ -3,14 +3,14 @@
 //! interleavings of submission and completion.
 
 use std::fs::File;
-use std::os::unix::fs::{FileExt, OpenOptionsExt};
+use std::os::unix::fs::FileExt;
 use std::os::unix::io::AsRawFd;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use ringsampler_io::engine::{GroupReader, GroupToken, PreadReader, ReadSlice, UringReader};
-use ringsampler_io::{sys, Ring};
+use ringsampler_io::engine::{read_group_blocking, GroupReader, GroupToken, PreadReader, ReadSlice, UringReader};
+use ringsampler_io::{sys, PageWitness, Ring};
 
 static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
@@ -58,71 +58,38 @@ fn paged_file() -> &'static File {
 }
 
 /// Writes `file` back and drops it from the page cache with
-/// `posix_fadvise(DONTNEED)`, so a reader opened next reads it direct.
+/// `posix_fadvise(DONTNEED)`.
 fn drop_cached(file: &File) {
     file.sync_all().unwrap();
-    sys::fadvise(file.as_raw_fd(), sys::POSIX_FADV_DONTNEED).unwrap();
-}
-
-/// What the dropped-file cases print, and ci.sh refuses to see, when this
-/// filesystem cannot show a direct read.
-const NOT_CHECKED: &str = "direct reads not checked here";
-
-/// Whether a dropped file here is read direct, probed without the reader:
-/// `Err` says why not — the drop leaves the file resident (`mincore`), or
-/// the filesystem refuses an aligned `O_DIRECT` read — and is printed once.
-/// The dropped-file cases then check the buffered fallback instead.
-fn direct_here() -> bool {
-    static HERE: OnceLock<bool> = OnceLock::new();
-    *HERE.get_or_init(|| match probe_direct(&data_file(16 * 4096)) {
-        Ok(()) => true,
-        Err(why) => {
-            println!("{NOT_CHECKED}: {why}; the buffered fallback is checked instead");
-            false
+    // Just written, an ext4 file can keep pages its journal still holds
+    // past a drop: drop until none is cached.
+    for _ in 0..1000 {
+        sys::fadvise(file.as_raw_fd(), sys::POSIX_FADV_DONTNEED).unwrap();
+        if sys::cachestat(file.as_raw_fd(), 0, 0).unwrap().nr_cache == 0 {
+            return;
         }
-    })
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    panic!("the page cache keeps the file (is TMPDIR on tmpfs?)");
 }
 
-/// Probes with the file at `path`, which it then removes.
-fn probe_direct(path: &std::path::Path) -> Result<(), String> {
-    #[repr(C, align(4096))]
-    struct Page([u8; 4096]);
-    let file = File::open(path).unwrap();
-    std::fs::remove_file(path).unwrap();
-    let direct = std::fs::OpenOptions::new()
-        .read(true)
-        .custom_flags(sys::O_DIRECT)
-        .open(format!("/proc/self/fd/{}", file.as_raw_fd()))
-        .map_err(|e| format!("O_DIRECT open refused: {e}"))?;
-    let mut page = Page([0; 4096]);
-    direct.read_exact_at(&mut page.0, 0).map_err(|e| format!("aligned O_DIRECT read refused: {e}"))?;
-    drop_cached(&file);
-    let resident = resident_pages(&file);
-    let pages = file.metadata().unwrap().len().div_ceil(4096) as usize;
-    if 2 * resident >= pages {
-        return Err(format!("{resident} of {pages} pages stay resident after POSIX_FADV_DONTNEED (tmpfs?)"));
+/// A witness to buffered reads of a byte of `file`'s first page and of the
+/// seven after it, one group each. `cold`, the page cache holds none of
+/// them when it is read, and the file then leaves the cache, so a reader
+/// built with the witness reads it direct.
+fn witness(file: &File, cold: bool) -> Arc<PageWitness> {
+    if cold {
+        drop_cached(file);
     }
-    Ok(())
-}
-
-/// Pages of `file` in the page cache, by `mincore(2)` over a mapping of it.
-fn resident_pages(file: &File) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    const SYS_MINCORE: libc::c_long = 27;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_MINCORE: libc::c_long = 232;
-    let len = file.metadata().unwrap().len() as usize;
-    let mut vec = vec![0u8; len.div_ceil(4096)];
-    // SAFETY: a fresh shared read-only mapping of `len` bytes of an open
-    // file; `vec` has one byte per page of it; both are released below.
-    unsafe {
-        let at = libc::mmap(std::ptr::null_mut(), len, libc::PROT_READ, libc::MAP_SHARED, file.as_raw_fd(), 0);
-        assert_ne!(at, libc::MAP_FAILED);
-        let r = libc::syscall(SYS_MINCORE, at, len, vec.as_mut_ptr());
-        assert_eq!(r, 0, "mincore: {}", std::io::Error::last_os_error());
-        libc::munmap(at, len);
+    let seen = Arc::new(PageWitness::default());
+    let mut r = UringReader::with_witness(file.try_clone().unwrap(), 1, Arc::clone(&seen)).unwrap();
+    for k in 0..8 {
+        read_group_blocking(&mut r, &[ReadSlice::new(k * 4096, 1)], Vec::new()).unwrap();
     }
-    vec.iter().filter(|&&b| b & 1 == 1).count()
+    if cold {
+        drop_cached(file);
+    }
+    seen
 }
 
 /// Runs of 2–6 adjacent 4-byte reads, each on one page of a
@@ -160,35 +127,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same-page runs read the same bytes from both engines, warm or cold.
-    /// Cold, the reader opens the file direct and serves every request from
-    /// a staged read; warm, it reads buffered, stages nothing and enters
-    /// once per group. Where this filesystem cannot read direct
-    /// ([`direct_here`]), the cold case checks the buffered fallback.
+    /// Cold, the page cache lost what an earlier reader read: the reader
+    /// opens the file direct and serves every request from a staged read.
+    /// Warm, it reads buffered, stages nothing and enters once per group.
     #[test]
     fn same_page_runs_agree_warm_and_cold(reqs in arb_runs(), qd in 4usize..16, cold in 0u8..2) {
         let cold = cold == 1;
         let file = paged_file();
-        let direct = cold && direct_here();
-        if cold {
-            drop_cached(file);
-        } else {
+        if !cold {
             let mut all = vec![0; (SLOTS * SLOT_PAGES * 4096) as usize];
             file.read_exact_at(&mut all, 0).unwrap();
         }
+        let seen = witness(file, cold);
         let groups: Vec<&[ReadSlice]> = reqs.chunks(qd).collect();
-        let mut uring = UringReader::with_file(file.try_clone().unwrap(), qd as u32).unwrap();
-        prop_assert_eq!(uring.is_direct(), direct);
+        let mut uring = UringReader::with_witness(file.try_clone().unwrap(), qd as u32, seen).unwrap();
+        prop_assert_eq!(uring.is_direct(), cold, "a dropped file must read direct (is TMPDIR on tmpfs?)");
         let got = pipelined(&mut uring, &groups);
         let mut pread = PreadReader::with_file(file.try_clone().unwrap(), qd as u32);
         prop_assert_eq!(&got, &pipelined(&mut pread, &groups));
         let stats = uring.stats();
-        if direct {
+        if cold {
             prop_assert_eq!(stats.spanned, reqs.len() as u64);
             prop_assert!(stats.staging_bytes > 0);
         } else {
             prop_assert_eq!((stats.spanned, stats.staging_bytes), (0, 0));
-        }
-        if !cold {
             prop_assert_eq!(stats.syscalls, groups.len() as u64);
         }
     }
@@ -208,15 +170,15 @@ proptest! {
     }
 
     /// Any read pattern produces identical bytes from both engines on a
-    /// file dropped from the page cache, which the uring reader reads
-    /// direct.
+    /// file whose page cache lost an earlier read, which the uring reader
+    /// reads direct.
     #[test]
     fn engines_agree_on_arbitrary_patterns_dropped(reqs in arb_reads(), qd in 1u32..64) {
         let path = data_file(65_536);
-        drop_cached(&File::open(&path).unwrap());
+        let seen = witness(&File::open(&path).unwrap(), true);
         let qd = qd.max(reqs.len() as u32).max(1);
-        let mut uring = UringReader::open(&path, qd).unwrap();
-        prop_assert_eq!(uring.is_direct(), direct_here());
+        let mut uring = UringReader::with_witness(File::open(&path).unwrap(), qd, seen).unwrap();
+        prop_assert!(uring.is_direct(), "a dropped file must read direct (is TMPDIR on tmpfs?)");
         let mut pread = PreadReader::open(&path, qd).unwrap();
         let tu = uring.submit_group(&reqs, Vec::new()).unwrap();
         let tp = pread.submit_group(&reqs, Vec::new()).unwrap();

@@ -21,8 +21,9 @@ pub struct SampleMetrics {
     pub io_groups: u64,
     /// Syscalls issued by the I/O engine.
     pub syscalls: u64,
-    /// Read requests the I/O engine served from a staged direct read: one
-    /// `O_DIRECT` read of the extent of the requests on one page.
+    /// Read requests the I/O engine served from a staged read: one read of
+    /// the extent of the requests on one page, with `O_DIRECT` or, on a
+    /// page missing from the page cache, buffered.
     pub spanned_reads: u64,
     /// Sampled entries served from the hot set (0 when caching is off).
     pub cache_hits: u64,

@@ -14,8 +14,11 @@
 //! batch's seeds are already in node order.
 //!
 //! The same graph with its edge file dropped from the page cache is read
-//! with `O_DIRECT`, in staged reads: the cold shapes must fold to the same
-//! digests.
+//! as a new sampler reads a cold file — buffered, a group that finds pages
+//! missing leading the next to stage its same-page runs — and the cold
+//! shapes must fold to the same digests. (The worker test
+//! `direct_reads_sample_what_buffered_reads_sample` pins the direct
+//! reader's samples to the buffered ones.)
 
 use ringsampler::{epoch_targets, BatchSample, CachePolicy, ReadPlanMode, RingSampler, SamplerConfig};
 use ringsampler_graph::gen::GeneratorSpec;
@@ -41,7 +44,8 @@ fn batch_digest(idx: usize, sample: &BatchSample) -> u64 {
 }
 
 /// Puts the edge file of `graph` in the page cache, or, `cold`, writes it
-/// back and drops it from there, so the readers built next read it direct.
+/// back and drops it from there. Just written, an ext4 file can keep pages
+/// its journal still holds past a drop, so that drops until none is cached.
 fn set_cached(graph: &OnDiskGraph, cold: bool) {
     use std::os::fd::AsRawFd;
     if !cold {
@@ -50,7 +54,14 @@ fn set_cached(graph: &OnDiskGraph, cold: bool) {
     }
     let file = std::fs::File::open(graph.edge_path()).unwrap();
     file.sync_all().unwrap();
-    sys::fadvise(file.as_raw_fd(), sys::POSIX_FADV_DONTNEED).unwrap();
+    for _ in 0..1000 {
+        sys::fadvise(file.as_raw_fd(), sys::POSIX_FADV_DONTNEED).unwrap();
+        if sys::cachestat(file.as_raw_fd(), 0, 0).unwrap().nr_cache == 0 {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    panic!("the page cache keeps the edge file (is TMPDIR on tmpfs?)");
 }
 
 /// The pinned digests of batches 0, 1 and 2, without and with replacement.
@@ -106,9 +117,10 @@ fn sample_stream_is_pinned() {
                 if cache != CachePolicy::None {
                     assert!(m.cache_hits > 0 && m.cache_misses > 0, "{what}: {m:?}");
                 }
-                // Cold, every request is served from a staged direct read.
-                let spanned = if cold { m.io_requests } else { 0 };
-                assert_eq!(m.spanned_reads, spanned, "{what} (is TMPDIR on tmpfs?): {m:?}");
+                // Warm, nothing is missing and nothing is staged.
+                if !cold {
+                    assert_eq!(m.spanned_reads, 0, "{what}: {m:?}");
+                }
             }
         }
     }
